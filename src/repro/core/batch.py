@@ -574,7 +574,7 @@ class BatchGoldilocks(EncodedGoldilocks):
         return ls, end
 
     def _replay(self, ls: IntLockset, start: int, end: int) -> IntLockset:
-        """Index-driven replay (GC partial evaluation, memo advancement)."""
+        """Index-driven forward replay of ``[start, end)``, no early exit."""
         if start >= end or not self.events.index_keys:
             return super()._replay(ls, start, end)
         new_ls, _reached = self._skip_scan(ls, start, end, None)

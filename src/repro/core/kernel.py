@@ -2,7 +2,7 @@
 
 :class:`EncodedGoldilocks` is algorithm-for-algorithm the detector of
 :mod:`repro.core.lazy` -- same ``Info`` discipline, same check ordering,
-same garbage collection -- with the hot loop rebuilt on integers:
+same two-phase garbage collection -- with the hot loop rebuilt on integers:
 
 * every lockset element is interned to a dense small int
   (:class:`repro.core.lockset.Interner`), and locksets become int bitmasks
@@ -66,7 +66,9 @@ from .lockset import (
     IntLockset,
     ls_add,
     ls_decode,
+    ls_from_mask,
     ls_has,
+    ls_ids,
     ls_intersects,
     ls_pack,
     ls_union,
@@ -641,57 +643,61 @@ class EncodedGoldilocks(Detector):
         return info2.xact and ls_has(ls, TL_ID)
 
     def _restricted_traversal(self, info1: KInfo, info2: KInfo) -> bool:
-        """Replay only the two owners' events, via the per-thread indexes."""
+        """Replay only the two owners' events, via the per-thread indexes.
+
+        A two-pointer walk over the owners' shared position lists, reading
+        the segment arrays in place: no list, merge or row tuple is built.
+        """
         events = self.events
         start = info1.pos
-        mine = events.positions_of(info1.owner_id, start)
         target = info2.owner_id
+        mine, i = events.tid_positions(info1.owner_id, start)
         if info1.owner_id == target:
-            positions: Iterable[int] = mine
+            theirs, j = [], 0
         else:
-            theirs = events.positions_of(target, start)
-            positions = self._merge(mine, theirs)
+            theirs, j = events.tid_positions(target, start)
+        n_mine, n_theirs = len(mine), len(theirs)
         ls = info1.ls
         table = events.commit_table
-        stats = self.stats
-        for pos in positions:
-            stats.cells_traversed += 1
-            op, _tid, key, gain = events.at(pos)
-            if op != OP_COMMIT:
+        segments = events.segments
+        size = events.segment_size
+        seg_end = -1  # no segment loaded yet
+        visited = 0
+        while True:
+            if i < n_mine and (j >= n_theirs or mine[i] < theirs[j]):
+                pos = mine[i]
+                i += 1
+            elif j < n_theirs:
+                pos = theirs[j]
+                j += 1
+            else:
+                break
+            visited += 1
+            if pos >= seg_end:  # positions ascend: only ever move forward
+                base = pos - pos % size
+                seg_end = base + size
+                segment = segments[base // size]
+                ops, keys, gains = segment.ops, segment.keys, segment.gains
+            slot = pos - base
+            key = keys[slot]
+            if ops[slot] != OP_COMMIT:
                 if type(ls) is int:
                     if (ls >> key) & 1:
+                        gain = gains[slot]
                         ls = ls | (1 << gain) if gain < BITSET_CUTOFF else ls_add(ls, gain)
                 elif key in ls:
-                    ls = ls | {gain}
+                    ls = ls | {gains[slot]}
             else:
                 incoming, outgoing, committer = table[key]
                 if ls_intersects(ls, incoming):
                     ls = ls_add(ls, committer)
                 if ls_has(ls, committer):
                     ls = ls_union(ls, outgoing)
-            if ls_has(ls, target):
+            if ((ls >> target) & 1) if type(ls) is int else (target in ls):
+                self.stats.cells_traversed += visited
                 return True
+        self.stats.cells_traversed += visited
         return ls_has(ls, target)
-
-    @staticmethod
-    def _merge(left: List[int], right: List[int]) -> List[int]:
-        """Merge two ascending position lists (positions are unique)."""
-        out: List[int] = []
-        i = j = 0
-        nl, nr = len(left), len(right)
-        while i < nl and j < nr:
-            a, b = left[i], right[j]
-            if a < b:
-                out.append(a)
-                i += 1
-            else:
-                out.append(b)
-                j += 1
-        if i < nl:
-            out.extend(left[i:])
-        if j < nr:
-            out.extend(right[j:])
-        return out
 
     def _full_traversal(self, info1: KInfo, info2: KInfo) -> bool:
         """``Apply-Lockset-Rules`` over the encoded segment arrays."""
@@ -858,21 +864,29 @@ class EncodedGoldilocks(Detector):
         """Reclaim the event-list prefix (Section 5.4); returns events freed.
 
         Same two phases as the seed detector -- free the unreferenced
-        prefix, then partially-eagerly advance any lockset anchored in the
+        prefix, then partially-eagerly advance every lockset anchored in the
         oldest ``trim_fraction`` and free again -- at whole-segment
-        granularity.  The shared memo is cleared whenever storage is freed:
-        its entries are not reference-counted, so they may point into
-        reclaimed segments.
+        granularity.  The cutoff is rounded up to a segment boundary, but
+        never past the start of the segment still being appended to, so the
+        advanced infos leave every segment before it and the second phase
+        always frees storage.  The shared memo is cleared whenever storage
+        is freed: its entries are not reference-counted, so they may point
+        into reclaimed segments.
         """
-        freed = self.events.collect_prefix()
+        events = self.events
+        freed = events.collect_prefix()
         threshold = self.gc_threshold if self.gc_threshold is not None else 0
-        if len(self.events) > threshold:
-            prefix_len = max(1, int(len(self.events) * self.trim_fraction))
-            cutoff = self.events.head_pos + prefix_len
-            for info in self._all_infos():
-                if info.pos < cutoff:
-                    self._advance_past(info, cutoff)
-            freed += self.events.collect_prefix()
+        if len(events) > threshold:
+            size = events.segment_size
+            prefix_end = events.head_pos + max(1, int(len(events) * self.trim_fraction))
+            cutoff = min(
+                -(-prefix_end // size) * size,
+                events.total_enqueued - events.total_enqueued % size,
+            )
+            pinned = [info for info in self._all_infos() if info.pos < cutoff]
+            if pinned:
+                self._advance_to(pinned, cutoff)
+                freed += events.collect_prefix()
         if freed:
             self._memo.clear()
         self.stats.cells_collected += freed
@@ -885,14 +899,61 @@ class EncodedGoldilocks(Detector):
             for info in per_thread.values():
                 yield info
 
-    def _advance_past(self, info: KInfo, cutoff: int) -> None:
-        """Advance one lockset out of the prefix (the 5.4 partial evaluation)."""
-        self.stats.partial_evaluations += 1
-        new_ls = self._replay(info.ls, info.pos, cutoff)
-        self.events.decref(info.pos)
-        info.pos = cutoff
-        self.events.incref(cutoff)
-        info.ls = new_ls
+    def _advance_to(self, infos: List[KInfo], cutoff: int) -> None:
+        """Advance every info to ``cutoff`` in one backward pass (5.4).
+
+        Each Figure 5 rule adds elements because of one member already in
+        the lockset, so replay distributes over union: a set grows into the
+        union of what its singletons grow into.  Walking back from
+        ``cutoff``, ``reach[e]`` is what ``{e}`` at the current position
+        grows into by ``cutoff``, as an unbounded id bitmask (absent means
+        ``{e}`` itself); an info anchored here gets the union of its
+        members' ``reach``, in canonical form.  Cost: one pass over
+        ``[oldest anchor, cutoff)`` plus the locksets' sizes, where a
+        forward replay per info costs infos x prefix.
+        """
+        events = self.events
+        anchored: Dict[int, List[KInfo]] = {}
+        for info in infos:
+            anchored.setdefault(info.pos, []).append(info)
+        stops = sorted(anchored, reverse=True)
+        self.stats.partial_evaluations += len(infos)
+        self.stats.cells_traversed += cutoff - stops[-1]
+        size = events.segment_size
+        segments = events.segments
+        table = events.commit_table
+        reach: Dict[int, int] = {}
+        get = reach.get
+        pos = cutoff
+        for stop in stops:
+            while pos > stop:  # cells [stop, pos), newest first
+                base = (pos - 1) - (pos - 1) % size
+                segment = segments[base // size]
+                ops, keys, gains = segment.ops, segment.keys, segment.gains
+                low = max(stop, base)
+                for slot in range(pos - 1 - base, low - 1 - base, -1):
+                    key = keys[slot]
+                    if ops[slot] != OP_COMMIT:
+                        gain = gains[slot]
+                        reach[key] = get(key, 1 << key) | get(gain, 1 << gain)
+                    else:
+                        # read committer and outgoing before writing any
+                        incoming, outgoing, committer = table[key]
+                        grown = get(committer, 1 << committer)
+                        for eid in ls_ids(outgoing):
+                            grown |= get(eid, 1 << eid)
+                        for eid in ls_ids(incoming):
+                            reach[eid] = get(eid, 1 << eid) | grown
+                        reach[committer] = grown
+                pos = low
+            for info in anchored[stop]:
+                mask = 0
+                for eid in ls_ids(info.ls):
+                    mask |= get(eid, 1 << eid)
+                events.decref(stop)
+                info.pos = cutoff
+                events.incref(cutoff)
+                info.ls = ls_from_mask(mask)
 
     # -- checkpointing ---------------------------------------------------------
 

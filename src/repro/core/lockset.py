@@ -306,6 +306,18 @@ def ls_unpack(packed: Union[int, Tuple[int, ...]]) -> IntLockset:
     return frozenset(packed)
 
 
+def ls_from_mask(mask: int) -> IntLockset:
+    """The canonical lockset for an unbounded bitmask of ids.
+
+    The mask itself while every id is below :data:`BITSET_CUTOFF`, else a
+    frozenset -- the representation :func:`ls_add` reaches for the same
+    members.
+    """
+    if mask >> BITSET_CUTOFF == 0:
+        return mask
+    return frozenset(_mask_ids(mask))
+
+
 def ls_decode(ls: IntLockset, interner: Interner) -> Set[LocksetElement]:
     """Back to a plain element set (for parity tests and diagnostics)."""
     return {interner.resolve(eid) for eid in ls_ids(ls)}

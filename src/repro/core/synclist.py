@@ -284,7 +284,7 @@ class EncodedSyncList:
       frees whole zero-reference segments from the front -- slightly
       coarser than the per-cell collector, never less sound, and O(1) per
       reclaimed chunk.
-    * Per-thread position indexes (``positions_of``) let the
+    * Per-thread position indexes (``tid_positions``) let the
       thread-restricted short circuit walk only the two owners' events.
 
     Commits carry variable-size footprints, so they are stored as an index
@@ -424,12 +424,16 @@ class EncodedSyncList:
         segment = self.segments[pos // self.segment_size]
         return (segment.ops[slot], segment.tids[slot], segment.keys[slot], segment.gains[slot])
 
-    def positions_of(self, tid_id: int, start: int) -> List[int]:
-        """This thread's event positions at or after ``start``, ascending."""
+    def tid_positions(self, tid_id: int, start: int) -> Tuple[List[int], int]:
+        """This thread's event positions, from ``start`` on.
+
+        Returns ``(the shared ascending list, first index >= start)``, the
+        shape of :meth:`key_positions`, so callers walk it without copying.
+        """
         positions = self._by_tid.get(tid_id)
         if not positions:
-            return []
-        return positions[bisect_left(positions, start):]
+            return [], 0
+        return positions, bisect_left(positions, start)
 
     def key_positions(self, key: int, start: int) -> Tuple[List[int], int]:
         """Positions whose rule can fire for ``key``, from ``start`` on.
