@@ -337,8 +337,8 @@ def test_lazy_goldilocks_beats_eager_on_detector_work():
     # The seed lazy detector's linked-list traversal walks (and now honestly
     # counts) every cell in a thread-restricted replay, so on this small
     # trace its counted work only beats the eager detector's *total* work.
-    # The encoded kernel, whose per-thread indexes touch only the relevant
-    # cells, beats even the eager detector's bare rule count.
+    # The encoded kernel, whose key index touches only the cells whose
+    # rule can fire, beats even the eager detector's bare rule count.
     lazy = LazyGoldilocks()
     lazy.process_all(RANDOM_EVENTS)
     eager = EagerGoldilocksRW()

@@ -10,11 +10,7 @@ detector-throughput artifact):
 * ``text-packed``   -- text lines, encoded once at the ingestion edge into
   packed integer frames;
 * ``binary-packed`` -- the opt-in binary wire: length-prefixed packed
-  frames consumed without ever constructing ``Event`` objects;
-* ``text-packed-batch`` / ``binary-packed-batch`` -- the same packed paths
-  on the batch-vectorized kernel (``kernel="batch"``), which applies each
-  frame at run/column granularity; on inline workers the engine fuses
-  routing and apply (no intermediate framed buffer at all).
+  frames consumed without ever constructing ``Event`` objects.
 
 Wall-clock fields (``elapsed_sec``, ``events_per_sec``) are
 environment-dependent and only indicative.  The comparison the suite
@@ -28,11 +24,9 @@ materializations at the ingestion edge (one per Event in object mode; one
 per *newly seen* element in packed mode).  Both are exact counters, so the
 speedup they imply holds on any host, including single-core CI runners.
 ``sync_decoded`` is recorded per mode to prove the encode-once claim:
-encoded-kernel shards on the packed transport materialize **zero** sync
-events.  ``detector_work`` (the kernels' deterministic work counter,
-summed over shards) is recorded per mode, and ``kernel_work_reduction``
-compares the batch kernel against the record-at-a-time kernel on the same
-frames -- the batch kernel's acceptance gate.
+shards on the packed transport materialize **zero** sync events.
+``detector_work`` (the kernel's deterministic work counter, summed over
+shards) is recorded per mode.
 """
 
 from __future__ import annotations
@@ -63,14 +57,12 @@ N_SHARDS = 4
 #: cost charged per edge allocation, in queue-byte equivalents
 ALLOC_COST_BYTES = 64
 
-#: (mode name, wire, transport, kernel) in presentation order; text-object
-#: first -- it is the baseline every speedup is measured against
-MODES: Tuple[Tuple[str, str, str, str], ...] = (
-    ("text-object", "text", "object", "encoded"),
-    ("text-packed", "text", "packed", "encoded"),
-    ("binary-packed", "binary", "packed", "encoded"),
-    ("text-packed-batch", "text", "packed", "batch"),
-    ("binary-packed-batch", "binary", "packed", "batch"),
+#: (mode name, wire, transport) in presentation order; text-object first
+#: -- it is the baseline every speedup is measured against
+MODES: Tuple[Tuple[str, str, str], ...] = (
+    ("text-object", "text", "object"),
+    ("text-packed", "text", "packed"),
+    ("binary-packed", "binary", "packed"),
 )
 
 
@@ -129,9 +121,9 @@ def _wire_bytes(text: str) -> bytes:
 
 
 def _run_mode(
-    wire: str, transport: str, kernel: str, text: str, repeats: int
+    wire: str, transport: str, text: str, repeats: int
 ) -> Tuple[Dict[str, object], List[str]]:
-    """One (wire, transport, kernel) pass; returns (counters, race lines)."""
+    """One (wire, transport) pass; returns (counters, race lines)."""
     binary_wire = _wire_bytes(text) if wire == "binary" else b""
     best = None
     races: List[str] = []
@@ -141,7 +133,6 @@ def _run_mode(
             ServiceConfig(
                 n_shards=N_SHARDS,
                 workers="inline",
-                kernel=kernel,
                 transport=transport,
                 flush_interval=0,
             )
@@ -169,7 +160,6 @@ def _run_mode(
         row = {
             "wire": wire,
             "transport": transport,
-            "kernel": kernel,
             "events": events,
             "races": stats.races_reported,
             "parse_errors": stats.parse_errors,
@@ -192,29 +182,13 @@ def bench_ingest(repeats: int = 1) -> Dict[str, object]:
     text = generate_trace_text()
     modes: Dict[str, Dict[str, object]] = {}
     race_lines: Dict[str, List[str]] = {}
-    for name, wire, transport, kernel in MODES:
-        modes[name], race_lines[name] = _run_mode(
-            wire, transport, kernel, text, repeats
-        )
+    for name, wire, transport in MODES:
+        modes[name], race_lines[name] = _run_mode(wire, transport, text, repeats)
     baseline = modes["text-object"]["cost"]
     speedups = {
         name: round(baseline / modes[name]["cost"], 4)
-        for name, _, _, _ in MODES
+        for name, _, _ in MODES
         if name != "text-object"
-    }
-    # The batch kernel's gate: counted detector work vs the record-at-a-time
-    # kernel consuming the identical frames (same wire, same transport).
-    kernel_work_reduction = {
-        "text": round(
-            modes["text-packed"]["detector_work"]
-            / modes["text-packed-batch"]["detector_work"],
-            4,
-        ),
-        "binary": round(
-            modes["binary-packed"]["detector_work"]
-            / modes["binary-packed-batch"]["detector_work"],
-            4,
-        ),
     }
     reference = race_lines["text-object"]
     return {
@@ -229,7 +203,6 @@ def bench_ingest(repeats: int = 1) -> Dict[str, object]:
         "cost_model": f"queue_bytes + {ALLOC_COST_BYTES} * edge_allocs",
         "modes": modes,
         "speedup_vs_text_object": speedups,
-        "kernel_work_reduction": kernel_work_reduction,
         "parity": {
             # identical races *and* identical seq tags, every mode
             "identical_race_lines": all(
@@ -256,8 +229,6 @@ def render_ingest(payload: Dict[str, object]) -> str:
         )
     for name, speedup in payload["speedup_vs_text_object"].items():
         lines.append(f"{name} vs text-object: {speedup}x cheaper by counters")
-    for wire, ratio in payload["kernel_work_reduction"].items():
-        lines.append(f"batch kernel vs encoded ({wire} wire): {ratio}x less counted work")
     parity = payload["parity"]
     lines.append(
         f"parity: {parity['races']} races, identical across modes = "

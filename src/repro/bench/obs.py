@@ -83,7 +83,6 @@ def _run_mode(mode: str, text: str, repeats: int) -> Tuple[Dict[str, object], Li
                 ServiceConfig(
                     n_shards=N_SHARDS,
                     workers="inline",
-                    kernel="encoded",
                     transport="packed",
                     flush_interval=0,
                     obs=_obs_config(mode, span_log),

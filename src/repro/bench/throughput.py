@@ -10,15 +10,10 @@ indicative, while the counter fields (``cells_traversed``,
 ``detector_work``, ``rule_applications``, ``races``) are deterministic and
 comparable across machines.
 
-Beyond the object-path detectors, the payload carries two *packed* rows
-consuming the identical pre-encoded frames (``PACKED_BATCH`` events each):
-``goldilocks-packed`` (record-at-a-time :meth:`EncodedGoldilocks
-.apply_packed`) and ``goldilocks-batch`` (:class:`~repro.core.batch
-.BatchGoldilocks`, whole-frame application).  ``batch_vs_encoded`` holds
-the counted-work comparison between them -- the batch kernel's acceptance
-gate -- together with a race-line parity flag (seq included) and the
-column backend the run used (``numpy`` or the pure-Python fallback; the
-counters are identical either way).
+Beyond the object-path detectors, the payload carries one *packed* row,
+``goldilocks-packed``: :meth:`EncodedGoldilocks.apply_packed` consuming the
+trace as pre-encoded frames of ``PACKED_BATCH`` events, the work a shard
+does per frame.
 """
 
 from __future__ import annotations
@@ -35,12 +30,10 @@ from ..baselines import (
     VectorClockDetector,
 )
 from ..core import (
-    BatchGoldilocks,
     EagerGoldilocksRW,
     EncodedEagerGoldilocksRW,
     EncodedGoldilocks,
     LazyGoldilocks,
-    batch_backend,
 )
 from ..core.encode import EventEncoder, encode_frame
 from ..trace import RandomTraceGenerator
@@ -64,15 +57,9 @@ DETECTORS: List[Tuple[str, Callable[[], object]]] = [
 ]
 
 
-#: events per packed frame for the kernel-vs-batch comparison (the engine's
-#: default batch size, so the frames look like real shard traffic)
+#: events per packed frame for the packed row (the engine's default batch
+#: size, so the frames look like real shard traffic)
 PACKED_BATCH = 64
-
-#: the packed-path contenders: both consume the identical frame list
-PACKED_DETECTORS: List[Tuple[str, Callable[[], object]]] = [
-    ("goldilocks-packed", EncodedGoldilocks),
-    ("goldilocks-batch", BatchGoldilocks),
-]
 
 
 def generate_trace():
@@ -117,21 +104,29 @@ def packed_frames(trace, batch: int = PACKED_BATCH) -> List[bytes]:
     return frames
 
 
-def _run_packed(factory: Callable[[], object], frames: List[bytes], repeats: int):
-    """Feed ``frames`` to a fresh packed detector; return (race_lines, stats, best)."""
+def _run_packed(frames: List[bytes], repeats: int):
+    """Feed ``frames`` to a fresh :class:`EncodedGoldilocks`; return (stats, best)."""
     best = None
     detector = None
-    lines: List[Tuple[int, str]] = []
     for _ in range(max(1, repeats)):
-        detector = factory()
-        lines = []
+        detector = EncodedGoldilocks()
         started = time.perf_counter()
         for frame in frames:
-            reports, _count = detector.apply_packed(frame)
-            lines.extend((seq, str(report)) for seq, report in reports)
+            detector.apply_packed(frame)
         elapsed = time.perf_counter() - started
         best = elapsed if best is None else min(best, elapsed)
-    return lines, detector.stats, best
+    return detector.stats, best
+
+
+def _row(stats, best: float, n_events: int) -> Dict[str, object]:
+    return {
+        "elapsed_sec": round(best, 6),
+        "events_per_sec": round(n_events / best) if best > 0 else None,
+        "cells_traversed": stats.cells_traversed,
+        "rule_applications": stats.rule_applications,
+        "detector_work": stats.detector_work,
+        "races": stats.races,
+    }
 
 
 def bench_throughput(repeats: int = 1) -> Dict[str, object]:
@@ -152,32 +147,11 @@ def bench_throughput(repeats: int = 1) -> Dict[str, object]:
             detector.process_all(trace)
             elapsed = time.perf_counter() - started
             best = elapsed if best is None else min(best, elapsed)
-        stats = detector.stats
-        detectors[name] = {
-            "elapsed_sec": round(best, 6),
-            "events_per_sec": round(n_events / best) if best > 0 else None,
-            "cells_traversed": stats.cells_traversed,
-            "rule_applications": stats.rule_applications,
-            "detector_work": stats.detector_work,
-            "races": stats.races,
-        }
-    frames = packed_frames(trace)
-    packed_lines: Dict[str, List[Tuple[int, str]]] = {}
-    for name, factory in PACKED_DETECTORS:
-        lines, stats, best = _run_packed(factory, frames, repeats)
-        packed_lines[name] = lines
-        detectors[name] = {
-            "elapsed_sec": round(best, 6),
-            "events_per_sec": round(n_events / best) if best > 0 else None,
-            "cells_traversed": stats.cells_traversed,
-            "rule_applications": stats.rule_applications,
-            "detector_work": stats.detector_work,
-            "races": stats.races,
-        }
+        detectors[name] = _row(detector.stats, best, n_events)
+    stats, best = _run_packed(packed_frames(trace), repeats)
+    detectors["goldilocks-packed"] = _row(stats, best, n_events)
     kernel = detectors["goldilocks"]
     seed = detectors["goldilocks-seed"]
-    packed = detectors["goldilocks-packed"]
-    batch = detectors["goldilocks-batch"]
     return {
         "benchmark": "detector_throughput",
         "trace": {"generator": TRACE_PARAMS, "seed": TRACE_SEED, "events": n_events},
@@ -189,19 +163,6 @@ def bench_throughput(repeats: int = 1) -> Dict[str, object]:
             "detector_work_ratio": round(
                 seed["detector_work"] / kernel["detector_work"], 4
             ),
-        },
-        "batch_vs_encoded": {
-            "frames": len(frames),
-            "events_per_frame": PACKED_BATCH,
-            "backend": batch_backend(),
-            "detector_work_ratio": round(
-                packed["detector_work"] / batch["detector_work"], 4
-            ),
-            "cells_traversed_ratio": round(
-                packed["cells_traversed"] / batch["cells_traversed"], 4
-            ),
-            "identical_race_lines": packed_lines["goldilocks-packed"]
-            == packed_lines["goldilocks-batch"],
         },
     }
 
@@ -223,13 +184,6 @@ def render_throughput(payload: Dict[str, object]) -> str:
         "kernel vs seed: "
         f"{ratios['cells_traversed_ratio']}x fewer cells, "
         f"{ratios['detector_work_ratio']}x less counted work"
-    )
-    batch = payload["batch_vs_encoded"]
-    lines.append(
-        f"batch vs encoded ({batch['frames']} frames of "
-        f"{batch['events_per_frame']}, {batch['backend']} backend): "
-        f"{batch['detector_work_ratio']}x less counted work, "
-        f"race lines identical: {batch['identical_race_lines']}"
     )
     return "\n".join(lines)
 

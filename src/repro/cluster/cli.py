@@ -65,14 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--batch-size", type=int, default=256)
     parser.add_argument(
-        "--kernel",
-        choices=["encoded", "batch", "seed"],
-        default="encoded",
-        metavar="KERNEL",
-        help="detection kernel for --local-nodes (encoded, batch, or seed; "
-        "remote nodes keep whatever repro-serve was started with)",
-    )
-    parser.add_argument(
         "--balanced",
         action="store_true",
         help="pin groups round-robin over sorted node names at startup",
@@ -179,7 +171,6 @@ def _parse_migration(spec: str) -> Tuple[int, str, int]:
 
 def _start_local_nodes(
     count: int,
-    kernel: str = "encoded",
     obs_of: Optional[Callable[[int], Optional[ObsConfig]]] = None,
 ):
     """In-process nodes for the self-contained mode; returns (nodes, closers)."""
@@ -194,7 +185,6 @@ def _start_local_nodes(
             ServiceConfig(
                 workers="inline",
                 flush_interval=0,
-                kernel=kernel,
                 obs=obs_of(i) if obs_of is not None else None,
             )
         )
@@ -252,9 +242,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.local_nodes is not None:
             if args.local_nodes < 1:
                 parser.error("--local-nodes must be at least 1")
-            nodes, closers = _start_local_nodes(
-                args.local_nodes, args.kernel, obs_of=node_obs
-            )
+            nodes, closers = _start_local_nodes(args.local_nodes, obs_of=node_obs)
         elif args.node:
             nodes = {}
             for spec in args.node:

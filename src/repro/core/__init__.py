@@ -41,7 +41,6 @@ from .exceptions import (
     TransactionAborted,
     TransactionError,
 )
-from .batch import BatchGoldilocks, batch_backend
 from .goldilocks import EagerGoldilocks, EagerGoldilocksRW, EncodedEagerGoldilocksRW
 from .kernel import EncodedGoldilocks
 from .lazy import LazyGoldilocks
@@ -77,8 +76,6 @@ __all__ = [
     "SynchronizationError",
     "TransactionAborted",
     "TransactionError",
-    "BatchGoldilocks",
-    "batch_backend",
     "EagerGoldilocks",
     "EagerGoldilocksRW",
     "EncodedEagerGoldilocksRW",

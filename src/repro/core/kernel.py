@@ -1,8 +1,8 @@
 """The integer-encoded Goldilocks kernel (lazy evaluation over int arrays).
 
 :class:`EncodedGoldilocks` is algorithm-for-algorithm the detector of
-:mod:`repro.core.lazy` -- same ``Info`` discipline, same check ordering,
-same two-phase garbage collection -- with the hot loop rebuilt on integers:
+:mod:`repro.core.lazy` -- same ``Info`` discipline, same verdicts, same
+two-phase garbage collection -- with the hot loop rebuilt on integers:
 
 * every lockset element is interned to a dense small int
   (:class:`repro.core.lockset.Interner`), and locksets become int bitmasks
@@ -12,9 +12,13 @@ same two-phase garbage collection -- with the hot loop rebuilt on integers:
   segments -- so replaying the Figure 5 rules is a tight loop with no
   ``isinstance`` dispatch: a simple sync is uniformly
   ``if key in ls: ls.add(gain)``, a commit reads one row of a side table;
-* two constant-time fast paths join the short-circuit ladder, giving six
-  rungs in all (fresh, transactional, same-thread, alock, **epoch**,
-  thread-restricted):
+* the list indexes every row under the element ids that can fire its rule,
+  so a lockset computation is an **indexed replay**: it visits only the
+  cells of the lockset's own ids, in list order, and stops the moment the
+  lockset owns the accessing thread.  That early exit subsumes the paper's
+  thread-restricted traversal, so the ladder has five rungs (fresh,
+  transactional, same-thread, alock, **epoch**) before the replay;
+* two fast paths are ablatable:
 
   - **sync-epoch check** (``sc_epoch``): if no synchronization event has
     been enqueued since ``info.pos``, the lockset cannot have grown, so the
@@ -30,6 +34,7 @@ describe *how* a verdict was reached differ.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .actions import (
@@ -60,7 +65,6 @@ from .actions import (
 )
 from .detector import Detector
 from .lockset import (
-    BITSET_CUTOFF,
     TL_ID,
     Interner,
     IntLockset,
@@ -115,6 +119,10 @@ MEMO_CAP = 4096
 #: chain stays bounded no matter how long the replayed window was
 PROVENANCE_CAP = 64
 
+#: constructor flags older checkpoints may carry but the kernel no longer
+#: takes; restore drops them so ``reset()`` can re-run ``__init__``
+RETIRED_CONFIG = ("sc_thread_restricted",)
+
 
 class EncodedGoldilocks(Detector):
     """The production Goldilocks algorithm on the integer-encoded kernel.
@@ -139,7 +147,6 @@ class EncodedGoldilocks(Detector):
         sc_xact: bool = True,
         sc_same_thread: bool = True,
         sc_alock: bool = True,
-        sc_thread_restricted: bool = True,
         gc_threshold: Optional[int] = 50_000,
         trim_fraction: float = 0.10,
         memoize: bool = True,
@@ -160,7 +167,6 @@ class EncodedGoldilocks(Detector):
             "sc_xact": sc_xact,
             "sc_same_thread": sc_same_thread,
             "sc_alock": sc_alock,
-            "sc_thread_restricted": sc_thread_restricted,
             "gc_threshold": gc_threshold,
             "trim_fraction": trim_fraction,
             "memoize": memoize,
@@ -175,7 +181,6 @@ class EncodedGoldilocks(Detector):
         self.sc_xact = sc_xact
         self.sc_same_thread = sc_same_thread
         self.sc_alock = sc_alock
-        self.sc_thread_restricted = sc_thread_restricted
         self.sc_epoch = sc_epoch
         self.memo_shared = memo_shared
         self.gc_threshold = gc_threshold
@@ -402,12 +407,6 @@ class EncodedGoldilocks(Detector):
         extend_interner(self.interner, base, delta)
         return self.apply_records(records, extras)
 
-    def ingest_delta(self, base: int, delta) -> None:
-        """Apply an interner delta without a framed buffer (fused transport)."""
-        from .encode import extend_interner
-
-        extend_interner(self.interner, base, delta)
-
     def _resolve_packed(self, eid: int, op: int, record: int, applied: int):
         """Guarded interner lookup for ids arriving in packed records.
 
@@ -434,8 +433,6 @@ class EncodedGoldilocks(Detector):
     ) -> Tuple[List[Tuple[int, RaceReport]], int]:
         """Apply decoded ``(records, extras)`` arrays record-at-a-time.
 
-        This is the scalar reference path; :class:`repro.core.batch
-        .BatchGoldilocks` overrides it with run-partitioned processing.
         A malformed record raises :class:`~repro.core.encode
         .FrameFormatError` carrying the record offset and the number of
         records fully applied before the fault.
@@ -606,7 +603,7 @@ class EncodedGoldilocks(Detector):
     # -- Check-Happens-Before -------------------------------------------------------
 
     def _check_happens_before(self, info1: KInfo, info2: KInfo) -> bool:
-        """The six-rung ladder: cheap constant-time checks first."""
+        """The constant-time rungs first, then the indexed replay."""
         if self.provenance:
             # Snapshot before any rung runs: the full traversal advances
             # info1 in place under memoize, destroying the replay window a
@@ -630,9 +627,6 @@ class EncodedGoldilocks(Detector):
             # rules, so the ownership test decides right now.
             self.stats.sc_epoch += 1
             return self._owned(info1.ls, info2)
-        if self.sc_thread_restricted and self._restricted_traversal(info1, info2):
-            self.stats.sc_thread_restricted += 1
-            return True
         return self._full_traversal(info1, info2)
 
     @staticmethod
@@ -642,126 +636,133 @@ class EncodedGoldilocks(Detector):
             return True
         return info2.xact and ls_has(ls, TL_ID)
 
-    def _restricted_traversal(self, info1: KInfo, info2: KInfo) -> bool:
-        """Replay only the two owners' events, via the per-thread indexes.
-
-        A two-pointer walk over the owners' shared position lists, reading
-        the segment arrays in place: no list, merge or row tuple is built.
-        """
-        events = self.events
-        start = info1.pos
-        target = info2.owner_id
-        mine, i = events.tid_positions(info1.owner_id, start)
-        if info1.owner_id == target:
-            theirs, j = [], 0
-        else:
-            theirs, j = events.tid_positions(target, start)
-        n_mine, n_theirs = len(mine), len(theirs)
-        ls = info1.ls
-        table = events.commit_table
-        segments = events.segments
-        size = events.segment_size
-        seg_end = -1  # no segment loaded yet
-        visited = 0
-        while True:
-            if i < n_mine and (j >= n_theirs or mine[i] < theirs[j]):
-                pos = mine[i]
-                i += 1
-            elif j < n_theirs:
-                pos = theirs[j]
-                j += 1
-            else:
-                break
-            visited += 1
-            if pos >= seg_end:  # positions ascend: only ever move forward
-                base = pos - pos % size
-                seg_end = base + size
-                segment = segments[base // size]
-                ops, keys, gains = segment.ops, segment.keys, segment.gains
-            slot = pos - base
-            key = keys[slot]
-            if ops[slot] != OP_COMMIT:
-                if type(ls) is int:
-                    if (ls >> key) & 1:
-                        gain = gains[slot]
-                        ls = ls | (1 << gain) if gain < BITSET_CUTOFF else ls_add(ls, gain)
-                elif key in ls:
-                    ls = ls | {gains[slot]}
-            else:
-                incoming, outgoing, committer = table[key]
-                if ls_intersects(ls, incoming):
-                    ls = ls_add(ls, committer)
-                if ls_has(ls, committer):
-                    ls = ls_union(ls, outgoing)
-            if ((ls >> target) & 1) if type(ls) is int else (target in ls):
-                self.stats.cells_traversed += visited
-                return True
-        self.stats.cells_traversed += visited
-        return ls_has(ls, target)
-
     def _full_traversal(self, info1: KInfo, info2: KInfo) -> bool:
-        """``Apply-Lockset-Rules`` over the encoded segment arrays."""
+        """``Apply-Lockset-Rules`` by indexed replay, stopping at ownership.
+
+        The moment the advancing lockset owns ``info2`` the verdict is
+        settled (rules only add elements), so the scan stops.  The partial
+        lockset is exact for the scanned prefix, so the anchor still
+        advances to the exit position and the memo still learns: repeated
+        checks against a hot variable do not rescan the same window.
+        """
         self.stats.full_lockset_computations += 1
         events = self.events
         end = events.total_enqueued
         start = info1.pos
         ls = info1.ls
+        scan_start, scan_ls = start, ls
         if self.memo_shared:
             hit = self._memo.get((start, ls))
             if hit is not None:
-                mid, mid_ls = hit
                 self.stats.memo_shared_hits += 1
-                new_ls = self._replay(mid_ls, mid, end)
-            else:
-                new_ls = self._replay(ls, start, end)
+                scan_start, scan_ls = hit
+        if scan_start >= end:
+            new_ls, reached = scan_ls, end
+        else:
+            new_ls, reached = self._skip_scan(scan_ls, scan_start, end, info2)
+        if self.memo_shared:
             if len(self._memo) >= MEMO_CAP:
                 self._memo.clear()
-            self._memo[(start, ls)] = (end, new_ls)
-        else:
-            new_ls = self._replay(ls, start, end)
+            self._memo[(start, ls)] = (reached, new_ls)
         if self.memoize:
             events.decref(info1.pos)
-            info1.pos = end
-            events.incref(end)
+            info1.pos = reached
+            events.incref(reached)
             info1.ls = new_ls
         return self._owned(new_ls, info2)
 
     def _replay(self, ls: IntLockset, start: int, end: int) -> IntLockset:
         """Apply the rules for events in ``[start, end)`` to a lockset."""
-        if start >= end:
-            return ls
+        return self._skip_scan(ls, start, end, None)[0]
+
+    def _skip_scan(
+        self,
+        ls: IntLockset,
+        start: int,
+        end: int,
+        target: Optional[KInfo],
+    ) -> Tuple[IntLockset, int]:
+        """Replay only the cells whose rule can fire, in ascending order.
+
+        A simple sync row fires only when its ``key`` is in the lockset,
+        and a commit row only when the lockset holds one of its incoming
+        ids or its committer -- and the list indexes every row under
+        exactly those ids.  So the candidate positions are the index
+        entries of the lockset's current ids, extended whenever a rule adds
+        an id.  Candidates merge through a heap; each id's index is queried
+        once, and both rule kinds are idempotent, so a row reachable
+        through several ids is harmless (and visited once).  The lockset is
+        the linear scan's; ``cells_traversed`` counts only visited cells.
+
+        With a ``target`` info the scan stops at the first position where
+        the ownership test succeeds -- sound because rules only ever *add*
+        elements.  Returns ``(lockset, reached)``: ``reached`` is the
+        position the lockset is valid at, ``end`` for a completed scan.
+        Cells are visited in ascending order and a skipped cell's rule
+        could not have fired, so an early exit is a valid (shorter)
+        advancement, not a throwaway.
+        """
+        if target is not None and self._owned(ls, target):
+            return ls, start
         events = self.events
-        size = events.segment_size
-        segments = events.segments
+        key_positions = events.key_positions
         table = events.commit_table
-        self.stats.cells_traversed += end - start
-        pos = start
-        while pos < end:
-            seg_index = pos // size
-            segment = segments[seg_index]
-            base = seg_index * size
-            slot = pos - base
-            limit = min(len(segment), end - base)
-            ops = segment.ops
-            keys = segment.keys
-            gains = segment.gains
-            while slot < limit:
-                if ops[slot] != OP_COMMIT:
-                    if type(ls) is int:
-                        if (ls >> keys[slot]) & 1:
-                            gain = gains[slot]
-                            ls = ls | (1 << gain) if gain < BITSET_CUTOFF else ls_add(ls, gain)
-                    elif keys[slot] in ls:
-                        ls = ls | {gains[slot]}
-                else:
-                    incoming, outgoing, committer = table[keys[slot]]
-                    if ls_intersects(ls, incoming):
-                        ls = ls_add(ls, committer)
-                    if ls_has(ls, committer):
-                        ls = ls_union(ls, outgoing)
-                slot += 1
-            pos = base + limit
-        return ls
+        segments = events.segments
+        size = events.segment_size
+        heap: List[Tuple[int, List[int], int]] = []
+        queried = set(ls_ids(ls))
+        for eid in queried:
+            positions, k = key_positions(eid, start)
+            if k < len(positions) and positions[k] < end:
+                heappush(heap, (positions[k], positions, k + 1))
+
+        def query(eid: int, frm: int) -> None:
+            if eid not in queried:
+                queried.add(eid)
+                positions, k = key_positions(eid, frm)
+                if k < len(positions) and positions[k] < end:
+                    heappush(heap, (positions[k], positions, k + 1))
+
+        visited = 0
+        last = -1
+        reached = end
+        while heap:
+            pos, arr, k = heappop(heap)
+            if k < len(arr) and arr[k] < end:
+                heappush(heap, (arr[k], arr, k + 1))
+            if pos == last:
+                continue  # same cell reached through two index lists
+            last = pos
+            visited += 1
+            segment = segments[pos // size]
+            slot = pos % size
+            if segment.ops[slot] != OP_COMMIT:
+                # indexed under its key, which the lockset therefore holds
+                gain = segment.gains[slot]
+                if ls_has(ls, gain):
+                    continue
+                ls = ls_add(ls, gain)
+                query(gain, pos + 1)
+            else:
+                incoming, outgoing, committer = table[segment.keys[slot]]
+                grew = False
+                if ls_intersects(ls, incoming) and not ls_has(ls, committer):
+                    ls = ls_add(ls, committer)
+                    query(committer, pos + 1)
+                    grew = True
+                if ls_has(ls, committer):
+                    for gain in ls_ids(outgoing):
+                        if not ls_has(ls, gain):
+                            ls = ls_add(ls, gain)
+                            query(gain, pos + 1)
+                            grew = True
+                if not grew:
+                    continue
+            if target is not None and self._owned(ls, target):
+                reached = pos + 1
+                break
+        self.stats.cells_traversed += visited
+        return ls, reached
 
     def _report(self, var: DataVar, info1: KInfo, info2: KInfo) -> RaceReport:
         self.stats.races += 1
@@ -998,7 +999,11 @@ class EncodedGoldilocks(Detector):
         # __dict__s hold the interned attribute strings, and the memo
         # structure of a checkpoint must not depend on whether the config
         # keys arrived from source literals or from a previous unpickle.
-        self._config = {intern(key): value for key, value in state["config"]}
+        self._config = {
+            intern(key): value
+            for key, value in state["config"]
+            if key not in RETIRED_CONFIG
+        }
         for key, value in self._config.items():
             if key not in ("segment_size",):
                 setattr(self, key, value)

@@ -46,9 +46,6 @@ METRIC_HELP: Dict[str, str] = {
     "cells_collected": "cells reclaimed by the synchronization-list GC",
     "partial_evaluations": "locksets advanced by partially-eager evaluation",
     "accesses_filtered": "data accesses skipped by static admission control",
-    "sc_batch": "HB checks settled wholesale at batch (run/group) granularity",
-    "batch_runs": "sync-free data runs processed by the batch kernel",
-    "batch_ops": "vectorized batch primitives executed (column scans, masks)",
     "frame_faults": "packed frames rejected by the kernel as malformed",
 }
 
@@ -69,19 +66,12 @@ def short_circuit_rate_of(det: Dict[str, int]) -> float:
 
 
 def detector_work_of(det: Dict[str, int]) -> int:
-    """The deterministic cost proxy, recomputed from a snapshot dict.
-
-    Batch-settled checks (``sc_batch``) are deliberately *excluded*: the
-    batch kernel pays for them through ``batch_ops`` (one charge per
-    vectorized primitive, not per access), which is what makes the
-    counted-work comparison against the record-at-a-time path meaningful.
-    """
+    """The deterministic cost proxy, recomputed from a snapshot dict."""
     return (
         det.get("rule_applications", 0)
         + det.get("cells_traversed", 0)
         + hb_queries_of(det)
         + det.get("sync_events", 0)
-        + det.get("batch_ops", 0)
     )
 
 
@@ -99,7 +89,9 @@ class DetectorStats:
     sc_alock: int = 0
     #: ... by the transactional (both-in-txn) short circuit
     sc_xact: int = 0
-    #: ... by the thread-restricted traversal (cheap but not constant-time)
+    #: ... by the thread-restricted traversal (cheap but not constant-time;
+    #: only the offline LazyGoldilocks has this rung -- the encoded kernel's
+    #: indexed replay stops at ownership instead)
     sc_thread_restricted: int = 0
     #: ... by the fresh-variable case (first access, empty lockset)
     sc_fresh: int = 0
@@ -124,15 +116,6 @@ class DetectorStats:
     #: data accesses skipped because static admission control proved the
     #: variable race-free (normally 0: filtered records drop at the edge)
     accesses_filtered: int = 0
-    #: happens-before checks settled wholesale at batch granularity (a run
-    #: or var-group cleared by one vectorized decision; not in hb_queries)
-    sc_batch: int = 0
-    #: sync-free data runs partitioned and processed by the batch kernel
-    batch_runs: int = 0
-    #: vectorized batch primitives executed (column decode, opcode
-    #: validation, run partition, group-settle masks, index lookups) --
-    #: the work the batch kernel pays *instead of* per-record checks
-    batch_ops: int = 0
     #: packed frames rejected as malformed (unknown opcode, stale id, bad
     #: extras) before or during application
     frame_faults: int = 0
@@ -171,7 +154,6 @@ class DetectorStats:
             + self.cells_traversed
             + self.hb_queries
             + self.sync_events
-            + self.batch_ops
         )
 
     def as_dict(self) -> Dict[str, int]:
@@ -193,9 +175,6 @@ class DetectorStats:
             "cells_collected": self.cells_collected,
             "partial_evaluations": self.partial_evaluations,
             "accesses_filtered": self.accesses_filtered,
-            "sc_batch": self.sc_batch,
-            "batch_runs": self.batch_runs,
-            "batch_ops": self.batch_ops,
             "frame_faults": self.frame_faults,
         }
 

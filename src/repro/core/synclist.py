@@ -27,7 +27,7 @@ list primitives).
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .actions import OP_COMMIT, Action, Tid
 from .lockset import ls_ids, ls_pack, ls_unpack
@@ -284,8 +284,9 @@ class EncodedSyncList:
       frees whole zero-reference segments from the front -- slightly
       coarser than the per-cell collector, never less sound, and O(1) per
       reclaimed chunk.
-    * Per-thread position indexes (``tid_positions``) let the
-      thread-restricted short circuit walk only the two owners' events.
+    * A per-key position index (:meth:`key_positions`) lists every row
+      under the element ids that can fire its rule, so a lockset
+      computation visits only the cells of the lockset's own ids.
 
     Commits carry variable-size footprints, so they are stored as an index
     (in ``keys``) into :attr:`commit_table`, whose rows are
@@ -293,9 +294,7 @@ class EncodedSyncList:
     at enqueue so replay never touches action objects.
     """
 
-    def __init__(
-        self, segment_size: int = SEGMENT_SIZE, index_keys: bool = False
-    ) -> None:
+    def __init__(self, segment_size: int = SEGMENT_SIZE) -> None:
         if segment_size < 1:
             raise ValueError("segment_size must be positive")
         self.segment_size = segment_size
@@ -311,16 +310,13 @@ class EncodedSyncList:
         self.commit_table: List[Tuple[object, object, int]] = []
         #: per-segment reference counts (Info anchors)
         self._refs: Dict[int, int] = {}
-        #: per-thread-id sorted position lists (restricted traversal index)
-        self._by_tid: Dict[int, List[int]] = {}
-        #: opt-in (batch kernel): per-rule-key position indexes so a full
-        #: replay can visit only the cells whose rule *can* fire.  Simple
-        #: sync rows index by ``key``; a commit row (whose ``key`` is a
-        #: commit-table index, not an element id) is indexed under every
-        #: id that can trigger one of its rules -- each incoming id (the
-        #: intersection rule) plus the committer (the union rule) -- so a
-        #: lockset that could never fire it never visits it.
-        self.index_keys = index_keys
+        #: per-rule-key sorted position lists, so a replay visits only the
+        #: cells whose rule *can* fire.  Simple sync rows index by ``key``;
+        #: a commit row (whose ``key`` is a commit-table index, not an
+        #: element id) is indexed under every id that can trigger one of
+        #: its rules -- each incoming id (the intersection rule) plus the
+        #: committer (the union rule) -- so a lockset that could never fire
+        #: it never visits it.
         self._by_key: Dict[int, List[int]] = {}
 
     # -- appends ---------------------------------------------------------------
@@ -338,14 +334,12 @@ class EncodedSyncList:
         if segment is None:
             segment = self.segments[seg_index] = _Segment()
         segment.append(op, tid_id, key, gain)
-        self._by_tid.setdefault(tid_id, []).append(pos)
-        if self.index_keys:
-            self._index_row(pos, op, key)
+        self._index_row(pos, op, key)
         self.total_enqueued = pos + 1
         return pos
 
     def _index_row(self, pos: int, op: int, key: int) -> None:
-        """Add one row to the per-key index (requires ``index_keys``)."""
+        """Add one row to the per-key index."""
         by_key = self._by_key
         if op != OP_COMMIT:
             by_key.setdefault(key, []).append(pos)
@@ -355,46 +349,6 @@ class EncodedSyncList:
         for eid in ls_ids(incoming):
             if eid != committer:
                 by_key.setdefault(eid, []).append(pos)
-
-    def enqueue_run(
-        self,
-        ops: Sequence[int],
-        tids: Sequence[int],
-        keys: Sequence[int],
-        gains: Sequence[int],
-    ) -> int:
-        """Append a whole run of pre-encoded events; returns the first position.
-
-        Segment payloads are extended chunk-at-a-time instead of one
-        ``append`` per column per event -- the batch kernel's enqueue
-        primitive for the sync runs it carves out of a frame.
-        """
-        n = len(ops)
-        first = self.total_enqueued
-        size = self.segment_size
-        i = 0
-        pos = first
-        while i < n:
-            seg_index = pos // size
-            segment = self.segments.get(seg_index)
-            if segment is None:
-                segment = self.segments[seg_index] = _Segment()
-            take = min(size - len(segment), n - i)
-            segment.ops.extend(ops[i : i + take])
-            segment.tids.extend(tids[i : i + take])
-            segment.keys.extend(keys[i : i + take])
-            segment.gains.extend(gains[i : i + take])
-            i += take
-            pos += take
-        by_tid = self._by_tid
-        index_keys = self.index_keys
-        for off in range(n):
-            p = first + off
-            by_tid.setdefault(tids[off], []).append(p)
-            if index_keys:
-                self._index_row(p, ops[off], keys[off])
-        self.total_enqueued = first + n
-        return first
 
     def add_commit_row(self, incoming: object, outgoing: object, tid_id: int) -> int:
         """Register a commit's encoded footprint; returns its table index."""
@@ -424,24 +378,13 @@ class EncodedSyncList:
         segment = self.segments[pos // self.segment_size]
         return (segment.ops[slot], segment.tids[slot], segment.keys[slot], segment.gains[slot])
 
-    def tid_positions(self, tid_id: int, start: int) -> Tuple[List[int], int]:
-        """This thread's event positions, from ``start`` on.
-
-        Returns ``(the shared ascending list, first index >= start)``, the
-        shape of :meth:`key_positions`, so callers walk it without copying.
-        """
-        positions = self._by_tid.get(tid_id)
-        if not positions:
-            return [], 0
-        return positions, bisect_left(positions, start)
-
     def key_positions(self, key: int, start: int) -> Tuple[List[int], int]:
         """Positions whose rule can fire for ``key``, from ``start`` on.
 
         Simple-sync rows whose rule key is ``key``, plus commit rows with
         ``key`` among their incoming ids or as their committer.  Returns
         ``(the shared ascending list, first index >= start)`` so callers
-        can walk it without copying.  Requires ``index_keys``.
+        can walk it without copying.
         """
         positions = self._by_key.get(key)
         if not positions:
@@ -455,8 +398,8 @@ class EncodedSyncList:
 
         A segment is reclaimable when it is completely filled (the partial
         append-target segment is never freed) and no ``Info`` references any
-        position inside it.  Per-thread indexes are pruned lazily here so
-        the index never points into freed storage.
+        position inside it.  The key index is pruned here so it never
+        points into freed storage.
         """
         size = self.segment_size
         freed = 0
@@ -474,28 +417,28 @@ class EncodedSyncList:
             self.head_pos += freed
             self.total_collected += freed
             head = self.head_pos
-            for index in (self._by_tid, self._by_key):
-                for key, positions in list(index.items()):
-                    cut = bisect_left(positions, head)
-                    if cut:
-                        remaining = positions[cut:]
-                        if remaining:
-                            index[key] = remaining
-                        else:
-                            del index[key]
+            by_key = self._by_key
+            for key, positions in list(by_key.items()):
+                cut = bisect_left(positions, head)
+                if cut:
+                    remaining = positions[cut:]
+                    if remaining:
+                        by_key[key] = remaining
+                    else:
+                        del by_key[key]
         return freed
 
     # -- pickling -----------------------------------------------------------------
     #
     # The canonical state is the segment payloads plus the commit table and
-    # the (sorted) per-segment refcounts; the per-thread index is derived
-    # and rebuilt on restore.  Everything is ints, so blobs are compact and
+    # the (sorted) per-segment refcounts; the key index is derived and
+    # always rebuilt on restore, even from older blobs that recorded it as
+    # switched off.  Everything is ints, so blobs are compact and
     # byte-stable: restoring and re-pickling yields the identical payload.
 
     def __getstate__(self) -> dict:
         return {
             "segment_size": self.segment_size,
-            "index_keys": self.index_keys,
             "head_pos": self.head_pos,
             "total_enqueued": self.total_enqueued,
             "total_collected": self.total_collected,
@@ -512,7 +455,6 @@ class EncodedSyncList:
 
     def __setstate__(self, state: dict) -> None:
         self.segment_size = state["segment_size"]
-        self.index_keys = state.get("index_keys", False)
         self.head_pos = state["head_pos"]
         self.total_enqueued = state["total_enqueued"]
         self.total_collected = state["total_collected"]
@@ -529,19 +471,12 @@ class EncodedSyncList:
             for incoming, outgoing, tid_id in state["commit_table"]
         ]
         self._refs = dict(state["refs"])
-        self._by_tid = {}
         self._by_key = {}
         size = self.segment_size
-        index_keys = self.index_keys
         for index, segment in sorted(self.segments.items()):
             base = index * size
-            ops = segment.ops
-            keys = segment.keys
-            for slot, tid_id in enumerate(segment.tids):
-                pos = base + slot
-                self._by_tid.setdefault(tid_id, []).append(pos)
-                if index_keys:
-                    self._index_row(pos, ops[slot], keys[slot])
+            for slot, (op, key) in enumerate(zip(segment.ops, segment.keys)):
+                self._index_row(base + slot, op, key)
 
     def __len__(self) -> int:
         """Retained events (enqueued minus collected)."""

@@ -67,9 +67,6 @@ _KERNEL_PLAIN = (
     "cells_collected",
     "partial_evaluations",
     "accesses_filtered",
-    "sc_batch",
-    "batch_runs",
-    "batch_ops",
     "frame_faults",
 )
 

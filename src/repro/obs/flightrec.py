@@ -21,7 +21,7 @@ File format (version 1)::
 
     b"REPROFLR1\\n"                  magic
     u32 header_len, UTF-8 JSON       {"version", "shard", "n_shards",
-                                      "kernel", "commit_sync", "reason",
+                                      "commit_sync", "reason",
                                       "races": [race lines...],
                                       "n_records", "seq_first", "seq_last"}
     u32 frame_len, frame bytes       a self-contained packed frame
@@ -81,7 +81,6 @@ class FlightRecorder:
         capacity: int = DEFAULT_CAPACITY,
         directory: Optional[str] = None,
         max_dumps: int = 16,
-        kernel: str = "encoded",
         commit_sync: str = "footprint",
     ) -> None:
         if capacity < 1:
@@ -91,7 +90,6 @@ class FlightRecorder:
         self.capacity = capacity
         self.directory = directory
         self.max_dumps = max_dumps
-        self.kernel = kernel
         self.commit_sync = commit_sync
         self.dumps_written = 0
         self.dumps_suppressed = 0
@@ -152,10 +150,9 @@ class FlightRecorder:
     ) -> bytes:
         """Serialize one shard's window to ``.flightrec`` bytes.
 
-        ``stats`` is the dumping shard's detector-counter snapshot; the
-        batch-kernel subset (``sc_batch``/``batch_runs``/``frame_faults``)
-        lands in the header as ``kernel_stats`` so an offline replay can
-        assert kernel-*mode* parity, not just race-line parity.
+        ``stats`` is the dumping shard's detector-counter snapshot; its
+        ``frame_faults`` count lands in the header as ``kernel_stats`` so a
+        reader can tell a window the kernel partly rejected.
         ``provenance`` is a list parallel to ``races`` holding each
         report's lockset-transfer chain (or None); it makes the recording
         self-explaining -- ``repro-race explain --race N`` renders it
@@ -169,7 +166,6 @@ class FlightRecorder:
             "version": 1,
             "shard": shard,
             "n_shards": self.n_shards,
-            "kernel": self.kernel,
             "commit_sync": self.commit_sync,
             "reason": reason,
             "races": list(races),
@@ -179,10 +175,7 @@ class FlightRecorder:
             "seq_last": max(seqs) if seqs else None,
         }
         if stats:
-            header["kernel_stats"] = {
-                key: int(stats.get(key, 0))
-                for key in ("sc_batch", "batch_runs", "frame_faults")
-            }
+            header["kernel_stats"] = {"frame_faults": int(stats.get("frame_faults", 0))}
         if provenance is not None:
             header["provenance"] = list(provenance)
         frame = encode_frame(1, self.interner.elements_since(1), records, extras)
@@ -256,7 +249,6 @@ class ReplayResult(NamedTuple):
     replayed: List[str]  #: every race line the replay produced
     reproduced: List[str]  #: recorded lines found in the replay
     missing: List[str]  #: recorded lines the window could not reproduce
-    kernel: str = "encoded"  #: kernel the replay actually ran
     counters: Optional[Dict[str, int]] = None  #: replay detector counters
     reports: Optional[list] = None  #: seq-tagged RaceReports from the replay
 
@@ -287,45 +279,29 @@ def load_flightrec(path: str) -> FlightRecording:
 
 
 def replay_flightrec(
-    recording: FlightRecording,
-    kernel: Optional[str] = None,
-    provenance: bool = False,
+    recording: FlightRecording, provenance: bool = False
 ) -> ReplayResult:
-    """Re-run a recorded window through a fresh kernel of the recorded mode.
+    """Re-run a recorded window through a fresh :class:`EncodedGoldilocks`.
 
     The replay applies the window's packed frame to an unsharded detector;
     because the window is exactly the record subsequence the shard saw
     (all sync, owned data accesses), the verdicts for the shard's
     variables match the online run, and every seq tag is carried inside
-    the records themselves.
-
-    ``kernel`` defaults to the recording's own ``header["kernel"]`` so a
-    batch-mode service is replayed through :class:`~repro.core.batch
-    .BatchGoldilocks` (and the result's ``counters`` can be checked
-    against the header's ``kernel_stats`` for kernel-*mode* parity); any
-    other recorded kernel -- including ``"seed"``, whose verdicts are
-    identical -- replays through :class:`EncodedGoldilocks`.  With
-    ``provenance`` the replay kernel derives each race's lockset-transfer
-    chain, available on ``result.reports``.
+    the records themselves.  With ``provenance`` the replay kernel derives
+    each race's lockset-transfer chain, available on ``result.reports``.
+    A ``kernel`` key in recordings from older versions is ignored: every
+    engine kernel gave the same verdicts.
     """
     # Imported here: repro.obs must stay importable without repro.server
     # (the engine imports obs; a module-level import would be circular).
     from ..server.protocol import format_race
 
     header = recording.header
-    kernel_name = kernel if kernel is not None else str(header.get("kernel", "encoded"))
-    kwargs = {
-        "commit_sync": str(header.get("commit_sync", "footprint")),
-        "gc_threshold": None,
-        "provenance": provenance,
-    }
-    if kernel_name == "batch":
-        from ..core.batch import BatchGoldilocks
-
-        detector = BatchGoldilocks(**kwargs)
-    else:
-        kernel_name = "encoded"
-        detector = EncodedGoldilocks(**kwargs)
+    detector = EncodedGoldilocks(
+        commit_sync=str(header.get("commit_sync", "footprint")),
+        gc_threshold=None,
+        provenance=provenance,
+    )
     reports, _count = detector.apply_packed(recording.frame)
     replayed = [format_race(seq, report) for seq, report in reports]
     recorded = [str(line) for line in header.get("races", [])]
@@ -337,7 +313,6 @@ def replay_flightrec(
         replayed,
         reproduced,
         missing,
-        kernel=kernel_name,
         counters=detector.stats.as_dict(),
         reports=reports,
     )

@@ -62,14 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="shard transport: packed integer frames (default) or pickled Events",
     )
     parser.add_argument(
-        "--kernel",
-        choices=["encoded", "batch", "seed"],
-        default="encoded",
-        help="detection kernel: record-at-a-time integer kernel (default), "
-        "whole-frame batch application of the same kernel, or the seed "
-        "reference detector",
-    )
-    parser.add_argument(
         "--flush-interval",
         type=float,
         default=0.05,
@@ -141,8 +133,8 @@ def _build_parser() -> argparse.ArgumentParser:
     obs.add_argument(
         "--provenance",
         action="store_true",
-        help="capture each race's lockset-transfer rule chain (encoded and "
-        "batch kernels) for flight recordings and repro-race explain",
+        help="capture each race's lockset-transfer rule chain for flight "
+        "recordings and repro-race explain",
     )
     obs.add_argument(
         "--flightrec-dir",
@@ -189,7 +181,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         queue_depth=args.queue_depth,
         workers=args.workers,
         transport=args.transport,
-        kernel=args.kernel,
         commit_sync=args.commit_sync,
         gc_threshold=args.gc_threshold or None,
         flush_interval=args.flush_interval,

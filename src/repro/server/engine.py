@@ -9,7 +9,7 @@ their locksets) is private to that variable.  So the engine
   fork/join, commits) and allocations to every shard -- each shard keeps an
   identical replica of the synchronization-event list;
 * **hash-partitions** data reads/writes by variable across ``n_shards``
-  workers, each worker owning the :class:`LazyGoldilocks` state for its
+  workers, each worker owning the :class:`EncodedGoldilocks` state for its
   partition.
 
 A shard's verdicts are then *identical* to an unsharded detector's: a data
@@ -34,11 +34,10 @@ Since the encode-once rework the engine has two transports
     Events are translated once at the edge (:class:`~repro.core.encode.
     EventEncoder`) into flat integer records; shard batches travel as
     single immutable frame ``bytes`` (sync records broadcast as the same
-    buffer content, never N pickled copies), encoded-kernel shards append
-    sync records verbatim via :meth:`EncodedGoldilocks.apply_packed`, and
-    races come back as packed int rows reconstituted to
-    :class:`RaceReport` only here at the edge.  Seed-kernel shards decode
-    frames back to Events at the shard boundary -- parity, not speed.
+    buffer content, never N pickled copies), shards append sync records
+    verbatim via :meth:`EncodedGoldilocks.apply_packed`, and races come
+    back as packed int rows reconstituted to :class:`RaceReport` only here
+    at the edge.
 
 ``"object"``
     The original path: ``Event`` dataclasses, pickled per batch.  Kept as
@@ -77,7 +76,6 @@ from ..core.actions import (
     Write,
     is_data_access,
 )
-from ..core.batch import BatchGoldilocks
 from ..core.encode import (
     FILTERED_VAR,
     RECORD_WIDTH,
@@ -95,7 +93,6 @@ from ..core.encode import (
     unpack_reports,
 )
 from ..core.kernel import EncodedGoldilocks
-from ..core.lazy import LazyGoldilocks
 from ..core.report import RaceReport
 from ..core.stats import detector_work_of, short_circuit_rate_of
 from ..obs.flightrec import FlightRecorder
@@ -116,8 +113,8 @@ def shard_of(var: DataVar, n_shards: int) -> int:
     return zlib.crc32(key) % n_shards
 
 
-class _PartitionMixin:
-    """Partition ownership layered over either Goldilocks implementation.
+class PartitionedGoldilocks(EncodedGoldilocks):
+    """One hash partition of the variables, on the integer-encoded kernel.
 
     Synchronization events must be fed to every partition (they are cheap:
     one list append); data accesses only to the owning one.  Accesses that
@@ -141,10 +138,10 @@ class _PartitionMixin:
         action = event.action
         if isinstance(action, (Read, Write)) and not self.owns(action.var):
             return []
-        return super().process(event)  # type: ignore[misc]
+        return super().process(event)
 
     def _commit_vars(self, action: Commit) -> List[DataVar]:
-        return [var for var in super()._commit_vars(action) if self.owns(var)]  # type: ignore[misc]
+        return [var for var in super()._commit_vars(action) if self.owns(var)]
 
     def _packed_owns(self, var_id: int, var: DataVar) -> bool:
         # Same crc32 partition, but decided once per variable *id*: packed
@@ -157,50 +154,19 @@ class _PartitionMixin:
     # The base reset() re-invokes __init__ from the stored detector kwargs;
     # prepend our partition coordinates.
     def reset(self) -> None:
-        self.__init__(self.shard_id, self.n_shards, **self._config)  # type: ignore[attr-defined]
+        self.__init__(self.shard_id, self.n_shards, **self._config)  # type: ignore[misc]
 
     def __getstate__(self) -> dict:
-        state = super().__getstate__()  # type: ignore[misc]
+        state = super().__getstate__()
         state["partition"] = (self.shard_id, self.n_shards)
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.shard_id, self.n_shards = state.pop("partition")
-        super().__setstate__(state)  # type: ignore[misc]
+        super().__setstate__(state)
         self.label = f"shard {self.shard_id}/{self.n_shards}"
         self._own_cache = {}
 
-
-class PartitionedGoldilocks(_PartitionMixin, EncodedGoldilocks):
-    """One hash partition of the variables, on the integer-encoded kernel.
-
-    This is what the engine runs by default; set ``EngineConfig.kernel`` to
-    ``"seed"`` for the reference implementation (A/B comparisons, bisecting
-    kernel regressions).
-    """
-
-
-class PartitionedSeedGoldilocks(_PartitionMixin, LazyGoldilocks):
-    """The same partition discipline on the seed ``LazyGoldilocks``."""
-
-
-class PartitionedBatchGoldilocks(_PartitionMixin, BatchGoldilocks):
-    """The partition discipline on the batch-vectorized frame kernel.
-
-    Same verdicts as :class:`PartitionedGoldilocks` (race lines are
-    byte-identical, seq included); frames are applied at run/column
-    granularity instead of record-at-a-time, and on the inline packed
-    transport the engine skips framing entirely (:meth:`ShardedEngine
-    ._push` hands the shard buffer straight to ``apply_records``).
-    """
-
-
-#: engine kernels selectable via :attr:`EngineConfig.kernel`
-PARTITION_KERNELS = {
-    "encoded": PartitionedGoldilocks,
-    "seed": PartitionedSeedGoldilocks,
-    "batch": PartitionedBatchGoldilocks,
-}
 
 #: engine transports selectable via :attr:`EngineConfig.transport`
 TRANSPORTS = ("packed", "object")
@@ -220,9 +186,6 @@ class EngineConfig:
     #: forwarded to each shard's detector
     commit_sync: str = "footprint"
     gc_threshold: Optional[int] = 50_000
-    #: "encoded" (the integer kernel, default), "batch" (whole-frame
-    #: vectorized application of the same kernel), or "seed" (reference lazy)
-    kernel: str = "encoded"
     #: "packed" (encode-once frames, default) or "object" (pickled Events)
     transport: str = "packed"
     #: observability tunables; None means the :class:`ObsConfig` defaults
@@ -249,22 +212,9 @@ class EngineConfig:
 
     def detector_kwargs(self) -> dict:
         kwargs = {"commit_sync": self.commit_sync, "gc_threshold": self.gc_threshold}
-        # Race provenance is an integer-kernel feature; the seed reference
-        # detector takes no such kwarg and never needs one (A/B parity is
-        # judged on race lines, which provenance never alters).
-        if (
-            self.kernel in ("encoded", "batch")
-            and self.obs is not None
-            and self.obs.provenance
-        ):
+        if self.obs is not None and self.obs.provenance:
             kwargs["provenance"] = True
         return kwargs
-
-    def detector_class(self):
-        try:
-            return PARTITION_KERNELS[self.kernel]
-        except KeyError:
-            raise ValueError(f"unknown engine kernel {self.kernel!r}") from None
 
 
 class _PackedBuffer:
@@ -303,8 +253,7 @@ class WireIngest:
 
 
 def _shard_worker(
-    shard_id, n_shards, kernel, transport, detector_kwargs, blob, task_q, result_q,
-    timed=False,
+    shard_id, n_shards, detector_kwargs, blob, task_q, result_q, timed=False
 ):
     """Worker-process main loop: apply batches, acknowledge with results.
 
@@ -316,9 +265,7 @@ def _shard_worker(
     if blob is not None:
         detector = pickle.loads(blob)
     else:
-        detector = PARTITION_KERNELS[kernel](shard_id, n_shards, **detector_kwargs)
-    packed_kernel = hasattr(detector, "apply_packed") and transport == "packed"
-    decoder = FrameDecoder() if (transport == "packed" and not packed_kernel) else None
+        detector = PartitionedGoldilocks(shard_id, n_shards, **detector_kwargs)
     sync_decoded = 0
     try:
         while True:
@@ -326,44 +273,33 @@ def _shard_worker(
             kind = msg[0]
             if kind == "frame":
                 t_apply = time.perf_counter() if timed else 0.0
-                if packed_kernel:
-                    try:
-                        reports, n = detector.apply_packed(msg[1])
-                    except FrameFormatError as exc:
-                        # A malformed frame must not kill the worker (the
-                        # router would hang at the next barrier waiting for
-                        # this ack).  Acknowledge the batch as an error;
-                        # ``applied`` says how much of it took effect.
-                        result_q.put(
-                            (
-                                "ack",
-                                shard_id,
-                                exc.applied or 0,
-                                ("err", (str(exc), exc.kind, exc.record,
-                                         exc.applied or 0)),
-                                detector.stats.as_dict(),
-                                sync_decoded,
-                                time.perf_counter() - t_apply if timed else 0.0,
-                            )
+                try:
+                    reports, n = detector.apply_packed(msg[1])
+                except FrameFormatError as exc:
+                    # A malformed frame must not kill the worker (the router
+                    # would hang at the next barrier waiting for this ack).
+                    # Acknowledge the batch as an error; ``applied`` says
+                    # how much of it took effect.
+                    result_q.put(
+                        (
+                            "ack",
+                            shard_id,
+                            exc.applied or 0,
+                            ("err", (str(exc), exc.kind, exc.record,
+                                     exc.applied or 0)),
+                            detector.stats.as_dict(),
+                            sync_decoded,
+                            time.perf_counter() - t_apply if timed else 0.0,
                         )
-                        continue
-                    payload = (
-                        "packed",
-                        [
-                            pack_report(seq, report, detector.interner)
-                            for seq, report in reports
-                        ],
                     )
-                else:
-                    before = decoder.sync_decoded
-                    obj_reports: List[SeqReport] = []
-                    n = 0
-                    for seq, event in decoder.decode_payload(msg[1]):
-                        n += 1
-                        for report in detector.process(event):
-                            obj_reports.append((seq, report))
-                    sync_decoded += decoder.sync_decoded - before
-                    payload = ("obj", obj_reports)
+                    continue
+                payload = (
+                    "packed",
+                    [
+                        pack_report(seq, report, detector.interner)
+                        for seq, report in reports
+                    ],
+                )
                 apply_sec = time.perf_counter() - t_apply if timed else 0.0
                 result_q.put(
                     (
@@ -401,8 +337,6 @@ def _shard_worker(
                 result_q.put(("checkpoint", shard_id, detector.checkpoint()))
             elif kind == "reset":
                 detector.reset()
-                if decoder is not None:
-                    decoder = FrameDecoder()
                 result_q.put(
                     (
                         "ack",
@@ -500,16 +434,13 @@ class ShardedEngine:
             # the pre-checkpoint barrier they are all equal to the master),
             # so the restored engine reuses the original id assignments, and
             # re-sync every shard cursor from its *checkpointed* position
-            # instead of 1 -- a restored encoded shard gets an empty delta on
-            # its first frame rather than a full interner re-send.  Seed
-            # shards decode through a fresh FrameDecoder whose replica starts
-            # empty, so their cursor genuinely is 1.
-            if self.config.kernel in ("encoded", "batch"):
-                master = max((d.interner for d in restored), key=len)
-                self._encoder.prime(master)
-                self._cursors = [
-                    max(1, min(len(d.interner), len(master))) for d in restored
-                ]
+            # instead of 1 -- a restored shard gets an empty delta on its
+            # first frame rather than a full interner re-send.
+            master = max((d.interner for d in restored), key=len)
+            self._encoder.prime(master)
+            self._cursors = [
+                max(1, min(len(d.interner), len(master))) for d in restored
+            ]
         self._sent_batches = [0] * n
         self._acked_batches = [0] * n
         self._sent_events = [0] * n
@@ -525,9 +456,7 @@ class ShardedEngine:
         self.data_filtered = 0
         self.batches_flushed = 0
         self.backpressure_stalls = 0
-        #: bytes shipped to shards (frame bytes, or pickled batch bytes;
-        #: the fused inline path counts the raw record/extra ints it hands
-        #: over, so the meaning -- payload shipped to a shard -- is stable)
+        #: bytes shipped to shards (frame bytes, or pickled batch bytes)
         self.queue_bytes = 0
         #: frame-application faults (malformed frames a shard rejected);
         #: drained by the service into its parse-error ring
@@ -560,7 +489,6 @@ class ShardedEngine:
                 capacity=self.obs_config.flightrec_capacity,
                 directory=self.obs_config.flightrec_dir,
                 max_dumps=self.obs_config.flightrec_max_dumps,
-                kernel=self.config.kernel,
                 commit_sync=self.config.commit_sync,
             )
         #: per-shard FIFO of in-flight batches: (ordinal, events, sent-at,
@@ -568,19 +496,16 @@ class ShardedEngine:
         self._inflight: List[Deque[Tuple[int, int, float, Optional[dict]]]] = [
             deque() for _ in range(n)
         ]
-        detector_cls = self.config.detector_class()
         if self.config.workers == "inline":
             if restored is not None:
                 self._detectors = restored
             else:
                 self._detectors = [
-                    detector_cls(g, self._partitions, **self.config.detector_kwargs())
+                    PartitionedGoldilocks(
+                        g, self._partitions, **self.config.detector_kwargs()
+                    )
                     for g in self._slot_groups
                 ]
-            self._decoders = [
-                FrameDecoder() if self._packed and not hasattr(d, "apply_packed") else None
-                for d in self._detectors
-            ]
         else:
             ctx = mp.get_context()
             self._result_q = ctx.Queue()
@@ -593,8 +518,6 @@ class ShardedEngine:
                     args=(
                         g,
                         self._partitions,
-                        self.config.kernel,
-                        self.config.transport,
                         self.config.detector_kwargs(),
                         checkpoints[i] if checkpoints is not None else None,
                         self._task_qs[i],
@@ -929,61 +852,30 @@ class ShardedEngine:
         if self._packed:
             buffer, self._pbuffers[shard] = self._pbuffers[shard], _PackedBuffer()
             n_events = buffer.count
-            inline = self.config.workers == "inline"
-            fused = inline and isinstance(self._detectors[shard], BatchGoldilocks)
-            if fused:
-                # Fused routing+apply: the shard is in-process and consumes
-                # raw columns, so building (and immediately re-parsing) a
-                # framed byte buffer is pure overhead -- hand the interner
-                # delta and the record arrays over directly.
-                cursor = self._cursors[shard]
-                delta = self._encoder.interner.elements_since(cursor)
-                self._cursors[shard] = len(self._encoder.interner)
-                self.queue_bytes += 8 * (len(buffer.records) + len(buffer.extras))
-                frame = None
-            else:
-                frame = encode_frame(
-                    self._cursors[shard],
-                    self._encoder.interner.elements_since(self._cursors[shard]),
-                    buffer.records,
-                    buffer.extras,
-                )
-                self._cursors[shard] = len(self._encoder.interner)
-                self.queue_bytes += len(frame)
+            frame = encode_frame(
+                self._cursors[shard],
+                self._encoder.interner.elements_since(self._cursors[shard]),
+                buffer.records,
+                buffer.extras,
+            )
+            self._cursors[shard] = len(self._encoder.interner)
+            self.queue_bytes += len(frame)
             self._sent_events[shard] += n_events
             if self.recorder is not None:
                 # The buffer's arrays would be garbage after this point;
-                # the flight recorder adopts them instead (no copy).  On
-                # the fused path this happens *before* apply, so a frame
-                # the kernel later faults on is still in the ring.
+                # the flight recorder adopts them instead (no copy).
                 self.recorder.record(shard, buffer.records, buffer.extras)
             route_sec = tracer.clock() - t_route
             tracer.observe_elapsed("route", route_sec)
             span = self._make_span(ordinal, n_events, route_sec)
             self._inflight[shard].append((ordinal, n_events, tracer.clock(), span))
-            if inline:
+            if self.config.workers == "inline":
                 detector = self._detectors[shard]
-                decoder = self._decoders[shard]
                 t_apply = tracer.clock()
                 # Never raise between the in-flight append and the ack --
                 # an escaped exception would wedge the next barrier().
                 try:
-                    if fused:
-                        detector.ingest_delta(cursor, delta)
-                        reports, n = detector.apply_records(
-                            buffer.records, buffer.extras
-                        )
-                    elif decoder is None:
-                        reports, n = detector.apply_packed(frame)
-                    else:
-                        before = decoder.sync_decoded
-                        reports = []
-                        n = 0
-                        for seq, event in decoder.decode_payload(frame):
-                            n += 1
-                            for report in detector.process(event):
-                                reports.append((seq, report))
-                        self._sync_decoded[shard] += decoder.sync_decoded - before
+                    reports, n = detector.apply_packed(frame)
                 except FrameFormatError as exc:
                     self.apply_errors.append(
                         f"<frame rejected by shard {self._slot_groups[shard]}: "
@@ -1189,10 +1081,6 @@ class ShardedEngine:
         if self.config.workers == "inline":
             for detector in self._detectors:
                 detector.reset()
-            self._decoders = [
-                FrameDecoder() if self._packed and not hasattr(d, "apply_packed") else None
-                for d in self._detectors
-            ]
         else:
             for shard, task_q in enumerate(self._task_qs):
                 self._sent_batches[shard] += 1
@@ -1300,8 +1188,7 @@ class ShardedEngine:
         prefixes of the coordinator's, so the new slot's delta cursor is
         simply the shorter of the two -- the first frame fills whichever
         side is behind, and :func:`extend_interner`'s overlap skip absorbs
-        whichever side is ahead.  Seed-kernel slots decode through a fresh
-        :class:`FrameDecoder` (empty replica) and restart at cursor 1.
+        whichever side is ahead.
         """
         if not self.config.node_mode:
             raise ValueError("adopt_group requires cluster node mode")
@@ -1311,7 +1198,7 @@ class ShardedEngine:
             raise ValueError(f"group {group} is already hosted")
         detector = pickle.loads(blob) if blob is not None else None
         cursor = 1
-        if detector is not None and self.config.kernel == "encoded":
+        if detector is not None:
             cursor = max(
                 1, min(len(detector.interner), len(self._encoder.interner))
             )
@@ -1330,15 +1217,10 @@ class ShardedEngine:
         self._inflight.append(deque())
         if self.config.workers == "inline":
             if detector is None:
-                detector = self.config.detector_class()(
+                detector = PartitionedGoldilocks(
                     group, self._partitions, **self.config.detector_kwargs()
                 )
             self._detectors.append(detector)
-            self._decoders.append(
-                FrameDecoder()
-                if self._packed and not hasattr(detector, "apply_packed")
-                else None
-            )
         else:
             ctx = mp.get_context()
             task_q = ctx.Queue(maxsize=self.config.queue_depth)
@@ -1347,8 +1229,6 @@ class ShardedEngine:
                 args=(
                     group,
                     self._partitions,
-                    self.config.kernel,
-                    self.config.transport,
                     self.config.detector_kwargs(),
                     blob,
                     task_q,
@@ -1377,7 +1257,6 @@ class ShardedEngine:
         self.barrier()
         if self.config.workers == "inline":
             del self._detectors[slot]
-            del self._decoders[slot]
         else:
             task_q = self._task_qs.pop(slot)
             proc = self._procs.pop(slot)

@@ -62,9 +62,6 @@ class ServiceConfig:
     workers: str = "process"
     commit_sync: str = "footprint"
     gc_threshold: Optional[int] = 50_000
-    #: "encoded" (integer kernel), "batch" (whole-frame vectorized
-    #: application of the same kernel), or "seed" (reference lazy detector)
-    kernel: str = "encoded"
     #: "packed" (encode-once integer frames) or "object" (pickled Events)
     transport: str = "packed"
     #: seconds of ingestion slack after which pending batches are flushed
@@ -89,7 +86,6 @@ class ServiceConfig:
             workers=self.workers,
             commit_sync=self.commit_sync,
             gc_threshold=self.gc_threshold,
-            kernel=self.kernel,
             transport=self.transport,
             obs=self.obs,
             admit=self.admit,

@@ -11,7 +11,6 @@ REPO_ROOT = os.path.join(os.path.dirname(__file__), "..", "..")
 REQUIRED_MODE_FIELDS = {
     "wire",
     "transport",
-    "kernel",
     "events",
     "races",
     "queue_bytes",
@@ -29,13 +28,7 @@ def validate_payload(payload):
     assert payload["benchmark"] == "service_ingest"
     assert payload["trace"]["events"] > 0
     assert payload["n_shards"] == 4
-    for name in (
-        "text-object",
-        "text-packed",
-        "binary-packed",
-        "text-packed-batch",
-        "binary-packed-batch",
-    ):
+    for name in ("text-object", "text-packed", "binary-packed"):
         assert REQUIRED_MODE_FIELDS <= set(payload["modes"][name]), name
     # The PR's acceptance bar, by deterministic counters: the packed path
     # is >= 2x cheaper end to end than the text/object baseline.
@@ -46,11 +39,6 @@ def validate_payload(payload):
     assert payload["modes"]["text-packed"]["sync_decoded"] == 0
     assert payload["modes"]["binary-packed"]["sync_decoded"] == 0
     assert payload["modes"]["text-object"]["sync_decoded"] > 0
-    # The batch kernel's acceptance bar on the service path: >= 1.5x less
-    # counted shard work than record-at-a-time application of the same
-    # packed frames, on both wire formats.
-    assert payload["kernel_work_reduction"]["text"] >= 1.5
-    assert payload["kernel_work_reduction"]["binary"] >= 1.5
     # Parity: every mode reported the identical race lines (seq included).
     assert payload["parity"]["identical_race_lines"] is True
     assert payload["parity"]["races"] > 0

@@ -29,16 +29,9 @@ def validate_payload(payload):
     # The PR's acceptance bar, checked on the artifact itself.
     assert ratios["cells_traversed_ratio"] >= 1.5
     assert ratios["detector_work_ratio"] >= 1.5
-    # The batch kernel's acceptance bar: >= 1.5x less counted work than
-    # record-at-a-time application of the identical frames, with the race
-    # lines (seq included) byte-identical.
-    assert "goldilocks-packed" in payload["detectors"]
-    assert "goldilocks-batch" in payload["detectors"]
-    batch = payload["batch_vs_encoded"]
-    assert batch["detector_work_ratio"] >= 1.5
-    assert batch["identical_race_lines"] is True
-    assert batch["backend"] in ("numpy", "python")
-    assert batch["frames"] > 0
+    # The packed row consumes the same trace as pre-encoded frames.
+    packed = payload["detectors"]["goldilocks-packed"]
+    assert packed["races"] == payload["detectors"]["goldilocks"]["races"]
 
 
 def test_bench_throughput_payload_shape_and_acceptance_bar():

@@ -12,7 +12,7 @@ import pickle
 
 import pytest
 
-from repro.server.engine import EngineConfig, ShardedEngine
+from repro.server.engine import EngineConfig, PartitionedGoldilocks, ShardedEngine
 from repro.server.protocol import format_race
 from repro.trace import RandomTraceGenerator
 
@@ -25,14 +25,12 @@ def split_trace(seed=11):
     return events, mid
 
 
-@pytest.mark.parametrize("kernel", ["encoded", "batch", "seed"])
-def test_detector_checkpoint_restore_delta_replay(kernel):
+def test_detector_checkpoint_restore_delta_replay():
     """Single shard, pure kernel: restore + delta == uninterrupted."""
-    detector_cls = EngineConfig(kernel=kernel).detector_class()
     events, mid = split_trace()
 
-    continuous = detector_cls(0, 1)
-    interrupted = detector_cls(0, 1)
+    continuous = PartitionedGoldilocks(0, 1)
+    interrupted = PartitionedGoldilocks(0, 1)
     for event in events[:mid]:
         assert continuous.process(event) == interrupted.process(event)
 
@@ -46,12 +44,11 @@ def test_detector_checkpoint_restore_delta_replay(kernel):
     assert tail_continuous, "the delta must contain races for this to bite"
 
 
-@pytest.mark.parametrize("kernel", ["encoded", "batch", "seed"])
-def test_engine_restart_from_checkpoints(kernel):
+def test_engine_restart_from_checkpoints():
     """Engine restart: the second half replayed into a restored engine
     yields the same remaining races, with the original seq numbering."""
     events, mid = split_trace()
-    config = EngineConfig(n_shards=4, workers="inline", kernel=kernel)
+    config = EngineConfig(n_shards=4, workers="inline")
 
     with ShardedEngine(config) as continuous:
         for event in events:
@@ -69,10 +66,9 @@ def test_engine_restart_from_checkpoints(kernel):
 
     second = ShardedEngine(config, checkpoints=blobs, seq_start=mid)
     with second:
-        # Restored encoded shards hold the full pre-checkpoint interner, so
-        # their first delta must be empty, not a wasteful full re-send.
-        if kernel in ("encoded", "batch"):
-            assert second._cursors == [len(second._encoder.interner)] * 4
+        # Restored shards hold the full pre-checkpoint interner, so their
+        # first delta must be empty, not a wasteful full re-send.
+        assert second._cursors == [len(second._encoder.interner)] * 4
         for event in events[mid:]:
             second.submit(event)
         lines += [format_race(seq, r) for seq, r in second.barrier()]

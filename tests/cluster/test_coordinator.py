@@ -121,44 +121,6 @@ def test_atomic_migration_and_errors(two_nodes, events, reference):
         coordinator.shutdown_nodes()
 
 
-def test_batch_kernel_nodes_with_migration(events, reference):
-    """Batch-kernel nodes, including a live mid-stream migration, report
-    the single-node lines byte-identically -- the checkpoint/adopt path
-    restores the batch detectors' skip-scan indexes along with the state."""
-    services, servers, nodes = [], [], {}
-    for i in range(2):
-        service = RaceDetectionService(
-            ServiceConfig(workers="inline", flush_interval=0, kernel="batch")
-        )
-        server = serve_tcp(service, "127.0.0.1", 0)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        services.append(service)
-        servers.append(server)
-        nodes[f"node{i}"] = ("127.0.0.1", server.server_address[1])
-    try:
-        with make_coordinator(nodes, balanced=True) as coordinator:
-            mid = len(events) // 2
-            for event in events[:mid]:
-                coordinator.submit_event(event)
-            group = 0
-            src = coordinator.placement.node_of(group)
-            dst = "node1" if src == "node0" else "node0"
-            coordinator.begin_migration(group, dst)
-            for event in events[mid : mid + 200]:
-                coordinator.submit_event(event)
-            coordinator.complete_migration(group)
-            for event in events[mid + 200 :]:
-                coordinator.submit_event(event)
-            assert sorted(coordinator.barrier()) == reference
-            coordinator.shutdown_nodes()
-    finally:
-        for server in servers:
-            server.shutdown()
-            server.server_close()
-        for service in services:
-            service.close()
-
-
 def test_submit_line_parity(two_nodes, reference):
     text = generate_trace_text()
     with make_coordinator(two_nodes) as coordinator:

@@ -199,3 +199,41 @@ def test_replay_requires_a_hosted_group():
         shipper = FrameShipper()
         with pytest.raises(ValueError):
             shipper.ship(TRACE.generate(seed=3)[:10], [(engine, state)])
+
+
+def test_adopt_of_a_retired_kernel_blob_is_an_error_reply(monkeypatch):
+    """A checkpoint naming a shard class this version no longer has (the
+    retired batch kernel's) is refused with an ``error`` line; the node
+    keeps serving and can still adopt the group fresh."""
+    import base64
+    import io
+
+    from repro.server import engine as engine_mod
+    from repro.server.service import RaceDetectionService, ServiceConfig
+
+    retired = type(
+        "PartitionedBatchGoldilocks",
+        (engine_mod.PartitionedGoldilocks,),
+        {"__module__": engine_mod.__name__},
+    )
+    with monkeypatch.context() as patch:
+        patch.setattr(engine_mod, retired.__name__, retired, raising=False)
+        blob = retired(1, N_GROUPS).checkpoint()
+    assert b"PartitionedBatchGoldilocks" in blob
+    encoded = base64.b64encode(blob).decode("ascii")
+
+    out = io.StringIO()
+    service = RaceDetectionService(ServiceConfig(workers="inline", flush_interval=0))
+    with service:
+        service.handle_stream(
+            io.StringIO(
+                f"!cluster {N_GROUPS}\n!adopt 1 {encoded}\n!adopt 1\n!ping\n"
+            ),
+            out,
+        )
+        assert service.engine.hosted_groups() == [1]
+    lines = out.getvalue().splitlines()
+    assert lines[1].startswith("error adopt:")
+    assert "PartitionedBatchGoldilocks" in lines[1]
+    assert lines[2].startswith("ok adopt")
+    assert "ok pong" in lines

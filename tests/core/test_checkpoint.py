@@ -7,13 +7,22 @@ exactly the reports (and stats deltas) the uninterrupted instance would
 have.
 """
 
+import io
 import pickle
 
 import pytest
 
 from repro.baselines.eraser import EraserDetector
-from repro.core import EagerGoldilocksRW, EncodedGoldilocks, LazyGoldilocks, Obj, Tid
+from repro.core import (
+    EagerGoldilocksRW,
+    EncodedGoldilocks,
+    EncodedSyncList,
+    LazyGoldilocks,
+    Obj,
+    Tid,
+)
 from repro.trace import RandomTraceGenerator, TraceBuilder
+from repro.trace.io import format_event, iter_packed_frames
 
 TRACE = RandomTraceGenerator(
     max_threads=5, steps_per_thread=50, p_discipline=0.3, n_objects=6, n_fields=3
@@ -131,3 +140,58 @@ def test_checkpoint_blob_is_plain_pickle():
     clone = pickle.loads(detector.checkpoint())
     assert isinstance(clone, LazyGoldilocks)
     assert clone.stats.races == detector.stats.races
+
+
+def packed_race_lines(detector, frames):
+    """Apply packed frames; return the ``(seq, race line)`` transcript."""
+    lines = []
+    for frame in frames:
+        reports, _count = detector.apply_packed(frame)
+        lines.extend((seq, str(report)) for seq, report in reports)
+    return lines
+
+
+def checkpoint_as_before_the_indexed_replay(detector, monkeypatch):
+    """``detector.checkpoint()`` in the layout older kernels wrote: the
+    config carries the retired ``sc_thread_restricted`` flag and the event
+    list records its key index as switched off."""
+    kernel_state = EncodedGoldilocks.__getstate__
+    list_state = EncodedSyncList.__getstate__
+
+    def old_kernel_state(self):
+        state = kernel_state(self)
+        state["config"] = sorted(state["config"] + [("sc_thread_restricted", True)])
+        return state
+
+    def old_list_state(self):
+        return {**list_state(self), "index_keys": False}
+
+    with monkeypatch.context() as patch:
+        patch.setattr(EncodedGoldilocks, "__getstate__", old_kernel_state)
+        patch.setattr(EncodedSyncList, "__getstate__", old_list_state)
+        return detector.checkpoint()
+
+
+def test_checkpoint_from_before_the_indexed_replay_resumes(monkeypatch):
+    """Cluster nodes exchange checkpoints, so an older blob must restore,
+    rebuild the key index the replay walks, finish the stream with the
+    uninterrupted race lines, and survive ``reset()``."""
+    text = "\n".join(format_event(event) for event in TRACE) + "\n"
+    frames = list(iter_packed_frames(io.StringIO(text), 16))
+    expected = packed_race_lines(EncodedGoldilocks(), frames)
+    assert expected, "a race-free trace proves nothing"
+    cut = len(frames) // 2
+    detector = EncodedGoldilocks()
+    lines = packed_race_lines(detector, frames[:cut])
+    blob = checkpoint_as_before_the_indexed_replay(detector, monkeypatch)
+    assert b"sc_thread_restricted" in blob
+
+    resumed = EncodedGoldilocks.restore(blob)
+    assert resumed.events._by_key == detector.events._by_key
+    # the re-checkpoint is the current layout, byte for byte
+    assert resumed.checkpoint() == detector.checkpoint()
+    assert EncodedGoldilocks.restore(resumed.checkpoint()).checkpoint() == resumed.checkpoint()
+    lines += packed_race_lines(resumed, frames[cut:])
+    assert lines == expected
+    resumed.reset()
+    assert packed_race_lines(resumed, frames) == expected

@@ -1,5 +1,6 @@
 """The encode-once packing layer: records, frames, and kernel parity."""
 
+import io
 from array import array
 
 import pytest
@@ -38,7 +39,7 @@ from repro.core.encode import (
 from repro.core.lockset import Interner
 from repro.core.report import AccessRef, RaceReport
 from repro.trace import RandomTraceGenerator
-from repro.trace.io import format_event
+from repro.trace.io import format_event, iter_packed_frames
 
 
 def normalize(event):
@@ -183,6 +184,19 @@ def test_apply_packed_matches_the_seed_detector(seed):
     # seq tags are the packed records' seq column
     packed_seqs = [seq for seq, _ in reports]
     assert packed_seqs == sorted(packed_seqs)
+    # Frame boundaries change nothing, and neither does the commit policy
+    # the packed path rebuilds from footprint ids alone.
+    text = "".join(format_event(event) + "\n" for event in events)
+    for commit_sync in ("footprint", "atomic-order"):
+        want = LazyGoldilocks(commit_sync=commit_sync).process_all(events)
+        for per_frame in (1, 7):
+            kernel = EncodedGoldilocks(commit_sync=commit_sync)
+            got = []
+            for frame in iter_packed_frames(io.StringIO(text), per_frame):
+                got.extend(kernel.apply_packed(frame)[0])
+            assert [r for _, r in got] == want
+            if commit_sync == "footprint":
+                assert got == reports
 
 
 def test_apply_packed_matches_object_processing_counters():

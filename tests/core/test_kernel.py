@@ -18,7 +18,7 @@ from repro.core import (
     Obj,
     Tid,
 )
-from repro.core.actions import OP_COMMIT, TL, LockVar
+from repro.core.actions import TL, LockVar
 from repro.core.lockset import (
     ls_add,
     ls_has,
@@ -34,9 +34,9 @@ from repro.trace import RandomTraceGenerator, TraceBuilder
 T1, T2, T3 = Tid(1), Tid(2), Tid(3)
 
 
-def positions_from(lst, tid_id, start):
-    """A thread's positions from ``start`` on, read through the offset accessor."""
-    positions, first = lst.tid_positions(tid_id, start)
+def positions_from(lst, key, start):
+    """A key's indexed positions from ``start`` on, via the offset accessor."""
+    positions, first = lst.key_positions(key, start)
     return positions[first:]
 
 
@@ -125,7 +125,7 @@ class TestIntLockset:
         tb.acq(T2, Obj(1000))  # the first lock: T1's release hands off
         tb.write(T2, o, "data")
         tb.rel(T2, Obj(1000))
-        detector = EncodedGoldilocks(sc_alock=False, sc_thread_restricted=False)
+        detector = EncodedGoldilocks(sc_alock=False)
         assert detector.process_all(tb.build()) == []
         assert len(detector.interner) > BITSET_CUTOFF
 
@@ -140,26 +140,26 @@ class TestEncodedSyncList:
         lst = EncodedSyncList(segment_size=4)
         assert lst.tail_pos == 0
         for i in range(6):
-            assert lst.enqueue_encoded(1, tid_id=1 + (i % 2), key=10 + i, gain=20 + i) == i
+            assert lst.enqueue_encoded(1, tid_id=3, key=10 + (i % 2), gain=20 + i) == i
         assert lst.tail_pos == 6 and len(lst) == 6
-        assert lst.at(5) == (1, 2, 15, 25)
-        assert positions_from(lst, 1, 0) == [0, 2, 4]
-        assert positions_from(lst, 2, 2) == [3, 5]
-        assert lst.tid_positions(9, 0) == ([], 0)
+        assert lst.at(5) == (1, 3, 11, 25)
+        assert positions_from(lst, 10, 0) == [0, 2, 4]
+        assert positions_from(lst, 11, 2) == [3, 5]
+        assert lst.key_positions(9, 0) == ([], 0)
 
     def test_collect_frees_only_full_unreferenced_segments(self):
         lst = EncodedSyncList(segment_size=4)
         for i in range(10):  # segments 0,1 full; segment 2 partial
-            lst.enqueue_encoded(1, 1, i, i)
+            lst.enqueue_encoded(1, 1, i % 2, i)
         lst.incref(5)  # pins segment 1
         assert lst.collect_prefix() == 4  # only segment 0 goes
         assert lst.head_pos == 4 and len(lst) == 6
-        assert positions_from(lst, 1, 0)[0] == 4  # index pruned with the prefix
+        assert positions_from(lst, 0, 0)[0] == 4  # index pruned with the prefix
         lst.decref(5)
         assert lst.collect_prefix() == 4  # segment 1 now goes
         assert lst.collect_prefix() == 0  # partial tail segment never freed
         assert lst.head_pos == 8 and lst.total_collected == 8
-        assert lst.at(9) == (1, 1, 9, 9)  # surviving positions unrenumbered
+        assert lst.at(9) == (1, 1, 1, 9)  # surviving positions unrenumbered
 
     def test_refcounts_are_per_segment(self):
         lst = EncodedSyncList(segment_size=4)
@@ -243,9 +243,7 @@ class TestSharedMemo:
         return tb.build()
 
     def kernel(self, **kwargs):
-        return EncodedGoldilocks(
-            sc_alock=False, sc_thread_restricted=False, sc_epoch=False, **kwargs
-        )
+        return EncodedGoldilocks(sc_alock=False, sc_epoch=False, **kwargs)
 
     def test_second_identical_anchor_hits_the_memo(self):
         detector = self.kernel()
@@ -346,102 +344,6 @@ class TestKernelGC:
         assert min(freed) >= 256
         assert len(freed) <= detector.stats.sync_events // 256
         assert len(detector.events) <= 1000
-
-
-# ---------------------------------------------------------------------------
-# The thread-restricted walk
-# ---------------------------------------------------------------------------
-
-
-def plain_walk(detector, info1, info2):
-    """The restricted rung spelled out: every cell of either owner from the
-    anchor on, in list order, replayed until ``info2``'s owner is reached.
-    Returns ``(verdict, cells visited)``."""
-    events = detector.events
-    owners = {info1.owner_id, info2.owner_id}
-    ls, cells = info1.ls, 0
-    for pos in range(info1.pos, events.tail_pos):
-        op, tid_id, key, gain = events.at(pos)
-        if tid_id not in owners:
-            continue
-        cells += 1
-        if op != OP_COMMIT:
-            if ls_has(ls, key):
-                ls = ls_add(ls, gain)
-        else:
-            incoming, outgoing, committer = events.commit_table[key]
-            if ls_intersects(ls, incoming):
-                ls = ls_add(ls, committer)
-            if ls_has(ls, committer):
-                ls = ls_union(ls, outgoing)
-        if ls_has(ls, info2.owner_id):
-            return True, cells
-    return ls_has(ls, info2.owner_id), cells
-
-
-class TestRestrictedWalk:
-    O, M, N = Obj(1), Obj(2), Obj(3)
-
-    def walks(self, detector, var, tid):
-        """``(restricted rung, plain walk)`` for ``var``'s write vs ``tid``."""
-        info1 = detector.write_info[var]
-        info2 = detector._new_info(tid, 0, "write", False)
-        before = detector.stats.cells_traversed
-        verdict = detector._restricted_traversal(info1, info2)
-        return (verdict, detector.stats.cells_traversed - before), plain_walk(
-            detector, info1, info2
-        )
-
-    def test_same_owner_window(self):
-        tb = TraceBuilder()
-        tb.write(T1, self.O, "x")
-        tb.acq(T2, self.M)
-        tb.acq(T1, self.N)
-        tb.rel(T1, self.N)
-        tb.rel(T2, self.M)
-        detector = EncodedGoldilocks(sc_same_thread=False)
-        detector.process_all(tb.build())
-        var = tb.var(self.O, "x")
-        got, want = self.walks(detector, var, T1)
-        assert got == want == (True, 1)
-        # a third thread with no events: only the first owner's cells count
-        got, want = self.walks(detector, var, T3)
-        assert got == want == (False, 2)
-
-    def test_commit_inside_the_window(self):
-        tb = TraceBuilder()
-        y = tb.var(self.N, "y")
-        tb.write(T1, self.O, "x")
-        tb.commit(T1, writes=[y])
-        tb.acq(T3, self.M)
-        tb.rel(T3, self.M)
-        tb.commit(T2, reads=[y])
-        tb.acq(T2, self.M)
-        detector = EncodedGoldilocks()
-        detector.process_all(tb.build())
-        got, want = self.walks(detector, tb.var(self.O, "x"), T2)
-        assert got == want == (True, 2)  # T1 adds y, y lets T2's commit in
-
-    def test_frozenset_lockset(self):
-        tb = TraceBuilder()
-        tb.write(T1, self.O, "x")
-        tb.acq(T1, self.M)
-        tb.rel(T1, self.M)
-        tb.acq(T3, self.M)  # T3 relays M's handoff to N
-        tb.rel(T3, self.N)
-        tb.acq(T2, self.N)
-        tb.rel(T2, self.N)
-        detector = EncodedGoldilocks()
-        for i in range(BITSET_CUTOFF):  # push every real id past the cutoff
-            detector.interner.intern(LockVar(Obj(10_000 + i)))
-        detector.process_all(tb.build())
-        var = tb.var(self.O, "x")
-        assert isinstance(detector.write_info[var].ls, frozenset)
-        got, want = self.walks(detector, var, T3)
-        assert got == want == (True, 3)
-        # the relay is invisible to a T1/T2-only walk
-        got, want = self.walks(detector, var, T2)
-        assert got == want == (False, 4)
 
 
 # ---------------------------------------------------------------------------

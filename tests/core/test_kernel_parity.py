@@ -78,7 +78,7 @@ def test_parity_holds_under_ablations_and_gc():
         dict(memo_shared=False),
         dict(memoize=False),
         dict(sc_xact=False, sc_same_thread=False, sc_alock=False,
-             sc_thread_restricted=False, sc_epoch=False, memo_shared=False),
+             sc_epoch=False, memo_shared=False),
         dict(gc_threshold=30, trim_fraction=0.5, segment_size=16),
     ]
     for kwargs in configs:

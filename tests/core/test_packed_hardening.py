@@ -1,7 +1,6 @@
-"""Regressions for the packed-path hardening (the bugfix part of the PR).
+"""Regressions for the packed-path hardening.
 
-Three bugs, three hand-built malformed/filtered frames, asserted on BOTH
-packed kernels (scalar and batch):
+Three bugs, three hand-built malformed/filtered frames:
 
 1. commit footprints carrying the ``FILTERED_VAR`` sentinel used to be
    resolved as ``interner[-1]`` (silently aliasing the newest element);
@@ -17,20 +16,24 @@ packed kernels (scalar and batch):
 from array import array
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core import BatchGoldilocks, EncodedGoldilocks
-from repro.core.actions import DataVar, Event, Obj, Tid, Write, commit
+from repro.core import EncodedGoldilocks, LazyGoldilocks
+from repro.core.actions import Commit, DataVar, Event, Obj, Tid, Write, commit
 from repro.core.encode import (
     FILTERED_VAR,
     OP_ALLOC,
     OP_COMMIT,
+    OP_READ,
+    OP_WRITE,
     EventEncoder,
     FrameFormatError,
     decode_frame,
     encode_frame,
 )
+from repro.trace import RandomTraceGenerator
 
-KERNELS = [EncodedGoldilocks, BatchGoldilocks]
+KERNELS = [EncodedGoldilocks]
 VAR = DataVar(Obj(1), "f")
 OTHER = DataVar(Obj(2), "g")
 
@@ -170,15 +173,60 @@ def test_unknown_opcode_mid_frame_scalar_reports_applied_count():
     assert detector.stats.frame_faults == 1
 
 
-def test_unknown_opcode_batch_rejects_the_frame_atomically():
-    """Bug 3, batch path: wholesale validation fires before any record."""
-    seed_events = [Event(Tid(1), 0, Write(VAR)), Event(Tid(1), 1, Write(OTHER))]
-    frame, _ = raw_frame(rows=[(99, 2, 1, 2, 0, 0)], seed_events=seed_events)
-    detector = BatchGoldilocks()
-    with pytest.raises(FrameFormatError) as excinfo:
-        detector.apply_packed(frame)
-    assert excinfo.value.kind == 99
-    assert excinfo.value.record == 2
-    assert excinfo.value.applied == 0  # frame-atomic: nothing was applied
-    assert detector.stats.accesses_checked == 0
-    assert detector.stats.frame_faults == 1
+GENERATOR = RandomTraceGenerator(
+    max_threads=5, steps_per_thread=60, p_discipline=0.4, n_objects=4, n_fields=2
+)
+
+
+def filtered_frame(events, stride):
+    """One frame of ``events`` with every ``stride``-th filterable id (data
+    var, alloc target, commit footprint entry) replaced by the admission
+    sentinel -- the shape an edge filter produces -- plus the events an
+    unfiltered detector must see for the same verdicts, and the count."""
+    encoder = EventEncoder()
+    records = array("q")
+    extras = array("q")
+    kept = []
+    tick = filtered = 0
+    for seq, event in enumerate(events):
+        op, tid_id, index, a, b, extra = encoder.encode_event(event)
+        if op in (OP_READ, OP_WRITE, OP_ALLOC):
+            tick += 1
+            if tick % stride == 0:
+                a = FILTERED_VAR
+                filtered += 1
+            else:
+                kept.append(event)
+        elif op == OP_COMMIT:
+            dropped = set()
+            for j in range(1, len(extra), 2):
+                tick += 1
+                if tick % stride == 0:
+                    dropped.add(encoder.interner.resolve(extra[j]))
+                    extra[j] = FILTERED_VAR
+                    filtered += 1
+            action = event.action
+            kept.append(
+                Event(event.tid, event.index,
+                      Commit(action.reads - dropped, action.writes - dropped))
+            )
+        else:
+            kept.append(event)
+        if extra is not None:
+            a = len(extras)
+            extras.extend(extra)
+        records.extend((op, seq, tid_id, index, a, b))
+    frame = encode_frame(1, encoder.interner.elements_since(1), records, extras)
+    return frame, kept, filtered
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9),
+       stride=st.integers(min_value=2, max_value=9))
+def test_filtered_frames_match_the_trace_without_the_filtered_ids(seed, stride):
+    frame, kept, filtered = filtered_frame(GENERATOR.generate(seed), stride)
+    detector = EncodedGoldilocks()
+    reports, _count = detector.apply_packed(frame)
+    assert [r for _seq, r in reports] == LazyGoldilocks().process_all(kept)
+    assert detector.stats.accesses_filtered == filtered
+    assert detector.stats.frame_faults == 0

@@ -38,7 +38,6 @@ def run_packed_service(tmp_path, text=RACY_TEXT, **obs_overrides):
         ServiceConfig(
             n_shards=2,
             workers="inline",
-            kernel="encoded",
             transport="packed",
             flush_interval=0.0,
             obs=obs,
@@ -65,7 +64,6 @@ class TestAcceptance:
         recording = load_flightrec(dumps[0])
         assert recording.header["races"] == races
         assert recording.header["reason"] == "race"
-        assert recording.header["kernel"] == "encoded"
 
         result = replay_flightrec(recording)
         assert result.ok

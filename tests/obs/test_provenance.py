@@ -1,8 +1,8 @@
 """Race provenance: the lockset-transfer chain behind each verdict.
 
 Covers the acceptance gates of the observability PR: chains are captured
-by both the encoded and the batch kernel, race lines (seq included) are
-byte-identical with provenance on vs off, the chain survives the flight
+by the encoded kernel, race lines (seq included) are byte-identical with
+provenance on vs off, the chain survives the flight
 recorder round trip, and ``repro-race explain --race N`` renders it from
 a ``.flightrec`` file -- recorded or re-derived by replay.
 """
@@ -11,7 +11,6 @@ import io
 
 import pytest
 
-from repro.core.batch import BatchGoldilocks
 from repro.core.kernel import EncodedGoldilocks
 from repro.obs.flightrec import load_flightrec, replay_flightrec
 from repro.obs.tracing import ObsConfig
@@ -37,7 +36,7 @@ def _events():
     return [parse_event(line) for line in CHAIN_TRACE]
 
 
-@pytest.mark.parametrize("kernel_cls", [EncodedGoldilocks, BatchGoldilocks])
+@pytest.mark.parametrize("kernel_cls", [EncodedGoldilocks])
 def test_kernel_captures_transfer_chain(kernel_cls):
     detector = kernel_cls(provenance=True)
     reports = detector.process_all(_events())
@@ -54,7 +53,7 @@ def test_kernel_captures_transfer_chain(kernel_cls):
     assert any("T3" in text for text in chain["elements"].values())
 
 
-@pytest.mark.parametrize("kernel_cls", [EncodedGoldilocks, BatchGoldilocks])
+@pytest.mark.parametrize("kernel_cls", [EncodedGoldilocks])
 def test_race_lines_identical_with_provenance_on_and_off(kernel_cls):
     plain = kernel_cls().process_all(_events())
     traced = kernel_cls(provenance=True).process_all(_events())
@@ -70,13 +69,12 @@ def test_provenance_off_by_default():
     assert reports and reports[0].provenance is None
 
 
-def _record_service(tmp_path, kernel, provenance):
-    d = tmp_path / f"frec-{kernel}-{provenance}"
+def _record_service(tmp_path, provenance):
+    d = tmp_path / f"frec-{provenance}"
     service = RaceDetectionService(
         ServiceConfig(
             workers="inline",
             flush_interval=0,
-            kernel=kernel,
             obs=ObsConfig(
                 counters=True, provenance=provenance, flightrec_dir=str(d)
             ),
@@ -92,28 +90,22 @@ def _record_service(tmp_path, kernel, provenance):
     return races, str(path)
 
 
-@pytest.mark.parametrize("kernel", ["encoded", "batch"])
-def test_flightrec_header_carries_chain_and_kernel_stats(tmp_path, kernel):
-    races, path = _record_service(tmp_path, kernel, provenance=True)
+def test_flightrec_header_carries_chain_and_kernel_stats(tmp_path):
+    races, path = _record_service(tmp_path, provenance=True)
     header = load_flightrec(path).header
-    assert header["kernel"] == kernel
-    assert set(header["kernel_stats"]) == {"sc_batch", "batch_runs", "frame_faults"}
+    assert header["kernel_stats"] == {"frame_faults": 0}
     (chain,) = header["provenance"]
     assert chain is not None
     assert [entry["rule"] for entry in chain["entries"]] == ["transfer", "transfer"]
     assert header["races"] == races
 
 
-@pytest.mark.parametrize("kernel", ["encoded", "batch"])
-def test_replay_honors_recorded_kernel_and_derives_chain(tmp_path, kernel):
-    races, path = _record_service(tmp_path, kernel, provenance=False)
+def test_replay_derives_chain(tmp_path):
+    races, path = _record_service(tmp_path, provenance=False)
     recording = load_flightrec(path)
     assert "provenance" not in recording.header
     result = replay_flightrec(recording, provenance=True)
     assert result.ok
-    assert result.kernel == kernel
-    if kernel == "batch":
-        assert result.counters["batch_runs"] > 0
     ((seq, report),) = result.reports
     assert format_race(seq, report) == races[0]
     assert [e["rule"] for e in report.provenance["entries"]] == [
@@ -125,7 +117,7 @@ def test_replay_honors_recorded_kernel_and_derives_chain(tmp_path, kernel):
 def test_explain_race_renders_recorded_chain(tmp_path, capsys):
     from repro.cli import main as race_main
 
-    _races, path = _record_service(tmp_path, "encoded", provenance=True)
+    _races, path = _record_service(tmp_path, provenance=True)
     assert race_main(["explain", "--race", "0", path]) == 0
     out = capsys.readouterr().out
     assert "race 20.x write:2:1:0 write:4:0:0 seq=8" in out
@@ -135,7 +127,7 @@ def test_explain_race_renders_recorded_chain(tmp_path, capsys):
 def test_explain_race_falls_back_to_replay(tmp_path, capsys):
     from repro.cli import main as race_main
 
-    _races, path = _record_service(tmp_path, "batch", provenance=False)
+    _races, path = _record_service(tmp_path, provenance=False)
     assert race_main(["explain", "--race", "0", path]) == 0
     out = capsys.readouterr().out
     assert "transfer" in out
@@ -144,7 +136,7 @@ def test_explain_race_falls_back_to_replay(tmp_path, capsys):
 def test_explain_race_out_of_range(tmp_path, capsys):
     from repro.cli import main as race_main
 
-    _races, path = _record_service(tmp_path, "encoded", provenance=False)
+    _races, path = _record_service(tmp_path, provenance=False)
     assert race_main(["explain", "--race", "7", path]) == 2
     assert "out of range" in capsys.readouterr().err
 

@@ -1,23 +1,36 @@
-"""Property tests: one-pass partially-eager advancement equals per-info replay.
+"""Property tests: the indexed replay and the one-pass advance are linear replay.
 
-Section 5.4's partial evaluation advances every lockset pinned in the GC
-prefix to the cutoff.  The kernels do it in one backward pass over the
-prefix (``_advance_to``); the reference is the forward ``_replay`` of each
-info on its own -- the linear scan for :class:`EncodedGoldilocks`, the
-per-key skip-scan for :class:`BatchGoldilocks`.  Lists mix simple-sync and
-commit rows over ids on both sides of ``BITSET_CUTOFF``, and infos crowd a
-few anchors, so both lockset representations and shared anchors are hit.
-The advanced lockset must match in value *and* representation (int
-bitmask vs frozenset): memo keys and checkpoints depend on it.
+The kernel answers a lockset computation by *indexed replay*
+(``_skip_scan``): it visits only the cells indexed under the lockset's own
+ids, and with a target it stops at the first position where the lockset
+owns the target's thread.  Section 5.4's partial evaluation advances every
+lockset pinned in the GC prefix in one backward pass (``_advance_to``).
+Both are checked against the plain linear walk below -- every cell of the
+window, in list order -- which is the definition of ``Apply-Lockset-Rules``
+on the encoded list.
+
+Lists mix simple-sync and commit rows over ids on both sides of
+``BITSET_CUTOFF``, some have had a prefix collected (so the key index was
+pruned), and infos crowd a few anchors, so both lockset representations
+and shared anchors are hit.  Results must match in value *and*
+representation (int bitmask vs frozenset): memo keys and checkpoints
+depend on it.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import BatchGoldilocks, EncodedGoldilocks
-from repro.core.actions import OP_ACQUIRE, OP_COMMIT
+from repro.core import BITSET_CUTOFF, EncodedGoldilocks, Obj, Tid
+from repro.core.actions import OP_ACQUIRE, OP_COMMIT, LockVar
 from repro.core.kernel import KInfo
-from repro.core.lockset import BITSET_CUTOFF, ls_make
+from repro.core.lockset import (
+    ls_add,
+    ls_has,
+    ls_intersects,
+    ls_make,
+    ls_union,
+)
+from repro.trace import TraceBuilder
 
 #: element ids: a few bitmask-range ids and a few that force frozensets
 IDS = (1, 2, 3, 4, 5, BITSET_CUTOFF - 1, BITSET_CUTOFF, BITSET_CUTOFF + 3)
@@ -30,20 +43,47 @@ commit_rows = st.tuples(st.just(OP_COMMIT), ids, locksets, locksets)
 rows = st.lists(st.one_of(simple_rows, simple_rows, commit_rows), min_size=10, max_size=80)
 
 
+def linear_replay(events, ls, start, end):
+    """The plain linear walk: every cell of ``[start, end)``, in order."""
+    for pos in range(start, end):
+        op, _tid, key, gain = events.at(pos)
+        if op != OP_COMMIT:
+            if ls_has(ls, key):
+                ls = ls_add(ls, gain)
+        else:
+            incoming, outgoing, committer = events.commit_table[key]
+            if ls_intersects(ls, incoming):
+                ls = ls_add(ls, committer)
+            if ls_has(ls, committer):
+                ls = ls_union(ls, outgoing)
+    return ls
+
+
+def same(got, want):
+    """Equal value and equal representation."""
+    return got == want and type(got) is type(want)
+
+
 @st.composite
 def scenarios(draw):
-    """``(segment size, rows, cutoff, [(anchor, lockset)])``."""
+    """``(segment size, rows, head, cutoff, [(anchor, lockset)])``.
+
+    Cells before ``head``'s segment are collected before any check runs,
+    so anchors start at the first retained position.
+    """
+    size = draw(st.sampled_from((1, 3, 4, 16)))
     body = draw(rows)
-    cutoff = draw(st.integers(min_value=len(body) // 2, max_value=len(body)))
-    anchors = draw(st.lists(st.integers(0, cutoff - 1), min_size=1, max_size=3))
+    head = draw(st.sampled_from((0, 0, len(body) // 3)))
+    first = head - head % size
+    cutoff = draw(st.integers(min_value=max(first + 1, len(body) // 2), max_value=len(body)))
+    anchors = draw(st.lists(st.integers(first, cutoff - 1), min_size=1, max_size=3))
     infos = draw(
         st.lists(st.tuples(st.sampled_from(anchors), locksets), min_size=1, max_size=12)
     )
-    size = draw(st.sampled_from((1, 3, 4, 16)))
-    return size, body, cutoff, infos
+    return size, body, head, cutoff, infos
 
 
-def build(kernel_cls, size, body):
+def build(kernel_cls, size, body, head=0):
     detector = kernel_cls(segment_size=size, gc_threshold=None)
     events = detector.events
     for op, tid_id, a, b in body:
@@ -52,27 +92,104 @@ def build(kernel_cls, size, body):
             events.enqueue_encoded(OP_COMMIT, tid_id, row, 0)
         else:
             events.enqueue_encoded(op, tid_id, a, b)
+    events.incref(head)
+    events.collect_prefix()  # frees the full segments before head's
+    events.decref(head)
+    assert events.head_pos == head - head % size
     return detector
 
 
-@pytest.mark.parametrize("kernel_cls", [EncodedGoldilocks, BatchGoldilocks])
+def check_scan(detector, ls, start, end, target):
+    """Indexed replay with a target against the linear walk."""
+    got, reached = detector._skip_scan(ls, start, end, target)
+    assert start <= reached <= end
+    assert same(got, linear_replay(detector.events, ls, start, reached))
+    if detector._owned(got, target):
+        # the exit is the first position where ownership holds
+        if reached > start:
+            before = linear_replay(detector.events, ls, start, reached - 1)
+            assert not detector._owned(before, target)
+    else:
+        assert reached == end  # no exit: not owned at the end either
+    return got, reached
+
+
+@pytest.mark.parametrize("kernel_cls", [EncodedGoldilocks])
 @settings(max_examples=150, deadline=None)
 @given(scenario=scenarios())
 def test_one_pass_advance_equals_forward_replay(kernel_cls, scenario):
-    size, body, cutoff, anchored = scenario
-    detector = build(kernel_cls, size, body)
+    size, body, head, cutoff, anchored = scenario
+    detector = build(kernel_cls, size, body, head)
     infos = []
     for pos, ls in anchored:
         infos.append(KInfo(1, pos, ls, None, False, None))
         detector.events.incref(pos)
-    expected = [detector._replay(info.ls, info.pos, cutoff) for info in infos]
+    expected = [linear_replay(detector.events, info.ls, info.pos, cutoff) for info in infos]
 
     detector._advance_to(infos, cutoff)
 
     for info, want in zip(infos, expected):
         assert info.pos == cutoff
-        assert info.ls == want
-        assert type(info.ls) is type(want)
+        assert same(info.ls, want)
     # every anchor moved: the prefix holds no reference any more
     assert detector.events._refs == {cutoff // size: len(infos)}
     assert detector.stats.partial_evaluations == len(infos)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenario=scenarios(), owner=ids)
+def test_indexed_replay_equals_linear_replay(scenario, owner):
+    size, body, head, _cutoff, anchored = scenario
+    detector = build(EncodedGoldilocks, size, body, head)
+    end = detector.events.total_enqueued
+    target = KInfo(owner, end, 0, None, False, None)
+    for start, ls in anchored:
+        assert same(detector._replay(ls, start, end), linear_replay(detector.events, ls, start, end))
+        check_scan(detector, ls, start, end, target)
+
+
+class TestIndexedReplayExamples:
+    """Hand-built windows the random lists rarely produce."""
+
+    O, M, N = Obj(1), Obj(2), Obj(3)
+    T1, T2, T3 = Tid(1), Tid(2), Tid(3)
+
+    def scan(self, detector, var, tid):
+        info1 = detector.write_info[var]
+        info2 = detector._new_info(tid, 0, "write", False)
+        end = detector.events.total_enqueued
+        got, _reached = check_scan(detector, info1.ls, info1.pos, end, info2)
+        return detector._owned(got, info2)
+
+    def test_commit_inside_the_window(self):
+        tb = TraceBuilder()
+        y = tb.var(self.N, "y")
+        tb.write(self.T1, self.O, "x")
+        tb.commit(self.T1, writes=[y])
+        tb.acq(self.T3, self.M)
+        tb.rel(self.T3, self.M)
+        tb.commit(self.T2, reads=[y])
+        tb.acq(self.T2, self.M)
+        detector = EncodedGoldilocks()
+        detector.process_all(tb.build())
+        # T1's commit adds y, and y lets T2's commit in
+        assert self.scan(detector, tb.var(self.O, "x"), self.T2)
+
+    def test_frozenset_lockset(self):
+        tb = TraceBuilder()
+        tb.write(self.T1, self.O, "x")
+        tb.acq(self.T1, self.M)
+        tb.rel(self.T1, self.M)
+        tb.acq(self.T3, self.M)  # T3 relays M's handoff to N
+        tb.rel(self.T3, self.N)
+        tb.acq(self.T2, self.N)
+        tb.rel(self.T2, self.N)
+        detector = EncodedGoldilocks()
+        for i in range(BITSET_CUTOFF):  # push every real id past the cutoff
+            detector.interner.intern(LockVar(Obj(10_000 + i)))
+        detector.process_all(tb.build())
+        var = tb.var(self.O, "x")
+        assert isinstance(detector.write_info[var].ls, frozenset)
+        assert self.scan(detector, var, self.T3)
+        # the relay through T3 reaches T2 as well
+        assert self.scan(detector, var, self.T2)

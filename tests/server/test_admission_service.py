@@ -240,15 +240,19 @@ class TestFrameFormatError:
             from repro.server.protocol import FRAME_EVENTS
 
             frame = self.encoder_frame(events[:8])
-            # a FRAME_EVENTS frame whose payload is cut mid-record
-            client._send_frame(FRAME_EVENTS, frame[: len(frame) - 7])
-            reply = client._sock.recv(4096).decode("utf-8", "replace")
-            assert reply.startswith("error")
-            payload = service.health()
-            assert payload["parse_errors"] >= 1
-            assert any(
-                "frame" in line for line in payload["last_parse_errors"]
-            )
+            base, delta, records, extras = decode_frame(frame)
+            records[0] = 99
+            junk = encode_frame(base, delta, records, extras)
+            # a FRAME_EVENTS payload cut mid-record, then one whose first
+            # record carries an unknown opcode: both are refused at the edge
+            for bad, word in ((frame[: len(frame) - 7], "frame"), (junk, "opcode")):
+                client._send_frame(FRAME_EVENTS, bad)
+                reply = client._sock.recv(4096).decode("utf-8", "replace")
+                assert reply.startswith("error")
+                payload = service.health()
+                assert any(word in line for line in payload["last_parse_errors"])
+            assert payload["parse_errors"] >= 2
+            assert client.ping()  # the connection survives both
         finally:
             client.close()
             server.shutdown()

@@ -1,19 +1,15 @@
-"""The batch kernel behind the service: parity, the fused path, fault routing.
+"""Binary-framed batches into the service: a bad frame costs only itself.
 
-The engine knows one extra trick when the shard detectors are
-:class:`BatchGoldilocks` behind inline workers and packed transport: it
-skips ``encode_frame``/``decode_frame`` entirely and hands the buffered
-record arrays straight to the kernel (the *fused* path).  These tests pin
-down that the fusion changes no observable outcome, and that malformed
-frames land in the parse-error ring -- from the wire edge, from a worker
-acknowledgment, and from the fused inline apply -- instead of killing
-anything.
+A ``FRAME_EVENTS`` payload is validated at the wire edge before any of its
+records reach a shard; a malformed one lands in the parse-error ring and
+the frames after it on the same stream still apply.
 """
 
 import io
 
 import pytest
 
+from repro.core.encode import decode_frame, encode_frame
 from repro.server import RaceDetectionService, ServiceConfig
 from repro.server.protocol import FRAME_EVENTS, pack_frame
 from repro.trace.io import iter_packed_frames
@@ -29,53 +25,18 @@ def reference():
     return text, races
 
 
-@pytest.mark.parametrize("wire", ["text", "frames"])
-@pytest.mark.parametrize("transport", ["packed", "object"])
-def test_batch_kernel_parity_inline(reference, wire, transport):
-    text, expected = reference
-    races, _ = run_service(text, wire, transport, kernel="batch")
-    assert races == expected  # same races, same seq tags
-
-
-@pytest.mark.parametrize("wire", ["text", "frames"])
-def test_batch_kernel_parity_with_process_workers(reference, wire):
-    text, expected = reference
-    races, _ = run_service(text, wire, "packed", kernel="batch",
-                           workers="process", n_shards=2)
-    assert races == expected
-
-
-def test_fused_inline_path_counters(reference):
-    text, _ = reference
-    _, stats = run_service(text, "text", "packed", kernel="batch")
-    # The shards really ran the batch kernel...
-    detectors = [shard.detector for shard in stats.shards]
-    assert sum(det.get("batch_runs", 0) for det in detectors) > 0
-    assert sum(det.get("batch_ops", 0) for det in detectors) > 0
-    # ...on packed transport semantics: zero sync events materialized
-    # shard-side, and the byte accounting still charges the record arrays
-    # even though no frame bytes were ever produced.
-    assert stats.sync_decoded == 0
-    assert stats.queue_bytes > 0
-    assert stats.parse_errors == 0
-    # Fusion is strictly cheaper end to end than encoding the same frames.
-    _, unfused = run_service(text, "text", "packed", kernel="encoded")
-    assert stats.races_reported == unfused.races_reported
-
-
 def test_corrupt_wire_frame_lands_in_the_parse_error_ring(reference):
     """A junk opcode inside a binary FRAME_EVENTS payload must be rejected
     at the edge as bad input -- connection and shards keep going."""
     text, expected = reference
     frames = list(iter_packed_frames(io.StringIO(text), 32))
-    from repro.core.encode import decode_frame, encode_frame
 
     base, delta, records, extras = decode_frame(frames[0])
     records[0] = 99
     corrupt = encode_frame(base, delta, records, extras)
 
-    config = ServiceConfig(n_shards=2, workers="inline", kernel="batch",
-                           transport="packed", batch_size=16, flush_interval=0)
+    config = ServiceConfig(n_shards=2, workers="inline", transport="packed",
+                           batch_size=16, flush_interval=0)
     out = io.StringIO()
     buf = io.BytesIO()
     buf.write(pack_frame(FRAME_EVENTS, corrupt))  # rejected up front
@@ -92,23 +53,3 @@ def test_corrupt_wire_frame_lands_in_the_parse_error_ring(reference):
     assert races == expected  # the good frames all still applied
     assert stats.parse_errors == 1
     assert any("opcode" in line for line in health["last_parse_errors"])
-
-
-def test_worker_apply_errors_drain_into_the_parse_error_ring(reference):
-    """``engine.apply_errors`` (worker 'err' acks / fused-apply faults) are
-    folded into the service's parse-error accounting at snapshot time."""
-    text, _ = reference
-    config = ServiceConfig(n_shards=1, workers="inline", kernel="batch",
-                           transport="packed", batch_size=16, flush_interval=0)
-    out = io.StringIO()
-    with RaceDetectionService(config) as service:
-        service.handle_stream(io.StringIO(text), out)
-        before = service.stats().parse_errors
-        service.engine.apply_errors.append(
-            "shard 0: unknown opcode 99 at record 7 (0/16 records applied)"
-        )
-        stats = service.stats()
-        health = service.health()
-    assert stats.parse_errors == before + 1
-    assert service.engine.apply_errors == []  # drained, not re-counted
-    assert any("unknown opcode" in line for line in health["last_parse_errors"])

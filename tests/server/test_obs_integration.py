@@ -7,7 +7,12 @@ Also home to the stats-aggregation satellites: the query-weighted
 import io
 import json
 import threading
+from array import array
 
+import pytest
+
+from repro.core import Obj, Tid
+from repro.core.encode import OP_ALLOC, EventEncoder, encode_frame
 from repro.obs.bridge import REQUIRED_METRICS
 from repro.obs.registry import parse_exposition
 from repro.obs.tracing import ObsConfig, read_span_log
@@ -17,8 +22,9 @@ from repro.server import (
     ServiceConfig,
     serve_tcp,
 )
-from repro.server.protocol import parse_response, parse_summary
+from repro.server.protocol import FRAME_EVENTS, pack_frame, parse_response, parse_summary
 from repro.server.stats import ServiceStats, ShardStats
+from repro.trace import TraceBuilder
 
 
 def inline_service(**overrides):
@@ -60,6 +66,35 @@ def test_health_control_is_one_json_line():
     assert payload["parse_errors"] == 1
     assert payload["last_parse_errors"] == ["not an event"]
     assert payload["stats"]["n_shards"] == 2
+
+
+@pytest.mark.parametrize("workers", ["inline", "process"])
+def test_shard_apply_faults_join_the_parse_error_ring(workers):
+    """A frame the edge accepts but a shard's kernel rejects (an alloc
+    naming a thread) comes back as an apply fault -- through the worker's
+    error ack in process mode -- and is folded into the parse-error
+    accounting exactly once; the shard keeps applying later frames."""
+    encoder = EventEncoder()
+    records = array("q")
+    racy = TraceBuilder().write(Tid(1), Obj(1), "x").write(Tid(2), Obj(1), "x")
+    for seq, event in enumerate(racy.build()):
+        op, tid_id, index, a, b, _extra = encoder.encode_event(event)
+        records.extend((op, seq, tid_id, index, a, b))
+    delta = encoder.interner.elements_since(1)
+    tid_id = encoder.interner.intern(Tid(1))
+    bad = encode_frame(1, delta, array("q", [OP_ALLOC, 0, tid_id, 0, tid_id, 0]), array("q"))
+    good = encode_frame(1, delta, records, array("q"))
+    wire = io.BytesIO(pack_frame(FRAME_EVENTS, bad) + pack_frame(FRAME_EVENTS, good))
+    out = io.StringIO()
+    with inline_service(n_shards=1, workers=workers, batch_size=1) as service:
+        service.handle_stream(iter(["!binary\n"]), out, binary=wire)
+        stats = service.stats()
+        health = service.health()
+        assert service.engine.apply_errors == []  # drained, not re-counted
+        assert service.stats().parse_errors == 1
+    assert stats.parse_errors == 1
+    assert any("not an object proxy" in line for line in health["last_parse_errors"])
+    assert sum(line.startswith("race ") for line in out.getvalue().splitlines()) == 1
 
 
 def test_parse_error_ring_keeps_only_the_last_eight():

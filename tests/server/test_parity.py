@@ -94,40 +94,18 @@ def test_engine_parity_across_shard_counts_on_ftpserver():
             assert {r for _, r in engine.barrier()} == expected
 
 
-def test_engine_kernel_choices_agree():
-    """The encoded kernel and the seed detector behind the same shards."""
-    seed = next(s for s in range(6) if offline_races(ftpserver_trace(s)))
-    events = ftpserver_trace(seed)
-    expected = as_keys(offline_races(events))
-    results = {}
-    for kernel in ("encoded", "seed"):
-        with ShardedEngine(n_shards=3, workers="inline", kernel=kernel) as engine:
-            for event in events:
-                engine.submit(event)
-            results[kernel] = as_keys(r for _, r in engine.barrier())
-    assert results["encoded"] == results["seed"] == expected
-
-
-def test_service_kernel_knob_and_epoch_counter():
+def test_service_surfaces_the_epoch_counter():
     events = ftpserver_trace(1)
     lines = "\n".join(format_event(e) for e in events) + "\n"
     out = io.StringIO()
-    config = ServiceConfig(n_shards=2, workers="inline", kernel="encoded")
+    config = ServiceConfig(n_shards=2, workers="inline")
     with RaceDetectionService(config) as service:
         service.handle_stream(io.StringIO(lines), out)
         snapshot = service.stats()
-    # The kernel's new counters surface through the service snapshot and
+    # The kernel's counters surface through the service snapshot and
     # participate in the aggregate short-circuit rate.
     assert any("sc_epoch" in shard.detector for shard in snapshot.shards)
     assert 0.0 <= snapshot.short_circuit_rate <= 1.0
-    # And the knob actually switches implementations: the seed detector has
-    # no epoch rung, so its counter stays absent-or-zero.
-    out_seed = io.StringIO()
-    with RaceDetectionService(ServiceConfig(n_shards=2, workers="inline", kernel="seed")) as service:
-        service.handle_stream(io.StringIO(lines), out_seed)
-        seed_snapshot = service.stats()
-    for shard in seed_snapshot.shards:
-        assert shard.detector.get("sc_epoch", 0) == 0
 
 
 def test_cli_exit_codes_agree(tmp_path, monkeypatch, capsys):

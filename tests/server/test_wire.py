@@ -1,9 +1,9 @@
 """The binary wire path: parity with text, encode-once counters, client.
 
-The acceptance matrix of the encode-once PR: text and binary ingestion must
-produce identical race sets *and identical seq tags* across
-``workers`` x ``kernel`` x ``transport``, and the counters must prove that
-packed-mode encoded-kernel shards materialize zero sync events.
+The encode-once acceptance matrix: text and binary ingestion must produce
+identical race sets *and identical seq tags* across ``workers`` x
+``transport``, and the counters must prove that packed-mode shards
+materialize zero sync events.
 """
 
 import io
@@ -28,11 +28,10 @@ def trace_text(seed=11):
     return "\n".join(format_event(e) for e in events) + "\n"
 
 
-def run_service(text, wire, transport="packed", kernel="encoded", workers="inline",
-                n_shards=4):
+def run_service(text, wire, transport="packed", workers="inline", n_shards=4):
     """One fresh service pass; returns (race lines incl. seq, stats)."""
     config = ServiceConfig(
-        n_shards=n_shards, workers=workers, kernel=kernel, transport=transport,
+        n_shards=n_shards, workers=workers, transport=transport,
         batch_size=16, flush_interval=0,
     )
     out = io.StringIO()
@@ -65,22 +64,20 @@ def reference():
 
 @pytest.mark.parametrize("wire", ["text", "frames", "frame-text"])
 @pytest.mark.parametrize("transport", ["packed", "object"])
-@pytest.mark.parametrize("kernel", ["encoded", "seed"])
-def test_parity_matrix_inline(reference, wire, transport, kernel):
+def test_parity_matrix_inline(reference, wire, transport):
     text, expected = reference
-    races, _ = run_service(text, wire, transport, kernel)
+    races, _ = run_service(text, wire, transport)
     assert races == expected  # same races, same seq tags
 
 
-@pytest.mark.parametrize("wire,transport,kernel", [
-    ("frames", "packed", "encoded"),
-    ("frames", "object", "seed"),
-    ("text", "packed", "seed"),
+@pytest.mark.parametrize("wire,transport", [
+    ("frames", "packed"),
+    ("text", "packed"),
+    ("frames", "object"),
 ])
-def test_parity_with_process_workers(reference, wire, transport, kernel):
+def test_parity_with_process_workers(reference, wire, transport):
     text, expected = reference
-    races, _ = run_service(text, wire, transport, kernel, workers="process",
-                           n_shards=2)
+    races, _ = run_service(text, wire, transport, workers="process", n_shards=2)
     assert races == expected
 
 
@@ -88,7 +85,7 @@ def test_packed_counters_prove_encode_once(reference):
     text, _ = reference
     n_events = len(text.strip().splitlines())
 
-    _, packed = run_service(text, "frames", "packed", "encoded")
+    _, packed = run_service(text, "frames", "packed")
     assert packed.transport == "packed"
     assert packed.queue_bytes > 0
     # the encode-once claim: zero sync records materialized shard-side
@@ -97,15 +94,11 @@ def test_packed_counters_prove_encode_once(reference):
     # edge allocations are per *new element*, far below one per event
     assert 0 < packed.edge_allocs < n_events / 4
 
-    _, objected = run_service(text, "text", "object", "encoded")
+    _, objected = run_service(text, "text", "object")
     assert objected.transport == "object"
     assert objected.edge_allocs == n_events  # one Event per line
     assert objected.sync_decoded > 0
     assert objected.queue_bytes > packed.queue_bytes
-
-    # a seed-kernel shard cannot consume records: it decodes at the boundary
-    _, seed = run_service(text, "frames", "packed", "seed")
-    assert seed.sync_decoded > 0
 
 
 def test_binary_request_on_text_only_stream_is_an_error():

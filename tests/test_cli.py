@@ -172,3 +172,22 @@ def test_analyze_gz_trace_path(tmp_path, capsys):
     path = str(tmp_path / "racy.trace.gz")
     dump_trace(tb.build(), path)
     assert main(["analyze", path]) == 1
+
+
+def test_cli_start_up_imports_no_numpy():
+    """Both command-line entry points start without loading numpy: the
+    detector is pure Python, and numpy alone costs ~0.1 s per start-up."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = (
+        "import sys, repro.cli, repro.server.cli; "
+        "sys.exit('numpy' in sys.modules)"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], env=env, timeout=60)
+    assert result.returncode == 0
