@@ -19,7 +19,6 @@ from repro.baselines import (
 )
 from repro.core import (
     EagerGoldilocksRW,
-    EncodedEagerGoldilocksRW,
     EncodedGoldilocks,
     LazyGoldilocks,
 )
@@ -36,7 +35,6 @@ BIG_TRACE = RandomTraceGenerator(
         LazyGoldilocks,
         EncodedGoldilocks,
         EagerGoldilocksRW,
-        EncodedEagerGoldilocksRW,
         VectorClockDetector,
         FastTrackDetector,
         EraserDetector,

@@ -1,18 +1,17 @@
 """Ingest throughput of the sharded streaming engine: 1 shard vs N.
 
-The service's headline claim is that hash-partitioning data accesses across
-shards parallelizes detection while broadcast sync events keep every
-shard's verdicts exact.  Two measurements back it:
+The sharding claim is that hash-partitioning data accesses splits the
+detection work while broadcast sync events keep every shard's verdicts
+exact.  Two measurements back it:
 
 * A deterministic **cost-model speedup**: the single-shard detector work
   divided by the busiest shard's work at N shards -- the critical path
-  under perfect overlap.  This is what the suite asserts (>= 1.5x at 4
-  shards on a sync-light trace) because it holds on any host, including
-  single-core CI runners where wall-clock parallel speedup is physically
-  impossible.
+  if the shards ran on separate cores (as the groups of a multi-node
+  ``repro-cluster`` do).  This is what the suite asserts (>= 1.5x at 4
+  shards on a sync-light trace); it is a cost model, not a wall-clock
+  speedup, because the shards of one node share its process.
 * **Wall-clock events/sec** through the engine, recorded by
-  pytest-benchmark.  The wall-clock speedup assertion is only made on
-  hosts that actually have >= 4 cores.
+  pytest-benchmark.
 
 A "sync-light" trace is mostly data accesses: threads hammer their own
 variable partitions and synchronize on a shared lock only occasionally.
@@ -21,7 +20,6 @@ scheme's serial fraction, so the same harness also shows the Amdahl limit
 on a sync-heavy trace.
 """
 
-import os
 import random
 
 import pytest
@@ -60,9 +58,9 @@ def sync_light_trace(accesses_per_thread, n_threads=8, sync_every=25, seed=42):
     return tb.build()
 
 
-def run_engine(events, n_shards, workers="inline", batch_size=64):
+def run_engine(events, n_shards, batch_size=64):
     with ShardedEngine(
-        EngineConfig(n_shards=n_shards, workers=workers, batch_size=batch_size)
+        EngineConfig(n_shards=n_shards, batch_size=batch_size)
     ) as engine:
         for event in events:
             engine.submit(event)
@@ -120,19 +118,3 @@ def test_ingest_throughput(benchmark, trace, n_shards):
     benchmark.extra_info["races"] = len(reports)
     benchmark.extra_info["sync_broadcast"] = stats.sync_broadcast
 
-
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 4, reason="wall-clock parallel speedup needs >= 4 cores"
-)
-def test_wall_clock_speedup_with_process_workers(trace):
-    import time
-
-    def timed(n):
-        start = time.perf_counter()
-        run_engine(trace, n, workers="process", batch_size=256)
-        return time.perf_counter() - start
-
-    serial, parallel = timed(1), timed(4)
-    assert parallel < serial, (
-        f"4 process shards ({parallel:.3f}s) not faster than 1 ({serial:.3f}s)"
-    )

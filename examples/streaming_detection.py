@@ -42,7 +42,7 @@ def build_trace():
 
 def main():
     events = build_trace()
-    config = ServiceConfig(n_shards=4, workers="inline", flush_interval=0.01)
+    config = ServiceConfig(n_shards=4, flush_interval=0.01)
     with RaceDetectionService(config) as service:
         server = serve_tcp(service, "127.0.0.1", 0)
         port = server.server_address[1]

@@ -12,8 +12,6 @@ Regenerates the paper's evaluation artifacts:
 * ``throughput`` -- detector events/sec + deterministic cost counters on
   the fixed synthetic benchmark trace (the default when ``--json`` is the
   only argument);
-* ``ingest`` -- end-to-end service ingest, text wire vs the packed binary
-  path (``BENCH_service_ingest.json``);
 * ``obs`` -- observability-overhead ablation: all-off vs counters-on vs
   span-sampling-on (``BENCH_obs_overhead.json``);
 * ``cluster`` -- multi-node scaling under the deterministic critical-path
@@ -26,8 +24,8 @@ Regenerates the paper's evaluation artifacts:
 Options: ``--scale tiny|small|full`` (default small), ``--repeats N``,
 ``--workloads a,b,c`` (Table 1/2 subset), ``--threads 5,10,...``
 (Table 3 subset), ``--json [PATH]`` (write the benchmark's JSON artifact;
-default path ``BENCH_detector_throughput.json``, or
-``BENCH_service_ingest.json`` for ``ingest``).
+default path ``BENCH_detector_throughput.json``, or the subcommand's own
+``BENCH_*.json``).
 """
 
 from __future__ import annotations
@@ -93,8 +91,8 @@ def main(argv=None) -> int:
         nargs="?",
         default="throughput",
         choices=[
-            "table1", "table2", "table3", "figures", "throughput", "ingest",
-            "obs", "cluster", "admit", "all",
+            "table1", "table2", "table3", "figures", "throughput", "obs",
+            "cluster", "admit", "all",
         ],
         help="which artifact to regenerate (default: throughput)",
     )
@@ -112,13 +110,12 @@ def main(argv=None) -> int:
         metavar="PATH",
         help="write the benchmark's JSON artifact (with `throughput`, implied "
         "when --json is the only argument; default path "
-        "BENCH_detector_throughput.json, or BENCH_service_ingest.json "
-        "for `ingest`)",
+        "BENCH_detector_throughput.json, or the subcommand's own "
+        "BENCH_*.json)",
     )
     args = parser.parse_args(argv)
     if args.json == "":  # bare --json: pick the benchmark's canonical path
         args.json = {
-            "ingest": "BENCH_service_ingest.json",
             "obs": "BENCH_obs_overhead.json",
             "cluster": "BENCH_cluster_scaling.json",
             "admit": "BENCH_admission.json",
@@ -148,25 +145,16 @@ def main(argv=None) -> int:
     if args.what in ("figures", "all"):
         print(_figures_text())
     if args.what in ("throughput", "all") or (
-        args.json and args.what not in ("ingest", "obs", "cluster", "admit")
+        args.json and args.what not in ("obs", "cluster", "admit")
     ):
         from .throughput import bench_throughput, render_throughput, write_throughput_json
 
-        if args.json and args.what not in ("ingest", "obs", "cluster", "admit"):
+        if args.json and args.what not in ("obs", "cluster", "admit"):
             payload = write_throughput_json(args.json, repeats=args.repeats)
             print(f"wrote {args.json}")
         else:
             payload = bench_throughput(repeats=args.repeats)
         print(render_throughput(payload))
-    if args.what in ("ingest", "all"):
-        from .ingest import bench_ingest, render_ingest, write_ingest_json
-
-        if args.what == "ingest" and args.json:
-            payload = write_ingest_json(args.json, repeats=args.repeats)
-            print(f"wrote {args.json}")
-        else:
-            payload = bench_ingest(repeats=args.repeats)
-        print(render_ingest(payload))
     if args.what in ("obs", "all"):
         from .obs import bench_obs, render_obs, write_obs_json
 

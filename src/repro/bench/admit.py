@@ -7,7 +7,7 @@ through every ingestion mode twice -- baseline and ``--admit``:
 
 * ``offline`` -- ``repro-race analyze`` semantics: the default detector
   over the (optionally pre-filtered) event list;
-* ``service_text`` -- the streaming service, object/text path, 4 inline
+* ``service_text`` -- the streaming service, ``Event`` submission, 4
   shards;
 * ``service_binary`` -- the packed wire path over loopback TCP: the
   client ships *everything*, the server drops by interned id;
@@ -75,8 +75,7 @@ def _service_text(events, admit) -> Tuple[Dict[str, int], List[str]]:
     from ..server.service import RaceDetectionService, ServiceConfig
 
     service = RaceDetectionService(
-        ServiceConfig(n_shards=N_SHARDS, workers="inline", flush_interval=0,
-                      admit=admit)
+        ServiceConfig(n_shards=N_SHARDS, flush_interval=0, admit=admit)
     )
     try:
         for event in events:
@@ -96,8 +95,7 @@ def _service_binary(events, admit) -> Tuple[Dict[str, int], List[str]]:
     from ..server.service import RaceDetectionService, ServiceConfig, serve_tcp
 
     service = RaceDetectionService(
-        ServiceConfig(n_shards=N_SHARDS, workers="inline", flush_interval=0,
-                      admit=admit)
+        ServiceConfig(n_shards=N_SHARDS, flush_interval=0, admit=admit)
     )
     server = serve_tcp(service, "127.0.0.1", 0)
     threading.Thread(target=server.serve_forever, daemon=True).start()
@@ -123,9 +121,7 @@ def _cluster(events, admit, n_nodes: int) -> Tuple[Dict[str, int], List[str]]:
     nodes: Dict[str, Tuple[str, int]] = {}
     closers = []
     for i in range(n_nodes):
-        service = RaceDetectionService(
-            ServiceConfig(workers="inline", flush_interval=0)
-        )
+        service = RaceDetectionService(ServiceConfig(flush_interval=0))
         server = serve_tcp(service, "127.0.0.1", 0)
         threading.Thread(target=server.serve_forever, daemon=True).start()
         nodes[f"node{i}"] = ("127.0.0.1", server.server_address[1])

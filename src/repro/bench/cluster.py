@@ -1,6 +1,6 @@
 """Cluster scaling benchmark: one trace, 1/2/4 nodes, deterministic cost.
 
-Spins up in-process ``repro-serve`` nodes (inline workers, port 0), routes
+Spins up in-process ``repro-serve`` nodes (port 0), routes
 the fixed :data:`~repro.bench.ingest.TRACE_PARAMS` trace through a
 :class:`~repro.cluster.ClusterCoordinator` at each node count, and scores
 scaling with a deterministic cost model instead of wall-clock:
@@ -50,9 +50,7 @@ def _start_nodes(count: int):
     services = []
     servers = []
     for i in range(count):
-        service = RaceDetectionService(
-            ServiceConfig(workers="inline", flush_interval=0)
-        )
+        service = RaceDetectionService(ServiceConfig(flush_interval=0))
         server = serve_tcp(service, "127.0.0.1", 0)
         threading.Thread(target=server.serve_forever, daemon=True).start()
         services.append(service)

@@ -1,69 +1,28 @@
-"""End-to-end service-ingest benchmark: text wire vs the packed binary path.
+"""The shared synthetic service trace.
 
-``python -m repro.bench ingest --json`` replays one fixed synthetic trace
-through the streaming service three ways and writes
-``BENCH_service_ingest.json`` (committed at the repo root, like the
-detector-throughput artifact):
-
-* ``text-object``   -- text lines, Events pickled to the shards (the
-  pre-encode-once baseline);
-* ``text-packed``   -- text lines, encoded once at the ingestion edge into
-  packed integer frames;
-* ``binary-packed`` -- the opt-in binary wire: length-prefixed packed
-  frames consumed without ever constructing ``Event`` objects.
-
-Wall-clock fields (``elapsed_sec``, ``events_per_sec``) are
-environment-dependent and only indicative.  The comparison the suite
-asserts is the deterministic **cost model**::
-
-    cost = queue_bytes + 64 * edge_allocs        (per mode, whole trace)
-
-``queue_bytes`` counts every byte shipped to the shards (pickled batches
-or packed frames) and ``edge_allocs`` counts per-event object
-materializations at the ingestion edge (one per Event in object mode; one
-per *newly seen* element in packed mode).  Both are exact counters, so the
-speedup they imply holds on any host, including single-core CI runners.
-``sync_decoded`` is recorded per mode to prove the encode-once claim:
-shards on the packed transport materialize **zero** sync events.
-``detector_work`` (the kernel's deterministic work counter, summed over
-shards) is recorded per mode.
+One fixed trace, generated deterministically from :data:`TRACE_PARAMS` and
+:data:`TRACE_SEED`, feeds the observability and cluster benchmarks
+(:mod:`repro.bench.obs`, :mod:`repro.bench.cluster`), the coordinator
+tests, and the CI cluster smoke job, so they all measure and compare the
+same stream.  It is mostly private data accesses with periodic
+lock-protected sharing and small transactions -- broadcast sync is the
+sharding scheme's serial fraction, so a mostly-sync trace would measure
+the broadcast, not the service.
 """
 
 from __future__ import annotations
 
-import io
-import json
 import random
-import time
-from typing import Dict, List, Tuple
 
 from ..core.actions import DataVar, Obj, Tid
-from ..server.protocol import FRAME_EVENTS, pack_frame
-from ..server.service import RaceDetectionService, ServiceConfig
 from ..trace import TraceBuilder
-from ..trace.io import format_event, iter_packed_frames
+from ..trace.io import format_event
 
-#: the fixed benchmark trace (deterministic; sized for a few seconds of CI).
-#: Mostly data accesses with periodic lock-protected sharing and small
-#: transactions -- the service-representative mix of
-#: ``benchmarks/test_server_throughput.py`` (broadcast sync is the sharding
-#: scheme's serial fraction, so a mostly-sync trace would measure the
-#: broadcast overhead, not the ingest path).
+#: the fixed trace's shape (deterministic; sized for a few seconds of CI)
 TRACE_PARAMS = dict(
     n_threads=8, accesses_per_thread=300, sync_every=25, commit_every=100, racy_every=45
 )
 TRACE_SEED = 13
-N_SHARDS = 4
-#: cost charged per edge allocation, in queue-byte equivalents
-ALLOC_COST_BYTES = 64
-
-#: (mode name, wire, transport) in presentation order; text-object first
-#: -- it is the baseline every speedup is measured against
-MODES: Tuple[Tuple[str, str, str], ...] = (
-    ("text-object", "text", "object"),
-    ("text-packed", "text", "packed"),
-    ("binary-packed", "binary", "packed"),
-)
 
 
 def generate_trace(
@@ -110,137 +69,3 @@ def generate_trace_text() -> str:
     """The benchmark trace, rendered once as wire text."""
     events = generate_trace(**TRACE_PARAMS)
     return "\n".join(format_event(event) for event in events) + "\n"
-
-
-def _wire_bytes(text: str) -> bytes:
-    """The binary wire image of the trace: packed frames, framed for the wire."""
-    out = io.BytesIO()
-    for frame in iter_packed_frames(io.StringIO(text)):
-        out.write(pack_frame(FRAME_EVENTS, frame))
-    return out.getvalue()
-
-
-def _run_mode(
-    wire: str, transport: str, text: str, repeats: int
-) -> Tuple[Dict[str, object], List[str]]:
-    """One (wire, transport) pass; returns (counters, race lines)."""
-    binary_wire = _wire_bytes(text) if wire == "binary" else b""
-    best = None
-    races: List[str] = []
-    row: Dict[str, object] = {}
-    for _ in range(max(1, repeats)):
-        service = RaceDetectionService(
-            ServiceConfig(
-                n_shards=N_SHARDS,
-                workers="inline",
-                transport=transport,
-                flush_interval=0,
-            )
-        )
-        out = io.StringIO()
-        started = time.perf_counter()
-        if wire == "binary":
-            service.handle_stream(
-                iter(["!binary\n"]), out, binary=io.BytesIO(binary_wire)
-            )
-        else:
-            service.handle_stream(io.StringIO(text), out)
-        elapsed = time.perf_counter() - started
-        stats = service.stats()
-        service.close()
-        if best is not None and elapsed >= best:
-            continue
-        best = elapsed
-        races = sorted(
-            line for line in out.getvalue().splitlines() if line.startswith("race ")
-        )
-        events = stats.events_ingested
-        cost = stats.queue_bytes + ALLOC_COST_BYTES * stats.edge_allocs
-        detector_work = sum(shard.detector_work for shard in stats.shards)
-        row = {
-            "wire": wire,
-            "transport": transport,
-            "events": events,
-            "races": stats.races_reported,
-            "parse_errors": stats.parse_errors,
-            "queue_bytes": stats.queue_bytes,
-            "edge_allocs": stats.edge_allocs,
-            "sync_decoded": stats.sync_decoded,
-            "detector_work": detector_work,
-            "cost": cost,
-            "cost_per_event": round(cost / events, 2) if events else None,
-            "elapsed_sec": round(elapsed, 6),
-            "events_per_sec": round(events / elapsed) if elapsed > 0 else None,
-        }
-    row["elapsed_sec"] = round(best, 6)
-    row["events_per_sec"] = round(row["events"] / best) if best > 0 else None
-    return row, races
-
-
-def bench_ingest(repeats: int = 1) -> Dict[str, object]:
-    """Run every ingest mode on the fixed trace; returns the JSON payload."""
-    text = generate_trace_text()
-    modes: Dict[str, Dict[str, object]] = {}
-    race_lines: Dict[str, List[str]] = {}
-    for name, wire, transport in MODES:
-        modes[name], race_lines[name] = _run_mode(wire, transport, text, repeats)
-    baseline = modes["text-object"]["cost"]
-    speedups = {
-        name: round(baseline / modes[name]["cost"], 4)
-        for name, _, _ in MODES
-        if name != "text-object"
-    }
-    reference = race_lines["text-object"]
-    return {
-        "benchmark": "service_ingest",
-        "trace": {
-            "generator": TRACE_PARAMS,
-            "seed": TRACE_SEED,
-            "events": modes["text-object"]["events"],
-            "text_bytes": len(text.encode("utf-8")),
-        },
-        "n_shards": N_SHARDS,
-        "cost_model": f"queue_bytes + {ALLOC_COST_BYTES} * edge_allocs",
-        "modes": modes,
-        "speedup_vs_text_object": speedups,
-        "parity": {
-            # identical races *and* identical seq tags, every mode
-            "identical_race_lines": all(
-                lines == reference for lines in race_lines.values()
-            ),
-            "races": len(reference),
-        },
-    }
-
-
-def render_ingest(payload: Dict[str, object]) -> str:
-    """Human-readable table for terminal output."""
-    lines = [
-        f"Service ingest on {payload['trace']['events']} events, "
-        f"{payload['n_shards']} shards (cost = {payload['cost_model']}):",
-        f"{'mode':<19} {'events/sec':>12} {'queue bytes':>12} {'allocs':>8} "
-        f"{'sync dec':>9} {'det work':>9} {'cost/ev':>9}",
-    ]
-    for name, row in payload["modes"].items():
-        lines.append(
-            f"{name:<19} {row['events_per_sec']:>12} {row['queue_bytes']:>12} "
-            f"{row['edge_allocs']:>8} {row['sync_decoded']:>9} "
-            f"{row['detector_work']:>9} {row['cost_per_event']:>9}"
-        )
-    for name, speedup in payload["speedup_vs_text_object"].items():
-        lines.append(f"{name} vs text-object: {speedup}x cheaper by counters")
-    parity = payload["parity"]
-    lines.append(
-        f"parity: {parity['races']} races, identical across modes = "
-        f"{parity['identical_race_lines']}"
-    )
-    return "\n".join(lines)
-
-
-def write_ingest_json(path: str, repeats: int = 1) -> Dict[str, object]:
-    """Run the benchmark and write the JSON artifact; returns the payload."""
-    payload = bench_ingest(repeats=repeats)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return payload

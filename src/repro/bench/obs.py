@@ -1,9 +1,9 @@
 """Observability-overhead ablation: what does instrumentation cost?
 
-``python -m repro.bench obs --json`` replays the fixed ingest-benchmark
-trace through the streaming service under three observability
-configurations and writes ``BENCH_obs_overhead.json`` (committed at the
-repo root, like the other benchmark artifacts):
+``python -m repro.bench obs --json`` replays the shared service trace
+(:mod:`repro.bench.ingest`) through the streaming service under five
+observability configurations and writes ``BENCH_obs_overhead.json``
+(committed at the repo root, like the other benchmark artifacts):
 
 * ``all-off``       -- tracer disabled, flight rings off: the bare engine;
 * ``counters-on``   -- the defaults: stage counters, per-batch latency
@@ -15,8 +15,8 @@ repo root, like the other benchmark artifacts):
 * ``trace-on``      -- counters plus trace-context stamping on spans.
 
 The claim the suite asserts is deterministic: **observability must add
-zero detector work**.  Every mode runs the identical trace on the packed
-transport, so per-shard ``detector_work`` (the kernel's deterministic
+zero detector work**.  Every mode runs the identical trace through the
+same packed frames, so per-shard ``detector_work`` (the kernel's deterministic
 cost counter), the ingest cost model ``queue_bytes + 64 * edge_allocs``,
 and the race lines (including seq tags) must be byte-identical across
 modes -- instrumentation only ever reads clocks and appends to
@@ -37,9 +37,11 @@ from typing import Dict, List, Optional, Tuple
 
 from ..obs.tracing import ObsConfig
 from ..server.service import RaceDetectionService, ServiceConfig
-from .ingest import ALLOC_COST_BYTES, TRACE_PARAMS, TRACE_SEED, generate_trace_text
+from .ingest import TRACE_PARAMS, TRACE_SEED, generate_trace_text
 
 N_SHARDS = 4
+#: cost charged per edge allocation, in queue-byte equivalents
+ALLOC_COST_BYTES = 64
 #: 1-in-N batch sampling rate for the spans-on mode
 SPAN_SAMPLE = 8
 
@@ -82,8 +84,6 @@ def _run_mode(mode: str, text: str, repeats: int) -> Tuple[Dict[str, object], Li
             service = RaceDetectionService(
                 ServiceConfig(
                     n_shards=N_SHARDS,
-                    workers="inline",
-                    transport="packed",
                     flush_interval=0,
                     obs=_obs_config(mode, span_log),
                 )

@@ -31,7 +31,6 @@ from ..baselines import (
 )
 from ..core import (
     EagerGoldilocksRW,
-    EncodedEagerGoldilocksRW,
     EncodedGoldilocks,
     LazyGoldilocks,
 )
@@ -48,8 +47,7 @@ TRACE_SEED = 7
 DETECTORS: List[Tuple[str, Callable[[], object]]] = [
     ("goldilocks", EncodedGoldilocks),
     ("goldilocks-seed", LazyGoldilocks),
-    ("goldilocks-eager", EncodedEagerGoldilocksRW),
-    ("goldilocks-eager-seed", EagerGoldilocksRW),
+    ("goldilocks-eager", EagerGoldilocksRW),
     ("vectorclock", VectorClockDetector),
     ("fasttrack", FastTrackDetector),
     ("eraser", EraserDetector),
@@ -70,7 +68,7 @@ def generate_trace():
 def packed_frames(trace, batch: int = PACKED_BATCH) -> List[bytes]:
     """Encode ``trace`` into packed frames of ``batch`` events each.
 
-    Same wire format the sharded engine ships to workers (interner-delta
+    Same wire format the sharded engine ships to shards (interner-delta
     header + 6-int64 records + extras pool), so the packed rows below
     measure exactly the work a shard does per frame.
     """

@@ -35,7 +35,6 @@ from .baselines import (
 from .core import (
     EagerGoldilocks,
     EagerGoldilocksRW,
-    EncodedEagerGoldilocksRW,
     EncodedGoldilocks,
     LazyGoldilocks,
 )
@@ -46,8 +45,7 @@ from .trace import RandomTraceGenerator, dump_trace, load_trace
 DETECTORS = {
     "goldilocks": EncodedGoldilocks,
     "goldilocks-seed": LazyGoldilocks,
-    "goldilocks-eager": EncodedEagerGoldilocksRW,
-    "goldilocks-eager-seed": EagerGoldilocksRW,
+    "goldilocks-eager": EagerGoldilocksRW,
     "goldilocks-norw": EagerGoldilocks,
     "eraser": EraserDetector,
     "racetrack": RaceTrackDetector,

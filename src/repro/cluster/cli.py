@@ -183,7 +183,6 @@ def _start_local_nodes(
     for i in range(count):
         service = RaceDetectionService(
             ServiceConfig(
-                workers="inline",
                 flush_interval=0,
                 obs=obs_of(i) if obs_of is not None else None,
             )

@@ -41,7 +41,7 @@ from .exceptions import (
     TransactionAborted,
     TransactionError,
 )
-from .goldilocks import EagerGoldilocks, EagerGoldilocksRW, EncodedEagerGoldilocksRW
+from .goldilocks import EagerGoldilocks, EagerGoldilocksRW
 from .kernel import EncodedGoldilocks
 from .lazy import LazyGoldilocks
 from .lockset import BITSET_CUTOFF, TL_ID, Interner, Lockset
@@ -78,7 +78,6 @@ __all__ = [
     "TransactionError",
     "EagerGoldilocks",
     "EagerGoldilocksRW",
-    "EncodedEagerGoldilocksRW",
     "EncodedGoldilocks",
     "LazyGoldilocks",
     "BITSET_CUTOFF",

@@ -72,7 +72,7 @@ class Detector(ABC):
         The blob restored by :meth:`restore` continues the *same* execution:
         feeding it the remaining suffix of a trace yields exactly the reports
         (and stats deltas) the original instance would have produced.  Used
-        by the streaming service to migrate or respawn shard workers without
+        by the streaming service to restart or migrate shards without
         replaying the shared synchronization-event history.
         """
         return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)

@@ -1,8 +1,8 @@
 """Encode-once event packing: the canonical integer record and frame format.
 
 The ingestion edge translates every event exactly once into the kernel's
-packed integer form; routers, queues, shard workers and the kernel itself
-then operate on flat ``array('q')`` frames instead of Python objects.
+packed integer form; the router, the shards and the kernel itself then
+operate on flat ``array('q')`` frames instead of Python objects.
 
 A **record** is six signed 64-bit integers::
 
@@ -79,7 +79,6 @@ from .actions import (
     Write,
 )
 from .lockset import Interner
-from .report import AccessRef, RaceReport
 
 #: ints per packed record
 RECORD_WIDTH = 6
@@ -691,8 +690,8 @@ class EventEncoder:
 
 
 # The handlers below mirror ``parse_event``'s exact laxness (positional
-# access, trailing tokens ignored) so both transports agree line-for-line on
-# what counts as a parse error.
+# access, trailing tokens ignored) so ``encode_line`` and ``parse_event``
+# agree line-for-line on what counts as a parse error.
 
 
 def _line_data(op):
@@ -761,18 +760,16 @@ _LINE_HANDLERS = {
 }
 
 
-# -- frame decoding back to Events (seed shards, object-mode wire ingest) -------
+# -- frame decoding back to Events ----------------------------------------------
 
 
 class FrameDecoder:
     """Reconstitutes :class:`Event` objects from packed frames.
 
-    Used where objects are unavoidable: a shard running the *seed* kernel
-    (parity, not speed) and object-transport ingestion of binary wire
-    frames.  ``sync_decoded`` counts every sync/alloc/commit record that
-    had to be materialized -- the counter that proves encoded-kernel shards
-    do **zero** per-event sync decoding in packed mode (it stays 0 there
-    because this class is never instantiated on that path).
+    The inverse of :class:`EventEncoder` plus :func:`encode_frame`, for
+    consumers that need objects (round-trip checks, offline inspection of
+    recorded frames); the service's shards never use it.  ``sync_decoded``
+    counts every sync/alloc/commit record it had to materialize.
     """
 
     def __init__(self) -> None:
@@ -793,7 +790,7 @@ class FrameDecoder:
             op, seq, tid_id, index, a, b = records[i : i + RECORD_WIDTH]
             if a == FILTERED_VAR and (op == OP_READ or op == OP_WRITE):
                 # admission-filtered access: no variable to resolve, and
-                # nothing for an object-mode consumer to check
+                # nothing for an object consumer to check
                 continue
             tid = resolve(tid_id)
             if op == OP_READ:
@@ -846,64 +843,3 @@ class FrameDecoder:
             out.append((seq, Event(tid, index, action)))
         return out
 
-
-# -- packed race reports -------------------------------------------------------
-
-_KIND_CODES = {"read": 0, "write": 1, "commit": 2}
-_KIND_NAMES = {0: "read", 1: "write", 2: "commit"}
-
-
-def pack_report(seq: int, report: RaceReport, interner: Interner) -> Tuple:
-    """One race as a flat int tuple (ids resolvable by the edge interner).
-
-    The first ten fields are fixed; a report carrying a provenance chain
-    appends it as an optional eleventh element (the chain is plain dicts
-    and ints, so it crosses the worker queue with the row).
-    """
-    first = report.first
-    if first is None:
-        head: Tuple[int, ...] = (-1, 0, 0, 0)
-    else:
-        head = (
-            interner.intern(first.tid),
-            first.index,
-            _KIND_CODES[first.kind],
-            1 if first.xact else 0,
-        )
-    second = report.second
-    row = (
-        seq,
-        interner.intern(report.var),
-        *head,
-        interner.intern(second.tid),
-        second.index,
-        _KIND_CODES[second.kind],
-        1 if second.xact else 0,
-    )
-    if report.provenance is not None:
-        return row + (report.provenance,)
-    return row
-
-
-def unpack_reports(
-    rows: Iterable[Tuple[int, ...]],
-    interner: Interner,
-    detector: str = "goldilocks",
-) -> List[Tuple[int, RaceReport]]:
-    """Reconstitute ``(seq, RaceReport)`` pairs at the service edge."""
-    resolve = interner.resolve
-    out: List[Tuple[int, RaceReport]] = []
-    for row in rows:
-        seq, var_id, t1, i1, k1, x1, t2, i2, k2, x2 = row[:10]
-        provenance = row[10] if len(row) > 10 else None
-        first = (
-            None
-            if t1 < 0
-            else AccessRef(resolve(t1), i1, _KIND_NAMES[k1], bool(x1))
-        )
-        second = AccessRef(resolve(t2), i2, _KIND_NAMES[k2], bool(x2))
-        out.append(
-            (seq, RaceReport(var=resolve(var_id), first=first, second=second,
-                             detector=detector, provenance=provenance))
-        )
-    return out

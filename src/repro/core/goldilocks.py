@@ -63,17 +63,7 @@ from .actions import (
     Write,
 )
 from .detector import Detector
-from .lockset import (
-    TL_ID,
-    Interner,
-    IntLockset,
-    Lockset,
-    ls_add,
-    ls_has,
-    ls_intersects,
-    ls_make,
-    ls_union,
-)
+from .lockset import Lockset
 from .report import AccessRef, RaceReport
 
 
@@ -468,204 +458,3 @@ class EagerGoldilocksRW(Detector):
             detector=self.name,
         )
 
-
-class EncodedEagerGoldilocksRW(Detector):
-    """:class:`EagerGoldilocksRW` on the integer-encoded kernel primitives.
-
-    Same rules, same verdicts, same ``name`` (reports compare equal), but
-    locksets are int bitmasks over interned element ids and the uniform sync
-    rule is two integer operations per tracked lockset instead of a hash
-    probe plus a set insert.  This is the eager detector sharing the kernel
-    representation of :mod:`repro.core.kernel`; the parity suite holds the
-    two implementations together.
-    """
-
-    name = "goldilocks-eager-rw"
-
-    def __init__(self, commit_sync: str = "footprint") -> None:
-        super().__init__()
-        if commit_sync not in COMMIT_SYNC_POLICIES:
-            raise ValueError(f"unknown commit_sync policy {commit_sync!r}")
-        self.commit_sync = commit_sync
-        self.interner = Interner()
-        self.write_locksets: Dict[DataVar, IntLockset] = {}
-        self.read_locksets: Dict[DataVar, Dict[Tuple[Tid, bool], IntLockset]] = {}
-        self._last_write: Dict[DataVar, AccessRef] = {}
-        self._last_reads: Dict[DataVar, Dict[Tuple[Tid, bool], AccessRef]] = {}
-        self._seen: Set[DataVar] = set()
-
-    # -- event dispatch --------------------------------------------------------
-
-    def process(self, event: Event) -> List[RaceReport]:
-        action = event.action
-        if isinstance(action, Read):
-            self.stats.accesses_checked += 1
-            return self._read(event, action.var, xact=False)
-        if isinstance(action, Write):
-            self.stats.accesses_checked += 1
-            return self._write(event, action.var, xact=False)
-        if isinstance(action, Commit):
-            self.stats.sync_events += 1
-            return self._commit(event, action)
-        if isinstance(action, Alloc):
-            self._alloc(action.obj)
-            return []
-        self.stats.sync_events += 1
-        self._sync_rule(event.tid, action)
-        return []
-
-    def _sync_rule(self, tid: Tid, action) -> None:
-        """Rules 2-7 as ``if key in ls: ls |= 1 << gain`` over every lockset."""
-        intern = self.interner.intern
-        tid_id = intern(tid)
-        if isinstance(action, VolatileRead):
-            key, gain = intern(action.var), tid_id
-        elif isinstance(action, VolatileWrite):
-            key, gain = tid_id, intern(action.var)
-        elif isinstance(action, Acquire):
-            key, gain = intern(LockVar(action.obj)), tid_id
-        elif isinstance(action, Release):
-            key, gain = tid_id, intern(LockVar(action.obj))
-        elif isinstance(action, Fork):
-            key, gain = tid_id, intern(action.child)
-        elif isinstance(action, Join):
-            key, gain = intern(action.child), tid_id
-        else:  # pragma: no cover
-            raise TypeError(f"not a simple synchronization action: {action!r}")
-        stats = self.stats
-        for var, ls in self.write_locksets.items():
-            stats.rule_applications += 1
-            if ls_has(ls, key):
-                self.write_locksets[var] = ls_add(ls, gain)
-        for per_thread in self.read_locksets.values():
-            for reader, ls in per_thread.items():
-                stats.rule_applications += 1
-                if ls_has(ls, key):
-                    per_thread[reader] = ls_add(ls, gain)
-
-    def _alloc(self, obj) -> None:
-        for mapping in (self.write_locksets, self.read_locksets):
-            for var in [v for v in mapping if v.obj == obj]:
-                del mapping[var]
-        for mapping in (self._last_write, self._last_reads):
-            for var in [v for v in mapping if v.obj == obj]:
-                del mapping[var]
-        self._seen = {v for v in self._seen if v.obj != obj}
-
-    # -- data accesses ----------------------------------------------------------
-
-    def _owned(self, ls: IntLockset, tid_id: int, xact: bool) -> bool:
-        if ls_has(ls, tid_id):
-            return True
-        return xact and ls_has(ls, TL_ID)
-
-    def _read(self, event: Event, var: DataVar, xact: bool) -> List[RaceReport]:
-        tid = event.tid
-        tid_id = self.interner.intern(tid)
-        reports: List[RaceReport] = []
-        wls = self.write_locksets.get(var)
-        if wls and not self._owned(wls, tid_id, xact):
-            reports.append(
-                self._report(var, self._last_write.get(var), event, "read", xact)
-            )
-        if reports and self.suppress_racy_updates:
-            return reports  # the access is being suppressed
-        if var not in self._seen:
-            self.stats.sc_fresh += 1
-            self._seen.add(var)
-        fresh = ls_make((tid_id, TL_ID)) if xact else ls_make((tid_id,))
-        per_var = self.read_locksets.setdefault(var, {})
-        refs = self._last_reads.setdefault(var, {})
-        if not xact:
-            per_var.pop((tid, True), None)
-            refs.pop((tid, True), None)
-        per_var[(tid, xact)] = fresh
-        refs[(tid, xact)] = AccessRef(tid, event.index, "read", xact)
-        return reports
-
-    def _write(self, event: Event, var: DataVar, xact: bool) -> List[RaceReport]:
-        tid = event.tid
-        tid_id = self.interner.intern(tid)
-        reports: List[RaceReport] = []
-        wls = self.write_locksets.get(var)
-        if wls and not self._owned(wls, tid_id, xact):
-            reports.append(
-                self._report(var, self._last_write.get(var), event, "write", xact)
-            )
-        for reader, rls in self.read_locksets.get(var, {}).items():
-            if rls and not self._owned(rls, tid_id, xact):
-                ref = self._last_reads.get(var, {}).get(reader)
-                reports.append(self._report(var, ref, event, "write", xact))
-        if reports and self.suppress_racy_updates:
-            return reports  # the access is being suppressed
-        if var not in self._seen:
-            self.stats.sc_fresh += 1
-            self._seen.add(var)
-        self.write_locksets[var] = (
-            ls_make((tid_id, TL_ID)) if xact else ls_make((tid_id,))
-        )
-        self.read_locksets.pop(var, None)
-        self._last_write[var] = AccessRef(tid, event.index, "write", xact)
-        self._last_reads.pop(var, None)
-        return reports
-
-    # -- transactions -------------------------------------------------------------
-
-    def _commit(self, event: Event, action: Commit) -> List[RaceReport]:
-        tid = event.tid
-        intern = self.interner.intern
-        tid_id = intern(tid)
-        incoming, outgoing = _commit_gains(self.commit_sync, action)
-        incoming_ls = ls_make(intern(e) for e in incoming)
-        outgoing_ls = ls_make(intern(e) for e in outgoing)
-        reports: List[RaceReport] = []
-        stats = self.stats
-
-        # (a) incoming edges.
-        for var, ls in self.write_locksets.items():
-            stats.rule_applications += 1
-            if ls_intersects(ls, incoming_ls):
-                self.write_locksets[var] = ls_add(ls, tid_id)
-        for per_thread in self.read_locksets.values():
-            for reader, ls in per_thread.items():
-                stats.rule_applications += 1
-                if ls_intersects(ls, incoming_ls):
-                    per_thread[reader] = ls_add(ls, tid_id)
-
-        # (b) per-access checks and shrinks, writes after reads.
-        ordered = sorted(action.footprint, key=lambda v: (v.obj.value, v.field))
-        for var in ordered:
-            stats.accesses_checked += 1
-            if var in action.writes:
-                reports.extend(self._write(event, var, xact=True))
-            else:
-                reports.extend(self._read(event, var, xact=True))
-
-        # (c) outgoing edges.
-        for var, ls in self.write_locksets.items():
-            stats.rule_applications += 1
-            if ls_has(ls, tid_id):
-                self.write_locksets[var] = ls_union(ls, outgoing_ls)
-        for per_thread in self.read_locksets.values():
-            for reader, ls in per_thread.items():
-                stats.rule_applications += 1
-                if ls_has(ls, tid_id):
-                    per_thread[reader] = ls_union(ls, outgoing_ls)
-
-        return reports
-
-    def _report(
-        self,
-        var: DataVar,
-        first: Optional[AccessRef],
-        event: Event,
-        kind: str,
-        xact: bool,
-    ) -> RaceReport:
-        self.stats.races += 1
-        return RaceReport(
-            var=var,
-            first=first,
-            second=AccessRef(event.tid, event.index, kind, xact),
-            detector=self.name,
-        )

@@ -35,11 +35,9 @@ _SERVICE_COUNTERS = {
     "admit_prefilter_hits": ("admit_prefilter_hits_total", "admission pre-filter positives (exact lookup ran)"),
     "admit_prefilter_misses": ("admit_prefilter_misses_total", "admission pre-filter misses (admitted on one mask test)"),
     "batches_flushed": ("ingest_batches_flushed_total", "batches flushed to shards"),
-    "backpressure_stalls": ("ingest_backpressure_stalls_total", "times ingestion blocked on a full shard queue"),
     "parse_errors": ("ingest_parse_errors_total", "event lines the ingestion layer could not parse"),
-    "queue_bytes": ("ingest_queue_bytes_total", "bytes shipped to shards (frames or pickled batches)"),
+    "queue_bytes": ("ingest_queue_bytes_total", "frame bytes shipped to shards"),
     "edge_allocs": ("ingest_edge_allocs_total", "per-event allocation proxy at the ingestion edge"),
-    "sync_decoded": ("sync_decoded_total", "sync records materialized as Events across all shards"),
     "races_reported": ("races_reported_total", "races reported by all shards together"),
     "provenance_attached": ("races_provenance_attached_total", "race reports that arrived with a provenance chain attached"),
     "unknown_fields": ("stats_unknown_fields_total", "snapshot keys dropped by from_dict"),
@@ -47,12 +45,11 @@ _SERVICE_COUNTERS = {
 
 #: ShardStats attribute -> (metric name, type, help); all labeled by shard
 _SHARD_METRICS = {
-    "queue_depth": ("shard_queue_depth", "gauge", "batches handed to the shard but not yet acknowledged"),
+    "queue_depth": ("shard_queue_depth", "gauge", "batches pushed to the shard but not yet applied"),
     "events_processed": ("shard_events_processed_total", "counter", "events the shard has finished processing"),
     "races": ("shard_races_total", "counter", "races this shard has reported"),
     "short_circuit_rate": ("shard_short_circuit_rate", "gauge", "the shard detector's short-circuit rate"),
     "detector_work": ("shard_detector_work_total", "counter", "the shard detector's deterministic cost counter"),
-    "sync_decoded": ("shard_sync_decoded_total", "counter", "sync records this shard materialized as Events"),
 }
 
 #: DetectorStats counters surfaced as plain kernel totals (summed over
@@ -108,11 +105,6 @@ def registry_from_stats(
         "ingest_events_per_second", "ingest rate over the whole uptime"
     ).set(stats.events_per_sec)
     reg.gauge("service_shards", "number of detection shards").set(stats.n_shards)
-    reg.gauge(
-        "service_transport_info",
-        "engine transport in force (value is always 1; transport is the label)",
-        labels=("transport",),
-    ).labels(stats.transport).set(1)
     reg.gauge(
         "service_admit_info",
         "admission policy in force (value is always 1; policy is the label)",

@@ -30,29 +30,27 @@ def render_stats_table(stats: ServiceStats) -> str:
     """One snapshot as a fixed-width terminal table."""
     head = (
         f"uptime {stats.uptime_sec:8.1f}s   events {stats.events_ingested:>10}   "
-        f"{stats.events_per_sec:>10.0f} ev/s   races {stats.races_reported:>6}   "
-        f"transport {stats.transport}"
+        f"{stats.events_per_sec:>10.0f} ev/s   races {stats.races_reported:>6}"
     )
     second = (
         f"routed {stats.data_routed:>10}   broadcast {stats.sync_broadcast:>8}   "
-        f"batches {stats.batches_flushed:>8}   stalls {stats.backpressure_stalls:>5}   "
-        f"parse errors {stats.parse_errors}"
+        f"batches {stats.batches_flushed:>8}   parse errors {stats.parse_errors}"
     )
     lines = [head, second, ""]
     lines.append(
         f"{'shard':>5} {'queue':>6} {'processed':>10} {'races':>6} "
-        f"{'sc rate':>8} {'work':>12} {'sync dec':>9}"
+        f"{'sc rate':>8} {'work':>12}"
     )
     for shard in stats.shards:
         lines.append(
             f"{shard.shard:>5} {shard.queue_depth:>6} {shard.events_processed:>10} "
             f"{shard.races:>6} {shard.short_circuit_rate:>8.3f} "
-            f"{shard.detector_work:>12} {shard.sync_decoded:>9}"
+            f"{shard.detector_work:>12}"
         )
     lines.append(
         f"{'all':>5} {'':>6} {sum(s.events_processed for s in stats.shards):>10} "
         f"{stats.races_reported:>6} {stats.short_circuit_rate:>8.3f} "
-        f"{sum(s.detector_work for s in stats.shards):>12} {stats.sync_decoded:>9}"
+        f"{sum(s.detector_work for s in stats.shards):>12}"
     )
     return "\n".join(lines)
 

@@ -1,7 +1,7 @@
 """The race flight recorder: bounded rings of packed records, dumpable.
 
 Each detection shard gets a ring holding the last K **applied packed
-records** -- exactly the bytes the encode-once transport shipped to it --
+records** -- exactly the records the engine pushed to it --
 plus enough interner context to make the window self-contained.  The
 moment a race is reported (and on SIGTERM / explicit request) the ring is
 written to a ``.flightrec`` file; ``repro-race replay-flightrec`` re-runs
@@ -67,7 +67,7 @@ class FlightRecorder:
     """Bounded per-shard record rings over the engine's master interner.
 
     The recorder sits at the ingestion edge (it sees every frame as it is
-    pushed, in both worker modes) and borrows the engine's
+    pushed) and borrows the engine's
     :class:`~repro.core.lockset.Interner` at dump time, so a dump is one
     ``elements_since(1)`` walk plus an array concatenation -- nothing is
     copied per event on the hot path beyond the frame's own arrays, which

@@ -6,9 +6,9 @@ An event's life in the service crosses five stages::
 
 * **ingest**: wire text/frame to packed record (service edge);
 * **route**: batch framing at the push boundary (buffer -> frame bytes);
-* **queue**: a batch's round trip from push to acknowledgment (includes
-  the shard's apply time -- the queueing share is ``queue - apply``);
-* **apply**: kernel work on one batch inside the shard worker;
+* **queue**: a batch's span from push to acknowledgment (includes the
+  shard's apply time -- the queueing share is ``queue - apply``);
+* **apply**: kernel work on one batch inside its shard;
 * **report**: turning completed reports into wire ``race`` lines.
 
 The tracer keeps, per stage, an event/batch **counter** (deterministic)

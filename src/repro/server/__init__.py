@@ -6,11 +6,11 @@ the paper's runtime checks accesses inside the JVM.  The pieces:
 
 * :mod:`repro.server.engine` -- the sharded engine: synchronization events
   broadcast to every shard, data accesses hash-partitioned by variable,
-  each shard a :class:`~repro.core.lazy.LazyGoldilocks` over its partition
-  (in-process or ``multiprocessing`` workers);
+  each shard a :class:`~repro.server.engine.PartitionedGoldilocks` over its
+  partition, applied in the service process;
 * :mod:`repro.server.service` -- ingestion: framing, batching with a flush
-  interval, per-connection sequencing, backpressure, stdin/TCP/Unix-socket/
-  file-tail transports;
+  interval, per-connection sequencing, stdin/TCP/Unix-socket/file-tail
+  transports;
 * :mod:`repro.server.protocol` -- the line-oriented wire protocol (every
   recorded trace is a valid client stream);
 * :mod:`repro.server.client` -- a small client library;

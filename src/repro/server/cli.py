@@ -27,6 +27,7 @@ import signal
 import sys
 from typing import List, Optional
 
+from ..core.goldilocks import COMMIT_SYNC_POLICIES
 from ..obs.tracing import ObsConfig
 from .service import RaceDetectionService, ServiceConfig, serve_tcp, serve_unix
 
@@ -48,19 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--shards", type=int, default=1, help="detection shards")
     parser.add_argument("--batch-size", type=int, default=64)
-    parser.add_argument("--queue-depth", type=int, default=8)
-    parser.add_argument(
-        "--workers",
-        choices=["process", "inline"],
-        default="process",
-        help="shard workers: separate processes (default) or in-process",
-    )
-    parser.add_argument(
-        "--transport",
-        choices=["packed", "object"],
-        default="packed",
-        help="shard transport: packed integer frames (default) or pickled Events",
-    )
     parser.add_argument(
         "--flush-interval",
         type=float,
@@ -70,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--commit-sync",
         default="footprint",
-        choices=["footprint", "atomic-order", "writes"],
+        choices=COMMIT_SYNC_POLICIES,
         help="strong-atomicity interpretation for transactions",
     )
     parser.add_argument(
@@ -178,9 +166,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     config = ServiceConfig(
         n_shards=args.shards,
         batch_size=args.batch_size,
-        queue_depth=args.queue_depth,
-        workers=args.workers,
-        transport=args.transport,
         commit_sync=args.commit_sync,
         gc_threshold=args.gc_threshold or None,
         flush_interval=args.flush_interval,
@@ -216,7 +201,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 server = serve_tcp(service, host or "127.0.0.1", int(port))
                 print(
                     f"# repro-serve listening on tcp://{host or '127.0.0.1'}:{port} "
-                    f"({args.shards} shard(s), {args.workers} workers)",
+                    f"({args.shards} shard(s))",
                     file=sys.stderr,
                 )
                 server.serve_forever()

@@ -9,7 +9,7 @@ their locksets) is private to that variable.  So the engine
   fork/join, commits) and allocations to every shard -- each shard keeps an
   identical replica of the synchronization-event list;
 * **hash-partitions** data reads/writes by variable across ``n_shards``
-  workers, each worker owning the :class:`EncodedGoldilocks` state for its
+  shards, each owning the :class:`EncodedGoldilocks` state for its
   partition.
 
 A shard's verdicts are then *identical* to an unsharded detector's: a data
@@ -20,48 +20,30 @@ they are broadcast (synchronization role), and every shard checks only the
 footprint variables it owns (data role) via
 :meth:`PartitionedGoldilocks._commit_vars`.
 
-Workers run either **in-process** (``workers="inline"``, deterministic and
-dependency-free: ideal for tests and the cost-model benchmark) or as
-**separate processes** (``workers="process"``, ``multiprocessing`` queues,
-sidestepping the GIL so detection scales with cores).  Batching amortizes
-queue/pickling overhead; bounded task queues give backpressure: when a
-shard falls behind, ``submit`` blocks instead of buffering unboundedly.
-
-Since the encode-once rework the engine has two transports
-(:attr:`EngineConfig.transport`):
-
-``"packed"`` (default)
-    Events are translated once at the edge (:class:`~repro.core.encode.
-    EventEncoder`) into flat integer records; shard batches travel as
-    single immutable frame ``bytes`` (sync records broadcast as the same
-    buffer content, never N pickled copies), shards append sync records
-    verbatim via :meth:`EncodedGoldilocks.apply_packed`, and races come
-    back as packed int rows reconstituted to :class:`RaceReport` only here
-    at the edge.
-
-``"object"``
-    The original path: ``Event`` dataclasses, pickled per batch.  Kept as
-    the A/B lever for the ingest benchmark and for bisecting packed-path
-    regressions.  Batches are explicitly pickled in *both* worker modes so
-    ``queue_bytes`` measures the same thing inline as across processes.
+Every shard lives in the service process and applies a batch the moment it
+is pushed, much as the paper's runtime checks each access in the thread
+that makes it.  Events are translated once at the edge
+(:class:`~repro.core.encode.EventEncoder`) into flat integer records; a
+shard's batch is one immutable frame of ``bytes`` (sync records broadcast
+as the same buffer content to every shard), which the shard appends
+verbatim via :meth:`EncodedGoldilocks.apply_packed`.  More cores are served
+by more ``repro-serve`` nodes behind ``repro-cluster``, not by more shards.
 
 Variable-to-shard routing uses CRC32, not ``hash()``: Python string hashes
-are salted per process, and the router and workers must agree.  In packed
-mode the route is computed from the interned ints (cached per variable id),
+are salted per process, and a cluster's coordinator and nodes must agree.
+The route is computed from the interned ints (cached per variable id),
 never by re-deriving strings per event.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
+import io
 import pickle
-import queue as queue_mod
 import time
 import zlib
 from array import array
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.actions import (
     OP_ALLOC,
@@ -74,13 +56,11 @@ from ..core.actions import (
     Event,
     Read,
     Write,
-    is_data_access,
 )
 from ..core.encode import (
     FILTERED_VAR,
     RECORD_WIDTH,
     EventEncoder,
-    FrameDecoder,
     FrameFormatError,
     decode_frame,
     decode_interner_snapshot,
@@ -88,16 +68,13 @@ from ..core.encode import (
     encode_interner_snapshot,
     format_trace_id,
     make_trace_id,
-    pack_report,
     split_trace,
-    unpack_reports,
 )
 from ..core.kernel import EncodedGoldilocks
 from ..core.report import RaceReport
 from ..core.stats import detector_work_of, short_circuit_rate_of
 from ..obs.flightrec import FlightRecorder
 from ..obs.tracing import LifecycleTracer, ObsConfig
-from ..trace.io import parse_event
 from .protocol import format_race
 from .stats import ServiceStats, ShardStats
 
@@ -168,8 +145,61 @@ class PartitionedGoldilocks(EncodedGoldilocks):
         self._own_cache = {}
 
 
-#: engine transports selectable via :attr:`EngineConfig.transport`
-TRANSPORTS = ("packed", "object")
+#: every class a :class:`PartitionedGoldilocks` checkpoint pickles, as exact
+#: ``(module, name)`` pairs.  A module prefix would not do: a dotted name can
+#: reach any callable through module attributes (``pickle.loads`` included).
+CHECKPOINT_CLASSES = frozenset(
+    {
+        ("repro.core.actions", "DataVar"),
+        ("repro.core.actions", "LockVar"),
+        ("repro.core.actions", "VolatileVar"),
+        ("repro.core.actions", "Obj"),
+        ("repro.core.actions", "Tid"),
+        ("repro.core.actions", "_TransactionLock"),
+        ("repro.core.lockset", "Interner"),
+        ("repro.core.report", "AccessRef"),
+        ("repro.core.stats", "DetectorStats"),
+        ("repro.core.synclist", "EncodedSyncList"),
+        ("repro.server.engine", "PartitionedGoldilocks"),
+    }
+)
+
+
+class _CheckpointUnpickler(pickle.Unpickler):
+    def find_class(self, module: str, name: str):
+        if (module, name) not in CHECKPOINT_CLASSES:
+            raise pickle.UnpicklingError(
+                f"{module}.{name} is not part of a shard checkpoint"
+            )
+        return super().find_class(module, name)
+
+
+def load_shard_checkpoint(
+    blob: bytes, group: int, partitions: int
+) -> PartitionedGoldilocks:
+    """Restore the shard for partition ``group`` of ``partitions`` from ``blob``.
+
+    Blobs can come from a client (``!adopt``), so they are unpickled with
+    :data:`CHECKPOINT_CLASSES` as the only names they may load, and the
+    result must be the shard for exactly that partition: a shard restored
+    into the wrong slot would silently miss its own variables' races.
+    Anything else raises :class:`ValueError`.
+    """
+    try:
+        detector = _CheckpointUnpickler(io.BytesIO(blob)).load()
+    except Exception as exc:
+        raise ValueError(f"unreadable checkpoint: {exc}") from exc
+    if not isinstance(detector, PartitionedGoldilocks):
+        raise ValueError(
+            f"checkpoint holds a {type(detector).__name__}, "
+            "not a PartitionedGoldilocks"
+        )
+    if (detector.shard_id, detector.n_shards) != (group, partitions):
+        raise ValueError(
+            f"checkpoint is of partition {detector.shard_id}/{detector.n_shards}, "
+            f"not {group}/{partitions}"
+        )
+    return detector
 
 
 @dataclass
@@ -179,15 +209,9 @@ class EngineConfig:
     n_shards: int = 1
     #: events buffered per shard before a batch is pushed
     batch_size: int = 64
-    #: bound on in-flight (unacknowledged) batches per shard; full = block
-    queue_depth: int = 8
-    #: "process" for multiprocessing workers, "inline" for in-process shards
-    workers: str = "process"
     #: forwarded to each shard's detector
     commit_sync: str = "footprint"
     gc_threshold: Optional[int] = 50_000
-    #: "packed" (encode-once frames, default) or "object" (pickled Events)
-    transport: str = "packed"
     #: observability tunables; None means the :class:`ObsConfig` defaults
     #: (stage counters on, span sampling off, flight recorder ring on but
     #: not writing files)
@@ -202,8 +226,8 @@ class EngineConfig:
     groups: Tuple[int, ...] = ()
     #: static admission filter (:class:`repro.analysis.admission.AdmissionFilter`)
     #: consulted at the ingestion edge: data accesses it proves race-free are
-    #: dropped before they reach a queue, a shard, or the kernel.  Sync
-    #: events always pass.  ``None`` admits everything.
+    #: dropped before they reach a shard or the kernel.  Sync events always
+    #: pass.  ``None`` admits everything.
     admit: Optional[object] = None
 
     @property
@@ -231,12 +255,10 @@ class _PackedBuffer:
 class WireIngest:
     """Per-connection state for ingesting binary wire frames.
 
-    Wire frames carry *client-assigned* interner ids.  For the packed
-    transport each newly announced element is interned once into the
-    engine's master interner and the id translation is remembered, so
-    records are rewritten int-for-int -- still no ``Event`` objects.  For
-    the object transport the connection keeps a :class:`FrameDecoder` and
-    the engine ingests reconstituted Events (the A/B-comparable path).
+    Wire frames carry *client-assigned* interner ids.  Each newly announced
+    element is interned once into the engine's master interner and the id
+    translation is remembered, so records are rewritten int-for-int -- no
+    ``Event`` objects.
 
     In cluster node mode no remapping happens at all -- the node adopts the
     coordinator's id space verbatim -- and ``replay_group``, when set by the
@@ -244,128 +266,20 @@ class WireIngest:
     one hosted group (the migration delta-replay path).
     """
 
-    __slots__ = ("remap", "decoder", "replay_group")
+    __slots__ = ("remap", "replay_group")
 
-    def __init__(self, transport: str) -> None:
+    def __init__(self) -> None:
         self.remap: List[int] = [0]  # client id 0 is TL on both sides
-        self.decoder = FrameDecoder() if transport == "object" else None
         self.replay_group: Optional[int] = None
-
-
-def _shard_worker(
-    shard_id, n_shards, detector_kwargs, blob, task_q, result_q, timed=False
-):
-    """Worker-process main loop: apply batches, acknowledge with results.
-
-    With ``timed`` (set when the engine's lifecycle tracer is enabled) each
-    batch ack carries the wall-clock apply duration as its last element, so
-    the router can fill the ``apply`` stage histogram without a second
-    cross-process round trip.
-    """
-    if blob is not None:
-        detector = pickle.loads(blob)
-    else:
-        detector = PartitionedGoldilocks(shard_id, n_shards, **detector_kwargs)
-    sync_decoded = 0
-    try:
-        while True:
-            msg = task_q.get()
-            kind = msg[0]
-            if kind == "frame":
-                t_apply = time.perf_counter() if timed else 0.0
-                try:
-                    reports, n = detector.apply_packed(msg[1])
-                except FrameFormatError as exc:
-                    # A malformed frame must not kill the worker (the router
-                    # would hang at the next barrier waiting for this ack).
-                    # Acknowledge the batch as an error; ``applied`` says
-                    # how much of it took effect.
-                    result_q.put(
-                        (
-                            "ack",
-                            shard_id,
-                            exc.applied or 0,
-                            ("err", (str(exc), exc.kind, exc.record,
-                                     exc.applied or 0)),
-                            detector.stats.as_dict(),
-                            sync_decoded,
-                            time.perf_counter() - t_apply if timed else 0.0,
-                        )
-                    )
-                    continue
-                payload = (
-                    "packed",
-                    [
-                        pack_report(seq, report, detector.interner)
-                        for seq, report in reports
-                    ],
-                )
-                apply_sec = time.perf_counter() - t_apply if timed else 0.0
-                result_q.put(
-                    (
-                        "ack",
-                        shard_id,
-                        n,
-                        payload,
-                        detector.stats.as_dict(),
-                        sync_decoded,
-                        apply_sec,
-                    )
-                )
-            elif kind == "obatch":
-                t_apply = time.perf_counter() if timed else 0.0
-                batch = pickle.loads(msg[1])
-                reports: List[SeqReport] = []
-                for seq, event in batch:
-                    if not is_data_access(event.action):
-                        sync_decoded += 1
-                    for report in detector.process(event):
-                        reports.append((seq, report))
-                apply_sec = time.perf_counter() - t_apply if timed else 0.0
-                result_q.put(
-                    (
-                        "ack",
-                        shard_id,
-                        len(batch),
-                        ("obj", reports),
-                        detector.stats.as_dict(),
-                        sync_decoded,
-                        apply_sec,
-                    )
-                )
-            elif kind == "checkpoint":
-                result_q.put(("checkpoint", shard_id, detector.checkpoint()))
-            elif kind == "reset":
-                detector.reset()
-                result_q.put(
-                    (
-                        "ack",
-                        shard_id,
-                        0,
-                        ("obj", []),
-                        detector.stats.as_dict(),
-                        sync_decoded,
-                        0.0,
-                    )
-                )
-            elif kind == "stop":
-                result_q.put(("stopped", shard_id))
-                break
-    except KeyboardInterrupt:
-        # A terminal Ctrl-C is delivered to the whole foreground process
-        # group; the router handles the shutdown -- die quietly instead of
-        # spraying one traceback per shard.
-        pass
 
 
 class ShardedEngine:
     """Routes an event stream across detection shards; collects reports.
 
     The engine is *not* thread-safe by itself -- the service serializes
-    access with one ingestion lock.  Reports come back asynchronously
-    (tagged with ingestion sequence numbers); :meth:`poll_reports` drains
-    whatever has arrived, :meth:`barrier` waits until every submitted event
-    is fully processed.
+    access with one ingestion lock.  Reports are tagged with ingestion
+    sequence numbers; :meth:`poll_reports` drains those of every pushed
+    batch, :meth:`barrier` pushes the partial batches first.
     """
 
     def __init__(
@@ -379,15 +293,8 @@ class ShardedEngine:
         node_mode = self.config.node_mode
         if not node_mode and self.config.n_shards < 1:
             raise ValueError("need at least one shard")
-        if self.config.workers not in ("process", "inline"):
-            raise ValueError(f"unknown worker mode {self.config.workers!r}")
-        if self.config.transport not in TRANSPORTS:
-            raise ValueError(f"unknown transport {self.config.transport!r}")
-        if node_mode:
-            if self.config.n_groups < 1:
-                raise ValueError("node mode needs at least one global group")
-            if self.config.transport != "packed":
-                raise ValueError("cluster node mode requires the packed transport")
+        if node_mode and self.config.n_groups < 1:
+            raise ValueError("node mode needs at least one global group")
         #: the global partition count: cluster-wide groups in node mode,
         #: local shards otherwise (variable -> partition is crc32 % this)
         self._partitions = (
@@ -409,17 +316,12 @@ class ShardedEngine:
         n = len(self._slot_groups)
         self._seq = seq_start
         self._started = time.monotonic()
-        self._closed = False
-        self._checkpoints: Dict[int, bytes] = {}
         self._reports: List[SeqReport] = []
-        self._packed = self.config.transport == "packed"
-        self._buffers: List[List[Tuple[int, Event]]] = [[] for _ in range(n)]
         self._pbuffers: List[_PackedBuffer] = [_PackedBuffer() for _ in range(n)]
         self._encoder = EventEncoder(self._partitions, admit=self.config.admit)
         self._cursors = [1] * n  # every replica interner starts with just TL
         #: node mode: data records for groups this node does not host
         self.foreign_dropped = 0
-        restored = None
         if checkpoints is not None:
             if node_mode:
                 raise ValueError(
@@ -429,24 +331,30 @@ class ShardedEngine:
                 raise ValueError(
                     f"{len(checkpoints)} checkpoint blobs for {n} shards"
                 )
-            restored = [pickle.loads(blob) for blob in checkpoints]
+            self._detectors = [
+                load_shard_checkpoint(blob, g, self._partitions)
+                for blob, g in zip(checkpoints, self._slot_groups)
+            ]
             # Re-prime the edge encoder from the longest shard replica (after
             # the pre-checkpoint barrier they are all equal to the master),
             # so the restored engine reuses the original id assignments, and
             # re-sync every shard cursor from its *checkpointed* position
             # instead of 1 -- a restored shard gets an empty delta on its
             # first frame rather than a full interner re-send.
-            master = max((d.interner for d in restored), key=len)
+            master = max((d.interner for d in self._detectors), key=len)
             self._encoder.prime(master)
             self._cursors = [
-                max(1, min(len(d.interner), len(master))) for d in restored
+                max(1, min(len(d.interner), len(master))) for d in self._detectors
             ]
-        self._sent_batches = [0] * n
-        self._acked_batches = [0] * n
-        self._sent_events = [0] * n
-        self._acked_events = [0] * n
+        else:
+            self._detectors = [
+                PartitionedGoldilocks(
+                    g, self._partitions, **self.config.detector_kwargs()
+                )
+                for g in self._slot_groups
+            ]
+        self._events_processed = [0] * n
         self._shard_stats: List[Dict[str, int]] = [{} for _ in range(n)]
-        self._sync_decoded = [0] * n
         # ingestion counters surfaced in ServiceStats
         self.events_ingested = 0
         self.sync_broadcast = 0
@@ -455,8 +363,7 @@ class ShardedEngine:
         self.data_admitted = 0
         self.data_filtered = 0
         self.batches_flushed = 0
-        self.backpressure_stalls = 0
-        #: bytes shipped to shards (frame bytes, or pickled batch bytes)
+        #: frame bytes shipped to shards
         self.queue_bytes = 0
         #: frame-application faults (malformed frames a shard rejected);
         #: drained by the service into its parse-error ring
@@ -471,18 +378,16 @@ class ShardedEngine:
         #: (a coordinator-minted id); None until one arrives, in which
         #: case locally pushed batches mint their own ids when tracing
         self._trace_ctx: Optional[int] = None
-        #: per-event object materializations forced by the object transport
-        self._object_allocs = 0
         # -- observability: lifecycle tracer plus the race flight recorder.
         # The tracer degrades to no-ops when fully disabled; the recorder
-        # rides the packed transport only (it stores packed frames verbatim)
-        # and never writes files unless a dump directory is configured.  Node
-        # mode skips the recorder: its per-shard rings assume a fixed shard
-        # count, and hosted groups come and go with migrations.
+        # stores the pushed records verbatim and never writes files unless a
+        # dump directory is configured.  Node mode skips the recorder: its
+        # per-shard rings assume a fixed shard count, and hosted groups come
+        # and go with migrations.
         self.obs_config = self.config.obs or ObsConfig()
         self.tracer = LifecycleTracer(self.obs_config)
         self.recorder: Optional[FlightRecorder] = None
-        if self._packed and self.obs_config.flightrec and not node_mode:
+        if self.obs_config.flightrec and not node_mode:
             self.recorder = FlightRecorder(
                 n,
                 self._encoder.interner,
@@ -491,113 +396,34 @@ class ShardedEngine:
                 max_dumps=self.obs_config.flightrec_max_dumps,
                 commit_sync=self.config.commit_sync,
             )
-        #: per-shard FIFO of in-flight batches: (ordinal, events, sent-at,
-        #: span dict or None); acknowledgments pop in push order
-        self._inflight: List[Deque[Tuple[int, int, float, Optional[dict]]]] = [
-            deque() for _ in range(n)
-        ]
-        if self.config.workers == "inline":
-            if restored is not None:
-                self._detectors = restored
-            else:
-                self._detectors = [
-                    PartitionedGoldilocks(
-                        g, self._partitions, **self.config.detector_kwargs()
-                    )
-                    for g in self._slot_groups
-                ]
-        else:
-            ctx = mp.get_context()
-            self._result_q = ctx.Queue()
-            self._task_qs = [
-                ctx.Queue(maxsize=self.config.queue_depth) for _ in range(n)
-            ]
-            self._procs = [
-                ctx.Process(
-                    target=_shard_worker,
-                    args=(
-                        g,
-                        self._partitions,
-                        self.config.detector_kwargs(),
-                        checkpoints[i] if checkpoints is not None else None,
-                        self._task_qs[i],
-                        self._result_q,
-                        self.obs_config.enabled,
-                    ),
-                    daemon=True,
-                )
-                for i, g in enumerate(self._slot_groups)
-            ]
-            for proc in self._procs:
-                proc.start()
 
     # -- ingestion -------------------------------------------------------------
 
     @property
     def edge_allocs(self) -> int:
-        """Per-event allocation proxy: what ingestion *had* to materialize.
-
-        Packed transport: one per newly seen element (steady state ~0/event).
-        Object transport: one per event (the unavoidable ``Event``).
-        """
-        if self._packed:
-            return self._encoder.cache_misses
-        return self._object_allocs
+        """Per-event allocation proxy: one per newly seen element."""
+        return self._encoder.cache_misses
 
     def submit(self, event: Event, seq: Optional[int] = None) -> int:
         """Route one event; returns its ingestion sequence number.
 
         Data accesses go to their owning shard's batch buffer; everything
         else (synchronization, commits, allocations) is appended to every
-        shard's buffer.  Full buffers are pushed; a full task queue blocks
-        (backpressure) until the shard catches up.
+        shard's buffer.  A full buffer is pushed and applied at once.
         """
-        if self._packed:
-            op, tid_id, index, a, b, extras = self._encoder.encode_event(event)
-            return self._ingest_record(op, tid_id, index, a, b, extras, seq)
-        if seq is None:
-            seq = self._seq
-        self._seq = seq + 1
-        self.events_ingested += 1
-        self._object_allocs += 1
-        action = event.action
-        if is_data_access(action):
-            admit = self.config.admit
-            if admit is not None and not admit.admit(
-                action.var.obj.value, action.var.field
-            ):
-                # filtered access: consumes its seq (race-line parity)
-                # but is shipped to no shard
-                admit.note_filtered(action.var.obj.value, action.var.field)
-                self.data_filtered += 1
-                self._drain(block=False)
-                return seq
-            self.data_routed += 1
-            self.data_admitted += 1
-            targets: Sequence[int] = (shard_of(action.var, self.config.n_shards),)
-        else:
-            self.sync_broadcast += 1
-            targets = range(self.config.n_shards)
-        for shard in targets:
-            buffer = self._buffers[shard]
-            buffer.append((seq, event))
-            if len(buffer) >= self.config.batch_size:
-                self._push(shard)
-        self._drain(block=False)
-        return seq
+        op, tid_id, index, a, b, extras = self._encoder.encode_event(event)
+        return self._ingest_record(op, tid_id, index, a, b, extras, seq)
 
     def submit_line(self, line: str) -> int:
         """Ingest one trace text line.
 
-        On the packed transport this is the encode-once fast path: the line
-        becomes an integer record directly, constructing zero dataclasses
-        in steady state.  Raises on malformed input (before any caches are
-        touched), mirroring :func:`repro.trace.io.parse_event`.
+        This is the encode-once fast path: the line becomes an integer
+        record directly, constructing zero dataclasses in steady state.
+        Raises on malformed input (before any caches are touched),
+        mirroring :func:`repro.trace.io.parse_event`.
         """
-        if self._packed:
-            op, tid_id, index, a, b, extras = self._encoder.encode_line(line)
-            return self._ingest_record(op, tid_id, index, a, b, extras, None)
-        return self.submit(parse_event(line))
+        op, tid_id, index, a, b, extras = self._encoder.encode_line(line)
+        return self._ingest_record(op, tid_id, index, a, b, extras, None)
 
     def _ingest_record(
         self,
@@ -623,7 +449,6 @@ class ShardedEngine:
             if op == OP_READ or op == OP_WRITE:
                 if a < 0:
                     self.data_filtered += 1
-                    self._drain(block=False)
                     return seq
                 self.data_routed += 1
             else:
@@ -633,7 +458,6 @@ class ShardedEngine:
                 # admission-filtered access: consumes its sequence number
                 # (race-line parity with unfiltered runs) but ships nowhere
                 self.data_filtered += 1
-                self._drain(block=False)
                 return seq
             self.data_routed += 1
             self.data_admitted += 1
@@ -641,7 +465,6 @@ class ShardedEngine:
             if slot is None:
                 # node mode: the owning group lives on some other node
                 self.foreign_dropped += 1
-                self._drain(block=False)
                 return seq
             targets = (slot,)
         else:
@@ -658,7 +481,6 @@ class ShardedEngine:
             buffer.count += 1
             if buffer.count >= self.config.batch_size:
                 self._push(shard)
-        self._drain(block=False)
         return seq
 
     def submit_wire_frame(self, payload: bytes, state: WireIngest) -> int:
@@ -684,12 +506,6 @@ class ShardedEngine:
         trace_id, payload = split_trace(payload)
         if trace_id is not None:
             self._trace_ctx = trace_id
-        if state.decoder is not None:  # object transport: reconstitute
-            count = 0
-            for _seq, event in state.decoder.decode_payload(payload):
-                self.submit(event)
-                count += 1
-            return count
         if self.config.node_mode:
             return self._ingest_node_frame(payload, state)
         base, delta, records, extras = decode_frame(payload)
@@ -808,17 +624,13 @@ class ShardedEngine:
 
     def wire_state(self) -> WireIngest:
         """Fresh per-connection state for :meth:`submit_wire_frame`."""
-        return WireIngest(self.config.transport)
+        return WireIngest()
 
     def flush(self) -> None:
         """Push every non-empty batch buffer to its shard."""
         for shard in range(len(self._slot_groups)):
-            if self._packed:
-                if self._pbuffers[shard].count:
-                    self._push(shard)
-            elif self._buffers[shard]:
+            if self._pbuffers[shard].count:
                 self._push(shard)
-        self._drain(block=False)
 
     def _make_span(
         self, ordinal: int, n_events: int, route_sec: float
@@ -844,103 +656,50 @@ class ShardedEngine:
         return span
 
     def _push(self, shard: int) -> None:
+        """Frame one shard's buffer and apply it to the shard right away."""
         self.batches_flushed += 1
-        ordinal = self.batches_flushed
-        self._sent_batches[shard] += 1
         tracer = self.tracer
         t_route = tracer.clock()
-        if self._packed:
-            buffer, self._pbuffers[shard] = self._pbuffers[shard], _PackedBuffer()
-            n_events = buffer.count
-            frame = encode_frame(
-                self._cursors[shard],
-                self._encoder.interner.elements_since(self._cursors[shard]),
-                buffer.records,
-                buffer.extras,
-            )
-            self._cursors[shard] = len(self._encoder.interner)
-            self.queue_bytes += len(frame)
-            self._sent_events[shard] += n_events
-            if self.recorder is not None:
-                # The buffer's arrays would be garbage after this point;
-                # the flight recorder adopts them instead (no copy).
-                self.recorder.record(shard, buffer.records, buffer.extras)
-            route_sec = tracer.clock() - t_route
-            tracer.observe_elapsed("route", route_sec)
-            span = self._make_span(ordinal, n_events, route_sec)
-            self._inflight[shard].append((ordinal, n_events, tracer.clock(), span))
-            if self.config.workers == "inline":
-                detector = self._detectors[shard]
-                t_apply = tracer.clock()
-                # Never raise between the in-flight append and the ack --
-                # an escaped exception would wedge the next barrier().
-                try:
-                    reports, n = detector.apply_packed(frame)
-                except FrameFormatError as exc:
-                    self.apply_errors.append(
-                        f"<frame rejected by shard {self._slot_groups[shard]}: "
-                        f"{exc} ({exc.applied or 0}/{n_events} records applied)>"
-                    )
-                    self.apply_faults.append(
-                        {
-                            "message": str(exc),
-                            "kind": exc.kind,
-                            "record": exc.record,
-                            "applied": exc.applied or 0,
-                            "shard": self._slot_groups[shard],
-                        }
-                    )
-                    reports, n = [], exc.applied or 0
-                apply_sec = tracer.clock() - t_apply
-                self._apply_ack_inline(shard, n, reports, detector, apply_sec)
-                return
-            message = ("frame", frame)
-        else:
-            batch, self._buffers[shard] = self._buffers[shard], []
-            n_events = len(batch)
-            self._sent_events[shard] += n_events
-            # The object transport pays its pickling cost in both worker
-            # modes, so queue_bytes means the same thing everywhere.
-            blob = pickle.dumps(batch, protocol=pickle.HIGHEST_PROTOCOL)
-            self.queue_bytes += len(blob)
-            route_sec = tracer.clock() - t_route
-            tracer.observe_elapsed("route", route_sec)
-            span = self._make_span(ordinal, n_events, route_sec)
-            self._inflight[shard].append((ordinal, n_events, tracer.clock(), span))
-            if self.config.workers == "inline":
-                detector = self._detectors[shard]
-                t_apply = tracer.clock()
-                reports = []
-                for seq, event in pickle.loads(blob):
-                    if not is_data_access(event.action):
-                        self._sync_decoded[shard] += 1
-                    for report in detector.process(event):
-                        reports.append((seq, report))
-                apply_sec = tracer.clock() - t_apply
-                self._apply_ack_inline(shard, n_events, reports, detector, apply_sec)
-                return
-            message = ("obatch", blob)
-        task_q = self._task_qs[shard]
+        buffer, self._pbuffers[shard] = self._pbuffers[shard], _PackedBuffer()
+        n_events = buffer.count
+        frame = encode_frame(
+            self._cursors[shard],
+            self._encoder.interner.elements_since(self._cursors[shard]),
+            buffer.records,
+            buffer.extras,
+        )
+        self._cursors[shard] = len(self._encoder.interner)
+        self.queue_bytes += len(frame)
+        if self.recorder is not None:
+            # The buffer's arrays would be garbage after this point;
+            # the flight recorder adopts them instead (no copy).
+            self.recorder.record(shard, buffer.records, buffer.extras)
+        route_sec = tracer.clock() - t_route
+        tracer.observe_elapsed("route", route_sec)
+        span = self._make_span(self.batches_flushed, n_events, route_sec)
+        detector = self._detectors[shard]
+        sent_at = tracer.clock()
         try:
-            task_q.put_nowait(message)
-        except queue_mod.Full:
-            self.backpressure_stalls += 1
-            while True:
-                try:
-                    task_q.put(message, timeout=0.05)
-                    break
-                except queue_mod.Full:
-                    # Keep acknowledgments moving while we wait, so a slow
-                    # shard cannot wedge the whole ingestion path.
-                    self._drain(block=False)
-
-    # -- results ---------------------------------------------------------------
-
-    def _apply_ack_inline(
-        self, shard, n_events, reports, detector, apply_sec=0.0
-    ) -> None:
-        self._acked_batches[shard] += 1
-        self._acked_events[shard] += n_events
+            reports, n = detector.apply_packed(frame)
+        except FrameFormatError as exc:
+            applied = exc.applied or 0
+            group = self._slot_groups[shard]
+            self.apply_errors.append(
+                f"<frame rejected by shard {group}: "
+                f"{exc} ({applied}/{n_events} records applied)>"
+            )
+            self.apply_faults.append(
+                {
+                    "message": str(exc),
+                    "kind": exc.kind,
+                    "record": exc.record,
+                    "applied": applied,
+                    "shard": group,
+                }
+            )
+            reports, n = [], applied
+        apply_sec = tracer.clock() - sent_at
+        self._events_processed[shard] += n
         self._shard_stats[shard] = detector.stats.as_dict()
         if reports:
             self._reports.extend(reports)
@@ -948,50 +707,14 @@ class ShardedEngine:
                 1 for _seq, r in reports if r.provenance is not None
             )
             self._dump_on_race(shard, reports)
-        self._finish_batch(shard, apply_sec)
+        self._finish_batch(shard, sent_at, apply_sec, span)
 
-    def _apply_ack(
-        self, shard, n_events, payload, stats_dict, sync_decoded, apply_sec=0.0
+    # -- results ---------------------------------------------------------------
+
+    def _finish_batch(
+        self, shard: int, sent_at: float, apply_sec: float, span: Optional[dict]
     ) -> None:
-        self._acked_batches[shard] += 1
-        self._acked_events[shard] += n_events
-        tag, rows = payload
-        if tag == "err":
-            message, kind, record, applied = rows
-            self.apply_errors.append(
-                f"<frame rejected by shard {self._slot_groups[shard]}: "
-                f"{message} (record {record}, {applied} applied)>"
-            )
-            self.apply_faults.append(
-                {
-                    "message": message,
-                    "kind": kind,
-                    "record": record,
-                    "applied": applied,
-                    "shard": self._slot_groups[shard],
-                }
-            )
-            rows = []
-        elif tag == "packed":
-            rows = unpack_reports(rows, self._encoder.interner)
-        self._shard_stats[shard] = stats_dict
-        self._sync_decoded[shard] = sync_decoded
-        if rows:
-            self._reports.extend(rows)
-            self.provenance_attached += sum(
-                1 for _seq, r in rows if r.provenance is not None
-            )
-            self._dump_on_race(shard, rows)
-        self._finish_batch(shard, apply_sec)
-
-    def _finish_batch(self, shard: int, apply_sec: float) -> None:
-        """Close the queue/apply stages for the oldest in-flight batch."""
-        try:
-            ordinal, _events, sent_at, span = self._inflight[shard].popleft()
-        except IndexError:  # pragma: no cover - defensive; pushes pair acks
-            return
-        if ordinal < 0:
-            return  # reset sentinel: no stage measurements for it
+        """Close the queue (push to ack) and apply stages of one batch."""
         tracer = self.tracer
         queue_sec = tracer.clock() - sent_at
         tracer.observe_elapsed("queue", queue_sec)
@@ -1027,48 +750,18 @@ class ShardedEngine:
             provenance=provenance,
         )
 
-    def _drain(self, block: bool) -> None:
-        if self.config.workers == "inline":
-            return  # inline acks are applied synchronously in _push
-        while True:
-            try:
-                msg = self._result_q.get(block=block, timeout=0.5 if block else None)
-            except queue_mod.Empty:
-                return
-            if msg[0] == "ack":
-                # Workers identify themselves by *global* partition id;
-                # translate to the hosting slot (identity in normal mode).
-                self._apply_ack(
-                    self._slot_of[msg[1]], msg[2], msg[3], msg[4], msg[5], msg[6]
-                )
-                if block:
-                    return
-            elif msg[0] == "checkpoint":
-                self._checkpoints[msg[1]] = msg[2]
-                if block:
-                    return
-
     def poll_reports(self) -> List[SeqReport]:
-        """Drain already-arrived reports without waiting (seq-tagged)."""
-        self._drain(block=False)
+        """The reports of every batch pushed so far (seq-tagged)."""
         out, self._reports = self._reports, []
         return out
 
-    def barrier(self, timeout: float = 60.0) -> List[SeqReport]:
-        """Flush, then wait until every submitted event is acknowledged.
+    def barrier(self) -> List[SeqReport]:
+        """Flush, then return every report since the last drain.
 
-        Returns all reports that arrived since the last drain, sorted by the
-        sequence number of the access that completed the race.
+        Reports are sorted by the sequence number of the access that
+        completed the race.
         """
         self.flush()
-        deadline = time.monotonic() + timeout
-        while any(
-            self._acked_batches[i] < self._sent_batches[i]
-            for i in range(len(self._slot_groups))
-        ):
-            if time.monotonic() > deadline:
-                raise TimeoutError("shard(s) failed to drain before the deadline")
-            self._drain(block=True)
         out, self._reports = self._reports, []
         out.sort(key=lambda pair: pair[0])
         return out
@@ -1078,17 +771,8 @@ class ShardedEngine:
     def reset(self) -> None:
         """Restart detection from an empty execution (counters survive)."""
         self.barrier()
-        if self.config.workers == "inline":
-            for detector in self._detectors:
-                detector.reset()
-        else:
-            for shard, task_q in enumerate(self._task_qs):
-                self._sent_batches[shard] += 1
-                # A reset ack pops the in-flight FIFO like any batch; the
-                # negative ordinal marks it as not a measurable stage.
-                self._inflight[shard].append((-1, 0, 0.0, None))
-                task_q.put(("reset",))
-            self.barrier()
+        for detector in self._detectors:
+            detector.reset()
         # Shard interner replicas restarted from scratch: the edge encoder
         # and its per-shard delta cursors must restart with them (sequence
         # numbers keep counting -- the execution restarts, the stream not).
@@ -1114,17 +798,7 @@ class ShardedEngine:
     def checkpoint(self) -> List[bytes]:
         """Serialize every shard's detector state (drains first)."""
         self.barrier()
-        if self.config.workers == "inline":
-            return [detector.checkpoint() for detector in self._detectors]
-        self._checkpoints = {}
-        for task_q in self._task_qs:
-            task_q.put(("checkpoint",))
-        deadline = time.monotonic() + 60.0
-        while len(self._checkpoints) < len(self._slot_groups):
-            if time.monotonic() > deadline:
-                raise TimeoutError("checkpoint collection timed out")
-            self._drain(block=True)
-        return [self._checkpoints[g] for g in self._slot_groups]
+        return [detector.checkpoint() for detector in self._detectors]
 
     # -- cluster node mode: dynamic shard-group hosting -------------------------
 
@@ -1170,16 +844,7 @@ class ShardedEngine:
         if slot is None:
             raise ValueError(f"group {group} is not hosted here")
         self.barrier()
-        if self.config.workers == "inline":
-            return self._detectors[slot].checkpoint()
-        self._checkpoints.pop(group, None)
-        self._task_qs[slot].put(("checkpoint",))
-        deadline = time.monotonic() + 60.0
-        while group not in self._checkpoints:
-            if time.monotonic() > deadline:
-                raise TimeoutError("group checkpoint timed out")
-            self._drain(block=True)
-        return self._checkpoints.pop(group)
+        return self._detectors[slot].checkpoint()
 
     def adopt_group(self, group: int, blob: Optional[bytes] = None) -> None:
         """Start hosting a global partition, fresh or from a checkpoint.
@@ -1196,53 +861,26 @@ class ShardedEngine:
             raise ValueError(f"group {group} out of range [0, {self._partitions})")
         if group in self._slot_of:
             raise ValueError(f"group {group} is already hosted")
-        detector = pickle.loads(blob) if blob is not None else None
-        cursor = 1
-        if detector is not None:
+        if blob is None:
+            detector = PartitionedGoldilocks(
+                group, self._partitions, **self.config.detector_kwargs()
+            )
+            cursor = 1
+        else:
+            detector = load_shard_checkpoint(blob, group, self._partitions)
             cursor = max(
                 1, min(len(detector.interner), len(self._encoder.interner))
             )
-        slot = len(self._slot_groups)
+        self._slot_of[group] = len(self._slot_groups)
         self._slot_groups.append(group)
-        self._slot_of[group] = slot
-        self._buffers.append([])
+        self._detectors.append(detector)
         self._pbuffers.append(_PackedBuffer())
         self._cursors.append(cursor)
-        self._sent_batches.append(0)
-        self._acked_batches.append(0)
-        self._sent_events.append(0)
-        self._acked_events.append(0)
+        self._events_processed.append(0)
         self._shard_stats.append({})
-        self._sync_decoded.append(0)
-        self._inflight.append(deque())
-        if self.config.workers == "inline":
-            if detector is None:
-                detector = PartitionedGoldilocks(
-                    group, self._partitions, **self.config.detector_kwargs()
-                )
-            self._detectors.append(detector)
-        else:
-            ctx = mp.get_context()
-            task_q = ctx.Queue(maxsize=self.config.queue_depth)
-            proc = ctx.Process(
-                target=_shard_worker,
-                args=(
-                    group,
-                    self._partitions,
-                    self.config.detector_kwargs(),
-                    blob,
-                    task_q,
-                    self._result_q,
-                    self.obs_config.enabled,
-                ),
-                daemon=True,
-            )
-            self._task_qs.append(task_q)
-            self._procs.append(proc)
-            proc.start()
 
     def retire_group(self, group: int) -> None:
-        """Stop hosting a global partition (drains its in-flight work first).
+        """Stop hosting a global partition (drains its pending batch first).
 
         The migration driver calls this on the source the moment the
         checkpoint is exported: commits are broadcast, so a lingering copy
@@ -1255,48 +893,30 @@ class ShardedEngine:
         if slot is None:
             raise ValueError(f"group {group} is not hosted here")
         self.barrier()
-        if self.config.workers == "inline":
-            del self._detectors[slot]
-        else:
-            task_q = self._task_qs.pop(slot)
-            proc = self._procs.pop(slot)
-            try:
-                task_q.put(("stop",), timeout=1.0)
-            except queue_mod.Full:  # pragma: no cover - drained by barrier
-                pass
-            proc.join(timeout=5.0)
-            if proc.is_alive():  # pragma: no cover - defensive
-                proc.terminate()
-                proc.join(timeout=1.0)
-        del self._buffers[slot]
-        del self._pbuffers[slot]
-        del self._cursors[slot]
-        del self._sent_batches[slot]
-        del self._acked_batches[slot]
-        del self._sent_events[slot]
-        del self._acked_events[slot]
-        del self._shard_stats[slot]
-        del self._sync_decoded[slot]
-        del self._inflight[slot]
-        self._slot_groups.pop(slot)
+        for per_slot in (
+            self._slot_groups,
+            self._detectors,
+            self._pbuffers,
+            self._cursors,
+            self._events_processed,
+            self._shard_stats,
+        ):
+            del per_slot[slot]
         self._slot_of = {g: i for i, g in enumerate(self._slot_groups)}
 
     def stats(self) -> ServiceStats:
-        """A snapshot from the router's bookkeeping and the latest shard acks."""
-        self._drain(block=False)
+        """A snapshot of the ingestion counters and every shard's detector."""
         shards = []
         for i, group in enumerate(self._slot_groups):
             det = self._shard_stats[i]
             shards.append(
                 ShardStats(
                     shard=group,
-                    queue_depth=self._sent_batches[i] - self._acked_batches[i],
-                    events_processed=self._acked_events[i],
+                    events_processed=self._events_processed[i],
                     races=det.get("races", 0),
                     short_circuit_rate=short_circuit_rate_of(det),
                     detector_work=detector_work_of(det),
                     detector=det,
-                    sync_decoded=self._sync_decoded[i],
                 )
             )
         admit = self.config.admit
@@ -1310,13 +930,10 @@ class ShardedEngine:
             admit_prefilter_hits=admit.prefilter_hits if admit is not None else 0,
             admit_prefilter_misses=admit.prefilter_misses if admit is not None else 0,
             batches_flushed=self.batches_flushed,
-            backpressure_stalls=self.backpressure_stalls,
             races_reported=sum(s.races for s in shards),
             n_shards=len(self._slot_groups),
-            transport=self.config.transport,
             queue_bytes=self.queue_bytes,
             edge_allocs=self.edge_allocs,
-            sync_decoded=sum(self._sync_decoded),
             spans_sampled=self.tracer.spans_written,
             flightrec_dumps=self.recorder.dumps_written if self.recorder else 0,
             provenance_attached=self.provenance_attached,
@@ -1328,34 +945,10 @@ class ShardedEngine:
     # -- lifecycle -------------------------------------------------------------
 
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
         self.tracer.close()
-        if self.config.workers == "process":
-            try:
-                self.barrier(timeout=10.0)
-            except TimeoutError:
-                pass
-            for shard, task_q in enumerate(self._task_qs):
-                try:
-                    task_q.put(("stop",), timeout=1.0)
-                except queue_mod.Full:
-                    pass
-            for proc in self._procs:
-                proc.join(timeout=5.0)
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join(timeout=1.0)
 
     def __enter__(self) -> "ShardedEngine":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - best-effort cleanup
-        try:
-            self.close()
-        except Exception:
-            pass

@@ -58,12 +58,8 @@ class ServiceConfig:
 
     n_shards: int = 1
     batch_size: int = 64
-    queue_depth: int = 8
-    workers: str = "process"
     commit_sync: str = "footprint"
     gc_threshold: Optional[int] = 50_000
-    #: "packed" (encode-once integer frames) or "object" (pickled Events)
-    transport: str = "packed"
     #: seconds of ingestion slack after which pending batches are flushed
     #: anyway (keeps report latency bounded on slow streams); <= 0 disables
     #: the background flusher
@@ -77,16 +73,23 @@ class ServiceConfig:
     #: edge; None admits everything.  Also settable at runtime via the
     #: ``!admit`` control verb.
     admit: Optional[object] = None
+    #: retired: shards always run in the service process.  Only "inline"
+    #: is accepted, for callers written when process workers existed.
+    workers: str = "inline"
+
+    def __post_init__(self) -> None:
+        if self.workers != "inline":
+            raise ValueError(
+                f"workers={self.workers!r}: shards run in the service process "
+                "only; run one repro-serve per core behind repro-cluster instead"
+            )
 
     def engine_config(self) -> EngineConfig:
         return EngineConfig(
             n_shards=self.n_shards,
             batch_size=self.batch_size,
-            queue_depth=self.queue_depth,
-            workers=self.workers,
             commit_sync=self.commit_sync,
             gc_threshold=self.gc_threshold,
-            transport=self.transport,
             obs=self.obs,
             admit=self.admit,
         )
@@ -131,9 +134,9 @@ class RaceDetectionService:
     def submit_line(self, line: str) -> Optional[int]:
         """Submit one event line; None (and a count) on bad input.
 
-        On the packed transport the engine encodes the line straight into
-        an integer record -- the text is parsed exactly once, service-side
-        ``Event`` objects are never built.
+        The engine encodes the line straight into an integer record -- the
+        text is parsed exactly once, service-side ``Event`` objects are
+        never built.
         """
         t0 = self.tracer.clock()
         try:
@@ -185,9 +188,9 @@ class RaceDetectionService:
         """Move shard frame-rejection notes into the parse-error ring.
 
         A malformed frame that survives parsing but faults inside a shard
-        (junk opcode, unannounced id) is acknowledged as an error rather
-        than killing the worker; surfacing it through the same ring as
-        parse errors keeps ``!health`` the one place to look.  Caller must
+        (junk opcode, unannounced id) is recorded as an error rather than
+        killing the shard; surfacing it through the same ring as parse
+        errors keeps ``!health`` the one place to look.  Caller must
         hold the lock.
         """
         errors = self.engine.apply_errors
@@ -256,7 +259,6 @@ class RaceDetectionService:
             "last_parse_errors": bad_lines,
             "parse_error_detail": bad_detail,
             "n_shards": snapshot.n_shards,
-            "transport": snapshot.transport,
             "queue_depths": [shard.queue_depth for shard in snapshot.shards],
             "spans_sampled": snapshot.spans_sampled,
             "flightrec_dumps": snapshot.flightrec_dumps,
@@ -550,7 +552,6 @@ class RaceDetectionService:
         old engine is discarded -- nodes are drafted fresh.
         """
         config = self.config.engine_config()
-        config.transport = "packed"
         config.n_groups = n_groups
         config.groups = ()
         # carry a runtime-installed admission filter over to the node engine
@@ -692,7 +693,7 @@ class RaceDetectionService:
         locked = self._lock.acquire(timeout=timeout)
         try:
             if locked:
-                reports = self.engine.barrier(timeout=timeout)
+                reports = self.engine.barrier()
                 self._races_seen += len(reports)
         except Exception:
             pass  # a torn drain still reports whatever it managed to collect

@@ -2,8 +2,8 @@
 
 The offline detectors already expose :class:`~repro.core.stats.DetectorStats`
 per instance; a sharded service adds a layer on top: ingestion counters
-(events routed vs broadcast, batches, backpressure stalls), per-shard queue
-depths, and the aggregate short-circuit rate across all partitions.  A
+(events routed vs broadcast, batches, frame bytes), per-shard counters,
+and the aggregate short-circuit rate across all partitions.  A
 :class:`ServiceStats` is a plain *snapshot* -- it is JSON-serializable both
 ways so the ``!stats`` control command can ship it over the wire and the
 client library can reconstitute it.
@@ -38,7 +38,8 @@ class ShardStats:
     """One detection shard's view at snapshot time."""
 
     shard: int
-    #: batches handed to the shard but not yet acknowledged
+    #: batches pushed but not yet applied (0: a shard applies each batch
+    #: the moment it is pushed)
     queue_depth: int = 0
     #: events the shard has finished processing
     events_processed: int = 0
@@ -48,9 +49,6 @@ class ShardStats:
     short_circuit_rate: float = 1.0
     #: the shard detector's deterministic cost counter
     detector_work: int = 0
-    #: sync/alloc/commit records this shard materialized as Events
-    #: (stays 0 for an encoded-kernel shard on the packed transport)
-    sync_decoded: int = 0
     #: full :meth:`DetectorStats.as_dict` payload from the shard
     detector: Dict[str, int] = field(default_factory=dict)
     #: snapshot keys dropped by from_dict (newer-server fields)
@@ -64,7 +62,6 @@ class ShardStats:
             "races": self.races,
             "short_circuit_rate": self.short_circuit_rate,
             "detector_work": self.detector_work,
-            "sync_decoded": self.sync_decoded,
             "detector": dict(self.detector),
             "unknown_fields": self.unknown_fields,
         }
@@ -100,22 +97,16 @@ class ServiceStats:
     admit_prefilter_misses: int = 0
     #: batches flushed to shards (across all shards)
     batches_flushed: int = 0
-    #: times ingestion blocked because a shard's queue was full
-    backpressure_stalls: int = 0
     #: event lines the ingestion layer could not parse
     parse_errors: int = 0
     #: races reported by all shards together
     races_reported: int = 0
     #: number of detection shards
     n_shards: int = 1
-    #: the engine transport in force ("packed" or "object")
-    transport: str = "packed"
-    #: bytes shipped to shards (packed frames or pickled batches)
+    #: frame bytes shipped to shards
     queue_bytes: int = 0
     #: per-event allocation proxy at the ingestion edge
     edge_allocs: int = 0
-    #: sync records materialized as Events across all shards
-    sync_decoded: int = 0
     #: batches written to the span log (0 unless sampling is enabled)
     spans_sampled: int = 0
     #: ``.flightrec`` files written by the race flight recorder
@@ -170,14 +161,11 @@ class ServiceStats:
             "admit_prefilter_hits": self.admit_prefilter_hits,
             "admit_prefilter_misses": self.admit_prefilter_misses,
             "batches_flushed": self.batches_flushed,
-            "backpressure_stalls": self.backpressure_stalls,
             "parse_errors": self.parse_errors,
             "races_reported": self.races_reported,
             "n_shards": self.n_shards,
-            "transport": self.transport,
             "queue_bytes": self.queue_bytes,
             "edge_allocs": self.edge_allocs,
-            "sync_decoded": self.sync_decoded,
             "spans_sampled": self.spans_sampled,
             "flightrec_dumps": self.flightrec_dumps,
             "provenance_attached": self.provenance_attached,

@@ -48,7 +48,7 @@ def test_engine_restart_from_checkpoints():
     """Engine restart: the second half replayed into a restored engine
     yields the same remaining races, with the original seq numbering."""
     events, mid = split_trace()
-    config = EngineConfig(n_shards=4, workers="inline")
+    config = EngineConfig(n_shards=4)
 
     with ShardedEngine(config) as continuous:
         for event in events:
@@ -76,14 +76,28 @@ def test_engine_restart_from_checkpoints():
 
 
 def test_engine_restore_validates_blob_count():
-    config = EngineConfig(n_shards=4, workers="inline")
+    config = EngineConfig(n_shards=4)
     with ShardedEngine(config) as engine:
         engine.submit(TRACE.generate(seed=3)[0])
         blobs = engine.checkpoint()
     with pytest.raises(ValueError):
-        ShardedEngine(EngineConfig(n_shards=2, workers="inline"), checkpoints=blobs)
+        ShardedEngine(EngineConfig(n_shards=2), checkpoints=blobs)
     with pytest.raises(ValueError):
         ShardedEngine(
-            EngineConfig(n_groups=4, groups=(0,), workers="inline"),
+            EngineConfig(n_groups=4, groups=(0,)),
             checkpoints=blobs[:1],
         )
+
+
+def test_engine_restore_rejects_blobs_in_the_wrong_slots():
+    """Swapped blobs would put each shard's state behind the other's
+    partition and silently lose races; the restore refuses them."""
+    config = EngineConfig(n_shards=2)
+    with ShardedEngine(config) as engine:
+        for event in TRACE.generate(seed=11):
+            engine.submit(event)
+        b0, b1 = engine.checkpoint()
+    with pytest.raises(ValueError, match="partition 1/2, not 0/2"):
+        ShardedEngine(config, checkpoints=[b1, b0])
+    with ShardedEngine(config, checkpoints=[b0, b1]) as restored:
+        assert restored.hosted_groups() == [0, 1]

@@ -26,9 +26,7 @@ def events():
 @pytest.fixture(scope="module")
 def reference(events):
     """Single-node verdicts at the same partition count, sorted."""
-    with ShardedEngine(
-        EngineConfig(n_shards=N_GROUPS, workers="inline")
-    ) as engine:
+    with ShardedEngine(EngineConfig(n_shards=N_GROUPS)) as engine:
         for event in events:
             engine.submit(event)
         lines = sorted(format_race(seq, r) for seq, r in engine.barrier())
@@ -41,7 +39,7 @@ def two_nodes():
     services, servers, nodes = [], [], {}
     for i in range(2):
         service = RaceDetectionService(
-            ServiceConfig(workers="inline", flush_interval=0)
+            ServiceConfig(flush_interval=0)
         )
         server = serve_tcp(service, "127.0.0.1", 0)
         threading.Thread(target=server.serve_forever, daemon=True).start()

@@ -89,7 +89,6 @@ def two_obs_nodes(tmp_path):
     for i in range(2):
         service = RaceDetectionService(
             ServiceConfig(
-                workers="inline",
                 flush_interval=0,
                 obs=ObsConfig(
                     counters=True,

@@ -55,16 +55,12 @@ class FrameShipper:
 
 def node_engine(groups, **kwargs):
     return ShardedEngine(
-        EngineConfig(
-            n_groups=N_GROUPS, groups=tuple(groups), workers="inline", **kwargs
-        )
+        EngineConfig(n_groups=N_GROUPS, groups=tuple(groups), **kwargs)
     )
 
 
 def reference_lines(events):
-    with ShardedEngine(
-        EngineConfig(n_shards=N_GROUPS, workers="inline")
-    ) as engine:
+    with ShardedEngine(EngineConfig(n_shards=N_GROUPS)) as engine:
         for event in events:
             engine.submit(event)
         return sorted(format_race(seq, r) for seq, r in engine.barrier())
@@ -140,7 +136,7 @@ def test_group_lifecycle_errors():
             engine.retire_group(3)  # not hosted
         with pytest.raises(ValueError):
             engine.export_group(3)  # not hosted
-    plain = ShardedEngine(EngineConfig(n_shards=2, workers="inline"))
+    plain = ShardedEngine(EngineConfig(n_shards=2))
     with plain:
         with pytest.raises(ValueError):
             plain.adopt_group(0)  # not a cluster node
@@ -150,19 +146,11 @@ def test_group_lifecycle_errors():
 
 def test_node_mode_config_validation():
     with pytest.raises(ValueError):
-        ShardedEngine(EngineConfig(n_groups=0, workers="inline"))
+        ShardedEngine(EngineConfig(n_groups=0))
     with pytest.raises(ValueError):
-        ShardedEngine(
-            EngineConfig(n_groups=4, groups=(0, 0), workers="inline")
-        )
+        ShardedEngine(EngineConfig(n_groups=4, groups=(0, 0)))
     with pytest.raises(ValueError):
-        ShardedEngine(
-            EngineConfig(n_groups=4, groups=(7,), workers="inline")
-        )
-    with pytest.raises(ValueError):
-        ShardedEngine(
-            EngineConfig(n_groups=4, transport="object", workers="inline")
-        )
+        ShardedEngine(EngineConfig(n_groups=4, groups=(7,)))
 
 
 def test_interner_snapshot_roundtrip_and_divergence():
@@ -223,7 +211,7 @@ def test_adopt_of_a_retired_kernel_blob_is_an_error_reply(monkeypatch):
     encoded = base64.b64encode(blob).decode("ascii")
 
     out = io.StringIO()
-    service = RaceDetectionService(ServiceConfig(workers="inline", flush_interval=0))
+    service = RaceDetectionService(ServiceConfig(flush_interval=0))
     with service:
         service.handle_stream(
             io.StringIO(
@@ -237,3 +225,52 @@ def test_adopt_of_a_retired_kernel_blob_is_an_error_reply(monkeypatch):
     assert "PartitionedBatchGoldilocks" in lines[1]
     assert lines[2].startswith("ok adopt")
     assert "ok pong" in lines
+
+
+class _Payload:
+    """A blob that runs code when unpickled: ``os.mkdir(path)``."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        import os
+
+        return os.mkdir, (self.path,)
+
+
+def test_adopt_refuses_a_blob_that_runs_code_when_unpickled(tmp_path):
+    """``!adopt`` blobs come from clients: loading one may name only the
+    classes a shard checkpoint is made of, so the payload never runs."""
+    import base64
+    import io
+    import pickle
+
+    from repro.server.service import RaceDetectionService, ServiceConfig
+
+    marker = tmp_path / "payload-ran"
+    encoded = base64.b64encode(pickle.dumps(_Payload(str(marker)))).decode("ascii")
+    out = io.StringIO()
+    with RaceDetectionService(ServiceConfig(flush_interval=0)) as service:
+        service.handle_stream(
+            io.StringIO(f"!cluster {N_GROUPS}\n!adopt 0 {encoded}\n!ping\n"), out
+        )
+        assert service.engine.hosted_groups() == []
+    lines = out.getvalue().splitlines()
+    assert lines[1].startswith("error adopt:")
+    assert "posix.mkdir" in lines[1] or "os.mkdir" in lines[1]
+    assert "ok pong" in lines
+    assert not marker.exists()
+
+
+def test_adopt_refuses_another_groups_checkpoint():
+    """A real blob of group 0 adopted as group 1 would leave the detector
+    owning partition 0 while the node routes group 1's variables to it."""
+    a, b = node_engine([0]), node_engine([2])
+    with a, b:
+        blob = a.export_group(0)
+        with pytest.raises(ValueError, match="partition 0/4, not 1/4"):
+            b.adopt_group(1, blob)
+        assert b.hosted_groups() == [2]
+        b.adopt_group(0, blob)
+        assert b.hosted_groups() == [0, 2]

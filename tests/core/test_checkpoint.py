@@ -1,6 +1,6 @@
 """Detector checkpoint/restore: a restored detector continues the SAME execution.
 
-The streaming service relies on this to respawn or migrate shard workers
+The streaming service relies on this to restart or migrate shards
 mid-stream without replaying the shared synchronization-event history, so
 the contract is strict: the checkpointed-and-restored detector must produce
 exactly the reports (and stats deltas) the uninterrupted instance would

@@ -33,11 +33,8 @@ from repro.core.encode import (
     encode_elements,
     encode_frame,
     extend_interner,
-    pack_report,
-    unpack_reports,
 )
 from repro.core.lockset import Interner
-from repro.core.report import AccessRef, RaceReport
 from repro.trace import RandomTraceGenerator
 from repro.trace.io import format_event, iter_packed_frames
 
@@ -209,21 +206,3 @@ def test_apply_packed_matches_object_processing_counters():
     assert packed.stats.races == objected.stats.races
     assert packed.stats.sync_events == objected.stats.sync_events
     assert packed.stats.accesses_checked == objected.stats.accesses_checked
-
-
-def test_pack_report_round_trip():
-    interner = Interner()
-    var = DataVar(Obj(3), "f")
-    report = RaceReport(
-        var=var,
-        first=AccessRef(Tid(1), 4, "write", False),
-        second=AccessRef(Tid(2), 9, "commit", True),
-        detector="goldilocks",
-    )
-    row = pack_report(17, report, interner)
-    [(seq, back)] = unpack_reports([row], interner)
-    assert (seq, back) == (17, report)
-    # Rule-8 style reports have no first access
-    row = pack_report(3, RaceReport(var=var, first=None, second=report.second), interner)
-    [(_, back)] = unpack_reports([row], interner)
-    assert back.first is None

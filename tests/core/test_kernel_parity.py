@@ -7,12 +7,7 @@ trace in the repo.  Counters may (and should) differ; verdicts never.
 
 import pytest
 
-from repro.core import (
-    EagerGoldilocksRW,
-    EncodedEagerGoldilocksRW,
-    EncodedGoldilocks,
-    LazyGoldilocks,
-)
+from repro.core import EncodedGoldilocks, LazyGoldilocks
 from repro.trace import RandomTraceGenerator, TraceRecorder
 from repro.workloads import run_ftpserver
 
@@ -44,21 +39,12 @@ def test_kernel_matches_seed_lazy_on_random_traces(seed, commit_sync):
     assert got == expected  # full RaceReport equality, name included
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_encoded_eager_matches_seed_eager(seed):
-    events = random_trace(seed)
-    expected = EagerGoldilocksRW().process_all(events)
-    got = EncodedEagerGoldilocksRW().process_all(events)
-    assert got == expected
-
-
 @pytest.mark.parametrize(
     "builder", [build_figure6_trace, build_figure7_trace], ids=["figure6", "figure7"]
 )
 def test_kernel_agrees_on_the_paper_figures(builder):
     events = builder()[0]
     assert EncodedGoldilocks().process_all(events) == []
-    assert EncodedEagerGoldilocksRW().process_all(events) == []
 
 
 @pytest.mark.parametrize("seed", range(4))

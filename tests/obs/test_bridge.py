@@ -28,7 +28,6 @@ def _stats_with_traffic():
         events_per_sec=50.0,
         races_reported=1,
         n_shards=2,
-        transport="packed",
         shards=[
             ShardStats(shard=0, events_processed=60, detector=dict(det)),
             ShardStats(shard=1, events_processed=40, detector=dict(det)),

@@ -1,7 +1,7 @@
 """The race flight recorder: dump on race, offline replay, bounds.
 
-The headline test is the PR's acceptance criterion: a race on the packed
-transport must leave behind a ``.flightrec`` file whose offline replay
+The headline test is the acceptance criterion: a race in the service
+must leave behind a ``.flightrec`` file whose offline replay
 reproduces the identical race line, **including the ingestion seq tag**.
 """
 
@@ -31,14 +31,12 @@ RACY_TEXT = "1 0 write 1 data\n2 0 write 1 data\n"
 
 
 def run_packed_service(tmp_path, text=RACY_TEXT, **obs_overrides):
-    """One inline packed-transport pass; returns (race lines, dump paths)."""
+    """One service pass; returns (race lines, dump paths)."""
     obs = ObsConfig(flightrec_dir=str(tmp_path), **obs_overrides)
     out = io.StringIO()
     with RaceDetectionService(
         ServiceConfig(
             n_shards=2,
-            workers="inline",
-            transport="packed",
             flush_interval=0.0,
             obs=obs,
         )

@@ -15,7 +15,7 @@ from repro.server import RaceDetectionService, ServiceConfig
 @pytest.fixture()
 def served():
     with RaceDetectionService(
-        ServiceConfig(n_shards=2, workers="inline", flush_interval=0.0)
+        ServiceConfig(n_shards=2, flush_interval=0.0)
     ) as service:
         server = start_metrics_server(service, port=0)
         host, port = server.address

@@ -65,7 +65,7 @@ def test_watchdog_exports_gauges():
 
 def test_service_health_degrades_on_parse_error_storm():
     service = RaceDetectionService(
-        ServiceConfig(workers="inline", flush_interval=0, obs=ObsConfig(counters=True))
+        ServiceConfig(flush_interval=0, obs=ObsConfig(counters=True))
     )
     try:
         assert service.health()["status"] == "ok"
@@ -93,7 +93,7 @@ def test_errors_cli_renders_detail(capsys):
         unix = None
 
     service = RaceDetectionService(
-        ServiceConfig(workers="inline", flush_interval=0)
+        ServiceConfig(flush_interval=0)
     )
     try:
         service.submit_line("definitely not an event")

@@ -29,7 +29,7 @@ def colt():
 
 
 def inline_service(**overrides):
-    config = dict(n_shards=2, workers="inline", flush_interval=0.0)
+    config = dict(n_shards=2, flush_interval=0.0)
     config.update(overrides)
     return RaceDetectionService(ServiceConfig(**config))
 

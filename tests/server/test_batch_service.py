@@ -7,22 +7,12 @@ the frames after it on the same stream still apply.
 
 import io
 
-import pytest
-
 from repro.core.encode import decode_frame, encode_frame
 from repro.server import RaceDetectionService, ServiceConfig
 from repro.server.protocol import FRAME_EVENTS, pack_frame
 from repro.trace.io import iter_packed_frames
 
-from .test_wire import run_service, trace_text
-
-
-@pytest.fixture(scope="module")
-def reference():
-    text = trace_text()
-    races, _ = run_service(text, "text", "object")
-    assert races, "a parity run over a race-free trace proves nothing"
-    return text, races
+from .test_wire import reference  # noqa: F401 -- the shared pytest fixture
 
 
 def test_corrupt_wire_frame_lands_in_the_parse_error_ring(reference):
@@ -35,8 +25,7 @@ def test_corrupt_wire_frame_lands_in_the_parse_error_ring(reference):
     records[0] = 99
     corrupt = encode_frame(base, delta, records, extras)
 
-    config = ServiceConfig(n_shards=2, workers="inline", transport="packed",
-                           batch_size=16, flush_interval=0)
+    config = ServiceConfig(n_shards=2, batch_size=16, flush_interval=0)
     out = io.StringIO()
     buf = io.BytesIO()
     buf.write(pack_frame(FRAME_EVENTS, corrupt))  # rejected up front

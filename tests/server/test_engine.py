@@ -68,7 +68,7 @@ def test_partitioned_commit_checks_only_owned_footprint_vars():
 @pytest.mark.parametrize("n_shards", [1, 2, 4])
 def test_inline_engine_matches_offline_detector(n_shards):
     expected = offline(RACY)
-    with ShardedEngine(EngineConfig(n_shards=n_shards, workers="inline")) as engine:
+    with ShardedEngine(EngineConfig(n_shards=n_shards)) as engine:
         for event in RACY:
             engine.submit(event)
         reports = [r for _, r in engine.barrier()]
@@ -78,7 +78,7 @@ def test_inline_engine_matches_offline_detector(n_shards):
 
 def test_single_shard_preserves_report_order():
     expected = offline(RACY)
-    with ShardedEngine(n_shards=1, workers="inline") as engine:
+    with ShardedEngine(n_shards=1) as engine:
         for event in RACY:
             engine.submit(event)
         reports = [r for _, r in engine.barrier()]
@@ -87,7 +87,7 @@ def test_single_shard_preserves_report_order():
 
 def test_inline_engine_clean_trace_reports_nothing():
     assert offline(DISCIPLINED) == []
-    with ShardedEngine(n_shards=3, workers="inline") as engine:
+    with ShardedEngine(n_shards=3) as engine:
         for event in DISCIPLINED:
             engine.submit(event)
         assert engine.barrier() == []
@@ -98,7 +98,7 @@ def test_report_seq_tags_point_at_the_completing_access():
     tb.write(Tid(1), Obj(1), "data")   # seq 0
     tb.read(Tid(1), Obj(2), "other")   # seq 1 (unrelated)
     tb.write(Tid(2), Obj(1), "data")   # seq 2: completes the race
-    with ShardedEngine(n_shards=2, workers="inline") as engine:
+    with ShardedEngine(n_shards=2) as engine:
         for event in tb.build():
             engine.submit(event)
         [(seq, report)] = engine.barrier()
@@ -107,7 +107,7 @@ def test_report_seq_tags_point_at_the_completing_access():
 
 
 def test_engine_stats_counters_and_shard_snapshots():
-    with ShardedEngine(n_shards=2, workers="inline", batch_size=8) as engine:
+    with ShardedEngine(n_shards=2, batch_size=8) as engine:
         for event in RACY:
             engine.submit(event)
         reports = engine.barrier()
@@ -128,7 +128,7 @@ def test_engine_stats_counters_and_shard_snapshots():
 
 
 def test_engine_reset_restarts_the_execution():
-    with ShardedEngine(n_shards=2, workers="inline") as engine:
+    with ShardedEngine(n_shards=2) as engine:
         for event in RACY:
             engine.submit(event)
         first = engine.barrier()
@@ -143,7 +143,7 @@ def test_engine_reset_restarts_the_execution():
 def test_engine_checkpoint_blobs_resume_the_stream():
     mid = len(RACY) // 2
     expected = offline(RACY)
-    with ShardedEngine(n_shards=2, workers="inline") as engine:
+    with ShardedEngine(n_shards=2) as engine:
         for event in RACY[:mid]:
             engine.submit(event)
         prefix_reports = {r for _, r in engine.barrier()}
@@ -159,36 +159,4 @@ def test_engine_checkpoint_blobs_resume_the_stream():
 def test_bad_config_is_rejected():
     with pytest.raises(ValueError):
         ShardedEngine(n_shards=0)
-    with pytest.raises(ValueError):
-        ShardedEngine(workers="threads")
 
-
-# -- multiprocessing workers ---------------------------------------------------
-
-
-def test_process_engine_matches_offline_detector():
-    expected = offline(RACY)
-    with ShardedEngine(
-        EngineConfig(n_shards=2, workers="process", batch_size=32)
-    ) as engine:
-        for event in RACY:
-            engine.submit(event)
-        reports = [r for _, r in engine.barrier()]
-        stats = engine.stats()
-    assert set(reports) == set(expected)
-    assert stats.events_ingested == len(RACY)
-
-
-def test_process_engine_backpressure_blocks_instead_of_buffering():
-    # One-event batches against a depth-1 queue: the router outruns the
-    # worker (which is still booting) immediately, so ingestion must block
-    # at least once -- and still deliver everything.
-    with ShardedEngine(
-        EngineConfig(n_shards=1, workers="process", batch_size=1, queue_depth=1)
-    ) as engine:
-        for event in RACY[:120]:
-            engine.submit(event)
-        engine.barrier()
-        stats = engine.stats()
-    assert stats.backpressure_stalls >= 1
-    assert stats.shards[0].events_processed == 120

@@ -28,7 +28,7 @@ from repro.trace import TraceBuilder
 
 
 def inline_service(**overrides):
-    config = dict(n_shards=2, workers="inline", flush_interval=0.0)
+    config = dict(n_shards=2, flush_interval=0.0)
     config.update(overrides)
     return RaceDetectionService(ServiceConfig(**config))
 
@@ -68,12 +68,11 @@ def test_health_control_is_one_json_line():
     assert payload["stats"]["n_shards"] == 2
 
 
-@pytest.mark.parametrize("workers", ["inline", "process"])
-def test_shard_apply_faults_join_the_parse_error_ring(workers):
+def test_shard_apply_faults_join_the_parse_error_ring():
     """A frame the edge accepts but a shard's kernel rejects (an alloc
-    naming a thread) comes back as an apply fault -- through the worker's
-    error ack in process mode -- and is folded into the parse-error
-    accounting exactly once; the shard keeps applying later frames."""
+    naming a thread) comes back as an apply fault and is folded into the
+    parse-error accounting exactly once; the shard keeps applying later
+    frames."""
     encoder = EventEncoder()
     records = array("q")
     racy = TraceBuilder().write(Tid(1), Obj(1), "x").write(Tid(2), Obj(1), "x")
@@ -86,7 +85,7 @@ def test_shard_apply_faults_join_the_parse_error_ring(workers):
     good = encode_frame(1, delta, records, array("q"))
     wire = io.BytesIO(pack_frame(FRAME_EVENTS, bad) + pack_frame(FRAME_EVENTS, good))
     out = io.StringIO()
-    with inline_service(n_shards=1, workers=workers, batch_size=1) as service:
+    with inline_service(n_shards=1, batch_size=1) as service:
         service.handle_stream(iter(["!binary\n"]), out, binary=wire)
         stats = service.stats()
         health = service.health()

@@ -33,9 +33,9 @@ def offline_races(events):
     return LazyGoldilocks().process_all(events)
 
 
-def service_races(events, n_shards=4, workers="inline"):
+def service_races(events, n_shards=4):
     """Stream a trace through the full service; return the parsed race lines."""
-    config = ServiceConfig(n_shards=n_shards, workers=workers, batch_size=7)
+    config = ServiceConfig(n_shards=n_shards, batch_size=7)
     lines = "\n".join(format_event(e) for e in events) + "\n"
     out = io.StringIO()
     with RaceDetectionService(config) as service:
@@ -77,18 +77,11 @@ def test_some_ftpserver_seed_actually_races():
     assert any(offline_races(ftpserver_trace(seed)) for seed in range(6))
 
 
-def test_ftpserver_parity_with_process_workers():
-    seed = next(s for s in range(6) if offline_races(ftpserver_trace(s)))
-    events = ftpserver_trace(seed)
-    got = service_races(events, n_shards=2, workers="process")
-    assert race_keys(got) == as_keys(offline_races(events))
-
-
 def test_engine_parity_across_shard_counts_on_ftpserver():
     events = ftpserver_trace(1)
     expected = set(offline_races(events))
     for n in (1, 3):
-        with ShardedEngine(n_shards=n, workers="inline") as engine:
+        with ShardedEngine(n_shards=n) as engine:
             for event in events:
                 engine.submit(event)
             assert {r for _, r in engine.barrier()} == expected
@@ -98,7 +91,7 @@ def test_service_surfaces_the_epoch_counter():
     events = ftpserver_trace(1)
     lines = "\n".join(format_event(e) for e in events) + "\n"
     out = io.StringIO()
-    config = ServiceConfig(n_shards=2, workers="inline")
+    config = ServiceConfig(n_shards=2)
     with RaceDetectionService(config) as service:
         service.handle_stream(io.StringIO(lines), out)
         snapshot = service.stats()
@@ -115,7 +108,7 @@ def test_cli_exit_codes_agree(tmp_path, monkeypatch, capsys):
         dump_trace(events, path)
         analyze_code = race_main(["analyze", path])
         serve_code = serve_main(
-            ["--tail", path, "--shards", "2", "--workers", "inline"]
+            ["--tail", path, "--shards", "2"]
         )
         capsys.readouterr()
         assert serve_code == analyze_code, f"seed {seed}"

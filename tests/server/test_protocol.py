@@ -84,7 +84,6 @@ def test_service_stats_json_round_trip():
         sync_broadcast=40,
         data_routed=60,
         batches_flushed=9,
-        backpressure_stalls=1,
         parse_errors=2,
         races_reported=3,
         n_shards=2,

@@ -29,7 +29,7 @@ BIGGER = RandomTraceGenerator(
 
 
 def inline_service(**overrides):
-    config = dict(n_shards=2, workers="inline", flush_interval=0.0)
+    config = dict(n_shards=2, flush_interval=0.0)
     config.update(overrides)
     return RaceDetectionService(ServiceConfig(**config))
 
@@ -184,7 +184,7 @@ def test_flusher_thread_pushes_partial_batches():
 def test_tcp_service_with_client_library():
     expected = LazyGoldilocks().process_all(BIGGER)
     with RaceDetectionService(
-        ServiceConfig(n_shards=2, workers="inline", flush_interval=0.01)
+        ServiceConfig(n_shards=2, flush_interval=0.01)
     ) as service:
         server = serve_tcp(service, "127.0.0.1", 0)
         port = server.server_address[1]
@@ -209,7 +209,7 @@ def test_tcp_service_with_client_library():
 def test_unix_socket_service_eof_drain(tmp_path):
     sock_path = str(tmp_path / "repro.sock")
     with RaceDetectionService(
-        ServiceConfig(n_shards=1, workers="inline", flush_interval=0.01)
+        ServiceConfig(n_shards=1, flush_interval=0.01)
     ) as service:
         server = serve_unix(service, sock_path)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -230,7 +230,7 @@ def test_two_connections_share_one_detection_domain():
     # The race's two halves arrive on different connections; the service
     # still sees one execution and reports the cross-connection race.
     with RaceDetectionService(
-        ServiceConfig(n_shards=1, workers="inline", flush_interval=0.01)
+        ServiceConfig(n_shards=1, flush_interval=0.01)
     ) as service:
         server = serve_tcp(service, "127.0.0.1", 0)
         port = server.server_address[1]
@@ -249,3 +249,11 @@ def test_two_connections_share_one_detection_domain():
         finally:
             server.shutdown()
             server.server_close()
+
+
+def test_retired_workers_field_accepts_only_inline():
+    """Shards always run in the service process; the retired ``workers``
+    field still accepts "inline" and refuses anything else up front."""
+    assert ServiceConfig(workers="inline").engine_config().n_shards == 1
+    with pytest.raises(ValueError, match="repro-cluster"):
+        ServiceConfig(workers="process")

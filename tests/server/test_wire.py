@@ -1,9 +1,9 @@
-"""The binary wire path: parity with text, encode-once counters, client.
+"""The binary wire path: parity with the spec reference, counters, client.
 
-The encode-once acceptance matrix: text and binary ingestion must produce
-identical race sets *and identical seq tags* across ``workers`` x
-``transport``, and the counters must prove that packed-mode shards
-materialize zero sync events.
+The acceptance matrix: text and binary ingestion, at one shard and at
+four, must produce exactly the race lines -- seq tags included -- of the
+reference detector (``LazyGoldilocks`` without GC, the Figure 8 algorithm)
+run over the same trace with ``seq`` = event index.
 """
 
 import io
@@ -12,10 +12,10 @@ import threading
 
 import pytest
 
+from repro.core import LazyGoldilocks
 from repro.server import RaceDetectionService, ServiceConfig
-from repro.server.cli import main as serve_main
 from repro.server.client import ServiceClient, detect_over_socket
-from repro.server.protocol import FRAME_EVENTS, FRAME_TEXT, pack_frame
+from repro.server.protocol import FRAME_EVENTS, FRAME_TEXT, format_race, pack_frame
 from repro.server.service import serve_tcp
 from repro.trace import RandomTraceGenerator
 from repro.trace.io import format_event, iter_packed_frames, parse_event
@@ -28,12 +28,9 @@ def trace_text(seed=11):
     return "\n".join(format_event(e) for e in events) + "\n"
 
 
-def run_service(text, wire, transport="packed", workers="inline", n_shards=4):
+def run_service(text, wire, n_shards=4):
     """One fresh service pass; returns (race lines incl. seq, stats)."""
-    config = ServiceConfig(
-        n_shards=n_shards, workers=workers, transport=transport,
-        batch_size=16, flush_interval=0,
-    )
+    config = ServiceConfig(n_shards=n_shards, batch_size=16, flush_interval=0)
     out = io.StringIO()
     with RaceDetectionService(config) as service:
         if wire == "text":
@@ -57,55 +54,38 @@ def run_service(text, wire, transport="packed", workers="inline", n_shards=4):
 @pytest.fixture(scope="module")
 def reference():
     text = trace_text()
-    races, _ = run_service(text, "text", "object")
+    detector = LazyGoldilocks(gc_threshold=None)
+    races = sorted(
+        format_race(seq, report)
+        for seq, line in enumerate(text.strip().splitlines())
+        for report in detector.process(parse_event(line))
+    )
     assert races, "a parity matrix over a race-free trace proves nothing"
     return text, races
 
 
+@pytest.mark.parametrize("n_shards", [1, 4])
 @pytest.mark.parametrize("wire", ["text", "frames", "frame-text"])
-@pytest.mark.parametrize("transport", ["packed", "object"])
-def test_parity_matrix_inline(reference, wire, transport):
+def test_parity_matrix(reference, wire, n_shards):
     text, expected = reference
-    races, _ = run_service(text, wire, transport)
+    races, _ = run_service(text, wire, n_shards=n_shards)
     assert races == expected  # same races, same seq tags
-
-
-@pytest.mark.parametrize("wire,transport", [
-    ("frames", "packed"),
-    ("text", "packed"),
-    ("frames", "object"),
-])
-def test_parity_with_process_workers(reference, wire, transport):
-    text, expected = reference
-    races, _ = run_service(text, wire, transport, workers="process", n_shards=2)
-    assert races == expected
 
 
 def test_packed_counters_prove_encode_once(reference):
     text, _ = reference
     n_events = len(text.strip().splitlines())
 
-    _, packed = run_service(text, "frames", "packed")
-    assert packed.transport == "packed"
+    _, packed = run_service(text, "frames")
     assert packed.queue_bytes > 0
-    # the encode-once claim: zero sync records materialized shard-side
-    assert packed.sync_decoded == 0
-    assert all(s.sync_decoded == 0 for s in packed.shards)
     # edge allocations are per *new element*, far below one per event
     assert 0 < packed.edge_allocs < n_events / 4
-
-    _, objected = run_service(text, "text", "object")
-    assert objected.transport == "object"
-    assert objected.edge_allocs == n_events  # one Event per line
-    assert objected.sync_decoded > 0
-    assert objected.queue_bytes > packed.queue_bytes
 
 
 def test_binary_request_on_text_only_stream_is_an_error():
     text = trace_text()
     out = io.StringIO()
-    with RaceDetectionService(ServiceConfig(n_shards=2, workers="inline",
-                                            flush_interval=0)) as service:
+    with RaceDetectionService(ServiceConfig(n_shards=2, flush_interval=0)) as service:
         reader = io.StringIO("!binary\n" + text)
         service.handle_stream(reader, out)  # binary=None: stdin mode
     lines = out.getvalue().splitlines()
@@ -115,8 +95,7 @@ def test_binary_request_on_text_only_stream_is_an_error():
 
 def test_tcp_client_binary_round_trip():
     events = TRACE.generate(seed=11)
-    with RaceDetectionService(ServiceConfig(n_shards=2, workers="inline",
-                                            flush_interval=0)) as service:
+    with RaceDetectionService(ServiceConfig(n_shards=2, flush_interval=0)) as service:
         server = serve_tcp(service, "127.0.0.1", 0)
         port = server.server_address[1]
         thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -128,8 +107,7 @@ def test_tcp_client_binary_round_trip():
                 client.stream(events)
                 client.flush()
                 assert client.ping()
-                stats = client.stats()
-                assert stats.transport == "packed"
+                assert client.stats().events_ingested == len(events)
                 binary_races = sorted(map(repr, (r[:3] for r in client.races)))
                 binary_seqs = sorted(r.seq for r in client.races)
 
@@ -196,18 +174,3 @@ def test_iter_packed_frames_round_trip(tmp_path):
     gz_frames = list(iter_packed_frames(str(path), events_per_frame=16))
     assert gz_frames == frames
 
-
-def test_cli_transport_flag(tmp_path, capsys):
-    from repro.trace.io import dump_trace
-
-    events = TRACE.generate(seed=11)
-    path = str(tmp_path / "wire.trace")
-    dump_trace(events, path)
-    codes = set()
-    for transport in ("packed", "object"):
-        codes.add(serve_main([
-            "--tail", path, "--shards", "2", "--workers", "inline",
-            "--transport", transport,
-        ]))
-        capsys.readouterr()
-    assert codes == {1}  # both transports see the trace's races

@@ -175,8 +175,9 @@ def test_analyze_gz_trace_path(tmp_path, capsys):
 
 
 def test_cli_start_up_imports_no_numpy():
-    """Both command-line entry points start without loading numpy: the
-    detector is pure Python, and numpy alone costs ~0.1 s per start-up."""
+    """Both command-line entry points start without loading numpy or
+    multiprocessing: the detector is pure Python, numpy alone costs ~0.1 s
+    per start-up, and every shard runs in the service process."""
     import os
     import subprocess
     import sys
@@ -187,7 +188,32 @@ def test_cli_start_up_imports_no_numpy():
     env = dict(os.environ, PYTHONPATH=src)
     probe = (
         "import sys, repro.cli, repro.server.cli; "
-        "sys.exit('numpy' in sys.modules)"
+        "sys.exit(' '.join({'numpy', 'multiprocessing'} & set(sys.modules)) or None)"
     )
-    result = subprocess.run([sys.executable, "-c", probe], env=env, timeout=60)
-    assert result.returncode == 0
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, timeout=60,
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_serve_commit_sync_offers_only_detector_policies(capsys):
+    """``writes`` is an oracle-only interpretation: repro-serve must refuse
+    it as a usage error (exit 2), not die in the kernel with exit 1."""
+    from repro.server.cli import main as serve_main
+
+    with pytest.raises(SystemExit) as excinfo:
+        serve_main(["--commit-sync", "writes"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'writes'" in capsys.readouterr().err
+
+
+def test_serve_help_lists_no_retired_shard_options(capsys):
+    from repro.server.cli import main as serve_main
+
+    with pytest.raises(SystemExit) as excinfo:
+        serve_main(["--help"])
+    assert excinfo.value.code == 0
+    usage = capsys.readouterr().out
+    for retired in ("--workers", "--transport", "--queue-depth"):
+        assert retired not in usage
