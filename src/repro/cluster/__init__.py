@@ -15,8 +15,9 @@ around it:
   buffered delta, flip the ring);
 * :mod:`.cli` -- the ``repro-cluster`` command.
 
-Nodes are plain ``repro-serve`` instances: the ``!cluster`` control verb
-drafts any running service into node mode (see ``docs/CLUSTER.md``).
+Nodes are plain ``repro-serve`` instances running the same engine: the
+``!cluster`` control verb re-partitions one into the cluster's groups, none
+hosted until the coordinator adopts some there (see ``docs/CLUSTER.md``).
 """
 
 from .coordinator import ClusterConfig, ClusterCoordinator, ClusterStats, NodeHandle

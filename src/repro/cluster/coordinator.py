@@ -5,8 +5,9 @@ ShardedEngine` is to local shards, one ring out: it keeps the single
 master :class:`~repro.core.encode.EventEncoder` (the cluster's id space
 and sequence numbers), routes packed records -- sync broadcast to every
 node, data accesses to the node owning the variable's *group* -- and ships
-them as ``!binary`` wire frames with per-node interner-delta cursors, so
-every node's replica stays a versioned prefix of the master.
+them as ``!binary`` wire frames with per-node interner-delta cursors: each
+frame's delta carries exactly the ids its node has not seen, so every
+node's interner stays a prefix of the master and no other id sync exists.
 
 Routing is two-layered: variable -> group via crc32 (identical to the
 single-node shard mapping, so cluster verdicts are byte-compatible with a
@@ -46,7 +47,6 @@ from ..core.encode import (
     EventEncoder,
     encode_frame,
     format_trace_id,
-    interner_version,
     make_trace_id,
     stamp_trace,
 )
@@ -145,7 +145,11 @@ class NodeHandle:
     # -- wire ------------------------------------------------------------------
 
     def connect(self, n_groups: int) -> None:
-        """Dial the node, draft it into node mode, switch to binary frames."""
+        """Dial the node, re-partition it (``!cluster``), go binary.
+
+        ``!cluster`` also marks this connection as the coordinator's: the
+        node keeps the ids and ``seq`` of every frame it sends.
+        """
         self._sock = socket.create_connection(
             (self.host, self.port), timeout=self.timeout
         )
@@ -577,7 +581,7 @@ class ClusterCoordinator:
                 else "off"
             ),
             races_reported=races,
-            interner_version=interner_version(self.encoder.interner),
+            interner_version=len(self.encoder.interner),
             migrations_completed=self.migrations_completed,
             migrations_active=len(self._migrations),
             assignment=assignment,

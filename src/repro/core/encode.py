@@ -37,8 +37,8 @@ records and extras::
 
 Senders keep one master :class:`~repro.core.lockset.Interner` plus a cursor
 per receiver; each frame ships only the ids minted since that receiver's
-last frame, so the id space stays consistent end to end (the "shared
-interner snapshot protocol").
+last frame (the per-frame interner delta), so every receiver's interner is
+a prefix of the sender's and the id space stays consistent end to end.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import struct
 import sys
 import zlib
 from array import array
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .actions import (
     OP_ACQUIRE,
@@ -369,70 +369,6 @@ def extend_interner(
         interner.intern(element)
 
 
-# -- versioned interner snapshots ----------------------------------------------
-#
-# The cluster layer replicates one master interner across every node: all
-# replicas are strict prefixes of the master, and a replica's *version* is
-# simply its length.  A snapshot is the standalone, versioned form of the
-# per-frame delta protocol above -- ``since`` says which prefix the receiver
-# must already hold, ``total`` says which version applying it reaches.  The
-# coordinator uses snapshots to prime a node that joins mid-stream and to
-# fast-forward a migration target before replaying buffered frames.
-
-#: interner snapshot format version (bump on any layout change)
-SNAPSHOT_VERSION = 1
-
-_SNAP_HEADER = struct.Struct("<BII")
-
-
-def interner_version(interner: Interner) -> int:
-    """A replica's version: its length (ids are dense and append-only)."""
-    return len(interner)
-
-
-def encode_interner_snapshot(interner: Interner, since: int = 1) -> bytes:
-    """Serialize elements ``[since, len)`` as one versioned snapshot blob.
-
-    ``since`` is clamped to 1 because ``TL`` is pinned at id 0 on every
-    replica and never travels (exactly as in frame deltas).
-    """
-    since = max(1, since)
-    payload, count = encode_elements(interner.elements_since(since))
-    return _SNAP_HEADER.pack(SNAPSHOT_VERSION, since, since + count) + payload
-
-
-def decode_interner_snapshot(blob: bytes) -> Tuple[int, int, List[LocksetElement]]:
-    """Unpack a snapshot; returns ``(since, total, elements)``."""
-    version, since, total = _SNAP_HEADER.unpack_from(blob, 0)
-    if version != SNAPSHOT_VERSION:
-        raise ValueError(f"unsupported interner snapshot version {version}")
-    elements, offset = decode_elements(blob, _SNAP_HEADER.size, total - since)
-    if offset != len(blob):
-        raise ValueError("trailing bytes after interner snapshot payload")
-    return since, total, elements
-
-
-def apply_interner_snapshot(interner: Interner, blob: bytes) -> int:
-    """Fast-forward a replica to the snapshot's version; returns the version.
-
-    Idempotent on overlap, like :func:`extend_interner`: elements the replica
-    already holds are skipped (they are guaranteed identical because every
-    replica is a prefix of the same master).  Raises when the snapshot's
-    ``since`` leaves a gap in front of the replica.
-    """
-    since, total, elements = decode_interner_snapshot(blob)
-    have = len(interner)
-    if have < since:
-        raise ValueError(
-            f"snapshot starts at version {since}, replica is at {have}"
-        )
-    for i, element in enumerate(elements):
-        if since + i < have:
-            continue
-        interner.intern(element)
-    return len(interner)
-
-
 # -- the ingestion-edge encoder ------------------------------------------------
 
 
@@ -463,11 +399,13 @@ class EventEncoder:
         self.cache_misses = 0
         self.events_encoded = 0
         self._tid_ids: Dict[int, int] = {}
+        #: the ids that name threads (the wire edge's thread-id check)
+        self.thread_ids: Set[int] = set()
         self._lock_ids: Dict[int, int] = {}
         self._vvar_ids: Dict[Tuple[int, str], int] = {}
         self._dvar_ids: Dict[Tuple[int, str], int] = {}
         #: data-variable id -> owning shard (crc32 partition, cached)
-        self._var_shard: Dict[int, int] = {}
+        self.var_shard: Dict[int, int] = {}
         #: (obj, field) -> var id or FILTERED_VAR (admission decision cache)
         self._access_ids: Dict[Tuple[int, str], int] = {}
         #: already-interned var id -> admission verdict (wire ingest cache)
@@ -480,6 +418,7 @@ class EventEncoder:
         if eid is None:
             self.cache_misses += 1
             eid = self._tid_ids[value] = self.interner.intern(Tid(value))
+            self.thread_ids.add(eid)
         return eid
 
     def _lock_id(self, obj_value: int) -> int:
@@ -509,7 +448,7 @@ class EventEncoder:
             eid = self._dvar_ids[key] = self.interner.intern(
                 DataVar(Obj(obj_value), field)
             )
-            self._var_shard[eid] = (
+            self.var_shard[eid] = (
                 zlib.crc32(f"{obj_value}.{field}".encode("utf-8")) % self.n_shards
             )
         return eid
@@ -571,7 +510,7 @@ class EventEncoder:
 
     def shard_of_var(self, var_id: int) -> int:
         """The crc32 partition of an encoded data variable (cached)."""
-        return self._var_shard[var_id]
+        return self.var_shard[var_id]
 
     def intern_element(self, element: LocksetElement) -> int:
         """Intern a foreign element (wire ingest), keeping caches coherent."""
@@ -585,20 +524,34 @@ class EventEncoder:
             return self._dvar_id(element.obj.value, element.field)
         raise TypeError(f"cannot intern {element!r}")
 
-    def prime(self, replica: Interner) -> None:
-        """Adopt a checkpointed replica's id space (restore/adoption path).
+    def extend(self, base: int, elements: Sequence[LocksetElement]) -> None:
+        """Adopt ids from a shared id space: ``elements[i]`` is ``base + i``.
 
-        Replays the replica's elements in id order through the caches, so
-        this encoder reproduces exactly the ids a previous run assigned --
-        the requirement for feeding restored shards without a full interner
-        re-send.  Only valid on a fresh encoder; ``cache_misses`` is reset
-        afterwards because restored elements are not new edge allocations.
+        For a cluster coordinator's frame delta or a restored checkpoint's
+        interner.  A known id must name the same element and a new element
+        must land on exactly its id; otherwise the id spaces diverged, which
+        raises :class:`ValueError` rather than remapping around it.
         """
-        if len(self.interner) != 1:
-            raise ValueError("prime() requires a fresh encoder")
-        for element in replica.elements_since(1):
-            self.intern_element(element)
-        self.cache_misses = 0
+        have = len(self.interner)
+        if have < base:
+            raise ValueError(
+                f"frame assumes {base} interned elements, node has {have}"
+            )
+        for i, element in enumerate(elements):
+            eid = base + i
+            if eid < len(self.interner):
+                known = self.interner.resolve(eid)
+                if known != element:
+                    raise ValueError(
+                        f"node interner diverged: element {eid} is {known!r} "
+                        f"here, {element!r} at the sender"
+                    )
+                continue
+            got = self.intern_element(element)
+            if got != eid:
+                raise ValueError(
+                    f"node interner diverged: element {eid} interned as {got}"
+                )
 
     # -- encoding ----------------------------------------------------------------
 

@@ -45,7 +45,6 @@ _SERVICE_COUNTERS = {
 
 #: ShardStats attribute -> (metric name, type, help); all labeled by shard
 _SHARD_METRICS = {
-    "queue_depth": ("shard_queue_depth", "gauge", "batches pushed to the shard but not yet applied"),
     "events_processed": ("shard_events_processed_total", "counter", "events the shard has finished processing"),
     "races": ("shard_races_total", "counter", "races this shard has reported"),
     "short_circuit_rate": ("shard_short_circuit_rate", "gauge", "the shard detector's short-circuit rate"),
@@ -80,7 +79,6 @@ REQUIRED_METRICS = (
     "repro_admit_prefilter_misses_total",
     "repro_races_reported_total",
     "repro_service_shards",
-    "repro_shard_queue_depth",
     "repro_shard_events_processed_total",
     "repro_kernel_hb_queries_total",
     "repro_kernel_accesses_checked_total",

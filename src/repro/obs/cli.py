@@ -38,17 +38,17 @@ def render_stats_table(stats: ServiceStats) -> str:
     )
     lines = [head, second, ""]
     lines.append(
-        f"{'shard':>5} {'queue':>6} {'processed':>10} {'races':>6} "
+        f"{'shard':>5} {'processed':>10} {'races':>6} "
         f"{'sc rate':>8} {'work':>12}"
     )
     for shard in stats.shards:
         lines.append(
-            f"{shard.shard:>5} {shard.queue_depth:>6} {shard.events_processed:>10} "
+            f"{shard.shard:>5} {shard.events_processed:>10} "
             f"{shard.races:>6} {shard.short_circuit_rate:>8.3f} "
             f"{shard.detector_work:>12}"
         )
     lines.append(
-        f"{'all':>5} {'':>6} {sum(s.events_processed for s in stats.shards):>10} "
+        f"{'all':>5} {sum(s.events_processed for s in stats.shards):>10} "
         f"{stats.races_reported:>6} {stats.short_circuit_rate:>8.3f} "
         f"{sum(s.detector_work for s in stats.shards):>12}"
     )

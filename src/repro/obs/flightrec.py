@@ -1,10 +1,14 @@
 """The race flight recorder: bounded rings of packed records, dumpable.
 
-Each detection shard gets a ring holding the last K **applied packed
+Each shard group gets a ring holding the last K **applied packed
 records** -- exactly the records the engine pushed to it --
-plus enough interner context to make the window self-contained.  The
-moment a race is reported (and on SIGTERM / explicit request) the ring is
-written to a ``.flightrec`` file; ``repro-race replay-flightrec`` re-runs
+plus enough interner context to make the window self-contained.  Rings
+are indexed by the *global* group, so they follow a cluster's groups: a
+node records only the groups it hosts, and a retired group's ring is
+emptied, so a group adopted later starts from an empty window.  A dump's
+``shard`` header field and file name give the group.  The moment a race
+is reported (and on SIGTERM / explicit request) the ring is written to
+a ``.flightrec`` file; ``repro-race replay-flightrec`` re-runs
 the window offline through a fresh encoded kernel and must reproduce the
 identical race line, **including the ingestion sequence tag** (the seq
 travels inside every packed record, so it survives the round trip).
@@ -47,12 +51,12 @@ from ..core.lockset import Interner
 MAGIC = b"REPROFLR1\n"
 _U32 = struct.Struct("<I")
 
-#: default packed records retained per shard
+#: default packed records retained per group
 DEFAULT_CAPACITY = 4096
 
 
 class _Ring:
-    """One shard's window: whole frames, bounded by total record count."""
+    """One group's window: whole frames, bounded by total record count."""
 
     __slots__ = ("frames", "records_held", "records_seen", "evicted")
 
@@ -64,7 +68,7 @@ class _Ring:
 
 
 class FlightRecorder:
-    """Bounded per-shard record rings over the engine's master interner.
+    """Bounded per-group record rings over the engine's master interner.
 
     The recorder sits at the ingestion edge (it sees every frame as it is
     pushed) and borrows the engine's
@@ -95,11 +99,15 @@ class FlightRecorder:
         self.dumps_suppressed = 0
         self._rings = [_Ring() for _ in range(n_shards)]
 
+    def drop_group(self, group: int) -> None:
+        """Empty a retired group's ring."""
+        self._rings[group] = _Ring()
+
     # -- recording (hot path: one deque append per pushed frame) ---------------
 
-    def record(self, shard: int, records: array, extras: array) -> None:
+    def record(self, group: int, records: array, extras: array) -> None:
         """Absorb one pushed frame's arrays (ownership transfers here)."""
-        ring = self._rings[shard]
+        ring = self._rings[group]
         n = len(records) // RECORD_WIDTH
         ring.frames.append((records, extras))
         ring.records_held += n
@@ -115,14 +123,14 @@ class FlightRecorder:
         self.interner = interner
         self._rings = [_Ring() for _ in range(self.n_shards)]
 
-    def window(self, shard: int) -> Tuple[array, array]:
-        """The shard's current window as one (records, extras) pair.
+    def window(self, group: int) -> Tuple[array, array]:
+        """The group's current window as one (records, extras) pair.
 
         Commit records store an offset into their frame's extras array;
         concatenation rebases those offsets so the merged window is
         internally consistent.
         """
-        ring = self._rings[shard]
+        ring = self._rings[group]
         records = array("q")
         extras = array("q")
         for frame_records, frame_extras in ring.frames:
@@ -142,15 +150,15 @@ class FlightRecorder:
 
     def dump_bytes(
         self,
-        shard: int,
+        group: int,
         races: List[str],
         reason: str,
         stats: Optional[Dict[str, int]] = None,
         provenance: Optional[List[Optional[dict]]] = None,
     ) -> bytes:
-        """Serialize one shard's window to ``.flightrec`` bytes.
+        """Serialize one group's window to ``.flightrec`` bytes.
 
-        ``stats`` is the dumping shard's detector-counter snapshot; its
+        ``stats`` is the dumping group's detector-counter snapshot; its
         ``frame_faults`` count lands in the header as ``kernel_stats`` so a
         reader can tell a window the kernel partly rejected.
         ``provenance`` is a list parallel to ``races`` holding each
@@ -160,17 +168,17 @@ class FlightRecorder:
         Both keys are optional and old readers ignore them (the loader
         validates only ``version``).
         """
-        records, extras = self.window(shard)
+        records, extras = self.window(group)
         seqs = [records[i + 1] for i in range(0, len(records), RECORD_WIDTH)]
         header = {
             "version": 1,
-            "shard": shard,
+            "shard": group,
             "n_shards": self.n_shards,
             "commit_sync": self.commit_sync,
             "reason": reason,
             "races": list(races),
             "n_records": len(seqs),
-            "evicted_records": self._rings[shard].evicted,
+            "evicted_records": self._rings[group].evicted,
             "seq_first": min(seqs) if seqs else None,
             "seq_last": max(seqs) if seqs else None,
         }
@@ -192,13 +200,13 @@ class FlightRecorder:
 
     def dump(
         self,
-        shard: int,
+        group: int,
         races: List[str],
         reason: str = "race",
         stats: Optional[Dict[str, int]] = None,
         provenance: Optional[List[Optional[dict]]] = None,
     ) -> Optional[str]:
-        """Write one shard's window to the configured directory.
+        """Write one group's window to the configured directory.
 
         Returns the path, or None when no directory is configured or the
         per-process dump budget is spent (counted in ``dumps_suppressed``).
@@ -213,20 +221,20 @@ class FlightRecorder:
         os.makedirs(self.directory, exist_ok=True)
         path = os.path.join(
             self.directory,
-            f"{reason}-{self.dumps_written:04d}-shard{shard}.flightrec",
+            f"{reason}-{self.dumps_written:04d}-shard{group}.flightrec",
         )
-        data = self.dump_bytes(shard, races, reason, stats=stats, provenance=provenance)
+        data = self.dump_bytes(group, races, reason, stats=stats, provenance=provenance)
         with open(path, "wb") as fh:
             fh.write(data)
         self.dumps_written += 1
         return path
 
     def dump_all(self, reason: str = "signal") -> List[str]:
-        """Dump every non-empty shard ring (SIGTERM / shutdown path)."""
+        """Dump every non-empty group ring (SIGTERM / shutdown path)."""
         paths = []
-        for shard in range(self.n_shards):
-            if self._rings[shard].frames and self._rings[shard].records_held:
-                path = self.dump(shard, [], reason)
+        for group in range(self.n_shards):
+            if self._rings[group].frames and self._rings[group].records_held:
+                path = self.dump(group, [], reason)
                 if path is not None:
                     paths.append(path)
         return paths
@@ -284,8 +292,8 @@ def replay_flightrec(
     """Re-run a recorded window through a fresh :class:`EncodedGoldilocks`.
 
     The replay applies the window's packed frame to an unsharded detector;
-    because the window is exactly the record subsequence the shard saw
-    (all sync, owned data accesses), the verdicts for the shard's
+    because the window is exactly the record subsequence the group saw
+    (all sync, owned data accesses), the verdicts for the group's
     variables match the online run, and every seq tag is carried inside
     the records themselves.  With ``provenance`` the replay kernel derives
     each race's lockset-transfer chain, available on ``result.reports``.

@@ -11,9 +11,9 @@ Routes:
 * ``GET /metrics``  -- Prometheus text exposition
   (:func:`repro.obs.bridge.registry_from_stats` over a fresh snapshot);
 * ``GET /healthz``  -- one JSON object: ``status`` ("ok"), uptime,
-  ingest/race totals, parse-error count plus the ring of recent offending
-  lines, and per-shard queue depths -- the same payload as the ``!health``
-  control command;
+  ingest/race totals, parse-error count plus the ring of recent faults,
+  and the hosted groups -- the same payload as the ``!health`` control
+  command;
 * anything else     -- 404.
 """
 

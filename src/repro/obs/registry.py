@@ -8,14 +8,14 @@ exposition format
 * :class:`Counter` -- monotonically increasing; rendered with a
   ``_total`` suffix convention left to the caller (the bridge names every
   counter ``*_total``);
-* :class:`Gauge` -- goes up and down (queue depths, rates, uptime);
+* :class:`Gauge` -- goes up and down (rates, uptime, hosted groups);
 * :class:`Histogram` -- fixed cumulative buckets chosen at registration;
   rendered as the standard ``_bucket{le=...}`` / ``_sum`` / ``_count``
   triple.
 
 Metrics may carry **labels**: a family is registered once with its label
 names and each distinct label-value tuple becomes a child series
-(``registry.gauge("shard_queue_depth", ..., labels=("shard",)).labels("3")``).
+(``registry.gauge("shard_short_circuit_rate", ..., labels=("shard",)).labels("3")``).
 
 Registration enforces the two invariants CI checks: family names are
 **unique** and **snake_case** (``^[a-z][a-z0-9_]*$``).  The full name on

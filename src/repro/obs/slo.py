@@ -2,9 +2,9 @@
 
 ROADMAP item 5 asks the observability layer to become *enforcement*: a
 scrape should say not just what the counters are but whether the service
-is inside its operating envelope.  The watchdog evaluates three
-objectives -- p99 apply latency, worst shard queue depth, and the
-parse-error rate -- against configurable thresholds and exports them as
+is inside its operating envelope.  The watchdog evaluates two
+objectives -- p99 apply latency and the parse-error rate -- against
+configurable thresholds and exports them as
 ``repro_slo_*`` gauges.  A breach flips the ``!health`` status (and the
 ``/healthz`` payload) to ``degraded``; nothing else changes, so the flip
 is observable without being disruptive.
@@ -29,8 +29,6 @@ from .registry import MetricsRegistry
 
 #: the latency histogram family the p99 objective reads (full wire name)
 APPLY_BUCKET_SAMPLE = "repro_stage_latency_seconds_bucket"
-#: queue-depth gauge the depth objective reads from a member exposition
-QUEUE_DEPTH_SAMPLE = "repro_shard_queue_depth"
 #: parse-error counter the rate objective reads from a member exposition
 PARSE_ERRORS_SAMPLE = "repro_ingest_parse_errors_total"
 #: uptime gauge used to average the parse-error rate
@@ -43,8 +41,6 @@ class SloThresholds:
 
     #: p99 per-batch apply latency ceiling, seconds
     apply_p99_sec: float = 2.0
-    #: worst acceptable per-shard queue depth (batches in flight)
-    queue_depth: int = 4096
     #: parse errors per second, averaged over the whole uptime
     parse_error_rate: float = 5.0
     #: absolute error count below which the rate objective never fires --
@@ -57,7 +53,6 @@ class SloVerdict:
     """One evaluation: the measured values plus the breached objectives."""
 
     apply_p99_sec: float = 0.0
-    queue_depth: int = 0
     parse_error_rate: float = 0.0
     breaches: List[str] = field(default_factory=list)
 
@@ -68,7 +63,6 @@ class SloVerdict:
     def as_dict(self) -> Dict[str, object]:
         return {
             "apply_p99_sec": self.apply_p99_sec,
-            "queue_depth": self.queue_depth,
             "parse_error_rate": self.parse_error_rate,
             "breaches": list(self.breaches),
             "degraded": self.degraded,
@@ -143,22 +137,18 @@ class SloWatchdog:
     def evaluate(
         self,
         apply_buckets: Sequence[Tuple[float, float]] = (),
-        queue_depth: int = 0,
         parse_errors: int = 0,
         uptime_sec: float = 0.0,
     ) -> SloVerdict:
         limits = self.thresholds
         verdict = SloVerdict(
             apply_p99_sec=p99_from_buckets(apply_buckets),
-            queue_depth=int(queue_depth),
             parse_error_rate=(
                 parse_errors / uptime_sec if uptime_sec > 0 else 0.0
             ),
         )
         if verdict.apply_p99_sec > limits.apply_p99_sec:
             verdict.breaches.append("apply_p99_sec")
-        if verdict.queue_depth > limits.queue_depth:
-            verdict.breaches.append("queue_depth")
         if (
             verdict.parse_error_rate > limits.parse_error_rate
             and parse_errors >= limits.parse_error_min
@@ -171,10 +161,6 @@ class SloWatchdog:
         self, samples: Dict[str, List[Tuple[Dict[str, str], float]]]
     ) -> SloVerdict:
         """Evaluate straight from a parsed exposition (federation scope)."""
-        depth = max(
-            (value for _labels, value in samples.get(QUEUE_DEPTH_SAMPLE, [])),
-            default=0.0,
-        )
         errors = sum(
             value for _labels, value in samples.get(PARSE_ERRORS_SAMPLE, [])
         )
@@ -184,7 +170,6 @@ class SloWatchdog:
         )
         return self.evaluate(
             apply_buckets=apply_buckets_from_samples(samples),
-            queue_depth=int(depth),
             parse_errors=int(errors),
             uptime_sec=uptime,
         )
@@ -198,9 +183,6 @@ class SloWatchdog:
             "slo_apply_latency_p99_seconds",
             "SLO: p99 per-batch apply latency (conservative bucket estimate)",
         ).set(verdict.apply_p99_sec)
-        registry.gauge(
-            "slo_queue_depth", "SLO: worst per-shard queue depth observed"
-        ).set(verdict.queue_depth)
         registry.gauge(
             "slo_parse_error_rate",
             "SLO: parse errors per second, averaged over uptime",

@@ -22,8 +22,11 @@ one JSONL object to ``span_log``, schema::
      "stage_sec": {"route": float, "queue": float, "apply": float},
      "ts_sec": float}          # monotonic seconds since tracer start
 
-Parse errors ride the same log (``{"kind": "parse_error", "line": ...}``)
-so malformed-producer debugging has a structured trail.
+Faults -- unparseable lines, frames refused at the wire edge or by a
+shard -- ride the same log as ``{"kind": "parse_error", "line": str,
+"fault": {...}, "ts_sec": float}``, ``fault`` holding the other fields of
+:func:`fault_record`, so malformed-producer debugging has a structured
+trail.
 
 Everything degrades to no-ops when disabled: ``LifecycleTracer.disabled``
 short-circuits every hook, and ``python -m repro.bench obs`` proves the
@@ -37,12 +40,36 @@ import json
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
 from .registry import LATENCY_BUCKETS, MetricsRegistry
 
 #: lifecycle stages, in pipeline order
 STAGES = ("ingest", "route", "queue", "apply", "report")
+
+
+def fault_record(
+    line: str,
+    error: Optional[BaseException] = None,
+    shard: Optional[int] = None,
+) -> Dict[str, Any]:
+    """The one record of input the service could not ingest.
+
+    ``line`` is the input (at most 512 characters) or a ``<...>`` note on a
+    binary frame; ``kind``/``record``/``applied`` come from a typed
+    :class:`~repro.core.encode.FrameFormatError` (else None), and ``shard``
+    names the group of the shard that raised it, if one did.
+    """
+    fault: Dict[str, Any] = {
+        "line": line[:512],
+        "message": str(error) if error is not None else None,
+        "kind": getattr(error, "kind", None),
+        "record": getattr(error, "record", None),
+        "applied": getattr(error, "applied", None),
+    }
+    if shard is not None:
+        fault["shard"] = shard
+    return fault
 
 
 @dataclass
@@ -231,14 +258,16 @@ class LifecycleTracer:
             record["node"] = node
         self._span_log.write(record)
 
-    def log_parse_error(self, line: str) -> None:
-        """Structured trail for malformed input (ring-buffered by the service)."""
+    def log_parse_error(self, fault: Dict[str, Any]) -> None:
+        """Structured trail for one :func:`fault_record` (the service also
+        keeps the last few in its fault ring)."""
         self.parse_errors_logged += 1
         if self._span_log is not None:
             self._span_log.write(
                 {
                     "kind": "parse_error",
-                    "line": line[:512],
+                    "line": fault["line"],
+                    "fault": {k: v for k, v in fault.items() if k != "line"},
                     "ts_sec": round(time.monotonic() - self.started, 9),
                 }
             )

@@ -29,6 +29,10 @@ as the same buffer content to every shard), which the shard appends
 verbatim via :meth:`EncodedGoldilocks.apply_packed`.  More cores are served
 by more ``repro-serve`` nodes behind ``repro-cluster``, not by more shards.
 
+A shard is one *group* of the ``n_shards`` partitions, the unit of
+checkpoint and migration.  A plain ``repro-serve`` hosts every group; a
+cluster node is the same engine hosting the groups it was handed.
+
 Variable-to-shard routing uses CRC32, not ``hash()``: Python string hashes
 are salted per process, and a cluster's coordinator and nodes must agree.
 The route is computed from the interned ints (cached per variable id),
@@ -46,6 +50,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.actions import (
+    OP_ACQUIRE,
     OP_ALLOC,
     OP_COMMIT,
     OP_JOIN,
@@ -63,9 +68,7 @@ from ..core.encode import (
     EventEncoder,
     FrameFormatError,
     decode_frame,
-    decode_interner_snapshot,
     encode_frame,
-    encode_interner_snapshot,
     format_trace_id,
     make_trace_id,
     split_trace,
@@ -74,7 +77,7 @@ from ..core.kernel import EncodedGoldilocks
 from ..core.report import RaceReport
 from ..core.stats import detector_work_of, short_circuit_rate_of
 from ..obs.flightrec import FlightRecorder
-from ..obs.tracing import LifecycleTracer, ObsConfig
+from ..obs.tracing import LifecycleTracer, ObsConfig, fault_record
 from .protocol import format_race
 from .stats import ServiceStats, ShardStats
 
@@ -206,6 +209,8 @@ def load_shard_checkpoint(
 class EngineConfig:
     """Tunables for :class:`ShardedEngine`."""
 
+    #: the partition count: a data variable belongs to group
+    #: ``crc32(var) % n_shards``, on one server or across a cluster
     n_shards: int = 1
     #: events buffered per shard before a batch is pushed
     batch_size: int = 64
@@ -216,23 +221,15 @@ class EngineConfig:
     #: (stage counters on, span sampling off, flight recorder ring on but
     #: not writing files)
     obs: Optional[ObsConfig] = None
-    #: cluster node mode: the *global* partition count of the cluster this
-    #: engine is a node of.  When set, hosted shards are global partitions
-    #: ``(group, n_groups)``, wire frames keep their sender-assigned seq and
-    #: interner ids, and groups can be adopted/retired at runtime.
-    n_groups: Optional[int] = None
-    #: global partitions hosted from the start (node mode; may be empty --
-    #: a coordinator assigns groups via ``adopt_group``)
-    groups: Tuple[int, ...] = ()
+    #: the groups hosted from the start; None hosts every one of them (a
+    #: plain ``repro-serve``), ``()`` none (a cluster node, handed groups
+    #: through :meth:`ShardedEngine.adopt_group`)
+    groups: Optional[Tuple[int, ...]] = None
     #: static admission filter (:class:`repro.analysis.admission.AdmissionFilter`)
     #: consulted at the ingestion edge: data accesses it proves race-free are
     #: dropped before they reach a shard or the kernel.  Sync events always
     #: pass.  ``None`` admits everything.
     admit: Optional[object] = None
-
-    @property
-    def node_mode(self) -> bool:
-        return self.n_groups is not None
 
     def detector_kwargs(self) -> dict:
         kwargs = {"commit_sync": self.commit_sync, "gc_threshold": self.gc_threshold}
@@ -255,21 +252,23 @@ class _PackedBuffer:
 class WireIngest:
     """Per-connection state for ingesting binary wire frames.
 
-    Wire frames carry *client-assigned* interner ids.  Each newly announced
+    A client's frames carry *its own* interner ids.  Each newly announced
     element is interned once into the engine's master interner and the id
     translation is remembered, so records are rewritten int-for-int -- no
-    ``Event`` objects.
+    ``Event`` objects -- and the engine assigns every record's ``seq``.
 
-    In cluster node mode no remapping happens at all -- the node adopts the
-    coordinator's id space verbatim -- and ``replay_group``, when set by the
-    ``!replay`` verb, targets every record of subsequent frames at exactly
-    one hosted group (the migration delta-replay path).
+    A coordinator's connection (``keep_ids``, set by ``!cluster``) shares
+    the cluster's id space instead: its deltas must land on exactly the
+    ids it assigned, and its records keep their ``seq``.  ``replay_group``,
+    when set by the ``!replay`` verb, targets every record of subsequent
+    frames at exactly one hosted group (the migration delta-replay path).
     """
 
-    __slots__ = ("remap", "replay_group")
+    __slots__ = ("remap", "keep_ids", "replay_group")
 
-    def __init__(self) -> None:
+    def __init__(self, keep_ids: bool = False) -> None:
         self.remap: List[int] = [0]  # client id 0 is TL on both sides
+        self.keep_ids = keep_ids
         self.replay_group: Optional[int] = None
 
 
@@ -290,71 +289,32 @@ class ShardedEngine:
         **kwargs,
     ) -> None:
         self.config = config or EngineConfig(**kwargs)
-        node_mode = self.config.node_mode
-        if not node_mode and self.config.n_shards < 1:
+        n = self.config.n_shards
+        if n < 1:
             raise ValueError("need at least one shard")
-        if node_mode and self.config.n_groups < 1:
-            raise ValueError("node mode needs at least one global group")
-        #: the global partition count: cluster-wide groups in node mode,
-        #: local shards otherwise (variable -> partition is crc32 % this)
-        self._partitions = (
-            self.config.n_groups if node_mode else self.config.n_shards
-        )
-        #: global partition id hosted at each local slot; all per-shard
-        #: state below is indexed by *slot*.  Normal mode: slot == shard id.
-        self._slot_groups: List[int] = (
-            list(self.config.groups) if node_mode else list(range(self.config.n_shards))
-        )
-        for g in self._slot_groups:
-            if not 0 <= g < self._partitions:
-                raise ValueError(f"group {g} out of range [0, {self._partitions})")
-        if len(set(self._slot_groups)) != len(self._slot_groups):
-            raise ValueError("duplicate hosted groups")
-        self._slot_of: Dict[int, int] = {
-            g: i for i, g in enumerate(self._slot_groups)
-        }
-        n = len(self._slot_groups)
+        groups = range(n) if self.config.groups is None else self.config.groups
+        if checkpoints is not None and len(checkpoints) != len(groups):
+            raise ValueError(
+                f"{len(checkpoints)} checkpoint blobs for {len(groups)} groups"
+            )
         self._seq = seq_start
         self._started = time.monotonic()
         self._reports: List[SeqReport] = []
-        self._pbuffers: List[_PackedBuffer] = [_PackedBuffer() for _ in range(n)]
-        self._encoder = EventEncoder(self._partitions, admit=self.config.admit)
-        self._cursors = [1] * n  # every replica interner starts with just TL
-        #: node mode: data records for groups this node does not host
-        self.foreign_dropped = 0
-        if checkpoints is not None:
-            if node_mode:
-                raise ValueError(
-                    "node mode restores per group via adopt_group(blob)"
-                )
-            if len(checkpoints) != n:
-                raise ValueError(
-                    f"{len(checkpoints)} checkpoint blobs for {n} shards"
-                )
-            self._detectors = [
-                load_shard_checkpoint(blob, g, self._partitions)
-                for blob, g in zip(checkpoints, self._slot_groups)
-            ]
-            # Re-prime the edge encoder from the longest shard replica (after
-            # the pre-checkpoint barrier they are all equal to the master),
-            # so the restored engine reuses the original id assignments, and
-            # re-sync every shard cursor from its *checkpointed* position
-            # instead of 1 -- a restored shard gets an empty delta on its
-            # first frame rather than a full interner re-send.
-            master = max((d.interner for d in self._detectors), key=len)
-            self._encoder.prime(master)
-            self._cursors = [
-                max(1, min(len(d.interner), len(master))) for d in self._detectors
-            ]
-        else:
-            self._detectors = [
-                PartitionedGoldilocks(
-                    g, self._partitions, **self.config.detector_kwargs()
-                )
-                for g in self._slot_groups
-            ]
-        self._events_processed = [0] * n
-        self._shard_stats: List[Dict[str, int]] = [{} for _ in range(n)]
+        self._encoder = EventEncoder(n, admit=self.config.admit)
+        #: the global group hosted at each local slot; all per-shard state
+        #: below is indexed by *slot* (slot == group until one is retired)
+        self._slot_groups: List[int] = []
+        self._slot_of: Dict[int, int] = {}
+        self._detectors: List[PartitionedGoldilocks] = []
+        self._pbuffers: List[_PackedBuffer] = []
+        #: per slot: the detector's interner length after its last frame
+        self._cursors: List[int] = []
+        self._events_processed: List[int] = []
+        self._shard_stats: List[Dict[str, int]] = []
+        # hosted before the tracer opens its span log: a bad blob leaks nothing
+        blobs = checkpoints if checkpoints is not None else [None] * len(groups)
+        for group, blob in zip(groups, blobs):
+            self.adopt_group(group, blob)
         # ingestion counters surfaced in ServiceStats
         self.events_ingested = 0
         self.sync_broadcast = 0
@@ -362,16 +322,14 @@ class ShardedEngine:
         #: data accesses past the admission filter / dropped by it at the edge
         self.data_admitted = 0
         self.data_filtered = 0
+        #: data records for groups hosted elsewhere (a cluster node)
+        self.foreign_dropped = 0
         self.batches_flushed = 0
         #: frame bytes shipped to shards
         self.queue_bytes = 0
-        #: frame-application faults (malformed frames a shard rejected);
-        #: drained by the service into its parse-error ring
-        self.apply_errors: List[str] = []
-        #: structured mirror of ``apply_errors``: the typed
-        #: :class:`FrameFormatError` detail (kind/record/applied) the
-        #: service surfaces through ``!health`` and ``repro-obs errors``
-        self.apply_faults: List[dict] = []
+        #: faults of frames a shard rejected, as :func:`fault_record` dicts;
+        #: drained by the service into its fault ring
+        self.apply_errors: List[dict] = []
         #: reports that arrived carrying a provenance chain
         self.provenance_attached = 0
         #: trace context adopted from the most recent traced wire frame
@@ -380,14 +338,12 @@ class ShardedEngine:
         self._trace_ctx: Optional[int] = None
         # -- observability: lifecycle tracer plus the race flight recorder.
         # The tracer degrades to no-ops when fully disabled; the recorder
-        # stores the pushed records verbatim and never writes files unless a
-        # dump directory is configured.  Node mode skips the recorder: its
-        # per-shard rings assume a fixed shard count, and hosted groups come
-        # and go with migrations.
+        # stores the pushed records verbatim, one ring per group, and
+        # never writes files unless a dump directory is configured.
         self.obs_config = self.config.obs or ObsConfig()
         self.tracer = LifecycleTracer(self.obs_config)
         self.recorder: Optional[FlightRecorder] = None
-        if self.obs_config.flightrec and not node_mode:
+        if self.obs_config.flightrec:
             self.recorder = FlightRecorder(
                 n,
                 self._encoder.interner,
@@ -404,7 +360,7 @@ class ShardedEngine:
         """Per-event allocation proxy: one per newly seen element."""
         return self._encoder.cache_misses
 
-    def submit(self, event: Event, seq: Optional[int] = None) -> int:
+    def submit(self, event: Event) -> int:
         """Route one event; returns its ingestion sequence number.
 
         Data accesses go to their owning shard's batch buffer; everything
@@ -412,7 +368,7 @@ class ShardedEngine:
         shard's buffer.  A full buffer is pushed and applied at once.
         """
         op, tid_id, index, a, b, extras = self._encoder.encode_event(event)
-        return self._ingest_record(op, tid_id, index, a, b, extras, seq)
+        return self._ingest_record(op, tid_id, index, a, b, extras, None)
 
     def submit_line(self, line: str) -> int:
         """Ingest one trace text line.
@@ -463,7 +419,7 @@ class ShardedEngine:
             self.data_admitted += 1
             slot = self._slot_of.get(self._encoder.shard_of_var(a))
             if slot is None:
-                # node mode: the owning group lives on some other node
+                # the owning group is hosted on some other node
                 self.foreign_dropped += 1
                 return seq
             targets = (slot,)
@@ -492,12 +448,19 @@ class ShardedEngine:
         numbers are discarded -- the engine assigns its own, so binary and
         text ingestion of the same stream produce identical ``seq`` tags.
 
-        Cluster node mode inverts both choices: the sender is the
-        coordinator, whose id space and sequence numbers are *the* cluster
-        truth, so ids are adopted verbatim (the node's interner is a prefix
+        A coordinator's connection (``state.keep_ids``) inverts both
+        choices: its id space and sequence numbers are *the* cluster truth,
+        so ids are adopted verbatim (this engine's interner is a prefix
         replica of the coordinator's master) and each record keeps its wire
         ``seq`` -- race lines come out tagged exactly as a single-node run
         would tag them.
+
+        Every record is checked before it is buffered: ids must be
+        announced, its thread id must name a thread, read/write/footprint
+        ids must name data variables (or be :data:`FILTERED_VAR`), and a
+        commit's footprint must lie inside the extras array.  A bad record
+        raises :class:`FrameFormatError` with the records before it
+        ingested (``applied``) and none after it.
         """
         # A trace envelope (frame version 2) is peeled off before any
         # decoding: downstream consumers -- decoders, shards, the flight
@@ -506,93 +469,22 @@ class ShardedEngine:
         trace_id, payload = split_trace(payload)
         if trace_id is not None:
             self._trace_ctx = trace_id
-        if self.config.node_mode:
-            return self._ingest_node_frame(payload, state)
         base, delta, records, extras = decode_frame(payload)
-        remap = state.remap
-        if len(remap) < base:
-            raise ValueError(
-                f"frame assumes {base} announced elements, connection has {len(remap)}"
-            )
-        for i, element in enumerate(delta):
-            if base + i < len(remap):
-                continue
-            remap.append(self._encoder.intern_element(element))
-        def wire_id(cid: int, record: int, applied: int) -> int:
-            """Remap one client id; typed error on ids never announced."""
-            if not 0 <= cid < len(remap):
-                raise FrameFormatError(
-                    f"wire frame references unannounced client id {cid} "
-                    f"at record {record}",
-                    record=record,
-                    applied=applied,
-                )
-            return remap[cid]
-
-        count = 0
-        for i in range(0, len(records), RECORD_WIDTH):
-            record = i // RECORD_WIDTH
-            op, _seq, tid_id, index, a, b = records[i : i + RECORD_WIDTH]
-            tid_id = wire_id(tid_id, record, count)
-            local_extras: Optional[List[int]] = None
-            if op <= OP_JOIN:
-                a = wire_id(a, record, count)
-                b = wire_id(b, record, count)
-            elif op == OP_COMMIT:
-                n_vars = extras[a]
-                local_extras = [n_vars]
-                for j in range(a + 1, a + 1 + 2 * n_vars, 2):
-                    cid = extras[j]
-                    # A filtered footprint entry travels as FILTERED_VAR;
-                    # remapping it would silently alias the *last* announced
-                    # element (remap[-1]) -- preserve the sentinel instead.
-                    local_extras.append(
-                        cid if cid < 0 else wire_id(cid, record, count)
-                    )
-                    local_extras.append(extras[j + 1])
-                a = b = 0
-            elif op in (OP_READ, OP_WRITE, OP_ALLOC):
-                # Same sentinel rule: an already-filtered access stays
-                # filtered; only real ids go through the remap.
-                if a >= 0:
-                    a = wire_id(a, record, count)
-                    if op != OP_ALLOC and not self._encoder.admit_var_id(a):
-                        a = FILTERED_VAR
-            else:
-                raise FrameFormatError(
-                    f"unknown opcode {op} in wire frame at record {record}",
-                    kind=op,
-                    record=record,
-                    applied=count,
-                )
-            self._ingest_record(op, tid_id, index, a, b, local_extras, None)
-            count += 1
-        return count
-
-    def _ingest_node_frame(self, payload: bytes, state: WireIngest) -> int:
-        """Node-mode frame ingestion: coordinator ids and seq pass through.
-
-        The delta is interned through the encoder's caches (not appended
-        raw) so the variable-to-group route stays a dict hit; because the
-        delta arrives in id order and this replica is a prefix of the
-        sender's master, the assigned ids must line up exactly -- a mismatch
-        means the connection does not share our id space and is an error,
-        not something to remap around.
-        """
-        base, delta, records, extras = decode_frame(payload)
-        interner = self._encoder.interner
-        if len(interner) < base:
-            raise ValueError(
-                f"frame assumes {base} interned elements, node has {len(interner)}"
-            )
-        for i, element in enumerate(delta):
-            if base + i < len(interner):
-                continue
-            got = self._encoder.intern_element(element)
-            if got != base + i:
+        encoder = self._encoder
+        remap: Optional[List[int]] = None
+        if state.keep_ids:
+            encoder.extend(base, delta)
+            n_ids = len(encoder.interner)
+        else:
+            remap = state.remap
+            if len(remap) < base:
                 raise ValueError(
-                    f"node interner diverged: element {base + i} interned as {got}"
+                    f"frame assumes {base} announced elements, "
+                    f"connection has {len(remap)}"
                 )
+            for element in delta[len(remap) - base :]:
+                remap.append(encoder.intern_element(element))
+            n_ids = len(remap)
         only_slot: Optional[int] = None
         if state.replay_group is not None:
             only_slot = self._slot_of.get(state.replay_group)
@@ -600,31 +492,88 @@ class ShardedEngine:
                 raise ValueError(
                     f"replay target group {state.replay_group} is not hosted here"
                 )
+        # An id's class is a table lookup: an engine id names a thread iff it
+        # is in ``thread_ids``, a data variable iff it is in ``var_shard``.
+        # A remapped id that was never announced becomes -1, in neither.
+        thread_ids = encoder.thread_ids
+        var_shard = encoder.var_shard
         count = 0
+
+        def refuse(problem: str, op: int, i: int) -> FrameFormatError:
+            record = i // RECORD_WIDTH
+            return FrameFormatError(
+                f"{problem} in wire frame at record {record}",
+                kind=op,
+                record=record,
+                applied=count,
+            )
+
+        def bad_id(cid: int, belongs: str, op: int, i: int) -> FrameFormatError:
+            """The error for a wire id that is unannounced or of another class."""
+            if not 0 <= cid < n_ids:
+                return refuse(f"unannounced client id {cid}", op, i)
+            element = encoder.interner.resolve(cid if remap is None else remap[cid])
+            return refuse(f"{element!r} where a {belongs} belongs", op, i)
+
+        def wire_id(cid: int, op: int, i: int) -> int:
+            """One wire id of any class as an engine id."""
+            if not 0 <= cid < n_ids:
+                raise refuse(f"unannounced client id {cid}", op, i)
+            return cid if remap is None else remap[cid]
+
         for i in range(0, len(records), RECORD_WIDTH):
             op, seq, tid_id, index, a, b = records[i : i + RECORD_WIDTH]
+            if remap is not None:
+                seq = None  # the engine assigns it
+                tid_id = remap[tid_id] if 0 <= tid_id < n_ids else -1
+            if tid_id not in thread_ids:
+                raise bad_id(records[i + 2], "Tid", op, i)
             local_extras: Optional[List[int]] = None
-            if op == OP_COMMIT:
-                n_vars = extras[a]
-                local_extras = list(extras[a : a + 1 + 2 * n_vars])
+            if op == OP_READ or op == OP_WRITE:
+                # An already-filtered access stays filtered; only real ids
+                # go through the remap.
+                if a != FILTERED_VAR:
+                    if remap is not None:
+                        a = remap[a] if 0 <= a < n_ids else -1
+                    if a not in var_shard:
+                        raise bad_id(records[i + 4], "DataVar", op, i)
+                    if not encoder.admit_var_id(a):
+                        a = FILTERED_VAR
+            elif OP_ACQUIRE <= op <= OP_JOIN:
+                a = wire_id(a, op, i)
+                b = wire_id(b, op, i)
+            elif op == OP_COMMIT:
+                n_vars = extras[a] if 0 <= a < len(extras) else -1
+                end = a + 1 + 2 * n_vars
+                if n_vars < 0 or end > len(extras):
+                    raise refuse(
+                        f"commit footprint at extras offset {a} outside the "
+                        f"{len(extras)}-int extras array",
+                        op,
+                        i,
+                    )
+                local_extras = [n_vars]
+                for j in range(a + 1, end, 2):
+                    cid = extras[j]
+                    # A filtered footprint entry travels as FILTERED_VAR;
+                    # remapping it would silently alias the *last* announced
+                    # element (remap[-1]) -- preserve the sentinel instead.
+                    if cid != FILTERED_VAR:
+                        if remap is not None:
+                            cid = remap[cid] if 0 <= cid < n_ids else -1
+                        if cid not in var_shard:
+                            raise bad_id(extras[j], "DataVar", op, i)
+                    local_extras.append(cid)
+                    local_extras.append(extras[j + 1])
                 a = b = 0
-            elif (
-                (op == OP_READ or op == OP_WRITE)
-                and a >= 0
-                and not self._encoder.admit_var_id(a)
-            ):
-                # defense in depth: a coordinator with the same filter
-                # already dropped these, so this normally never fires
-                a = FILTERED_VAR
-            self._ingest_record(
-                op, tid_id, index, a, b, local_extras, seq, only_slot=only_slot
-            )
+            elif op == OP_ALLOC:
+                if a >= 0:
+                    a = wire_id(a, op, i)
+            else:
+                raise refuse(f"unknown opcode {op}", op, i)
+            self._ingest_record(op, tid_id, index, a, b, local_extras, seq, only_slot)
             count += 1
         return count
-
-    def wire_state(self) -> WireIngest:
-        """Fresh per-connection state for :meth:`submit_wire_frame`."""
-        return WireIngest()
 
     def flush(self) -> None:
         """Push every non-empty batch buffer to its shard."""
@@ -673,7 +622,9 @@ class ShardedEngine:
         if self.recorder is not None:
             # The buffer's arrays would be garbage after this point;
             # the flight recorder adopts them instead (no copy).
-            self.recorder.record(shard, buffer.records, buffer.extras)
+            self.recorder.record(
+                self._slot_groups[shard], buffer.records, buffer.extras
+            )
         route_sec = tracer.clock() - t_route
         tracer.observe_elapsed("route", route_sec)
         span = self._make_span(self.batches_flushed, n_events, route_sec)
@@ -685,17 +636,12 @@ class ShardedEngine:
             applied = exc.applied or 0
             group = self._slot_groups[shard]
             self.apply_errors.append(
-                f"<frame rejected by shard {group}: "
-                f"{exc} ({applied}/{n_events} records applied)>"
-            )
-            self.apply_faults.append(
-                {
-                    "message": str(exc),
-                    "kind": exc.kind,
-                    "record": exc.record,
-                    "applied": applied,
-                    "shard": group,
-                }
+                fault_record(
+                    f"<frame rejected by shard {group}: "
+                    f"{exc} ({applied}/{n_events} records applied)>",
+                    exc,
+                    shard=group,
+                )
             )
             reports, n = [], applied
         apply_sec = tracer.clock() - sent_at
@@ -726,7 +672,7 @@ class ShardedEngine:
             span["apply"] = apply_sec
             tracer.emit_span(
                 span.pop("batch"),
-                shard,
+                self._slot_groups[shard],
                 span.pop("events"),
                 span,
                 trace_id=trace_id,
@@ -734,7 +680,7 @@ class ShardedEngine:
             )
 
     def _dump_on_race(self, shard: int, reports: List[SeqReport]) -> None:
-        """Snapshot the shard's flight ring the moment it reports races."""
+        """Snapshot the group's flight ring the moment it reports races."""
         recorder = self.recorder
         if recorder is None or recorder.directory is None:
             return
@@ -743,7 +689,7 @@ class ShardedEngine:
         if not any(p is not None for p in provenance):
             provenance = None
         recorder.dump(
-            shard,
+            self._slot_groups[shard],
             lines,
             "race",
             stats=self._shard_stats[shard],
@@ -777,7 +723,7 @@ class ShardedEngine:
         # and its per-shard delta cursors must restart with them (sequence
         # numbers keep counting -- the execution restarts, the stream not).
         n = len(self._slot_groups)
-        self._encoder = EventEncoder(self._partitions, admit=self.config.admit)
+        self._encoder = EventEncoder(self.config.n_shards, admit=self.config.admit)
         self._cursors = [1] * n
         self._pbuffers = [_PackedBuffer() for _ in range(n)]
         self._shard_stats = [{} for _ in range(n)]
@@ -800,7 +746,7 @@ class ShardedEngine:
         self.barrier()
         return [detector.checkpoint() for detector in self._detectors]
 
-    # -- cluster node mode: dynamic shard-group hosting -------------------------
+    # -- group hosting: what a cluster adds and moves ------------------------
 
     def hosted_groups(self) -> List[int]:
         """The global partition ids this engine currently detects for."""
@@ -808,34 +754,6 @@ class ShardedEngine:
 
     def interner_version(self) -> int:
         """This engine's replica version (master interner length)."""
-        return len(self._encoder.interner)
-
-    def interner_snapshot(self, since: int = 1) -> bytes:
-        """A versioned snapshot of the master interner from ``since``."""
-        return encode_interner_snapshot(self._encoder.interner, since)
-
-    def adopt_interner_snapshot(self, blob: bytes) -> int:
-        """Fast-forward the edge interner from a snapshot; returns version.
-
-        Elements go through :meth:`EventEncoder.intern_element` (not raw
-        interning) so the variable-to-group route cache stays coherent, and
-        ids are verified against the snapshot's -- a divergent id space is
-        an error, exactly as in :meth:`_ingest_node_frame`.
-        """
-        since, _total, elements = decode_interner_snapshot(blob)
-        have = len(self._encoder.interner)
-        if have < since:
-            raise ValueError(
-                f"snapshot starts at version {since}, node is at {have}"
-            )
-        for i, element in enumerate(elements):
-            if since + i < have:
-                continue
-            got = self._encoder.intern_element(element)
-            if got != since + i:
-                raise ValueError(
-                    f"node interner diverged: element {since + i} interned as {got}"
-                )
         return len(self._encoder.interner)
 
     def export_group(self, group: int) -> bytes:
@@ -849,33 +767,33 @@ class ShardedEngine:
     def adopt_group(self, group: int, blob: Optional[bytes] = None) -> None:
         """Start hosting a global partition, fresh or from a checkpoint.
 
-        The restored detector's interner and this node's master are both
-        prefixes of the coordinator's, so the new slot's delta cursor is
-        simply the shorter of the two -- the first frame fills whichever
-        side is behind, and :func:`extend_interner`'s overlap skip absorbs
-        whichever side is ahead.
+        A restored detector's interner and the edge encoder's are both
+        prefixes of one id space (the coordinator's master, or the engine
+        the checkpoint came from), so the encoder is extended to the longer
+        of the two -- a restored engine keeps the original id assignments
+        -- and the new slot's delta cursor starts at the detector's length:
+        its first frame carries only what the detector has not seen.
         """
-        if not self.config.node_mode:
-            raise ValueError("adopt_group requires cluster node mode")
-        if not 0 <= group < self._partitions:
-            raise ValueError(f"group {group} out of range [0, {self._partitions})")
+        n = self.config.n_shards
+        if not 0 <= group < n:
+            raise ValueError(f"group {group} out of range [0, {n})")
         if group in self._slot_of:
             raise ValueError(f"group {group} is already hosted")
         if blob is None:
             detector = PartitionedGoldilocks(
-                group, self._partitions, **self.config.detector_kwargs()
+                group, n, **self.config.detector_kwargs()
             )
-            cursor = 1
         else:
-            detector = load_shard_checkpoint(blob, group, self._partitions)
-            cursor = max(
-                1, min(len(detector.interner), len(self._encoder.interner))
-            )
+            detector = load_shard_checkpoint(blob, group, n)
+            # restored elements are not new edge allocations
+            misses = self._encoder.cache_misses
+            self._encoder.extend(1, detector.interner.elements_since(1))
+            self._encoder.cache_misses = misses
         self._slot_of[group] = len(self._slot_groups)
         self._slot_groups.append(group)
         self._detectors.append(detector)
         self._pbuffers.append(_PackedBuffer())
-        self._cursors.append(cursor)
+        self._cursors.append(len(detector.interner))
         self._events_processed.append(0)
         self._shard_stats.append({})
 
@@ -887,8 +805,6 @@ class ShardedEngine:
         of the group would double-report every footprint race during the
         hand-off window.
         """
-        if not self.config.node_mode:
-            raise ValueError("retire_group requires cluster node mode")
         slot = self._slot_of.get(group)
         if slot is None:
             raise ValueError(f"group {group} is not hosted here")
@@ -903,6 +819,8 @@ class ShardedEngine:
         ):
             del per_slot[slot]
         self._slot_of = {g: i for i, g in enumerate(self._slot_groups)}
+        if self.recorder is not None:
+            self.recorder.drop_group(group)
 
     def stats(self) -> ServiceStats:
         """A snapshot of the ingestion counters and every shard's detector."""

@@ -17,7 +17,7 @@ Client -> server, one line each:
       !metrics     the Prometheus text exposition: an ``ok metrics
                    lines=<n>`` line followed by exactly n exposition lines
       !health      one ``health <json>`` line: status, uptime, rates,
-                   parse-error ring, per-shard queue depths
+                   the fault ring, hosted groups
       !reset       restart detection from an empty execution
       !binary      switch this connection's client->server direction to
                    length-prefixed binary frames (see below)
@@ -26,14 +26,14 @@ Client -> server, one line each:
   and the cluster verbs a coordinator uses to drive a node
   (``docs/CLUSTER.md``)::
 
-      !cluster <n_groups>      draft this service into cluster node mode
+      !cluster <n_groups>      re-partition into n_groups groups, none
+                               hosted; this connection's frames keep their
+                               interner ids and seq from then on
       !adopt <g> [b64]         host group g, fresh or from a checkpoint blob
       !retire <g>              stop hosting group g (drains it first)
       !checkpoint <g>          export group g; reply ``checkpoint <g> <b64>``
       !replay <g> | done       target subsequent frames at exactly group g
                                (migration delta replay), or end targeting
-      !interner [b64]          report the node's interner version; with a
-                               snapshot argument, fast-forward first
 
 Server -> client, one line each:
 
@@ -112,7 +112,6 @@ CONTROL_COMMANDS = (
     "retire",
     "checkpoint",
     "replay",
-    "interner",
 )
 
 # -- binary framing (client -> server after `!binary` negotiation) -------------

@@ -30,13 +30,13 @@ import socketserver
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, BinaryIO, Deque, Dict, Iterable, List, Optional, TextIO, Tuple
 
 from ..core.actions import Event
 from ..obs.bridge import registry_from_stats
 from ..obs.slo import SloVerdict, SloWatchdog, apply_buckets_from_tracer
-from ..obs.tracing import ObsConfig
+from ..obs.tracing import ObsConfig, fault_record
 from ..trace.io import follow_trace
 from .engine import EngineConfig, SeqReport, ShardedEngine, WireIngest
 from .protocol import (
@@ -104,14 +104,11 @@ class RaceDetectionService:
         self._lock = threading.Lock()
         self._started = time.monotonic()
         self._parse_errors = 0
-        #: the last few offending input lines behind the parse_errors
-        #: counter -- surfaced by ``!health`` so a misbehaving producer can
-        #: be diagnosed without replaying its stream
-        self._bad_lines: Deque[str] = deque(maxlen=8)
-        #: structured companions to ``_bad_lines``: the typed
-        #: FrameFormatError detail (kind/record/applied) when one exists,
-        #: surfaced by ``!health`` and the ``repro-obs errors`` subcommand
-        self._bad_detail: Deque[Dict[str, Any]] = deque(maxlen=8)
+        #: the last few faults behind the parse_errors counter, as
+        #: :func:`~repro.obs.tracing.fault_record` dicts -- surfaced by
+        #: ``!health`` and ``repro-obs errors`` so a misbehaving producer
+        #: can be diagnosed without replaying its stream
+        self._faults: Deque[Dict[str, Any]] = deque(maxlen=8)
         #: SLO watchdog: flips ``!health`` to "degraded" and exports
         #: ``repro_slo_*`` gauges on every metrics render
         self.slo = SloWatchdog()
@@ -151,25 +148,15 @@ class RaceDetectionService:
     def _note_bad_input(
         self, line: str, error: Optional[BaseException] = None
     ) -> None:
-        """Count one unparseable input and remember it in the health rings.
-
-        When the failure was a typed :class:`~repro.core.encode
-        .FrameFormatError` its kind/record/applied coordinates land in the
-        structured detail ring; plain parse failures record just the line
-        and the exception message.
-        """
-        detail: Dict[str, Any] = {
-            "line": line[:512],
-            "message": str(error) if error is not None else None,
-            "kind": getattr(error, "kind", None),
-            "record": getattr(error, "record", None),
-            "applied": getattr(error, "applied", None),
-        }
+        """Count one input the edge refused and remember it as a fault."""
         with self._lock:
-            self._parse_errors += 1
-            self._bad_lines.append(line)
-            self._bad_detail.append(detail)
-        self.tracer.log_parse_error(line)
+            self._note_fault(fault_record(line, error))
+
+    def _note_fault(self, fault: Dict[str, Any]) -> None:
+        """Count, ring-buffer and log one fault; caller holds the lock."""
+        self._parse_errors += 1
+        self._faults.append(fault)
+        self.tracer.log_parse_error(fault)
 
     def poll_reports(self) -> List[SeqReport]:
         with self._lock:
@@ -185,25 +172,11 @@ class RaceDetectionService:
             return reports
 
     def _drain_apply_errors(self) -> None:
-        """Move shard frame-rejection notes into the parse-error ring.
-
-        A malformed frame that survives parsing but faults inside a shard
-        (junk opcode, unannounced id) is recorded as an error rather than
-        killing the shard; surfacing it through the same ring as parse
-        errors keeps ``!health`` the one place to look.  Caller must
-        hold the lock.
-        """
-        errors = self.engine.apply_errors
-        if errors:
-            self.engine.apply_errors = []
-            self._parse_errors += len(errors)
-            self._bad_lines.extend(errors)
-            for note in errors:
-                self.tracer.log_parse_error(note)
-        faults = self.engine.apply_faults
-        if faults:
-            self.engine.apply_faults = []
-            self._bad_detail.extend(faults)
+        """Move the faults of frames a shard rejected (an alloc naming a
+        thread, a stale id) into the one fault ring; caller holds the lock."""
+        for fault in self.engine.apply_errors:
+            self._note_fault(fault)
+        self.engine.apply_errors.clear()
 
     def stats(self) -> ServiceStats:
         with self._lock:
@@ -219,9 +192,6 @@ class RaceDetectionService:
         """Evaluate the SLO objectives against one stats snapshot."""
         return self.slo.evaluate(
             apply_buckets=apply_buckets_from_tracer(self.tracer),
-            queue_depth=max(
-                (shard.queue_depth for shard in snapshot.shards), default=0
-            ),
             parse_errors=snapshot.parse_errors,
             uptime_sec=snapshot.uptime_sec,
         )
@@ -238,16 +208,13 @@ class RaceDetectionService:
         snapshot = self.stats()
         verdict = self._slo_verdict(snapshot)
         with self._lock:
-            bad_lines = list(self._bad_lines)
-            bad_detail = list(self._bad_detail)
-            cluster = None
-            if self.engine.config.node_mode:
-                cluster = {
-                    "n_groups": self.engine.config.n_groups,
-                    "hosted_groups": self.engine.hosted_groups(),
-                    "interner_version": self.engine.interner_version(),
-                    "foreign_dropped": self.engine.foreign_dropped,
-                }
+            faults = list(self._faults)
+            cluster = {
+                "n_groups": self.engine.config.n_shards,
+                "hosted_groups": self.engine.hosted_groups(),
+                "interner_version": self.engine.interner_version(),
+                "foreign_dropped": self.engine.foreign_dropped,
+            }
         admit = self.engine.config.admit
         payload = {
             "status": "degraded" if verdict.degraded else "ok",
@@ -256,18 +223,16 @@ class RaceDetectionService:
             "events_per_sec": snapshot.events_per_sec,
             "races_reported": snapshot.races_reported,
             "parse_errors": snapshot.parse_errors,
-            "last_parse_errors": bad_lines,
-            "parse_error_detail": bad_detail,
+            "last_parse_errors": [fault["line"] for fault in faults],
+            "parse_error_detail": faults,
             "n_shards": snapshot.n_shards,
-            "queue_depths": [shard.queue_depth for shard in snapshot.shards],
             "spans_sampled": snapshot.spans_sampled,
             "flightrec_dumps": snapshot.flightrec_dumps,
             "provenance_attached": snapshot.provenance_attached,
             "slo": verdict.as_dict(),
             "stats": snapshot.as_dict(),
+            "cluster": cluster,
         }
-        if cluster is not None:
-            payload["cluster"] = cluster
         if admit is not None:
             payload["admit"] = {
                 "policy": snapshot.admit,
@@ -329,6 +294,7 @@ class RaceDetectionService:
         """
         races = 0
         events = 0
+        state = WireIngest()
         for raw in reader:
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -343,14 +309,14 @@ class RaceDetectionService:
                     writer.write("ok binary\n")
                     writer.flush()
                     frame_events, frame_races, stop = self._binary_loop(
-                        binary, writer
+                        binary, writer, state
                     )
                     events += frame_events
                     races += frame_races
                     if stop:
                         return races
                     break  # binary EOF ends the connection: drain below
-                stop, delta = self._control(command, args, writer, races)
+                stop, delta = self._control(command, args, writer, races, state)
                 races += delta
                 writer.flush()
                 if stop:
@@ -375,16 +341,15 @@ class RaceDetectionService:
         args: str,
         writer: TextIO,
         races: int,
-        state: Optional[WireIngest] = None,
+        state: WireIngest,
     ) -> Tuple[bool, int]:
         """Run one control command; returns ``(stop stream?, races written)``.
 
-        ``state`` is the connection's binary ingest state when the command
-        arrived as a ``FRAME_CONTROL`` frame -- the ``!replay`` verb scopes
-        its targeting to exactly that connection.
+        ``state`` is the connection's wire ingest state: ``!cluster`` marks
+        it as the coordinator's, and ``!replay`` scopes its targeting to
+        exactly that connection.
         """
-        if command in ("cluster", "adopt", "retire", "checkpoint", "replay",
-                       "interner"):
+        if command in ("cluster", "adopt", "retire", "checkpoint", "replay"):
             try:
                 self._cluster_control(command, args, writer, state)
             except Exception as exc:
@@ -479,35 +444,25 @@ class RaceDetectionService:
             + "\n"
         )
 
-    # -- cluster node verbs (coordinator -> node; docs/CLUSTER.md) --------------
+    # -- cluster verbs (coordinator -> node; docs/CLUSTER.md) -------------------
 
     def _cluster_control(
         self,
         command: str,
         args: str,
         writer: TextIO,
-        state: Optional[WireIngest],
+        state: WireIngest,
     ) -> None:
-        """The ``!cluster``/``!adopt``/``!retire``/``!checkpoint``/``!replay``/
-        ``!interner`` verbs.  Raises on bad input; the caller turns that into
-        one ``error`` line."""
+        """The ``!cluster``/``!adopt``/``!retire``/``!checkpoint``/``!replay``
+        verbs.  Raises on bad input; the caller turns that into one
+        ``error`` line."""
         if command == "cluster":
             n_groups = int(args)
-            self._enter_node_mode(n_groups)
+            self._repartition(n_groups)
+            state.keep_ids = True
             writer.write(summary_line("cluster", n_groups=n_groups) + "\n")
             return
-        if command == "interner":
-            with self._lock:
-                if args:
-                    self.engine.adopt_interner_snapshot(
-                        base64.b64decode(args.encode("ascii"))
-                    )
-                version = self.engine.interner_version()
-            writer.write(summary_line("interner", version=version) + "\n")
-            return
         if command == "replay":
-            if state is None:
-                raise ValueError("replay targeting needs a binary connection")
             if args == "done":
                 state.replay_group = None
                 writer.write("ok replay done\n")
@@ -543,30 +498,32 @@ class RaceDetectionService:
             return
         raise ValueError(f"unhandled cluster verb {command!r}")
 
-    def _enter_node_mode(self, n_groups: int) -> None:
-        """Swap the engine for a cluster-node one (no groups hosted yet).
+    def _repartition(self, n_groups: int) -> None:
+        """Swap the engine for one of ``n_groups`` partitions, none hosted.
 
         The coordinator drafts a plain ``repro-serve`` instance with
         ``!cluster <n_groups>`` before switching to binary frames; hosted
         groups then arrive through ``!adopt``.  Any detection state of the
-        old engine is discarded -- nodes are drafted fresh.
+        old engine is discarded -- nodes are drafted fresh -- but its
+        settings carry over, a runtime-installed admission filter included,
+        and so does the recorder's dump count: a later session on the node
+        never overwrites an earlier one's dumps or resets the dump budget.
         """
-        config = self.config.engine_config()
-        config.n_groups = n_groups
-        config.groups = ()
-        # carry a runtime-installed admission filter over to the node engine
-        config.admit = self.engine.config.admit
         with self._lock:
             old = self.engine
-            self.engine = ShardedEngine(config)
+            self.engine = ShardedEngine(
+                replace(old.config, n_shards=n_groups, groups=())
+            )
+            if old.recorder is not None:
+                self.engine.recorder.dumps_written = old.recorder.dumps_written
+                self.engine.recorder.dumps_suppressed = old.recorder.dumps_suppressed
             old.close()
             self.tracer = self.engine.tracer
 
     def _binary_loop(
-        self, binary: BinaryIO, writer: TextIO
+        self, binary: BinaryIO, writer: TextIO, state: WireIngest
     ) -> Tuple[int, int, bool]:
         """Consume binary frames until EOF; returns (events, races, stop?)."""
-        state = self.engine.wire_state()
         events = 0
         races = 0
         while True:
@@ -585,7 +542,11 @@ class RaceDetectionService:
                     with self._lock:
                         count = self.engine.submit_wire_frame(payload, state)
                 except Exception as exc:
-                    self._note_bad_input(f"<binary frame of {len(payload)}B: {exc}>")
+                    # the records ahead of a bad one were ingested
+                    events += getattr(exc, "applied", None) or 0
+                    self._note_bad_input(
+                        f"<binary frame of {len(payload)}B: {exc}>", error=exc
+                    )
                     writer.write(f"error bad event frame: {exc}\n")
                     writer.flush()
                     continue

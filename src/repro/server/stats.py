@@ -38,9 +38,6 @@ class ShardStats:
     """One detection shard's view at snapshot time."""
 
     shard: int
-    #: batches pushed but not yet applied (0: a shard applies each batch
-    #: the moment it is pushed)
-    queue_depth: int = 0
     #: events the shard has finished processing
     events_processed: int = 0
     #: races this shard has reported
@@ -57,7 +54,6 @@ class ShardStats:
     def as_dict(self) -> Dict[str, Any]:
         return {
             "shard": self.shard,
-            "queue_depth": self.queue_depth,
             "events_processed": self.events_processed,
             "races": self.races,
             "short_circuit_rate": self.short_circuit_rate,

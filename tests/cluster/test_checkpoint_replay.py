@@ -82,11 +82,14 @@ def test_engine_restore_validates_blob_count():
         blobs = engine.checkpoint()
     with pytest.raises(ValueError):
         ShardedEngine(EngineConfig(n_shards=2), checkpoints=blobs)
-    with pytest.raises(ValueError):
-        ShardedEngine(
-            EngineConfig(n_groups=4, groups=(0,)),
-            checkpoints=blobs[:1],
-        )
+    with pytest.raises(ValueError, match="3 checkpoint blobs for 4 groups"):
+        ShardedEngine(config, checkpoints=blobs[:3])
+    # One blob per hosted group: a subset of the groups restores through
+    # the same per-group path as !adopt.
+    with ShardedEngine(
+        EngineConfig(n_shards=4, groups=(0,)), checkpoints=blobs[:1]
+    ) as subset:
+        assert subset.hosted_groups() == [0]
 
 
 def test_engine_restore_rejects_blobs_in_the_wrong_slots():

@@ -1,11 +1,11 @@
-"""Cluster node mode of :class:`ShardedEngine`, exercised without sockets.
+"""A cluster node is a :class:`ShardedEngine` hosting some of the groups.
 
-A node-mode engine hosts a subset of the *global* partitions and ingests
-coordinator frames verbatim (sender seq, sender interner ids).  These
-tests drive two node engines from one master encoder -- exactly what the
-coordinator does over TCP -- and check the union of their verdicts against
-a plain single-node run, plus the adopt/retire/export lifecycle and the
-id-space safety rails.
+A node hosts a subset of the *global* partitions and ingests coordinator
+frames verbatim (sender seq, sender interner ids) through a ``keep_ids``
+wire state.  These tests drive two node engines from one master encoder
+-- exactly what the coordinator does over TCP -- and check the union of
+their verdicts against a plain single-node run, plus the
+adopt/retire/export lifecycle and the id-space safety rails.
 """
 
 from array import array
@@ -13,7 +13,7 @@ from array import array
 import pytest
 
 from repro.core.encode import EventEncoder, encode_frame
-from repro.server.engine import EngineConfig, ShardedEngine
+from repro.server.engine import EngineConfig, ShardedEngine, WireIngest
 from repro.server.protocol import format_race
 from repro.trace import RandomTraceGenerator
 
@@ -55,8 +55,12 @@ class FrameShipper:
 
 def node_engine(groups, **kwargs):
     return ShardedEngine(
-        EngineConfig(n_groups=N_GROUPS, groups=tuple(groups), **kwargs)
+        EngineConfig(n_shards=N_GROUPS, groups=tuple(groups), **kwargs)
     )
+
+
+def coordinator_state():
+    return WireIngest(keep_ids=True)
 
 
 def reference_lines(events):
@@ -80,7 +84,7 @@ def test_union_of_node_engines_matches_single_node():
     shipper = FrameShipper()
     a, b = node_engine([0, 1]), node_engine([2, 3])
     with a, b:
-        targets = [(a, a.wire_state()), (b, b.wire_state())]
+        targets = [(a, coordinator_state()), (b, coordinator_state())]
         shipper.ship(events, targets)
         lines = sorted(drain_lines(a) + drain_lines(b))
         assert lines == expected
@@ -101,7 +105,7 @@ def test_export_retire_adopt_moves_a_group_between_engines():
     shipper = FrameShipper()
     a, b = node_engine([0, 1, 2]), node_engine([3])
     with a, b:
-        targets = [(a, a.wire_state()), (b, b.wire_state())]
+        targets = [(a, coordinator_state()), (b, coordinator_state())]
         shipper.ship(events[:mid], targets)
         lines = drain_lines(a) + drain_lines(b)
 
@@ -136,53 +140,60 @@ def test_group_lifecycle_errors():
             engine.retire_group(3)  # not hosted
         with pytest.raises(ValueError):
             engine.export_group(3)  # not hosted
+    # A local engine is a node hosting every group: the same lifecycle.
     plain = ShardedEngine(EngineConfig(n_shards=2))
     with plain:
-        with pytest.raises(ValueError):
-            plain.adopt_group(0)  # not a cluster node
-        with pytest.raises(ValueError):
-            plain.retire_group(0)
+        with pytest.raises(ValueError, match="already hosted"):
+            plain.adopt_group(0)
+        plain.retire_group(0)
+        assert plain.hosted_groups() == [1]
 
 
-def test_node_mode_config_validation():
+def test_hosted_groups_config_validation():
     with pytest.raises(ValueError):
-        ShardedEngine(EngineConfig(n_groups=0))
-    with pytest.raises(ValueError):
-        ShardedEngine(EngineConfig(n_groups=4, groups=(0, 0)))
-    with pytest.raises(ValueError):
-        ShardedEngine(EngineConfig(n_groups=4, groups=(7,)))
+        ShardedEngine(EngineConfig(n_shards=0))
+    with pytest.raises(ValueError, match="already hosted"):
+        ShardedEngine(EngineConfig(n_shards=4, groups=(0, 0)))
+    with pytest.raises(ValueError, match="out of range"):
+        ShardedEngine(EngineConfig(n_shards=4, groups=(7,)))
+    with ShardedEngine(EngineConfig(n_shards=4)) as every:
+        assert every.hosted_groups() == [0, 1, 2, 3]
 
 
-def test_interner_snapshot_roundtrip_and_divergence():
+def test_coordinator_frame_with_a_diverged_delta_ingests_nothing():
+    """A delta the node would intern under other ids is refused whole:
+    ``node interner diverged``, and not one record of the frame lands."""
     events = TRACE.generate(seed=11)
     shipper = FrameShipper()
-    a = node_engine([0, 1])
-    with a:
-        shipper.ship(events[:100], [(a, a.wire_state())])
-        version = a.interner_version()
-        assert version > 1
-        blob = a.interner_snapshot()
-
-        fresh = node_engine([])
-        with fresh:
-            assert fresh.adopt_interner_snapshot(blob) == version
-            assert fresh.interner_version() == version
-            # Re-adopting the same snapshot is an idempotent no-op.
-            assert fresh.adopt_interner_snapshot(blob) == version
-
-        # A replica whose id space disagrees must refuse the snapshot.
-        diverged = node_engine([])
-        with diverged:
-            other = FrameShipper()
-            other.ship(events[100:200], [(diverged, diverged.wire_state())])
-            with pytest.raises(ValueError, match="diverged|starts at"):
-                diverged.adopt_interner_snapshot(blob)
+    engine = node_engine(range(N_GROUPS))
+    with engine:
+        state = coordinator_state()
+        shipper.ship(events[:50], [(engine, state)])
+        ingested = engine.events_ingested
+        # Records over ids the node already holds, behind a delta from a
+        # sender that believes a known thread is new: it announces the
+        # thread again at the next id, and the node holds it at a lower one.
+        records = array("q")
+        extras = array("q")
+        for seq, event in enumerate(events[:10], start=shipper.seq):
+            op, tid_id, index, a, b, ex = shipper.encoder.encode_event(event)
+            if ex is not None:
+                a = len(extras)
+                extras.extend(ex)
+            records.extend((op, seq, tid_id, index, a, b))
+        base = len(shipper.encoder.interner)
+        assert engine.interner_version() == base
+        frame = encode_frame(base, [events[0].tid], records, extras)
+        with pytest.raises(ValueError, match="node interner diverged"):
+            engine.submit_wire_frame(frame, state)
+        assert engine.events_ingested == ingested
+        assert engine.interner_version() == base
 
 
 def test_replay_requires_a_hosted_group():
     engine = node_engine([0])
     with engine:
-        state = engine.wire_state()
+        state = coordinator_state()
         state.replay_group = 2  # not hosted: the next frame must refuse
         shipper = FrameShipper()
         with pytest.raises(ValueError):

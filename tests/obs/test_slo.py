@@ -20,28 +20,22 @@ def test_p99_picks_smallest_covering_bucket():
 
 def test_watchdog_flags_breaches():
     watchdog = SloWatchdog(
-        SloThresholds(apply_p99_sec=0.01, queue_depth=10, parse_error_rate=1.0)
+        SloThresholds(apply_p99_sec=0.01, parse_error_rate=1.0)
     )
     ok = watchdog.evaluate(
         apply_buckets=[(0.001, 100), (float("inf"), 100)],
-        queue_depth=0,
         parse_errors=0,
         uptime_sec=10.0,
     )
     assert not ok.degraded
     slow = watchdog.evaluate(
         apply_buckets=[(0.001, 0), (1.0, 100), (float("inf"), 100)],
-        queue_depth=0,
         parse_errors=0,
         uptime_sec=10.0,
     )
     assert slow.degraded and "apply_p99_sec" in slow.breaches
-    deep = watchdog.evaluate(
-        apply_buckets=[], queue_depth=50, parse_errors=0, uptime_sec=10.0
-    )
-    assert deep.degraded and "queue_depth" in deep.breaches
     noisy = watchdog.evaluate(
-        apply_buckets=[], queue_depth=0, parse_errors=100, uptime_sec=10.0
+        apply_buckets=[], parse_errors=100, uptime_sec=10.0
     )
     assert noisy.degraded and "parse_error_rate" in noisy.breaches
 
@@ -50,14 +44,12 @@ def test_watchdog_exports_gauges():
     watchdog = SloWatchdog()
     verdict = watchdog.evaluate(
         apply_buckets=[(0.001, 100), (float("inf"), 100)],
-        queue_depth=3,
         parse_errors=0,
         uptime_sec=10.0,
     )
     registry = MetricsRegistry()
     watchdog.export(registry, verdict)
     samples = parse_exposition(registry.render())
-    assert samples["repro_slo_queue_depth"] == [({}, 3.0)]
     assert samples["repro_slo_degraded"] == [({}, 0.0)]
     assert "repro_slo_apply_latency_p99_seconds" in samples
     assert "repro_slo_parse_error_rate" in samples

@@ -9,6 +9,7 @@ from repro.obs.tracing import (
     STAGES,
     LifecycleTracer,
     ObsConfig,
+    fault_record,
     read_span_log,
 )
 
@@ -75,7 +76,7 @@ class TestSpanLog:
             batch=7, shard=2, events=40,
             stage_sec={"route": 1e-5, "queue": 2e-4, "apply": 1e-4},
         )
-        tracer.log_parse_error("bad line " + "x" * 1000)
+        tracer.log_parse_error(fault_record("bad line " + "x" * 1000))
         tracer.close()
         records = read_span_log(path)
         assert [r["kind"] for r in records] == ["span", "parse_error"]
@@ -84,6 +85,9 @@ class TestSpanLog:
         assert set(span["stage_sec"]) == {"route", "queue", "apply"}
         assert span["ts_sec"] >= 0
         assert len(records[1]["line"]) == 512  # offending line is truncated
+        assert records[1]["fault"] == {
+            "message": None, "kind": None, "record": None, "applied": None
+        }
         assert tracer.spans_written == 1
         assert tracer.parse_errors_logged == 1
 

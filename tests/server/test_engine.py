@@ -119,7 +119,6 @@ def test_engine_stats_counters_and_shard_snapshots():
     # every shard saw every broadcast event plus its own partition
     for shard in stats.shards:
         assert shard.events_processed >= stats.sync_broadcast
-        assert shard.queue_depth == 0
         assert 0.0 <= shard.short_circuit_rate <= 1.0
     assert sum(s.events_processed for s in stats.shards) == (
         2 * stats.sync_broadcast + stats.data_routed

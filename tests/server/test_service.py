@@ -94,7 +94,6 @@ def test_stats_control_round_trips_service_stats():
     assert stats.n_shards == 2 and len(stats.shards) == 2
     assert stats.events_per_sec > 0
     assert stats.races_reported == len(LazyGoldilocks().process_all(BIGGER))
-    assert all(shard.queue_depth == 0 for shard in stats.shards)
     assert 0.0 <= stats.short_circuit_rate <= 1.0
 
 

@@ -48,7 +48,7 @@ def test_stats_json_round_trip_is_lossless_for_known_fields():
 #: ``!stats`` of a 2-shard node from before the process workers and the
 #: object transport were removed (racy 4-event trace, then ``!flush``).  It
 #: still carries ``transport``, ``backpressure_stalls`` and ``sync_decoded``
-#: at the top and ``sync_decoded`` per shard.
+#: at the top and ``sync_decoded`` and ``queue_depth`` per shard.
 PRE_CHANGE_STATS = (
     '{"admit": "off", "admit_prefilter_hits": 0, "admit_prefilter_misses": 0, '
     '"backpressure_stalls": 0, "batches_flushed": 2, "data_admitted": 2, '
@@ -86,7 +86,8 @@ def test_snapshot_from_a_node_that_was_not_upgraded_still_parses():
 
     snap = ServiceStats.from_json(PRE_CHANGE_STATS)
     assert snap.unknown_fields == 3  # transport, backpressure_stalls, sync_decoded
-    assert [s.unknown_fields for s in snap.shards] == [1, 1]  # sync_decoded
+    # sync_decoded, queue_depth
+    assert [s.unknown_fields for s in snap.shards] == [2, 2]
     assert (snap.events_ingested, snap.races_reported) == (4, 1)
     assert (snap.batches_flushed, snap.queue_bytes) == (2, 406)
     assert [s.events_processed for s in snap.shards] == [2, 4]
