@@ -1,7 +1,7 @@
 """The evaluation harness: regenerates Tables 1-3 and the figure walkthroughs.
 
-``python -m repro.bench table1|table2|table3|figures|ablations|all`` prints
-the paper's tables for this reproduction; the pytest-benchmark suites under
+``python -m repro.bench table1|table2|table3|figures|all`` prints the
+paper's tables for this reproduction; the pytest-benchmark suites under
 ``benchmarks/`` time the same code paths with statistical rigor.
 """
 

@@ -9,23 +9,11 @@ Regenerates the paper's evaluation artifacts:
 * ``table3`` -- the transactional Multiset thread sweep;
 * ``figures`` -- the Figure 6 and Figure 7 lockset evolutions, printed
   event by event;
-* ``throughput`` -- detector events/sec + deterministic cost counters on
-  the fixed synthetic benchmark trace (the default when ``--json`` is the
-  only argument);
-* ``obs`` -- observability-overhead ablation: all-off vs counters-on vs
-  span-sampling-on (``BENCH_obs_overhead.json``);
-* ``cluster`` -- multi-node scaling under the deterministic critical-path
-  cost model, 1/2/4 in-process nodes (``BENCH_cluster_scaling.json``);
-* ``admit`` -- static admission control: counted work baseline vs
-  ``--admit`` across every ingestion mode, with race-line parity
-  (``BENCH_admission.json``);
 * ``all`` -- everything above.
 
 Options: ``--scale tiny|small|full`` (default small), ``--repeats N``,
 ``--workloads a,b,c`` (Table 1/2 subset), ``--threads 5,10,...``
-(Table 3 subset), ``--json [PATH]`` (write the benchmark's JSON artifact;
-default path ``BENCH_detector_throughput.json``, or the subcommand's own
-``BENCH_*.json``).
+(Table 3 subset).  The wall-clock benchmark is ``python3 -m perf``.
 """
 
 from __future__ import annotations
@@ -88,13 +76,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "what",
-        nargs="?",
-        default="throughput",
-        choices=[
-            "table1", "table2", "table3", "figures", "throughput", "obs",
-            "cluster", "admit", "all",
-        ],
-        help="which artifact to regenerate (default: throughput)",
+        choices=["table1", "table2", "table3", "figures", "all"],
+        help="which artifact to regenerate",
     )
     parser.add_argument("--scale", default="small", choices=["tiny", "small", "full"])
     parser.add_argument("--repeats", type=int, default=1)
@@ -102,24 +85,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--threads", default=None, help="comma-separated Table 3 thread counts"
     )
-    parser.add_argument(
-        "--json",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="PATH",
-        help="write the benchmark's JSON artifact (with `throughput`, implied "
-        "when --json is the only argument; default path "
-        "BENCH_detector_throughput.json, or the subcommand's own "
-        "BENCH_*.json)",
-    )
     args = parser.parse_args(argv)
-    if args.json == "":  # bare --json: pick the benchmark's canonical path
-        args.json = {
-            "obs": "BENCH_obs_overhead.json",
-            "cluster": "BENCH_cluster_scaling.json",
-            "admit": "BENCH_admission.json",
-        }.get(args.what, "BENCH_detector_throughput.json")
 
     names = args.workloads.split(",") if args.workloads else None
 
@@ -144,44 +110,6 @@ def main(argv=None) -> int:
         print()
     if args.what in ("figures", "all"):
         print(_figures_text())
-    if args.what in ("throughput", "all") or (
-        args.json and args.what not in ("obs", "cluster", "admit")
-    ):
-        from .throughput import bench_throughput, render_throughput, write_throughput_json
-
-        if args.json and args.what not in ("obs", "cluster", "admit"):
-            payload = write_throughput_json(args.json, repeats=args.repeats)
-            print(f"wrote {args.json}")
-        else:
-            payload = bench_throughput(repeats=args.repeats)
-        print(render_throughput(payload))
-    if args.what in ("obs", "all"):
-        from .obs import bench_obs, render_obs, write_obs_json
-
-        if args.what == "obs" and args.json:
-            payload = write_obs_json(args.json, repeats=args.repeats)
-            print(f"wrote {args.json}")
-        else:
-            payload = bench_obs(repeats=args.repeats)
-        print(render_obs(payload))
-    if args.what in ("cluster", "all"):
-        from .cluster import bench_cluster, render_cluster, write_cluster_json
-
-        if args.what == "cluster" and args.json:
-            payload = write_cluster_json(args.json)
-            print(f"wrote {args.json}")
-        else:
-            payload = bench_cluster()
-        print(render_cluster(payload))
-    if args.what in ("admit", "all"):
-        from .admit import bench_admit, render_admit, write_admit_json
-
-        if args.what == "admit" and args.json:
-            payload = write_admit_json(args.json)
-            print(f"wrote {args.json}")
-        else:
-            payload = bench_admit()
-        print(render_admit(payload))
     return 0
 
 

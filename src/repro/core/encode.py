@@ -379,8 +379,7 @@ class EventEncoder:
     steady state encoding a text line constructs *no* dataclasses at all:
     thread, lock, and variable ids come straight out of dicts keyed by the
     parsed integers/strings.  ``cache_misses`` counts the slow paths (one
-    per newly seen element) -- the deterministic "per-event allocations"
-    proxy of the ingest benchmark.
+    per newly seen element); the service reports it as ``edge_allocs``.
 
     ``admit`` is an optional static admission filter (any object with
     ``admit(obj_value, field) -> bool`` and ``note_filtered``, i.e.
@@ -399,8 +398,11 @@ class EventEncoder:
         self.cache_misses = 0
         self.events_encoded = 0
         self._tid_ids: Dict[int, int] = {}
-        #: the ids that name threads (the wire edge's thread-id check)
+        #: the ids that name threads, locks and volatiles (the wire edge's
+        #: class checks)
         self.thread_ids: Set[int] = set()
+        self.lock_ids: Set[int] = set()
+        self.volatile_ids: Set[int] = set()
         self._lock_ids: Dict[int, int] = {}
         self._vvar_ids: Dict[Tuple[int, str], int] = {}
         self._dvar_ids: Dict[Tuple[int, str], int] = {}
@@ -428,6 +430,7 @@ class EventEncoder:
             eid = self._lock_ids[obj_value] = self.interner.intern(
                 LockVar(Obj(obj_value))
             )
+            self.lock_ids.add(eid)
         return eid
 
     def _vvar_id(self, obj_value: int, field: str) -> int:
@@ -438,6 +441,7 @@ class EventEncoder:
             eid = self._vvar_ids[key] = self.interner.intern(
                 VolatileVar(Obj(obj_value), field)
             )
+            self.volatile_ids.add(eid)
         return eid
 
     def _dvar_id(self, obj_value: int, field: str) -> int:

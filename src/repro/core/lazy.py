@@ -396,10 +396,10 @@ class LazyGoldilocks(Detector):
         """Replay only the two owners' events; ownership found here is sound.
 
         Every cell *visited* is counted, including the skipped foreign-thread
-        ones: the traversal still walks the whole linked segment, and the
-        cost model must say so.  (The encoded kernel reaches only the two
-        owners' cells through per-thread indexes, which is where its counted
-        advantage on this rung comes from.)
+        ones: the traversal still walks the whole linked segment.  (The
+        encoded kernel has no such rung: its indexed replay visits only the
+        cells of the lockset's own ids and stops once the lockset owns the
+        accessing thread.)
         """
         ls = set(info1.ls)
         threads = (info1.owner, info2.owner)

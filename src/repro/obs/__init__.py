@@ -23,9 +23,9 @@ operable surface:
 * :mod:`repro.obs.cli` -- ``repro-obs tail``, a live terminal view.
 
 Everything here is stdlib-only, counter-based and deterministic where
-possible, default-on for counters and default-off for span sampling; the
-disabled path adds **zero** deterministic detector work (proven by
-``python -m repro.bench obs``).
+possible, default-on for counters and default-off for span sampling; no
+setting changes a race line or the kernel's deterministic counters
+(``tests/server/test_obs_integration.py``).
 """
 
 from .bridge import REQUIRED_METRICS, registry_from_stats

@@ -29,8 +29,8 @@ shard -- ride the same log as ``{"kind": "parse_error", "line": str,
 trail.
 
 Everything degrades to no-ops when disabled: ``LifecycleTracer.disabled``
-short-circuits every hook, and ``python -m repro.bench obs`` proves the
-disabled path adds zero deterministic detector work.
+short-circuits every hook.  No setting changes a verdict or the kernel's
+deterministic counters (``tests/server/test_obs_integration.py``).
 """
 
 from __future__ import annotations
@@ -82,12 +82,10 @@ class ObsConfig:
         Sample 1-in-N batches into the span log; 0 disables (default).
     span_log:
         Path for the JSONL span/parse-error log (``-`` for stderr).
-    flightrec:
-        Keep the per-shard flight rings at all (default on; the rings are
-        one deque append per batch -- turning them off exists for the
-        overhead ablation, not for production).
     flightrec_dir:
-        Directory for ``.flightrec`` dumps; None records but never writes.
+        Directory for ``.flightrec`` dumps; None records but never writes
+        (the per-group flight rings are always kept: one adopted buffer per
+        batch).
     flightrec_capacity:
         Packed records retained per shard ring.
     flightrec_max_dumps:
@@ -111,7 +109,6 @@ class ObsConfig:
     counters: bool = True
     span_sample: int = 0
     span_log: Optional[str] = None
-    flightrec: bool = True
     flightrec_dir: Optional[str] = None
     flightrec_capacity: int = 4096
     flightrec_max_dumps: int = 16

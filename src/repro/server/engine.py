@@ -53,8 +53,12 @@ from ..core.actions import (
     OP_ACQUIRE,
     OP_ALLOC,
     OP_COMMIT,
+    OP_FORK,
     OP_JOIN,
     OP_READ,
+    OP_RELEASE,
+    OP_VREAD,
+    OP_VWRITE,
     OP_WRITE,
     Commit,
     DataVar,
@@ -218,8 +222,8 @@ class EngineConfig:
     commit_sync: str = "footprint"
     gc_threshold: Optional[int] = 50_000
     #: observability tunables; None means the :class:`ObsConfig` defaults
-    #: (stage counters on, span sampling off, flight recorder ring on but
-    #: not writing files)
+    #: (stage counters on, span sampling off, flight recorder rings kept
+    #: but not written to files)
     obs: Optional[ObsConfig] = None
     #: the groups hosted from the start; None hosts every one of them (a
     #: plain ``repro-serve``), ``()`` none (a cluster node, handed groups
@@ -342,16 +346,14 @@ class ShardedEngine:
         # never writes files unless a dump directory is configured.
         self.obs_config = self.config.obs or ObsConfig()
         self.tracer = LifecycleTracer(self.obs_config)
-        self.recorder: Optional[FlightRecorder] = None
-        if self.obs_config.flightrec:
-            self.recorder = FlightRecorder(
-                n,
-                self._encoder.interner,
-                capacity=self.obs_config.flightrec_capacity,
-                directory=self.obs_config.flightrec_dir,
-                max_dumps=self.obs_config.flightrec_max_dumps,
-                commit_sync=self.config.commit_sync,
-            )
+        self.recorder = FlightRecorder(
+            n,
+            self._encoder.interner,
+            capacity=self.obs_config.flightrec_capacity,
+            directory=self.obs_config.flightrec_dir,
+            max_dumps=self.obs_config.flightrec_max_dumps,
+            commit_sync=self.config.commit_sync,
+        )
 
     # -- ingestion -------------------------------------------------------------
 
@@ -457,7 +459,9 @@ class ShardedEngine:
 
         Every record is checked before it is buffered: ids must be
         announced, its thread id must name a thread, read/write/footprint
-        ids must name data variables (or be :data:`FILTERED_VAR`), and a
+        ids must name data variables (or be :data:`FILTERED_VAR`), a sync
+        record must name its own thread in one slot and a lock (acq/rel),
+        volatile (vread/vwrite) or thread (fork/join) in the other, and a
         commit's footprint must lie inside the extras array.  A bad record
         raises :class:`FrameFormatError` with the records before it
         ingested (``applied``) and none after it.
@@ -493,10 +497,21 @@ class ShardedEngine:
                     f"replay target group {state.replay_group} is not hosted here"
                 )
         # An id's class is a table lookup: an engine id names a thread iff it
-        # is in ``thread_ids``, a data variable iff it is in ``var_shard``.
-        # A remapped id that was never announced becomes -1, in neither.
+        # is in ``thread_ids``, a data variable iff it is in ``var_shard``,
+        # and so on.  A remapped id that was never announced becomes -1, in
+        # none of them.
         thread_ids = encoder.thread_ids
         var_shard = encoder.var_shard
+        # per sync opcode: the slot (0 = a, 1 = b) holding the record's own
+        # thread, the ids the other slot may name, and their class
+        sync_slots = {
+            OP_ACQUIRE: (1, encoder.lock_ids, "a LockVar"),
+            OP_RELEASE: (0, encoder.lock_ids, "a LockVar"),
+            OP_VREAD: (1, encoder.volatile_ids, "a VolatileVar"),
+            OP_VWRITE: (0, encoder.volatile_ids, "a VolatileVar"),
+            OP_FORK: (0, thread_ids, "a Tid"),
+            OP_JOIN: (1, thread_ids, "a Tid"),
+        }
         count = 0
 
         def refuse(problem: str, op: int, i: int) -> FrameFormatError:
@@ -513,7 +528,7 @@ class ShardedEngine:
             if not 0 <= cid < n_ids:
                 return refuse(f"unannounced client id {cid}", op, i)
             element = encoder.interner.resolve(cid if remap is None else remap[cid])
-            return refuse(f"{element!r} where a {belongs} belongs", op, i)
+            return refuse(f"{element!r} where {belongs} belongs", op, i)
 
         def wire_id(cid: int, op: int, i: int) -> int:
             """One wire id of any class as an engine id."""
@@ -527,7 +542,7 @@ class ShardedEngine:
                 seq = None  # the engine assigns it
                 tid_id = remap[tid_id] if 0 <= tid_id < n_ids else -1
             if tid_id not in thread_ids:
-                raise bad_id(records[i + 2], "Tid", op, i)
+                raise bad_id(records[i + 2], "a Tid", op, i)
             local_extras: Optional[List[int]] = None
             if op == OP_READ or op == OP_WRITE:
                 # An already-filtered access stays filtered; only real ids
@@ -536,12 +551,17 @@ class ShardedEngine:
                     if remap is not None:
                         a = remap[a] if 0 <= a < n_ids else -1
                     if a not in var_shard:
-                        raise bad_id(records[i + 4], "DataVar", op, i)
+                        raise bad_id(records[i + 4], "a DataVar", op, i)
                     if not encoder.admit_var_id(a):
                         a = FILTERED_VAR
             elif OP_ACQUIRE <= op <= OP_JOIN:
-                a = wire_id(a, op, i)
-                b = wire_id(b, op, i)
+                own, other_ids, belongs = sync_slots[op]
+                ids = (wire_id(a, op, i), wire_id(b, op, i))
+                if ids[own] != tid_id:
+                    raise bad_id(records[i + 4 + own], "the record's own Tid", op, i)
+                if ids[1 - own] not in other_ids:
+                    raise bad_id(records[i + 5 - own], belongs, op, i)
+                a, b = ids
             elif op == OP_COMMIT:
                 n_vars = extras[a] if 0 <= a < len(extras) else -1
                 end = a + 1 + 2 * n_vars
@@ -562,7 +582,7 @@ class ShardedEngine:
                         if remap is not None:
                             cid = remap[cid] if 0 <= cid < n_ids else -1
                         if cid not in var_shard:
-                            raise bad_id(extras[j], "DataVar", op, i)
+                            raise bad_id(extras[j], "a DataVar", op, i)
                     local_extras.append(cid)
                     local_extras.append(extras[j + 1])
                 a = b = 0
@@ -619,12 +639,9 @@ class ShardedEngine:
         )
         self._cursors[shard] = len(self._encoder.interner)
         self.queue_bytes += len(frame)
-        if self.recorder is not None:
-            # The buffer's arrays would be garbage after this point;
-            # the flight recorder adopts them instead (no copy).
-            self.recorder.record(
-                self._slot_groups[shard], buffer.records, buffer.extras
-            )
+        # The buffer's arrays would be garbage after this point; the
+        # flight recorder adopts them instead (no copy).
+        self.recorder.record(self._slot_groups[shard], buffer.records, buffer.extras)
         route_sec = tracer.clock() - t_route
         tracer.observe_elapsed("route", route_sec)
         span = self._make_span(self.batches_flushed, n_events, route_sec)
@@ -682,7 +699,7 @@ class ShardedEngine:
     def _dump_on_race(self, shard: int, reports: List[SeqReport]) -> None:
         """Snapshot the group's flight ring the moment it reports races."""
         recorder = self.recorder
-        if recorder is None or recorder.directory is None:
+        if recorder.directory is None:
             return
         lines = [format_race(seq, report) for seq, report in reports]
         provenance = [report.provenance for _seq, report in reports]
@@ -727,8 +744,7 @@ class ShardedEngine:
         self._cursors = [1] * n
         self._pbuffers = [_PackedBuffer() for _ in range(n)]
         self._shard_stats = [{} for _ in range(n)]
-        if self.recorder is not None:
-            self.recorder.rebind(self._encoder.interner)
+        self.recorder.rebind(self._encoder.interner)
 
     def set_admission(self, admit) -> None:
         """Install (or clear, with ``None``) the admission filter mid-stream.
@@ -819,8 +835,7 @@ class ShardedEngine:
         ):
             del per_slot[slot]
         self._slot_of = {g: i for i, g in enumerate(self._slot_groups)}
-        if self.recorder is not None:
-            self.recorder.drop_group(group)
+        self.recorder.drop_group(group)
 
     def stats(self) -> ServiceStats:
         """A snapshot of the ingestion counters and every shard's detector."""
@@ -853,7 +868,7 @@ class ShardedEngine:
             queue_bytes=self.queue_bytes,
             edge_allocs=self.edge_allocs,
             spans_sampled=self.tracer.spans_written,
-            flightrec_dumps=self.recorder.dumps_written if self.recorder else 0,
+            flightrec_dumps=self.recorder.dumps_written,
             provenance_attached=self.provenance_attached,
             shards=shards,
         )

@@ -254,8 +254,6 @@ class RaceDetectionService:
         -- on the death path a possibly-torn last frame beats a deadlock.
         """
         recorder = self.engine.recorder
-        if recorder is None:
-            return []
         locked = self._lock.acquire(timeout=1.0)
         try:
             return recorder.dump_all(reason)
@@ -514,9 +512,8 @@ class RaceDetectionService:
             self.engine = ShardedEngine(
                 replace(old.config, n_shards=n_groups, groups=())
             )
-            if old.recorder is not None:
-                self.engine.recorder.dumps_written = old.recorder.dumps_written
-                self.engine.recorder.dumps_suppressed = old.recorder.dumps_suppressed
+            self.engine.recorder.dumps_written = old.recorder.dumps_written
+            self.engine.recorder.dumps_suppressed = old.recorder.dumps_suppressed
             old.close()
             self.tracer = self.engine.tracer
 

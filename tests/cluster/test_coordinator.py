@@ -5,53 +5,65 @@ a live mid-stream migration must report race lines *byte-identical*
 (``seq`` included) to a single-node run with the same shard-group count.
 """
 
+import contextlib
 import threading
 
 import pytest
 
-from repro.bench.ingest import TRACE_PARAMS, generate_trace, generate_trace_text
 from repro.cluster import ClusterConfig, ClusterCoordinator
 from repro.server.engine import EngineConfig, ShardedEngine
 from repro.server.protocol import format_race
 from repro.server.service import RaceDetectionService, ServiceConfig, serve_tcp
+from tests.helpers import service_trace, service_trace_text
 
 N_GROUPS = 4
 
 
+def single_node_races(events):
+    """Verdicts of one engine at the cluster's partition count, sorted."""
+    with ShardedEngine(EngineConfig(n_shards=N_GROUPS)) as engine:
+        for event in events:
+            engine.submit(event)
+        return sorted(format_race(seq, r) for seq, r in engine.barrier())
+
+
 @pytest.fixture(scope="module")
 def events():
-    return generate_trace(**TRACE_PARAMS)
+    return service_trace()
 
 
 @pytest.fixture(scope="module")
 def reference(events):
-    """Single-node verdicts at the same partition count, sorted."""
-    with ShardedEngine(EngineConfig(n_shards=N_GROUPS)) as engine:
-        for event in events:
-            engine.submit(event)
-        lines = sorted(format_race(seq, r) for seq, r in engine.barrier())
-    assert lines, "the benchmark trace must contain races"
+    lines = single_node_races(events)
+    assert lines, "the shared service trace must contain races"
     return lines
+
+
+@contextlib.contextmanager
+def running_nodes(count):
+    """``count`` in-process ``repro-serve`` nodes on loopback ports."""
+    services, servers, nodes = [], [], {}
+    try:
+        for i in range(count):
+            service = RaceDetectionService(ServiceConfig(flush_interval=0))
+            services.append(service)
+            server = serve_tcp(service, "127.0.0.1", 0)
+            servers.append(server)
+            threading.Thread(target=server.serve_forever, daemon=True).start()
+            nodes[f"node{i}"] = ("127.0.0.1", server.server_address[1])
+        yield nodes
+    finally:
+        for server in servers:
+            server.shutdown()
+            server.server_close()
+        for service in services:
+            service.close()
 
 
 @pytest.fixture
 def two_nodes():
-    services, servers, nodes = [], [], {}
-    for i in range(2):
-        service = RaceDetectionService(
-            ServiceConfig(flush_interval=0)
-        )
-        server = serve_tcp(service, "127.0.0.1", 0)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        services.append(service)
-        servers.append(server)
-        nodes[f"node{i}"] = ("127.0.0.1", server.server_address[1])
-    yield nodes
-    for server in servers:
-        server.shutdown()
-        server.server_close()
-    for service in services:
-        service.close()
+    with running_nodes(2) as nodes:
+        yield nodes
 
 
 def make_coordinator(nodes, **kwargs):
@@ -65,6 +77,41 @@ def test_two_node_parity_without_migration(two_nodes, events, reference):
         for event in events:
             coordinator.submit_event(event)
         assert sorted(coordinator.barrier()) == reference
+        coordinator.shutdown_nodes()
+
+
+@pytest.mark.parametrize("n_nodes", [1, 4])
+def test_balanced_parity_at_one_and_four_nodes(n_nodes, events, reference):
+    """Every group is hosted on exactly one node, and the merged race lines
+    equal the single-node run's at any node count (2 is covered above)."""
+    with running_nodes(n_nodes) as nodes:
+        with make_coordinator(nodes, balanced=True) as coordinator:
+            for event in events:
+                coordinator.submit_event(event)
+            assert sorted(coordinator.barrier()) == reference
+            hosted = sorted(
+                g for groups in coordinator.stats().assignment.values() for g in groups
+            )
+            assert hosted == list(range(N_GROUPS))
+            coordinator.shutdown_nodes()
+
+
+def test_admission_through_the_coordinator_keeps_the_race_lines(two_nodes):
+    """The coordinator drops the colt filter's race-free accesses at its
+    encoder; the nodes still report the unfiltered run's lines, seq included."""
+    from repro.analysis.admission import build_admission_filter, record_workload
+
+    events, objmap = record_workload("colt", scale="small")
+    filt = build_admission_filter(
+        "colt", policy="intersect", scale="small", objmap=objmap
+    )
+    unfiltered = single_node_races(events)
+    assert unfiltered, "colt must race for parity to mean anything"
+    with make_coordinator(two_nodes, balanced=True, admit=filt) as coordinator:
+        for event in events:
+            coordinator.submit_event(event)
+        assert sorted(coordinator.barrier()) == unfiltered
+        assert coordinator.stats().data_filtered > 0
         coordinator.shutdown_nodes()
 
 
@@ -120,7 +167,7 @@ def test_atomic_migration_and_errors(two_nodes, events, reference):
 
 
 def test_submit_line_parity(two_nodes, reference):
-    text = generate_trace_text()
+    text = service_trace_text()
     with make_coordinator(two_nodes) as coordinator:
         for line in text.splitlines():
             coordinator.submit_line(line)
@@ -180,7 +227,7 @@ def test_cli_end_to_end(tmp_path, capsys, reference):
     from repro.cluster.cli import main as cluster_main
 
     trace = tmp_path / "run.trace"
-    trace.write_text(generate_trace_text(), encoding="utf-8")
+    trace.write_text(service_trace_text(), encoding="utf-8")
     mid = 2536 // 2
     code = cluster_main(
         [

@@ -14,16 +14,16 @@ import threading
 
 import pytest
 
-from repro.bench.ingest import TRACE_PARAMS, generate_trace, generate_trace_text
 from repro.cli import main as race_main
 from repro.cluster import ClusterConfig, ClusterCoordinator
 from repro.obs.flightrec import load_flightrec, replay_flightrec
 from repro.obs.tracing import ObsConfig
 from repro.server.service import RaceDetectionService, ServiceConfig, serve_tcp
 from repro.trace.io import format_event
+from tests.helpers import service_trace, service_trace_text
 
 N_GROUPS = 4
-#: group 1 has races on the benchmark trace; it moves to node0 after
+#: group 1 has races on the shared service trace; it moves to node0 after
 #: event 1268, with a 200-event window in between
 MOVED, DST, AT, WINDOW = 1, "node0", 1268, 200
 
@@ -52,7 +52,7 @@ def recording_nodes(tmp_path):
 
 def test_node_dumps_replay_and_explain_across_a_group_move(recording_nodes, capsys):
     nodes, dirs = recording_nodes
-    lines = generate_trace_text().splitlines()
+    lines = service_trace_text().splitlines()
     with ClusterCoordinator(
         ClusterConfig(nodes=nodes, n_groups=N_GROUPS, balanced=True)
     ) as coordinator:
@@ -107,7 +107,7 @@ def test_a_second_cluster_session_keeps_the_first_sessions_dumps(tmp_path):
         with ClusterCoordinator(
             ClusterConfig(nodes=nodes, n_groups=N_GROUPS)
         ) as coordinator:
-            for event in generate_trace(**TRACE_PARAMS, seed=seed):
+            for event in service_trace(seed):
                 coordinator.submit_line(format_event(event))
             return coordinator.barrier()
 

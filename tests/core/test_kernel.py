@@ -296,6 +296,10 @@ class TestKernelGC:
         assert detector.process_all(self.noisy_trace(safe=True)) == []
         assert detector.stats.cells_collected > 0
         assert len(detector.events) < detector.events.total_enqueued
+        again = EncodedGoldilocks(gc_threshold=40, trim_fraction=0.5, segment_size=16)
+        again.process_all(self.noisy_trace(safe=True))
+        # the counters are deterministic: a second run repeats every one
+        assert again.stats.as_dict() == detector.stats.as_dict()
         racy = EncodedGoldilocks(gc_threshold=40, trim_fraction=0.5, segment_size=16)
         assert len(racy.process_all(self.noisy_trace(safe=False))) == 1
 

@@ -232,3 +232,35 @@ class TestSuppression:
         assert detector.write_info[var] is before, "suppressed write replaced state"
         # ... so the original owner's next access is still race-free.
         assert detector.process(Event(T1, 1, Write(var))) == []
+
+
+def test_memoized_lazy_traversal_is_linear_in_trace_length():
+    """Doubling the ownership-transfer chain should roughly double (not
+
+    quadruple) the cells traversed -- the memoization guarantee."""
+    from repro.core import Obj, Tid
+    from repro.trace import TraceBuilder
+
+    def chain(n):
+        tb = TraceBuilder()
+        o = Obj(1)
+        tb.alloc(Tid(1), o)
+        tb.write(Tid(1), o, "data")
+        for i in range(n):
+            owner, successor, lock = Tid(i + 1), Tid(i + 2), Obj(100 + i)
+            tb.acq(owner, lock)
+            tb.rel(owner, lock)
+            tb.acq(successor, lock)
+            tb.write(successor, o, "data")
+            tb.rel(successor, lock)
+        return tb.build()
+
+    def cells_for(n):
+        detector = LazyGoldilocks(sc_alock=False, sc_thread_restricted=False)
+        assert detector.process_all(chain(n)) == []
+        return detector.stats.cells_traversed
+
+    small, large = cells_for(100), cells_for(200)
+    assert large < 2.6 * small, (
+        f"traversal grew superlinearly: {small} -> {large}"
+    )

@@ -1,8 +1,16 @@
-"""Shared test utilities: oracle comparisons and report normalization."""
+"""Shared test utilities: oracle comparisons, report normalization, and
+the shared service trace."""
+
+import random
 
 from repro.core import Commit
-from repro.core.actions import is_data_access
+from repro.core.actions import DataVar, Obj, Tid, is_data_access
 from repro.oracle import HappensBeforeOracle
+from repro.trace import TraceBuilder
+from repro.trace.io import format_event
+
+#: seed of the shared service trace (2,536 events, 42 race lines at 4 groups)
+SERVICE_TRACE_SEED = 13
 
 
 def oracle_first_races(events):
@@ -53,3 +61,50 @@ def oracle_first_races_read_read(events):
                     if var not in firsts or j < firsts[var]:
                         firsts[var] = j
     return firsts
+
+
+def service_trace(seed=SERVICE_TRACE_SEED):
+    """The shared service trace, generated deterministically from ``seed``.
+
+    Eight forked threads take 300 steps each: mostly private data accesses,
+    a lock-protected write to a shared field every 25th step, a small
+    transaction every 100th, and an unprotected write to a hot shared
+    field every 45th (the races).  Broadcast sync is the sharding scheme's
+    serial fraction, so the trace is light on it.  The cluster tests and
+    the CI cluster-smoke job replay it.
+    """
+    n_threads, accesses_per_thread = 8, 300
+    sync_every, commit_every, racy_every = 25, 100, 45
+    rng = random.Random(seed)
+    tb = TraceBuilder()
+    lock, shared, hot, main = Obj(9000), Obj(500), Obj(666), Tid(0)
+    for t in range(1, n_threads + 1):
+        tb.fork(main, Tid(t))
+    schedule = [t for t in range(1, n_threads + 1) for _ in range(accesses_per_thread)]
+    rng.shuffle(schedule)
+    steps = {t: 0 for t in range(1, n_threads + 1)}
+    for t in schedule:
+        tid = Tid(t)
+        steps[t] += 1
+        if steps[t] % commit_every == 0:
+            foot = DataVar(Obj(1000 + t * 8 + rng.randrange(8)), "f0")
+            tb.commit(tid, reads=[DataVar(shared, "head")], writes=[foot])
+        elif steps[t] % racy_every == 0:
+            tb.write(tid, hot, f"h{rng.randrange(2)}")
+        elif steps[t] % sync_every == 0:
+            tb.acq(tid, lock)
+            tb.write(tid, shared, "shared")
+            tb.rel(tid, lock)
+        else:
+            obj = Obj(1000 + t * 8 + rng.randrange(8))
+            field = f"f{rng.randrange(3)}"
+            if rng.random() < 0.6:
+                tb.read(tid, obj, field)
+            else:
+                tb.write(tid, obj, field)
+    return tb.build()
+
+
+def service_trace_text():
+    """The shared service trace, rendered once as wire text."""
+    return "\n".join(format_event(event) for event in service_trace()) + "\n"

@@ -15,10 +15,14 @@ from array import array
 import pytest
 
 from repro.core.actions import (
+    OP_ACQUIRE,
     OP_COMMIT,
+    OP_FORK,
     OP_READ,
+    OP_RELEASE,
     OP_WRITE,
     Acquire,
+    Commit,
     DataVar,
     Event,
     Fork,
@@ -209,3 +213,59 @@ def test_out_of_range_offsets_and_non_data_ids_are_typed(connection, case):
     with service() as svc:
         lines = serve(svc, connection, [good, bad])
     assert_refused(lines, op, 0, 0, events=1)
+
+
+def mistyped_sync(frames, case):
+    """(head events, the bad row, tail events, its opcode) of one case.
+
+    Thread 0 forks threads 1 and 2, and thread 1 writes 5.f; the tail has
+    thread 2 write 5.f.  Each bad row names an id of the wrong class, which,
+    ingested, hides that race: an acquire of the data variable 6.g that
+    thread 1's commit wrote, a fork whose child is lock 7, and a release
+    of lock 7 whose releasing thread is thread 1 in a record of thread 2
+    (thread 2 then acquires lock 7).
+    """
+    t1, t2, lock = Tid(1), Tid(2), Obj(7)
+    head = [
+        Event(Tid(0), 0, Fork(t1)),
+        Event(Tid(0), 1, Fork(t2)),
+        Event(t1, 0, Write(VAR)),
+    ]
+    write = [Event(t2, 1, Write(VAR))]
+    if case == "acq-of-a-data-var":
+        g = DataVar(Obj(6), "g")
+        head.append(Event(t1, 1, Commit(frozenset(), frozenset([g]))))
+        frames.encoder.encode_event(head[-1])  # announce 6.g with the head
+        bad = (OP_ACQUIRE, frames.id_of(t2), 0, frames.id_of(g), frames.id_of(t2))
+        return head, bad, write, OP_ACQUIRE
+    tail = [Event(t2, 1, Acquire(lock)), Event(t2, 2, Write(VAR))]
+    lock_id, tid1, tid2 = frames.id_of(LockVar(lock)), frames.id_of(t1), frames.id_of(t2)
+    if case == "fork-of-a-lock":
+        return head, (OP_FORK, tid1, 1, tid1, lock_id), tail, OP_FORK
+    assert case == "rel-by-another-thread"
+    return head, (OP_RELEASE, tid2, 0, tid1, lock_id), tail, OP_RELEASE
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["acq-of-a-data-var", "fork-of-a-lock", "rel-by-another-thread"],
+)
+@pytest.mark.parametrize("connection", sorted(PREAMBLES))
+def test_mistyped_sync_records_are_refused_and_the_race_stays(connection, case):
+    """A sync record's own-thread slot must name its thread and the other
+    slot a lock (acq/rel), a volatile (vread/vwrite) or a thread
+    (fork/join); otherwise the edge refuses the record and the race it
+    would hide is reported."""
+    frames = Frames()
+    head, bad_row, tail, op = mistyped_sync(frames, case)
+    good = frames.frame(head)
+    bad = frames.frame([bad_row])
+    write_seq = frames.seq + len(tail) - 1
+    last = frames.frame(tail)
+    with service() as svc:
+        lines = serve(svc, connection, [good, bad, last])
+    events = len(head) + len(tail)
+    assert_refused(lines, op, 0, 0, events=events)
+    seq = events - 1 if connection == "plain" else write_seq
+    index = tail[-1].index
+    assert outcome(lines)[1] == [f"race 5.f write:1:0:0 write:2:{index}:0 seq={seq}"]

@@ -25,6 +25,7 @@ from repro.server import (
 from repro.server.protocol import FRAME_EVENTS, pack_frame, parse_response, parse_summary
 from repro.server.stats import ServiceStats, ShardStats
 from repro.trace import TraceBuilder
+from tests.helpers import service_trace_text
 
 
 def inline_service(**overrides):
@@ -174,6 +175,33 @@ def test_spans_work_with_counters_off(tmp_path):
         assert service.tracer.stage_counts()["route"] == 0
     spans = [r for r in read_span_log(path) if r["kind"] == "span"]
     assert spans  # sampling does not depend on the counter switch
+
+
+def test_no_obs_setting_changes_verdicts_or_detector_work(tmp_path):
+    """The shared service trace through 4 shards under each observability
+    setting: identical race lines (seq included) and per-shard detector
+    work, and only the span setting samples spans."""
+    text = service_trace_text()
+    settings = {
+        "counters-off": ObsConfig(counters=False),
+        "defaults": ObsConfig(),
+        "spans": ObsConfig(span_sample=8, span_log=str(tmp_path / "spans.jsonl")),
+        "provenance": ObsConfig(provenance=True),
+        "trace": ObsConfig(trace=True, node="obs-test"),
+    }
+    runs = {}
+    for name, obs in settings.items():
+        with inline_service(n_shards=4, obs=obs) as service:
+            lines = run_stream(service, text)
+            stats = service.stats()
+        races = sorted(line for line in lines if line.startswith("race "))
+        work = {shard.shard: shard.detector_work for shard in stats.shards}
+        runs[name] = (races, work, stats.spans_sampled)
+    races, work, _spans = runs["defaults"]
+    assert races and len(work) == 4
+    for name, (got_races, got_work, spans) in runs.items():
+        assert (got_races, got_work) == (races, work), name
+        assert (spans > 0) == (name == "spans"), name
 
 
 # -- snapshot compatibility for the new fields ---------------------------------
