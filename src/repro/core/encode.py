@@ -118,8 +118,9 @@ class FrameFormatError(ValueError):
     Subclasses :class:`ValueError`, so existing handlers keep working.
 
     When the kernel rejects a frame mid-application, ``record`` is the
-    0-based index of the faulting record and ``applied`` the number of
-    records fully applied before the fault, so callers can account for
+    0-based index of the faulting record, ``applied`` the number of
+    records fully applied before the fault and ``reports`` the ``(seq,
+    report)`` races those records completed, so callers can account for
     the partially-consumed frame ("atomic-or-reported").
     """
 
@@ -134,6 +135,7 @@ class FrameFormatError(ValueError):
         self.kind = kind
         self.record = record
         self.applied = applied
+        self.reports: list = []
 
 
 def _q_to_bytes(ints: array) -> bytes:

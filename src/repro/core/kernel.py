@@ -18,6 +18,10 @@ two-phase garbage collection -- with the hot loop rebuilt on integers:
   lockset owns the accessing thread.  That early exit subsumes the paper's
   thread-restricted traversal, so the ladder has five rungs (fresh,
   transactional, same-thread, alock, **epoch**) before the replay;
+* per-variable access state is int-keyed too: infos are filed under a
+  *variable key* (kept apart from the interner, so data variables never
+  widen a lockset's id space) and read slots under ``tid_id << 1 | xact``;
+  ``DataVar`` and ``AccessRef`` objects are built only for a race report;
 * two fast paths are ablatable:
 
   - **sync-epoch check** (``sc_epoch``): if no synchronization event has
@@ -35,7 +39,7 @@ describe *how* a verdict was reached differ.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
 from .actions import (
     OP_ACQUIRE,
@@ -54,10 +58,8 @@ from .actions import (
     Fork,
     Join,
     LockVar,
-    Obj,
     Read,
     Release,
-    Tid,
     VolatileRead,
     VolatileWrite,
     Write,
@@ -81,16 +83,22 @@ from .lockset import (
 from .report import AccessRef, RaceReport
 from .synclist import SEGMENT_SIZE, EncodedSyncList
 
+if TYPE_CHECKING:  # pragma: no cover - typing only; imported lazily at use
+    from .encode import FrameFormatError
+
 
 class KInfo:
     """Per-access record of the encoded kernel (cf. ``lazy.Info``).
 
-    All hot fields are ints: ``owner_id`` and ``alock_id`` are interned ids,
-    ``pos`` is a global position in the encoded list, ``ls`` an encoded
-    lockset.  ``ref`` keeps the human-facing access reference for reports.
+    All fields are ints: ``owner_id`` (the accessing thread) and
+    ``alock_id`` are interned ids, ``pos`` is a global position in the
+    encoded list, ``ls`` an encoded lockset, ``index`` the access's index
+    in its thread.  The human-facing :class:`AccessRef` is built only when
+    the access takes part in a race (its kind is the table the info sits
+    in: ``write_info`` or ``read_info``).
     """
 
-    __slots__ = ("owner_id", "pos", "ls", "alock_id", "xact", "ref")
+    __slots__ = ("owner_id", "pos", "ls", "alock_id", "xact", "index")
 
     def __init__(
         self,
@@ -99,17 +107,20 @@ class KInfo:
         ls: IntLockset,
         alock_id: Optional[int],
         xact: bool,
-        ref: AccessRef,
+        index: int,
     ) -> None:
         self.owner_id = owner_id
         self.pos = pos
         self.ls = ls
         self.alock_id = alock_id
         self.xact = xact
-        self.ref = ref
+        self.index = index
 
     def __repr__(self) -> str:
-        return f"<KInfo {self.ref!r} pos={self.pos} ls={self.ls!r} xact={self.xact}>"
+        return (
+            f"<KInfo #{self.owner_id}@{self.index} pos={self.pos} "
+            f"ls={self.ls!r} xact={self.xact}>"
+        )
 
 
 #: entries the shared memo may hold before it is wholesale cleared
@@ -118,6 +129,9 @@ MEMO_CAP = 4096
 #: rule applications a provenance chain records before truncating; the
 #: chain stays bounded no matter how long the replayed window was
 PROVENANCE_CAP = 64
+
+#: the variable key of a packed variable that another partition owns
+FOREIGN = -1
 
 #: constructor flags older checkpoints may carry but the kernel no longer
 #: takes; restore drops them so ``reset()`` can re-run ``__init__``
@@ -194,14 +208,26 @@ class EncodedGoldilocks(Detector):
 
         self.interner = Interner()
         self.events = EncodedSyncList(segment_size)
-        self.write_info: Dict[DataVar, KInfo] = {}
-        #: read infos keyed by (thread, transactional?) -- see lazy.py for
-        #: why the two kinds must not subsume each other
-        self.read_info: Dict[DataVar, Dict[Tuple[Tid, bool], KInfo]] = {}
+        #: the data variables seen, by *variable key* (their index here).
+        #: Data variables get keys of their own, apart from the interner:
+        #: the object path never makes them lockset elements.
+        self._vars: List[DataVar] = []
+        self._var_keys: Dict[DataVar, int] = {}
+        #: interner id of a packed read/write/footprint variable -> its
+        #: variable key, or :data:`FOREIGN` when another partition owns it;
+        #: decided at the id's first sight
+        self._packed_vars: Dict[int, int] = {}
+        #: last-write infos by variable key
+        self.write_info: Dict[int, KInfo] = {}
+        #: read infos by variable key, then by read slot ``tid_id << 1 |
+        #: xact`` -- see lazy.py for why transactional and plain reads
+        #: must not subsume each other
+        self.read_info: Dict[int, Dict[int, KInfo]] = {}
         #: monitors currently held per thread id, as interned LockVar ids
         self._held: Dict[int, List[int]] = {}
-        #: live variables per object, so alloc is O(fields), not O(heap)
-        self._by_obj: Dict[Obj, Set[DataVar]] = {}
+        #: tracked variable keys per object value, so alloc is O(fields),
+        #: not O(heap); a key joins when its variable starts being tracked
+        self._by_obj: Dict[int, Set[int]] = {}
         #: (position, lockset) -> (advanced position, advanced lockset)
         self._memo: Dict[Tuple[int, IntLockset], Tuple[int, IntLockset]] = {}
 
@@ -214,20 +240,35 @@ class EncodedGoldilocks(Detector):
         """An Info's lockset decoded back to elements (tests, diagnostics)."""
         return ls_decode(info.ls, self.interner)
 
+    def last_write(self, var: DataVar) -> Optional[KInfo]:
+        """The last-write info of ``var``, if any (tests, diagnostics)."""
+        key = self._var_keys.get(var)
+        return None if key is None else self.write_info.get(key)
+
     # -- event dispatch (Handle-Action) ------------------------------------------
 
     def process(self, event: Event) -> List[RaceReport]:
         action = event.action
         if isinstance(action, Read):
             self.stats.accesses_checked += 1
-            return self._handle_read(event.tid, event.index, action.var, None)
+            return self._handle_read(
+                self.interner.intern(event.tid),
+                event.index,
+                self._var_key(action.var),
+                None,
+            )
         if isinstance(action, Write):
             self.stats.accesses_checked += 1
-            return self._handle_write(event.tid, event.index, action.var, None)
+            return self._handle_write(
+                self.interner.intern(event.tid),
+                event.index,
+                self._var_key(action.var),
+                None,
+            )
         if isinstance(action, Commit):
             return self._handle_commit(event, action)
         if isinstance(action, Alloc):
-            self._handle_alloc(action.obj)
+            self._handle_alloc(action.obj.value)
             return []
         # Simple synchronization action: encode once, enqueue, track locks.
         self.stats.sync_events += 1
@@ -262,27 +303,34 @@ class EncodedGoldilocks(Detector):
 
     # -- data accesses ------------------------------------------------------------
 
+    def _var_key(self, var: DataVar) -> int:
+        """The variable key of ``var``, assigned at its first sight."""
+        key = self._var_keys.get(var)
+        if key is None:
+            key = self._var_keys[var] = len(self._vars)
+            self._vars.append(var)
+        return key
+
+    def _track(self, key: int) -> None:
+        """File a variable that starts being tracked under its object."""
+        self._by_obj.setdefault(self._vars[key].obj.value, set()).add(key)
+
     def _new_info(
         self,
-        tid: Tid,
+        tid_id: int,
         index: int,
-        kind: str,
         xact: bool,
         extra_ls: IntLockset = 0,
     ) -> KInfo:
-        tid_id = self.interner.intern(tid)
         ls: IntLockset = ls_add(0, tid_id)
         if xact:
             # {t, TL} ∪ <outgoing set>, exactly as in the seed detector.
             ls = ls_union(ls_add(ls, TL_ID), extra_ls)
         held = self._held.get(tid_id)
         alock_id = held[-1] if (held and not xact) else None
-        info = KInfo(
-            tid_id, self.events.tail_pos, ls, alock_id, xact,
-            AccessRef(tid, index, kind, xact),
-        )
-        self.events.incref(info.pos)
-        return info
+        pos = self.events.tail_pos
+        self.events.incref(pos)
+        return KInfo(tid_id, pos, ls, alock_id, xact, index)
 
     def _discard(self, info: Optional[KInfo]) -> None:
         if info is not None:
@@ -290,65 +338,71 @@ class EncodedGoldilocks(Detector):
 
     def _handle_read(
         self,
-        tid: Tid,
+        tid_id: int,
         index: int,
-        var: DataVar,
+        key: int,
         txn_extra: Optional[IntLockset],
     ) -> List[RaceReport]:
         """A read is checked against the last write only (cf. lazy.py)."""
         xact = txn_extra is not None
-        info = self._new_info(tid, index, "read", xact, txn_extra or 0)
+        info = self._new_info(tid_id, index, xact, txn_extra or 0)
         reports: List[RaceReport] = []
-        prev_write = self.write_info.get(var)
-        if prev_write is None and var not in self.read_info:
+        prev_write = self.write_info.get(key)
+        per_thread = self.read_info.get(key)
+        if prev_write is None and per_thread is None:
             self.stats.sc_fresh += 1
         if prev_write is not None and not self._check_happens_before(prev_write, info):
-            reports.append(self._report(var, prev_write, info))
+            reports.append(self._report(key, prev_write, "write", info, "read"))
         if reports and self.suppress_racy_updates:
             self._discard(info)  # the access is being suppressed
             return reports
-        per_thread = self.read_info.setdefault(var, {})
+        if per_thread is None:
+            per_thread = self.read_info[key] = {}
+            if prev_write is None:
+                self._track(key)
+        slot = tid_id << 1 | xact
         if not xact:
-            stale = per_thread.pop((tid, True), None)
-            self._discard(stale)
-        self._discard(per_thread.get((tid, xact)))
-        per_thread[(tid, xact)] = info
-        self._by_obj.setdefault(var.obj, set()).add(var)
+            self._discard(per_thread.pop(slot | 1, None))
+        self._discard(per_thread.get(slot))
+        per_thread[slot] = info
         return reports
 
     def _handle_write(
         self,
-        tid: Tid,
+        tid_id: int,
         index: int,
-        var: DataVar,
+        key: int,
         txn_extra: Optional[IntLockset],
     ) -> List[RaceReport]:
         """A write is checked against the last write and all reads since it."""
         xact = txn_extra is not None
-        info = self._new_info(tid, index, "write", xact, txn_extra or 0)
+        info = self._new_info(tid_id, index, xact, txn_extra or 0)
         reports: List[RaceReport] = []
-        prev_write = self.write_info.get(var)
-        readers = self.read_info.get(var)
+        prev_write = self.write_info.get(key)
+        readers = self.read_info.get(key)
         if prev_write is None and not readers:
             self.stats.sc_fresh += 1
         if readers:
             for reader_info in readers.values():
                 if not self._check_happens_before(reader_info, info):
-                    reports.append(self._report(var, reader_info, info))
+                    reports.append(
+                        self._report(key, reader_info, "read", info, "write")
+                    )
         if prev_write is not None:
             if not self._check_happens_before(prev_write, info):
-                reports.append(self._report(var, prev_write, info))
+                reports.append(self._report(key, prev_write, "write", info, "write"))
         if reports and self.suppress_racy_updates:
             self._discard(info)  # the access is being suppressed
             return reports
         if readers:
             for reader_info in readers.values():
                 self._discard(reader_info)
-            del self.read_info[var]
+            del self.read_info[key]
         if prev_write is not None:
             self._discard(prev_write)
-        self.write_info[var] = info
-        self._by_obj.setdefault(var.obj, set()).add(var)
+        elif not readers:
+            self._track(key)
+        self.write_info[key] = info
         return reports
 
     def _handle_commit(self, event: Event, action: Commit) -> List[RaceReport]:
@@ -368,14 +422,8 @@ class EncodedGoldilocks(Detector):
         reports: List[RaceReport] = []
         for var in self._commit_vars(action):
             self.stats.accesses_checked += 1
-            if var in action.writes:
-                reports.extend(
-                    self._handle_write(event.tid, event.index, var, outgoing_ls)
-                )
-            else:
-                reports.extend(
-                    self._handle_read(event.tid, event.index, var, outgoing_ls)
-                )
+            handle = self._handle_write if var in action.writes else self._handle_read
+            reports.extend(handle(tid_id, event.index, self._var_key(var), outgoing_ls))
         self._maybe_collect()
         return reports
 
@@ -385,8 +433,8 @@ class EncodedGoldilocks(Detector):
 
     # -- packed ingestion (the encode-once path) ---------------------------------
 
-    def _packed_owns(self, var_id: int, var: DataVar) -> bool:
-        """Data-access ownership filter for packed frames (sharding overrides)."""
+    def owns(self, var: DataVar) -> bool:
+        """Whether this instance checks ``var``'s accesses (sharding overrides)."""
         return True
 
     def apply_packed(self, frame: bytes) -> Tuple[List[Tuple[int, RaceReport]], int]:
@@ -397,15 +445,29 @@ class EncodedGoldilocks(Detector):
         encoded list verbatim -- no ``Event`` is ever constructed and no
         sync payload is decoded (the edge already did it, once).  Commits
         arrive as footprint id lists in the frame's extras; their gain
-        locksets are rebuilt from ids alone.  Only data/commit *accesses*
-        resolve ids back to :class:`DataVar` (O(1) table lookups), because
-        the kernel's per-variable state is keyed by variable objects.
+        locksets are rebuilt from ids alone.  Data accesses stay ints too:
+        a variable id is resolved once, at its first sight, to the
+        variable key its state is filed under.
         """
         from .encode import decode_frame, extend_interner
 
         base, delta, records, extras = decode_frame(frame)
         extend_interner(self.interner, base, delta)
         return self.apply_records(records, extras)
+
+    def _refuse(
+        self, problem: str, op: int, record: int, applied: int
+    ) -> FrameFormatError:
+        """Count one frame fault; the typed error for the caller to raise."""
+        from .encode import FrameFormatError
+
+        self.stats.frame_faults += 1
+        return FrameFormatError(
+            f"{problem} at record {record} ({applied} records applied)",
+            kind=op,
+            record=record,
+            applied=applied,
+        )
 
     def _resolve_packed(self, eid: int, op: int, record: int, applied: int):
         """Guarded interner lookup for ids arriving in packed records.
@@ -417,16 +479,29 @@ class EncodedGoldilocks(Detector):
         """
         if 0 <= eid < len(self.interner):
             return self.interner.resolve(eid)
-        from .encode import FrameFormatError
-
-        self.stats.frame_faults += 1
-        raise FrameFormatError(
-            f"stale interner id {eid} at record {record} "
-            f"(opcode {op}, {applied} records applied)",
-            kind=op,
-            record=record,
-            applied=applied,
+        raise self._refuse(
+            f"stale interner id {eid} (opcode {op})", op, record, applied
         )
+
+    def _packed_var(self, var_id: int, op: int, record: int, applied: int) -> int:
+        """Decide, at its first sight, what a packed variable id names.
+
+        Returns its variable key, or :data:`FOREIGN` when another partition
+        owns the variable, and remembers the answer for the id.  An id that
+        names no data variable (a thread, a lock, a volatile) raises a typed
+        :class:`~repro.core.encode.FrameFormatError`.
+        """
+        var = self._resolve_packed(var_id, op, record, applied)
+        if type(var) is not DataVar:
+            raise self._refuse(
+                f"variable id {var_id} resolves to {var!r}, not a data variable,",
+                op,
+                record,
+                applied,
+            )
+        key = self._var_key(var) if self.owns(var) else FOREIGN
+        self._packed_vars[var_id] = key
+        return key
 
     def apply_records(
         self, records, extras
@@ -434,81 +509,78 @@ class EncodedGoldilocks(Detector):
         """Apply decoded ``(records, extras)`` arrays record-at-a-time.
 
         A malformed record raises :class:`~repro.core.encode
-        .FrameFormatError` carrying the record offset and the number of
-        records fully applied before the fault.
+        .FrameFormatError` carrying the record offset, the number of
+        records fully applied before the fault and, as ``reports``, the
+        races those records completed.
         """
-        resolve = self.interner.resolve
+        from .encode import FrameFormatError
+
         reports: List[Tuple[int, RaceReport]] = []
         count = 0
-        for i in range(0, len(records), 6):
-            op, seq, tid_id, index, a, b = records[i : i + 6]
-            if op <= OP_JOIN:
-                self.stats.sync_events += 1
-                if op == OP_ACQUIRE:  # a is the lock id, b the acquirer
-                    self._held.setdefault(tid_id, []).append(a)
-                elif op == OP_RELEASE:  # b is the lock id (innermost hold)
-                    held = self._held.get(tid_id, [])
-                    for k in range(len(held) - 1, -1, -1):
-                        if held[k] == b:
-                            del held[k]
-                            break
-                self.events.enqueue_encoded(op, tid_id, a, b)
-                self._maybe_collect()
-            elif op == OP_READ or op == OP_WRITE:
-                if a < 0:
-                    # admission-filtered access (normally dropped at the
-                    # edge; counted here in case a record slips through)
-                    self.stats.accesses_filtered += 1
-                    count += 1
-                    continue
-                var = self._resolve_packed(a, op, i // 6, count)
-                if not self._packed_owns(a, var):
-                    count += 1
-                    continue
-                self.stats.accesses_checked += 1
-                tid = resolve(tid_id)
-                if op == OP_READ:
-                    found = self._handle_read(tid, index, var, None)
-                else:
-                    found = self._handle_write(tid, index, var, None)
-                for report in found:
-                    reports.append((seq, report))
-            elif op == OP_COMMIT:
-                reports.extend(
-                    self._packed_commit(seq, tid_id, index, a, extras, i // 6, count)
-                )
-            elif op == OP_ALLOC:
-                if a < 0:
-                    # admission-filtered alloc: nothing to invalidate
-                    self.stats.accesses_filtered += 1
-                else:
-                    element = self._resolve_packed(a, op, i // 6, count)
-                    obj = getattr(element, "obj", None)
-                    if obj is None:
-                        from .encode import FrameFormatError
-
-                        self.stats.frame_faults += 1
-                        raise FrameFormatError(
-                            f"alloc id {a} resolves to {element!r}, not an "
-                            f"object proxy, at record {i // 6} "
-                            f"({count} records applied)",
-                            kind=op,
-                            record=i // 6,
-                            applied=count,
+        stats = self.stats
+        packed_vars = self._packed_vars
+        try:
+            for i in range(0, len(records), 6):
+                op, seq, tid_id, index, a, b = records[i : i + 6]
+                if op <= OP_JOIN:
+                    stats.sync_events += 1
+                    if op == OP_ACQUIRE:  # a is the lock id, b the acquirer
+                        self._held.setdefault(tid_id, []).append(a)
+                    elif op == OP_RELEASE:  # b is the lock id (innermost hold)
+                        held = self._held.get(tid_id, [])
+                        for k in range(len(held) - 1, -1, -1):
+                            if held[k] == b:
+                                del held[k]
+                                break
+                    self.events.enqueue_encoded(op, tid_id, a, b)
+                    self._maybe_collect()
+                elif op == OP_READ or op == OP_WRITE:
+                    if a < 0:
+                        # admission-filtered access (normally dropped at the
+                        # edge; counted here in case a record slips through)
+                        stats.accesses_filtered += 1
+                        count += 1
+                        continue
+                    key = packed_vars.get(a)
+                    if key is None:
+                        key = self._packed_var(a, op, i // 6, count)
+                    if key == FOREIGN:
+                        count += 1
+                        continue
+                    stats.accesses_checked += 1
+                    if op == OP_READ:
+                        found = self._handle_read(tid_id, index, key, None)
+                    else:
+                        found = self._handle_write(tid_id, index, key, None)
+                    for report in found:
+                        reports.append((seq, report))
+                elif op == OP_COMMIT:
+                    reports.extend(
+                        self._packed_commit(
+                            seq, tid_id, index, a, extras, i // 6, count
                         )
-                    self._handle_alloc(obj)
-            else:
-                from .encode import FrameFormatError
-
-                self.stats.frame_faults += 1
-                raise FrameFormatError(
-                    f"unknown opcode {op} at record {i // 6} "
-                    f"({count} records applied)",
-                    kind=op,
-                    record=i // 6,
-                    applied=count,
-                )
-            count += 1
+                    )
+                elif op == OP_ALLOC:
+                    if a < 0:
+                        # admission-filtered alloc: nothing to invalidate
+                        stats.accesses_filtered += 1
+                    else:
+                        proxy = self._resolve_packed(a, op, i // 6, count)
+                        if type(proxy) is not LockVar:
+                            raise self._refuse(
+                                f"alloc id {a} resolves to {proxy!r}, not an "
+                                "object proxy,",
+                                op,
+                                i // 6,
+                                count,
+                            )
+                        self._handle_alloc(proxy.obj.value)
+                else:
+                    raise self._refuse(f"unknown opcode {op}", op, i // 6, count)
+                count += 1
+        except FrameFormatError as exc:
+            exc.reports = reports
+            raise
         return reports, count
 
     def _packed_commit(
@@ -523,79 +595,74 @@ class EncodedGoldilocks(Detector):
     ) -> List[Tuple[int, RaceReport]]:
         """Section 5.3 on a packed commit: gains come straight from the ids.
 
-        Footprint entries holding the :data:`~repro.core.encode.FILTERED_VAR`
-        sentinel (an admission filter dropped the variable at some edge) are
-        skipped -- not resolved -- and counted in ``accesses_filtered``, so
-        the gain lockset matches what the encoder actually shipped.
+        Every footprint id is decided before the commit is enqueued, so a
+        refused commit leaves no trace.  Footprint entries holding the
+        :data:`~repro.core.encode.FILTERED_VAR` sentinel (an admission
+        filter dropped the variable at some edge) are skipped -- not
+        resolved -- and counted in ``accesses_filtered``, so the gain
+        lockset matches what the encoder actually shipped.
         """
-        self.stats.sync_events += 1
         if not 0 <= offset < len(extras):
-            from .encode import FrameFormatError
-
-            self.stats.frame_faults += 1
-            raise FrameFormatError(
-                f"commit extras offset {offset} outside the extras array "
-                f"at record {record} ({applied} records applied)",
-                kind=OP_COMMIT,
-                record=record,
-                applied=applied,
+            raise self._refuse(
+                f"commit extras offset {offset} outside the extras array",
+                OP_COMMIT,
+                record,
+                applied,
             )
         n_vars = extras[offset]
         end = offset + 1 + 2 * n_vars
         if n_vars < 0 or end > len(extras):
-            from .encode import FrameFormatError
-
-            self.stats.frame_faults += 1
-            raise FrameFormatError(
-                f"commit footprint of {n_vars} vars overruns the extras "
-                f"array at record {record} ({applied} records applied)",
-                kind=OP_COMMIT,
-                record=record,
-                applied=applied,
+            raise self._refuse(
+                f"commit footprint of {n_vars} vars overruns the extras array",
+                OP_COMMIT,
+                record,
+                applied,
             )
-        if self.commit_sync == "footprint":
-            gain_ls: IntLockset = 0
-            for j in range(offset + 1, end, 2):
-                var_id = extras[j]
-                if var_id < 0:
-                    continue  # admission-filtered footprint entry
-                gain_ls = ls_add(gain_ls, var_id)
-            incoming_ls = outgoing_ls = gain_ls
-        else:
-            incoming_ls = outgoing_ls = ls_add(0, TL_ID)
-        row = self.events.add_commit_row(incoming_ls, outgoing_ls, tid_id)
-        self.events.enqueue_encoded(OP_COMMIT, tid_id, row, 0)
-        reports: List[Tuple[int, RaceReport]] = []
-        tid = self.interner.resolve(tid_id)
         # extras arrive in the canonical (obj, field) order of _commit_vars
+        checks: List[Tuple[int, int]] = []
+        filtered = 0
+        gain_ls: IntLockset = 0
         for j in range(offset + 1, end, 2):
             var_id = extras[j]
             if var_id < 0:
-                self.stats.accesses_filtered += 1
+                filtered += 1  # admission-filtered footprint entry
                 continue
-            var = self._resolve_packed(var_id, OP_COMMIT, record, applied)
-            if not self._packed_owns(var_id, var):
-                continue
+            key = self._packed_vars.get(var_id)
+            if key is None:
+                key = self._packed_var(var_id, OP_COMMIT, record, applied)
+            if key != FOREIGN:
+                checks.append((key, extras[j + 1]))
+            gain_ls = ls_add(gain_ls, var_id)
+        if self.commit_sync == "footprint":
+            incoming_ls = outgoing_ls = gain_ls
+        else:
+            incoming_ls = outgoing_ls = ls_add(0, TL_ID)
+        self.stats.sync_events += 1
+        self.stats.accesses_filtered += filtered
+        row = self.events.add_commit_row(incoming_ls, outgoing_ls, tid_id)
+        self.events.enqueue_encoded(OP_COMMIT, tid_id, row, 0)
+        reports: List[Tuple[int, RaceReport]] = []
+        for key, is_write in checks:
             self.stats.accesses_checked += 1
-            if extras[j + 1]:
-                found = self._handle_write(tid, index, var, outgoing_ls)
+            if is_write:
+                found = self._handle_write(tid_id, index, key, outgoing_ls)
             else:
-                found = self._handle_read(tid, index, var, outgoing_ls)
+                found = self._handle_read(tid_id, index, key, outgoing_ls)
             for report in found:
                 reports.append((seq, report))
         self._maybe_collect()
         return reports
 
-    def _handle_alloc(self, obj: Obj) -> None:
-        """Allocation makes every field of ``obj`` fresh: drop its infos."""
-        live = self._by_obj.pop(obj, None)
+    def _handle_alloc(self, obj_value: int) -> None:
+        """Allocation makes every field of the object fresh: drop its infos."""
+        live = self._by_obj.pop(obj_value, None)
         if not live:
             return
-        for var in live:
-            info = self.write_info.pop(var, None)
+        for key in live:
+            info = self.write_info.pop(key, None)
             if info is not None:
                 self._discard(info)
-            per_thread = self.read_info.pop(var, None)
+            per_thread = self.read_info.pop(key, None)
             if per_thread is not None:
                 for info in per_thread.values():
                     self._discard(info)
@@ -764,13 +831,18 @@ class EncodedGoldilocks(Detector):
         self.stats.cells_traversed += visited
         return ls, reached
 
-    def _report(self, var: DataVar, info1: KInfo, info2: KInfo) -> RaceReport:
+    def _report(
+        self, key: int, info1: KInfo, kind1: str, info2: KInfo, kind2: str
+    ) -> RaceReport:
+        """The report of a race on variable ``key``; the only place where
+        the accesses' :class:`AccessRef` objects are built."""
         self.stats.races += 1
         provenance = self._derive_provenance(info1, info2) if self.provenance else None
+        resolve = self.interner.resolve
         return RaceReport(
-            var=var,
-            first=info1.ref,
-            second=info2.ref,
+            var=self._vars[key],
+            first=AccessRef(resolve(info1.owner_id), info1.index, kind1, info1.xact),
+            second=AccessRef(resolve(info2.owner_id), info2.index, kind2, info2.xact),
             detector=self.name,
             provenance=provenance,
         )
@@ -960,22 +1032,27 @@ class EncodedGoldilocks(Detector):
 
     # Positions are stored as (segment, slot) pairs and locksets in their
     # canonical packed form, so a checkpoint is byte-stable: restoring and
-    # re-checkpointing yields the identical blob.  The shared memo and the
-    # per-object index are derived state and deliberately absent.
+    # re-checkpointing yields the identical blob.  The shared memo, the
+    # variable keys and the per-object index are derived state and
+    # deliberately absent: infos are filed under their DataVar, read infos
+    # under ``(Tid, xact)``, and each carries its AccessRef, as they were
+    # when the kernel kept objects in its tables.
 
     def __getstate__(self) -> dict:
         size = self.events.segment_size
+        resolve = self.interner.resolve
 
-        def pack(info: KInfo) -> tuple:
+        def pack(info: KInfo, kind: str) -> tuple:
             return (
                 info.owner_id,
                 (info.pos // size, info.pos % size),
                 ls_pack(info.ls),
                 info.alock_id,
                 info.xact,
-                info.ref,
+                AccessRef(resolve(info.owner_id), info.index, kind, info.xact),
             )
 
+        variables = self._vars
         return {
             "config": sorted(self._config.items()),
             "suppress_racy_updates": self.suppress_racy_updates,
@@ -983,10 +1060,16 @@ class EncodedGoldilocks(Detector):
             "events": self.events,
             "interner": self.interner,
             "held": self._held,
-            "write_info": {var: pack(info) for var, info in self.write_info.items()},
+            "write_info": {
+                variables[key]: pack(info, "write")
+                for key, info in self.write_info.items()
+            },
             "read_info": {
-                var: {key: pack(info) for key, info in per_thread.items()}
-                for var, per_thread in self.read_info.items()
+                variables[key]: {
+                    (resolve(slot >> 1), bool(slot & 1)): pack(info, "read")
+                    for slot, info in per_thread.items()
+                }
+                for key, per_thread in self.read_info.items()
             },
         }
 
@@ -1021,15 +1104,24 @@ class EncodedGoldilocks(Detector):
 
         def unpack(packed: tuple) -> KInfo:
             owner_id, (seg, slot), ls, alock_id, xact, ref = packed
-            return KInfo(owner_id, seg * size + slot, ls_unpack(ls), alock_id, xact, ref)
+            return KInfo(
+                owner_id, seg * size + slot, ls_unpack(ls), alock_id, xact, ref.index
+            )
 
-        self.write_info = {var: unpack(p) for var, p in state["write_info"].items()}
-        self.read_info = {
-            var: {key: unpack(p) for key, p in per_thread.items()}
-            for var, per_thread in state["read_info"].items()
-        }
+        self._vars = []
+        self._var_keys = {}
+        self._packed_vars = {}
         self._by_obj = {}
-        for var in self.write_info:
-            self._by_obj.setdefault(var.obj, set()).add(var)
-        for var in self.read_info:
-            self._by_obj.setdefault(var.obj, set()).add(var)
+        self.write_info = {}
+        for var, packed in state["write_info"].items():
+            key = self._var_key(var)
+            self.write_info[key] = unpack(packed)
+            self._track(key)
+        self.read_info = {}
+        for var, per_thread in state["read_info"].items():
+            key = self._var_key(var)
+            infos = self.read_info[key] = {}
+            for packed in per_thread.values():
+                info = unpack(packed)
+                infos[info.owner_id << 1 | info.xact] = info
+            self._track(key)

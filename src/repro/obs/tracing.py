@@ -4,7 +4,8 @@ An event's life in the service crosses five stages::
 
     ingest -> route -> queue -> apply -> report
 
-* **ingest**: wire text/frame to packed record (service edge);
+* **ingest**: wire text to packed records (service edge; one
+  observation per run of event lines, counting the run's events);
 * **route**: batch framing at the push boundary (buffer -> frame bytes);
 * **queue**: a batch's span from push to acknowledgment (includes the
   shard's apply time -- the queueing share is ``queue - apply``);
@@ -12,11 +13,12 @@ An event's life in the service crosses five stages::
 * **report**: turning completed reports into wire ``race`` lines.
 
 The tracer keeps, per stage, an event/batch **counter** (deterministic)
-and a fixed-bucket **latency histogram** (wall-clock; per *batch* for the
-hot stages, so the default-on cost is two clock reads per batch, not per
-event).  Span sampling is **off by default**: with ``span_sample=N`` every
-Nth batch (deterministically, by batch ordinal -- no RNG) is written as
-one JSONL object to ``span_log``, schema::
+and a fixed-bucket **latency histogram** (wall-clock; per *batch* for
+route/queue/apply and per *run* of text lines for ingest, so the
+default-on cost is two clock reads per batch or run, not per event).
+Span sampling is **off by default**: with ``span_sample=N`` every Nth
+batch (deterministically, by batch ordinal -- no RNG) is written as one
+JSONL object to ``span_log``, schema::
 
     {"kind": "span", "batch": int, "shard": int, "events": int,
      "stage_sec": {"route": float, "queue": float, "apply": float},
@@ -176,7 +178,8 @@ class LifecycleTracer:
         self._stage_latency = self.registry.histogram(
             "stage_latency_seconds",
             "wall-clock latency per lifecycle stage (per batch for "
-            "route/queue/apply, per event for ingest, per drain for report)",
+            "route/queue/apply, per run of text lines for ingest, per drain "
+            "for report)",
             buckets=LATENCY_BUCKETS,
             labels=("stage",),
         )

@@ -222,7 +222,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                     print(f"repro-serve: error: {exc}", file=sys.stderr)
                     return 2
             else:
-                races = service.handle_stream(sys.stdin, sys.stdout)
+                # the byte buffer, so the text edge reads in runs
+                stdin = getattr(sys.stdin, "buffer", sys.stdin)
+                races = service.handle_stream(stdin, sys.stdout)
         except KeyboardInterrupt:  # pragma: no cover - interactive only
             service.request_shutdown()
             races = service.stats().races_reported

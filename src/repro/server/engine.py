@@ -113,9 +113,10 @@ class PartitionedGoldilocks(EncodedGoldilocks):
         self.shard_id = shard_id
         self.n_shards = n_shards
         self.label = f"shard {shard_id}/{n_shards}"
-        self._own_cache: Dict[int, bool] = {}
 
     def owns(self, var: DataVar) -> bool:
+        # Packed frames ask once per variable id (the kernel remembers the
+        # answer), so the crc32 route is computed once per variable.
         return shard_of(var, self.n_shards) == self.shard_id
 
     def process(self, event: Event) -> List[RaceReport]:
@@ -126,14 +127,6 @@ class PartitionedGoldilocks(EncodedGoldilocks):
 
     def _commit_vars(self, action: Commit) -> List[DataVar]:
         return [var for var in super()._commit_vars(action) if self.owns(var)]
-
-    def _packed_owns(self, var_id: int, var: DataVar) -> bool:
-        # Same crc32 partition, but decided once per variable *id*: packed
-        # frames guarantee stable ids, so the route is a dict hit.
-        cached = self._own_cache.get(var_id)
-        if cached is None:
-            cached = self._own_cache[var_id] = self.owns(var)
-        return cached
 
     # The base reset() re-invokes __init__ from the stored detector kwargs;
     # prepend our partition coordinates.
@@ -149,7 +142,6 @@ class PartitionedGoldilocks(EncodedGoldilocks):
         self.shard_id, self.n_shards = state.pop("partition")
         super().__setstate__(state)
         self.label = f"shard {self.shard_id}/{self.n_shards}"
-        self._own_cache = {}
 
 
 #: every class a :class:`PartitionedGoldilocks` checkpoint pickles, as exact
@@ -461,8 +453,9 @@ class ShardedEngine:
         announced, its thread id must name a thread, read/write/footprint
         ids must name data variables (or be :data:`FILTERED_VAR`), a sync
         record must name its own thread in one slot and a lock (acq/rel),
-        volatile (vread/vwrite) or thread (fork/join) in the other, and a
-        commit's footprint must lie inside the extras array.  A bad record
+        volatile (vread/vwrite) or thread (fork/join) in the other, an
+        alloc must name an object's lock (its proxy), and a commit's
+        footprint must lie inside the extras array.  A bad record
         raises :class:`FrameFormatError` with the records before it
         ingested (``applied``) and none after it.
         """
@@ -589,6 +582,8 @@ class ShardedEngine:
             elif op == OP_ALLOC:
                 if a >= 0:
                     a = wire_id(a, op, i)
+                    if a not in encoder.lock_ids:
+                        raise bad_id(records[i + 4], "an object's LockVar", op, i)
             else:
                 raise refuse(f"unknown opcode {op}", op, i)
             self._ingest_record(op, tid_id, index, a, b, local_extras, seq, only_slot)
@@ -650,17 +645,9 @@ class ShardedEngine:
         try:
             reports, n = detector.apply_packed(frame)
         except FrameFormatError as exc:
-            applied = exc.applied or 0
-            group = self._slot_groups[shard]
-            self.apply_errors.append(
-                fault_record(
-                    f"<frame rejected by shard {group}: "
-                    f"{exc} ({applied}/{n_events} records applied)>",
-                    exc,
-                    shard=group,
-                )
+            reports, n = self._apply_past_faults(
+                shard, exc, buffer.records, buffer.extras
             )
-            reports, n = [], applied
         apply_sec = tracer.clock() - sent_at
         self._events_processed[shard] += n
         self._shard_stats[shard] = detector.stats.as_dict()
@@ -671,6 +658,54 @@ class ShardedEngine:
             )
             self._dump_on_race(shard, reports)
         self._finish_batch(shard, sent_at, apply_sec, span)
+
+    def _apply_past_faults(
+        self, shard: int, exc: FrameFormatError, records: array, extras: array
+    ) -> Tuple[List[SeqReport], int]:
+        """Finish a batch whose record a shard refused; ``(reports, applied)``.
+
+        The races of the records before the refused one are kept, the
+        refused record becomes one fault in :attr:`apply_errors`, and the
+        records after it are applied as usual -- they may come from other
+        frames or other clients sharing the buffer, and a race they
+        complete must not be lost.
+        """
+        group = self._slot_groups[shard]
+        detector = self._detectors[shard]
+        total = len(records) // RECORD_WIDTH
+        reports: List[SeqReport] = []
+        applied = done = 0
+        while True:
+            reports.extend(exc.reports)
+            applied += exc.applied or 0
+            if exc.record is None:  # the frame did not decode: nothing applies
+                self.apply_errors.append(
+                    fault_record(
+                        f"<batch of {total} records refused by shard {group}: {exc}>",
+                        exc,
+                        shard=group,
+                    )
+                )
+                return reports, applied
+            done += exc.record
+            self.apply_errors.append(
+                fault_record(
+                    f"<record {done} of a {total}-record batch refused by "
+                    f"shard {group}: {exc}>",
+                    exc,
+                    shard=group,
+                )
+            )
+            done += 1
+            if done == total:
+                return reports, applied
+            try:
+                more, n = detector.apply_records(records[done * RECORD_WIDTH :], extras)
+            except FrameFormatError as again:
+                exc = again
+                continue
+            reports.extend(more)
+            return reports, applied + n
 
     # -- results ---------------------------------------------------------------
 

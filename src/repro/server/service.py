@@ -10,8 +10,11 @@ time-driven flusher thread that pushes half-full batches after
 
 Transports, all sharing one service (and therefore one detection domain):
 
-* :meth:`handle_stream` -- any ``(reader, writer)`` text-stream pair; used
-  directly for stdin mode and by every socket connection;
+* :meth:`handle_stream` -- a ``(reader, writer)`` pair: a byte stream (or
+  text lines) in, text out; used directly for stdin mode and by every
+  socket connection.  Event lines reach the engine in *runs* -- what one
+  read of the transport delivered, at most ``batch_size`` lines -- so
+  locking, timing and report polling cost once per run, not per line;
 * :func:`serve_tcp` / :func:`serve_unix` -- threaded socket servers;
 * :meth:`tail_file` -- incremental ingestion of a growing trace file
   (:func:`repro.trace.io.follow_trace`).
@@ -19,7 +22,9 @@ Transports, all sharing one service (and therefore one detection domain):
 Race reports are streamed back on whichever connection drains them (with a
 single client: exactly that client).  ``!flush`` is the synchronization
 point: after its ``ok`` line, every race completed by previously sent
-events has been written.
+events has been written.  A connection that closes with nothing sent
+since its last ``!flush`` drains nothing, so its EOF cannot take the races
+of connections still streaming.
 """
 
 from __future__ import annotations
@@ -31,7 +36,20 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Any, BinaryIO, Deque, Dict, Iterable, List, Optional, TextIO, Tuple
+from typing import (
+    Any,
+    BinaryIO,
+    Deque,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    TextIO,
+    Tuple,
+    Union,
+)
 
 from ..core.actions import Event
 from ..obs.bridge import registry_from_stats
@@ -40,6 +58,7 @@ from ..obs.tracing import ObsConfig, fault_record
 from ..trace.io import follow_trace
 from .engine import EngineConfig, SeqReport, ShardedEngine, WireIngest
 from .protocol import (
+    CONTROL_PREFIX,
     FRAME_CONTROL,
     FRAME_EVENTS,
     FRAME_TEXT,
@@ -144,6 +163,32 @@ class RaceDetectionService:
             return None
         self.tracer.observe("ingest", t0)
         return seq
+
+    def submit_lines(self, lines: Sequence[str]) -> Tuple[int, List[SeqReport]]:
+        """Submit a run of event lines; returns ``(ingested, new reports)``.
+
+        The run costs one lock acquisition, two clock reads, one ``ingest``
+        observation and one report poll, however long it is.  Lines are
+        ingested in order up to the first one the edge refuses: that line
+        is counted and remembered as a fault, and the lines after it are
+        left to the caller (``lines[ingested]`` is the refused one when
+        ``ingested < len(lines)``).
+        """
+        t0 = self.tracer.clock()
+        ingested = 0
+        with self._lock:
+            submit = self.engine.submit_line
+            try:
+                for line in lines:
+                    submit(line)
+                    ingested += 1
+            except Exception as exc:
+                self._note_fault(fault_record(lines[ingested], exc))
+            reports = self.engine.poll_reports()
+            self._races_seen += len(reports)
+        if ingested:
+            self.tracer.observe("ingest", t0, n=ingested)
+        return ingested, reports
 
     def _note_bad_input(
         self, line: str, error: Optional[BaseException] = None
@@ -274,30 +319,50 @@ class RaceDetectionService:
 
     def handle_stream(
         self,
-        reader: Iterable[str],
+        reader: Union[BinaryIO, Iterable[str]],
         writer: TextIO,
         binary: Optional[BinaryIO] = None,
     ) -> int:
         """Serve one connection until EOF or ``!shutdown``; returns its race count.
 
-        ``reader`` yields lines (a file object works); responses and race
-        lines are written to ``writer``.  The final drain happens on EOF, so
-        piping a complete trace in gives exactly the offline verdict.
+        ``reader`` is the connection's input: a byte stream with ``read1``
+        (a socket file, stdin's buffer), or text lines (a file object
+        works).  Responses and race lines are written to ``writer``.  The
+        final drain happens on EOF, so piping a complete trace in gives
+        exactly the offline verdict.
+
+        Event lines reach :meth:`submit_lines` in runs: the consecutive
+        event lines one read of the transport delivered, at most
+        ``batch_size`` at a time.  A control line or a refused line ends
+        a run, so every reply keeps its place in the stream, and a run
+        never waits for more input.
 
         ``binary`` is the connection's underlying byte stream, if it has
         one.  A ``!binary`` control line switches the client->server
-        direction to length-prefixed frames read from it (replies stay
-        text); on a purely textual transport (stdin) the request is
+        direction to length-prefixed frames read from it, starting with
+        any bytes the read that held ``!binary`` took past it (replies
+        stay text); on a purely textual transport (stdin) the request is
         answered with an ``error`` line and the stream continues as text.
         """
-        races = 0
-        events = 0
+        tally = _Tally()
         state = WireIngest()
-        for raw in reader:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if is_control(line):
+        step = max(1, self.config.batch_size)
+        reads = _TextReads(reader)
+        for lines in reads:
+            run: List[str] = []
+            for k, raw in enumerate(lines):
+                line = raw.strip()
+                if not line or line[0] == "#":
+                    continue
+                if line[0] != CONTROL_PREFIX:
+                    run.append(line)
+                    if len(run) == step:
+                        self._submit_text(run, writer, tally)
+                        run = []
+                    continue
+                if run:
+                    self._submit_text(run, writer, tally)
+                    run = []
                 command, args = parse_control(line)
                 if command == "binary":
                     if binary is None:
@@ -306,70 +371,89 @@ class RaceDetectionService:
                         continue
                     writer.write("ok binary\n")
                     writer.flush()
-                    frame_events, frame_races, stop = self._binary_loop(
-                        binary, writer, state
-                    )
-                    events += frame_events
-                    races += frame_races
-                    if stop:
-                        return races
-                    break  # binary EOF ends the connection: drain below
-                stop, delta = self._control(command, args, writer, races, state)
-                races += delta
+                    frames = _Prefixed(reads.rest(k), binary)
+                    if self._binary_loop(frames, writer, state, tally):
+                        return tally.races
+                    # binary EOF ends the connection: drain
+                    return self._end_stream(writer, tally)
+                stop = self._control(command, args, writer, state, tally)
                 writer.flush()
                 if stop:
-                    return races
-                continue
-            seq = self.submit_line(line)
-            if seq is None:
-                writer.write(f"error unparseable event line: {line}\n")
-                writer.flush()
-                continue
-            events += 1
-            races += self._write_races(writer, self.poll_reports())
-        reports = self.barrier()
-        races += self._write_races(writer, reports)
-        writer.write(summary_line("eof", events=events, races=races) + "\n")
+                    return tally.races
+            if run:
+                self._submit_text(run, writer, tally)
+        return self._end_stream(writer, tally)
+
+    def _end_stream(self, writer: TextIO, tally: _Tally) -> int:
+        """Drain at a connection's EOF and write its ``ok eof`` line.
+
+        Only a connection that sent events since its last ``!flush`` has
+        anything of its own to drain; one that has not leaves the batches
+        of the connections still streaming, and their races, to them.
+        """
+        if tally.undrained:
+            tally.races += self._write_races(writer, self.barrier())
+        writer.write(summary_line("eof", events=tally.events, races=tally.races) + "\n")
         writer.flush()
-        return races
+        return tally.races
+
+    def _submit_text(self, lines: List[str], writer: TextIO, tally: _Tally) -> None:
+        """Submit stripped event lines in runs of at most ``batch_size``.
+
+        Writes the runs' races and one ``error`` line per refused line, in
+        stream order.
+        """
+        step = max(1, self.config.batch_size)
+        start = 0
+        while start < len(lines):
+            run = lines[start : start + step]
+            ingested, reports = self.submit_lines(run)
+            tally.ingested(ingested)
+            tally.races += self._write_races(writer, reports)
+            start += ingested
+            if ingested < len(run):
+                writer.write(f"error unparseable event line: {run[ingested]}\n")
+                writer.flush()
+                start += 1
 
     def _control(
         self,
         command: str,
         args: str,
         writer: TextIO,
-        races: int,
         state: WireIngest,
-    ) -> Tuple[bool, int]:
-        """Run one control command; returns ``(stop stream?, races written)``.
+        tally: _Tally,
+    ) -> bool:
+        """Run one control command; returns whether the stream stops.
 
         ``state`` is the connection's wire ingest state: ``!cluster`` marks
         it as the coordinator's, and ``!replay`` scopes its targeting to
-        exactly that connection.
+        exactly that connection.  Race lines written count in ``tally``.
         """
         if command in ("cluster", "adopt", "retire", "checkpoint", "replay"):
             try:
                 self._cluster_control(command, args, writer, state)
             except Exception as exc:
                 writer.write(f"error {command}: {exc}\n")
-            return False, 0
+            return False
         if command == "ping":
             writer.write("ok pong\n")
-            return False, 0
+            return False
         if command == "admit":
             try:
                 self._admit_control(args, writer)
             except Exception as exc:
                 writer.write(f"error admit: {exc}\n")
-            return False, 0
+            return False
         if command == "flush":
             reports = self.barrier()
-            written = self._write_races(writer, reports)
+            tally.races += self._write_races(writer, reports)
+            tally.undrained = 0
             writer.write(summary_line("flush", races=len(reports)) + "\n")
-            return False, written
+            return False
         if command == "stats":
             writer.write("stats " + self.stats().to_json() + "\n")
-            return False, 0
+            return False
         if command == "metrics":
             # The exposition is multi-line; the ok line announces how many
             # lines follow so clients can read the block without sniffing.
@@ -377,26 +461,26 @@ class RaceDetectionService:
             writer.write(summary_line("metrics", lines=len(lines)) + "\n")
             for text_line in lines:
                 writer.write(text_line + "\n")
-            return False, 0
+            return False
         if command == "health":
             writer.write(
                 "health " + json.dumps(self.health(), sort_keys=True) + "\n"
             )
-            return False, 0
+            return False
         if command == "reset":
             with self._lock:
                 self.engine.reset()
             writer.write("ok reset\n")
-            return False, 0
+            return False
         if command == "shutdown":
             reports = self.barrier()
-            written = self._write_races(writer, reports)
-            writer.write(summary_line("shutdown", races=races + written) + "\n")
+            tally.races += self._write_races(writer, reports)
+            writer.write(summary_line("shutdown", races=tally.races) + "\n")
             writer.flush()
             self.request_shutdown()
-            return True, written
+            return True
         writer.write(f"error unknown control command {command!r}\n")
-        return False, 0
+        return False
 
     def _admit_control(self, args: str, writer: TextIO) -> None:
         """The ``!admit`` verb: install, clear, or report the admission filter.
@@ -518,11 +602,9 @@ class RaceDetectionService:
             self.tracer = self.engine.tracer
 
     def _binary_loop(
-        self, binary: BinaryIO, writer: TextIO, state: WireIngest
-    ) -> Tuple[int, int, bool]:
-        """Consume binary frames until EOF; returns (events, races, stop?)."""
-        events = 0
-        races = 0
+        self, binary: BinaryIO, writer: TextIO, state: WireIngest, tally: _Tally
+    ) -> bool:
+        """Consume binary frames until EOF or ``!shutdown``; True on the latter."""
         while True:
             try:
                 frame = read_frame(binary)
@@ -530,9 +612,9 @@ class RaceDetectionService:
                 self._note_bad_input(f"<torn wire frame: {exc}>")
                 writer.write(f"error {exc}\n")
                 writer.flush()
-                return events, races, False
+                return False
             if frame is None:
-                return events, races, False
+                return False
             frame_type, payload = frame
             if frame_type == FRAME_EVENTS:
                 try:
@@ -540,15 +622,15 @@ class RaceDetectionService:
                         count = self.engine.submit_wire_frame(payload, state)
                 except Exception as exc:
                     # the records ahead of a bad one were ingested
-                    events += getattr(exc, "applied", None) or 0
+                    tally.ingested(getattr(exc, "applied", None) or 0)
                     self._note_bad_input(
                         f"<binary frame of {len(payload)}B: {exc}>", error=exc
                     )
                     writer.write(f"error bad event frame: {exc}\n")
                     writer.flush()
                     continue
-                events += count
-                races += self._write_races(writer, self.poll_reports())
+                tally.ingested(count)
+                tally.races += self._write_races(writer, self.poll_reports())
             elif frame_type == FRAME_CONTROL:
                 line = payload.decode("utf-8", "replace").strip()
                 if is_control(line):
@@ -559,23 +641,16 @@ class RaceDetectionService:
                     writer.write("ok binary\n")
                     writer.flush()
                     continue
-                stop, delta = self._control(command, args, writer, races, state)
-                races += delta
+                stop = self._control(command, args, writer, state, tally)
                 writer.flush()
                 if stop:
-                    return events, races, True
+                    return True
             elif frame_type == FRAME_TEXT:
-                for raw in payload.decode("utf-8", "replace").splitlines():
-                    line = raw.strip()
-                    if not line or line.startswith("#"):
-                        continue
-                    seq = self.submit_line(line)
-                    if seq is None:
-                        writer.write(f"error unparseable event line: {line}\n")
-                        writer.flush()
-                        continue
-                    events += 1
-                    races += self._write_races(writer, self.poll_reports())
+                # every line of the payload is an event line, "!..." too
+                text = payload.decode("utf-8", "replace")
+                lines = [raw.strip() for raw in text.splitlines()]
+                events = [line for line in lines if line and line[0] != "#"]
+                self._submit_text(events, writer, tally)
             else:
                 writer.write(f"error unknown frame type {frame_type}\n")
                 writer.flush()
@@ -584,8 +659,8 @@ class RaceDetectionService:
         if not reports:
             return 0
         t0 = self.tracer.clock()
-        for seq, report in reports:
-            writer.write(format_race(seq, report) + "\n")
+        lines = [format_race(seq, report) for seq, report in reports]
+        writer.write("\n".join(lines) + "\n")
         writer.flush()
         self.tracer.observe("report", t0, n=len(reports))
         return len(reports)
@@ -701,17 +776,106 @@ class RaceDetectionService:
         self.close()
 
 
+# -- a connection's tally and the text edge's reads -----------------------------
+
+
+class _Tally:
+    """One connection's counts: the events and race lines of its ``ok eof``
+    line, and the events it sent since its last ``!flush``."""
+
+    __slots__ = ("events", "races", "undrained")
+
+    def __init__(self) -> None:
+        self.events = 0
+        self.races = 0
+        self.undrained = 0
+
+    def ingested(self, n: int) -> None:
+        self.events += n
+        self.undrained += n
+
+
+#: bytes one read takes from a byte stream: one transport buffer
+READ_SIZE = 8192
+
+
+class _TextReads:
+    """A connection's input as a series of reads, each a sequence of lines.
+
+    A byte stream is read with ``read1``, at most :data:`READ_SIZE` bytes
+    at a time: a read returns what the transport already holds and waits
+    only when it holds nothing.  The complete lines of a read are one
+    read here (split at ``\\n``, decoded leniently); a partial last line
+    waits for the next read, or for EOF.  A list or tuple of lines is
+    one read, and any other iterable of lines gives one read per line.
+    """
+
+    def __init__(self, reader: Union[BinaryIO, Iterable[str]]) -> None:
+        self._reader = reader
+        #: the current read's bytes (its complete lines, then the rest)
+        self._data = b""
+
+    def __iter__(self) -> Iterator[Sequence[str]]:
+        reader = self._reader
+        if isinstance(reader, (list, tuple)):
+            yield reader
+            return
+        read1 = getattr(reader, "read1", None)
+        if read1 is None:
+            for line in reader:
+                yield (line,)
+            return
+        tail = b""
+        while True:
+            data = read1(READ_SIZE)
+            if not data:
+                break
+            data = tail + data
+            cut = data.rfind(b"\n")
+            if cut < 0:
+                tail = data
+                continue
+            self._data, tail = data, data[cut + 1 :]
+            yield data[:cut].decode("utf-8", "replace").split("\n")
+        if tail:
+            self._data = b""
+            yield (tail.decode("utf-8", "replace"),)
+
+    def rest(self, k: int) -> bytes:
+        """The bytes the current read holds past its line ``k``."""
+        data, pos = self._data, 0
+        for _ in range(k + 1):
+            pos = data.find(b"\n", pos) + 1
+            if not pos:
+                return b""
+        return data[pos:]
+
+
+class _Prefixed:
+    """A byte stream that yields ``prefix`` before reading on in ``stream``."""
+
+    def __init__(self, prefix: bytes, stream: BinaryIO) -> None:
+        self._prefix = prefix
+        self._stream = stream
+
+    def read(self, n: int) -> bytes:
+        if self._prefix:
+            out, self._prefix = self._prefix[:n], self._prefix[n:]
+            return out
+        return self._stream.read(n)
+
+
 # -- socket transports ---------------------------------------------------------
 
 
 class _StreamHandler(socketserver.StreamRequestHandler):
     def handle(self) -> None:  # pragma: no cover - exercised via sockets in tests
-        reader = (raw.decode("utf-8", "replace") for raw in self.rfile)
         writer = _TextOverBinary(self.wfile)
         try:
-            # rfile is a BufferedReader: readline/read can be mixed safely,
-            # so the same stream serves text lines and binary frames.
-            self.server.service.handle_stream(reader, writer, binary=self.rfile)
+            # rfile is a BufferedReader: read1 serves the text edge, and
+            # whatever a read took past ``!binary`` leads the frame reader
+            # on the same stream.
+            self.server.service.handle_stream(self.rfile, writer, binary=self.rfile)
         except (BrokenPipeError, ConnectionResetError):
             pass
 

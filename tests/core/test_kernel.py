@@ -18,7 +18,7 @@ from repro.core import (
     Obj,
     Tid,
 )
-from repro.core.actions import TL, LockVar
+from repro.core.actions import TL, DataVar, LockVar
 from repro.core.lockset import (
     ls_add,
     ls_has,
@@ -29,6 +29,7 @@ from repro.core.lockset import (
     ls_union,
     ls_unpack,
 )
+from repro.core.report import AccessRef
 from repro.trace import RandomTraceGenerator, TraceBuilder
 
 T1, T2, T3 = Tid(1), Tid(2), Tid(3)
@@ -400,3 +401,43 @@ class TestResetAndCheckpoint:
         assert resumed.checkpoint() == blob  # stable even mid-GC
         reports += resumed.process_all(TRACE[150:])
         assert reports == expected
+
+    def test_checkpoint_keeps_the_object_keyed_layout(self):
+        """Infos live under int keys, but a checkpoint files them as older
+        kernels did -- under their DataVar, read infos under (Tid, xact),
+        each with its AccessRef -- so blobs restore across the change."""
+        detector = EncodedGoldilocks()
+        detector.process_all(TRACE)
+        state = detector.__getstate__()
+        assert state["write_info"] and state["read_info"]
+        for var, packed in state["write_info"].items():
+            assert isinstance(var, DataVar)
+            assert packed[-1] == AccessRef(
+                detector.interner.resolve(packed[0]), packed[-1].index, "write", packed[4]
+            )
+        for var, per_thread in state["read_info"].items():
+            assert isinstance(var, DataVar)
+            for (tid, xact), packed in per_thread.items():
+                assert tid == detector.interner.resolve(packed[0]) and xact is packed[4]
+                assert packed[-1] == AccessRef(tid, packed[-1].index, "read", xact)
+
+
+def test_the_object_path_keeps_data_variables_out_of_the_interner():
+    """Data variables get variable keys of their own: ``process`` makes a
+    variable a lockset element only as a commit's footprint (the
+    ``footprint`` policy), never for a plain read or write."""
+    tb = TraceBuilder()
+    y = tb.var(Obj(2), "y")
+    tb.write(T1, Obj(1), "x")
+    tb.commit(T1, writes=[y])
+    tb.read(T2, Obj(1), "z")
+    tb.write(T2, Obj(1), "x")
+    detector = EncodedGoldilocks()
+    assert len(detector.process_all(tb.build())) == 1
+    interned = [
+        element
+        for element in map(detector.interner.resolve, range(len(detector.interner)))
+        if isinstance(element, DataVar)
+    ]
+    assert interned == [y]
+    assert len(detector.write_info) == 2 and len(detector.read_info) == 1

@@ -1,6 +1,6 @@
 """Regressions for the packed-path hardening.
 
-Three bugs, three hand-built malformed/filtered frames:
+Four bugs, hand-built malformed/filtered frames:
 
 1. commit footprints carrying the ``FILTERED_VAR`` sentinel used to be
    resolved as ``interner[-1]`` (silently aliasing the newest element);
@@ -10,7 +10,10 @@ Three bugs, three hand-built malformed/filtered frames:
    mistyped ids raise a typed :class:`FrameFormatError`;
 3. an unknown opcode mid-frame used to kill the worker with a bare
    ``KeyError``; it must raise :class:`FrameFormatError` carrying the
-   opcode, record offset, and applied count.
+   opcode, record offset, and applied count;
+4. a read, write or footprint id naming a lock, thread or volatile used
+   to file state under that element or raise a bare ``AttributeError``;
+   it must raise :class:`FrameFormatError` too, decided once per id.
 """
 
 from array import array
@@ -230,3 +233,71 @@ def test_filtered_frames_match_the_trace_without_the_filtered_ids(seed, stride):
     assert [r for _seq, r in reports] == LazyGoldilocks().process_all(kept)
     assert detector.stats.accesses_filtered == filtered
     assert detector.stats.frame_faults == 0
+
+
+def non_variable_rows(encoder):
+    """Records whose variable id names no data variable: a write of a lock,
+    a read of a thread, a read of a volatile, and commit footprints naming
+    a lock and a thread, each as ``(rows, extras, opcode)``."""
+    from repro.core.actions import LockVar, VolatileVar
+
+    tid, lock, volatile = ids_for(
+        encoder, Tid(1), LockVar(Obj(7)), VolatileVar(Obj(8), "v")
+    )
+    return {
+        "write-of-a-lock": ([(OP_WRITE, 1, tid, 1, lock, 0)], [], OP_WRITE),
+        "read-of-a-thread": ([(OP_READ, 1, tid, 1, tid, 0)], [], OP_READ),
+        "read-of-a-volatile": ([(OP_READ, 1, tid, 1, volatile, 0)], [], OP_READ),
+        "footprint-lock": ([(OP_COMMIT, 1, tid, 1, 0, 0)], [1, lock, 1], OP_COMMIT),
+        "footprint-thread": ([(OP_COMMIT, 1, tid, 1, 0, 0)], [1, tid, 0], OP_COMMIT),
+    }
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "write-of-a-lock",
+        "read-of-a-thread",
+        "read-of-a-volatile",
+        "footprint-lock",
+        "footprint-thread",
+    ],
+)
+def test_variable_ids_that_name_no_data_variable_are_typed_errors(case):
+    """A read, write or footprint id naming a lock, thread or volatile used
+    to file kernel state under that element (a lock) or raise a bare
+    AttributeError (a thread); it is a typed fault, refused whole."""
+    seed = [Event(Tid(1), 0, Write(VAR))]
+    frame, encoder = raw_frame(rows=[], seed_events=seed)
+    rows, extras, op = non_variable_rows(encoder)[case]
+    base, _delta, records, _extras = decode_frame(frame)
+    for row in rows:
+        records.extend(row)
+    delta = encoder.interner.elements_since(base)
+    bad = encode_frame(base, delta, records, array("q", extras))
+    detector = EncodedGoldilocks()
+    enqueued = detector.events.total_enqueued
+    for attempt in (1, 2):  # refused again, not remembered as a variable
+        with pytest.raises(FrameFormatError) as excinfo:
+            detector.apply_packed(bad)
+        error = excinfo.value
+        assert (error.kind, error.record, error.applied) == (op, 1, 1)
+        assert detector.stats.frame_faults == attempt
+    assert detector.events.total_enqueued == enqueued  # no commit half-applied
+    assert len(detector.write_info) == 1  # only VAR's write is filed
+    assert not detector.read_info
+
+
+def test_a_variable_id_is_decided_once():
+    """The first sight of a variable id resolves it; later records of the
+    same id reuse the decision (here: its variable key)."""
+    frame, encoder = raw_frame(
+        rows=[],
+        seed_events=[Event(Tid(1), 0, Write(VAR)), Event(Tid(2), 1, Write(VAR))],
+    )
+    detector = EncodedGoldilocks()
+    reports, _count = detector.apply_packed(frame)
+    (var_id,) = ids_for(encoder, VAR)
+    assert detector._packed_vars == {var_id: 0}
+    assert [report.var for _seq, report in reports] == [VAR]
+    assert detector.last_write(VAR) is detector.write_info[0]

@@ -155,8 +155,8 @@ class TestIndexedReplayExamples:
     T1, T2, T3 = Tid(1), Tid(2), Tid(3)
 
     def scan(self, detector, var, tid):
-        info1 = detector.write_info[var]
-        info2 = detector._new_info(tid, 0, "write", False)
+        info1 = detector.last_write(var)
+        info2 = detector._new_info(detector.interner.intern(tid), 0, False)
         end = detector.events.total_enqueued
         got, _reached = check_scan(detector, info1.ls, info1.pos, end, info2)
         return detector._owned(got, info2)
@@ -189,7 +189,7 @@ class TestIndexedReplayExamples:
             detector.interner.intern(LockVar(Obj(10_000 + i)))
         detector.process_all(tb.build())
         var = tb.var(self.O, "x")
-        assert isinstance(detector.write_info[var].ls, frozenset)
+        assert isinstance(detector.last_write(var).ls, frozenset)
         assert self.scan(detector, var, self.T3)
         # the relay through T3 reaches T2 as well
         assert self.scan(detector, var, self.T2)

@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.actions import (
     OP_ACQUIRE,
+    OP_ALLOC,
     OP_COMMIT,
     OP_FORK,
     OP_READ,
@@ -37,6 +38,7 @@ from repro.server import RaceDetectionService, ServiceConfig
 from repro.server.protocol import (
     FRAME_CONTROL,
     FRAME_EVENTS,
+    format_race,
     pack_frame,
     parse_response,
     parse_summary,
@@ -269,3 +271,56 @@ def test_mistyped_sync_records_are_refused_and_the_race_stays(connection, case):
     seq = events - 1 if connection == "plain" else write_seq
     index = tail[-1].index
     assert outcome(lines)[1] == [f"race 5.f write:1:0:0 write:2:{index}:0 seq={seq}"]
+
+
+@pytest.mark.parametrize("connection", sorted(PREAMBLES))
+def test_alloc_of_a_data_variable_is_refused_and_the_race_stays(connection):
+    """An alloc's id must name an object's lock, its proxy.  One naming the
+    data variable 5.f, sent between the two racy writes, would be applied
+    as an alloc of object 5 and make thread 2's write look fresh."""
+    frames = Frames()
+    head = [
+        Event(Tid(0), 0, Fork(Tid(1))),
+        Event(Tid(0), 1, Fork(Tid(2))),
+        Event(Tid(1), 0, Write(VAR)),
+    ]
+    good = frames.frame(head)
+    tid2, var = frames.id_of(Tid(2)), frames.id_of(VAR)
+    bad = frames.frame([(OP_ALLOC, tid2, 0, var, 0)])
+    write_seq = frames.seq
+    last = frames.frame([Event(Tid(2), 1, Write(VAR))])
+    with service() as svc:
+        lines = serve(svc, connection, [good, bad, last])
+    assert_refused(lines, OP_ALLOC, 0, 0, events=4)
+    seq = 3 if connection == "plain" else write_seq
+    assert outcome(lines)[1] == [f"race 5.f write:1:0:0 write:2:1:0 seq={seq}"]
+
+
+@pytest.mark.parametrize("alloc_first", [True, False], ids=["before", "after"])
+def test_a_record_a_shard_refuses_loses_no_other_record_of_its_batch(alloc_first):
+    """A record the kernel refuses (an alloc naming a thread, buffered past
+    the edge) shares a 1000-record batch with two racy writes.  The writes
+    before it keep their race, the writes after it are still applied, and
+    ``!health`` shows the one fault."""
+    with service(n_shards=1, batch_size=1000) as svc:
+        engine = svc.engine
+        thread = engine._encoder.intern_element(Tid(1))
+
+        def refused_alloc():
+            with svc._lock:
+                engine._ingest_record(OP_ALLOC, thread, 0, thread, 0, None, None)
+
+        if alloc_first:
+            refused_alloc()
+        assert svc.submit_lines(["1 0 write 5 f", "2 0 write 5 f"])[0] == 2
+        if not alloc_first:
+            refused_alloc()
+        races = [format_race(seq, report) for seq, report in svc.barrier()]
+        health = svc.health()
+    seq = 2 if alloc_first else 1
+    assert races == [f"race 5.f write:1:0:0 write:2:0:0 seq={seq}"]
+    assert health["parse_errors"] == 1
+    fault = health["parse_error_detail"][-1]
+    assert (fault["kind"], fault["shard"]) == (OP_ALLOC, 0)
+    assert "not an object proxy" in fault["message"]
+    assert health["stats"]["shards"][0]["events_processed"] == 2

@@ -70,10 +70,10 @@ def test_health_control_is_one_json_line():
 
 
 def test_shard_apply_faults_join_the_parse_error_ring():
-    """A frame the edge accepts but a shard's kernel rejects (an alloc
-    naming a thread) comes back as an apply fault and is folded into the
-    parse-error accounting exactly once; the shard keeps applying later
-    frames."""
+    """A record a shard's kernel rejects (an alloc naming a thread, which
+    the wire edge would refuse, buffered past it) comes back as an apply
+    fault and is folded into the parse-error accounting exactly once; the
+    shard keeps applying later frames."""
     encoder = EventEncoder()
     records = array("q")
     racy = TraceBuilder().write(Tid(1), Obj(1), "x").write(Tid(2), Obj(1), "x")
@@ -81,12 +81,14 @@ def test_shard_apply_faults_join_the_parse_error_ring():
         op, tid_id, index, a, b, _extra = encoder.encode_event(event)
         records.extend((op, seq, tid_id, index, a, b))
     delta = encoder.interner.elements_since(1)
-    tid_id = encoder.interner.intern(Tid(1))
-    bad = encode_frame(1, delta, array("q", [OP_ALLOC, 0, tid_id, 0, tid_id, 0]), array("q"))
     good = encode_frame(1, delta, records, array("q"))
-    wire = io.BytesIO(pack_frame(FRAME_EVENTS, bad) + pack_frame(FRAME_EVENTS, good))
+    wire = io.BytesIO(pack_frame(FRAME_EVENTS, good))
     out = io.StringIO()
     with inline_service(n_shards=1, batch_size=1) as service:
+        engine = service.engine
+        thread = engine._encoder.intern_element(Tid(1))
+        with service._lock:
+            engine._ingest_record(OP_ALLOC, thread, 0, thread, 0, None, None)
         service.handle_stream(iter(["!binary\n"]), out, binary=wire)
         stats = service.stats()
         health = service.health()
