@@ -274,65 +274,6 @@ def test_ablation_detector_costs(benchmark, detector_cls):
     benchmark.extra_info["rule_applications"] = detector.stats.rule_applications
 
 
-# ---------------------------------------------------------------------------
-# Kernel fast paths (sc_epoch, memo_shared)
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
-def test_ablation_epoch_fast_path(benchmark, enabled):
-    benchmark.group = "ablation:sc-epoch"
-
-    def replay():
-        detector = EncodedGoldilocks(sc_epoch=enabled)
-        detector.process_all(RANDOM_EVENTS)
-        return detector
-
-    detector = benchmark(replay)
-    if enabled:
-        assert detector.stats.sc_epoch > 0
-    else:
-        assert detector.stats.sc_epoch == 0
-    benchmark.extra_info["sc_epoch"] = detector.stats.sc_epoch
-    benchmark.extra_info["cells_traversed"] = detector.stats.cells_traversed
-
-
-@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
-def test_ablation_shared_memo(benchmark, enabled):
-    benchmark.group = "ablation:memo-shared"
-
-    def replay():
-        detector = EncodedGoldilocks(memo_shared=enabled)
-        detector.process_all(RANDOM_EVENTS)
-        return detector
-
-    detector = benchmark(replay)
-    if not enabled:
-        assert detector.stats.memo_shared_hits == 0
-    benchmark.extra_info["memo_shared_hits"] = detector.stats.memo_shared_hits
-    benchmark.extra_info["cells_traversed"] = detector.stats.cells_traversed
-
-
-def test_kernel_fast_paths_do_not_change_verdicts():
-    """Both fast paths are pure short-circuits: ablating them must leave the
-    reported races bit-identical while the counters move."""
-    baseline = EncodedGoldilocks()
-    reports = baseline.process_all(RANDOM_EVENTS)
-    assert baseline.stats.sc_epoch > 0
-    for kwargs in (
-        dict(sc_epoch=False),
-        dict(memo_shared=False),
-        dict(sc_epoch=False, memo_shared=False),
-    ):
-        ablated = EncodedGoldilocks(**kwargs)
-        assert ablated.process_all(RANDOM_EVENTS) == reports
-    # Without the epoch rung the same queries fall through to traversal,
-    # so counted traversal cost cannot go down.
-    no_epoch = EncodedGoldilocks(sc_epoch=False)
-    no_epoch.process_all(RANDOM_EVENTS)
-    assert no_epoch.stats.cells_traversed >= baseline.stats.cells_traversed
-
-
 def test_lazy_goldilocks_beats_eager_on_detector_work():
     # The seed lazy detector's linked-list traversal walks (and now honestly
     # counts) every cell in a thread-restricted replay, so on this small

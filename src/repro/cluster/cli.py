@@ -9,7 +9,7 @@ Usage::
     repro-cluster --local-nodes 2 --groups 4 run.trace
 
     # live migration mid-stream: move group 0 to node1 after 1200 events,
-    # buffer a 200-event window, then replay and flip placement
+    # buffer a 200-event window, then replay and pin the group there
     repro-cluster --local-nodes 2 --migrate 0:node1@1200 --window 200 < run.trace
 
     # final coordinator snapshot / metrics exposition
@@ -64,11 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--groups", type=int, default=4, help="global shard-group count"
     )
     parser.add_argument("--batch-size", type=int, default=256)
-    parser.add_argument(
-        "--balanced",
-        action="store_true",
-        help="pin groups round-robin over sorted node names at startup",
-    )
     parser.add_argument(
         "--migrate",
         action="append",
@@ -275,7 +270,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         nodes=nodes,
         n_groups=args.groups,
         batch_size=args.batch_size,
-        balanced=args.balanced,
         admit=admit_filter,
         obs=coordinator_obs,
     )

@@ -1,7 +1,7 @@
 """The cluster coordinator: one ingestion edge over many detection nodes.
 
 The coordinator is to nodes exactly what :class:`~repro.server.engine.
-ShardedEngine` is to local shards, one ring out: it keeps the single
+ShardedEngine` is to local shards, one layer out: it keeps the single
 master :class:`~repro.core.encode.EventEncoder` (the cluster's id space
 and sequence numbers), routes packed records -- sync broadcast to every
 node, data accesses to the node owning the variable's *group* -- and ships
@@ -11,9 +11,9 @@ node's interner stays a prefix of the master and no other id sync exists.
 
 Routing is two-layered: variable -> group via crc32 (identical to the
 single-node shard mapping, so cluster verdicts are byte-compatible with a
-``--shards n_groups`` run), then group -> node via the consistent-hash
-:class:`~repro.cluster.ring.HashRing` with a :class:`~repro.cluster.ring.
-Placement` override map on top.
+``--shards n_groups`` run), then group -> node via the :class:`Placement`:
+round-robin over the sorted node names, unless a migration pinned the
+group elsewhere.
 
 **Live migration** moves a group from node A to node B without stopping
 ingestion: drain A, ``!checkpoint`` the group, ``!retire`` it immediately
@@ -62,7 +62,6 @@ from ..server.protocol import (
     parse_summary,
 )
 from .membership import Membership
-from .ring import DEFAULT_VNODES, HashRing, Placement
 
 
 @dataclass
@@ -76,18 +75,11 @@ class ClusterConfig:
     n_groups: int = 4
     #: records buffered per node before a frame is shipped
     batch_size: int = 256
-    #: virtual points per node on the consistent-hash ring
-    vnodes: int = DEFAULT_VNODES
     #: heartbeat sweep interval (seconds) and tolerated consecutive misses
     heartbeat_interval: float = 2.0
     max_missed: int = 3
     #: socket timeout for node connections
     timeout: float = 30.0
-    #: pin groups round-robin over the sorted node names instead of taking
-    #: the raw ring placement.  The ring stays the source of truth for
-    #: membership dynamics; balancing is an explicit operator choice (the
-    #: scaling benchmark uses it so the critical path is the fair share)
-    balanced: bool = False
     #: observability tunables (span log receives migration trace spans)
     obs: Optional[ObsConfig] = None
     #: static admission filter (:class:`repro.analysis.admission.
@@ -95,6 +87,50 @@ class ClusterConfig:
     #: the coordinator (still consuming their cluster-wide seq) and the
     #: filter is forwarded to every node via ``!admit`` at connect time.
     admit: Optional[object] = None
+
+
+class Placement:
+    """Which node hosts each shard group.
+
+    Group ``g`` lives on ``sorted(nodes)[g % len(nodes)]`` -- every node
+    hosts a fair share, whatever order the nodes were given in -- unless
+    :meth:`pin` moved it: the migration driver pins a group to its new
+    home the moment the hand-off completes.
+    """
+
+    def __init__(self, nodes: Iterable[str], n_groups: int) -> None:
+        self.nodes = sorted(nodes)
+        if not self.nodes:
+            raise ValueError("a cluster needs at least one node")
+        if n_groups < 1:
+            raise ValueError("need at least one shard group")
+        self.n_groups = n_groups
+        self._pins: Dict[int, str] = {}
+
+    def _check(self, group: int) -> None:
+        if not 0 <= group < self.n_groups:
+            raise ValueError(f"group {group} out of range [0, {self.n_groups})")
+
+    def node_of(self, group: int) -> str:
+        self._check(group)
+        pinned = self._pins.get(group)
+        if pinned is not None:
+            return pinned
+        return self.nodes[group % len(self.nodes)]
+
+    def pin(self, group: int, node: str) -> None:
+        """Move ``group`` onto ``node`` (the migration flip)."""
+        self._check(group)
+        if node not in self.nodes:
+            raise ValueError(f"cannot pin group {group} to unknown node {node!r}")
+        self._pins[group] = node
+
+    def assignment(self) -> Dict[str, List[int]]:
+        """Every node's sorted group list (nodes with none included)."""
+        out: Dict[str, List[int]] = {name: [] for name in self.nodes}
+        for group in range(self.n_groups):
+            out[self.node_of(group)].append(group)
+        return out
 
 
 class _NodeBuffer:
@@ -280,13 +316,9 @@ class ClusterCoordinator:
     """Routes one event stream across ``repro-serve`` nodes; merges races."""
 
     def __init__(self, config: ClusterConfig) -> None:
-        if not config.nodes:
-            raise ValueError("a cluster needs at least one node")
-        if config.n_groups < 1:
-            raise ValueError("need at least one shard group")
         self.config = config
-        self.ring = HashRing(sorted(config.nodes), vnodes=config.vnodes)
-        self.placement = Placement(self.ring, config.n_groups)
+        # validates the node list and the group count before any dialling
+        self.placement = Placement(config.nodes, config.n_groups)
         self.membership = Membership(
             interval=config.heartbeat_interval, max_missed=config.max_missed
         )
@@ -330,13 +362,9 @@ class ClusterCoordinator:
                 handle.command(admit_line)
             self._handles[name] = handle
             self.membership.record_success(name)
-        if config.balanced:
-            names = sorted(config.nodes)
-            for group in range(config.n_groups):
-                self.placement.pin(group, names[group % len(names)])
         # Initial placement: every group adopted fresh on its placed node.
-        for group, node in sorted(self.placement.assignment_by_group().items()):
-            self._handles[node].command(f"!adopt {group}")
+        for group in range(config.n_groups):
+            self._handles[self.placement.node_of(group)].command(f"!adopt {group}")
 
     # -- ingestion -------------------------------------------------------------
 

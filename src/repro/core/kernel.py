@@ -22,14 +22,19 @@ two-phase garbage collection -- with the hot loop rebuilt on integers:
   *variable key* (kept apart from the interner, so data variables never
   widen a lockset's id space) and read slots under ``tid_id << 1 | xact``;
   ``DataVar`` and ``AccessRef`` objects are built only for a race report;
-* two fast paths are ablatable:
+* two fast paths beyond the paper's short circuits always run:
 
-  - **sync-epoch check** (``sc_epoch``): if no synchronization event has
-    been enqueued since ``info.pos``, the lockset cannot have grown, so the
-    ownership test is decisive immediately -- no traversal;
-  - **shared-segment memo** (``memo_shared``): lockset advancement is a pure
-    function of ``(position, lockset)``, so Infos anchored at the same
-    position with equal locksets reuse one advanced result per round.
+  - **sync-epoch check**: if no synchronization event has been enqueued
+    since ``info.pos``, the lockset cannot have grown, so the ownership
+    test is decisive immediately -- no traversal;
+  - **shared-segment memo**: lockset advancement is a pure function of
+    ``(position, lockset)``, so Infos anchored at the same position with
+    equal locksets reuse one advanced result per round.
+
+The short circuits (Section 5.1), the memo and in-place advancement of a
+checked Info (Section 5.4) are the implementation, not options; the
+paper's ablations run on the reference :class:`~repro.core.lazy
+.LazyGoldilocks`, which keeps them switchable.
 
 Race verdicts are identical to the seed detectors by construction (the
 parity suite asserts it on every trace in the repo); only the counters that
@@ -134,72 +139,70 @@ PROVENANCE_CAP = 64
 FOREIGN = -1
 
 #: constructor flags older checkpoints may carry but the kernel no longer
-#: takes; restore drops them so ``reset()`` can re-run ``__init__``
-RETIRED_CONFIG = ("sc_thread_restricted",)
+#: takes; restore drops them so ``reset()`` can re-run ``__init__``.  Each
+#: only switched a fast path off, so a stored ``False`` changes no verdict.
+RETIRED_CONFIG = (
+    "sc_thread_restricted",
+    "sc_xact",
+    "sc_same_thread",
+    "sc_alock",
+    "sc_epoch",
+    "memo_shared",
+    "memoize",
+)
+
+
+def _canonical(var: DataVar) -> Tuple[int, str]:
+    """A footprint variable's place in the canonical ``(obj, field)`` order."""
+    return var.obj.value, var.field
 
 
 class EncodedGoldilocks(Detector):
     """The production Goldilocks algorithm on the integer-encoded kernel.
 
-    Drop-in for :class:`repro.core.lazy.LazyGoldilocks` (same constructor
-    vocabulary, same verdicts, same ``name`` so reports compare equal), plus
-    the two new ablatable fast paths:
+    Same verdicts as :class:`repro.core.lazy.LazyGoldilocks`, and the same
+    ``name`` so reports compare equal; every fast path always runs.
 
-    sc_epoch:
-        Enable the constant-time sync-epoch check.
-    memo_shared:
-        Enable the shared ``(position, lockset) -> advanced result`` memo
-        used by full lockset computations.
+    gc_threshold, trim_fraction:
+        Collect the event list once it holds more than ``gc_threshold``
+        events (None: never), advancing the Infos anchored in its oldest
+        ``trim_fraction`` (Section 5.4).
+    commit_sync:
+        How a commit synchronizes (:data:`repro.core.goldilocks
+        .COMMIT_SYNC_POLICIES`).
     segment_size:
         Events per storage segment of the encoded list (GC granularity).
+    provenance:
+        Attach the lockset-transfer chain behind each race to its report.
     """
 
     name = "goldilocks"
 
     def __init__(
         self,
-        sc_xact: bool = True,
-        sc_same_thread: bool = True,
-        sc_alock: bool = True,
         gc_threshold: Optional[int] = 50_000,
         trim_fraction: float = 0.10,
-        memoize: bool = True,
         commit_sync: str = "footprint",
-        sc_epoch: bool = True,
-        memo_shared: bool = True,
         segment_size: int = SEGMENT_SIZE,
         provenance: bool = False,
     ) -> None:
         super().__init__()
-        from .goldilocks import COMMIT_SYNC_POLICIES, _commit_gains
+        from .goldilocks import COMMIT_SYNC_POLICIES
 
         if commit_sync not in COMMIT_SYNC_POLICIES:
             raise ValueError(f"unknown commit_sync policy {commit_sync!r}")
         # Constructor kwargs are kept verbatim so reset() cannot drift from
         # the signature (and subclasses can extend the dict, not the call).
         self._config: Dict[str, object] = {
-            "sc_xact": sc_xact,
-            "sc_same_thread": sc_same_thread,
-            "sc_alock": sc_alock,
             "gc_threshold": gc_threshold,
             "trim_fraction": trim_fraction,
-            "memoize": memoize,
             "commit_sync": commit_sync,
-            "sc_epoch": sc_epoch,
-            "memo_shared": memo_shared,
             "segment_size": segment_size,
             "provenance": provenance,
         }
         self.commit_sync = commit_sync
-        self._commit_gains = _commit_gains
-        self.sc_xact = sc_xact
-        self.sc_same_thread = sc_same_thread
-        self.sc_alock = sc_alock
-        self.sc_epoch = sc_epoch
-        self.memo_shared = memo_shared
         self.gc_threshold = gc_threshold
         self.trim_fraction = trim_fraction
-        self.memoize = memoize
         self.provenance = provenance
         #: (position, lockset) of the last checked info, snapshotted at
         #: ladder entry -- the full traversal advances the info in place,
@@ -406,30 +409,36 @@ class EncodedGoldilocks(Detector):
         return reports
 
     def _handle_commit(self, event: Event, action: Commit) -> List[RaceReport]:
-        """Section 5.3: enqueue the commit first, then check its accesses."""
+        """Section 5.3: enqueue the commit first, then check its accesses.
+
+        Footprint variables are interned in the canonical ``(obj, field)``
+        order of the packed path, so the interner -- and a checkpoint --
+        never depends on ``frozenset`` iteration order (string hashing).
+        """
         self.stats.sync_events += 1
         intern = self.interner.intern
         tid_id = intern(event.tid)
-        incoming, outgoing = self._commit_gains(self.commit_sync, action)
-        incoming_ls: IntLockset = 0
-        for element in incoming:
-            incoming_ls = ls_add(incoming_ls, intern(element))
-        outgoing_ls: IntLockset = 0
-        for element in outgoing:
-            outgoing_ls = ls_add(outgoing_ls, intern(element))
-        row = self.events.add_commit_row(incoming_ls, outgoing_ls, tid_id)
+        footprint = sorted(action.footprint, key=_canonical)
+        if self.commit_sync == "footprint":
+            gain_ls: IntLockset = 0
+            for var in footprint:
+                gain_ls = ls_add(gain_ls, intern(var))
+        else:
+            gain_ls = ls_add(0, TL_ID)
+        row = self.events.add_commit_row(gain_ls, gain_ls, tid_id)
         self.events.enqueue_encoded(OP_COMMIT, tid_id, row, 0)
         reports: List[RaceReport] = []
-        for var in self._commit_vars(action):
+        for var in self._commit_vars(footprint):
             self.stats.accesses_checked += 1
             handle = self._handle_write if var in action.writes else self._handle_read
-            reports.extend(handle(tid_id, event.index, self._var_key(var), outgoing_ls))
+            reports.extend(handle(tid_id, event.index, self._var_key(var), gain_ls))
         self._maybe_collect()
         return reports
 
-    def _commit_vars(self, action: Commit) -> List[DataVar]:
-        """Footprint variables this instance checks (sharding overrides it)."""
-        return sorted(action.footprint, key=lambda v: (v.obj.value, v.field))
+    def _commit_vars(self, footprint: List[DataVar]) -> List[DataVar]:
+        """The footprint variables, in canonical order, this instance checks
+        (sharding overrides it)."""
+        return footprint
 
     # -- packed ingestion (the encode-once path) ---------------------------------
 
@@ -673,23 +682,21 @@ class EncodedGoldilocks(Detector):
         """The constant-time rungs first, then the indexed replay."""
         if self.provenance:
             # Snapshot before any rung runs: the full traversal advances
-            # info1 in place under memoize, destroying the replay window a
-            # failing verdict would need to explain itself.
+            # info1 in place, destroying the replay window a failing
+            # verdict would need to explain itself.
             self._prov_anchor = (info1.pos, info1.ls)
-        if self.sc_xact and info1.xact and info2.xact:
+        if info1.xact and info2.xact:
             self.stats.sc_xact += 1
             return True
-        if self.sc_same_thread and info1.owner_id == info2.owner_id:
+        if info1.owner_id == info2.owner_id:
             self.stats.sc_same_thread += 1
             return True
-        if (
-            self.sc_alock
-            and info1.alock_id is not None
-            and info1.alock_id in self._held.get(info2.owner_id, ())
+        if info1.alock_id is not None and info1.alock_id in self._held.get(
+            info2.owner_id, ()
         ):
             self.stats.sc_alock += 1
             return True
-        if self.sc_epoch and info1.pos == self.events.total_enqueued:
+        if info1.pos == self.events.total_enqueued:
             # No synchronization since the anchor: replay would apply zero
             # rules, so the ownership test decides right now.
             self.stats.sc_epoch += 1
@@ -718,24 +725,21 @@ class EncodedGoldilocks(Detector):
         start = info1.pos
         ls = info1.ls
         scan_start, scan_ls = start, ls
-        if self.memo_shared:
-            hit = self._memo.get((start, ls))
-            if hit is not None:
-                self.stats.memo_shared_hits += 1
-                scan_start, scan_ls = hit
+        hit = self._memo.get((start, ls))
+        if hit is not None:
+            self.stats.memo_shared_hits += 1
+            scan_start, scan_ls = hit
         if scan_start >= end:
             new_ls, reached = scan_ls, end
         else:
             new_ls, reached = self._skip_scan(scan_ls, scan_start, end, info2)
-        if self.memo_shared:
-            if len(self._memo) >= MEMO_CAP:
-                self._memo.clear()
-            self._memo[(start, ls)] = (reached, new_ls)
-        if self.memoize:
-            events.decref(info1.pos)
-            info1.pos = reached
-            events.incref(reached)
-            info1.ls = new_ls
+        if len(self._memo) >= MEMO_CAP:
+            self._memo.clear()
+        self._memo[(start, ls)] = (reached, new_ls)
+        events.decref(info1.pos)
+        info1.pos = reached
+        events.incref(reached)
+        info1.ls = new_ls
         return self._owned(new_ls, info2)
 
     def _replay(self, ls: IntLockset, start: int, end: int) -> IntLockset:
@@ -1076,8 +1080,6 @@ class EncodedGoldilocks(Detector):
     def __setstate__(self, state: dict) -> None:
         from sys import intern
 
-        from .goldilocks import _commit_gains
-
         # Interning the kwarg names keeps re-pickling byte-stable: instance
         # __dict__s hold the interned attribute strings, and the memo
         # structure of a checkpoint must not depend on whether the config
@@ -1090,7 +1092,6 @@ class EncodedGoldilocks(Detector):
         for key, value in self._config.items():
             if key not in ("segment_size",):
                 setattr(self, key, value)
-        self._commit_gains = _commit_gains
         # Checkpoints written before provenance existed lack the key.
         self.provenance = bool(self._config.get("provenance", False))
         self._prov_anchor = None

@@ -60,7 +60,6 @@ from ..core.actions import (
     OP_VREAD,
     OP_VWRITE,
     OP_WRITE,
-    Commit,
     DataVar,
     Event,
     Read,
@@ -125,8 +124,8 @@ class PartitionedGoldilocks(EncodedGoldilocks):
             return []
         return super().process(event)
 
-    def _commit_vars(self, action: Commit) -> List[DataVar]:
-        return [var for var in super()._commit_vars(action) if self.owns(var)]
+    def _commit_vars(self, footprint: List[DataVar]) -> List[DataVar]:
+        return [var for var in footprint if self.owns(var)]
 
     # The base reset() re-invokes __init__ from the stored detector kwargs;
     # prepend our partition coordinates.
@@ -294,6 +293,9 @@ class ShardedEngine:
                 f"{len(checkpoints)} checkpoint blobs for {len(groups)} groups"
             )
         self._seq = seq_start
+        #: the seq of the first record of the last wire frame
+        #: (:meth:`submit_wire_frame`)
+        self.frame_start = seq_start
         self._started = time.monotonic()
         self._reports: List[SeqReport] = []
         self._encoder = EventEncoder(n, admit=self.config.admit)
@@ -348,6 +350,26 @@ class ShardedEngine:
         )
 
     # -- ingestion -------------------------------------------------------------
+
+    @property
+    def next_seq(self) -> int:
+        """The sequence number the next engine-numbered event gets."""
+        return self._seq
+
+    def pending_floor(self) -> Optional[int]:
+        """The smallest ``seq`` still buffered for a shard, None if none is.
+
+        Every event numbered below it has been applied, so its races are
+        among the reports :meth:`poll_reports` drains.  A buffer holds its
+        records in ``seq`` order, so its first record is its smallest.
+        """
+        floor: Optional[int] = None
+        for buffer in self._pbuffers:
+            if buffer.count:
+                seq = buffer.records[1]
+                if floor is None or seq < floor:
+                    floor = seq
+        return floor
 
     @property
     def edge_allocs(self) -> int:
@@ -529,6 +551,8 @@ class ShardedEngine:
                 raise refuse(f"unannounced client id {cid}", op, i)
             return cid if remap is None else remap[cid]
 
+        # the events this frame ingests are numbered [frame_start, next_seq)
+        self.frame_start = records[1] if remap is None and records else self._seq
         for i in range(0, len(records), RECORD_WIDTH):
             op, seq, tid_id, index, a, b = records[i : i + RECORD_WIDTH]
             if remap is not None:

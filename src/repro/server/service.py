@@ -17,14 +17,16 @@ Transports, all sharing one service (and therefore one detection domain):
   locking, timing and report polling cost once per run, not per line;
 * :func:`serve_tcp` / :func:`serve_unix` -- threaded socket servers;
 * :meth:`tail_file` -- incremental ingestion of a growing trace file
-  (:func:`repro.trace.io.follow_trace`).
+  (:func:`repro.trace.io.follow_lines`), through the same text edge.
 
-Race reports are streamed back on whichever connection drains them (with a
-single client: exactly that client).  ``!flush`` is the synchronization
-point: after its ``ok`` line, every race completed by previously sent
-events has been written.  A connection that closes with nothing sent
-since its last ``!flush`` drains nothing, so its EOF cannot take the races
-of connections still streaming.
+Every race report goes to the stream -- a connection, stdin, a tailed
+file -- that ingested the event completing it: under the ingestion lock
+the service records which stream ingested each run or frame, as a range
+of sequence numbers, and whoever drains the engine routes each report by
+its ``seq`` into its owner's inbox.  A stream writes only its own inbox,
+so one client's ``!flush`` or EOF never takes another's races.
+``!flush`` is the synchronization point: after its ``ok`` line, every
+race completed by the stream's previously sent events has been written.
 """
 
 from __future__ import annotations
@@ -51,11 +53,10 @@ from typing import (
     Union,
 )
 
-from ..core.actions import Event
 from ..obs.bridge import registry_from_stats
 from ..obs.slo import SloVerdict, SloWatchdog, apply_buckets_from_tracer
 from ..obs.tracing import ObsConfig, fault_record
-from ..trace.io import follow_trace
+from ..trace.io import follow_lines
 from .engine import EngineConfig, SeqReport, ShardedEngine, WireIngest
 from .protocol import (
     CONTROL_PREFIX,
@@ -133,6 +134,14 @@ class RaceDetectionService:
         self.slo = SloWatchdog()
         self.tracer = self.engine.tracer
         self._races_seen = 0
+        #: ``[lo, hi, tally]``: the stream (by its tally) that ingested the
+        #: events numbered ``lo <= seq < hi``, kept until those events are
+        #: applied and their reports routed
+        self._routes: List[list] = []
+        #: the inbox of reports whose event no stream ingested (the
+        #: :meth:`submit_line` API); :meth:`poll_reports` and
+        #: :meth:`barrier` return it
+        self._nobody = _Tally()
         self._shutdown = threading.Event()
         self._flusher: Optional[threading.Thread] = None
         if self.config.flush_interval > 0:
@@ -142,10 +151,6 @@ class RaceDetectionService:
             self._flusher.start()
 
     # -- ingestion primitives (all engine access goes through the lock) --------
-
-    def submit_event(self, event: Event) -> int:
-        with self._lock:
-            return self.engine.submit(event)
 
     def submit_line(self, line: str) -> Optional[int]:
         """Submit one event line; None (and a count) on bad input.
@@ -164,7 +169,9 @@ class RaceDetectionService:
         self.tracer.observe("ingest", t0)
         return seq
 
-    def submit_lines(self, lines: Sequence[str]) -> Tuple[int, List[SeqReport]]:
+    def submit_lines(
+        self, lines: Sequence[str], tally: Optional[_Tally] = None
+    ) -> Tuple[int, List[SeqReport]]:
         """Submit a run of event lines; returns ``(ingested, new reports)``.
 
         The run costs one lock acquisition, two clock reads, one ``ingest``
@@ -172,20 +179,26 @@ class RaceDetectionService:
         ingested in order up to the first one the edge refuses: that line
         is counted and remembered as a fault, and the lines after it are
         left to the caller (``lines[ingested]`` is the refused one when
-        ``ingested < len(lines)``).
+        ``ingested < len(lines)``).  The run's events belong to the stream
+        whose ``tally`` is given (None: to no stream), and the reports
+        returned are that stream's.
         """
         t0 = self.tracer.clock()
         ingested = 0
         with self._lock:
-            submit = self.engine.submit_line
+            engine = self.engine
+            start = engine.next_seq
+            submit = engine.submit_line
             try:
                 for line in lines:
                     submit(line)
                     ingested += 1
             except Exception as exc:
                 self._note_fault(fault_record(lines[ingested], exc))
-            reports = self.engine.poll_reports()
-            self._races_seen += len(reports)
+            finally:
+                # claimed even when Ctrl-C cuts the run short
+                self._claim(start, engine.next_seq, tally)
+            reports = self._collect(engine.poll_reports(), tally)
         if ingested:
             self.tracer.observe("ingest", t0, n=ingested)
         return ingested, reports
@@ -204,17 +217,64 @@ class RaceDetectionService:
         self.tracer.log_parse_error(fault)
 
     def poll_reports(self) -> List[SeqReport]:
-        with self._lock:
-            reports = self.engine.poll_reports()
-            self._races_seen += len(reports)
-            return reports
+        """The new reports of events no stream ingested; the rest are
+        routed to their streams."""
+        return self._drain(None)
 
     def barrier(self) -> List[SeqReport]:
-        """Flush and fully drain; returns the newly completed reports."""
+        """Flush and fully drain; returns the newly completed reports of
+        events no stream ingested (the rest are routed to their streams)."""
+        return self._drain(None, barrier=True)
+
+    # -- routing reports to the stream that ingested their event ---------------
+
+    def _drain(
+        self, tally: Optional[_Tally], barrier: bool = False
+    ) -> List[SeqReport]:
+        """Poll (or flush and drain) the engine; returns ``tally``'s reports."""
         with self._lock:
-            reports = self.engine.barrier()
+            engine = self.engine
+            return self._collect(
+                engine.barrier() if barrier else engine.poll_reports(), tally
+            )
+
+    def _claim(self, lo: int, hi: int, tally: Optional[_Tally]) -> None:
+        """Record that ``tally``'s stream ingested the events numbered
+        ``[lo, hi)``; caller holds the lock."""
+        if tally is None or hi <= lo:
+            return
+        routes = self._routes
+        if routes and routes[-1][2] is tally and routes[-1][1] == lo:
+            routes[-1][1] = hi
+        else:
+            routes.append([lo, hi, tally])
+
+    def _collect(
+        self, reports: List[SeqReport], tally: Optional[_Tally]
+    ) -> List[SeqReport]:
+        """Route drained reports into their streams' inboxes, forget the
+        ranges whose events are all applied, and empty ``tally``'s inbox
+        (the no-stream inbox for None); caller holds the lock."""
+        routes = self._routes
+        if reports:
             self._races_seen += len(reports)
-            return reports
+            for pair in reports:
+                seq = pair[0]
+                for lo, hi, owner in reversed(routes):
+                    if lo <= seq < hi:
+                        owner.inbox.append(pair)
+                        break
+                else:
+                    self._nobody.inbox.append(pair)
+        if routes:
+            floor = self.engine.pending_floor()
+            if floor is None:
+                routes.clear()
+            elif routes[0][1] <= floor:
+                self._routes = [route for route in routes if route[1] > floor]
+        box = self._nobody if tally is None else tally
+        mine, box.inbox = box.inbox, []
+        return mine
 
     def _drain_apply_errors(self) -> None:
         """Move the faults of frames a shard rejected (an alloc naming a
@@ -335,7 +395,8 @@ class RaceDetectionService:
         event lines one read of the transport delivered, at most
         ``batch_size`` at a time.  A control line or a refused line ends
         a run, so every reply keeps its place in the stream, and a run
-        never waits for more input.
+        never waits for more input.  The connection writes the races its
+        own events complete, and no others.
 
         ``binary`` is the connection's underlying byte stream, if it has
         one.  A ``!binary`` control line switches the client->server
@@ -385,14 +446,12 @@ class RaceDetectionService:
         return self._end_stream(writer, tally)
 
     def _end_stream(self, writer: TextIO, tally: _Tally) -> int:
-        """Drain at a connection's EOF and write its ``ok eof`` line.
+        """Drain at a stream's EOF and write its ``ok eof`` line.
 
-        Only a connection that sent events since its last ``!flush`` has
-        anything of its own to drain; one that has not leaves the batches
-        of the connections still streaming, and their races, to them.
+        The barrier pushes every partial batch, other streams' too; their
+        races go to their inboxes, not to this stream.
         """
-        if tally.undrained:
-            tally.races += self._write_races(writer, self.barrier())
+        tally.races += self._write_races(writer, self._drain(tally, barrier=True))
         writer.write(summary_line("eof", events=tally.events, races=tally.races) + "\n")
         writer.flush()
         return tally.races
@@ -407,8 +466,8 @@ class RaceDetectionService:
         start = 0
         while start < len(lines):
             run = lines[start : start + step]
-            ingested, reports = self.submit_lines(run)
-            tally.ingested(ingested)
+            ingested, reports = self.submit_lines(run, tally)
+            tally.events += ingested
             tally.races += self._write_races(writer, reports)
             start += ingested
             if ingested < len(run):
@@ -446,9 +505,8 @@ class RaceDetectionService:
                 writer.write(f"error admit: {exc}\n")
             return False
         if command == "flush":
-            reports = self.barrier()
+            reports = self._drain(tally, barrier=True)
             tally.races += self._write_races(writer, reports)
-            tally.undrained = 0
             writer.write(summary_line("flush", races=len(reports)) + "\n")
             return False
         if command == "stats":
@@ -473,7 +531,7 @@ class RaceDetectionService:
             writer.write("ok reset\n")
             return False
         if command == "shutdown":
-            reports = self.barrier()
+            reports = self._drain(tally, barrier=True)
             tally.races += self._write_races(writer, reports)
             writer.write(summary_line("shutdown", races=tally.races) + "\n")
             writer.flush()
@@ -618,19 +676,15 @@ class RaceDetectionService:
             frame_type, payload = frame
             if frame_type == FRAME_EVENTS:
                 try:
-                    with self._lock:
-                        count = self.engine.submit_wire_frame(payload, state)
+                    self._submit_frame(payload, state, tally)
                 except Exception as exc:
-                    # the records ahead of a bad one were ingested
-                    tally.ingested(getattr(exc, "applied", None) or 0)
                     self._note_bad_input(
                         f"<binary frame of {len(payload)}B: {exc}>", error=exc
                     )
                     writer.write(f"error bad event frame: {exc}\n")
                     writer.flush()
                     continue
-                tally.ingested(count)
-                tally.races += self._write_races(writer, self.poll_reports())
+                tally.races += self._write_races(writer, self._drain(tally))
             elif frame_type == FRAME_CONTROL:
                 line = payload.decode("utf-8", "replace").strip()
                 if is_control(line):
@@ -648,12 +702,28 @@ class RaceDetectionService:
             elif frame_type == FRAME_TEXT:
                 # every line of the payload is an event line, "!..." too
                 text = payload.decode("utf-8", "replace")
-                lines = [raw.strip() for raw in text.splitlines()]
-                events = [line for line in lines if line and line[0] != "#"]
-                self._submit_text(events, writer, tally)
+                self._submit_text(_event_lines(text.splitlines()), writer, tally)
             else:
                 writer.write(f"error unknown frame type {frame_type}\n")
                 writer.flush()
+
+    def _submit_frame(self, payload: bytes, state: WireIngest, tally: _Tally) -> None:
+        """Ingest one binary event frame for ``tally``'s stream.  A refused
+        record raises, after the records ahead of it were ingested and
+        claimed."""
+        with self._lock:
+            engine = self.engine
+            count = 0
+            try:
+                count = engine.submit_wire_frame(payload, state)
+            except Exception as exc:
+                count = getattr(exc, "applied", None) or 0
+                raise
+            finally:
+                tally.events += count
+                if count:
+                    # a coordinator's records keep their wire seq
+                    self._claim(engine.frame_start, engine.next_seq, tally)
 
     def _write_races(self, writer: TextIO, reports: List[SeqReport]) -> int:
         if not reports:
@@ -674,37 +744,34 @@ class RaceDetectionService:
     ) -> int:
         """Ingest a trace file incrementally; returns the race count.
 
-        With ``follow=True`` the file is tailed until :meth:`request_shutdown`
+        The lines of each read go through the text edge as runs, as a
+        connection's do: every non-blank, non-comment line is an event
+        line, a refused one is answered with an ``error`` line and counted,
+        and the output is what ``--stdin`` writes for the same file.  With
+        ``follow=True`` the file is tailed until :meth:`request_shutdown`
         is called (the ``tail -f`` deployment: a recorder appends, the
         service detects behind it).
         """
         stop = (lambda: self._shutdown.is_set()) if follow else None
-        races = 0
-        events = 0
+        tally = _Tally()
 
         def drain_idle() -> None:
             # Keep reporting while the file is quiet: the interval flusher
             # pushes partial batches, and their races should not wait for
             # the next appended event to be surfaced.
-            nonlocal races
-            races += self._write_races(writer, self.poll_reports())
+            tally.races += self._write_races(writer, self._drain(tally))
 
         try:
-            for event in follow_trace(
+            for lines in follow_lines(
                 path, poll_interval=poll_interval, stop=stop, on_idle=drain_idle
             ):
-                self.submit_event(event)
-                events += 1
-                races += self._write_races(writer, self.poll_reports())
+                self._submit_text(_event_lines(lines), writer, tally)
         except KeyboardInterrupt:
             # Ctrl-C on a followed file acts like a shutdown request: fall
             # through to the drain below so pending races and the summary
             # still reach the writer.
             self._shutdown.set()
-        races += self._write_races(writer, self.barrier())
-        writer.write(summary_line("eof", events=events, races=races) + "\n")
-        writer.flush()
-        return races
+        return self._end_stream(writer, tally)
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -780,19 +847,21 @@ class RaceDetectionService:
 
 
 class _Tally:
-    """One connection's counts: the events and race lines of its ``ok eof``
-    line, and the events it sent since its last ``!flush``."""
+    """One stream's counts -- the events and race lines of its ``ok eof``
+    line -- and its inbox: the reports routed to it, not yet written."""
 
-    __slots__ = ("events", "races", "undrained")
+    __slots__ = ("events", "races", "inbox")
 
     def __init__(self) -> None:
         self.events = 0
         self.races = 0
-        self.undrained = 0
+        self.inbox: List[SeqReport] = []
 
-    def ingested(self, n: int) -> None:
-        self.events += n
-        self.undrained += n
+
+def _event_lines(lines: Iterable[str]) -> List[str]:
+    """The stripped lines that are neither blank nor comments: every one is
+    an event line (``!...`` too) in a text frame or a tailed file."""
+    return [line for line in map(str.strip, lines) if line and line[0] != "#"]
 
 
 #: bytes one read takes from a byte stream: one transport buffer

@@ -20,9 +20,8 @@ replayed against any detector from the command line.
 Paths ending in ``.gz`` are compressed transparently on both ends, so large
 recorded streams (e.g. the service benchmark's workload traces) can live
 in-repo at a fraction of the size.  :func:`iter_trace` parses lazily for
-streaming consumers, and :func:`follow_trace` tails a growing file
-incrementally, ``tail -f`` style -- the ingestion paths of the
-:mod:`repro.server` service.
+streaming consumers, and :func:`follow_lines` / :func:`follow_trace` tail a
+growing file incrementally, ``tail -f`` style (``repro-serve --tail``).
 
 :func:`iter_packed_frames` is the fast path from a stored trace to the
 binary wire: it encodes text lines straight into packed integer frames
@@ -237,20 +236,21 @@ def iter_packed_frames(
             handle_cm.close()
 
 
-def follow_trace(
+def follow_lines(
     path: str,
     poll_interval: float = 0.05,
     stop: Optional[Callable[[], bool]] = None,
     on_idle: Optional[Callable[[], None]] = None,
-) -> Iterator[Event]:
-    """Tail a growing trace file, yielding events as lines are appended.
+) -> Iterator[List[str]]:
+    """Tail a growing trace file, yielding the complete lines of each read.
 
     Reads through the current end of file, then polls every
-    ``poll_interval`` seconds for more data (``tail -f``).  A partially
-    written last line is held back until its newline arrives, so a writer
-    mid-``write()`` never produces a parse error.  Iteration ends when
-    ``stop()`` returns true and the file is exhausted; with no ``stop``
-    callback a plain end-of-file ends it (one pass, no waiting).
+    ``poll_interval`` seconds for more data (``tail -f``).  Each read's
+    complete lines come out as one list, unstripped and unfiltered.  A
+    partially written last line is held back until its newline arrives,
+    so a writer mid-``write()`` never produces a torn line.  Iteration ends
+    when ``stop()`` returns true and the file is exhausted; with no
+    ``stop`` callback a plain end-of-file ends it (one pass, no waiting).
 
     ``on_idle`` is invoked once per empty poll cycle, before sleeping.  A
     consumer that does background work (the streaming service draining
@@ -261,28 +261,37 @@ def follow_trace(
     Compressed traces are read through but cannot be followed: gzip has no
     well-defined "current end" to poll past.
     """
-    if path.endswith(".gz"):
-        if stop is not None:
-            raise ValueError("cannot follow a .gz trace; decompress it first")
-        yield from iter_trace(path)
-        return
+    if path.endswith(".gz") and stop is not None:
+        raise ValueError("cannot follow a .gz trace; decompress it first")
     buffer = ""
-    with open(path, "r", encoding="utf-8") as handle:
+    with _open_path(path, "r") as handle:
         while True:
             chunk = handle.read(65536)
             if chunk:
                 buffer += chunk
                 *complete, buffer = buffer.split("\n")
-                for line in complete:
-                    line = line.strip()
-                    if line and not line.startswith("#"):
-                        yield parse_event(line)
+                if complete:
+                    yield complete
                 continue
             if stop is None or stop():
                 break
             if on_idle is not None:
                 on_idle()
             time.sleep(poll_interval)
-    tail = buffer.strip()
-    if tail and not tail.startswith("#"):
-        yield parse_event(tail)
+    if buffer:
+        yield [buffer]
+
+
+def follow_trace(
+    path: str,
+    poll_interval: float = 0.05,
+    stop: Optional[Callable[[], bool]] = None,
+    on_idle: Optional[Callable[[], None]] = None,
+) -> Iterator[Event]:
+    """Tail a growing trace file, yielding events as lines are appended.
+
+    :func:`follow_lines`, parsed: blank and ``#`` lines are skipped, and a
+    malformed line raises ``ValueError``.
+    """
+    for lines in follow_lines(path, poll_interval, stop, on_idle):
+        yield from _iter_lines(lines)

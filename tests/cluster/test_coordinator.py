@@ -85,7 +85,7 @@ def test_balanced_parity_at_one_and_four_nodes(n_nodes, events, reference):
     """Every group is hosted on exactly one node, and the merged race lines
     equal the single-node run's at any node count (2 is covered above)."""
     with running_nodes(n_nodes) as nodes:
-        with make_coordinator(nodes, balanced=True) as coordinator:
+        with make_coordinator(nodes) as coordinator:
             for event in events:
                 coordinator.submit_event(event)
             assert sorted(coordinator.barrier()) == reference
@@ -107,7 +107,7 @@ def test_admission_through_the_coordinator_keeps_the_race_lines(two_nodes):
     )
     unfiltered = single_node_races(events)
     assert unfiltered, "colt must race for parity to mean anything"
-    with make_coordinator(two_nodes, balanced=True, admit=filt) as coordinator:
+    with make_coordinator(two_nodes, admit=filt) as coordinator:
         for event in events:
             coordinator.submit_event(event)
         assert sorted(coordinator.barrier()) == unfiltered
@@ -119,7 +119,7 @@ def test_mid_stream_migration_is_line_identical(two_nodes, events, reference):
     """The headline gate: checkpoint a live group off node A mid-stream,
     buffer a 200-event window, restore on node B, replay, keep streaming --
     and the merged race lines (seq included) match an unmigrated run."""
-    with make_coordinator(two_nodes, balanced=True) as coordinator:
+    with make_coordinator(two_nodes) as coordinator:
         mid = len(events) // 2
         for event in events[:mid]:
             coordinator.submit_event(event)
@@ -145,7 +145,7 @@ def test_mid_stream_migration_is_line_identical(two_nodes, events, reference):
 
 
 def test_atomic_migration_and_errors(two_nodes, events, reference):
-    with make_coordinator(two_nodes, balanced=True) as coordinator:
+    with make_coordinator(two_nodes) as coordinator:
         mid = len(events) // 2
         for event in events[:mid]:
             coordinator.submit_event(event)
@@ -231,7 +231,7 @@ def test_cli_end_to_end(tmp_path, capsys, reference):
     mid = 2536 // 2
     code = cluster_main(
         [
-            "--local-nodes", "2", "--groups", str(N_GROUPS), "--balanced",
+            "--local-nodes", "2", "--groups", str(N_GROUPS),
             "--migrate", f"0:node1@{mid}", "--window", "200",
             "--stats", str(trace),
         ]

@@ -54,7 +54,7 @@ def test_node_dumps_replay_and_explain_across_a_group_move(recording_nodes, caps
     nodes, dirs = recording_nodes
     lines = service_trace_text().splitlines()
     with ClusterCoordinator(
-        ClusterConfig(nodes=nodes, n_groups=N_GROUPS, balanced=True)
+        ClusterConfig(nodes=nodes, n_groups=N_GROUPS)
     ) as coordinator:
         assert coordinator.placement.node_of(MOVED) != DST
         for count, line in enumerate(lines):

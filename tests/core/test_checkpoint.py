@@ -13,6 +13,7 @@ import pickle
 import pytest
 
 from repro.baselines.eraser import EraserDetector
+from repro.server.engine import PartitionedGoldilocks, load_shard_checkpoint
 from repro.core import (
     EagerGoldilocksRW,
     EncodedGoldilocks,
@@ -151,16 +152,28 @@ def packed_race_lines(detector, frames):
     return lines
 
 
-def checkpoint_as_before_the_indexed_replay(detector, monkeypatch):
-    """``detector.checkpoint()`` in the layout older kernels wrote: the
-    config carries the retired ``sc_thread_restricted`` flag and the event
-    list records its key index as switched off."""
+#: the ablation flags kernels took before every fast path always ran, as an
+#: older blob stores them -- some switched off
+RETIRED_FLAGS = [
+    ("memo_shared", False),
+    ("memoize", False),
+    ("sc_alock", True),
+    ("sc_epoch", False),
+    ("sc_same_thread", True),
+    ("sc_xact", True),
+]
+
+
+def checkpoint_in_an_older_layout(detector, monkeypatch, retired, index_keys=True):
+    """``detector.checkpoint()`` in the layout an older kernel wrote: its
+    config carries the ``retired`` ``(flag, value)`` pairs and, without
+    ``index_keys``, the event list records its key index as switched off."""
     kernel_state = EncodedGoldilocks.__getstate__
     list_state = EncodedSyncList.__getstate__
 
     def old_kernel_state(self):
         state = kernel_state(self)
-        state["config"] = sorted(state["config"] + [("sc_thread_restricted", True)])
+        state["config"] = sorted(state["config"] + list(retired))
         return state
 
     def old_list_state(self):
@@ -168,7 +181,8 @@ def checkpoint_as_before_the_indexed_replay(detector, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(EncodedGoldilocks, "__getstate__", old_kernel_state)
-        patch.setattr(EncodedSyncList, "__getstate__", old_list_state)
+        if not index_keys:
+            patch.setattr(EncodedSyncList, "__getstate__", old_list_state)
         return detector.checkpoint()
 
 
@@ -183,7 +197,9 @@ def test_checkpoint_from_before_the_indexed_replay_resumes(monkeypatch):
     cut = len(frames) // 2
     detector = EncodedGoldilocks()
     lines = packed_race_lines(detector, frames[:cut])
-    blob = checkpoint_as_before_the_indexed_replay(detector, monkeypatch)
+    blob = checkpoint_in_an_older_layout(
+        detector, monkeypatch, [("sc_thread_restricted", True)], index_keys=False
+    )
     assert b"sc_thread_restricted" in blob
 
     resumed = EncodedGoldilocks.restore(blob)
@@ -195,3 +211,59 @@ def test_checkpoint_from_before_the_indexed_replay_resumes(monkeypatch):
     assert lines == expected
     resumed.reset()
     assert packed_race_lines(resumed, frames) == expected
+
+
+def resume_older_blob(fresh, restore, frames, monkeypatch):
+    """Run ``frames`` through ``fresh()`` with a checkpoint in the layout
+    that carried the retired ablation flags half way; check the restored
+    detector finishes with the uninterrupted race lines, re-checkpoints to
+    the current layout byte for byte and survives ``reset()``."""
+    expected = packed_race_lines(fresh(), frames)
+    assert expected, "a race-free stream proves nothing"
+    cut = len(frames) // 2
+    detector = fresh()
+    lines = packed_race_lines(detector, frames[:cut])
+    blob = checkpoint_in_an_older_layout(detector, monkeypatch, RETIRED_FLAGS)
+    for flag, _value in RETIRED_FLAGS:
+        assert flag.encode() in blob
+
+    resumed = restore(blob)
+    assert resumed.checkpoint() == detector.checkpoint()
+    assert restore(resumed.checkpoint()).checkpoint() == resumed.checkpoint()
+    lines += packed_race_lines(resumed, frames[cut:])
+    assert lines == expected
+    resumed.reset()
+    assert packed_race_lines(resumed, frames) == expected
+    return resumed
+
+
+def test_checkpoint_with_the_retired_ablation_flags_resumes(monkeypatch):
+    """A blob from when the kernel took six ablation flags restores: the
+    flags only ever switched fast paths off, so a stored ``False`` changes
+    no verdict."""
+    text = "\n".join(format_event(event) for event in TRACE) + "\n"
+    frames = list(iter_packed_frames(io.StringIO(text), 16))
+    resumed = resume_older_blob(
+        EncodedGoldilocks, EncodedGoldilocks.restore, frames, monkeypatch
+    )
+    assert sorted(resumed._config) == [
+        "commit_sync",
+        "gc_threshold",
+        "provenance",
+        "segment_size",
+        "trim_fraction",
+    ]
+
+
+def test_shard_checkpoint_with_the_retired_ablation_flags_resumes(monkeypatch):
+    """The same for a shard blob, loaded the way ``!adopt`` loads one."""
+    text = "\n".join(format_event(event) for event in TRACE) + "\n"
+    frames = list(iter_packed_frames(io.StringIO(text), 16))
+    group, partitions = 1, 2
+    resumed = resume_older_blob(
+        lambda: PartitionedGoldilocks(group, partitions),
+        lambda blob: load_shard_checkpoint(blob, group, partitions),
+        frames,
+        monkeypatch,
+    )
+    assert (resumed.shard_id, resumed.n_shards) == (group, partitions)

@@ -126,9 +126,11 @@ class TestIntLockset:
         tb.acq(T2, Obj(1000))  # the first lock: T1's release hands off
         tb.write(T2, o, "data")
         tb.rel(T2, Obj(1000))
-        detector = EncodedGoldilocks(sc_alock=False)
+        detector = EncodedGoldilocks()
         assert detector.process_all(tb.build()) == []
         assert len(detector.interner) > BITSET_CUTOFF
+        # no rung settles T2's write: the verdict came from the scan
+        assert detector.stats.full_lockset_computations == 1
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +190,7 @@ class TestEncodedSyncList:
 
 
 # ---------------------------------------------------------------------------
-# The two new fast paths
+# The two fast paths beyond the paper's short circuits
 # ---------------------------------------------------------------------------
 
 
@@ -208,12 +210,6 @@ class TestEpochFastPath:
         assert detector.stats.sc_epoch == 1
         assert detector.stats.cells_traversed == 0  # no traversal at all
 
-    def test_ablated_epoch_changes_counters_not_verdicts(self):
-        ablated = EncodedGoldilocks(sc_epoch=False)
-        reports = ablated.process_all(unsynced_write_write())
-        assert len(reports) == 1
-        assert ablated.stats.sc_epoch == 0
-
     def test_epoch_does_not_fire_across_sync(self):
         tb = TraceBuilder()
         o, m = Obj(1), Obj(2)
@@ -228,44 +224,37 @@ class TestEpochFastPath:
 
 
 class TestSharedMemo:
-    def memo_trace(self):
-        """Two variables anchored at the same (position, lockset): the second
-        full computation is a memo hit."""
+    @staticmethod
+    def memo_trace(fields=("x", "y")):
+        """Variables anchored at the same (position, lockset), handed over
+        through a lock: no rung settles the reads, and every full
+        computation after the first is a memo hit."""
         tb = TraceBuilder()
-        a, b, m = Obj(1), Obj(2), Obj(3)
-        tb.write(T1, a, "x")
-        tb.write(T1, b, "x")
+        o, m = Obj(1), Obj(3)
+        for field in fields:
+            tb.write(T1, o, field)
         tb.acq(T1, m)
         tb.rel(T1, m)
         tb.acq(T2, m)
-        tb.read(T2, a, "x")
-        tb.read(T2, b, "x")
+        for field in fields:
+            tb.read(T2, o, field)
         tb.rel(T2, m)
         return tb.build()
 
-    def kernel(self, **kwargs):
-        return EncodedGoldilocks(sc_alock=False, sc_epoch=False, **kwargs)
-
     def test_second_identical_anchor_hits_the_memo(self):
-        detector = self.kernel()
+        detector = EncodedGoldilocks()
         assert detector.process_all(self.memo_trace()) == []
-        assert detector.stats.memo_shared_hits == 1
         assert detector.stats.full_lockset_computations == 2
+        assert detector.stats.memo_shared_hits == 1
 
     def test_memo_hit_saves_traversal_cells(self):
-        with_memo = self.kernel()
-        with_memo.process_all(self.memo_trace())
-        without = self.kernel(memo_shared=False)
-        assert without.process_all(self.memo_trace()) == []
-        assert without.stats.memo_shared_hits == 0
-        assert with_memo.stats.cells_traversed < without.stats.cells_traversed
-
-    def test_memo_works_with_memoization_off(self):
-        # The shared memo is a pure cache: it must not depend on Infos
-        # being advanced in place.
-        detector = self.kernel(memoize=False)
-        assert detector.process_all(self.memo_trace()) == []
-        assert detector.stats.memo_shared_hits >= 1
+        # the hit visits no cell: two checks cost what one check costs
+        one = EncodedGoldilocks()
+        assert one.process_all(self.memo_trace(fields=("x",))) == []
+        two = EncodedGoldilocks()
+        assert two.process_all(self.memo_trace()) == []
+        assert one.stats.cells_traversed > 0
+        assert two.stats.cells_traversed == one.stats.cells_traversed
 
 
 # ---------------------------------------------------------------------------
@@ -362,19 +351,27 @@ TRACE = RandomTraceGenerator(
 
 class TestResetAndCheckpoint:
     def test_reset_preserves_construction_flags(self):
-        detector = EncodedGoldilocks(
-            sc_epoch=False, memo_shared=False, gc_threshold=99, segment_size=32
+        options = dict(
+            gc_threshold=99,
+            trim_fraction=0.25,
+            commit_sync="atomic-order",
+            segment_size=32,
+            provenance=True,
         )
+        detector = EncodedGoldilocks(**options)
         detector.process_all(TRACE)
         detector.reset()
-        assert detector.sc_epoch is False
-        assert detector.memo_shared is False
         assert detector.gc_threshold == 99
+        assert detector.trim_fraction == 0.25
+        assert detector.commit_sync == "atomic-order"
+        assert detector.provenance is True
         assert detector.events.segment_size == 32
         assert detector.events.total_enqueued == 0
         assert detector.stats.races == 0
         # and the reset instance still detects correctly
-        assert detector.process_all(TRACE) == EncodedGoldilocks().process_all(TRACE)
+        assert detector.process_all(TRACE) == EncodedGoldilocks(**options).process_all(
+            TRACE
+        )
 
     def test_checkpoint_blob_is_bit_for_bit_stable(self):
         detector = EncodedGoldilocks(segment_size=32)
@@ -441,3 +438,45 @@ def test_the_object_path_keeps_data_variables_out_of_the_interner():
     ]
     assert interned == [y]
     assert len(detector.write_info) == 2 and len(detector.read_info) == 1
+
+
+#: a commit's footprint is a frozenset, iterated in string-hash order
+FOOTPRINT_DIGEST = """
+import hashlib
+from repro.core import EncodedGoldilocks
+from repro.trace.io import parse_event
+detector = EncodedGoldilocks()
+for line in (
+    "1 0 fork 2",
+    "1 1 commit R 5.a 5.b 6.c W 7.d 7.e 8.f",
+    "2 0 commit R 5.a W 8.f",
+):
+    detector.process(parse_event(line))
+print(hashlib.sha256(detector.checkpoint()).hexdigest())
+"""
+
+
+def test_checkpoint_does_not_depend_on_the_string_hash_seed():
+    """``process`` interns a commit's footprint in the canonical ``(obj,
+    field)`` order, as the packed path does, so two processes with
+    different ``PYTHONHASHSEED``s write the same checkpoint."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    source = str(Path(repro.__file__).resolve().parents[1])
+    digests = set()
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": source}
+        run = subprocess.run(
+            [sys.executable, "-c", FOOTPRINT_DIGEST],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        digests.add(run.stdout.strip())
+    assert len(digests) == 1

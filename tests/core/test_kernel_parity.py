@@ -55,21 +55,23 @@ def test_kernel_matches_seed_on_recorded_ftpserver_runs(seed):
 
 
 def test_parity_holds_under_ablations_and_gc():
-    """Every flag combination must still reproduce the seed verdicts."""
+    """Aggressive GC on small segments must still reproduce the seed
+    verdicts, and so must the reference with its short circuits and
+    memoization switched off."""
     events = random_trace(3, discipline=0.35)
     expected = LazyGoldilocks().process_all(events)
     assert any(expected), "trace has no races; parity here would prove nothing"
-    configs = [
-        dict(sc_epoch=False),
-        dict(memo_shared=False),
-        dict(memoize=False),
-        dict(sc_xact=False, sc_same_thread=False, sc_alock=False,
-             sc_epoch=False, memo_shared=False),
-        dict(gc_threshold=30, trim_fraction=0.5, segment_size=16),
-    ]
-    for kwargs in configs:
-        got = EncodedGoldilocks(**kwargs).process_all(events)
-        assert got == expected, f"parity broke under {kwargs}"
+    ablated = LazyGoldilocks(
+        sc_xact=False,
+        sc_same_thread=False,
+        sc_alock=False,
+        sc_thread_restricted=False,
+        memoize=False,
+    )
+    assert ablated.process_all(events) == expected
+    kernel = EncodedGoldilocks(gc_threshold=30, trim_fraction=0.5, segment_size=16)
+    assert kernel.process_all(events) == expected
+    assert kernel.stats.cells_collected > 0, "GC never ran; weak test"
 
 
 def test_kernel_counters_actually_move():

@@ -1,6 +1,10 @@
 """The service's stream protocol, control commands, transports, and stats."""
 
 import io
+import json
+import os
+import signal
+import sys
 import threading
 import time
 
@@ -164,11 +168,88 @@ def test_tail_file_follow_sees_appended_events(tmp_path):
     assert races == 1
 
 
+BAD_LINE_TRACE = "1 0 write 5 f\nbogus line here\n2 0 write 5 f\n"
+BAD_LINE_OUTPUT = (
+    "error unparseable event line: bogus line here\n"
+    "race 5.f write:1:0:0 write:2:0:0 seq=1\n"
+    "ok eof events=2 races=1\n"
+)
+
+
+def serve_stats(err):
+    """The ``--stats`` snapshot ``repro-serve`` printed on stderr."""
+    [line] = [line for line in err.splitlines() if line.startswith("stats ")]
+    return json.loads(line[len("stats "):])
+
+
+def test_tail_answers_a_bad_line_as_stdin_does(tmp_path, monkeypatch, capsys):
+    """A malformed line in a tailed file is one ``error`` line and one parse
+    error, as on stdin -- not a traceback that loses the drain."""
+    from repro.server.cli import main as serve_main
+
+    path = tmp_path / "bad.trace"
+    path.write_text(BAD_LINE_TRACE)
+    stdin = io.TextIOWrapper(io.BytesIO(BAD_LINE_TRACE.encode()))
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert serve_main(["--stats"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == BAD_LINE_OUTPUT
+    assert serve_stats(captured.err)["parse_errors"] == 1
+
+    assert serve_main(["--tail", str(path), "--stats"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == BAD_LINE_OUTPUT
+    assert serve_stats(captured.err)["parse_errors"] == 1
+
+
+def test_followed_tail_answers_a_bad_line_as_stdin_does(
+    tmp_path, monkeypatch, capsys
+):
+    """The same under ``--follow``, stopped by Ctrl-C once the file is idle."""
+    from repro.server import service as service_module
+    from repro.server.cli import main as serve_main
+
+    path = tmp_path / "bad.trace"
+    path.write_text(BAD_LINE_TRACE)
+    idle = threading.Event()
+    follow_lines = service_module.follow_lines
+
+    def watched(path, poll_interval, stop, on_idle):
+        def on_idle_then_tell():
+            on_idle()
+            idle.set()
+
+        return follow_lines(path, poll_interval, stop, on_idle_then_tell)
+
+    monkeypatch.setattr(service_module, "follow_lines", watched)
+
+    went_idle = []
+
+    def ctrl_c():
+        went_idle.append(idle.wait(10.0))
+        time.sleep(0.2)  # a few idle polls: the flusher has pushed the race
+        os.kill(os.getpid(), signal.SIGINT)
+
+    thread = threading.Thread(target=ctrl_c)
+    thread.start()
+    try:
+        code = serve_main(
+            ["--tail", str(path), "--follow", "--flush-interval", "0.01", "--stats"]
+        )
+    finally:
+        thread.join(timeout=20)
+    captured = capsys.readouterr()
+    assert went_idle == [True] and not thread.is_alive()
+    assert code == 1
+    assert captured.out == BAD_LINE_OUTPUT
+    assert serve_stats(captured.err)["parse_errors"] == 1
+
+
 def test_flusher_thread_pushes_partial_batches():
     # batch_size is huge, so only the interval flusher can move the events
     with inline_service(batch_size=100_000, flush_interval=0.02) as service:
-        for event in RACY_EVENTS:
-            service.submit_event(event)
+        lines = [format_event(event) for event in RACY_EVENTS]
+        assert service.submit_lines(lines) == (len(lines), [])
         deadline = time.monotonic() + 5.0
         reports = []
         while not reports and time.monotonic() < deadline:

@@ -214,9 +214,10 @@ def test_a_run_never_waits_for_more_input(tmp_path):
 
 
 def test_a_connection_with_nothing_undrained_leaves_other_races_alone():
-    """A connection whose EOF comes with nothing sent since its last
-    ``!flush`` drains nothing: the batch another connection is still
-    filling, and the race it completes, stay with that connection."""
+    """A connection that sent nothing takes no race at its EOF: its barrier
+    pushes the batch another stream is still filling, but the race that
+    batch completes stays with that stream -- here the API caller, whose
+    ``barrier()`` returns it."""
     config = ServiceConfig(n_shards=1, batch_size=64, flush_interval=0)
     with RaceDetectionService(config) as service:
         streaming = [format_event(event) for event in RACY]
