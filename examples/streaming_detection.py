@@ -42,7 +42,7 @@ def build_trace():
 
 def main():
     events = build_trace()
-    config = ServiceConfig(n_shards=4, flush_interval=0.01)
+    config = ServiceConfig(n_shards=4)
     with RaceDetectionService(config) as service:
         server = serve_tcp(service, "127.0.0.1", 0)
         port = server.server_address[1]
@@ -52,7 +52,7 @@ def main():
             with ServiceClient.tcp("127.0.0.1", port) as client:
                 print(f"streaming {len(events)} events to 127.0.0.1:{port} ...")
                 client.stream(events)
-                client.flush()  # barrier: all submitted events are detected
+                client.flush()  # sync point: every race of the sent events is in
 
                 print(f"\n{len(client.races)} race(s) reported by the service:")
                 for race in client.races:

@@ -177,10 +177,7 @@ def _start_local_nodes(
     closers = []
     for i in range(count):
         service = RaceDetectionService(
-            ServiceConfig(
-                flush_interval=0,
-                obs=obs_of(i) if obs_of is not None else None,
-            )
+            ServiceConfig(obs=obs_of(i) if obs_of is not None else None)
         )
         server = serve_tcp(service, "127.0.0.1", 0)
         threading.Thread(target=server.serve_forever, daemon=True).start()

@@ -8,9 +8,9 @@ the paper's runtime checks accesses inside the JVM.  The pieces:
   broadcast to every shard, data accesses hash-partitioned by variable,
   each shard a :class:`~repro.server.engine.PartitionedGoldilocks` over its
   partition, applied in the service process;
-* :mod:`repro.server.service` -- ingestion: framing, batching with a flush
-  interval, per-connection sequencing, stdin/TCP/Unix-socket/file-tail
-  transports;
+* :mod:`repro.server.service` -- ingestion: framing, runs applied before
+  each call returns, per-connection sequencing, stdin/TCP/Unix-socket/
+  file-tail transports;
 * :mod:`repro.server.protocol` -- the line-oriented wire protocol (every
   recorded trace is a valid client stream);
 * :mod:`repro.server.client` -- a small client library;

@@ -50,12 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--shards", type=int, default=1, help="detection shards")
     parser.add_argument("--batch-size", type=int, default=64)
     parser.add_argument(
-        "--flush-interval",
-        type=float,
-        default=0.05,
-        help="seconds of slack before pending batches are force-flushed",
-    )
-    parser.add_argument(
         "--commit-sync",
         default="footprint",
         choices=COMMIT_SYNC_POLICIES,
@@ -147,6 +141,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--shards must be at least 1")
     if args.follow and not args.tail:
         parser.error("--follow only makes sense with --tail FILE")
+    if args.follow and args.tail.endswith(".gz"):
+        parser.error("--follow cannot follow a .gz trace; decompress it first")
     if args.tcp:
         port_text = args.tcp.rpartition(":")[2]
         if not port_text.isdigit():
@@ -168,7 +164,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         batch_size=args.batch_size,
         commit_sync=args.commit_sync,
         gc_threshold=args.gc_threshold or None,
-        flush_interval=args.flush_interval,
         admit=admit_filter,
         obs=ObsConfig(
             counters=not args.no_obs_counters,
@@ -237,12 +232,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _install_sigterm(service: RaceDetectionService) -> None:
-    """Drain gracefully on SIGTERM instead of dropping in-flight batches.
+    """Drain gracefully on SIGTERM instead of dying mid-stream.
 
-    The handler runs :meth:`RaceDetectionService.graceful_drain`: a final
-    ``barrier()`` so races completed by already-accepted events are still
-    reported, a flight-recorder flush, and one terminal ``ok drain ...``
-    stats line on stderr.  Only then does the process exit (with the
+    The handler runs :meth:`RaceDetectionService.graceful_drain`: the
+    races of accepted events no stream has written yet are reported, the
+    flight recorders are flushed, and one terminal ``ok drain ...`` stats
+    line goes to stderr.  Only then does the process exit (with the
     conventional ``128 + SIGTERM`` status).
     """
 

@@ -11,7 +11,7 @@ Example::
     with ServiceClient.tcp("127.0.0.1", 7914) as client:
         for event in events:
             client.send_event(event)
-        client.flush()              # barrier: all races for sent events are in
+        client.flush()              # sync point: all races for sent events are in
         print(client.stats().races_reported, client.races)
 
 After :meth:`enable_binary` the client ships events as packed integer
@@ -190,9 +190,13 @@ class ServiceClient:
         return self._command("ping", "ok") == "pong"
 
     def flush(self) -> int:
-        """Barrier: every race completed by sent events is now in ``races``.
+        """Sync point: every race completed by sent events is now in ``races``.
 
-        Returns the number of race lines this flush drained.
+        The server writes each race as soon as the run or frame holding
+        its completing access is applied, ahead of any later reply.
+        Returns the server's ``ok flush races=N``: the race lines this
+        connection got since its previous flush, also those already read
+        while waiting for other replies.
         """
         payload = self._command("flush", "ok")
         _, info = parse_summary(payload)
@@ -280,7 +284,7 @@ def detect_over_socket(
     unix_path: Optional[str] = None,
     binary: bool = False,
 ) -> List[RaceLine]:
-    """One-shot convenience: stream a trace, barrier, return the race lines."""
+    """One-shot convenience: stream a trace, flush, return the race lines."""
     if unix_path is not None:
         client = ServiceClient.unix(unix_path)
     else:

@@ -293,9 +293,6 @@ class ShardedEngine:
                 f"{len(checkpoints)} checkpoint blobs for {len(groups)} groups"
             )
         self._seq = seq_start
-        #: the seq of the first record of the last wire frame
-        #: (:meth:`submit_wire_frame`)
-        self.frame_start = seq_start
         self._started = time.monotonic()
         self._reports: List[SeqReport] = []
         self._encoder = EventEncoder(n, admit=self.config.admit)
@@ -350,26 +347,6 @@ class ShardedEngine:
         )
 
     # -- ingestion -------------------------------------------------------------
-
-    @property
-    def next_seq(self) -> int:
-        """The sequence number the next engine-numbered event gets."""
-        return self._seq
-
-    def pending_floor(self) -> Optional[int]:
-        """The smallest ``seq`` still buffered for a shard, None if none is.
-
-        Every event numbered below it has been applied, so its races are
-        among the reports :meth:`poll_reports` drains.  A buffer holds its
-        records in ``seq`` order, so its first record is its smallest.
-        """
-        floor: Optional[int] = None
-        for buffer in self._pbuffers:
-            if buffer.count:
-                seq = buffer.records[1]
-                if floor is None or seq < floor:
-                    floor = seq
-        return floor
 
     @property
     def edge_allocs(self) -> int:
@@ -551,8 +528,6 @@ class ShardedEngine:
                 raise refuse(f"unannounced client id {cid}", op, i)
             return cid if remap is None else remap[cid]
 
-        # the events this frame ingests are numbered [frame_start, next_seq)
-        self.frame_start = records[1] if remap is None and records else self._seq
         for i in range(0, len(records), RECORD_WIDTH):
             op, seq, tid_id, index, a, b = records[i : i + RECORD_WIDTH]
             if remap is not None:
@@ -781,18 +756,25 @@ class ShardedEngine:
         """Flush, then return every report since the last drain.
 
         Reports are sorted by the sequence number of the access that
-        completed the race.
+        completed the race, and the reports of one access (a commit whose
+        footprint races in several groups) by group: which buffer filled
+        first must not decide their order.
         """
         self.flush()
         out, self._reports = self._reports, []
-        out.sort(key=lambda pair: pair[0])
+        n = self.config.n_shards
+        out.sort(key=lambda pair: (pair[0], shard_of(pair[1].var, n)))
         return out
 
     # -- control ---------------------------------------------------------------
 
     def reset(self) -> None:
-        """Restart detection from an empty execution (counters survive)."""
-        self.barrier()
+        """Restart detection from an empty execution (counters survive).
+
+        Pending batches are pushed first; their reports wait for the next
+        :meth:`poll_reports`.
+        """
+        self.flush()
         for detector in self._detectors:
             detector.reset()
         # Shard interner replicas restarted from scratch: the edge encoder
@@ -817,8 +799,9 @@ class ShardedEngine:
         self._encoder.set_admission(admit)
 
     def checkpoint(self) -> List[bytes]:
-        """Serialize every shard's detector state (drains first)."""
-        self.barrier()
+        """Serialize every shard's detector state (flushes first; the
+        reports wait for the next :meth:`poll_reports`)."""
+        self.flush()
         return [detector.checkpoint() for detector in self._detectors]
 
     # -- group hosting: what a cluster adds and moves ------------------------
@@ -832,11 +815,12 @@ class ShardedEngine:
         return len(self._encoder.interner)
 
     def export_group(self, group: int) -> bytes:
-        """Checkpoint exactly one hosted group's detector (drains first)."""
+        """Checkpoint exactly one hosted group's detector (flushes first;
+        the reports wait for the next :meth:`poll_reports`)."""
         slot = self._slot_of.get(group)
         if slot is None:
             raise ValueError(f"group {group} is not hosted here")
-        self.barrier()
+        self.flush()
         return self._detectors[slot].checkpoint()
 
     def adopt_group(self, group: int, blob: Optional[bytes] = None) -> None:
@@ -873,7 +857,8 @@ class ShardedEngine:
         self._shard_stats.append({})
 
     def retire_group(self, group: int) -> None:
-        """Stop hosting a global partition (drains its pending batch first).
+        """Stop hosting a global partition (flushes first; the reports
+        wait for the next :meth:`poll_reports`).
 
         The migration driver calls this on the source the moment the
         checkpoint is exported: commits are broadcast, so a lingering copy
@@ -883,7 +868,7 @@ class ShardedEngine:
         slot = self._slot_of.get(group)
         if slot is None:
             raise ValueError(f"group {group} is not hosted here")
-        self.barrier()
+        self.flush()
         for per_slot in (
             self._slot_groups,
             self._detectors,

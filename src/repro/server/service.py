@@ -3,10 +3,8 @@
 :class:`RaceDetectionService` wraps a :class:`~repro.server.engine.ShardedEngine`
 with the ingestion layer: line framing, per-connection sequencing (one
 global ingestion lock assigns monotone sequence numbers across every
-connection, so all clients feed a single coherent execution), a
-time-driven flusher thread that pushes half-full batches after
-``flush_interval`` seconds of slack, and the control commands of
-:mod:`repro.server.protocol`.
+connection, so all clients feed a single coherent execution), and the
+control commands of :mod:`repro.server.protocol`.
 
 Transports, all sharing one service (and therefore one detection domain):
 
@@ -19,14 +17,14 @@ Transports, all sharing one service (and therefore one detection domain):
 * :meth:`tail_file` -- incremental ingestion of a growing trace file
   (:func:`repro.trace.io.follow_lines`), through the same text edge.
 
-Every race report goes to the stream -- a connection, stdin, a tailed
-file -- that ingested the event completing it: under the ingestion lock
-the service records which stream ingested each run or frame, as a range
-of sequence numbers, and whoever drains the engine routes each report by
-its ``seq`` into its owner's inbox.  A stream writes only its own inbox,
-so one client's ``!flush`` or EOF never takes another's races.
-``!flush`` is the synchronization point: after its ``ok`` line, every
-race completed by the stream's previously sent events has been written.
+Every ingestion call -- a run of text lines, a binary event frame, one
+:meth:`RaceDetectionService.submit_line` -- is applied before it returns:
+it ends by pushing the partial batches, so no record stays buffered
+between calls, and the reports it takes, in ``seq`` order, are exactly
+the races its own events completed.  A stream -- a connection, stdin, a
+tailed file -- writes them at once, so every race goes to the stream
+whose event completed it, and ``!flush``, ``!shutdown`` and EOF only
+write their ``ok`` lines.
 """
 
 from __future__ import annotations
@@ -80,10 +78,6 @@ class ServiceConfig:
     batch_size: int = 64
     commit_sync: str = "footprint"
     gc_threshold: Optional[int] = 50_000
-    #: seconds of ingestion slack after which pending batches are flushed
-    #: anyway (keeps report latency bounded on slow streams); <= 0 disables
-    #: the background flusher
-    flush_interval: float = 0.05
     #: observability tunables (stage counters, span sampling, flight
     #: recorder); None means the defaults of :class:`~repro.obs.tracing.
     #: ObsConfig` -- counters on, sampling off, no dump directory
@@ -134,21 +128,10 @@ class RaceDetectionService:
         self.slo = SloWatchdog()
         self.tracer = self.engine.tracer
         self._races_seen = 0
-        #: ``[lo, hi, tally]``: the stream (by its tally) that ingested the
-        #: events numbered ``lo <= seq < hi``, kept until those events are
-        #: applied and their reports routed
-        self._routes: List[list] = []
-        #: the inbox of reports whose event no stream ingested (the
-        #: :meth:`submit_line` API); :meth:`poll_reports` and
-        #: :meth:`barrier` return it
-        self._nobody = _Tally()
+        #: the reports of :meth:`submit_line`'s events, until
+        #: :meth:`poll_reports` takes them
+        self._reports: List[SeqReport] = []
         self._shutdown = threading.Event()
-        self._flusher: Optional[threading.Thread] = None
-        if self.config.flush_interval > 0:
-            self._flusher = threading.Thread(
-                target=self._flush_loop, name="repro-serve-flusher", daemon=True
-            )
-            self._flusher.start()
 
     # -- ingestion primitives (all engine access goes through the lock) --------
 
@@ -157,48 +140,43 @@ class RaceDetectionService:
 
         The engine encodes the line straight into an integer record -- the
         text is parsed exactly once, service-side ``Event`` objects are
-        never built.
+        never built.  The event is applied before the call returns; the
+        races it completes wait for :meth:`poll_reports`.
         """
         t0 = self.tracer.clock()
         try:
             with self._lock:
                 seq = self.engine.submit_line(line)
+                self._reports.extend(self._applied())
         except Exception as exc:
             self._note_bad_input(line, error=exc)
             return None
         self.tracer.observe("ingest", t0)
         return seq
 
-    def submit_lines(
-        self, lines: Sequence[str], tally: Optional[_Tally] = None
-    ) -> Tuple[int, List[SeqReport]]:
-        """Submit a run of event lines; returns ``(ingested, new reports)``.
+    def submit_lines(self, lines: Sequence[str]) -> Tuple[int, List[SeqReport]]:
+        """Submit a run of event lines; returns ``(ingested, reports)``.
 
-        The run costs one lock acquisition, two clock reads, one ``ingest``
-        observation and one report poll, however long it is.  Lines are
-        ingested in order up to the first one the edge refuses: that line
-        is counted and remembered as a fault, and the lines after it are
-        left to the caller (``lines[ingested]`` is the refused one when
-        ``ingested < len(lines)``).  The run's events belong to the stream
-        whose ``tally`` is given (None: to no stream), and the reports
-        returned are that stream's.
+        The run is applied before the call returns, so ``reports`` are the
+        races its events completed, in ``seq`` order.  It costs one lock
+        acquisition, two clock reads, one ``ingest`` observation and one
+        barrier, however long it is.  Lines are ingested in order up to
+        the first one the edge refuses: that line is counted and
+        remembered as a fault, and the lines after it are left to the
+        caller (``lines[ingested]`` is the refused one when ``ingested <
+        len(lines)``).
         """
         t0 = self.tracer.clock()
         ingested = 0
         with self._lock:
-            engine = self.engine
-            start = engine.next_seq
-            submit = engine.submit_line
+            submit = self.engine.submit_line
             try:
                 for line in lines:
                     submit(line)
                     ingested += 1
             except Exception as exc:
                 self._note_fault(fault_record(lines[ingested], exc))
-            finally:
-                # claimed even when Ctrl-C cuts the run short
-                self._claim(start, engine.next_seq, tally)
-            reports = self._collect(engine.poll_reports(), tally)
+            reports = self._applied()
         if ingested:
             self.tracer.observe("ingest", t0, n=ingested)
         return ingested, reports
@@ -217,64 +195,23 @@ class RaceDetectionService:
         self.tracer.log_parse_error(fault)
 
     def poll_reports(self) -> List[SeqReport]:
-        """The new reports of events no stream ingested; the rest are
-        routed to their streams."""
-        return self._drain(None)
+        """The races of :meth:`submit_line`'s events not yet returned, in
+        ``seq`` order (a stream's own races go to that stream)."""
+        with self._lock:
+            out, self._reports = self._reports, []
+        return out
 
     def barrier(self) -> List[SeqReport]:
-        """Flush and fully drain; returns the newly completed reports of
-        events no stream ingested (the rest are routed to their streams)."""
-        return self._drain(None, barrier=True)
+        """:meth:`poll_reports`: every event is applied before the call
+        that submitted it returns, so nothing is left to flush."""
+        return self.poll_reports()
 
-    # -- routing reports to the stream that ingested their event ---------------
-
-    def _drain(
-        self, tally: Optional[_Tally], barrier: bool = False
-    ) -> List[SeqReport]:
-        """Poll (or flush and drain) the engine; returns ``tally``'s reports."""
-        with self._lock:
-            engine = self.engine
-            return self._collect(
-                engine.barrier() if barrier else engine.poll_reports(), tally
-            )
-
-    def _claim(self, lo: int, hi: int, tally: Optional[_Tally]) -> None:
-        """Record that ``tally``'s stream ingested the events numbered
-        ``[lo, hi)``; caller holds the lock."""
-        if tally is None or hi <= lo:
-            return
-        routes = self._routes
-        if routes and routes[-1][2] is tally and routes[-1][1] == lo:
-            routes[-1][1] = hi
-        else:
-            routes.append([lo, hi, tally])
-
-    def _collect(
-        self, reports: List[SeqReport], tally: Optional[_Tally]
-    ) -> List[SeqReport]:
-        """Route drained reports into their streams' inboxes, forget the
-        ranges whose events are all applied, and empty ``tally``'s inbox
-        (the no-stream inbox for None); caller holds the lock."""
-        routes = self._routes
-        if reports:
-            self._races_seen += len(reports)
-            for pair in reports:
-                seq = pair[0]
-                for lo, hi, owner in reversed(routes):
-                    if lo <= seq < hi:
-                        owner.inbox.append(pair)
-                        break
-                else:
-                    self._nobody.inbox.append(pair)
-        if routes:
-            floor = self.engine.pending_floor()
-            if floor is None:
-                routes.clear()
-            elif routes[0][1] <= floor:
-                self._routes = [route for route in routes if route[1] > floor]
-        box = self._nobody if tally is None else tally
-        mine, box.inbox = box.inbox, []
-        return mine
+    def _applied(self) -> List[SeqReport]:
+        """Push every partial batch and take the engine's reports, in
+        ``seq`` order; caller holds the lock."""
+        reports = self.engine.barrier()
+        self._races_seen += len(reports)
+        return reports
 
     def _drain_apply_errors(self) -> None:
         """Move the faults of frames a shard rejected (an alloc naming a
@@ -366,15 +303,6 @@ class RaceDetectionService:
             if locked:
                 self._lock.release()
 
-    def _flush_loop(self) -> None:
-        interval = self.config.flush_interval
-        while not self._shutdown.wait(interval):
-            with self._lock:
-                try:
-                    self.engine.flush()
-                except Exception:  # pragma: no cover - engine already closed
-                    return
-
     # -- the stream protocol ----------------------------------------------------
 
     def handle_stream(
@@ -395,8 +323,9 @@ class RaceDetectionService:
         event lines one read of the transport delivered, at most
         ``batch_size`` at a time.  A control line or a refused line ends
         a run, so every reply keeps its place in the stream, and a run
-        never waits for more input.  The connection writes the races its
-        own events complete, and no others.
+        never waits for more input.  A run's races are written as soon as
+        it is applied, before the next line is read: the connection writes
+        the races its own events complete, and no others.
 
         ``binary`` is the connection's underlying byte stream, if it has
         one.  A ``!binary`` control line switches the client->server
@@ -446,12 +375,7 @@ class RaceDetectionService:
         return self._end_stream(writer, tally)
 
     def _end_stream(self, writer: TextIO, tally: _Tally) -> int:
-        """Drain at a stream's EOF and write its ``ok eof`` line.
-
-        The barrier pushes every partial batch, other streams' too; their
-        races go to their inboxes, not to this stream.
-        """
-        tally.races += self._write_races(writer, self._drain(tally, barrier=True))
+        """Write a stream's ``ok eof`` line; its races are written already."""
         writer.write(summary_line("eof", events=tally.events, races=tally.races) + "\n")
         writer.flush()
         return tally.races
@@ -466,7 +390,7 @@ class RaceDetectionService:
         start = 0
         while start < len(lines):
             run = lines[start : start + step]
-            ingested, reports = self.submit_lines(run, tally)
+            ingested, reports = self.submit_lines(run)
             tally.events += ingested
             tally.races += self._write_races(writer, reports)
             start += ingested
@@ -505,9 +429,9 @@ class RaceDetectionService:
                 writer.write(f"error admit: {exc}\n")
             return False
         if command == "flush":
-            reports = self._drain(tally, barrier=True)
-            tally.races += self._write_races(writer, reports)
-            writer.write(summary_line("flush", races=len(reports)) + "\n")
+            # the stream's races are written already: count them
+            flushed, tally.flushed = tally.races - tally.flushed, tally.races
+            writer.write(summary_line("flush", races=flushed) + "\n")
             return False
         if command == "stats":
             writer.write("stats " + self.stats().to_json() + "\n")
@@ -531,8 +455,6 @@ class RaceDetectionService:
             writer.write("ok reset\n")
             return False
         if command == "shutdown":
-            reports = self._drain(tally, barrier=True)
-            tally.races += self._write_races(writer, reports)
             writer.write(summary_line("shutdown", races=tally.races) + "\n")
             writer.flush()
             self.request_shutdown()
@@ -675,16 +597,7 @@ class RaceDetectionService:
                 return False
             frame_type, payload = frame
             if frame_type == FRAME_EVENTS:
-                try:
-                    self._submit_frame(payload, state, tally)
-                except Exception as exc:
-                    self._note_bad_input(
-                        f"<binary frame of {len(payload)}B: {exc}>", error=exc
-                    )
-                    writer.write(f"error bad event frame: {exc}\n")
-                    writer.flush()
-                    continue
-                tally.races += self._write_races(writer, self._drain(tally))
+                self._submit_frame(payload, writer, state, tally)
             elif frame_type == FRAME_CONTROL:
                 line = payload.decode("utf-8", "replace").strip()
                 if is_control(line):
@@ -707,23 +620,30 @@ class RaceDetectionService:
                 writer.write(f"error unknown frame type {frame_type}\n")
                 writer.flush()
 
-    def _submit_frame(self, payload: bytes, state: WireIngest, tally: _Tally) -> None:
-        """Ingest one binary event frame for ``tally``'s stream.  A refused
-        record raises, after the records ahead of it were ingested and
-        claimed."""
+    def _submit_frame(
+        self, payload: bytes, writer: TextIO, state: WireIngest, tally: _Tally
+    ) -> None:
+        """Ingest one binary event frame and write the races it completed.
+
+        A refused record is answered with one ``error`` line, after the
+        races of the records ahead of it, which were applied.
+        """
+        error: Optional[Exception] = None
         with self._lock:
-            engine = self.engine
-            count = 0
             try:
-                count = engine.submit_wire_frame(payload, state)
+                count = self.engine.submit_wire_frame(payload, state)
             except Exception as exc:
                 count = getattr(exc, "applied", None) or 0
-                raise
-            finally:
-                tally.events += count
-                if count:
-                    # a coordinator's records keep their wire seq
-                    self._claim(engine.frame_start, engine.next_seq, tally)
+                error = exc
+                self._note_fault(
+                    fault_record(f"<binary frame of {len(payload)}B: {exc}>", exc)
+                )
+            reports = self._applied()
+        tally.events += count
+        tally.races += self._write_races(writer, reports)
+        if error is not None:
+            writer.write(f"error bad event frame: {error}\n")
+            writer.flush()
 
     def _write_races(self, writer: TextIO, reports: List[SeqReport]) -> int:
         if not reports:
@@ -754,23 +674,17 @@ class RaceDetectionService:
         """
         stop = (lambda: self._shutdown.is_set()) if follow else None
         tally = _Tally()
-
-        def drain_idle() -> None:
-            # Keep reporting while the file is quiet: the interval flusher
-            # pushes partial batches, and their races should not wait for
-            # the next appended event to be surfaced.
-            tally.races += self._write_races(writer, self._drain(tally))
-
         try:
-            for lines in follow_lines(
-                path, poll_interval=poll_interval, stop=stop, on_idle=drain_idle
-            ):
+            for lines in follow_lines(path, poll_interval=poll_interval, stop=stop):
                 self._submit_text(_event_lines(lines), writer, tally)
         except KeyboardInterrupt:
-            # Ctrl-C on a followed file acts like a shutdown request: fall
-            # through to the drain below so pending races and the summary
+            # Ctrl-C on a followed file acts like a shutdown request.  A run
+            # it cut short is applied here, so its races and the summary
             # still reach the writer.
             self._shutdown.set()
+            with self._lock:
+                reports = self._applied()
+            tally.races += self._write_races(writer, reports)
         return self._end_stream(writer, tally)
 
     # -- lifecycle ---------------------------------------------------------------
@@ -778,28 +692,24 @@ class RaceDetectionService:
     def graceful_drain(
         self, writer: Optional[TextIO] = None, timeout: float = 30.0
     ) -> str:
-        """SIGTERM path: final barrier, flight-recorder flush, terminal stats.
+        """SIGTERM path: untaken reports, flight-recorder flush, terminal stats.
 
-        Drains every in-flight batch so races completed by already-accepted
-        events are reported instead of dropped, dumps the flight rings (when
-        a dump directory is configured), and returns one terminal ``ok
-        drain ...`` summary line (also written to ``writer`` when given).
-        Ends by signalling shutdown; safe to call more than once.
+        Every accepted event is applied already; the races of
+        :meth:`submit_line`'s events that :meth:`poll_reports` has not
+        taken are written instead of dropped.  Then the flight rings are
+        dumped (when a dump directory is configured), and one terminal
+        ``ok drain ...`` summary line is returned (also written to
+        ``writer`` when given).  Ends by signalling shutdown; safe to call
+        more than once.
         """
         # The lock acquire is best-effort with a timeout: a signal handler
         # runs on the main thread, which may itself hold the (non-reentrant)
         # ingestion lock -- a partial drain beats a deadlock on the way out.
         reports: List[SeqReport] = []
         locked = self._lock.acquire(timeout=timeout)
-        try:
-            if locked:
-                reports = self.engine.barrier()
-                self._races_seen += len(reports)
-        except Exception:
-            pass  # a torn drain still reports whatever it managed to collect
-        finally:
-            if locked:
-                self._lock.release()
+        if locked:
+            reports, self._reports = self._reports, []
+            self._lock.release()
         if writer is not None and reports:
             self._write_races(writer, reports)
         dumps = self.dump_flight_recorders("drain")
@@ -819,7 +729,7 @@ class RaceDetectionService:
         return line
 
     def request_shutdown(self) -> None:
-        """Signal every follow/flush loop (and a hosting server) to stop."""
+        """Signal a followed tail (and a hosting server) to stop."""
         self._shutdown.set()
         callback = getattr(self, "on_shutdown", None)
         if callback is not None:
@@ -831,8 +741,6 @@ class RaceDetectionService:
 
     def close(self) -> None:
         self._shutdown.set()
-        if self._flusher is not None:
-            self._flusher.join(timeout=2.0)
         with self._lock:
             self.engine.close()
 
@@ -847,15 +755,15 @@ class RaceDetectionService:
 
 
 class _Tally:
-    """One stream's counts -- the events and race lines of its ``ok eof``
-    line -- and its inbox: the reports routed to it, not yet written."""
+    """One stream's counts: the events and race lines of its ``ok eof``
+    line, and its race lines as of its previous ``!flush``."""
 
-    __slots__ = ("events", "races", "inbox")
+    __slots__ = ("events", "races", "flushed")
 
     def __init__(self) -> None:
         self.events = 0
         self.races = 0
-        self.inbox: List[SeqReport] = []
+        self.flushed = 0
 
 
 def _event_lines(lines: Iterable[str]) -> List[str]:

@@ -240,7 +240,6 @@ def follow_lines(
     path: str,
     poll_interval: float = 0.05,
     stop: Optional[Callable[[], bool]] = None,
-    on_idle: Optional[Callable[[], None]] = None,
 ) -> Iterator[List[str]]:
     """Tail a growing trace file, yielding the complete lines of each read.
 
@@ -251,12 +250,6 @@ def follow_lines(
     so a writer mid-``write()`` never produces a torn line.  Iteration ends
     when ``stop()`` returns true and the file is exhausted; with no
     ``stop`` callback a plain end-of-file ends it (one pass, no waiting).
-
-    ``on_idle`` is invoked once per empty poll cycle, before sleeping.  A
-    consumer that does background work (the streaming service draining
-    detection results) hooks it to stay responsive while the file is quiet
-    -- the generator otherwise blocks inside ``next()`` and would give it
-    no chance to run.
 
     Compressed traces are read through but cannot be followed: gzip has no
     well-defined "current end" to poll past.
@@ -275,8 +268,6 @@ def follow_lines(
                 continue
             if stop is None or stop():
                 break
-            if on_idle is not None:
-                on_idle()
             time.sleep(poll_interval)
     if buffer:
         yield [buffer]
@@ -286,12 +277,11 @@ def follow_trace(
     path: str,
     poll_interval: float = 0.05,
     stop: Optional[Callable[[], bool]] = None,
-    on_idle: Optional[Callable[[], None]] = None,
 ) -> Iterator[Event]:
     """Tail a growing trace file, yielding events as lines are appended.
 
     :func:`follow_lines`, parsed: blank and ``#`` lines are skipped, and a
     malformed line raises ``ValueError``.
     """
-    for lines in follow_lines(path, poll_interval, stop, on_idle):
+    for lines in follow_lines(path, poll_interval, stop):
         yield from _iter_lines(lines)

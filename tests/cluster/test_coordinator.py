@@ -45,7 +45,7 @@ def running_nodes(count):
     services, servers, nodes = [], [], {}
     try:
         for i in range(count):
-            service = RaceDetectionService(ServiceConfig(flush_interval=0))
+            service = RaceDetectionService(ServiceConfig())
             services.append(service)
             server = serve_tcp(service, "127.0.0.1", 0)
             servers.append(server)

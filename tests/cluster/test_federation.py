@@ -89,7 +89,6 @@ def two_obs_nodes(tmp_path):
     for i in range(2):
         service = RaceDetectionService(
             ServiceConfig(
-                flush_interval=0,
                 obs=ObsConfig(
                     counters=True,
                     trace=True,

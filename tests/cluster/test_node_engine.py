@@ -222,7 +222,7 @@ def test_adopt_of_a_retired_kernel_blob_is_an_error_reply(monkeypatch):
     encoded = base64.b64encode(blob).decode("ascii")
 
     out = io.StringIO()
-    service = RaceDetectionService(ServiceConfig(flush_interval=0))
+    service = RaceDetectionService(ServiceConfig())
     with service:
         service.handle_stream(
             io.StringIO(
@@ -262,7 +262,7 @@ def test_adopt_refuses_a_blob_that_runs_code_when_unpickled(tmp_path):
     marker = tmp_path / "payload-ran"
     encoded = base64.b64encode(pickle.dumps(_Payload(str(marker)))).decode("ascii")
     out = io.StringIO()
-    with RaceDetectionService(ServiceConfig(flush_interval=0)) as service:
+    with RaceDetectionService(ServiceConfig()) as service:
         service.handle_stream(
             io.StringIO(f"!cluster {N_GROUPS}\n!adopt 0 {encoded}\n!ping\n"), out
         )

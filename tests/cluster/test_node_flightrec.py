@@ -35,7 +35,7 @@ def recording_nodes(tmp_path):
         name = f"node{i}"
         dirs[name] = str(tmp_path / name)
         service = RaceDetectionService(
-            ServiceConfig(flush_interval=0, obs=ObsConfig(flightrec_dir=dirs[name]))
+            ServiceConfig(obs=ObsConfig(flightrec_dir=dirs[name]))
         )
         server = serve_tcp(service, "127.0.0.1", 0)
         threading.Thread(target=server.serve_forever, daemon=True).start()
@@ -95,7 +95,6 @@ def test_a_second_cluster_session_keeps_the_first_sessions_dumps(tmp_path):
     directory = str(tmp_path / "node0")
     service = RaceDetectionService(
         ServiceConfig(
-            flush_interval=0,
             obs=ObsConfig(flightrec_dir=directory, flightrec_max_dumps=64),
         )
     )

@@ -37,7 +37,6 @@ def run_packed_service(tmp_path, text=RACY_TEXT, **obs_overrides):
     with RaceDetectionService(
         ServiceConfig(
             n_shards=2,
-            flush_interval=0.0,
             obs=obs,
         )
     ) as service:

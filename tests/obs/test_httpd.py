@@ -24,7 +24,7 @@ EXPOSITION_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 @pytest.fixture()
 def served():
     with RaceDetectionService(
-        ServiceConfig(n_shards=2, flush_interval=0.0)
+        ServiceConfig(n_shards=2)
     ) as service:
         server = start_metrics_server(service, port=0)
         host, port = server.address

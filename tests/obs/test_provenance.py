@@ -73,7 +73,6 @@ def _record_service(tmp_path, provenance):
     d = tmp_path / f"frec-{provenance}"
     service = RaceDetectionService(
         ServiceConfig(
-            flush_interval=0,
             obs=ObsConfig(
                 counters=True, provenance=provenance, flightrec_dir=str(d)
             ),
@@ -143,7 +142,6 @@ def test_explain_race_out_of_range(tmp_path, capsys):
 def test_service_counts_attached_chains(tmp_path):
     service = RaceDetectionService(
         ServiceConfig(
-            flush_interval=0,
             obs=ObsConfig(counters=True, provenance=True),
         )
     )

@@ -57,7 +57,7 @@ def test_watchdog_exports_gauges():
 
 def test_service_health_degrades_on_parse_error_storm():
     service = RaceDetectionService(
-        ServiceConfig(flush_interval=0, obs=ObsConfig(counters=True))
+        ServiceConfig(obs=ObsConfig(counters=True))
     )
     try:
         assert service.health()["status"] == "ok"
@@ -85,7 +85,7 @@ def test_errors_cli_renders_detail(capsys):
         unix = None
 
     service = RaceDetectionService(
-        ServiceConfig(flush_interval=0)
+        ServiceConfig()
     )
     try:
         service.submit_line("definitely not an event")

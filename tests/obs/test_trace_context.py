@@ -55,7 +55,7 @@ def test_split_passes_unstamped_frames_through():
 
 def _spans_with(obs, lines):
     service = RaceDetectionService(
-        ServiceConfig(flush_interval=0, obs=obs)
+        ServiceConfig(obs=obs)
     )
     out = io.StringIO()
     service.handle_stream(io.StringIO("\n".join(lines) + "\n"), out)

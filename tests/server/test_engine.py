@@ -10,6 +10,7 @@ from repro.server.engine import (
     ShardedEngine,
     shard_of,
 )
+from repro.server.protocol import format_race
 from repro.trace import RandomTraceGenerator, TraceBuilder
 
 RACY = RandomTraceGenerator(
@@ -153,6 +154,23 @@ def test_engine_checkpoint_blobs_resume_the_stream():
         for event in RACY[mid:]:
             suffix_reports.update(detector.process(event))
     assert prefix_reports | suffix_reports == set(expected)
+
+
+@pytest.mark.parametrize(
+    "control", ["export_group", "retire_group", "checkpoint", "reset"]
+)
+def test_a_control_call_leaves_the_races_it_flushes_for_the_next_poll(control):
+    """A control call pushes the batch still filling before it acts; the
+    race that batch completes waits for the next ``poll_reports()``."""
+    with ShardedEngine(n_shards=1, batch_size=64) as engine:
+        engine.submit_line("1 0 write 5 f")
+        engine.submit_line("2 0 write 5 f")
+        if control.endswith("_group"):
+            getattr(engine, control)(0)
+        else:
+            getattr(engine, control)()
+        races = [format_race(seq, report) for seq, report in engine.poll_reports()]
+    assert races == ["race 5.f write:1:0:0 write:2:0:0 seq=1"]
 
 
 def test_bad_config_is_rejected():

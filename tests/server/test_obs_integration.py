@@ -29,7 +29,7 @@ from tests.helpers import service_trace_text
 
 
 def inline_service(**overrides):
-    config = dict(n_shards=2, flush_interval=0.0)
+    config = dict(n_shards=2)
     config.update(overrides)
     return RaceDetectionService(ServiceConfig(**config))
 

@@ -33,7 +33,7 @@ BIGGER = RandomTraceGenerator(
 
 
 def inline_service(**overrides):
-    config = dict(n_shards=2, flush_interval=0.0)
+    config = dict(n_shards=2)
     config.update(overrides)
     return RaceDetectionService(ServiceConfig(**config))
 
@@ -153,7 +153,7 @@ def test_tail_file_follow_sees_appended_events(tmp_path):
     with open(path, "w") as handle:
         handle.write(lines[0] + "\n")
     out = io.StringIO()
-    with inline_service(flush_interval=0.01) as service:
+    with inline_service() as service:
         def appender():
             time.sleep(0.15)
             with open(path, "a") as handle:
@@ -214,12 +214,13 @@ def test_followed_tail_answers_a_bad_line_as_stdin_does(
     idle = threading.Event()
     follow_lines = service_module.follow_lines
 
-    def watched(path, poll_interval, stop, on_idle):
-        def on_idle_then_tell():
-            on_idle()
+    def watched(path, poll_interval, stop):
+        # the file is asked to stop only once it has been read to its end
+        def stop_then_tell():
             idle.set()
+            return stop()
 
-        return follow_lines(path, poll_interval, stop, on_idle_then_tell)
+        return follow_lines(path, poll_interval, stop_then_tell)
 
     monkeypatch.setattr(service_module, "follow_lines", watched)
 
@@ -227,15 +228,13 @@ def test_followed_tail_answers_a_bad_line_as_stdin_does(
 
     def ctrl_c():
         went_idle.append(idle.wait(10.0))
-        time.sleep(0.2)  # a few idle polls: the flusher has pushed the race
+        time.sleep(0.2)  # a few idle polls
         os.kill(os.getpid(), signal.SIGINT)
 
     thread = threading.Thread(target=ctrl_c)
     thread.start()
     try:
-        code = serve_main(
-            ["--tail", str(path), "--follow", "--flush-interval", "0.01", "--stats"]
-        )
+        code = serve_main(["--tail", str(path), "--follow", "--stats"])
     finally:
         thread.join(timeout=20)
     captured = capsys.readouterr()
@@ -245,17 +244,17 @@ def test_followed_tail_answers_a_bad_line_as_stdin_does(
     assert serve_stats(captured.err)["parse_errors"] == 1
 
 
-def test_flusher_thread_pushes_partial_batches():
-    # batch_size is huge, so only the interval flusher can move the events
-    with inline_service(batch_size=100_000, flush_interval=0.02) as service:
-        lines = [format_event(event) for event in RACY_EVENTS]
-        assert service.submit_lines(lines) == (len(lines), [])
-        deadline = time.monotonic() + 5.0
-        reports = []
-        while not reports and time.monotonic() < deadline:
-            time.sleep(0.02)
-            reports = service.poll_reports()
-    assert len(reports) == 1
+def test_following_a_gz_trace_is_a_usage_error(capsys):
+    """Exit 1 means races found, so ``--follow`` on a ``.gz`` trace exits
+    2, with the usage and a message, before anything is read."""
+    from repro.server.cli import main as serve_main
+
+    with pytest.raises(SystemExit) as exc:
+        serve_main(["--tail", "run.trace.gz", "--follow"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: repro-serve")
+    assert "cannot follow a .gz trace" in err
 
 
 # -- sockets -------------------------------------------------------------------
@@ -264,7 +263,7 @@ def test_flusher_thread_pushes_partial_batches():
 def test_tcp_service_with_client_library():
     expected = LazyGoldilocks().process_all(BIGGER)
     with RaceDetectionService(
-        ServiceConfig(n_shards=2, flush_interval=0.01)
+        ServiceConfig(n_shards=2)
     ) as service:
         server = serve_tcp(service, "127.0.0.1", 0)
         port = server.server_address[1]
@@ -289,7 +288,7 @@ def test_tcp_service_with_client_library():
 def test_unix_socket_service_eof_drain(tmp_path):
     sock_path = str(tmp_path / "repro.sock")
     with RaceDetectionService(
-        ServiceConfig(n_shards=1, flush_interval=0.01)
+        ServiceConfig(n_shards=1)
     ) as service:
         server = serve_unix(service, sock_path)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -310,7 +309,7 @@ def test_two_connections_share_one_detection_domain():
     # The race's two halves arrive on different connections; the service
     # still sees one execution and reports the cross-connection race.
     with RaceDetectionService(
-        ServiceConfig(n_shards=1, flush_interval=0.01)
+        ServiceConfig(n_shards=1)
     ) as service:
         server = serve_tcp(service, "127.0.0.1", 0)
         port = server.server_address[1]

@@ -37,7 +37,7 @@ RACY = TraceBuilder().write(Tid(1), Obj(5), "f").write(Tid(2), Obj(5), "f").buil
 
 @contextmanager
 def unix_service(path, **overrides):
-    config = dict(n_shards=1, flush_interval=0.01)
+    config = dict(n_shards=1)
     config.update(overrides)
     with RaceDetectionService(ServiceConfig(**config)) as service:
         server = serve_unix(service, path)
@@ -106,7 +106,7 @@ def test_frames_sent_with_the_binary_line_are_read_as_frames(tmp_path):
 def serve(lines, reader, n_shards=1):
     """One pass over ``lines``; ``reader`` turns them into the input."""
     out = io.StringIO()
-    config = ServiceConfig(n_shards=n_shards, batch_size=BATCH, flush_interval=0)
+    config = ServiceConfig(n_shards=n_shards, batch_size=BATCH)
     with RaceDetectionService(config) as service:
         service.handle_stream(reader(lines), out)
     return out.getvalue().splitlines()
@@ -214,16 +214,16 @@ def test_a_run_never_waits_for_more_input(tmp_path):
 
 
 def test_a_connection_with_nothing_undrained_leaves_other_races_alone():
-    """A connection that sent nothing takes no race at its EOF: its barrier
-    pushes the batch another stream is still filling, but the race that
-    batch completes stays with that stream -- here the API caller, whose
-    ``barrier()`` returns it."""
-    config = ServiceConfig(n_shards=1, batch_size=64, flush_interval=0)
+    """A run far shorter than a batch is applied before ``submit_lines``
+    returns, with its race; a connection that sent nothing then writes
+    only its replies, and no race is left over for anyone."""
+    config = ServiceConfig(n_shards=1, batch_size=64)
     with RaceDetectionService(config) as service:
         streaming = [format_event(event) for event in RACY]
-        assert service.submit_lines(streaming) == (2, [])  # still buffered
+        ingested, reports = service.submit_lines(streaming)
         idle = io.StringIO()
         service.handle_stream(["!ping"], idle)
         assert idle.getvalue().splitlines() == ["ok pong", "ok eof events=0 races=0"]
-        races = [format_race(seq, report) for seq, report in service.barrier()]
-    assert races == ["race 5.f write:1:0:0 write:2:0:0 seq=1"]
+        assert service.barrier() == []
+    races = [format_race(seq, report) for seq, report in reports]
+    assert (ingested, races) == (2, ["race 5.f write:1:0:0 write:2:0:0 seq=1"])

@@ -30,7 +30,7 @@ def trace_text(seed=11):
 
 def run_service(text, wire, n_shards=4):
     """One fresh service pass; returns (race lines incl. seq, stats)."""
-    config = ServiceConfig(n_shards=n_shards, batch_size=16, flush_interval=0)
+    config = ServiceConfig(n_shards=n_shards, batch_size=16)
     out = io.StringIO()
     with RaceDetectionService(config) as service:
         if wire == "text":
@@ -85,7 +85,7 @@ def test_packed_counters_prove_encode_once(reference):
 def test_binary_request_on_text_only_stream_is_an_error():
     text = trace_text()
     out = io.StringIO()
-    with RaceDetectionService(ServiceConfig(n_shards=2, flush_interval=0)) as service:
+    with RaceDetectionService(ServiceConfig(n_shards=2)) as service:
         reader = io.StringIO("!binary\n" + text)
         service.handle_stream(reader, out)  # binary=None: stdin mode
     lines = out.getvalue().splitlines()
@@ -95,7 +95,7 @@ def test_binary_request_on_text_only_stream_is_an_error():
 
 def test_tcp_client_binary_round_trip():
     events = TRACE.generate(seed=11)
-    with RaceDetectionService(ServiceConfig(n_shards=2, flush_interval=0)) as service:
+    with RaceDetectionService(ServiceConfig(n_shards=2)) as service:
         server = serve_tcp(service, "127.0.0.1", 0)
         port = server.server_address[1]
         thread = threading.Thread(target=server.serve_forever, daemon=True)
