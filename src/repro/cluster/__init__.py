@@ -10,8 +10,8 @@ around it:
   frames over the existing ``!binary`` wire, race collection, the
   :class:`~repro.cluster.coordinator.Placement` of shard *groups* (global
   crc32 partitions) round-robin over the sorted node names, and the live
-  shard-group migration driver (checkpoint on A, restore on B, replay the
-  buffered delta, pin the group to B);
+  shard-group migration driver (checkpoint and retire on A, adopt on B,
+  pin the group to B);
 * :mod:`.cli` -- the ``repro-cluster`` command.
 
 Nodes are plain ``repro-serve`` instances running the same engine: the
@@ -23,7 +23,6 @@ from .coordinator import (
     ClusterConfig,
     ClusterCoordinator,
     ClusterStats,
-    NodeHandle,
     Placement,
 )
 from .membership import Membership, NodeState
@@ -33,7 +32,6 @@ __all__ = [
     "ClusterCoordinator",
     "ClusterStats",
     "Membership",
-    "NodeHandle",
     "NodeState",
     "Placement",
 ]

@@ -8,9 +8,8 @@ Usage::
     # self-contained: spawn N in-process nodes, stream a trace file
     repro-cluster --local-nodes 2 --groups 4 run.trace
 
-    # live migration mid-stream: move group 0 to node1 after 1200 events,
-    # buffer a 200-event window, then replay and pin the group there
-    repro-cluster --local-nodes 2 --migrate 0:node1@1200 --window 200 < run.trace
+    # live migration mid-stream: move group 0 to node1 after 1200 events
+    repro-cluster --local-nodes 2 --migrate 0:node1@1200 < run.trace
 
     # final coordinator snapshot / metrics exposition
     repro-cluster --local-nodes 2 --stats --metrics-out cluster.prom < run.trace
@@ -18,8 +17,10 @@ Usage::
 Race lines stream to stdout in the same canonical form a single-node
 ``repro-serve --shards <groups>`` run emits (the coordinator assigns the
 ``seq`` tags, so the two are line-identical -- the CI smoke job diffs
-them).  Exit status mirrors ``repro-serve``: 1 if any race was reported,
-0 otherwise, 2 for operational errors.
+them).  A line that is not an event is answered as ``repro-serve``
+answers it, with ``error unparseable event line: <line>`` on stdout, and
+takes no ``seq``.  Exit status mirrors ``repro-serve``: 1 if any race was
+reported, 0 otherwise, 2 for operational errors.
 """
 
 from __future__ import annotations
@@ -71,14 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="GROUP:NODE[@COUNT]",
         help="migrate GROUP to NODE once COUNT events ingested (repeatable; "
         "COUNT defaults to 0 = before streaming)",
-    )
-    parser.add_argument(
-        "--window",
-        type=int,
-        default=0,
-        metavar="EVENTS",
-        help="events buffered between a migration's begin and complete "
-        "(0 = atomic hand-off)",
     )
     parser.add_argument(
         "--admit",
@@ -209,8 +202,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.groups < 1:
         parser.error("--groups must be at least 1")
-    if args.window < 0:
-        parser.error("--window must be >= 0")
     try:
         migrations = sorted(
             (_parse_migration(spec) for spec in args.migrate),
@@ -307,12 +298,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                 signal.signal(signal.SIGTERM, _drain_metrics)
             except ValueError:  # pragma: no cover - non-main thread
                 pass
-            # (group, dst, begin_at, complete_at), consumed front to back.
-            pending = [
-                (group, dst, at, at + args.window)
-                for group, dst, at in migrations
-            ]
-            in_window: List[Tuple[int, int]] = []  # (complete_at, group)
+            # (group, dst, at), consumed front to back
+            pending = list(migrations)
             count = 0
             last_refresh = time.monotonic()
             for line in stream:
@@ -320,12 +307,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                 if not text or text.startswith("#"):
                     continue
                 while pending and pending[0][2] <= count:
-                    group, dst, _at, done = pending.pop(0)
-                    coordinator.begin_migration(group, dst)
-                    in_window.append((done, group))
-                while in_window and in_window[0][0] <= count:
-                    coordinator.complete_migration(in_window.pop(0)[1])
-                coordinator.submit_line(text)
+                    group, dst, _at = pending.pop(0)
+                    coordinator.migrate(group, dst)
+                try:
+                    coordinator.submit_line(text)
+                except (ValueError, IndexError):
+                    out.write(f"error unparseable event line: {text}\n")
+                    continue
                 count += 1
                 coordinator.heartbeat()
                 now = time.monotonic()
@@ -337,11 +325,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                             args.metrics_out, coordinator.federation_text()
                         )
             # Anything still pending fires at end-of-stream.
-            for group, dst, _at, _done in pending:
-                coordinator.begin_migration(group, dst)
-                in_window.append((0, group))
-            for _done, group in in_window:
-                coordinator.complete_migration(group)
+            for group, dst, _at in pending:
+                coordinator.migrate(group, dst)
             for line in coordinator.barrier():
                 out.write(line + "\n")
             stats = coordinator.stats()

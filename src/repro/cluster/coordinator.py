@@ -15,24 +15,26 @@ single-node shard mapping, so cluster verdicts are byte-compatible with a
 round-robin over the sorted node names, unless a migration pinned the
 group elsewhere.
 
-**Live migration** moves a group from node A to node B without stopping
-ingestion: drain A, ``!checkpoint`` the group, ``!retire`` it immediately
-(commits are broadcast -- a lingering copy would double-report footprint
-races), buffer the window's records in a log, then ``!adopt`` the blob on
-B, ``!replay`` the log *targeted at exactly that group* (its sync tail
-was already broadcast to B's other groups), and pin the placement.  Race
-lines keep their coordinator-assigned ``seq``, so a migrated run's output
-is line-identical to an unmigrated one.
+**Live migration** moves a group from node A to node B in one step:
+flush A, ``!flush`` it (its race lines are read), ``!checkpoint`` the
+group, ``!retire`` it (commits are broadcast -- a lingering copy would
+double-report footprint races), push B's pending frame, ``!adopt`` the
+blob on B and pin the placement.  The coordinator ingests nothing in
+between, so the blob is the group's whole state and nothing is logged or
+replayed; if B refuses or fails, the blob goes back to A.  Race lines
+keep their coordinator-assigned ``seq``, so a migrated run's output is
+line-identical to an unmigrated one.
 
 The coordinator is single-threaded by design (one ingestion loop, like
 the service's ingestion lock); heartbeats ride the same control channels
-between batches.
+between batches.  Each node is one :class:`~repro.server.client.
+ServiceClient` connection.
 """
 
 from __future__ import annotations
 
 import base64
-import socket
+import contextlib
 import time
 from array import array
 from dataclasses import dataclass, field
@@ -54,13 +56,8 @@ from ..obs.bridge import federate_expositions, registry_from_cluster
 from ..obs.registry import parse_exposition
 from ..obs.slo import SloWatchdog
 from ..obs.tracing import LifecycleTracer, ObsConfig
-from ..server.protocol import (
-    FRAME_CONTROL,
-    FRAME_EVENTS,
-    pack_frame,
-    parse_response,
-    parse_summary,
-)
+from ..server.client import ServiceClient
+from ..server.protocol import FRAME_EVENTS, format_race
 from .membership import Membership
 
 
@@ -133,15 +130,27 @@ class Placement:
         return out
 
 
-class _NodeBuffer:
-    """Pending records for one node (or one migration log)."""
+class _Node:
+    """The coordinator's side of one node: its connection, the records
+    routed to it and not yet shipped, the interner-delta ``cursor`` into
+    the coordinator's master (the node's replica version after its next
+    frame), and what was shipped so far."""
 
-    __slots__ = ("records", "extras", "count")
+    __slots__ = (
+        "name", "client", "records", "extras", "count", "cursor",
+        "events_sent", "frames_sent", "bytes_sent",
+    )
 
-    def __init__(self) -> None:
+    def __init__(self, name: str, client: ServiceClient) -> None:
+        self.name = name
+        self.client = client
         self.records = array("q")
         self.extras = array("q")
         self.count = 0
+        self.cursor = 1  # node replicas start with just TL, like shards
+        self.events_sent = 0
+        self.frames_sent = 0
+        self.bytes_sent = 0
 
     def append(
         self, op: int, seq: int, tid_id: int, index: int, a: int, b: int,
@@ -154,124 +163,15 @@ class _NodeBuffer:
         self.count += 1
 
 
-class NodeHandle:
-    """One coordinator-held connection to a node.
-
-    Owns the node's wire state: the socket, the interner-delta ``cursor``
-    into the coordinator's master (the node's replica version after its
-    next frame), the pending record buffer, and the race lines the node
-    has streamed back (kept as raw text -- the node already rendered them
-    in the canonical ``format_race`` form with the final ``seq``).
-    """
-
-    def __init__(self, name: str, host: str, port: int, timeout: float = 30.0):
-        self.name = name
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self.cursor = 1  # node replicas start with just TL, like shards
-        self.buffer = _NodeBuffer()
-        self.races: List[Tuple[int, str]] = []  # (seq, raw race line)
-        self.events_sent = 0
-        self.frames_sent = 0
-        self.bytes_sent = 0
-        self._sock: Optional[socket.socket] = None
-        self._reader = None
-
-    # -- wire ------------------------------------------------------------------
-
-    def connect(self, n_groups: int) -> None:
-        """Dial the node, re-partition it (``!cluster``), go binary.
-
-        ``!cluster`` also marks this connection as the coordinator's: the
-        node keeps the ids and ``seq`` of every frame it sends.
-        """
-        self._sock = socket.create_connection(
-            (self.host, self.port), timeout=self.timeout
-        )
-        self._reader = self._sock.makefile("r", encoding="utf-8", newline="\n")
-        self._text_command(f"!cluster {n_groups}")
-        self._text_command("!binary")
-
-    def _text_command(self, line: str) -> str:
-        self._sock.sendall((line + "\n").encode("utf-8"))
-        return self._read_reply("ok")
-
-    def _read_reply(self, reply_kind: str) -> str:
-        while True:
-            line = self._reader.readline()
-            if not line:
-                raise ConnectionError(f"node {self.name} closed the connection")
-            text = line.strip()
-            kind, payload = parse_response(text)
-            if kind == "race":
-                seq = int(text.rpartition("seq=")[2])
-                self.races.append((seq, text))
-            elif kind == reply_kind:
-                return payload
-            elif kind == "error":
-                raise RuntimeError(f"node {self.name}: {payload}")
-            # anything else: skip forward-compatibly
-
-    def command(self, line: str, reply_kind: str = "ok") -> str:
-        """One control verb as a binary frame; returns the reply payload."""
-        self._sock.sendall(pack_frame(FRAME_CONTROL, line.encode("utf-8")))
-        return self._read_reply(reply_kind)
-
-    def send_events(self, payload: bytes, count: int) -> None:
-        frame = pack_frame(FRAME_EVENTS, payload)
-        self._sock.sendall(frame)
-        self.frames_sent += 1
-        self.bytes_sent += len(frame)
-        self.events_sent += count
-
-    def ping(self) -> bool:
-        return self.command("!ping") == "pong"
-
-    def metrics(self) -> str:
-        """One ``!metrics`` round trip; returns the node's raw exposition.
-
-        The ``ok metrics lines=<n>`` summary announces the block length,
-        so the exposition is read without sniffing for a terminator.  Any
-        race lines queued ahead of the summary are banked by
-        :meth:`_read_reply` as usual; after the summary the ``n`` lines
-        are contiguous (the node connection is single-threaded).
-        """
-        reply = self.command("!metrics")  # "metrics lines=<n>"
-        n = int(reply.rpartition("lines=")[2])
-        lines: List[str] = []
-        while len(lines) < n:
-            line = self._reader.readline()
-            if not line:
-                raise ConnectionError(
-                    f"node {self.name} closed mid-metrics "
-                    f"({len(lines)}/{n} lines)"
-                )
-            lines.append(line.rstrip("\n"))
-        return "\n".join(lines) + "\n" if lines else ""
-
-    def close(self) -> None:
-        for closer in (self._reader, self._sock):
-            if closer is None:
-                continue
-            try:
-                closer.close()
-            except OSError:
-                pass
-        self._reader = self._sock = None
-
-
-@dataclass
-class _Migration:
-    """An in-flight group hand-off: src drained, window records logged."""
-
-    group: int
-    src: str
-    dst: str
-    blob_b64: str
-    log: _NodeBuffer
-    started: float
-    checkpoint_sec: float
+@contextlib.contextmanager
+def _naming(node: str):
+    """Re-raise a connection's failure or ``error`` reply naming ``node``."""
+    try:
+        yield
+    except RuntimeError as exc:
+        raise RuntimeError(f"node {node}: {exc}") from exc
+    except OSError as exc:
+        raise ConnectionError(f"node {node}: {exc}") from exc
 
 
 @dataclass
@@ -285,7 +185,6 @@ class ClusterStats:
     races_reported: int
     interner_version: int
     migrations_completed: int
-    migrations_active: int
     assignment: Dict[str, List[int]]
     nodes: List[Dict[str, object]]
     membership: Dict[str, object]
@@ -305,7 +204,6 @@ class ClusterStats:
             "races_reported": self.races_reported,
             "interner_version": self.interner_version,
             "migrations_completed": self.migrations_completed,
-            "migrations_active": self.migrations_active,
             "assignment": self.assignment,
             "nodes": self.nodes,
             "membership": self.membership,
@@ -338,8 +236,7 @@ class ClusterCoordinator:
         self.slo = SloWatchdog()
         self._federated_text = ""
         self._federated_health: Dict[str, object] = {"status": "ok"}
-        self._handles: Dict[str, NodeHandle] = {}
-        self._migrations: Dict[int, _Migration] = {}
+        self._nodes: Dict[str, _Node] = {}
         self._seq = 0
         self.events_ingested = 0
         self.sync_broadcast = 0
@@ -348,23 +245,37 @@ class ClusterCoordinator:
         self.migrations_completed = 0
         #: every race line drained so far, sorted at each barrier
         self.race_lines: List[str] = []
-        admit_line = None
+        admit_command = None
         if config.admit is not None:
             blob = base64.b64encode(config.admit.to_json().encode("utf-8"))
-            admit_line = "!admit " + blob.decode("ascii")
+            admit_command = "admit " + blob.decode("ascii")
         for name in sorted(config.nodes):
             host, port = config.nodes[name]
-            handle = NodeHandle(name, host, port, timeout=config.timeout)
-            handle.connect(config.n_groups)
-            if admit_line is not None:
+            with _naming(name):
+                client = ServiceClient.tcp(host, port, timeout=config.timeout)
+            node = self._nodes[name] = _Node(name, client)
+            # ``!cluster`` re-partitions the node and marks this connection
+            # as the coordinator's: the node keeps the ids and ``seq`` of
+            # every frame it sends
+            self._command(node, f"cluster {config.n_groups}")
+            with _naming(name):
+                if not client.enable_binary():
+                    raise RuntimeError("refused !binary")
+            if admit_command is not None:
                 # forward the filter so nodes defend in depth and report
                 # the policy in their own stats/metrics
-                handle.command(admit_line)
-            self._handles[name] = handle
+                self._command(node, admit_command)
             self.membership.record_success(name)
         # Initial placement: every group adopted fresh on its placed node.
         for group in range(config.n_groups):
-            self._handles[self.placement.node_of(group)].command(f"!adopt {group}")
+            node = self._nodes[self.placement.node_of(group)]
+            self._command(node, f"adopt {group}")
+
+    def _command(self, node: _Node, command: str, reply_kind: str = "ok") -> str:
+        """One control verb on ``node``'s connection; returns the reply
+        payload.  Race lines read on the way are banked in its client."""
+        with _naming(node.name):
+            return node.client._command(command, reply_kind)
 
     # -- ingestion -------------------------------------------------------------
 
@@ -373,6 +284,8 @@ class ClusterCoordinator:
         return self._ingest(op, tid_id, index, a, b, extras)
 
     def submit_line(self, line: str) -> int:
+        """Ingest one trace text line; a line the encoder refuses raises
+        (``ValueError`` or ``IndexError``) before it takes a ``seq``."""
         op, tid_id, index, a, b, extras = self.encoder.encode_line(line)
         return self._ingest(op, tid_id, index, a, b, extras)
 
@@ -391,47 +304,41 @@ class ClusterCoordinator:
                 return seq
             self.data_routed += 1
             group = self.encoder.shard_of_var(a)
-            migration = self._migrations.get(group)
-            if migration is not None:
-                # The group is between homes: hold its accesses in the
-                # migration log instead of sending them anywhere.
-                migration.log.append(op, seq, tid_id, index, a, b, extras)
-                return seq
-            handle = self._handles[self.placement.node_of(group)]
-            handle.buffer.append(op, seq, tid_id, index, a, b, extras)
-            if handle.buffer.count >= self.config.batch_size:
-                self._flush_node(handle)
-            return seq
-        # sync/alloc/commit: broadcast to every node, and into every active
-        # migration log (the adopted group must see the window's sync tail
-        # in order, and commits carry its data-role checks).
-        self.sync_broadcast += 1
-        for handle in self._handles.values():
-            handle.buffer.append(op, seq, tid_id, index, a, b, extras)
-            if handle.buffer.count >= self.config.batch_size:
-                self._flush_node(handle)
-        for migration in self._migrations.values():
-            migration.log.append(op, seq, tid_id, index, a, b, extras)
+            targets: Iterable[_Node] = (
+                self._nodes[self.placement.node_of(group)],
+            )
+        else:
+            # sync/alloc/commit: broadcast to every node
+            self.sync_broadcast += 1
+            targets = self._nodes.values()
+        for node in targets:
+            node.append(op, seq, tid_id, index, a, b, extras)
+            if node.count >= self.config.batch_size:
+                self._flush_node(node)
         return seq
 
-    def _flush_node(
-        self, handle: NodeHandle, trace_id: Optional[int] = None
-    ) -> None:
-        if not handle.buffer.count:
+    def _flush_node(self, node: _Node, trace_id: Optional[int] = None) -> None:
+        if not node.count:
             return
-        buffer, handle.buffer = handle.buffer, _NodeBuffer()
         payload = encode_frame(
-            handle.cursor,
-            self.encoder.interner.elements_since(handle.cursor),
-            buffer.records,
-            buffer.extras,
+            node.cursor,
+            self.encoder.interner.elements_since(node.cursor),
+            node.records,
+            node.extras,
         )
-        handle.cursor = len(self.encoder.interner)
+        count = node.count
+        node.cursor = len(self.encoder.interner)
+        node.records = array("q")
+        node.extras = array("q")
+        node.count = 0
         if self._trace_on:
             if trace_id is None:
                 trace_id = self._window_trace_id()
             payload = stamp_trace(trace_id, payload)
-        handle.send_events(payload, buffer.count)
+        with _naming(node.name):
+            node.bytes_sent += node.client.send_frame(FRAME_EVENTS, payload)
+        node.frames_sent += 1
+        node.events_sent += count
 
     def _window_trace_id(self) -> int:
         """The current ingest window's trace id (deterministic, no RNG)."""
@@ -440,23 +347,27 @@ class ClusterCoordinator:
 
     def flush(self) -> None:
         """Push every node's pending buffer (no drain)."""
-        for handle in self._handles.values():
-            self._flush_node(handle)
+        for node in self._nodes.values():
+            self._flush_node(node)
 
     def barrier(self) -> List[str]:
         """Flush and fully drain every node; returns the new race lines.
 
-        Lines are merged across nodes and sorted by ``(seq, text)`` -- the
-        deterministic order the parity gate compares against a single-node
-        run (which sorts by seq; the textual tiebreak only disambiguates
-        same-seq races that raced each other across shard acks).
+        A node answers ``!flush`` after the race lines of every frame sent
+        before it, so the lines it banked by then are complete.  They are
+        merged across nodes and sorted by ``(seq, text)``: ``seq`` is the
+        order a single-node run writes them in, and the text orders the
+        lines of one ``seq`` -- a commit whose footprint races in several
+        groups -- the same way whichever node reported them.
         """
         self.flush()
         drained: List[Tuple[int, str]] = []
-        for handle in self._handles.values():
-            handle.command("!flush")
-            drained.extend(handle.races)
-            handle.races = []
+        for node in self._nodes.values():
+            self._command(node, "flush")
+            # a banked RaceLine has the fields format_race reads off a report
+            races = node.client.races
+            drained.extend((race.seq, format_race(race.seq, race)) for race in races)
+            races.clear()
         drained.sort()
         lines = [text for _seq, text in drained]
         self.race_lines.extend(lines)
@@ -464,105 +375,62 @@ class ClusterCoordinator:
 
     # -- live migration ----------------------------------------------------------
 
-    def begin_migration(self, group: int, dst: str) -> None:
-        """Checkpoint ``group`` off its current node; start logging its window.
+    def migrate(self, group: int, dst: str) -> None:
+        """Move ``group`` onto node ``dst`` in one step.
 
-        After this returns the group is hosted *nowhere*: its data accesses
-        (and every sync record) accumulate in the migration log until
-        :meth:`complete_migration` replays them on ``dst``.  The source
-        retires the group in the same breath as the checkpoint -- commits
-        are broadcast, so a lingering copy would double-report every
-        footprint race in the window.
+        The source is flushed and drained, checkpoints the group and
+        retires it at once -- commits are broadcast, so a lingering copy
+        would double-report footprint races.  The target's pending frame
+        is pushed before the ``!adopt``: the sync records queued there are
+        in the blob already, and the adopted group must not see them
+        twice.  Nothing is ingested in between, so nothing is logged or
+        replayed.  If the target refuses the blob or its connection fails,
+        the blob is adopted back on the source -- it is still the group's
+        whole state -- and the error re-raised: a group is never left
+        hosted nowhere.
         """
-        if dst not in self._handles:
+        if dst not in self._nodes:
             raise ValueError(f"unknown migration target {dst!r}")
-        if group in self._migrations:
-            raise ValueError(f"group {group} is already migrating")
         src = self.placement.node_of(group)
         if src == dst:
             raise ValueError(f"group {group} already lives on {dst!r}")
-        source = self._handles[src]
+        source, target = self._nodes[src], self._nodes[dst]
         t0 = time.monotonic()
         self._flush_node(source)
-        source.command("!flush")
-        blob_b64 = self._expect_checkpoint(source, group)
-        source.command(f"!retire {group}")
-        self._migrations[group] = _Migration(
-            group=group,
-            src=src,
-            dst=dst,
-            blob_b64=blob_b64,
-            log=_NodeBuffer(),
-            started=t0,
-            checkpoint_sec=time.monotonic() - t0,
-        )
-
-    def _expect_checkpoint(self, handle: NodeHandle, group: int) -> str:
-        payload = handle.command(f"!checkpoint {group}", reply_kind="checkpoint")
+        self._command(source, "flush")
+        payload = self._command(source, f"checkpoint {group}", "checkpoint")
         word, _, blob_b64 = payload.partition(" ")
-        if int(word) != group or not blob_b64:
-            raise RuntimeError(f"malformed checkpoint reply: {payload!r}")
-        return blob_b64
-
-    def complete_migration(self, group: int) -> None:
-        """Restore the group on its target and replay the buffered window."""
-        migration = self._migrations.get(group)
-        if migration is None:
-            raise ValueError(f"group {group} is not migrating")
-        target = self._handles[migration.dst]
-        t0 = time.monotonic()
-        # The whole hand-off -- pending flush, delta replay, and the
-        # migration span below -- shares one minted trace id, so the
-        # timeline view shows the replayed window under the migration.
+        if word != str(group) or not blob_b64:
+            raise RuntimeError(f"node {src}: malformed checkpoint reply {payload!r}")
+        self._command(source, f"retire {group}")
+        t1 = time.monotonic()
+        # The target's pending frame and the migration span share one
+        # minted trace id, so the timeline shows them under the migration.
         mig_trace: Optional[int] = None
         if self._trace_on:
             mig_trace = make_trace_id(
                 self._trace_node + ":migration", self.migrations_completed + 1
             )
-        # Ship the target's *pending* buffer first: any window sync queued
-        # there must arrive while the group is still absent (broadcast skips
-        # it), because the replay below delivers that same sync to the group
-        # -- adopt-before-flush would double-apply it.
-        self._flush_node(target, trace_id=mig_trace)
-        target.command(f"!adopt {group} {migration.blob_b64}")
-        target.command(f"!replay {group}")
-        log = migration.log
-        if log.count:
-            payload = encode_frame(
-                target.cursor,
-                self.encoder.interner.elements_since(target.cursor),
-                log.records,
-                log.extras,
-            )
-            target.cursor = len(self.encoder.interner)
-            if mig_trace is not None:
-                payload = stamp_trace(mig_trace, payload)
-            target.send_events(payload, log.count)
-        target.command("!replay done")
-        self.placement.pin(group, migration.dst)
-        del self._migrations[group]
+        try:
+            self._flush_node(target, trace_id=mig_trace)
+            self._command(target, f"adopt {group} {blob_b64}")
+        except (OSError, RuntimeError):
+            self._command(source, f"adopt {group} {blob_b64}")
+            raise
+        self.placement.pin(group, dst)
         self.migrations_completed += 1
         # Migration trace span: rides the same JSONL span log as batch
         # spans, keyed by the group in the shard column.
         self.tracer.emit_span(
             batch=self.migrations_completed,
             shard=group,
-            events=log.count,
-            stage_sec={
-                "checkpoint": migration.checkpoint_sec,
-                "window": t0 - migration.started - migration.checkpoint_sec,
-                "replay": time.monotonic() - t0,
-            },
+            events=0,
+            stage_sec={"checkpoint": t1 - t0, "adopt": time.monotonic() - t1},
             trace_id=(
                 format_trace_id(mig_trace) if mig_trace is not None else None
             ),
             node=self._trace_node if self._trace_on else None,
         )
-
-    def migrate(self, group: int, dst: str) -> None:
-        """A zero-window migration (begin + complete back to back)."""
-        self.begin_migration(group, dst)
-        self.complete_migration(group)
 
     # -- membership / liveness ---------------------------------------------------
 
@@ -571,7 +439,7 @@ class ClusterCoordinator:
         if not force and not self.membership.due():
             return {}
         return self.membership.sweep(
-            lambda name: self._handles[name].ping()
+            lambda name: self._nodes[name].client.ping()
         )
 
     # -- stats -------------------------------------------------------------------
@@ -579,20 +447,20 @@ class ClusterCoordinator:
     def stats(self) -> ClusterStats:
         assignment = self.placement.assignment()
         races = len(self.race_lines) + sum(
-            len(h.races) for h in self._handles.values()
+            len(node.client.races) for node in self._nodes.values()
         )
         nodes = []
-        for name in sorted(self._handles):
-            handle = self._handles[name]
+        for name in sorted(self._nodes):
+            node = self._nodes[name]
             state = self.membership.node(name)
             nodes.append(
                 {
                     "name": name,
                     "groups": assignment.get(name, []),
-                    "events_sent": handle.events_sent,
-                    "frames_sent": handle.frames_sent,
-                    "bytes_sent": handle.bytes_sent,
-                    "interner_cursor": handle.cursor,
+                    "events_sent": node.events_sent,
+                    "frames_sent": node.frames_sent,
+                    "bytes_sent": node.bytes_sent,
+                    "interner_cursor": node.cursor,
                     "status": state.status,
                     "missed": state.missed,
                 }
@@ -611,7 +479,6 @@ class ClusterCoordinator:
             races_reported=races,
             interner_version=len(self.encoder.interner),
             migrations_completed=self.migrations_completed,
-            migrations_active=len(self._migrations),
             assignment=assignment,
             nodes=nodes,
             membership=self.membership.as_dict(),
@@ -630,10 +497,10 @@ class ClusterCoordinator:
         Returns the merged exposition.
         """
         members: Dict[str, str] = {}
-        for name in sorted(self._handles):
+        for name in sorted(self._nodes):
             try:
-                members[name] = self._handles[name].metrics()
-            except (OSError, RuntimeError, ConnectionError, ValueError):
+                members[name] = self._nodes[name].client.metrics()
+            except (OSError, RuntimeError, ValueError):
                 continue
         # The coordinator participates as a member too: its tracer carries
         # the migration spans and any coordinator-side stage counters.
@@ -651,7 +518,6 @@ class ClusterCoordinator:
             "events_ingested": stats.events_ingested,
             "races_reported": stats.races_reported,
             "migrations_completed": stats.migrations_completed,
-            "migrations_active": stats.migrations_active,
             "nodes": {
                 str(node["name"]): str(node["status"]) for node in stats.nodes
             },
@@ -679,16 +545,16 @@ class ClusterCoordinator:
 
     def shutdown_nodes(self) -> None:
         """Drain and stop every node service (the CLI teardown path)."""
-        for handle in self._handles.values():
+        for node in self._nodes.values():
             try:
-                handle.command("!shutdown")
-            except (OSError, RuntimeError, ConnectionError):
+                node.client.shutdown()
+            except (OSError, RuntimeError):
                 pass
 
     def close(self) -> None:
         self.tracer.close()
-        for handle in self._handles.values():
-            handle.close()
+        for node in self._nodes.values():
+            node.client.close()
 
     def __enter__(self) -> "ClusterCoordinator":
         return self

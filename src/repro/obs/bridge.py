@@ -199,9 +199,6 @@ def registry_from_cluster(
     reg.gauge(
         "cluster_interner_version", "the master interner's version"
     ).set(stats.interner_version)
-    reg.gauge(
-        "cluster_migrations_active", "group migrations currently in their window"
-    ).set(stats.migrations_active)
     for attr, (name, help_text) in _CLUSTER_COUNTERS.items():
         reg.counter(name, help_text).set_total(getattr(stats, attr))
 

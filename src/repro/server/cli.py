@@ -11,7 +11,9 @@ Usage::
     repro-serve --tcp :7914 --flightrec-dir ./flightrecs     # + race dumps
 
 Exit status mirrors ``repro-race analyze``: 1 if any race was detected
-(stdin/tail modes), 0 otherwise.  Socket modes run until ``!shutdown``.
+(stdin/tail modes), 0 otherwise, 2 for a usage error -- an address that
+cannot be bound among them.  Socket modes run until ``!shutdown``,
+SIGTERM or Ctrl-C; a Unix server then removes its socket file.
 
 Observability (see ``docs/OBSERVABILITY.md``): stage counters are on by
 default (``--no-obs-counters`` turns them off); ``--span-sample N`` with
@@ -191,22 +193,36 @@ def main(argv: Optional[List[str]] = None) -> int:
                 file=sys.stderr,
             )
         try:
-            if args.tcp:
-                host, _, port = args.tcp.rpartition(":")
-                server = serve_tcp(service, host or "127.0.0.1", int(port))
+            if args.tcp or args.unix:
+                if args.tcp:
+                    host, _, port = args.tcp.rpartition(":")
+                    host = host or "127.0.0.1"
+                    address = f"tcp://{host}:{port}"
+                else:
+                    address = f"unix://{args.unix}"
+                try:
+                    if args.tcp:
+                        server = serve_tcp(service, host, int(port))
+                    else:
+                        server = serve_unix(service, args.unix)
+                except OSError as exc:
+                    # a taken or unusable address is a usage error:
+                    # exit status 1 means races found
+                    print(
+                        f"repro-serve: error: cannot listen on {address}: {exc}",
+                        file=sys.stderr,
+                    )
+                    return 2
                 print(
-                    f"# repro-serve listening on tcp://{host or '127.0.0.1'}:{port} "
-                    f"({args.shards} shard(s))",
+                    f"# repro-serve listening on {address} ({args.shards} shard(s))",
                     file=sys.stderr,
                 )
-                server.serve_forever()
-                server.server_close()
-                races = service.stats().races_reported
-            elif args.unix:
-                server = serve_unix(service, args.unix)
-                print(f"# repro-serve listening on unix://{args.unix}", file=sys.stderr)
-                server.serve_forever()
-                server.server_close()
+                try:
+                    server.serve_forever()
+                finally:
+                    # also on SIGTERM, whose handler raises SystemExit out
+                    # of serve_forever: a Unix server removes its socket file
+                    server.server_close()
                 races = service.stats().races_reported
             elif args.tail:
                 try:

@@ -108,8 +108,16 @@ class ServiceClient:
             elif kind == "error":
                 return False
 
-    def _send_frame(self, frame_type: int, payload: bytes) -> None:
-        self._sock.sendall(pack_frame(frame_type, payload))
+    def send_frame(self, frame_type: int, payload: bytes) -> int:
+        """Ship one frame after :meth:`enable_binary`; returns the bytes
+        written, header included.
+
+        For callers that pack their own event frames: the cluster
+        coordinator ships records in its own id space and ``seq``.
+        """
+        frame = pack_frame(frame_type, payload)
+        self._sock.sendall(frame)
+        return len(frame)
 
     def _flush_events(self) -> None:
         """Ship the pending packed records as one FRAME_EVENTS frame."""
@@ -126,14 +134,14 @@ class ServiceClient:
         self._records = array("q")
         self._extras = array("q")
         self._pending = 0
-        self._send_frame(FRAME_EVENTS, payload)
+        self.send_frame(FRAME_EVENTS, payload)
 
     # -- sending ---------------------------------------------------------------
 
     def send_line(self, line: str) -> None:
         if self._binary:
             self._flush_events()
-            self._send_frame(FRAME_TEXT, (line + "\n").encode("utf-8"))
+            self.send_frame(FRAME_TEXT, (line + "\n").encode("utf-8"))
             return
         self._writer.write(line + "\n")
 
@@ -169,7 +177,7 @@ class ServiceClient:
         """Send a control command, collect races until its reply arrives."""
         if self._binary:
             self._flush_events()
-            self._send_frame(FRAME_CONTROL, f"!{command}".encode("utf-8"))
+            self.send_frame(FRAME_CONTROL, f"!{command}".encode("utf-8"))
         else:
             self.send_line(f"!{command}")
             self._writer.flush()

@@ -254,17 +254,14 @@ class WireIngest:
 
     A coordinator's connection (``keep_ids``, set by ``!cluster``) shares
     the cluster's id space instead: its deltas must land on exactly the
-    ids it assigned, and its records keep their ``seq``.  ``replay_group``,
-    when set by the ``!replay`` verb, targets every record of subsequent
-    frames at exactly one hosted group (the migration delta-replay path).
+    ids it assigned, and its records keep their ``seq``.
     """
 
-    __slots__ = ("remap", "keep_ids", "replay_group")
+    __slots__ = ("remap", "keep_ids")
 
     def __init__(self, keep_ids: bool = False) -> None:
         self.remap: List[int] = [0]  # client id 0 is TL on both sides
         self.keep_ids = keep_ids
-        self.replay_group: Optional[int] = None
 
 
 class ShardedEngine:
@@ -383,26 +380,12 @@ class ShardedEngine:
         b: int,
         extras: Optional[List[int]],
         seq: Optional[int],
-        only_slot: Optional[int] = None,
     ) -> int:
         if seq is None:
             seq = self._seq
         self._seq = seq + 1
         self.events_ingested += 1
-        if only_slot is not None:
-            # Migration delta replay: every record of the frame -- data and
-            # the window's sync tail alike -- is targeted at exactly the
-            # adopted group's slot, never broadcast (the other slots already
-            # saw those sync records through the normal stream).
-            targets: Sequence[int] = (only_slot,)
-            if op == OP_READ or op == OP_WRITE:
-                if a < 0:
-                    self.data_filtered += 1
-                    return seq
-                self.data_routed += 1
-            else:
-                self.sync_broadcast += 1
-        elif op == OP_READ or op == OP_WRITE:
+        if op == OP_READ or op == OP_WRITE:
             if a < 0:
                 # admission-filtered access: consumes its sequence number
                 # (race-line parity with unfiltered runs) but ships nowhere
@@ -415,7 +398,7 @@ class ShardedEngine:
                 # the owning group is hosted on some other node
                 self.foreign_dropped += 1
                 return seq
-            targets = (slot,)
+            targets: Sequence[int] = (slot,)
         else:
             self.sync_broadcast += 1
             targets = range(len(self._slot_groups))
@@ -481,13 +464,6 @@ class ShardedEngine:
             for element in delta[len(remap) - base :]:
                 remap.append(encoder.intern_element(element))
             n_ids = len(remap)
-        only_slot: Optional[int] = None
-        if state.replay_group is not None:
-            only_slot = self._slot_of.get(state.replay_group)
-            if only_slot is None:
-                raise ValueError(
-                    f"replay target group {state.replay_group} is not hosted here"
-                )
         # An id's class is a table lookup: an engine id names a thread iff it
         # is in ``thread_ids``, a data variable iff it is in ``var_shard``,
         # and so on.  A remapped id that was never announced becomes -1, in
@@ -585,7 +561,7 @@ class ShardedEngine:
                         raise bad_id(records[i + 4], "an object's LockVar", op, i)
             else:
                 raise refuse(f"unknown opcode {op}", op, i)
-            self._ingest_record(op, tid_id, index, a, b, local_extras, seq, only_slot)
+            self._ingest_record(op, tid_id, index, a, b, local_extras, seq)
             count += 1
         return count
 
@@ -862,8 +838,8 @@ class ShardedEngine:
 
         The migration driver calls this on the source the moment the
         checkpoint is exported: commits are broadcast, so a lingering copy
-        of the group would double-report every footprint race during the
-        hand-off window.
+        of the group would double-report every footprint race after the
+        hand-off.
         """
         slot = self._slot_of.get(group)
         if slot is None:

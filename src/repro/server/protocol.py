@@ -32,8 +32,6 @@ Client -> server, one line each:
       !adopt <g> [b64]         host group g, fresh or from a checkpoint blob
       !retire <g>              stop hosting group g (drains it first)
       !checkpoint <g>          export group g; reply ``checkpoint <g> <b64>``
-      !replay <g> | done       target subsequent frames at exactly group g
-                               (migration delta replay), or end targeting
 
 Server -> client, one line each:
 
@@ -111,7 +109,6 @@ CONTROL_COMMANDS = (
     "adopt",
     "retire",
     "checkpoint",
-    "replay",
 )
 
 # -- binary framing (client -> server after `!binary` negotiation) -------------

@@ -30,7 +30,9 @@ write their ``ok`` lines.
 from __future__ import annotations
 
 import base64
+import contextlib
 import json
+import os
 import socketserver
 import threading
 import time
@@ -410,10 +412,9 @@ class RaceDetectionService:
         """Run one control command; returns whether the stream stops.
 
         ``state`` is the connection's wire ingest state: ``!cluster`` marks
-        it as the coordinator's, and ``!replay`` scopes its targeting to
-        exactly that connection.  Race lines written count in ``tally``.
+        it as the coordinator's.  Race lines written count in ``tally``.
         """
-        if command in ("cluster", "adopt", "retire", "checkpoint", "replay"):
+        if command in ("cluster", "adopt", "retire", "checkpoint"):
             try:
                 self._cluster_control(command, args, writer, state)
             except Exception as exc:
@@ -515,26 +516,14 @@ class RaceDetectionService:
         writer: TextIO,
         state: WireIngest,
     ) -> None:
-        """The ``!cluster``/``!adopt``/``!retire``/``!checkpoint``/``!replay``
-        verbs.  Raises on bad input; the caller turns that into one
-        ``error`` line."""
+        """The ``!cluster``/``!adopt``/``!retire``/``!checkpoint`` verbs.
+        Raises on bad input; the caller turns that into one ``error``
+        line."""
         if command == "cluster":
             n_groups = int(args)
             self._repartition(n_groups)
             state.keep_ids = True
             writer.write(summary_line("cluster", n_groups=n_groups) + "\n")
-            return
-        if command == "replay":
-            if args == "done":
-                state.replay_group = None
-                writer.write("ok replay done\n")
-                return
-            group = int(args)
-            with self._lock:
-                if group not in self.engine.hosted_groups():
-                    raise ValueError(f"group {group} is not hosted here")
-            state.replay_group = group
-            writer.write(summary_line("replay", group=group) + "\n")
             return
         # the remaining verbs name one group
         word, _, blob_text = args.partition(" ")
@@ -892,6 +881,20 @@ if hasattr(socketserver, "UnixStreamServer"):
         socketserver.ThreadingMixIn, socketserver.UnixStreamServer
     ):
         daemon_threads = True
+        #: the socket file this server bound; closing the server removes it
+        #: (a failed bind leaves None, so a live server's file is kept)
+        _bound: Optional[str] = None
+
+        def server_bind(self) -> None:
+            super().server_bind()
+            self._bound = self.server_address
+
+        def server_close(self) -> None:
+            super().server_close()
+            path, self._bound = self._bound, None
+            if path is not None:
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(path)
 
     def serve_unix(service: RaceDetectionService, path: str):
         """A threaded Unix-socket server bound to the service."""

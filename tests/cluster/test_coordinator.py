@@ -12,7 +12,7 @@ import pytest
 
 from repro.cluster import ClusterConfig, ClusterCoordinator
 from repro.server.engine import EngineConfig, ShardedEngine
-from repro.server.protocol import format_race
+from repro.server.protocol import format_race, parse_race
 from repro.server.service import RaceDetectionService, ServiceConfig, serve_tcp
 from tests.helpers import service_trace, service_trace_text
 
@@ -40,24 +40,32 @@ def reference(events):
 
 
 @contextlib.contextmanager
-def running_nodes(count):
-    """``count`` in-process ``repro-serve`` nodes on loopback ports."""
-    services, servers, nodes = [], [], {}
+def running_services(count):
+    """``count`` in-process ``repro-serve`` nodes on loopback ports; yields
+    the cluster's node map and each node's service, by name."""
+    services, servers, nodes = {}, [], {}
     try:
         for i in range(count):
             service = RaceDetectionService(ServiceConfig())
-            services.append(service)
+            services[f"node{i}"] = service
             server = serve_tcp(service, "127.0.0.1", 0)
             servers.append(server)
             threading.Thread(target=server.serve_forever, daemon=True).start()
             nodes[f"node{i}"] = ("127.0.0.1", server.server_address[1])
-        yield nodes
+        yield nodes, services
     finally:
         for server in servers:
             server.shutdown()
             server.server_close()
-        for service in services:
+        for service in services.values():
             service.close()
+
+
+@contextlib.contextmanager
+def running_nodes(count):
+    """``count`` in-process ``repro-serve`` nodes on loopback ports."""
+    with running_services(count) as (nodes, _services):
+        yield nodes
 
 
 @pytest.fixture
@@ -66,10 +74,29 @@ def two_nodes():
         yield nodes
 
 
+def feed(coordinator, events, moves=()):
+    """Submit ``events``; each ``(at, group, dst)`` move runs before event
+    ``at``."""
+    moves = sorted(moves)
+    for count, event in enumerate(events):
+        while moves and moves[0][0] == count:
+            _at, group, dst = moves.pop(0)
+            coordinator.migrate(group, dst)
+        coordinator.submit_event(event)
+
+
 def make_coordinator(nodes, **kwargs):
     return ClusterCoordinator(
         ClusterConfig(nodes=nodes, n_groups=N_GROUPS, **kwargs)
     )
+
+
+def test_banked_race_lines_format_back_unchanged(reference):
+    """The coordinator banks a node's race lines as parsed ``RaceLine``s
+    and renders them again with ``format_race``: the round trip is exact."""
+    for line in reference:
+        race = parse_race(line)
+        assert format_race(race.seq, race) == line
 
 
 def test_two_node_parity_without_migration(two_nodes, events, reference):
@@ -116,31 +143,20 @@ def test_admission_through_the_coordinator_keeps_the_race_lines(two_nodes):
 
 
 def test_mid_stream_migration_is_line_identical(two_nodes, events, reference):
-    """The headline gate: checkpoint a live group off node A mid-stream,
-    buffer a 200-event window, restore on node B, replay, keep streaming --
+    """The headline gate: move a live group off node A mid-stream --
+    checkpoint and retire it there, adopt it on node B, keep streaming --
     and the merged race lines (seq included) match an unmigrated run."""
     with make_coordinator(two_nodes) as coordinator:
-        mid = len(events) // 2
-        for event in events[:mid]:
-            coordinator.submit_event(event)
-
         group = 0
         src = coordinator.placement.node_of(group)
         dst = "node1" if src == "node0" else "node0"
-        coordinator.begin_migration(group, dst)
-        assert coordinator.stats().migrations_active == 1
-        for event in events[mid : mid + 200]:
-            coordinator.submit_event(event)
-        coordinator.complete_migration(group)
-
-        for event in events[mid + 200 :]:
-            coordinator.submit_event(event)
+        feed(coordinator, events, [(len(events) // 2, group, dst)])
         assert sorted(coordinator.barrier()) == reference
 
         stats = coordinator.stats()
         assert stats.migrations_completed == 1
-        assert stats.migrations_active == 0
         assert group in stats.assignment[dst]
+        assert group not in stats.assignment[src]
         coordinator.shutdown_nodes()
 
 
@@ -149,21 +165,63 @@ def test_atomic_migration_and_errors(two_nodes, events, reference):
         mid = len(events) // 2
         for event in events[:mid]:
             coordinator.submit_event(event)
-        coordinator.migrate(1, "node0")  # zero-window hand-off
+        coordinator.migrate(1, "node0")
         with pytest.raises(ValueError):
             coordinator.migrate(1, "node0")  # already there
         with pytest.raises(ValueError):
             coordinator.migrate(1, "ghost")  # unknown target
         with pytest.raises(ValueError):
-            coordinator.complete_migration(1)  # nothing in flight
-        coordinator.begin_migration(2, "node1")
-        with pytest.raises(ValueError):
-            coordinator.begin_migration(2, "node0")  # already migrating
-        coordinator.complete_migration(2)
+            coordinator.migrate(N_GROUPS, "node1")  # no such group
+        coordinator.migrate(2, "node1")
         for event in events[mid:]:
             coordinator.submit_event(event)
         assert sorted(coordinator.barrier()) == reference
+        assert coordinator.stats().migrations_completed == 2
         coordinator.shutdown_nodes()
+
+
+def test_a_group_moved_away_and_back_ends_where_it_started(
+    two_nodes, events, reference
+):
+    """Group 1 goes to node0 mid-stream and back to node1 later: node1
+    re-adopts a group it retired, and nothing is lost or reported twice."""
+    with make_coordinator(two_nodes) as coordinator:
+        start = coordinator.placement.assignment()
+        assert coordinator.placement.node_of(1) == "node1"
+        feed(coordinator, events, [(1000, 1, "node0"), (1800, 1, "node1")])
+        assert sorted(coordinator.barrier()) == reference
+        stats = coordinator.stats()
+        assert stats.assignment == start
+        assert stats.migrations_completed == 2
+        coordinator.shutdown_nodes()
+
+
+def test_a_refused_hand_off_goes_back_to_its_source(events, reference):
+    """The target refuses ``!adopt``: ``migrate`` puts the blob back on the
+    source and re-raises, naming the node, and the stream goes on with
+    every race line, seq included."""
+    with running_services(2) as (nodes, services):
+        with make_coordinator(nodes) as coordinator:
+            assert coordinator.placement.node_of(1) == "node1"
+            for event in events[:1268]:
+                coordinator.submit_event(event)
+
+            def refuse(group, blob=None):
+                raise ValueError("refused for the test")
+
+            # ``!cluster`` gave the node a fresh engine: patch that one
+            services["node0"].engine.adopt_group = refuse
+            with pytest.raises(RuntimeError, match="node node0: .*refused for the test"):
+                coordinator.migrate(1, "node0")
+            assert coordinator.placement.node_of(1) == "node1"
+            assert 1 in services["node1"].health()["cluster"]["hosted_groups"]
+            assert 1 not in services["node0"].health()["cluster"]["hosted_groups"]
+
+            for event in events[1268:]:
+                coordinator.submit_event(event)
+            assert sorted(coordinator.barrier()) == reference
+            assert coordinator.stats().migrations_completed == 0
+            coordinator.shutdown_nodes()
 
 
 def test_submit_line_parity(two_nodes, reference):
@@ -232,14 +290,55 @@ def test_cli_end_to_end(tmp_path, capsys, reference):
     code = cluster_main(
         [
             "--local-nodes", "2", "--groups", str(N_GROUPS),
-            "--migrate", f"0:node1@{mid}", "--window", "200",
-            "--stats", str(trace),
+            "--migrate", f"0:node1@{mid}", "--stats", str(trace),
         ]
     )
     captured = capsys.readouterr()
     assert code == 1  # races found
     assert sorted(captured.out.splitlines()) == reference
     assert '"migrations_completed": 1' in captured.err
+
+
+def test_cli_answers_a_malformed_line_as_repro_serve_does(tmp_path, capsys):
+    """A garbage line between two racy pairs: both races keep the
+    single-node seqs, the line is answered with an ``error`` line on
+    stdout and takes no seq, and the exit status is 1 (races found)."""
+    from repro.cluster.cli import main as cluster_main
+    from repro.server.cli import main as serve_main
+
+    text = (
+        "1 0 write 5 f\n2 0 write 5 f\nthis is not an event\n"
+        "1 1 write 6 g\n2 1 write 6 g\n"
+    )
+    trace = tmp_path / "bad.trace"
+    trace.write_text(text, encoding="utf-8")
+    with open(trace, encoding="utf-8") as stdin, pytest.MonkeyPatch.context() as patch:
+        patch.setattr("sys.stdin", stdin)
+        assert serve_main(["--stdin", "--shards", str(N_GROUPS)]) == 1
+    single = capsys.readouterr().out.splitlines()
+    races = [line for line in single if line.startswith("race ")]
+    assert [line.rpartition("seq=")[2] for line in races] == ["1", "3"]
+    error = "error unparseable event line: this is not an event"
+    assert error in single and "ok eof events=4 races=2" in single
+
+    code = cluster_main(
+        ["--local-nodes", "2", "--groups", str(N_GROUPS), str(trace)]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    lines = captured.out.splitlines()
+    assert [line for line in lines if line.startswith("race ")] == races
+    assert error in lines
+    assert captured.err == ""
+
+
+def test_cli_has_no_window_option(capsys):
+    from repro.cluster.cli import main as cluster_main
+
+    with pytest.raises(SystemExit) as exc:
+        cluster_main(["--local-nodes", "2", "--window", "200"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --window" in capsys.readouterr().err
 
 
 def test_cli_rejects_bad_specs(capsys):

@@ -190,16 +190,6 @@ def test_coordinator_frame_with_a_diverged_delta_ingests_nothing():
         assert engine.interner_version() == base
 
 
-def test_replay_requires_a_hosted_group():
-    engine = node_engine([0])
-    with engine:
-        state = coordinator_state()
-        state.replay_group = 2  # not hosted: the next frame must refuse
-        shipper = FrameShipper()
-        with pytest.raises(ValueError):
-            shipper.ship(TRACE.generate(seed=3)[:10], [(engine, state)])
-
-
 def test_adopt_of_a_retired_kernel_blob_is_an_error_reply(monkeypatch):
     """A checkpoint naming a shard class this version no longer has (the
     retired batch kernel's) is refused with an ``error`` line; the node

@@ -24,8 +24,8 @@ from tests.helpers import service_trace, service_trace_text
 
 N_GROUPS = 4
 #: group 1 has races on the shared service trace; it moves to node0 after
-#: event 1268, with a 200-event window in between
-MOVED, DST, AT, WINDOW = 1, "node0", 1268, 200
+#: event 1268
+MOVED, DST, AT = 1, "node0", 1268
 
 
 @pytest.fixture
@@ -59,9 +59,7 @@ def test_node_dumps_replay_and_explain_across_a_group_move(recording_nodes, caps
         assert coordinator.placement.node_of(MOVED) != DST
         for count, line in enumerate(lines):
             if count == AT:
-                coordinator.begin_migration(MOVED, DST)
-            elif count == AT + WINDOW:
-                coordinator.complete_migration(MOVED)
+                coordinator.migrate(MOVED, DST)
             coordinator.submit_line(line)
         cluster_lines = set(coordinator.barrier())
     assert cluster_lines

@@ -246,7 +246,7 @@ class TestFrameFormatError:
             # a FRAME_EVENTS payload cut mid-record, then one whose first
             # record carries an unknown opcode: both are refused at the edge
             for bad, word in ((frame[: len(frame) - 7], "frame"), (junk, "opcode")):
-                client._send_frame(FRAME_EVENTS, bad)
+                client.send_frame(FRAME_EVENTS, bad)
                 reply = client._sock.recv(4096).decode("utf-8", "replace")
                 assert reply.startswith("error")
                 payload = service.health()
