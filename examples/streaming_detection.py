@@ -3,12 +3,12 @@
 The offline CLI (``repro-race analyze``) needs the whole trace up front.
 The streaming service instead ingests events as they happen -- from a
 pipe, a socket, or a growing log file -- and reports each race the moment
-the completing access arrives, while hash-partitioning the per-variable
-detection work across shards.
+the completing access arrives; one kernel per process checks every group
+of variables the service hosts.
 
 This script runs the full client/server path in one process:
 
-1. start a ``RaceDetectionService`` with 4 shards and serve it over TCP,
+1. start a ``RaceDetectionService`` with 4 groups and serve it over TCP,
 2. connect with the ``ServiceClient`` library and stream a recorded
    execution event by event,
 3. print the races as the server pushes them back, then fetch the
@@ -63,7 +63,7 @@ def main():
                 print(f"  events ingested : {stats.events_ingested}")
                 print(f"  sync broadcast  : {stats.sync_broadcast}")
                 print(f"  data routed     : {stats.data_routed}")
-                print(f"  shards          : {stats.n_shards}")
+                print(f"  groups          : {stats.n_shards}")
                 print(f"  races reported  : {stats.races_reported}")
 
                 assert len(client.races) == 1, "expected exactly the o2.flag race"

@@ -4,9 +4,9 @@ The paper's Table 2 shows sound static analyses (Chord, RccJava)
 eliminating the majority of dynamic checks.  :class:`AdmissionFilter`
 turns those reports into an *ingestion-edge* gate: data accesses to
 variables every selected analysis proved race-free are dropped (folded
-into a per-variable summary counter) before they reach a queue, a shard,
-or the kernel.  Sync events always pass, so the happens-before state --
-the sync-event list all shards share -- stays exact; per-variable race
+into a per-variable summary counter) before they reach a queue or the
+kernel.  Sync events always pass, so the happens-before state -- the one
+synchronization-event list -- stays exact; per-variable race
 state is private to each variable, so dropping one variable's accesses
 cannot change another variable's verdict.  Soundness is therefore
 exactly the static analyses' soundness, the same argument

@@ -1,8 +1,7 @@
-"""``repro.cluster``: multi-node race detection over checkpoint-migrated shards.
+"""``repro.cluster``: multi-node race detection over checkpoint-migrated groups.
 
-The single-process service already shards detection locally (broadcast
-sync, crc32-partitioned data accesses).  This package builds the next layer
-around it:
+A single-process service runs one kernel for crc32-partitioned groups of
+variables.  This package spreads the groups over several such processes:
 
 * :mod:`.membership` -- node registry with heartbeat liveness tracking;
 * :mod:`.coordinator` -- the ingestion edge of the cluster: one master

@@ -19,8 +19,11 @@ Race lines stream to stdout in the same canonical form a single-node
 ``seq`` tags, so the two are line-identical -- the CI smoke job diffs
 them).  A line that is not an event is answered as ``repro-serve``
 answers it, with ``error unparseable event line: <line>`` on stdout, and
-takes no ``seq``.  Exit status mirrors ``repro-serve``: 1 if any race was
-reported, 0 otherwise, 2 for operational errors.
+takes no ``seq``.  Each ``--migrate`` spec is checked before any node is
+dialled, and the race lines completed before a move are written before
+it runs, so a move that fails still leaves them on stdout.  Exit status
+mirrors ``repro-serve``: 1 if any race was reported, 0 otherwise, 2 for
+usage and operational errors.
 """
 
 from __future__ import annotations
@@ -207,6 +210,30 @@ def main(argv: Optional[List[str]] = None) -> int:
             (_parse_migration(spec) for spec in args.migrate),
             key=lambda item: item[2],
         )
+        if args.local_nodes is not None:
+            if args.local_nodes < 1:
+                parser.error("--local-nodes must be at least 1")
+            names = [f"node{i}" for i in range(args.local_nodes)]
+        elif args.node:
+            addresses: Dict[str, Tuple[str, int]] = {}
+            for spec in args.node:
+                name, host, port = _parse_node(spec)
+                if name in addresses:
+                    raise ValueError(f"duplicate node name {name!r}")
+                addresses[name] = (host, port)
+            names = list(addresses)
+        else:
+            parser.error("need --node NAME=HOST:PORT (repeatable) or --local-nodes N")
+        # every move is checked before a node is dialled or started
+        for group, node, _at in migrations:
+            if not 0 <= group < args.groups:
+                raise ValueError(
+                    f"--migrate group {group} out of range [0, {args.groups})"
+                )
+            if node not in names:
+                raise ValueError(
+                    f"--migrate target {node!r} is not a node: {', '.join(names)}"
+                )
         obs_wanted = args.trace or args.span_sample > 0 or args.span_log
         node_obs: Optional[Callable[[int], Optional[ObsConfig]]] = None
         if obs_wanted:
@@ -222,19 +249,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 )
 
         if args.local_nodes is not None:
-            if args.local_nodes < 1:
-                parser.error("--local-nodes must be at least 1")
             nodes, closers = _start_local_nodes(args.local_nodes, obs_of=node_obs)
-        elif args.node:
-            nodes = {}
-            for spec in args.node:
-                name, host, port = _parse_node(spec)
-                if name in nodes:
-                    raise ValueError(f"duplicate node name {name!r}")
-                nodes[name] = (host, port)
-            closers = []
         else:
-            parser.error("need --node NAME=HOST:PORT (repeatable) or --local-nodes N")
+            nodes, closers = addresses, []
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -298,6 +315,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                 signal.signal(signal.SIGTERM, _drain_metrics)
             except ValueError:  # pragma: no cover - non-main thread
                 pass
+
+            def move(group: int, dst: str) -> None:
+                # the races completed so far are final: write them before
+                # a move that may fail and end the run
+                for race in coordinator.barrier():
+                    out.write(race + "\n")
+                out.flush()
+                coordinator.migrate(group, dst)
+
             # (group, dst, at), consumed front to back
             pending = list(migrations)
             count = 0
@@ -308,7 +334,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     continue
                 while pending and pending[0][2] <= count:
                     group, dst, _at = pending.pop(0)
-                    coordinator.migrate(group, dst)
+                    move(group, dst)
                 try:
                     coordinator.submit_line(text)
                 except (ValueError, IndexError):
@@ -326,7 +352,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         )
             # Anything still pending fires at end-of-stream.
             for group, dst, _at in pending:
-                coordinator.migrate(group, dst)
+                move(group, dst)
             for line in coordinator.barrier():
                 out.write(line + "\n")
             stats = coordinator.stats()

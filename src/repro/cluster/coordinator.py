@@ -1,7 +1,7 @@
 """The cluster coordinator: one ingestion edge over many detection nodes.
 
-The coordinator is to nodes exactly what :class:`~repro.server.engine.
-ShardedEngine` is to local shards, one layer out: it keeps the single
+The coordinator is the ingestion edge of :class:`~repro.server.engine.
+ShardedEngine`, one layer out, over several processes: it keeps the single
 master :class:`~repro.core.encode.EventEncoder` (the cluster's id space
 and sequence numbers), routes packed records -- sync broadcast to every
 node, data accesses to the node owning the variable's *group* -- and ships
@@ -10,7 +10,7 @@ frame's delta carries exactly the ids its node has not seen, so every
 node's interner stays a prefix of the master and no other id sync exists.
 
 Routing is two-layered: variable -> group via crc32 (identical to the
-single-node shard mapping, so cluster verdicts are byte-compatible with a
+single-node group mapping, so cluster verdicts are byte-compatible with a
 ``--shards n_groups`` run), then group -> node via the :class:`Placement`:
 round-robin over the sorted node names, unless a migration pinned the
 group elsewhere.
@@ -147,7 +147,7 @@ class _Node:
         self.records = array("q")
         self.extras = array("q")
         self.count = 0
-        self.cursor = 1  # node replicas start with just TL, like shards
+        self.cursor = 1  # node replicas start with just TL
         self.events_sent = 0
         self.frames_sent = 0
         self.bytes_sent = 0
@@ -303,7 +303,7 @@ class ClusterCoordinator:
                 self.data_filtered += 1
                 return seq
             self.data_routed += 1
-            group = self.encoder.shard_of_var(a)
+            group = self.encoder.var_shard[a]
             targets: Iterable[_Node] = (
                 self._nodes[self.placement.node_of(group)],
             )

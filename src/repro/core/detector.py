@@ -71,9 +71,9 @@ class Detector(ABC):
 
         The blob restored by :meth:`restore` continues the *same* execution:
         feeding it the remaining suffix of a trace yields exactly the reports
-        (and stats deltas) the original instance would have produced.  Used
-        by the streaming service to restart or migrate shards without
-        replaying the shared synchronization-event history.
+        (and stats deltas) the original instance would have produced.  (The
+        streaming service hands over a group's variables instead, without
+        the synchronization list: :meth:`EncodedGoldilocks.export_vars`.)
         """
         return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
 

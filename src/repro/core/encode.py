@@ -1,7 +1,7 @@
 """Encode-once event packing: the canonical integer record and frame format.
 
 The ingestion edge translates every event exactly once into the kernel's
-packed integer form; the router, the shards and the kernel itself then
+packed integer form; the router, the engine and the kernel itself then
 operate on flat ``array('q')`` frames instead of Python objects.
 
 A **record** is six signed 64-bit integers::
@@ -12,7 +12,7 @@ A **record** is six signed 64-bit integers::
 ``OP_READ``/``OP_WRITE``/``OP_ALLOC`` so one column describes any event.
 ``tid_id`` and the ``(a, b)`` payload are interned element ids
 (:class:`~repro.core.lockset.Interner`); for simple sync opcodes ``(a, b)``
-is exactly the ``(key, gain)`` pair the kernel enqueues, so a shard running
+is exactly the ``(key, gain)`` pair the kernel enqueues, so
 :class:`~repro.core.kernel.EncodedGoldilocks` appends them verbatim --
 zero per-event sync decoding.  Commits store in ``a`` an offset into the
 frame's *extras* array, which holds the footprint as
@@ -103,7 +103,7 @@ _BIG_ENDIAN = sys.byteorder == "big"
 
 #: sentinel variable id marking an admission-filtered data access; the
 #: record still consumes its sequence number (race-line parity) but is
-#: shipped to no shard and skipped by the kernel.
+#: shipped nowhere and skipped by the kernel.
 FILTERED_VAR = -1
 
 
@@ -408,7 +408,7 @@ class EventEncoder:
         self._lock_ids: Dict[int, int] = {}
         self._vvar_ids: Dict[Tuple[int, str], int] = {}
         self._dvar_ids: Dict[Tuple[int, str], int] = {}
-        #: data-variable id -> owning shard (crc32 partition, cached)
+        #: data-variable id -> its group (crc32 partition, cached)
         self.var_shard: Dict[int, int] = {}
         #: (obj, field) -> var id or FILTERED_VAR (admission decision cache)
         self._access_ids: Dict[Tuple[int, str], int] = {}
@@ -513,10 +513,6 @@ class EventEncoder:
         self.admit = admit
         self._access_ids.clear()
         self._admit_ids.clear()
-
-    def shard_of_var(self, var_id: int) -> int:
-        """The crc32 partition of an encoded data variable (cached)."""
-        return self.var_shard[var_id]
 
     def intern_element(self, element: LocksetElement) -> int:
         """Intern a foreign element (wire ingest), keeping caches coherent."""
@@ -727,7 +723,7 @@ class FrameDecoder:
 
     The inverse of :class:`EventEncoder` plus :func:`encode_frame`, for
     consumers that need objects (round-trip checks, offline inspection of
-    recorded frames); the service's shards never use it.  ``sync_decoded``
+    recorded frames); the service's kernel never uses it.  ``sync_decoded``
     counts every sync/alloc/commit record it had to materialize.
     """
 

@@ -43,8 +43,10 @@ describe *how* a verdict was reached differ.
 
 from __future__ import annotations
 
+import io
+import pickle
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .actions import (
     OP_ACQUIRE,
@@ -135,7 +137,8 @@ MEMO_CAP = 4096
 #: chain stays bounded no matter how long the replayed window was
 PROVENANCE_CAP = 64
 
-#: the variable key of a packed variable that another partition owns
+#: the variable key of a packed variable the kernel does not check (see
+#: :meth:`EncodedGoldilocks.set_owner`)
 FOREIGN = -1
 
 #: constructor flags older checkpoints may carry but the kernel no longer
@@ -217,9 +220,11 @@ class EncodedGoldilocks(Detector):
         self._vars: List[DataVar] = []
         self._var_keys: Dict[DataVar, int] = {}
         #: interner id of a packed read/write/footprint variable -> its
-        #: variable key, or :data:`FOREIGN` when another partition owns it;
-        #: decided at the id's first sight
+        #: variable key, or :data:`FOREIGN` when the kernel does not own
+        #: it; decided at the id's first sight
         self._packed_vars: Dict[int, int] = {}
+        #: which variables the packed path checks (None: every one)
+        self._owns: Optional[Callable[[DataVar], bool]] = None
         #: last-write infos by variable key
         self.write_info: Dict[int, KInfo] = {}
         #: read infos by variable key, then by read slot ``tid_id << 1 |
@@ -428,23 +433,24 @@ class EncodedGoldilocks(Detector):
         row = self.events.add_commit_row(gain_ls, gain_ls, tid_id)
         self.events.enqueue_encoded(OP_COMMIT, tid_id, row, 0)
         reports: List[RaceReport] = []
-        for var in self._commit_vars(footprint):
+        for var in footprint:
             self.stats.accesses_checked += 1
             handle = self._handle_write if var in action.writes else self._handle_read
             reports.extend(handle(tid_id, event.index, self._var_key(var), gain_ls))
         self._maybe_collect()
         return reports
 
-    def _commit_vars(self, footprint: List[DataVar]) -> List[DataVar]:
-        """The footprint variables, in canonical order, this instance checks
-        (sharding overrides it)."""
-        return footprint
-
     # -- packed ingestion (the encode-once path) ---------------------------------
 
-    def owns(self, var: DataVar) -> bool:
-        """Whether this instance checks ``var``'s accesses (sharding overrides)."""
-        return True
+    def set_owner(self, owns: Optional[Callable[[DataVar], bool]]) -> None:
+        """Check only the packed variables ``owns`` accepts (None: all).
+
+        Every commit arrives with its whole footprint; a variable ``owns``
+        refuses still synchronizes, it is just not checked.  Each id is
+        decided again at its next sight.
+        """
+        self._owns = owns
+        self._packed_vars.clear()
 
     def apply_packed(self, frame: bytes) -> Tuple[List[Tuple[int, RaceReport]], int]:
         """Consume one packed frame; returns ``((seq, report) list, n events)``.
@@ -495,8 +501,8 @@ class EncodedGoldilocks(Detector):
     def _packed_var(self, var_id: int, op: int, record: int, applied: int) -> int:
         """Decide, at its first sight, what a packed variable id names.
 
-        Returns its variable key, or :data:`FOREIGN` when another partition
-        owns the variable, and remembers the answer for the id.  An id that
+        Returns its variable key, or :data:`FOREIGN` when the kernel does
+        not own the variable, and remembers the answer for the id.  An id that
         names no data variable (a thread, a lock, a volatile) raises a typed
         :class:`~repro.core.encode.FrameFormatError`.
         """
@@ -508,7 +514,8 @@ class EncodedGoldilocks(Detector):
                 record,
                 applied,
             )
-        key = self._var_key(var) if self.owns(var) else FOREIGN
+        owns = self._owns
+        key = self._var_key(var) if owns is None or owns(var) else FOREIGN
         self._packed_vars[var_id] = key
         return key
 
@@ -627,7 +634,7 @@ class EncodedGoldilocks(Detector):
                 record,
                 applied,
             )
-        # extras arrive in the canonical (obj, field) order of _commit_vars
+        # extras arrive in the canonical (obj, field) order of _handle_commit
         checks: List[Tuple[int, int]] = []
         filtered = 0
         gain_ls: IntLockset = 0
@@ -1043,20 +1050,7 @@ class EncodedGoldilocks(Detector):
     # when the kernel kept objects in its tables.
 
     def __getstate__(self) -> dict:
-        size = self.events.segment_size
-        resolve = self.interner.resolve
-
-        def pack(info: KInfo, kind: str) -> tuple:
-            return (
-                info.owner_id,
-                (info.pos // size, info.pos % size),
-                ls_pack(info.ls),
-                info.alock_id,
-                info.xact,
-                AccessRef(resolve(info.owner_id), info.index, kind, info.xact),
-            )
-
-        variables = self._vars
+        writes, reads = self._pack_infos(self.write_info, self.read_info)
         return {
             "config": sorted(self._config.items()),
             "suppress_racy_updates": self.suppress_racy_updates,
@@ -1064,17 +1058,8 @@ class EncodedGoldilocks(Detector):
             "events": self.events,
             "interner": self.interner,
             "held": self._held,
-            "write_info": {
-                variables[key]: pack(info, "write")
-                for key, info in self.write_info.items()
-            },
-            "read_info": {
-                variables[key]: {
-                    (resolve(slot >> 1), bool(slot & 1)): pack(info, "read")
-                    for slot, info in per_thread.items()
-                }
-                for key, per_thread in self.read_info.items()
-            },
+            "write_info": writes,
+            "read_info": reads,
         }
 
     def __setstate__(self, state: dict) -> None:
@@ -1101,28 +1086,245 @@ class EncodedGoldilocks(Detector):
         self.interner = state["interner"]
         self._held = state["held"]
         self._memo = {}
+        self._vars = []
+        self._var_keys = {}
+        self._packed_vars = {}
+        self._owns = None
+        self._by_obj = {}
+        self.write_info = {}
+        self.read_info = {}
+        self._file_infos(state["write_info"], state["read_info"])
+
+    def _pack_infos(self, write_keys: Iterable[int], read_keys: Iterable[int]):
+        """The checkpoint layout of these variables' write and read infos."""
+        size = self.events.segment_size
+        resolve = self.interner.resolve
+
+        def pack(info: KInfo, kind: str) -> tuple:
+            return (
+                info.owner_id,
+                (info.pos // size, info.pos % size),
+                ls_pack(info.ls),
+                info.alock_id,
+                info.xact,
+                AccessRef(resolve(info.owner_id), info.index, kind, info.xact),
+            )
+
+        variables = self._vars
+        writes = {variables[key]: pack(self.write_info[key], "write") for key in write_keys}
+        reads = {
+            variables[key]: {
+                (resolve(slot >> 1), bool(slot & 1)): pack(info, "read")
+                for slot, info in self.read_info[key].items()
+            }
+            for key in read_keys
+        }
+        return writes, reads
+
+    def _file_infos(self, writes: dict, reads: dict, tail: Optional[int] = None) -> None:
+        """File infos in the :meth:`_pack_infos` layout, each anchored at
+        ``tail`` (one reference apiece) when it is given."""
         size = self.events.segment_size
 
         def unpack(packed: tuple) -> KInfo:
             owner_id, (seg, slot), ls, alock_id, xact, ref = packed
-            return KInfo(
-                owner_id, seg * size + slot, ls_unpack(ls), alock_id, xact, ref.index
-            )
+            pos = seg * size + slot if tail is None else tail
+            info = KInfo(owner_id, pos, ls_unpack(ls), alock_id, xact, ref.index)
+            if tail is not None:
+                self.events.incref(tail)
+            return info
 
-        self._vars = []
-        self._var_keys = {}
-        self._packed_vars = {}
-        self._by_obj = {}
-        self.write_info = {}
-        for var, packed in state["write_info"].items():
+        for var, packed in writes.items():
             key = self._var_key(var)
             self.write_info[key] = unpack(packed)
             self._track(key)
-        self.read_info = {}
-        for var, per_thread in state["read_info"].items():
+        for var, per_thread in reads.items():
             key = self._var_key(var)
             infos = self.read_info[key] = {}
+            self._track(key)
             for packed in per_thread.values():
                 info = unpack(packed)
                 infos[info.owner_id << 1 | info.xact] = info
-            self._track(key)
+
+    # -- variable checkpoints: the state a process hands over for a group ------
+
+    def _vars_of(self, select: Callable[[DataVar], bool]) -> List[int]:
+        """The keys of the tracked variables ``select`` picks, in canonical
+        ``(obj, field)`` order."""
+        variables = self._vars
+        tracked = set(self.write_info) | set(self.read_info)
+        picked = [key for key in tracked if select(variables[key])]
+        return sorted(picked, key=lambda key: _canonical(variables[key]))
+
+    def _infos_of(self, key: int) -> List[KInfo]:
+        infos = list(self.read_info.get(key, {}).values())
+        if key in self.write_info:
+            infos.append(self.write_info[key])
+        return infos
+
+    def _held_table(self) -> List[Tuple[int, List[int]]]:
+        """The monitors each thread holds, in canonical order."""
+        return sorted((tid, list(locks)) for tid, locks in self._held.items() if locks)
+
+    def _vars_state(self, select: Callable[[DataVar], bool], partition: tuple) -> dict:
+        """The checkpoint of the variables ``select`` picks, as a dict.
+
+        Their infos are first advanced to the tail in one :meth:`_advance_to`
+        pass (partially-eager evaluation, Section 5.4), so the state holds
+        no cell of the synchronization list: ``partition`` (which part of
+        the variables ``select`` is, for the adopter to check), the
+        interner, the number of synchronization events applied, the
+        lock-hold table and the infos, in the whole checkpoint's layout and
+        canonical order.
+        """
+        tail = self.events.total_enqueued
+        keys = self._vars_of(select)
+        behind = [info for key in keys for info in self._infos_of(key) if info.pos < tail]
+        if behind:
+            self._advance_to(behind, tail)
+        writes, reads = self._pack_infos(
+            [key for key in keys if key in self.write_info],
+            [key for key in keys if key in self.read_info],
+        )
+        return {
+            "partition": partition,
+            "commit_sync": self.commit_sync,
+            "sync_events": tail,
+            "held": self._held_table(),
+            "interner": self.interner,
+            "write_info": writes,
+            "read_info": reads,
+        }
+
+    def export_vars(self, select: Callable[[DataVar], bool], partition: tuple) -> bytes:
+        """Checkpoint the access state of the variables ``select`` picks
+        (:meth:`_vars_state`, pickled): adopting a blob and exporting it
+        again returns the same bytes."""
+        return pickle.dumps(self._vars_state(select, partition), protocol=pickle.HIGHEST_PROTOCOL)
+
+    def adopt_vars(self, state: dict, select: Callable[[DataVar], bool]) -> None:
+        """File the infos of a :func:`load_vars_checkpoint` state at the tail.
+
+        The checkpoint's variables must all be ones ``select`` picks, and
+        the kernel must stand where the exporter stood -- as many
+        synchronization events applied, the same monitors held, the same
+        commit policy -- or the infos would belong to another execution:
+        :class:`ValueError` names what differs, and nothing is filed.  A
+        kernel that has applied nothing takes the checkpoint's position and
+        lock-hold table instead (a process restarting from checkpoints),
+        once its infos are filed.
+        """
+        writes, reads = state["write_info"], state["read_info"]
+        count, held = state["sync_events"], state["held"]
+        if state["commit_sync"] != self.commit_sync:
+            raise ValueError(f"checkpoint's commits synchronize by {state['commit_sync']!r}")
+        for var in [*writes, *reads]:
+            if type(var) is not DataVar or not select(var):
+                raise ValueError(f"checkpoint holds {var!r}, which this kernel does not own")
+        events = self.events
+        fresh = events.total_enqueued == 0 and not self.write_info and not self.read_info
+        if not fresh and count != events.total_enqueued:
+            raise ValueError(
+                f"checkpoint taken after {count} synchronization events, "
+                f"this kernel has applied {events.total_enqueued}"
+            )
+        if not fresh and held != self._held_table():
+            raise ValueError("checkpoint's lock-hold table differs from this kernel's")
+        # each variable as the interner's own object, as the packed path
+        # files it, so exporting again pickles it once
+        own = self.interner
+        try:
+            held_map = {tid: list(locks) for tid, locks in held}
+            self._file_infos(
+                {own.resolve(own.intern(var)): packed for var, packed in writes.items()},
+                {own.resolve(own.intern(var)): packed for var, packed in reads.items()},
+                tail=count,
+            )
+            if fresh:
+                events.start_at(count)  # last: it refuses a bad count untouched
+        except (AttributeError, TypeError, ValueError) as exc:
+            self.drop_vars(select)  # nothing of a malformed blob stays filed
+            raise ValueError(f"malformed checkpoint: {exc!r}") from exc
+        if fresh:
+            self._held = held_map
+
+    def drop_vars(self, select: Callable[[DataVar], bool]) -> None:
+        """Forget the access state of the variables ``select`` picks; their
+        infos release their anchors, as an allocation's do."""
+        for key in self._vars_of(select):
+            for info in self._infos_of(key):
+                self._discard(info)
+            self.write_info.pop(key, None)
+            self.read_info.pop(key, None)
+            obj = self._vars[key].obj.value
+            self._by_obj[obj].discard(key)
+            if not self._by_obj[obj]:
+                del self._by_obj[obj]
+
+
+#: every class a variable checkpoint -- or an older group checkpoint, a
+#: whole pickled kernel -- may name, as exact ``(module, name)`` pairs.  A
+#: module prefix would not do: a dotted name can reach any callable through
+#: module attributes (``pickle.loads`` included).
+CHECKPOINT_CLASSES = frozenset(
+    {
+        ("repro.core.actions", "DataVar"),
+        ("repro.core.actions", "LockVar"),
+        ("repro.core.actions", "VolatileVar"),
+        ("repro.core.actions", "Obj"),
+        ("repro.core.actions", "Tid"),
+        ("repro.core.actions", "_TransactionLock"),
+        ("repro.core.lockset", "Interner"),
+        ("repro.core.report", "AccessRef"),
+        ("repro.core.stats", "DetectorStats"),
+        ("repro.core.synclist", "EncodedSyncList"),
+    }
+)
+
+#: what :meth:`EncodedGoldilocks.export_vars` pickles
+_VARS_CHECKPOINT_KEYS = {
+    "partition", "commit_sync", "sync_events", "held", "interner", "write_info", "read_info"
+}
+
+#: the name older group checkpoints pickled their whole kernel under
+_OLDER_GROUP_KERNEL = ("repro.server.engine", "PartitionedGoldilocks")
+
+
+class _OlderGroupKernel(EncodedGoldilocks):
+    """What an older group checkpoint unpickles as: a whole kernel with its
+    own synchronization list, plus the ``partition`` it was the group of."""
+
+    def __setstate__(self, state: dict) -> None:
+        self.partition = state.pop("partition")
+        super().__setstate__(state)
+
+
+class _CheckpointUnpickler(pickle.Unpickler):
+    def find_class(self, module: str, name: str):
+        if (module, name) == _OLDER_GROUP_KERNEL:
+            return _OlderGroupKernel
+        if (module, name) not in CHECKPOINT_CLASSES:
+            raise pickle.UnpicklingError(f"{module}.{name} is not part of a checkpoint")
+        return super().find_class(module, name)
+
+
+def load_vars_checkpoint(blob: bytes) -> dict:
+    """Read an :meth:`EncodedGoldilocks.export_vars` blob for ``adopt_vars``.
+
+    Blobs can come from a client (``!adopt``), so they are unpickled with
+    :data:`CHECKPOINT_CLASSES` as the only names they may load; anything
+    else raises :class:`ValueError`.  An older group checkpoint -- a whole
+    kernel with its own synchronization list -- reads as the export of all
+    its variables, advanced to its own tail, under its own ``partition``.
+    """
+    try:
+        state = _CheckpointUnpickler(io.BytesIO(blob)).load()
+        if isinstance(state, _OlderGroupKernel):
+            state = state._vars_state(lambda var: True, state.partition)
+    except Exception as exc:
+        raise ValueError(f"unreadable checkpoint: {exc}") from exc
+    if not isinstance(state, dict) or set(state) != _VARS_CHECKPOINT_KEYS:
+        raise ValueError(f"checkpoint holds a {type(state).__name__}, not a group's")
+    if type(state["partition"]) is not tuple or len(state["partition"]) != 2:
+        raise ValueError(f"checkpoint's partition is {state['partition']!r}")
+    return state

@@ -324,7 +324,7 @@ class LazyGoldilocks(Detector):
         # commit-synchronization policy (footprint / writes / none-but-TL).
         _incoming, outgoing = self._commit_gains(self.commit_sync, action)
         extra = set(outgoing)
-        for var in self._commit_vars(action):
+        for var in sorted(action.footprint, key=lambda v: (v.obj.value, v.field)):
             self.stats.accesses_checked += 1
             if var in action.writes:
                 reports.extend(
@@ -336,16 +336,6 @@ class LazyGoldilocks(Detector):
                 )
         self._maybe_collect()
         return reports
-
-    def _commit_vars(self, action: Commit) -> List[DataVar]:
-        """The commit footprint variables this detector instance checks.
-
-        The base detector checks all of them; a sharded deployment (see
-        :mod:`repro.server.engine`) overrides this to restrict checking to
-        the variables its partition owns -- the commit itself is still
-        enqueued as a synchronization event either way.
-        """
-        return sorted(action.footprint, key=lambda v: (v.obj.value, v.field))
 
     def _handle_alloc(self, obj: Obj) -> None:
         """Allocation makes every field of ``obj`` fresh: drop its infos.

@@ -16,7 +16,7 @@ from typing import Dict
 
 #: the short-circuit rungs of the Check-Happens-Before ladder, in check
 #: order.  Everything that consumes a ``DetectorStats.as_dict()`` snapshot
-#: (service shard aggregation, the metrics bridge, the benchmark tables)
+#: (service stats aggregation, the metrics bridge, the benchmark tables)
 #: derives rates from this one tuple instead of hand-listing the rungs.
 SC_RUNGS = (
     "sc_same_thread",

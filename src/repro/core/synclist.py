@@ -154,32 +154,7 @@ class SyncEventList:
         self.total_collected += collected
         return collected
 
-    # -- replication and pickling ------------------------------------------------
-
-    def snapshot(self) -> List[Tuple[Tid, Action]]:
-        """The filled cells as plain ``(tid, action)`` pairs, oldest first.
-
-        This is the *replicable view* of the list: replaying the pairs into a
-        fresh ``SyncEventList`` (or shipping them to another process) yields
-        a list with the same synchronization content.  Reference counts and
-        cell identity are deliberately absent -- they belong to one
-        detector's locksets, not to the event history itself.
-        """
-        out: List[Tuple[Tid, Action]] = []
-        cell = self.head
-        while cell.filled:
-            assert cell.tid is not None and cell.action is not None
-            out.append((cell.tid, cell.action))
-            assert cell.next is not None
-            cell = cell.next
-        return out
-
-    def replicate(self) -> "SyncEventList":
-        """A fresh, independent list holding the same events (refcounts zero)."""
-        clone = SyncEventList()
-        for tid, action in self.snapshot():
-            clone.enqueue(tid, action)
-        return clone
+    # -- pickling ----------------------------------------------------------------
 
     # ``Cell`` chains are singly linked, so the default pickler would recurse
     # once per cell and overflow the interpreter stack on long lists.  The
@@ -326,6 +301,21 @@ class EncodedSyncList:
         """The position the next event will occupy (the "empty tail")."""
         return self.total_enqueued
 
+    def start_at(self, pos: int) -> None:
+        """Make an empty list begin at position ``pos`` (a restored tail).
+
+        Slot ``i`` of a segment holds position ``index * size + i``, so the
+        segment is padded up to ``pos`` with rows before the head.
+        """
+        if self.total_enqueued or self.segments or pos < 0:
+            raise ValueError(f"an empty event list cannot start at {pos}")
+        self.head_pos = self.total_enqueued = pos
+        pad = pos % self.segment_size
+        if pad:
+            segment = self.segments[pos // self.segment_size] = _Segment()
+            for _ in range(pad):
+                segment.append(-1, -1, -1, -1)
+
     def enqueue_encoded(self, op: int, tid_id: int, key: int, gain: int) -> int:
         """Append one pre-encoded event; returns its (permanent) position."""
         pos = self.total_enqueued
@@ -402,7 +392,6 @@ class EncodedSyncList:
         points into freed storage.
         """
         size = self.segment_size
-        freed = 0
         seg_index = self.head_pos // size
         while True:
             segment = self.segments.get(seg_index)
@@ -411,8 +400,9 @@ class EncodedSyncList:
             if self._refs.get(seg_index, 0) > 0:
                 break
             del self.segments[seg_index]
-            freed += size
             seg_index += 1
+        # the head need not be segment-aligned (a list restarted by start_at)
+        freed = max(0, seg_index * size - self.head_pos)
         if freed:
             self.head_pos += freed
             self.total_collected += freed
@@ -476,7 +466,8 @@ class EncodedSyncList:
         for index, segment in sorted(self.segments.items()):
             base = index * size
             for slot, (op, key) in enumerate(zip(segment.ops, segment.keys)):
-                self._index_row(base + slot, op, key)
+                if base + slot >= self.head_pos:  # not start_at's padding
+                    self._index_row(base + slot, op, key)
 
     def __len__(self) -> int:
         """Retained events (enqueued minus collected)."""

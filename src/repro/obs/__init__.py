@@ -15,7 +15,7 @@ operable surface:
   histograms (ingest / route / queue / apply / report) plus an opt-in
   sampled span log (1-in-N batches, JSONL);
 * :mod:`repro.obs.flightrec` -- the race flight recorder: a bounded ring
-  of the last K applied packed records per shard, dumped to a
+  of the last K applied packed records of the process, dumped to a
   self-contained ``.flightrec`` file the moment a race is reported and
   replayable offline (``repro-race replay-flightrec``);
 * :mod:`repro.obs.httpd` -- a ``/metrics`` + ``/healthz`` HTTP endpoint

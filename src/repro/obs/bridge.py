@@ -28,31 +28,32 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
 #: ServiceStats counter attribute -> (metric name, help)
 _SERVICE_COUNTERS = {
     "events_ingested": ("ingest_events_total", "events accepted by the ingestion layer"),
-    "sync_broadcast": ("ingest_sync_broadcast_total", "sync/alloc/commit events broadcast to every shard"),
-    "data_routed": ("ingest_data_routed_total", "data accesses hash-routed to exactly one shard"),
+    "sync_broadcast": ("ingest_sync_broadcast_total", "sync/alloc/commit events, each applied once by the kernel"),
+    "data_routed": ("ingest_data_routed_total", "data accesses routed by group"),
     "data_admitted": ("ingest_data_admitted_total", "data accesses admitted past the static admission filter"),
     "data_filtered": ("ingest_data_filtered_total", "data accesses dropped at the edge as statically race-free"),
     "admit_prefilter_hits": ("admit_prefilter_hits_total", "admission pre-filter positives (exact lookup ran)"),
     "admit_prefilter_misses": ("admit_prefilter_misses_total", "admission pre-filter misses (admitted on one mask test)"),
-    "batches_flushed": ("ingest_batches_flushed_total", "batches flushed to shards"),
+    "batches_flushed": ("ingest_batches_flushed_total", "batches pushed to the kernel"),
     "parse_errors": ("ingest_parse_errors_total", "event lines the ingestion layer could not parse"),
-    "queue_bytes": ("ingest_queue_bytes_total", "frame bytes shipped to shards"),
+    "queue_bytes": ("ingest_queue_bytes_total", "frame bytes pushed to the kernel"),
     "edge_allocs": ("ingest_edge_allocs_total", "per-event allocation proxy at the ingestion edge"),
-    "races_reported": ("races_reported_total", "races reported by all shards together"),
+    "races_reported": ("races_reported_total", "races the kernel has reported"),
     "provenance_attached": ("races_provenance_attached_total", "race reports that arrived with a provenance chain attached"),
     "unknown_fields": ("stats_unknown_fields_total", "snapshot keys dropped by from_dict"),
 }
 
-#: ShardStats attribute -> (metric name, type, help); all labeled by shard
+#: ShardStats attribute -> (metric name, type, help); labeled by shard, which
+#: is 0: the process's one kernel
 _SHARD_METRICS = {
-    "events_processed": ("shard_events_processed_total", "counter", "events the shard has finished processing"),
-    "races": ("shard_races_total", "counter", "races this shard has reported"),
-    "short_circuit_rate": ("shard_short_circuit_rate", "gauge", "the shard detector's short-circuit rate"),
-    "detector_work": ("shard_detector_work_total", "counter", "the shard detector's deterministic cost counter"),
+    "events_processed": ("shard_events_processed_total", "counter", "records the kernel has applied"),
+    "races": ("shard_races_total", "counter", "races the kernel has reported"),
+    "short_circuit_rate": ("shard_short_circuit_rate", "gauge", "the kernel's short-circuit rate"),
+    "detector_work": ("shard_detector_work_total", "counter", "the kernel's deterministic cost counter"),
 }
 
-#: DetectorStats counters surfaced as plain kernel totals (summed over
-#: shards); the HB-query rungs get the labeled family below instead.
+#: DetectorStats counters surfaced as plain kernel totals; the HB-query
+#: rungs get the labeled family below instead.
 _KERNEL_PLAIN = (
     "accesses_checked",
     "sync_events",
@@ -110,7 +111,7 @@ def registry_from_stats(
     ).labels(stats.admit).set(1)
     reg.gauge(
         "short_circuit_rate",
-        "aggregate short-circuit rate, weighted by per-shard query counts",
+        "the kernel's short-circuit rate, weighted by query counts",
     ).set(stats.short_circuit_rate)
 
     for attr, (name, help_text) in _SERVICE_COUNTERS.items():
@@ -131,28 +132,21 @@ def registry_from_stats(
             else:
                 child.set_total(value)
 
-    # Kernel fast-path totals, summed across shards.  The HB-query ladder
+    # Kernel fast-path totals.  The HB-query ladder
     # is one labeled family so rung shares can be graphed directly.
     rungs = reg.counter(
         "kernel_hb_queries_total",
         "happens-before queries answered, by short-circuit rung",
         labels=("rung",),
     )
-    totals = {key: 0 for key in _KERNEL_PLAIN}
-    rung_totals = {rung: 0 for rung in SC_RUNGS}
-    for shard in stats.shards:
-        det = shard.detector or {}
-        for key in _KERNEL_PLAIN:
-            totals[key] += det.get(key, 0)
-        for rung in SC_RUNGS:
-            rung_totals[rung] += det.get(rung, 0)
+    totals = stats.detector
     for rung in SC_RUNGS:
-        rungs.labels(rung).set_total(rung_totals[rung])
-    rungs.labels("full").set_total(totals["full_lockset_computations"])
+        rungs.labels(rung).set_total(totals.get(rung, 0))
+    rungs.labels("full").set_total(totals.get("full_lockset_computations", 0))
     for key in _KERNEL_PLAIN:
         reg.counter(
             f"kernel_{key}_total", METRIC_HELP.get(key, key)
-        ).set_total(totals[key])
+        ).set_total(totals.get(key, 0))
 
     if tracer is not None:
         _merge_registry(reg, tracer.registry)

@@ -8,7 +8,7 @@ Usage::
     repro-obs metrics --tcp 127.0.0.1:7914           # raw Prometheus text
 
 ``tail`` renders :class:`~repro.server.stats.ServiceStats` snapshots as a
-terminal table (service totals plus one row per shard) and refreshes in
+terminal table (service totals plus the kernel's row) and refreshes in
 place until interrupted.  Sources: the ``!stats`` control command over a
 service socket, or the ``/healthz``-adjacent JSON at ``/metrics``'s
 sibling -- when ``--url`` is given, ``tail`` polls ``<url>/healthz`` for
@@ -47,11 +47,6 @@ def render_stats_table(stats: ServiceStats) -> str:
             f"{shard.races:>6} {shard.short_circuit_rate:>8.3f} "
             f"{shard.detector_work:>12}"
         )
-    lines.append(
-        f"{'all':>5} {sum(s.events_processed for s in stats.shards):>10} "
-        f"{stats.races_reported:>6} {stats.short_circuit_rate:>8.3f} "
-        f"{sum(s.detector_work for s in stats.shards):>12}"
-    )
     return "\n".join(lines)
 
 

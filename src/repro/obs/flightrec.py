@@ -1,25 +1,24 @@
-"""The race flight recorder: bounded rings of packed records, dumpable.
+"""The race flight recorder: a bounded ring of packed records, dumpable.
 
-Each shard group gets a ring holding the last K **applied packed
-records** -- exactly the records the engine pushed to it --
-plus enough interner context to make the window self-contained.  Rings
-are indexed by the *global* group, so they follow a cluster's groups: a
-node records only the groups it hosts, and a retired group's ring is
-emptied, so a group adopted later starts from an empty window.  A dump's
-``shard`` header field and file name give the group.  The moment a race
-is reported (and on SIGTERM / explicit request) the ring is written to
-a ``.flightrec`` file; ``repro-race replay-flightrec`` re-runs
-the window offline through a fresh encoded kernel and must reproduce the
-identical race line, **including the ingestion sequence tag** (the seq
-travels inside every packed record, so it survives the round trip).
+The ring holds the last K **applied packed records** per hosted group --
+exactly the records the engine pushed to its kernel -- plus enough
+interner context to make a window self-contained.  A group's window is
+the ring's sync, alloc and commit records plus the group's own accesses
+since it was hosted, so a group adopted later starts from an empty window.  A dump's ``shard``
+header field and file name give the group.  The moment a race is reported
+(and on SIGTERM / explicit request) the group's window is written to a
+``.flightrec`` file; ``repro-race replay-flightrec`` re-runs it offline
+through a fresh encoded kernel and must reproduce the identical race
+line, **including the ingestion sequence tag** (the seq travels inside
+every packed record, so it survives the round trip).
 
 Why replaying a suffix is sound: removing synchronization events that
 happened *before* the window can only remove happens-before edges, never
 add them, so a race that fired online still fires in the replay.  The one
 hard requirement is that **both accesses of the pair are inside the
-window** -- the recorder window is keyed in records, and the replay result
-reports any recorded race line it failed to reproduce (first access
-evicted from the ring) instead of silently passing.
+window** -- the ring is bounded in records, and the replay result reports
+any recorded race line it failed to reproduce (first access evicted from
+the ring) instead of silently passing.
 
 File format (version 1)::
 
@@ -43,7 +42,7 @@ from array import array
 from collections import deque
 from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
 
-from ..core.actions import OP_COMMIT
+from ..core.actions import OP_COMMIT, OP_READ, OP_WRITE
 from ..core.encode import RECORD_WIDTH, decode_frame, encode_frame
 from ..core.kernel import EncodedGoldilocks
 from ..core.lockset import Interner
@@ -51,31 +50,20 @@ from ..core.lockset import Interner
 MAGIC = b"REPROFLR1\n"
 _U32 = struct.Struct("<I")
 
-#: default packed records retained per group
+#: default packed records retained by the ring
 DEFAULT_CAPACITY = 4096
 
 
-class _Ring:
-    """One group's window: whole frames, bounded by total record count."""
-
-    __slots__ = ("frames", "records_held", "records_seen", "evicted")
-
-    def __init__(self) -> None:
-        self.frames: Deque[Tuple[array, array]] = deque()
-        self.records_held = 0
-        self.records_seen = 0
-        self.evicted = 0
-
-
 class FlightRecorder:
-    """Bounded per-group record rings over the engine's master interner.
+    """A bounded ring of pushed frames over the engine's master interner.
 
     The recorder sits at the ingestion edge (it sees every frame as it is
     pushed) and borrows the engine's
     :class:`~repro.core.lockset.Interner` at dump time, so a dump is one
     ``elements_since(1)`` walk plus an array concatenation -- nothing is
     copied per event on the hot path beyond the frame's own arrays, which
-    the engine hands over instead of discarding.
+    the engine hands over instead of discarding.  ``var_group`` maps a
+    data-variable id to its group (the encoder's ``var_shard``).
     """
 
     def __init__(
@@ -86,42 +74,65 @@ class FlightRecorder:
         directory: Optional[str] = None,
         max_dumps: int = 16,
         commit_sync: str = "footprint",
+        var_group: Optional[Dict[int, int]] = None,
     ) -> None:
         if capacity < 1:
             raise ValueError("flight recorder capacity must be positive")
         self.n_shards = n_shards
         self.interner = interner
+        self.var_group = var_group
         self.capacity = capacity
         self.directory = directory
         self.max_dumps = max_dumps
         self.commit_sync = commit_sync
         self.dumps_written = 0
         self.dumps_suppressed = 0
-        self._rings = [_Ring() for _ in range(n_shards)]
+        #: whole frames, each with the ring position of its first record
+        self._frames: Deque[Tuple[int, array, array]] = deque()
+        self.records_held = 0
+        self.records_seen = 0
+        self.evicted = 0
+        #: hosted group -> the ring position its window starts at
+        self._since: Dict[int, int] = {}
+
+    def host(self, group: int) -> None:
+        """Start a group's window at the ring's current end."""
+        self._since[group] = self.records_seen
 
     def drop_group(self, group: int) -> None:
-        """Empty a retired group's ring."""
-        self._rings[group] = _Ring()
+        """Close a retired group's window."""
+        self._since.pop(group, None)
 
     # -- recording (hot path: one deque append per pushed frame) ---------------
 
-    def record(self, group: int, records: array, extras: array) -> None:
-        """Absorb one pushed frame's arrays (ownership transfers here)."""
-        ring = self._rings[group]
-        n = len(records) // RECORD_WIDTH
-        ring.frames.append((records, extras))
-        ring.records_held += n
-        ring.records_seen += n
-        while ring.records_held > self.capacity and len(ring.frames) > 1:
-            old_records, _ = ring.frames.popleft()
-            dropped = len(old_records) // RECORD_WIDTH
-            ring.records_held -= dropped
-            ring.evicted += dropped
+    def record(self, records: array, extras: array) -> None:
+        """Absorb one pushed frame's arrays (ownership transfers here).
 
-    def rebind(self, interner: Interner) -> None:
-        """Point at a fresh interner and clear every ring (engine reset)."""
+        The ring keeps ``capacity`` records per hosted group (at least one
+        group's worth), as many as one ring per group kept together, so a
+        group's window reaches as far back as a ring of its own would.
+        """
+        n = len(records) // RECORD_WIDTH
+        self._frames.append((self.records_seen, records, extras))
+        self.records_held += n
+        self.records_seen += n
+        bound = self.capacity * max(1, len(self._since))
+        while self.records_held > bound and len(self._frames) > 1:
+            _start, old_records, _ = self._frames.popleft()
+            dropped = len(old_records) // RECORD_WIDTH
+            self.records_held -= dropped
+            self.evicted += dropped
+
+    def rebind(
+        self, interner: Interner, var_group: Optional[Dict[int, int]] = None
+    ) -> None:
+        """Point at a fresh interner and empty the ring (engine reset)."""
         self.interner = interner
-        self._rings = [_Ring() for _ in range(self.n_shards)]
+        self.var_group = var_group
+        self._frames.clear()
+        self.records_held = 0
+        self.evicted = 0
+        self._since = dict.fromkeys(self._since, self.records_seen)
 
     def window(self, group: int) -> Tuple[array, array]:
         """The group's current window as one (records, extras) pair.
@@ -130,19 +141,20 @@ class FlightRecorder:
         concatenation rebases those offsets so the merged window is
         internally consistent.
         """
-        ring = self._rings[group]
         records = array("q")
         extras = array("q")
-        for frame_records, frame_extras in ring.frames:
-            shift = len(extras)
-            if shift == 0 or not frame_extras:
-                records.extend(frame_records)
-            else:
-                rebased = array("q", frame_records)
-                for i in range(0, len(rebased), RECORD_WIDTH):
-                    if rebased[i] == OP_COMMIT:
-                        rebased[i + 4] += shift
-                records.extend(rebased)
+        since = self._since.get(group)
+        var_group = self.var_group if self.n_shards > 1 else None
+        for start, frame_records, frame_extras in self._frames:
+            if since is None or start < since:
+                continue
+            for i in range(0, len(frame_records), RECORD_WIDTH):
+                row = frame_records[i : i + RECORD_WIDTH]
+                if row[0] == OP_COMMIT:
+                    row[4] += len(extras)
+                elif var_group and row[0] in (OP_READ, OP_WRITE) and var_group[row[4]] != group:
+                    continue  # another group's access
+                records.extend(row)
             extras.extend(frame_extras)
         return records, extras
 
@@ -158,7 +170,7 @@ class FlightRecorder:
     ) -> bytes:
         """Serialize one group's window to ``.flightrec`` bytes.
 
-        ``stats`` is the dumping group's detector-counter snapshot; its
+        ``stats`` is the kernel's counter snapshot; its
         ``frame_faults`` count lands in the header as ``kernel_stats`` so a
         reader can tell a window the kernel partly rejected.
         ``provenance`` is a list parallel to ``races`` holding each
@@ -178,7 +190,7 @@ class FlightRecorder:
             "reason": reason,
             "races": list(races),
             "n_records": len(seqs),
-            "evicted_records": self._rings[group].evicted,
+            "evicted_records": self.evicted,
             "seq_first": min(seqs) if seqs else None,
             "seq_last": max(seqs) if seqs else None,
         }
@@ -230,10 +242,10 @@ class FlightRecorder:
         return path
 
     def dump_all(self, reason: str = "signal") -> List[str]:
-        """Dump every non-empty group ring (SIGTERM / shutdown path)."""
+        """Dump every hosted group's non-empty window (SIGTERM / shutdown)."""
         paths = []
-        for group in range(self.n_shards):
-            if self._rings[group].frames and self._rings[group].records_held:
+        for group in sorted(self._since):
+            if self.window(group)[0]:
                 path = self.dump(group, [], reason)
                 if path is not None:
                     paths.append(path)
@@ -291,11 +303,11 @@ def replay_flightrec(
 ) -> ReplayResult:
     """Re-run a recorded window through a fresh :class:`EncodedGoldilocks`.
 
-    The replay applies the window's packed frame to an unsharded detector;
-    because the window is exactly the record subsequence the group saw
-    (all sync, owned data accesses), the verdicts for the group's
-    variables match the online run, and every seq tag is carried inside
-    the records themselves.  With ``provenance`` the replay kernel derives
+    The replay applies the window's packed frame to a fresh detector;
+    because the window is exactly the record subsequence the group's
+    variables were checked on (all sync, the group's data accesses), the
+    verdicts for the group's variables match the online run, and every
+    seq tag is carried inside the records themselves.  With ``provenance`` the replay kernel derives
     each race's lockset-transfer chain, available on ``result.reports``.
     A ``kernel`` key in recordings from older versions is ignored: every
     engine kernel gave the same verdicts.

@@ -9,7 +9,7 @@ An event's life in the service crosses five stages::
 * **route**: batch framing at the push boundary (buffer -> frame bytes);
 * **queue**: a batch's span from push to acknowledgment (includes the
   shard's apply time -- the queueing share is ``queue - apply``);
-* **apply**: kernel work on one batch inside its shard;
+* **apply**: kernel work on one batch;
 * **report**: turning completed reports into wire ``race`` lines.
 
 The tracer keeps, per stage, an event/batch **counter** (deterministic)
@@ -60,7 +60,7 @@ def fault_record(
     ``line`` is the input (at most 512 characters) or a ``<...>`` note on a
     binary frame; ``kind``/``record``/``applied`` come from a typed
     :class:`~repro.core.encode.FrameFormatError` (else None), and ``shard``
-    names the group of the shard that raised it, if one did.
+    is 0 when the process's kernel refused the record.
     """
     fault: Dict[str, Any] = {
         "line": line[:512],
@@ -86,10 +86,9 @@ class ObsConfig:
         Path for the JSONL span/parse-error log (``-`` for stderr).
     flightrec_dir:
         Directory for ``.flightrec`` dumps; None records but never writes
-        (the per-group flight rings are always kept: one adopted buffer per
-        batch).
+        (the flight ring is always kept: one adopted buffer per batch).
     flightrec_capacity:
-        Packed records retained per shard ring.
+        Packed records the process's flight ring retains per hosted group.
     flightrec_max_dumps:
         Bound on files written per process (disk-flood guard).
     trace:
@@ -124,7 +123,7 @@ class ObsConfig:
 
 
 class _SpanLog:
-    """A line-buffered JSONL sink with its own lock (shared across shards)."""
+    """A line-buffered JSONL sink with its own lock."""
 
     def __init__(self, path: str) -> None:
         self.path = path

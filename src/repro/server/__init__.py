@@ -4,10 +4,11 @@ The offline pipeline (``record -> repro-race analyze``) becomes an online
 one: events are ingested as they happen and checked incrementally, the way
 the paper's runtime checks accesses inside the JVM.  The pieces:
 
-* :mod:`repro.server.engine` -- the sharded engine: synchronization events
-  broadcast to every shard, data accesses hash-partitioned by variable,
-  each shard a :class:`~repro.server.engine.PartitionedGoldilocks` over its
-  partition, applied in the service process;
+* :mod:`repro.server.engine` -- the engine: one
+  :class:`~repro.core.kernel.EncodedGoldilocks` kernel per process, with
+  the variables split into groups by ``crc32(var) % n_shards`` (a group
+  is what a process hosts, retires, checkpoints and hands over; every
+  synchronization event is applied once), applied in the service process;
 * :mod:`repro.server.service` -- ingestion: framing, runs applied before
   each call returns, per-connection sequencing, stdin/TCP/Unix-socket/
   file-tail transports;
@@ -20,14 +21,13 @@ the paper's runtime checks accesses inside the JVM.  The pieces:
 """
 
 from .client import ServiceClient, detect_over_socket
-from .engine import EngineConfig, PartitionedGoldilocks, ShardedEngine, shard_of
+from .engine import EngineConfig, ShardedEngine, shard_of
 from .protocol import RaceLine, format_race, parse_race
 from .service import RaceDetectionService, ServiceConfig, serve_tcp, serve_unix
 from .stats import ServiceStats, ShardStats
 
 __all__ = [
     "EngineConfig",
-    "PartitionedGoldilocks",
     "RaceDetectionService",
     "RaceLine",
     "ServiceClient",

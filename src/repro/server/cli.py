@@ -19,7 +19,7 @@ Observability (see ``docs/OBSERVABILITY.md``): stage counters are on by
 default (``--no-obs-counters`` turns them off); ``--span-sample N`` with
 ``--span-log FILE`` writes every Nth batch as a JSONL span;
 ``--flightrec-dir`` arms the race flight recorder, which also dumps every
-shard's ring on SIGTERM before exiting.
+group's window on SIGTERM before exiting.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--follow", action="store_true", help="with --tail: keep polling for appends"
     )
-    parser.add_argument("--shards", type=int, default=1, help="detection shards")
+    parser.add_argument("--shards", type=int, default=1, help="groups of variables")
     parser.add_argument("--batch-size", type=int, default=64)
     parser.add_argument(
         "--commit-sync",
@@ -130,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=4096,
         metavar="N",
-        help="packed records retained per shard flight ring (default 4096)",
+        help="packed records the flight ring retains per hosted group (default 4096)",
     )
     return parser
 

@@ -1,39 +1,36 @@
-"""The sharded detection engine behind the streaming service.
+"""The detection engine behind the streaming service.
 
-The paper's own data layout makes Goldilocks shardable: all inter-thread
-ordering flows through the single synchronization-event list, while each
-data variable's race state (its last-write/last-read ``Info`` records and
-their locksets) is private to that variable.  So the engine
+The paper keeps one synchronization-event list beside per-variable race
+state (Section 5, Figure 8): all inter-thread ordering flows through the
+list, while each data variable's ``Info`` records and their locksets are
+private to that variable.  A process keeps that layout -- **one**
+:class:`EncodedGoldilocks` kernel -- and splits the *variables* into
+``n_shards`` groups by ``crc32(var) % n_shards``.
 
-* **broadcasts** synchronization events (acquire/release, volatile ops,
-  fork/join, commits) and allocations to every shard -- each shard keeps an
-  identical replica of the synchronization-event list;
-* **hash-partitions** data reads/writes by variable across ``n_shards``
-  shards, each owning the :class:`EncodedGoldilocks` state for its
-  partition.
+A group is a set of variables, not a detector.  It decides which data
+records the engine keeps (a cluster node drops the accesses of groups
+hosted elsewhere), which commit-footprint variables the kernel checks
+(:meth:`EncodedGoldilocks.set_owner`), what :meth:`ShardedEngine
+.retire_group` forgets and what :meth:`ShardedEngine.export_group`
+exports.  Every synchronization, allocation and commit record is applied
+once per process, however many groups it hosts, and a group's verdicts do
+not depend on where it is hosted: an access to ``v`` never mutates what
+another variable's checks read.
 
-A shard's verdicts are then *identical* to an unsharded detector's: a data
-access for variable ``v`` never mutates anything another variable's checks
-read, so deleting the other partitions' accesses from a shard's input
-changes nothing for ``v``.  Commits are the one action in both worlds --
-they are broadcast (synchronization role), and every shard checks only the
-footprint variables it owns (data role) via
-:meth:`PartitionedGoldilocks._commit_vars`.
+The kernel applies a batch the moment it is pushed, much as the paper's
+runtime checks each access in the thread that makes it.  Events are
+translated once at the edge (:class:`~repro.core.encode.EventEncoder`)
+into flat integer records; a batch is one frame of ``bytes``, which the
+kernel appends verbatim via :meth:`EncodedGoldilocks.apply_packed`.  More
+cores are served by more ``repro-serve`` nodes behind ``repro-cluster``.
 
-Every shard lives in the service process and applies a batch the moment it
-is pushed, much as the paper's runtime checks each access in the thread
-that makes it.  Events are translated once at the edge
-(:class:`~repro.core.encode.EventEncoder`) into flat integer records; a
-shard's batch is one immutable frame of ``bytes`` (sync records broadcast
-as the same buffer content to every shard), which the shard appends
-verbatim via :meth:`EncodedGoldilocks.apply_packed`.  More cores are served
-by more ``repro-serve`` nodes behind ``repro-cluster``, not by more shards.
+A group is also the unit of checkpoint and migration: its checkpoint holds
+no cell of the synchronization list, and the adopting process files the
+group's infos at its own tail once it has checked that it stands at the
+same point of the same stream.  A plain ``repro-serve`` hosts every group;
+a cluster node is the same engine hosting the groups it was handed.
 
-A shard is one *group* of the ``n_shards`` partitions, the unit of
-checkpoint and migration.  A plain ``repro-serve`` hosts every group; a
-cluster node is the same engine hosting the groups it was handed.
-
-Variable-to-shard routing uses CRC32, not ``hash()``: Python string hashes
+Variable-to-group routing uses CRC32, not ``hash()``: Python string hashes
 are salted per process, and a cluster's coordinator and nodes must agree.
 The route is computed from the interned ints (cached per variable id),
 never by re-deriving strings per event.
@@ -41,13 +38,11 @@ never by re-deriving strings per event.
 
 from __future__ import annotations
 
-import io
-import pickle
 import time
 import zlib
 from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.actions import (
     OP_ACQUIRE,
@@ -62,8 +57,6 @@ from ..core.actions import (
     OP_WRITE,
     DataVar,
     Event,
-    Read,
-    Write,
 )
 from ..core.encode import (
     FILTERED_VAR,
@@ -76,7 +69,7 @@ from ..core.encode import (
     make_trace_id,
     split_trace,
 )
-from ..core.kernel import EncodedGoldilocks
+from ..core.kernel import EncodedGoldilocks, load_vars_checkpoint
 from ..core.report import RaceReport
 from ..core.stats import detector_work_of, short_circuit_rate_of
 from ..obs.flightrec import FlightRecorder
@@ -96,110 +89,6 @@ def shard_of(var: DataVar, n_shards: int) -> int:
     return zlib.crc32(key) % n_shards
 
 
-class PartitionedGoldilocks(EncodedGoldilocks):
-    """One hash partition of the variables, on the integer-encoded kernel.
-
-    Synchronization events must be fed to every partition (they are cheap:
-    one list append); data accesses only to the owning one.  Accesses that
-    slip through for foreign variables are ignored rather than mis-checked.
-
-    ``name`` stays "goldilocks" (inherited) so reports are byte-identical to
-    the offline detector's; the partition is carried in ``label`` instead.
-    """
-
-    def __init__(self, shard_id: int = 0, n_shards: int = 1, **kwargs) -> None:
-        super().__init__(**kwargs)
-        self.shard_id = shard_id
-        self.n_shards = n_shards
-        self.label = f"shard {shard_id}/{n_shards}"
-
-    def owns(self, var: DataVar) -> bool:
-        # Packed frames ask once per variable id (the kernel remembers the
-        # answer), so the crc32 route is computed once per variable.
-        return shard_of(var, self.n_shards) == self.shard_id
-
-    def process(self, event: Event) -> List[RaceReport]:
-        action = event.action
-        if isinstance(action, (Read, Write)) and not self.owns(action.var):
-            return []
-        return super().process(event)
-
-    def _commit_vars(self, footprint: List[DataVar]) -> List[DataVar]:
-        return [var for var in footprint if self.owns(var)]
-
-    # The base reset() re-invokes __init__ from the stored detector kwargs;
-    # prepend our partition coordinates.
-    def reset(self) -> None:
-        self.__init__(self.shard_id, self.n_shards, **self._config)  # type: ignore[misc]
-
-    def __getstate__(self) -> dict:
-        state = super().__getstate__()
-        state["partition"] = (self.shard_id, self.n_shards)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.shard_id, self.n_shards = state.pop("partition")
-        super().__setstate__(state)
-        self.label = f"shard {self.shard_id}/{self.n_shards}"
-
-
-#: every class a :class:`PartitionedGoldilocks` checkpoint pickles, as exact
-#: ``(module, name)`` pairs.  A module prefix would not do: a dotted name can
-#: reach any callable through module attributes (``pickle.loads`` included).
-CHECKPOINT_CLASSES = frozenset(
-    {
-        ("repro.core.actions", "DataVar"),
-        ("repro.core.actions", "LockVar"),
-        ("repro.core.actions", "VolatileVar"),
-        ("repro.core.actions", "Obj"),
-        ("repro.core.actions", "Tid"),
-        ("repro.core.actions", "_TransactionLock"),
-        ("repro.core.lockset", "Interner"),
-        ("repro.core.report", "AccessRef"),
-        ("repro.core.stats", "DetectorStats"),
-        ("repro.core.synclist", "EncodedSyncList"),
-        ("repro.server.engine", "PartitionedGoldilocks"),
-    }
-)
-
-
-class _CheckpointUnpickler(pickle.Unpickler):
-    def find_class(self, module: str, name: str):
-        if (module, name) not in CHECKPOINT_CLASSES:
-            raise pickle.UnpicklingError(
-                f"{module}.{name} is not part of a shard checkpoint"
-            )
-        return super().find_class(module, name)
-
-
-def load_shard_checkpoint(
-    blob: bytes, group: int, partitions: int
-) -> PartitionedGoldilocks:
-    """Restore the shard for partition ``group`` of ``partitions`` from ``blob``.
-
-    Blobs can come from a client (``!adopt``), so they are unpickled with
-    :data:`CHECKPOINT_CLASSES` as the only names they may load, and the
-    result must be the shard for exactly that partition: a shard restored
-    into the wrong slot would silently miss its own variables' races.
-    Anything else raises :class:`ValueError`.
-    """
-    try:
-        detector = _CheckpointUnpickler(io.BytesIO(blob)).load()
-    except Exception as exc:
-        raise ValueError(f"unreadable checkpoint: {exc}") from exc
-    if not isinstance(detector, PartitionedGoldilocks):
-        raise ValueError(
-            f"checkpoint holds a {type(detector).__name__}, "
-            "not a PartitionedGoldilocks"
-        )
-    if (detector.shard_id, detector.n_shards) != (group, partitions):
-        raise ValueError(
-            f"checkpoint is of partition {detector.shard_id}/{detector.n_shards}, "
-            f"not {group}/{partitions}"
-        )
-    return detector
-
-
 @dataclass
 class EngineConfig:
     """Tunables for :class:`ShardedEngine`."""
@@ -207,13 +96,13 @@ class EngineConfig:
     #: the partition count: a data variable belongs to group
     #: ``crc32(var) % n_shards``, on one server or across a cluster
     n_shards: int = 1
-    #: events buffered per shard before a batch is pushed
+    #: events buffered before a batch is pushed to the kernel
     batch_size: int = 64
-    #: forwarded to each shard's detector
+    #: forwarded to the kernel
     commit_sync: str = "footprint"
     gc_threshold: Optional[int] = 50_000
     #: observability tunables; None means the :class:`ObsConfig` defaults
-    #: (stage counters on, span sampling off, flight recorder rings kept
+    #: (stage counters on, span sampling off, the flight recorder ring kept
     #: but not written to files)
     obs: Optional[ObsConfig] = None
     #: the groups hosted from the start; None hosts every one of them (a
@@ -222,7 +111,7 @@ class EngineConfig:
     groups: Optional[Tuple[int, ...]] = None
     #: static admission filter (:class:`repro.analysis.admission.AdmissionFilter`)
     #: consulted at the ingestion edge: data accesses it proves race-free are
-    #: dropped before they reach a shard or the kernel.  Sync events always
+    #: dropped before they reach the kernel.  Sync events always
     #: pass.  ``None`` admits everything.
     admit: Optional[object] = None
 
@@ -231,17 +120,6 @@ class EngineConfig:
         if self.obs is not None and self.obs.provenance:
             kwargs["provenance"] = True
         return kwargs
-
-
-class _PackedBuffer:
-    """One shard's pending records before they are framed and pushed."""
-
-    __slots__ = ("records", "extras", "count")
-
-    def __init__(self) -> None:
-        self.records = array("q")
-        self.extras = array("q")
-        self.count = 0
 
 
 class WireIngest:
@@ -265,12 +143,12 @@ class WireIngest:
 
 
 class ShardedEngine:
-    """Routes an event stream across detection shards; collects reports.
+    """Routes an event stream into one kernel for the hosted groups.
 
     The engine is *not* thread-safe by itself -- the service serializes
     access with one ingestion lock.  Reports are tagged with ingestion
     sequence numbers; :meth:`poll_reports` drains those of every pushed
-    batch, :meth:`barrier` pushes the partial batches first.
+    batch, :meth:`barrier` pushes the partial batch first.
     """
 
     def __init__(
@@ -293,20 +171,12 @@ class ShardedEngine:
         self._started = time.monotonic()
         self._reports: List[SeqReport] = []
         self._encoder = EventEncoder(n, admit=self.config.admit)
-        #: the global group hosted at each local slot; all per-shard state
-        #: below is indexed by *slot* (slot == group until one is retired)
-        self._slot_groups: List[int] = []
-        self._slot_of: Dict[int, int] = {}
-        self._detectors: List[PartitionedGoldilocks] = []
-        self._pbuffers: List[_PackedBuffer] = []
-        #: per slot: the detector's interner length after its last frame
-        self._cursors: List[int] = []
-        self._events_processed: List[int] = []
-        self._shard_stats: List[Dict[str, int]] = []
-        # hosted before the tracer opens its span log: a bad blob leaks nothing
-        blobs = checkpoints if checkpoints is not None else [None] * len(groups)
-        for group, blob in zip(groups, blobs):
-            self.adopt_group(group, blob)
+        #: the hosted groups, in the order they were adopted
+        self._groups: Dict[int, None] = {}
+        self._kernel = self._new_kernel()
+        #: the pending records (and commit footprints) of the next batch
+        self._records = array("q")
+        self._extras = array("q")
         # ingestion counters surfaced in ServiceStats
         self.events_ingested = 0
         self.sync_broadcast = 0
@@ -314,13 +184,15 @@ class ShardedEngine:
         #: data accesses past the admission filter / dropped by it at the edge
         self.data_admitted = 0
         self.data_filtered = 0
-        #: data records for groups hosted elsewhere (a cluster node)
+        #: data records of groups hosted elsewhere (a cluster node)
         self.foreign_dropped = 0
         self.batches_flushed = 0
-        #: frame bytes shipped to shards
+        #: frame bytes shipped to the kernel
         self.queue_bytes = 0
-        #: faults of frames a shard rejected, as :func:`fault_record` dicts;
-        #: drained by the service into its fault ring
+        #: records the kernel has applied
+        self._applied = 0
+        #: faults of records the kernel refused, as :func:`fault_record`
+        #: dicts; drained by the service into its fault ring
         self.apply_errors: List[dict] = []
         #: reports that arrived carrying a provenance chain
         self.provenance_attached = 0
@@ -328,12 +200,11 @@ class ShardedEngine:
         #: (a coordinator-minted id); None until one arrives, in which
         #: case locally pushed batches mint their own ids when tracing
         self._trace_ctx: Optional[int] = None
-        # -- observability: lifecycle tracer plus the race flight recorder.
-        # The tracer degrades to no-ops when fully disabled; the recorder
-        # stores the pushed records verbatim, one ring per group, and
-        # never writes files unless a dump directory is configured.
+        # -- observability: the race flight recorder, then the lifecycle
+        # tracer.  The recorder keeps the pushed records verbatim in one
+        # ring and never writes files unless a dump directory is
+        # configured; the tracer degrades to no-ops when fully disabled.
         self.obs_config = self.config.obs or ObsConfig()
-        self.tracer = LifecycleTracer(self.obs_config)
         self.recorder = FlightRecorder(
             n,
             self._encoder.interner,
@@ -341,7 +212,21 @@ class ShardedEngine:
             directory=self.obs_config.flightrec_dir,
             max_dumps=self.obs_config.flightrec_max_dumps,
             commit_sync=self.config.commit_sync,
+            var_group=self._encoder.var_shard,
         )
+        # hosted before the tracer opens its span log: a bad blob leaks nothing
+        blobs = checkpoints if checkpoints is not None else [None] * len(groups)
+        for group, blob in zip(groups, blobs):
+            self.adopt_group(group, blob)
+        self.tracer = LifecycleTracer(self.obs_config)
+
+    def _new_kernel(self) -> EncodedGoldilocks:
+        kernel = EncodedGoldilocks(**self.config.detector_kwargs())
+        # The edge interns every id a record names before the record is
+        # buffered, so the kernel reads the encoder's table, not a replica.
+        kernel.interner = self._encoder.interner
+        kernel.set_owner(self._owner())
+        return kernel
 
     # -- ingestion -------------------------------------------------------------
 
@@ -351,11 +236,11 @@ class ShardedEngine:
         return self._encoder.cache_misses
 
     def submit(self, event: Event) -> int:
-        """Route one event; returns its ingestion sequence number.
+        """Buffer one event; returns its ingestion sequence number.
 
-        Data accesses go to their owning shard's batch buffer; everything
-        else (synchronization, commits, allocations) is appended to every
-        shard's buffer.  A full buffer is pushed and applied at once.
+        A data access is kept if its group is hosted here; everything else
+        (synchronization, commits, allocations) always is.  A full buffer
+        is pushed and applied at once.
         """
         op, tid_id, index, a, b, extras = self._encoder.encode_event(event)
         return self._ingest_record(op, tid_id, index, a, b, extras, None)
@@ -393,26 +278,19 @@ class ShardedEngine:
                 return seq
             self.data_routed += 1
             self.data_admitted += 1
-            slot = self._slot_of.get(self._encoder.shard_of_var(a))
-            if slot is None:
+            if self._encoder.var_shard[a] not in self._groups:
                 # the owning group is hosted on some other node
                 self.foreign_dropped += 1
                 return seq
-            targets: Sequence[int] = (slot,)
         else:
             self.sync_broadcast += 1
-            targets = range(len(self._slot_groups))
-        for shard in targets:
-            buffer = self._pbuffers[shard]
-            if extras is None:
-                local_a = a
-            else:
-                local_a = len(buffer.extras)
-                buffer.extras.extend(extras)
-            buffer.records.extend((op, seq, tid_id, index, local_a, b))
-            buffer.count += 1
-            if buffer.count >= self.config.batch_size:
-                self._push(shard)
+        records = self._records
+        if extras is not None:
+            a = len(self._extras)
+            self._extras.extend(extras)
+        records.extend((op, seq, tid_id, index, a, b))
+        if len(records) >= RECORD_WIDTH * self.config.batch_size:
+            self._push()
         return seq
 
     def submit_wire_frame(self, payload: bytes, state: WireIngest) -> int:
@@ -566,10 +444,9 @@ class ShardedEngine:
         return count
 
     def flush(self) -> None:
-        """Push every non-empty batch buffer to its shard."""
-        for shard in range(len(self._slot_groups)):
-            if self._pbuffers[shard].count:
-                self._push(shard)
+        """Push the pending batch to the kernel, if there is one."""
+        if self._records:
+            self._push()
 
     def _make_span(
         self, ordinal: int, n_events: int, route_sec: float
@@ -580,7 +457,7 @@ class ShardedEngine:
         node: every node stamps the coordinator's id, so the spans stitch),
         otherwise minted locally from (node label, batch ordinal).  The
         trace fields ride the span dict and are popped back out in
-        :meth:`_finish_batch` before the rest becomes ``stage_sec``.
+        :meth:`_push` before the rest becomes ``stage_sec``.
         """
         if not self.tracer.should_sample(ordinal):
             return None
@@ -594,50 +471,53 @@ class ShardedEngine:
                 span["node"] = self.obs_config.node
         return span
 
-    def _push(self, shard: int) -> None:
-        """Frame one shard's buffer and apply it to the shard right away."""
+    def _push(self) -> None:
+        """Frame the pending buffer and apply it to the kernel right away."""
         self.batches_flushed += 1
         tracer = self.tracer
         t_route = tracer.clock()
-        buffer, self._pbuffers[shard] = self._pbuffers[shard], _PackedBuffer()
-        n_events = buffer.count
-        frame = encode_frame(
-            self._cursors[shard],
-            self._encoder.interner.elements_since(self._cursors[shard]),
-            buffer.records,
-            buffer.extras,
-        )
-        self._cursors[shard] = len(self._encoder.interner)
+        records, extras = self._records, self._extras
+        self._records, self._extras = array("q"), array("q")
+        n_events = len(records) // RECORD_WIDTH
+        # The kernel shares the encoder's interner: the frame announces no
+        # element, it only carries the records across the kernel's edge.
+        frame = encode_frame(len(self._encoder.interner), (), records, extras)
         self.queue_bytes += len(frame)
-        # The buffer's arrays would be garbage after this point; the
-        # flight recorder adopts them instead (no copy).
-        self.recorder.record(self._slot_groups[shard], buffer.records, buffer.extras)
+        # The arrays would be garbage after this point; the flight
+        # recorder adopts them instead (no copy).
+        self.recorder.record(records, extras)
         route_sec = tracer.clock() - t_route
         tracer.observe_elapsed("route", route_sec)
         span = self._make_span(self.batches_flushed, n_events, route_sec)
-        detector = self._detectors[shard]
         sent_at = tracer.clock()
         try:
-            reports, n = detector.apply_packed(frame)
+            reports, n = self._kernel.apply_packed(frame)
         except FrameFormatError as exc:
-            reports, n = self._apply_past_faults(
-                shard, exc, buffer.records, buffer.extras
-            )
+            reports, n = self._apply_past_faults(exc, records, extras)
         apply_sec = tracer.clock() - sent_at
-        self._events_processed[shard] += n
-        self._shard_stats[shard] = detector.stats.as_dict()
+        self._applied += n
         if reports:
             self._reports.extend(reports)
             self.provenance_attached += sum(
                 1 for _seq, r in reports if r.provenance is not None
             )
-            self._dump_on_race(shard, reports)
-        self._finish_batch(shard, sent_at, apply_sec, span)
+            self._dump_on_race(reports)
+        # close the queue (push to ack) and apply stages of the batch
+        queue_sec = tracer.clock() - sent_at
+        tracer.observe_elapsed("queue", queue_sec)
+        tracer.observe_elapsed("apply", apply_sec)
+        if span is not None:
+            trace_id = span.pop("trace_id", None)
+            node = span.pop("node", None)
+            span["queue"] = queue_sec
+            span["apply"] = apply_sec
+            batch, events = span.pop("batch"), span.pop("events")
+            tracer.emit_span(batch, 0, events, span, trace_id=trace_id, node=node)
 
     def _apply_past_faults(
-        self, shard: int, exc: FrameFormatError, records: array, extras: array
+        self, exc: FrameFormatError, records: array, extras: array
     ) -> Tuple[List[SeqReport], int]:
-        """Finish a batch whose record a shard refused; ``(reports, applied)``.
+        """Finish a batch with a record the kernel refused; ``(reports, applied)``.
 
         The races of the records before the refused one are kept, the
         refused record becomes one fault in :attr:`apply_errors`, and the
@@ -645,8 +525,6 @@ class ShardedEngine:
         frames or other clients sharing the buffer, and a race they
         complete must not be lost.
         """
-        group = self._slot_groups[shard]
-        detector = self._detectors[shard]
         total = len(records) // RECORD_WIDTH
         reports: List[SeqReport] = []
         applied = done = 0
@@ -656,9 +534,9 @@ class ShardedEngine:
             if exc.record is None:  # the frame did not decode: nothing applies
                 self.apply_errors.append(
                     fault_record(
-                        f"<batch of {total} records refused by shard {group}: {exc}>",
+                        f"<batch of {total} records refused by the kernel: {exc}>",
                         exc,
-                        shard=group,
+                        shard=0,
                     )
                 )
                 return reports, applied
@@ -666,16 +544,18 @@ class ShardedEngine:
             self.apply_errors.append(
                 fault_record(
                     f"<record {done} of a {total}-record batch refused by "
-                    f"shard {group}: {exc}>",
+                    f"the kernel: {exc}>",
                     exc,
-                    shard=group,
+                    shard=0,
                 )
             )
             done += 1
             if done == total:
                 return reports, applied
             try:
-                more, n = detector.apply_records(records[done * RECORD_WIDTH :], extras)
+                more, n = self._kernel.apply_records(
+                    records[done * RECORD_WIDTH :], extras
+                )
             except FrameFormatError as again:
                 exc = again
                 continue
@@ -684,44 +564,23 @@ class ShardedEngine:
 
     # -- results ---------------------------------------------------------------
 
-    def _finish_batch(
-        self, shard: int, sent_at: float, apply_sec: float, span: Optional[dict]
-    ) -> None:
-        """Close the queue (push to ack) and apply stages of one batch."""
-        tracer = self.tracer
-        queue_sec = tracer.clock() - sent_at
-        tracer.observe_elapsed("queue", queue_sec)
-        tracer.observe_elapsed("apply", apply_sec)
-        if span is not None:
-            trace_id = span.pop("trace_id", None)
-            node = span.pop("node", None)
-            span["queue"] = queue_sec
-            span["apply"] = apply_sec
-            tracer.emit_span(
-                span.pop("batch"),
-                self._slot_groups[shard],
-                span.pop("events"),
-                span,
-                trace_id=trace_id,
-                node=node,
-            )
-
-    def _dump_on_race(self, shard: int, reports: List[SeqReport]) -> None:
-        """Snapshot the group's flight ring the moment it reports races."""
-        recorder = self.recorder
-        if recorder.directory is None:
+    def _dump_on_race(self, reports: List[SeqReport]) -> None:
+        """Dump the flight ring the moment a batch reports races: one dump
+        per group that raced, holding that group's lines and window."""
+        if self.recorder.directory is None:
             return
-        lines = [format_race(seq, report) for seq, report in reports]
-        provenance = [report.provenance for _seq, report in reports]
-        if not any(p is not None for p in provenance):
-            provenance = None
-        recorder.dump(
-            self._slot_groups[shard],
-            lines,
-            "race",
-            stats=self._shard_stats[shard],
-            provenance=provenance,
-        )
+        n = self.config.n_shards
+        stats = self._kernel.stats.as_dict()
+        for group in sorted({shard_of(report.var, n) for _seq, report in reports}):
+            raced = [(seq, r) for seq, r in reports if shard_of(r.var, n) == group]
+            provenance = [report.provenance for _seq, report in raced]
+            self.recorder.dump(
+                group,
+                [format_race(seq, report) for seq, report in raced],
+                "race",
+                stats=stats,
+                provenance=provenance if any(p is not None for p in provenance) else None,
+            )
 
     def poll_reports(self) -> List[SeqReport]:
         """The reports of every batch pushed so far (seq-tagged)."""
@@ -733,8 +592,8 @@ class ShardedEngine:
 
         Reports are sorted by the sequence number of the access that
         completed the race, and the reports of one access (a commit whose
-        footprint races in several groups) by group: which buffer filled
-        first must not decide their order.
+        footprint races in several groups) by group, as a cluster orders
+        them whichever node reported them.
         """
         self.flush()
         out, self._reports = self._reports, []
@@ -748,20 +607,16 @@ class ShardedEngine:
         """Restart detection from an empty execution (counters survive).
 
         Pending batches are pushed first; their reports wait for the next
-        :meth:`poll_reports`.
+        :meth:`poll_reports`.  The hosted groups stay hosted, and sequence
+        numbers keep counting: the execution restarts, the stream does not.
         """
         self.flush()
-        for detector in self._detectors:
-            detector.reset()
-        # Shard interner replicas restarted from scratch: the edge encoder
-        # and its per-shard delta cursors must restart with them (sequence
-        # numbers keep counting -- the execution restarts, the stream not).
-        n = len(self._slot_groups)
+        stats, misses = self._kernel.stats, self._encoder.cache_misses
         self._encoder = EventEncoder(self.config.n_shards, admit=self.config.admit)
-        self._cursors = [1] * n
-        self._pbuffers = [_PackedBuffer() for _ in range(n)]
-        self._shard_stats = [{} for _ in range(n)]
-        self.recorder.rebind(self._encoder.interner)
+        self._encoder.cache_misses = misses
+        self._kernel = self._new_kernel()
+        self._kernel.stats = stats
+        self.recorder.rebind(self._encoder.interner, self._encoder.var_shard)
 
     def set_admission(self, admit) -> None:
         """Install (or clear, with ``None``) the admission filter mid-stream.
@@ -775,103 +630,102 @@ class ShardedEngine:
         self._encoder.set_admission(admit)
 
     def checkpoint(self) -> List[bytes]:
-        """Serialize every shard's detector state (flushes first; the
-        reports wait for the next :meth:`poll_reports`)."""
-        self.flush()
-        return [detector.checkpoint() for detector in self._detectors]
+        """:meth:`export_group` of every hosted group, in the order they
+        were adopted (flushes first; the reports wait for the next
+        :meth:`poll_reports`)."""
+        return [self.export_group(group) for group in self._groups]
 
     # -- group hosting: what a cluster adds and moves ------------------------
 
     def hosted_groups(self) -> List[int]:
-        """The global partition ids this engine currently detects for."""
-        return sorted(self._slot_groups)
+        """The global group ids this engine currently detects for."""
+        return sorted(self._groups)
 
     def interner_version(self) -> int:
         """This engine's replica version (master interner length)."""
         return len(self._encoder.interner)
 
+    def _in_group(self, group: int) -> Callable[[DataVar], bool]:
+        n = self.config.n_shards
+        return lambda var: shard_of(var, n) == group
+
+    def _owner(self) -> Optional[Callable[[DataVar], bool]]:
+        """Which variables the kernel checks: None while it hosts them all."""
+        n, groups = self.config.n_shards, self._groups
+        if len(groups) == n:
+            return None
+        return lambda var: shard_of(var, n) in groups
+
     def export_group(self, group: int) -> bytes:
-        """Checkpoint exactly one hosted group's detector (flushes first;
-        the reports wait for the next :meth:`poll_reports`)."""
-        slot = self._slot_of.get(group)
-        if slot is None:
+        """Checkpoint one hosted group's variables (flushes first; the
+        reports wait for the next :meth:`poll_reports`)."""
+        if group not in self._groups:
             raise ValueError(f"group {group} is not hosted here")
         self.flush()
-        return self._detectors[slot].checkpoint()
+        return self._kernel.export_vars(self._in_group(group), (group, self.config.n_shards))
 
     def adopt_group(self, group: int, blob: Optional[bytes] = None) -> None:
-        """Start hosting a global partition, fresh or from a checkpoint.
+        """Start hosting a group, fresh or from an :meth:`export_group` blob.
 
-        A restored detector's interner and the edge encoder's are both
-        prefixes of one id space (the coordinator's master, or the engine
-        the checkpoint came from), so the encoder is extended to the longer
-        of the two -- a restored engine keeps the original id assignments
-        -- and the new slot's delta cursor starts at the detector's length:
-        its first frame carries only what the detector has not seen.
+        The blob must be of this group of as many groups: one of another
+        group, or of another group count, holds other variables, and its
+        own would go unchecked.  The blob's interner and the edge encoder's
+        are prefixes of one id space (the coordinator's master, or the
+        engine the blob came from), so the encoder is extended to the longer
+        of the two.  The kernel then files the group's infos
+        (:meth:`EncodedGoldilocks.adopt_vars`); a blob refused raises
+        :class:`ValueError` and nothing is hosted.
         """
         n = self.config.n_shards
         if not 0 <= group < n:
             raise ValueError(f"group {group} out of range [0, {n})")
-        if group in self._slot_of:
+        if group in self._groups:
             raise ValueError(f"group {group} is already hosted")
-        if blob is None:
-            detector = PartitionedGoldilocks(
-                group, n, **self.config.detector_kwargs()
-            )
-        else:
-            detector = load_shard_checkpoint(blob, group, n)
+        self.flush()
+        if blob is not None:
+            state = load_vars_checkpoint(blob)
+            if state["partition"] != (group, n):
+                blob_group, blob_n = state["partition"]
+                raise ValueError(
+                    f"checkpoint is of partition {blob_group}/{blob_n}, not {group}/{n}"
+                )
             # restored elements are not new edge allocations
             misses = self._encoder.cache_misses
-            self._encoder.extend(1, detector.interner.elements_since(1))
+            self._encoder.extend(1, state["interner"].elements_since(1))
             self._encoder.cache_misses = misses
-        self._slot_of[group] = len(self._slot_groups)
-        self._slot_groups.append(group)
-        self._detectors.append(detector)
-        self._pbuffers.append(_PackedBuffer())
-        self._cursors.append(len(detector.interner))
-        self._events_processed.append(0)
-        self._shard_stats.append({})
+            self._kernel.adopt_vars(state, self._in_group(group))
+        self._groups[group] = None
+        self._kernel.set_owner(self._owner())
+        self.recorder.host(group)
 
     def retire_group(self, group: int) -> None:
-        """Stop hosting a global partition (flushes first; the reports
-        wait for the next :meth:`poll_reports`).
+        """Stop hosting a group (flushes first; the reports wait for the
+        next :meth:`poll_reports`).
 
         The migration driver calls this on the source the moment the
-        checkpoint is exported: commits are broadcast, so a lingering copy
-        of the group would double-report every footprint race after the
-        hand-off.
+        checkpoint is exported: commits reach every node, so a lingering
+        copy of the group would double-report every footprint race after
+        the hand-off.
         """
-        slot = self._slot_of.get(group)
-        if slot is None:
+        if group not in self._groups:
             raise ValueError(f"group {group} is not hosted here")
         self.flush()
-        for per_slot in (
-            self._slot_groups,
-            self._detectors,
-            self._pbuffers,
-            self._cursors,
-            self._events_processed,
-            self._shard_stats,
-        ):
-            del per_slot[slot]
-        self._slot_of = {g: i for i, g in enumerate(self._slot_groups)}
+        del self._groups[group]
+        self._kernel.drop_vars(self._in_group(group))
+        self._kernel.set_owner(self._owner())
         self.recorder.drop_group(group)
 
     def stats(self) -> ServiceStats:
-        """A snapshot of the ingestion counters and every shard's detector."""
-        shards = []
-        for i, group in enumerate(self._slot_groups):
-            det = self._shard_stats[i]
-            shards.append(
-                ShardStats(
-                    shard=group,
-                    events_processed=self._events_processed[i],
-                    races=det.get("races", 0),
-                    short_circuit_rate=short_circuit_rate_of(det),
-                    detector_work=detector_work_of(det),
-                    detector=det,
-                )
-            )
+        """A snapshot of the ingestion counters and the kernel's."""
+        det = self._kernel.stats.as_dict()
+        kernel = ShardStats(
+            shard=0,
+            events_processed=self._applied,
+            races=det["races"],
+            short_circuit_rate=short_circuit_rate_of(det),
+            detector_work=detector_work_of(det),
+            detector=det,
+        )
         admit = self.config.admit
         snapshot = ServiceStats(
             events_ingested=self.events_ingested,
@@ -883,14 +737,14 @@ class ShardedEngine:
             admit_prefilter_hits=admit.prefilter_hits if admit is not None else 0,
             admit_prefilter_misses=admit.prefilter_misses if admit is not None else 0,
             batches_flushed=self.batches_flushed,
-            races_reported=sum(s.races for s in shards),
-            n_shards=len(self._slot_groups),
+            races_reported=det["races"],
+            n_shards=len(self._groups),
             queue_bytes=self.queue_bytes,
             edge_allocs=self.edge_allocs,
             spans_sampled=self.tracer.spans_written,
             flightrec_dumps=self.recorder.dumps_written,
             provenance_attached=self.provenance_attached,
-            shards=shards,
+            shards=[kernel],
         )
         snapshot.derive_rates(time.monotonic() - self._started)
         return snapshot

@@ -12,7 +12,7 @@ Client -> server, one line each:
 * **control lines**, marked by a leading ``!``::
 
       !ping        liveness probe
-      !flush       force the current batches through and drain every shard
+      !flush       force the current batch through the kernel
       !stats       snapshot ServiceStats as one JSON line
       !metrics     the Prometheus text exposition: an ``ok metrics
                    lines=<n>`` line followed by exactly n exposition lines

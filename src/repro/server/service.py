@@ -89,14 +89,14 @@ class ServiceConfig:
     #: edge; None admits everything.  Also settable at runtime via the
     #: ``!admit`` control verb.
     admit: Optional[object] = None
-    #: retired: shards always run in the service process.  Only "inline"
+    #: retired: the kernel always runs in the service process.  Only "inline"
     #: is accepted, for callers written when process workers existed.
     workers: str = "inline"
 
     def __post_init__(self) -> None:
         if self.workers != "inline":
             raise ValueError(
-                f"workers={self.workers!r}: shards run in the service process "
+                f"workers={self.workers!r}: the kernel runs in the service process "
                 "only; run one repro-serve per core behind repro-cluster instead"
             )
 
@@ -112,7 +112,7 @@ class ServiceConfig:
 
 
 class RaceDetectionService:
-    """Shared ingestion front-end over one sharded detection engine."""
+    """Shared ingestion front-end over one detection engine."""
 
     def __init__(self, config: Optional[ServiceConfig] = None, **kwargs) -> None:
         self.config = config or ServiceConfig(**kwargs)
@@ -216,7 +216,7 @@ class RaceDetectionService:
         return reports
 
     def _drain_apply_errors(self) -> None:
-        """Move the faults of frames a shard rejected (an alloc naming a
+        """Move the faults of records the kernel refused (an alloc naming a
         thread, a stale id) into the one fault ring; caller holds the lock."""
         for fault in self.engine.apply_errors:
             self._note_fault(fault)
@@ -291,7 +291,7 @@ class RaceDetectionService:
         return payload
 
     def dump_flight_recorders(self, reason: str = "signal") -> List[str]:
-        """Write every shard's flight ring to disk (SIGTERM/crash path).
+        """Write every group's flight window to disk (SIGTERM/crash path).
 
         The lock acquire is best-effort with a timeout: a SIGTERM handler
         runs on the main thread, which may already hold the ingestion lock
@@ -685,7 +685,7 @@ class RaceDetectionService:
 
         Every accepted event is applied already; the races of
         :meth:`submit_line`'s events that :meth:`poll_reports` has not
-        taken are written instead of dropped.  Then the flight rings are
+        taken are written instead of dropped.  Then the flight ring is
         dumped (when a dump directory is configured), and one terminal
         ``ok drain ...`` summary line is returned (also written to
         ``writer`` when given).  Ends by signalling shutdown; safe to call

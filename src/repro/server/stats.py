@@ -1,9 +1,9 @@
 """Service-level statistics snapshots.
 
 The offline detectors already expose :class:`~repro.core.stats.DetectorStats`
-per instance; a sharded service adds a layer on top: ingestion counters
-(events routed vs broadcast, batches, frame bytes), per-shard counters,
-and the aggregate short-circuit rate across all partitions.  A
+per instance; the service adds a layer on top: ingestion counters (data
+routed by group, sync records, batches, frame bytes) and one entry for the
+process's kernel, whatever the number of groups it hosts.  A
 :class:`ServiceStats` is a plain *snapshot* -- it is JSON-serializable both
 ways so the ``!stats`` control command can ship it over the wire and the
 client library can reconstitute it.
@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List
 
-from ..core.stats import hb_queries_of
+from ..core.stats import short_circuit_rate_of
 
 
 def _known_subset(cls, data: Dict[str, Any]) -> Dict[str, Any]:
@@ -35,18 +35,18 @@ def _known_subset(cls, data: Dict[str, Any]) -> Dict[str, Any]:
 
 @dataclass
 class ShardStats:
-    """One detection shard's view at snapshot time."""
+    """The process's kernel at snapshot time (``shard`` 0: there is one)."""
 
     shard: int
-    #: events the shard has finished processing
+    #: records the kernel has applied
     events_processed: int = 0
-    #: races this shard has reported
+    #: races the kernel has reported
     races: int = 0
-    #: the shard detector's short-circuit rate (1.0 while idle)
+    #: the kernel's short-circuit rate (1.0 while idle)
     short_circuit_rate: float = 1.0
-    #: the shard detector's deterministic cost counter
+    #: the kernel's deterministic cost counter
     detector_work: int = 0
-    #: full :meth:`DetectorStats.as_dict` payload from the shard
+    #: full :meth:`DetectorStats.as_dict` payload from the kernel
     detector: Dict[str, int] = field(default_factory=dict)
     #: snapshot keys dropped by from_dict (newer-server fields)
     unknown_fields: int = 0
@@ -77,9 +77,9 @@ class ServiceStats:
     events_ingested: int = 0
     #: ingest rate over the whole uptime
     events_per_sec: float = 0.0
-    #: synchronization/alloc/commit events broadcast to every shard
+    #: synchronization/alloc/commit events, each applied once by the kernel
     sync_broadcast: int = 0
-    #: data accesses hash-routed to exactly one shard
+    #: data accesses routed by group (applied if the group is hosted here)
     data_routed: int = 0
     #: data accesses admitted past the static admission filter
     data_admitted: int = 0
@@ -91,15 +91,15 @@ class ServiceStats:
     admit_prefilter_hits: int = 0
     #: admission pre-filter misses (admitted on one mask test)
     admit_prefilter_misses: int = 0
-    #: batches flushed to shards (across all shards)
+    #: batches pushed to the kernel
     batches_flushed: int = 0
     #: event lines the ingestion layer could not parse
     parse_errors: int = 0
-    #: races reported by all shards together
+    #: races the kernel has reported
     races_reported: int = 0
-    #: number of detection shards
+    #: groups this process hosts
     n_shards: int = 1
-    #: frame bytes shipped to shards
+    #: frame bytes pushed to the kernel
     queue_bytes: int = 0
     #: per-event allocation proxy at the ingestion edge
     edge_allocs: int = 0
@@ -114,24 +114,19 @@ class ServiceStats:
     shards: List[ShardStats] = field(default_factory=list)
 
     @property
-    def short_circuit_rate(self) -> float:
-        """Aggregate short-circuit rate, weighted by per-shard query counts.
-
-        Idle shards (no HB queries yet) contribute no weight, so a service
-        where only one shard has seen traffic reports that shard's rate, and
-        a fully idle service reports 1.0.
-        """
-        hits = queries = 0
+    def detector(self) -> Dict[str, int]:
+        """The detector counters of every entry of :attr:`shards`, summed."""
+        total: Dict[str, int] = {}
         for shard in self.shards:
-            det = shard.detector
-            if not det:
-                continue
-            total = hb_queries_of(det)
-            queries += total
-            hits += total - det.get("full_lockset_computations", 0)
-        if queries == 0:
-            return 1.0
-        return hits / queries
+            for key, value in shard.detector.items():
+                total[key] = total.get(key, 0) + value
+        return total
+
+    @property
+    def short_circuit_rate(self) -> float:
+        """The short-circuit rate of the summed counters: weighted by query
+        counts, so idle entries weigh nothing (1.0 when fully idle)."""
+        return short_circuit_rate_of(self.detector)
 
     def derive_rates(self, uptime_sec: float) -> None:
         """Set ``uptime_sec`` / ``events_per_sec`` from a monotonic uptime.

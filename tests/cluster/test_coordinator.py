@@ -13,6 +13,7 @@ import pytest
 from repro.cluster import ClusterConfig, ClusterCoordinator
 from repro.server.engine import EngineConfig, ShardedEngine
 from repro.server.protocol import format_race, parse_race
+from repro.server.client import ServiceClient
 from repro.server.service import RaceDetectionService, ServiceConfig, serve_tcp
 from tests.helpers import service_trace, service_trace_text
 
@@ -351,3 +352,90 @@ def test_cli_rejects_bad_specs(capsys):
     with pytest.raises(SystemExit):
         cluster_main(["--local-nodes", "1", "--migrate", "zero:node0"])
     capsys.readouterr()
+
+
+#: three racy pairs; their races complete at seq 1, 3 and 5
+SIX_LINES = "1 0 write 5 f\n2 0 write 5 f\n1 1 write 6 g\n2 1 write 6 g\n1 2 write 7 h\n2 2 write 7 h\n"
+
+
+@pytest.mark.parametrize(
+    "spec, problem",
+    [("1:ghost@4", "'ghost' is not a node"), ("9:node0@4", "group 9 out of range")],
+)
+def test_cli_checks_every_move_before_a_node_is_dialled(tmp_path, capsys, spec, problem):
+    from repro.cluster.cli import main as cluster_main
+
+    trace = tmp_path / "six.trace"
+    trace.write_text(SIX_LINES, encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        cluster_main(["--local-nodes", "2", "--groups", str(N_GROUPS), "--migrate", spec, str(trace)])
+    assert exc.value.code == 2
+    assert problem in capsys.readouterr().err
+    with running_services(2) as (nodes, services):
+        node_args = [f"--node={name}={host}:{port}" for name, (host, port) in nodes.items()]
+        with pytest.raises(SystemExit) as exc:
+            cluster_main(node_args + ["--groups", str(N_GROUPS), "--migrate", spec, str(trace)])
+        assert exc.value.code == 2
+        for service in services.values():
+            assert service.stats().events_ingested == 0
+            assert service.engine.config.n_shards == 1  # never drafted
+    out = capsys.readouterr()
+    assert problem in out.err and out.out == ""
+
+
+def test_cli_keeps_the_races_before_a_move_that_fails(
+    tmp_path, capsys, monkeypatch, reference
+):
+    """node0 refuses the group it is handed: every race line completed
+    before the move is on stdout, in seq order, ahead of the exit-2 error."""
+    from repro.cluster.cli import main as cluster_main
+
+    trace = tmp_path / "run.trace"
+    trace.write_text(service_trace_text(), encoding="utf-8")
+    at = 1268
+    with running_services(2) as (nodes, services):
+        adopt = ShardedEngine.adopt_group
+
+        def refusing(engine, group, blob=None):
+            if blob is not None and engine is services["node0"].engine:
+                raise ValueError("refused for the test")
+            return adopt(engine, group, blob)
+
+        monkeypatch.setattr(ShardedEngine, "adopt_group", refusing)
+        node_args = [f"--node={name}={host}:{port}" for name, (host, port) in nodes.items()]
+        code = cluster_main(
+            node_args + ["--groups", str(N_GROUPS), "--migrate", f"1:node0@{at}", str(trace)]
+        )
+    out = capsys.readouterr()
+    assert code == 2
+    assert "repro-cluster: error: node node0:" in out.err
+    assert "refused for the test" in out.err
+    before = [line for line in reference if int(line.rpartition("=")[2]) < at]
+    assert before and out.out.splitlines() == sorted(before, key=lambda l: int(l.rpartition("=")[2]))
+
+
+def test_a_hand_off_to_a_node_at_another_point_of_the_stream_goes_back(events, reference):
+    """The target applied a sync event the source never saw, so its kernel
+    stands elsewhere in the stream: it answers ``error adopt: ...`` and
+    ``migrate`` puts the group back on its source."""
+    with running_services(2) as (nodes, services):
+        with make_coordinator(nodes) as coordinator:
+            assert coordinator.placement.node_of(1) == "node1"
+            for event in events[:1268]:
+                coordinator.submit_event(event)
+            host, port = nodes["node0"]
+            with ServiceClient.tcp(host, port) as stray:
+                stray.send_line("1 9999 acq 9000")
+                stray.flush()
+            with pytest.raises(
+                RuntimeError,
+                match="node node0: .*adopt: checkpoint taken after 90 .* has applied 91",
+            ):
+                coordinator.migrate(1, "node0")
+            assert coordinator.placement.node_of(1) == "node1"
+            assert 1 in services["node1"].health()["cluster"]["hosted_groups"]
+            assert 1 not in services["node0"].health()["cluster"]["hosted_groups"]
+            before = [line for line in reference if int(line.rpartition("=")[2]) < 1268]
+            assert sorted(coordinator.barrier()) == before
+            assert coordinator.stats().migrations_completed == 0
+            coordinator.shutdown_nodes()

@@ -197,17 +197,18 @@ def test_adopt_of_a_retired_kernel_blob_is_an_error_reply(monkeypatch):
     import base64
     import io
 
+    from repro.core.kernel import EncodedGoldilocks
     from repro.server import engine as engine_mod
     from repro.server.service import RaceDetectionService, ServiceConfig
 
     retired = type(
         "PartitionedBatchGoldilocks",
-        (engine_mod.PartitionedGoldilocks,),
+        (EncodedGoldilocks,),
         {"__module__": engine_mod.__name__},
     )
     with monkeypatch.context() as patch:
         patch.setattr(engine_mod, retired.__name__, retired, raising=False)
-        blob = retired(1, N_GROUPS).checkpoint()
+        blob = retired().checkpoint()
     assert b"PartitionedBatchGoldilocks" in blob
     encoded = base64.b64encode(blob).decode("ascii")
 
@@ -265,8 +266,8 @@ def test_adopt_refuses_a_blob_that_runs_code_when_unpickled(tmp_path):
 
 
 def test_adopt_refuses_another_groups_checkpoint():
-    """A real blob of group 0 adopted as group 1 would leave the detector
-    owning partition 0 while the node routes group 1's variables to it."""
+    """A blob of group 0 adopted as group 1 is refused, even an empty one:
+    the node routes group 1's variables to it, which the blob never held."""
     a, b = node_engine([0]), node_engine([2])
     with a, b:
         blob = a.export_group(0)

@@ -13,7 +13,6 @@ import pickle
 import pytest
 
 from repro.baselines.eraser import EraserDetector
-from repro.server.engine import PartitionedGoldilocks, load_shard_checkpoint
 from repro.core import (
     EagerGoldilocksRW,
     EncodedGoldilocks,
@@ -255,15 +254,75 @@ def test_checkpoint_with_the_retired_ablation_flags_resumes(monkeypatch):
     ]
 
 
-def test_shard_checkpoint_with_the_retired_ablation_flags_resumes(monkeypatch):
-    """The same for a shard blob, loaded the way ``!adopt`` loads one."""
-    text = "\n".join(format_event(event) for event in TRACE) + "\n"
-    frames = list(iter_packed_frames(io.StringIO(text), 16))
-    group, partitions = 1, 2
-    resumed = resume_older_blob(
-        lambda: PartitionedGoldilocks(group, partitions),
-        lambda blob: load_shard_checkpoint(blob, group, partitions),
-        frames,
-        monkeypatch,
+def older_group_kernel():
+    """The class a group blob pickled its whole kernel under when each group
+    had a kernel of its own, with its partition (group 0 of 1)."""
+    from repro.server import engine as engine_mod
+
+    def state_with_partition(self):
+        return {**EncodedGoldilocks.__getstate__(self), "partition": (0, 1)}
+
+    return type(
+        "PartitionedGoldilocks",
+        (EncodedGoldilocks,),
+        {"__module__": engine_mod.__name__, "__getstate__": state_with_partition},
     )
-    assert (resumed.shard_id, resumed.n_shards) == (group, partitions)
+
+
+def test_shard_checkpoint_with_the_retired_ablation_flags_resumes(monkeypatch):
+    """A group blob from when each group had a kernel of its own -- the
+    whole kernel, pickled under its old class name with its partition and
+    the retired flags -- restores the way ``!adopt`` loads one, and the
+    engine finishes the stream with the uninterrupted race lines."""
+    from repro.server import engine as engine_mod
+    from repro.server.engine import EngineConfig, ShardedEngine
+    from repro.server.protocol import format_race
+
+    lines = [format_event(event) for event in TRACE]
+    with ShardedEngine(EngineConfig(n_shards=1)) as engine:
+        for line in lines:
+            engine.submit_line(line)
+        expected = [format_race(seq, report) for seq, report in engine.barrier()]
+    assert expected, "a race-free stream proves nothing"
+
+    older = older_group_kernel()
+    frames = list(iter_packed_frames(io.StringIO("\n".join(lines) + "\n"), 16))
+    cut = len(frames) // 2
+    detector = older()
+    got = [
+        format_race(seq, report)
+        for frame in frames[:cut]
+        for seq, report in detector.apply_packed(frame)[0]
+    ]
+    with monkeypatch.context() as patch:
+        patch.setattr(engine_mod, older.__name__, older, raising=False)
+        blob = checkpoint_in_an_older_layout(detector, patch, RETIRED_FLAGS)
+    for flag, _value in RETIRED_FLAGS:
+        assert flag.encode() in blob
+    assert b"PartitionedGoldilocks" in blob
+
+    with ShardedEngine(
+        EngineConfig(n_shards=1), checkpoints=[blob], seq_start=cut * 16
+    ) as resumed:
+        for line in lines[cut * 16 :]:
+            resumed.submit_line(line)
+        got += [format_race(seq, report) for seq, report in resumed.barrier()]
+    assert got == expected
+
+
+def test_a_malformed_older_group_checkpoint_is_refused(monkeypatch):
+    """An older group blob is read by advancing its infos over its own
+    list; one whose list lost its infos' anchors fails that walk, and the
+    blob is refused as unreadable, as any malformed blob is."""
+    from repro.core.kernel import load_vars_checkpoint
+    from repro.server import engine as engine_mod
+
+    older = older_group_kernel()
+    monkeypatch.setattr(engine_mod, older.__name__, older, raising=False)
+    detector = older()
+    for event in TRACE:
+        detector.process(event)
+    assert load_vars_checkpoint(detector.checkpoint())["partition"] == (0, 1)
+    detector.events._refs.clear()
+    with pytest.raises(ValueError, match="unreadable checkpoint"):
+        load_vars_checkpoint(detector.checkpoint())

@@ -480,3 +480,20 @@ def test_checkpoint_does_not_depend_on_the_string_hash_seed():
         )
         digests.add(run.stdout.strip())
     assert len(digests) == 1
+
+
+def test_dropping_variables_releases_their_list_anchors():
+    """A retired group's infos give back their anchors, as an allocation's
+    do: with nothing anchored, the list frees every full segment."""
+    from tests.helpers import service_trace
+
+    kernel = EncodedGoldilocks(segment_size=8, gc_threshold=None)
+    kernel.process_all(service_trace())
+    assert kernel.events._refs and kernel.events.total_enqueued == 160
+    kernel.drop_vars(lambda var: var.obj.value % 2 == 0)
+    assert kernel.events._refs, "the other half still anchors the list"
+    kernel.drop_vars(lambda var: True)
+    assert not kernel.events._refs and not kernel._by_obj
+    assert not kernel.write_info and not kernel.read_info
+    tail = kernel.events.total_enqueued
+    assert kernel.events.collect_prefix() == tail - tail % 8

@@ -210,21 +210,7 @@ def test_concurrent_appender_and_reader_threads():
         check_invariants(events)
 
 
-# -- replication and flat pickling ---------------------------------------------
-
-
-def test_snapshot_and_replicate_copy_events_not_refcounts():
-    events = SyncEventList()
-    cell = events.enqueue(Tid(1), Acquire(Obj(1)))
-    events.enqueue(Tid(2), Release(Obj(1)))
-    events.incref(cell)
-    snap = events.snapshot()
-    assert snap == [(Tid(1), Acquire(Obj(1))), (Tid(2), Release(Obj(1)))]
-    clone = events.replicate()
-    assert clone.snapshot() == snap
-    assert clone.head.refcount == 0, "replicas start unpinned"
-    clone.enqueue(Tid(3), Acquire(Obj(2)))
-    assert len(events) == 2, "replica appends must not touch the original"
+# -- flat pickling ---------------------------------------------------------------
 
 
 def test_flat_pickle_round_trips_a_long_list():
@@ -238,7 +224,9 @@ def test_flat_pickle_round_trips_a_long_list():
     assert len(restored) == len(events)
     assert restored.total_enqueued == events.total_enqueued
     assert restored.head.refcount == 1
-    assert restored.snapshot() == events.snapshot()
+    assert [(c.tid, c.action) for c in restored.events_from(restored.head)] == [
+        (c.tid, c.action) for c in events.events_from(events.head)
+    ]
     # restored links are walkable end to end and the tail is a fresh empty cell
     assert sum(1 for _ in restored.events_from(restored.head)) == 20_000
     assert not restored.tail.filled
@@ -255,3 +243,28 @@ def test_pickle_preserves_collection_counters():
     assert restored.total_collected == 6
     assert restored.total_enqueued == 6
     assert len(restored) == 0
+
+
+def test_a_list_started_mid_segment_indexes_and_collects_from_its_head():
+    """A kernel restored from group checkpoints starts its list at their
+    tail, which need not be segment-aligned: slot ``i`` of a segment still
+    holds position ``index * size + i``, and the padding before the head
+    is never indexed, counted or freed as events."""
+    import pickle
+
+    from repro.core.actions import OP_ACQUIRE
+    from repro.core.synclist import EncodedSyncList
+
+    events = EncodedSyncList(segment_size=8)
+    events.start_at(13)
+    assert (events.tail_pos, len(events)) == (13, 0)
+    for i in range(20):
+        events.enqueue_encoded(OP_ACQUIRE, 1, 2, 100 + i)
+    assert events.at(13) == (OP_ACQUIRE, 1, 2, 100)
+    assert events.key_positions(2, 0) == (list(range(13, 33)), 0)
+    clone = pickle.loads(pickle.dumps(events))
+    assert clone._by_key == events._by_key and len(clone) == 20
+    # segments 1-3 are full and unanchored; 32 sits in the open segment 4
+    assert events.collect_prefix() == 32 - 13
+    assert (events.head_pos, len(events)) == (32, 1)
+    assert events.key_positions(2, 0) == ([32], 0)

@@ -12,7 +12,7 @@ from array import array
 
 import pytest
 
-from repro.core.actions import OP_COMMIT
+from repro.core.actions import OP_COMMIT, OP_READ, OP_WRITE
 from repro.core.encode import RECORD_WIDTH, decode_frame, encode_frame
 from repro.core.lockset import Interner
 from repro.obs.flightrec import (
@@ -92,6 +92,27 @@ class TestAcceptance:
         assert result.missing == races
 
 
+    def test_an_evicting_ring_keeps_every_groups_races_reproducible(self, tmp_path):
+        """At four groups on the shared service trace, a ring of 256
+        records per group evicts, and every dump still replays all its
+        race lines (a ring of 256 for all four groups lost some)."""
+        from repro.server.engine import EngineConfig, ShardedEngine
+        from tests.helpers import service_trace_text
+
+        obs = ObsConfig(
+            flightrec_dir=str(tmp_path), flightrec_capacity=256, flightrec_max_dumps=1000
+        )
+        with ShardedEngine(EngineConfig(n_shards=4, obs=obs)) as engine:
+            for line in service_trace_text().splitlines():
+                engine.submit_line(line)
+            races = len(engine.barrier())
+        recordings = [load_flightrec(path) for path in glob.glob(str(tmp_path / "*.flightrec"))]
+        assert max(rec.header["evicted_records"] for rec in recordings) > 0
+        assert sum(len(rec.header["races"]) for rec in recordings) == races == 42
+        for recording in recordings:
+            assert replay_flightrec(recording).missing == []
+
+
 class TestRecorderBounds:
     def _frame(self, seq, n=1):
         records = array("q")
@@ -99,60 +120,96 @@ class TestRecorderBounds:
             records.extend((0, seq + i, 1, 0, 0, 0))
         return records, array("q")
 
+    def _recorder(self, n_groups=1, **kwargs):
+        recorder = FlightRecorder(n_groups, Interner(), **kwargs)
+        recorder.host(0)
+        return recorder
+
     def test_capacity_evicts_whole_oldest_frames(self):
-        recorder = FlightRecorder(1, Interner(), capacity=4)
+        recorder = self._recorder(capacity=4)
         for seq in range(0, 12, 2):
-            recorder.record(0, *self._frame(seq, n=2))
-        ring = recorder._rings[0]
-        assert ring.records_held == 4
-        assert ring.evicted == 8
-        assert ring.records_seen == 12
+            recorder.record(*self._frame(seq, n=2))
+        assert recorder.records_held == 4
+        assert recorder.evicted == 8
+        assert recorder.records_seen == 12
         records, _extras = recorder.window(0)
         seqs = [records[i + 1] for i in range(0, len(records), RECORD_WIDTH)]
         assert seqs == [8, 9, 10, 11]  # only the newest survive
+
+    def test_the_ring_holds_capacity_records_per_hosted_group(self):
+        """As many records as one ring per group held together, so a
+        group's window reaches as far back as a ring of its own would."""
+        recorder = FlightRecorder(4, Interner(), capacity=4)
+        for group in range(4):
+            recorder.host(group)
+        for seq in range(0, 24, 2):
+            recorder.record(*self._frame(seq, n=2))
+        assert recorder.records_held == 16
+        recorder.drop_group(3)
+        recorder.drop_group(2)
+        recorder.record(*self._frame(24, n=2))
+        assert recorder.records_held == 8
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             FlightRecorder(1, Interner(), capacity=0)
 
     def test_window_rebases_commit_extras_offsets(self):
-        recorder = FlightRecorder(1, Interner(), capacity=100)
+        recorder = self._recorder(capacity=100)
         first = array("q", [OP_COMMIT, 1, 1, 0, 0, 2])
         second = array("q", [OP_COMMIT, 2, 1, 0, 0, 2])
-        recorder.record(0, first, array("q", [10, 11]))
-        recorder.record(0, second, array("q", [20, 21]))
+        recorder.record(first, array("q", [10, 11]))
+        recorder.record(second, array("q", [20, 21]))
         records, extras = recorder.window(0)
         assert list(extras) == [10, 11, 20, 21]
         # frame-local offset 0 becomes 2 once the extras are concatenated
         assert records[4] == 0 and records[RECORD_WIDTH + 4] == 2
 
+    def test_a_groups_window_holds_every_sync_record_and_only_its_accesses(self):
+        """One ring for the process: a group's window is the sync records
+        plus its own data accesses, from the moment it was hosted."""
+        recorder = FlightRecorder(2, Interner(), var_group={7: 0, 8: 1})
+        recorder.host(0)
+        recorder.record(array("q", [OP_WRITE, 0, 1, 0, 7, 0, OP_WRITE, 1, 1, 1, 8, 0]), array("q"))
+        recorder.host(1)
+        recorder.record(array("q", [0, 2, 1, 2, 3, 1, OP_READ, 3, 1, 3, 8, 0]), array("q"))
+
+        def seqs(group):
+            records, _extras = recorder.window(group)
+            return [records[i + 1] for i in range(0, len(records), RECORD_WIDTH)]
+
+        assert seqs(0) == [0, 2]
+        assert seqs(1) == [2, 3]  # hosted after the first frame
+        recorder.drop_group(1)
+        assert seqs(1) == []
+
     def test_dump_budget_is_enforced(self, tmp_path):
-        recorder = FlightRecorder(
-            1, Interner(), directory=str(tmp_path), max_dumps=1
-        )
-        recorder.record(0, *self._frame(0))
+        recorder = self._recorder(directory=str(tmp_path), max_dumps=1)
+        recorder.record(*self._frame(0))
         assert recorder.dump(0, ["race x"]) is not None
         assert recorder.dump(0, ["race y"]) is None
         assert recorder.dumps_written == 1
         assert recorder.dumps_suppressed == 1
 
     def test_dump_without_a_directory_records_but_never_writes(self):
-        recorder = FlightRecorder(1, Interner())
-        recorder.record(0, *self._frame(0))
+        recorder = self._recorder()
+        recorder.record(*self._frame(0))
         assert recorder.dump(0, ["race x"]) is None
         assert recorder.dumps_written == 0
 
     def test_dump_all_skips_empty_rings(self, tmp_path):
         recorder = FlightRecorder(3, Interner(), directory=str(tmp_path))
-        recorder.record(1, *self._frame(0))
+        recorder.host(1)
+        recorder.record(*self._frame(0))
+        recorder.host(2)  # hosted after the only frame: an empty window
         paths = recorder.dump_all("signal")
         assert len(paths) == 1 and "shard1" in paths[0]
         header = load_flightrec(paths[0]).header
         assert header["reason"] == "signal" and header["races"] == []
 
     def test_rebind_clears_every_ring(self, tmp_path):
-        recorder = FlightRecorder(1, Interner(), directory=str(tmp_path))
-        recorder.record(0, *self._frame(0))
+        recorder = self._recorder(directory=str(tmp_path))
+        recorder.record(*self._frame(0))
         recorder.rebind(Interner())
         assert recorder.dump_all("signal") == []
 

@@ -32,7 +32,7 @@ from repro.core.actions import (
     Tid,
     Write,
 )
-from repro.core.encode import EventEncoder, encode_frame
+from repro.core.encode import RECORD_WIDTH, EventEncoder, encode_frame
 from repro.server import RaceDetectionService, ServiceConfig
 from repro.server.protocol import (
     FRAME_CONTROL,
@@ -310,7 +310,7 @@ def test_a_record_a_shard_refuses_loses_no_other_record_of_its_batch(alloc_first
             engine.submit_line("2 0 write 5 f")
             if not alloc_first:
                 refused_alloc()
-            assert engine._pbuffers[0].count == 3  # one batch
+            assert len(engine._records) == 3 * RECORD_WIDTH  # one batch
             reports = engine.barrier()
         races = [format_race(seq, report) for seq, report in reports]
         health = svc.health()

@@ -180,8 +180,8 @@ def test_spans_work_with_counters_off(tmp_path):
 
 
 def test_no_obs_setting_changes_verdicts_or_detector_work(tmp_path):
-    """The shared service trace through 4 shards under each observability
-    setting: identical race lines (seq included) and per-shard detector
+    """The shared service trace through 4 groups under each observability
+    setting: identical race lines (seq included) and kernel detector
     work, and only the span setting samples spans."""
     text = service_trace_text()
     settings = {
@@ -200,7 +200,7 @@ def test_no_obs_setting_changes_verdicts_or_detector_work(tmp_path):
         work = {shard.shard: shard.detector_work for shard in stats.shards}
         runs[name] = (races, work, stats.spans_sampled)
     races, work, _spans = runs["defaults"]
-    assert races and len(work) == 4
+    assert races and len(work) == 1  # one kernel for the four groups
     for name, (got_races, got_work, spans) in runs.items():
         assert (got_races, got_work) == (races, work), name
         assert (spans > 0) == (name == "spans"), name

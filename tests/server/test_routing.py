@@ -18,6 +18,7 @@ import time
 
 import pytest
 
+from repro.core.encode import RECORD_WIDTH
 from repro.server import RaceDetectionService, ServiceConfig
 from repro.server.protocol import FRAME_EVENTS, pack_frame, parse_response
 from repro.trace.io import iter_packed_frames
@@ -199,10 +200,10 @@ def test_the_races_of_one_access_come_in_group_order_whatever_the_reads():
 
 
 def buffered(service):
-    """The records buffered for any shard, read under the ingestion lock,
+    """The records buffered for the kernel, read under the ingestion lock,
     so between two calls."""
     with service._lock:
-        return sum(buffer.count for buffer in service.engine._pbuffers)
+        return len(service.engine._records) // RECORD_WIDTH
 
 
 class Watched(io.BytesIO):

@@ -95,7 +95,7 @@ def test_stats_control_round_trips_service_stats():
     assert len(stats_lines) == 1
     stats = ServiceStats.from_json(parse_response(stats_lines[0])[1])
     assert stats.events_ingested == len(BIGGER)
-    assert stats.n_shards == 2 and len(stats.shards) == 2
+    assert stats.n_shards == 2 and len(stats.shards) == 1  # one kernel
     assert stats.events_per_sec > 0
     assert stats.races_reported == len(LazyGoldilocks().process_all(BIGGER))
     assert 0.0 <= stats.short_circuit_rate <= 1.0
@@ -336,3 +336,55 @@ def test_retired_workers_field_accepts_only_inline():
     assert ServiceConfig(workers="inline").engine_config().n_shards == 1
     with pytest.raises(ValueError, match="repro-cluster"):
         ServiceConfig(workers="process")
+
+
+def scrapes(lines):
+    """The ``!stats`` snapshots and ``!metrics`` scrapes of a reply stream,
+    in order: each a dict of counter name (and labels) to value."""
+    from repro.obs.registry import parse_exposition
+    from tests.server.test_engine import counters
+
+    stats, metrics = [], []
+    i = 0
+    while i < len(lines):
+        kind, payload = parse_response(lines[i])
+        if kind == "stats":
+            stats.append(counters(ServiceStats.from_json(payload)))
+        elif lines[i].startswith("ok metrics lines="):
+            count = int(lines[i].rpartition("=")[2])
+            samples = parse_exposition("\n".join(lines[i + 1 : i + 1 + count]) + "\n")
+            metrics.append(
+                {
+                    (name, tuple(sorted(labels.items()))): value
+                    for name, series in samples.items()
+                    if name.endswith("_total")
+                    for labels, value in series
+                }
+            )
+            i += count
+        i += 1
+    return stats, metrics
+
+
+def test_no_total_counter_decreases_through_retire_adopt_and_reset():
+    """``!retire``, ``!adopt`` and ``!reset`` on one kernel: neither a
+    ``!stats`` counter nor a ``_total`` series of ``/metrics`` goes back."""
+    from tests.helpers import service_trace_text
+    from tests.server.test_engine import assert_never_decreases
+
+    trace = service_trace_text()
+    probe = "!stats\n!metrics\n"
+    with inline_service(n_shards=4) as service:
+        first = run_stream(service, trace + probe + "!checkpoint 3\n!retire 3\n" + probe)
+        [blob] = [line.split(" ", 2)[2] for line in first if line.startswith("checkpoint 3 ")]
+        second = run_stream(
+            service,
+            f"!adopt 3 {blob}\n" + probe + "!reset\n" + probe + trace + probe,
+        )
+    assert "ok adopt group=3" in second and "ok reset" in second
+    stats, metrics = scrapes(first + second)
+    assert len(stats) == len(metrics) == 5
+    assert_never_decreases(stats)
+    assert_never_decreases(metrics)
+    assert [snap["races_reported"] for snap in stats] == [42, 42, 42, 42, 84]
+    assert metrics[-1][("repro_races_reported_total", ())] == 84
