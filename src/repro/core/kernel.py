@@ -336,13 +336,7 @@ class EncodedGoldilocks(Detector):
             ls = ls_union(ls_add(ls, TL_ID), extra_ls)
         held = self._held.get(tid_id)
         alock_id = held[-1] if (held and not xact) else None
-        pos = self.events.tail_pos
-        self.events.incref(pos)
-        return KInfo(tid_id, pos, ls, alock_id, xact, index)
-
-    def _discard(self, info: Optional[KInfo]) -> None:
-        if info is not None:
-            self.events.decref(info.pos)
+        return KInfo(tid_id, self.events.total_enqueued, ls, alock_id, xact, index)
 
     def _handle_read(
         self,
@@ -362,16 +356,14 @@ class EncodedGoldilocks(Detector):
         if prev_write is not None and not self._check_happens_before(prev_write, info):
             reports.append(self._report(key, prev_write, "write", info, "read"))
         if reports and self.suppress_racy_updates:
-            self._discard(info)  # the access is being suppressed
-            return reports
+            return reports  # the access is being suppressed
         if per_thread is None:
             per_thread = self.read_info[key] = {}
             if prev_write is None:
                 self._track(key)
         slot = tid_id << 1 | xact
         if not xact:
-            self._discard(per_thread.pop(slot | 1, None))
-        self._discard(per_thread.get(slot))
+            per_thread.pop(slot | 1, None)
         per_thread[slot] = info
         return reports
 
@@ -400,15 +392,10 @@ class EncodedGoldilocks(Detector):
             if not self._check_happens_before(prev_write, info):
                 reports.append(self._report(key, prev_write, "write", info, "write"))
         if reports and self.suppress_racy_updates:
-            self._discard(info)  # the access is being suppressed
-            return reports
+            return reports  # the access is being suppressed
         if readers:
-            for reader_info in readers.values():
-                self._discard(reader_info)
             del self.read_info[key]
-        if prev_write is not None:
-            self._discard(prev_write)
-        elif not readers:
+        elif prev_write is None:
             self._track(key)
         self.write_info[key] = info
         return reports
@@ -675,13 +662,8 @@ class EncodedGoldilocks(Detector):
         if not live:
             return
         for key in live:
-            info = self.write_info.pop(key, None)
-            if info is not None:
-                self._discard(info)
-            per_thread = self.read_info.pop(key, None)
-            if per_thread is not None:
-                for info in per_thread.values():
-                    self._discard(info)
+            self.write_info.pop(key, None)
+            self.read_info.pop(key, None)
 
     # -- Check-Happens-Before -------------------------------------------------------
 
@@ -743,9 +725,7 @@ class EncodedGoldilocks(Detector):
         if len(self._memo) >= MEMO_CAP:
             self._memo.clear()
         self._memo[(start, ls)] = (reached, new_ls)
-        events.decref(info1.pos)
         info1.pos = reached
-        events.incref(reached)
         info1.ls = new_ls
         return self._owned(new_ls, info2)
 
@@ -947,18 +927,23 @@ class EncodedGoldilocks(Detector):
     def collect(self) -> int:
         """Reclaim the event-list prefix (Section 5.4); returns events freed.
 
-        Same two phases as the seed detector -- free the unreferenced
-        prefix, then partially-eagerly advance every lockset anchored in the
-        oldest ``trim_fraction`` and free again -- at whole-segment
-        granularity.  The cutoff is rounded up to a segment boundary, but
-        never past the start of the segment still being appended to, so the
-        advanced infos leave every segment before it and the second phase
-        always frees storage.  The shared memo is cleared whenever storage
-        is freed: its entries are not reference-counted, so they may point
-        into reclaimed segments.
+        Same two phases as the seed detector -- free the prefix no info is
+        anchored in, then partially-eagerly advance every lockset anchored
+        in the oldest ``trim_fraction`` and free again -- at whole-segment
+        granularity.  Where the seed detector reference-counts list cells,
+        one walk over the infos per collection gives both the oldest anchor
+        (phase one's bound) and the infos below the cutoff (phase two's).
+        The cutoff is rounded up to a segment boundary, but never past the
+        start of the segment still being appended to, so the advanced
+        infos leave every segment before it and the second phase always
+        frees storage.  The shared memo is cleared whenever storage is
+        freed: its entries may point into reclaimed segments.
         """
         events = self.events
-        freed = events.collect_prefix()
+        infos = list(self._all_infos())
+        freed = events.collect_prefix(
+            min((info.pos for info in infos), default=events.total_enqueued)
+        )
         threshold = self.gc_threshold if self.gc_threshold is not None else 0
         if len(events) > threshold:
             size = events.segment_size
@@ -967,10 +952,11 @@ class EncodedGoldilocks(Detector):
                 -(-prefix_end // size) * size,
                 events.total_enqueued - events.total_enqueued % size,
             )
-            pinned = [info for info in self._all_infos() if info.pos < cutoff]
+            pinned = [info for info in infos if info.pos < cutoff]
             if pinned:
+                # every info now stands at or past the cutoff
                 self._advance_to(pinned, cutoff)
-                freed += events.collect_prefix()
+                freed += events.collect_prefix(cutoff)
         if freed:
             self._memo.clear()
         self.stats.cells_collected += freed
@@ -1034,9 +1020,7 @@ class EncodedGoldilocks(Detector):
                 mask = 0
                 for eid in ls_ids(info.ls):
                     mask |= get(eid, 1 << eid)
-                events.decref(stop)
                 info.pos = cutoff
-                events.incref(cutoff)
                 info.ls = ls_from_mask(mask)
 
     # -- checkpointing ---------------------------------------------------------
@@ -1123,16 +1107,13 @@ class EncodedGoldilocks(Detector):
 
     def _file_infos(self, writes: dict, reads: dict, tail: Optional[int] = None) -> None:
         """File infos in the :meth:`_pack_infos` layout, each anchored at
-        ``tail`` (one reference apiece) when it is given."""
+        ``tail`` when it is given."""
         size = self.events.segment_size
 
         def unpack(packed: tuple) -> KInfo:
             owner_id, (seg, slot), ls, alock_id, xact, ref = packed
             pos = seg * size + slot if tail is None else tail
-            info = KInfo(owner_id, pos, ls_unpack(ls), alock_id, xact, ref.index)
-            if tail is not None:
-                self.events.incref(tail)
-            return info
+            return KInfo(owner_id, pos, ls_unpack(ls), alock_id, xact, ref.index)
 
         for var, packed in writes.items():
             key = self._var_key(var)
@@ -1250,10 +1231,9 @@ class EncodedGoldilocks(Detector):
 
     def drop_vars(self, select: Callable[[DataVar], bool]) -> None:
         """Forget the access state of the variables ``select`` picks; their
-        infos release their anchors, as an allocation's do."""
+        infos are deleted, as an allocation's are, so they no longer hold
+        back the next collection."""
         for key in self._vars_of(select):
-            for info in self._infos_of(key):
-                self._discard(info)
             self.write_info.pop(key, None)
             self.read_info.pop(key, None)
             obj = self._vars[key].obj.value

@@ -22,6 +22,11 @@ evaluation*: it advances the blocking locksets part-way down the list and
 re-points them, freeing the prefix (that logic lives in
 :mod:`repro.core.lazy`, which owns the locksets; this module provides the
 list primitives).
+
+The production kernel's :class:`EncodedSyncList` keeps no reference
+counts: the kernel walks all of its infos at each collection anyway, so it
+reads the oldest anchor off that walk and frees the segments before it.
+:class:`SyncEventList` keeps the paper's counts, as the reference.
 """
 
 from __future__ import annotations
@@ -207,9 +212,9 @@ class SyncEventList:
 # ---------------------------------------------------------------------------
 
 
-#: default events per segment: big enough that per-segment overhead
-#: (refcount entry, dict slot) is noise, small enough that whole-segment
-#: garbage collection keeps the retained list close to the refcount frontier
+#: default events per segment: big enough that per-segment overhead (one
+#: dict slot) is noise, small enough that whole-segment garbage collection
+#: keeps the retained list close to the oldest Info anchor
 SEGMENT_SIZE = 256
 
 
@@ -242,7 +247,7 @@ class _Segment:
 
 
 class EncodedSyncList:
-    """Append-only encoded event list with whole-segment refcount GC.
+    """Append-only encoded event list with whole-segment prefix GC.
 
     The semantic twin of :class:`SyncEventList`, re-engineered for the
     integer kernel:
@@ -254,11 +259,11 @@ class EncodedSyncList:
     * Events live in fixed-size :class:`_Segment` chunks keyed by
       ``position // segment_size``, so ``cell_at`` is O(1) arithmetic and
       traversal is a tight loop over parallel arrays.
-    * Reference counts are kept per *segment* (an ``Info`` anchored at
-      position ``p`` references segment ``p // segment_size``).  The GC
-      frees whole zero-reference segments from the front -- slightly
-      coarser than the per-cell collector, never less sound, and O(1) per
-      reclaimed chunk.
+    * No reference counts: the caller passes the oldest position any
+      ``Info`` is anchored at (the kernel reads it off the walk over its
+      infos that every collection makes), and the GC frees the whole
+      segments before it from the front -- slightly coarser than the
+      per-cell collector, never less sound, and O(1) per reclaimed chunk.
     * A per-key position index (:meth:`key_positions`) lists every row
       under the element ids that can fire its rule, so a lockset
       computation visits only the cells of the lockset's own ids.
@@ -283,8 +288,6 @@ class EncodedSyncList:
         self.total_collected: int = 0
         #: commit side table: (incoming, outgoing, tid_id) encoded rows
         self.commit_table: List[Tuple[object, object, int]] = []
-        #: per-segment reference counts (Info anchors)
-        self._refs: Dict[int, int] = {}
         #: per-rule-key sorted position lists, so a replay visits only the
         #: cells whose rule *can* fire.  Simple sync rows index by ``key``;
         #: a commit row (whose ``key`` is a commit-table index, not an
@@ -295,11 +298,6 @@ class EncodedSyncList:
         self._by_key: Dict[int, List[int]] = {}
 
     # -- appends ---------------------------------------------------------------
-
-    @property
-    def tail_pos(self) -> int:
-        """The position the next event will occupy (the "empty tail")."""
-        return self.total_enqueued
 
     def start_at(self, pos: int) -> None:
         """Make an empty list begin at position ``pos`` (a restored tail).
@@ -345,21 +343,6 @@ class EncodedSyncList:
         self.commit_table.append((incoming, outgoing, tid_id))
         return len(self.commit_table) - 1
 
-    # -- reference management ----------------------------------------------------
-
-    def incref(self, pos: int) -> None:
-        seg_index = pos // self.segment_size
-        self._refs[seg_index] = self._refs.get(seg_index, 0) + 1
-
-    def decref(self, pos: int) -> None:
-        seg_index = pos // self.segment_size
-        count = self._refs.get(seg_index, 0)
-        assert count > 0, "refcount underflow on encoded segment"
-        if count == 1:
-            del self._refs[seg_index]
-        else:
-            self._refs[seg_index] = count - 1
-
     # -- random access and indexes ---------------------------------------------
 
     def at(self, pos: int) -> Tuple[int, int, int, int]:
@@ -383,47 +366,45 @@ class EncodedSyncList:
 
     # -- garbage collection -------------------------------------------------------
 
-    def collect_prefix(self) -> int:
-        """Free leading *full* segments with no anchors; returns events freed.
+    def collect_prefix(self, oldest: int) -> int:
+        """Free the leading *full* segments that end at or before ``oldest``.
 
-        A segment is reclaimable when it is completely filled (the partial
-        append-target segment is never freed) and no ``Info`` references any
-        position inside it.  The key index is pruned here so it never
-        points into freed storage.
+        ``oldest`` is the oldest position any ``Info`` is anchored at (the
+        tail when none is), so no lockset computation reads a freed event.
+        The partial append-target segment is never freed, and the key index
+        is pruned here so it never points into freed storage.  Returns the
+        number of events freed.
         """
         size = self.segment_size
-        seg_index = self.head_pos // size
-        while True:
-            segment = self.segments.get(seg_index)
-            if segment is None or len(segment) < size:
-                break
-            if self._refs.get(seg_index, 0) > 0:
-                break
-            del self.segments[seg_index]
-            seg_index += 1
+        first = self.head_pos // size
+        stop = min(oldest, self.total_enqueued) // size
+        if stop <= first:
+            return 0
+        for index in range(first, stop):
+            del self.segments[index]
         # the head need not be segment-aligned (a list restarted by start_at)
-        freed = max(0, seg_index * size - self.head_pos)
-        if freed:
-            self.head_pos += freed
-            self.total_collected += freed
-            head = self.head_pos
-            by_key = self._by_key
-            for key, positions in list(by_key.items()):
-                cut = bisect_left(positions, head)
-                if cut:
-                    remaining = positions[cut:]
-                    if remaining:
-                        by_key[key] = remaining
-                    else:
-                        del by_key[key]
+        freed = stop * size - self.head_pos
+        self.head_pos += freed
+        self.total_collected += freed
+        head = self.head_pos
+        by_key = self._by_key
+        for key, positions in list(by_key.items()):
+            cut = bisect_left(positions, head)
+            if cut:
+                remaining = positions[cut:]
+                if remaining:
+                    by_key[key] = remaining
+                else:
+                    del by_key[key]
         return freed
 
     # -- pickling -----------------------------------------------------------------
     #
-    # The canonical state is the segment payloads plus the commit table and
-    # the (sorted) per-segment refcounts; the key index is derived and
-    # always rebuilt on restore, even from older blobs that recorded it as
-    # switched off.  Everything is ints, so blobs are compact and
+    # The canonical state is the segment payloads plus the commit table; the
+    # key index is derived and always rebuilt on restore, even from older
+    # blobs that recorded it as switched off.  Older blobs also carry the
+    # per-segment reference counts the list once kept (``refs``), which
+    # restore ignores.  Everything is ints, so blobs are compact and
     # byte-stable: restoring and re-pickling yields the identical payload.
 
     def __getstate__(self) -> dict:
@@ -440,7 +421,6 @@ class EncodedSyncList:
                 (ls_pack(incoming), ls_pack(outgoing), tid_id)
                 for incoming, outgoing, tid_id in self.commit_table
             ],
-            "refs": sorted(self._refs.items()),
         }
 
     def __setstate__(self, state: dict) -> None:
@@ -460,7 +440,6 @@ class EncodedSyncList:
             (ls_unpack(incoming), ls_unpack(outgoing), tid_id)
             for incoming, outgoing, tid_id in state["commit_table"]
         ]
-        self._refs = dict(state["refs"])
         self._by_key = {}
         size = self.segment_size
         for index, segment in sorted(self.segments.items()):

@@ -83,6 +83,7 @@ REQUIRED_METRICS = (
     "repro_shard_events_processed_total",
     "repro_kernel_hb_queries_total",
     "repro_kernel_accesses_checked_total",
+    "repro_kernel_synclist_live",
     "repro_short_circuit_rate",
     "repro_stage_events_total",
     "repro_stage_latency_seconds",
@@ -147,6 +148,10 @@ def registry_from_stats(
         reg.counter(
             f"kernel_{key}_total", METRIC_HELP.get(key, key)
         ).set_total(totals.get(key, 0))
+    reg.gauge(
+        "kernel_synclist_live",
+        "events the kernel's synchronization list retains (garbage collection lowers it)",
+    ).set(stats.synclist_live)
 
     if tracer is not None:
         _merge_registry(reg, tracer.registry)

@@ -41,7 +41,7 @@ from __future__ import annotations
 import time
 import zlib
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.actions import (
@@ -618,6 +618,26 @@ class ShardedEngine:
         self._kernel.stats = stats
         self.recorder.rebind(self._encoder.interner, self._encoder.var_shard)
 
+    def repartition(self, n_shards: int) -> None:
+        """Restart detection over ``n_shards`` groups, hosting none of them.
+
+        This is how a plain ``repro-serve`` is drafted as a cluster node
+        (``!cluster``); its groups then arrive through :meth:`adopt_group`.
+        As across :meth:`reset`, every counter survives -- the kernel's,
+        the edge's, the tracer's, the flight recorder's dump count -- and
+        so do the settings, a runtime-installed admission filter included.
+        """
+        if n_shards < 1:
+            raise ValueError("need at least one shard")
+        self.flush()
+        for group in self._groups:
+            self.recorder.drop_group(group)
+        self._groups.clear()
+        self.config = replace(self.config, n_shards=n_shards, groups=())
+        self.recorder.n_shards = n_shards
+        self._trace_ctx = None
+        self.reset()
+
     def set_admission(self, admit) -> None:
         """Install (or clear, with ``None``) the admission filter mid-stream.
 
@@ -744,6 +764,7 @@ class ShardedEngine:
             spans_sampled=self.tracer.spans_written,
             flightrec_dumps=self.recorder.dumps_written,
             provenance_attached=self.provenance_attached,
+            synclist_live=len(self._kernel.events),
             shards=[kernel],
         )
         snapshot.derive_rates(time.monotonic() - self._started)

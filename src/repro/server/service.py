@@ -37,7 +37,7 @@ import socketserver
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import (
     Any,
     BinaryIO,
@@ -521,7 +521,8 @@ class RaceDetectionService:
         line."""
         if command == "cluster":
             n_groups = int(args)
-            self._repartition(n_groups)
+            with self._lock:
+                self.engine.repartition(n_groups)
             state.keep_ids = True
             writer.write(summary_line("cluster", n_groups=n_groups) + "\n")
             return
@@ -548,27 +549,6 @@ class RaceDetectionService:
             writer.write(summary_line("retire", group=group) + "\n")
             return
         raise ValueError(f"unhandled cluster verb {command!r}")
-
-    def _repartition(self, n_groups: int) -> None:
-        """Swap the engine for one of ``n_groups`` partitions, none hosted.
-
-        The coordinator drafts a plain ``repro-serve`` instance with
-        ``!cluster <n_groups>`` before switching to binary frames; hosted
-        groups then arrive through ``!adopt``.  Any detection state of the
-        old engine is discarded -- nodes are drafted fresh -- but its
-        settings carry over, a runtime-installed admission filter included,
-        and so does the recorder's dump count: a later session on the node
-        never overwrites an earlier one's dumps or resets the dump budget.
-        """
-        with self._lock:
-            old = self.engine
-            self.engine = ShardedEngine(
-                replace(old.config, n_shards=n_groups, groups=())
-            )
-            self.engine.recorder.dumps_written = old.recorder.dumps_written
-            self.engine.recorder.dumps_suppressed = old.recorder.dumps_suppressed
-            old.close()
-            self.tracer = self.engine.tracer
 
     def _binary_loop(
         self, binary: BinaryIO, writer: TextIO, state: WireIngest, tally: _Tally

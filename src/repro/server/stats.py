@@ -109,6 +109,9 @@ class ServiceStats:
     flightrec_dumps: int = 0
     #: race reports that arrived with a provenance chain attached
     provenance_attached: int = 0
+    #: events the kernel's synchronization list retains (a gauge: garbage
+    #: collection lowers it)
+    synclist_live: int = 0
     #: snapshot keys dropped by from_dict (newer-server fields)
     unknown_fields: int = 0
     shards: List[ShardStats] = field(default_factory=list)
@@ -160,6 +163,7 @@ class ServiceStats:
             "spans_sampled": self.spans_sampled,
             "flightrec_dumps": self.flightrec_dumps,
             "provenance_attached": self.provenance_attached,
+            "synclist_live": self.synclist_live,
             "unknown_fields": self.unknown_fields,
             "short_circuit_rate": self.short_circuit_rate,
             "shards": [shard.as_dict() for shard in self.shards],

@@ -210,7 +210,7 @@ def test_a_refused_hand_off_goes_back_to_its_source(events, reference):
             def refuse(group, blob=None):
                 raise ValueError("refused for the test")
 
-            # ``!cluster`` gave the node a fresh engine: patch that one
+            # the node's engine, re-partitioned in place by ``!cluster``
             services["node0"].engine.adopt_group = refuse
             with pytest.raises(RuntimeError, match="node node0: .*refused for the test"):
                 coordinator.migrate(1, "node0")

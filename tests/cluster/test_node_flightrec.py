@@ -87,7 +87,7 @@ def test_node_dumps_replay_and_explain_across_a_group_move(recording_nodes, caps
 
 
 def test_a_second_cluster_session_keeps_the_first_sessions_dumps(tmp_path):
-    """``!cluster`` swaps in a fresh engine, but dump numbering (and the dump
+    """``!cluster`` restarts detection, but dump numbering (and the dump
     budget) stay per process: a second session on a long-lived node adds
     dumps next to the first session's instead of overwriting them."""
     directory = str(tmp_path / "node0")

@@ -9,6 +9,7 @@ have.
 
 import io
 import pickle
+from collections import Counter
 
 import pytest
 
@@ -165,10 +166,13 @@ RETIRED_FLAGS = [
 
 def checkpoint_in_an_older_layout(detector, monkeypatch, retired, index_keys=True):
     """``detector.checkpoint()`` in the layout an older kernel wrote: its
-    config carries the ``retired`` ``(flag, value)`` pairs and, without
-    ``index_keys``, the event list records its key index as switched off."""
+    config carries the ``retired`` ``(flag, value)`` pairs, its event list
+    the per-segment reference counts of the infos' anchors (``refs``) and,
+    without ``index_keys``, a key index recorded as switched off."""
     kernel_state = EncodedGoldilocks.__getstate__
     list_state = EncodedSyncList.__getstate__
+    size = detector.events.segment_size
+    refs = Counter(info.pos // size for info in detector._all_infos())
 
     def old_kernel_state(self):
         state = kernel_state(self)
@@ -176,12 +180,14 @@ def checkpoint_in_an_older_layout(detector, monkeypatch, retired, index_keys=Tru
         return state
 
     def old_list_state(self):
-        return {**list_state(self), "index_keys": False}
+        state = {**list_state(self), "refs": sorted(refs.items())}
+        if not index_keys:
+            state["index_keys"] = False
+        return state
 
     with monkeypatch.context() as patch:
         patch.setattr(EncodedGoldilocks, "__getstate__", old_kernel_state)
-        if not index_keys:
-            patch.setattr(EncodedSyncList, "__getstate__", old_list_state)
+        patch.setattr(EncodedSyncList, "__getstate__", old_list_state)
         return detector.checkpoint()
 
 
@@ -225,6 +231,7 @@ def resume_older_blob(fresh, restore, frames, monkeypatch):
     blob = checkpoint_in_an_older_layout(detector, monkeypatch, RETIRED_FLAGS)
     for flag, _value in RETIRED_FLAGS:
         assert flag.encode() in blob
+    assert b"refs" in blob
 
     resumed = restore(blob)
     assert resumed.checkpoint() == detector.checkpoint()
@@ -312,17 +319,20 @@ def test_shard_checkpoint_with_the_retired_ablation_flags_resumes(monkeypatch):
 
 def test_a_malformed_older_group_checkpoint_is_refused(monkeypatch):
     """An older group blob is read by advancing its infos over its own
-    list; one whose list lost its infos' anchors fails that walk, and the
-    blob is refused as unreadable, as any malformed blob is."""
+    list; one whose list freed the segments its infos are anchored in
+    fails that walk, and the blob is refused as unreadable, as any
+    malformed blob is."""
     from repro.core.kernel import load_vars_checkpoint
     from repro.server import engine as engine_mod
 
     older = older_group_kernel()
     monkeypatch.setattr(engine_mod, older.__name__, older, raising=False)
-    detector = older()
+    detector = older(segment_size=8, gc_threshold=None)
     for event in TRACE:
         detector.process(event)
     assert load_vars_checkpoint(detector.checkpoint())["partition"] == (0, 1)
-    detector.events._refs.clear()
+    events = detector.events
+    assert events.collect_prefix(events.total_enqueued) > 0
+    assert min(info.pos for info in detector._all_infos()) < events.head_pos
     with pytest.raises(ValueError, match="unreadable checkpoint"):
         load_vars_checkpoint(detector.checkpoint())

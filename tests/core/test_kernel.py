@@ -141,10 +141,10 @@ class TestIntLockset:
 class TestEncodedSyncList:
     def test_positions_are_global_and_tail_tracks_enqueues(self):
         lst = EncodedSyncList(segment_size=4)
-        assert lst.tail_pos == 0
+        assert lst.total_enqueued == 0
         for i in range(6):
             assert lst.enqueue_encoded(1, tid_id=3, key=10 + (i % 2), gain=20 + i) == i
-        assert lst.tail_pos == 6 and len(lst) == 6
+        assert lst.total_enqueued == 6 and len(lst) == 6
         assert lst.at(5) == (1, 3, 11, 25)
         assert positions_from(lst, 10, 0) == [0, 2, 4]
         assert positions_from(lst, 11, 2) == [3, 5]
@@ -154,39 +154,39 @@ class TestEncodedSyncList:
         lst = EncodedSyncList(segment_size=4)
         for i in range(10):  # segments 0,1 full; segment 2 partial
             lst.enqueue_encoded(1, 1, i % 2, i)
-        lst.incref(5)  # pins segment 1
-        assert lst.collect_prefix() == 4  # only segment 0 goes
+        assert lst.collect_prefix(5) == 4  # an anchor at 5 keeps segment 1
         assert lst.head_pos == 4 and len(lst) == 6
         assert positions_from(lst, 0, 0)[0] == 4  # index pruned with the prefix
-        lst.decref(5)
-        assert lst.collect_prefix() == 4  # segment 1 now goes
-        assert lst.collect_prefix() == 0  # partial tail segment never freed
+        assert lst.collect_prefix(2) == 0  # an anchor before the head frees nothing
+        assert lst.collect_prefix(10) == 4  # segment 1 now goes
+        assert lst.collect_prefix(10) == 0  # partial tail segment never freed
         assert lst.head_pos == 8 and lst.total_collected == 8
         assert lst.at(9) == (1, 1, 1, 9)  # surviving positions unrenumbered
 
-    def test_refcounts_are_per_segment(self):
+    def test_a_segment_goes_once_the_oldest_anchor_passes_it(self):
         lst = EncodedSyncList(segment_size=4)
         for i in range(4):
             lst.enqueue_encoded(1, 1, i, i)
-        lst.incref(0)
-        lst.incref(3)  # same segment, second anchor
-        lst.decref(0)
-        assert lst.collect_prefix() == 0  # still one anchor left
-        lst.decref(3)
-        assert lst.collect_prefix() == 4
+        assert lst.collect_prefix(0) == 0
+        assert lst.collect_prefix(3) == 0  # an anchor inside the segment keeps it
+        assert lst.collect_prefix(4) == 4
 
     def test_pickle_round_trip_is_byte_stable(self):
         lst = EncodedSyncList(segment_size=3)
         for i in range(7):
             lst.enqueue_encoded(1 + (i % 2), 1 + (i % 3), i, i * 2)
         lst.add_commit_row(ls_make([1, 2]), frozenset([3, BITSET_CUTOFF + 1]), 1)
-        lst.incref(2)
         blob = pickle.dumps(lst)
         clone = pickle.loads(blob)
         assert pickle.dumps(clone) == blob
         assert clone.at(4) == lst.at(4)
         assert positions_from(clone, 2, 0) == positions_from(lst, 2, 0)
         assert clone.commit_table == lst.commit_table
+        # older lists also pickled per-segment reference counts; restore
+        # ignores them, and the list pickles in the current layout again
+        older = EncodedSyncList.__new__(EncodedSyncList)
+        older.__setstate__({**lst.__getstate__(), "refs": [(0, 2), (2, 1)]})
+        assert pickle.dumps(older) == blob
 
 
 # ---------------------------------------------------------------------------
@@ -483,17 +483,17 @@ def test_checkpoint_does_not_depend_on_the_string_hash_seed():
 
 
 def test_dropping_variables_releases_their_list_anchors():
-    """A retired group's infos give back their anchors, as an allocation's
-    do: with nothing anchored, the list frees every full segment."""
+    """A retired group's infos are deleted, as an allocation's are: the
+    next collection no longer sees their anchors, and with none left it
+    frees every full segment."""
     from tests.helpers import service_trace
 
     kernel = EncodedGoldilocks(segment_size=8, gc_threshold=None)
     kernel.process_all(service_trace())
-    assert kernel.events._refs and kernel.events.total_enqueued == 160
+    assert kernel.events.total_enqueued == 160
     kernel.drop_vars(lambda var: var.obj.value % 2 == 0)
-    assert kernel.events._refs, "the other half still anchors the list"
+    assert list(kernel._all_infos()), "the other half still anchors the list"
     kernel.drop_vars(lambda var: True)
-    assert not kernel.events._refs and not kernel._by_obj
+    assert not list(kernel._all_infos()) and not kernel._by_obj
     assert not kernel.write_info and not kernel.read_info
-    tail = kernel.events.total_enqueued
-    assert kernel.events.collect_prefix() == tail - tail % 8
+    assert kernel.collect() == 160 and len(kernel.events) == 0

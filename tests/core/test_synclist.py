@@ -257,14 +257,14 @@ def test_a_list_started_mid_segment_indexes_and_collects_from_its_head():
 
     events = EncodedSyncList(segment_size=8)
     events.start_at(13)
-    assert (events.tail_pos, len(events)) == (13, 0)
+    assert (events.total_enqueued, len(events)) == (13, 0)
     for i in range(20):
         events.enqueue_encoded(OP_ACQUIRE, 1, 2, 100 + i)
     assert events.at(13) == (OP_ACQUIRE, 1, 2, 100)
     assert events.key_positions(2, 0) == (list(range(13, 33)), 0)
     clone = pickle.loads(pickle.dumps(events))
     assert clone._by_key == events._by_key and len(clone) == 20
-    # segments 1-3 are full and unanchored; 32 sits in the open segment 4
-    assert events.collect_prefix() == 32 - 13
+    # with nothing anchored, full segments 1-3 go; 32 sits in the open segment 4
+    assert events.collect_prefix(events.total_enqueued) == 32 - 13
     assert (events.head_pos, len(events)) == (32, 1)
     assert events.key_positions(2, 0) == ([32], 0)

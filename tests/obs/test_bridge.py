@@ -98,3 +98,29 @@ def test_idle_service_bridges_cleanly():
     samples = parse_exposition(registry_from_stats(ServiceStats()).render())
     assert samples["repro_short_circuit_rate"] == [({}, 1.0)]
     assert samples["repro_races_reported_total"] == [({}, 0.0)]
+
+
+def test_the_synclist_gauge_reads_the_kernels_retained_list():
+    """A stream with more sync events than one list segment, under a GC
+    threshold below that count: ``repro_kernel_synclist_live`` and
+    ``!stats``' ``synclist_live`` read the events the kernel's list still
+    holds, below the sync events it applied."""
+    import io
+
+    from repro.server.service import RaceDetectionService, ServiceConfig
+
+    lines = ["2 0 write 5 f"]
+    for i in range(300):
+        lines += [f"1 {2 * i} acq 10", f"1 {2 * i + 1} rel 10"]
+    lines += ["2 1 write 5 f", "!stats"]
+    out = io.StringIO()
+    with RaceDetectionService(ServiceConfig(gc_threshold=100)) as service:
+        service.handle_stream(io.StringIO("\n".join(lines) + "\n"), out)
+        live = len(service.engine._kernel.events)
+        samples = parse_exposition(service.render_metrics())
+    (stats_line,) = [line for line in out.getvalue().splitlines() if line.startswith("stats ")]
+    stats = ServiceStats.from_json(stats_line[len("stats ") :])
+    sync_events = stats.detector["sync_events"]
+    assert sync_events == 600 and stats.detector["cells_collected"] > 0
+    assert samples["repro_kernel_synclist_live"] == [({}, float(live))]
+    assert stats.synclist_live == live < sync_events

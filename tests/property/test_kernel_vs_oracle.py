@@ -9,6 +9,10 @@ access, over the seeded fuzzer's default and wild mixes (as in
 * the kernel's object path, :meth:`EncodedGoldilocks.process`;
 * its packed path, :meth:`EventEncoder.encode_line` then
   :meth:`EncodedGoldilocks.apply_packed`;
+* both of these at a drawn GC setting: the default threshold, which these
+  traces never reach, or a small ``(gc_threshold, segment_size)`` pair
+  under which the kernel collects its list and partially-eagerly advances
+  its infos as the trace runs;
 * a 4-group :class:`ShardedEngine` fed text lines, one of whose groups is
   handed over at a drawn cut: exported and retired on the engine, then
   adopted by a second engine that hosts nothing and was fed the same
@@ -41,6 +45,14 @@ N_GROUPS = 4
 
 mixes = st.sampled_from(sorted(MIXES))
 seeds = st.integers(min_value=0, max_value=10**9)
+#: the kernel's GC settings: its defaults, or a small threshold and segment
+gc_settings = st.sampled_from(
+    [{}]
+    + [
+        {"gc_threshold": threshold, "segment_size": size}
+        for threshold, size in ((2, 1), (4, 2), (8, 4))
+    ]
+)
 
 
 def first_by_seq(reports):
@@ -52,19 +64,24 @@ def first_by_seq(reports):
 
 
 @settings(max_examples=60, deadline=None)
-@given(mix=mixes, seed=seeds)
-def test_kernel_object_path_matches_the_oracle(mix, seed):
+@given(mix=mixes, seed=seeds, gc=gc_settings)
+def test_kernel_object_path_matches_the_oracle(mix, seed, gc):
     events = MIXES[mix].generate(seed)
-    got = detector_first_races(EncodedGoldilocks(), events)
-    assert got == oracle_first_races(events), f"{mix} seed {seed}"
+    got = detector_first_races(EncodedGoldilocks(**gc), events)
+    assert got == oracle_first_races(events), f"{mix} seed {seed} {gc}"
 
 
 @settings(max_examples=60, deadline=None)
-@given(mix=mixes, seed=seeds, per_frame=st.integers(min_value=1, max_value=40))
-def test_kernel_packed_path_matches_the_oracle(mix, seed, per_frame):
+@given(
+    mix=mixes,
+    seed=seeds,
+    per_frame=st.integers(min_value=1, max_value=40),
+    gc=gc_settings,
+)
+def test_kernel_packed_path_matches_the_oracle(mix, seed, per_frame, gc):
     events = MIXES[mix].generate(seed)
     encoder = EventEncoder()
-    kernel = EncodedGoldilocks()
+    kernel = EncodedGoldilocks(**gc)
     reports = []
     cursor = 1
     for start in range(0, len(events), per_frame):
@@ -78,7 +95,7 @@ def test_kernel_packed_path_matches_the_oracle(mix, seed, per_frame):
         frame = encode_frame(cursor, encoder.interner.elements_since(cursor), records, extras)
         cursor = len(encoder.interner)
         reports.extend(kernel.apply_packed(frame)[0])
-    assert first_by_seq(reports) == oracle_first_races(events), f"{mix} seed {seed}"
+    assert first_by_seq(reports) == oracle_first_races(events), f"{mix} seed {seed} {gc}"
 
 
 def race_lines(reports):

@@ -92,9 +92,7 @@ def build(kernel_cls, size, body, head=0):
             events.enqueue_encoded(OP_COMMIT, tid_id, row, 0)
         else:
             events.enqueue_encoded(op, tid_id, a, b)
-    events.incref(head)
-    events.collect_prefix()  # frees the full segments before head's
-    events.decref(head)
+    events.collect_prefix(head)  # frees the full segments before head's
     assert events.head_pos == head - head % size
     return detector
 
@@ -120,10 +118,7 @@ def check_scan(detector, ls, start, end, target):
 def test_one_pass_advance_equals_forward_replay(kernel_cls, scenario):
     size, body, head, cutoff, anchored = scenario
     detector = build(kernel_cls, size, body, head)
-    infos = []
-    for pos, ls in anchored:
-        infos.append(KInfo(1, pos, ls, None, False, None))
-        detector.events.incref(pos)
+    infos = [KInfo(1, pos, ls, None, False, None) for pos, ls in anchored]
     expected = [linear_replay(detector.events, info.ls, info.pos, cutoff) for info in infos]
 
     detector._advance_to(infos, cutoff)
@@ -131,8 +126,9 @@ def test_one_pass_advance_equals_forward_replay(kernel_cls, scenario):
     for info, want in zip(infos, expected):
         assert info.pos == cutoff
         assert same(info.ls, want)
-    # every anchor moved: the prefix holds no reference any more
-    assert detector.events._refs == {cutoff // size: len(infos)}
+    # every anchor moved: the list frees every full segment before the cutoff
+    detector.events.collect_prefix(min(info.pos for info in infos))
+    assert detector.events.head_pos == cutoff - cutoff % size
     assert detector.stats.partial_evaluations == len(infos)
 
 

@@ -257,6 +257,47 @@ def test_no_counter_goes_backwards_across_retire_adopt_and_reset():
     assert snapshots[-1]["races_reported"] == 84
 
 
+def test_no_counter_goes_backwards_across_cluster():
+    """``!cluster 4`` drafts a server as a node: detection restarts over 4
+    groups, none hosted, but no ``_total`` counter of ``!stats`` or
+    ``/metrics`` goes backwards, and none of their series disappears."""
+    import io
+    import json
+
+    from repro.obs.registry import parse_exposition
+    from repro.server.service import RaceDetectionService, ServiceConfig
+    from repro.server.stats import ServiceStats
+
+    script = (
+        "1 0 write 5 f\n2 0 write 5 f\n!stats\n!metrics\n"
+        "!cluster 4\n!stats\n!metrics\n!health\n"
+    )
+    out = io.StringIO()
+    with RaceDetectionService(ServiceConfig()) as service:
+        service.handle_stream(io.StringIO(script), out)
+    lines = out.getvalue().splitlines()
+    stats, scrapes, health = [], [], None
+    for i, line in enumerate(lines):
+        if line.startswith("stats "):
+            stats.append(counters(ServiceStats.from_json(line[len("stats ") :])))
+        elif line.startswith("ok metrics lines="):
+            n = int(line.split("=")[1])
+            scrapes.append(parse_exposition("\n".join(lines[i + 1 : i + 1 + n])))
+        elif line.startswith("health "):
+            health = json.loads(line[len("health ") :])
+    assert stats[0]["races_reported"] == 1 and stats[0]["shard0.accesses_checked"] == 2
+    assert_never_decreases(stats)
+    before, after = scrapes
+    assert before["repro_stage_events_total"], "no stage series to keep"
+    for name, series in before.items():
+        if name.endswith("_total"):
+            now = {tuple(sorted(labels.items())): value for labels, value in after[name]}
+            for labels, value in series:
+                assert now[tuple(sorted(labels.items()))] >= value, (name, labels)
+    assert health["cluster"]["hosted_groups"] == []
+    assert health["cluster"]["n_groups"] == 4
+
+
 def test_an_adopting_engine_counts_only_the_races_it_finds():
     """A process counts what it did: the blob brings a group's state, not
     the exporter's counters."""
