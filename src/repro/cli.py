@@ -14,6 +14,19 @@ Every command that takes a trace accepts ``-`` for stdin and ``.gz``
 paths, so recorded streams pipe straight between the fuzzer, the
 :mod:`repro.server` service, and shell tooling.
 
+``analyze`` runs the default detector, ``goldilocks`` (the encoded kernel,
+:class:`~repro.core.EncodedGoldilocks`), the way ``repro-serve`` does: each
+line goes through the service's encoder
+(:meth:`~repro.core.encode.EventEncoder.encode_line`) into packed integer
+records, applied in chunks of :data:`CHUNK_EVENTS`, so no ``Event`` object
+is built.  The other detectors read ``Event`` objects
+(:func:`~repro.trace.load_trace`), as do ``oracle``, ``shrink`` and
+``explain``.
+
+Exit status of ``analyze`` (and ``oracle``): 0 no race, 1 races found, 2 a
+trace that cannot be read (a missing file, a byte that is not UTF-8, a
+malformed line, whose number the ``error:`` line gives) or a usage error.
+
 The trace format is the line-based one of :mod:`repro.trace.io` (see that
 module's docstring); ``fuzz`` emits it, the runtime's
 :class:`~repro.trace.TraceRecorder` + :func:`~repro.trace.dump_trace`
@@ -24,7 +37,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List
+from array import array
+from itertools import chain
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .baselines import (
     EraserDetector,
@@ -38,9 +53,12 @@ from .core import (
     EncodedGoldilocks,
     LazyGoldilocks,
 )
-from .core.actions import DataVar, Obj
+from .core.actions import DataVar, Event, Obj
+from .core.lockset import Interner
+from .core.report import RaceReport
 from .oracle import HappensBeforeOracle
 from .trace import RandomTraceGenerator, dump_trace, load_trace
+from .trace.io import TraceFormatError, iter_records, open_lines
 
 DETECTORS = {
     "goldilocks": EncodedGoldilocks,
@@ -53,12 +71,37 @@ DETECTORS = {
     "fasttrack": FastTrackDetector,
 }
 
+#: events per chunk of packed records ``analyze`` hands the encoded kernel
+CHUNK_EVENTS = 512
 
-def _load(trace_arg: str):
+#: one chunk: its records (six ints each) and the extras its commits use
+Chunk = Tuple[array, array]
+
+#: what reading a trace raises when it cannot be read: a missing file, a
+#: truncated ``.gz``, a byte that is not UTF-8, a malformed line
+_UNREADABLE = (OSError, EOFError, UnicodeDecodeError, TraceFormatError)
+
+
+def _source(trace_arg: str):
+    """A trace argument as a source: a path, a ``.gz`` path, or ``-`` for stdin."""
+    return sys.stdin if trace_arg == "-" else trace_arg
+
+
+def _load(trace_arg: str) -> List[Event]:
     """Load a trace argument: a path, a ``.gz`` path, or ``-`` for stdin."""
-    if trace_arg == "-":
-        return load_trace(sys.stdin)
-    return load_trace(trace_arg)
+    return load_trace(_source(trace_arg))
+
+
+def _unreadable(trace_arg: str, exc: Exception) -> int:
+    """Report a trace that cannot be read, with no verdict: exit status 2."""
+    name = "<stdin>" if trace_arg == "-" else trace_arg
+    print(f"error: cannot read trace {name}: {exc}", file=sys.stderr)
+    return 2
+
+
+def _reads_records(detector) -> bool:
+    """Whether a detector (class or instance) takes packed records."""
+    return hasattr(detector, "apply_records")
 
 
 def _make_detector(name: str, commit_sync: str):
@@ -68,8 +111,85 @@ def _make_detector(name: str, commit_sync: str):
     return factory()
 
 
+class _Trace:
+    """The trace ``analyze`` reads, in the form each detector takes.
+
+    A detector with ``apply_records`` (the encoded kernel) takes packed
+    records, encoded from the text by the service's encoder
+    (:func:`~repro.trace.io.iter_records`); every other detector takes
+    ``Event`` objects from :func:`load_trace`.  Unless ``shared``, the
+    records stream from the source; shared, the text is read once (stdin
+    can be read only once) and each form is built once, whole.  An
+    admission filter drops the data accesses it proves race-free from
+    either form; ``total`` and ``kept`` count the events of a whole form
+    before and after it.
+    """
+
+    def __init__(self, trace_arg: str, admit, shared: bool) -> None:
+        source = _source(trace_arg)
+        if shared:
+            with open_lines(source) as lines:
+                source = list(lines)
+        self.source = source
+        self.admit = admit
+        self.shared = shared
+        self.total = self.kept = 0
+        self._events: Optional[List[Event]] = None
+        self._records: Optional[Tuple[Interner, Iterable[Chunk]]] = None
+
+    def events(self) -> List[Event]:
+        if self._events is None:
+            events = load_trace(self.source)
+            self.total = len(events)
+            if self.admit is not None:
+                events = self.admit.filter_events(events)
+            self.kept = len(events)
+            self._events = events
+        return self._events
+
+    def records(self) -> Tuple[Interner, Iterable[Chunk]]:
+        """The id space of the records, and their chunks."""
+        if self._records is None:
+            interner = Interner()
+            chunks: Iterable[Chunk] = self._encode(interner)
+            if self.shared:
+                chunks = list(chunks)
+                self.kept = sum(len(records) for records, _ in chunks) // 6
+            self._records = interner, chunks
+        return self._records
+
+    def _encode(self, interner: Interner) -> Iterator[Chunk]:
+        with open_lines(self.source) as lines:
+            lines = iter(lines)
+            first = next(lines, None)
+            if first is None:
+                return  # no line: no encoder, so start-up imports nothing more
+            from .core.encode import EventEncoder
+
+            encoder = EventEncoder(admit=self.admit)
+            encoder.interner = interner  # both empty: one id space
+            yield from iter_records(chain((first,), lines), encoder, CHUNK_EVENTS)
+            self.total = encoder.events_encoded
+
+    def run(self, detector) -> Tuple[List[RaceReport], int]:
+        """``(reports, events checked)`` of one detector over the trace."""
+        if not _reads_records(detector):
+            events = self.events()
+            return detector.process_all(events), len(events)
+        interner, chunks = self.records()
+        # each chunk comes after the encoder interned every id it names
+        detector.interner = interner
+        reports: List[RaceReport] = []
+        applied = 0
+        for records, extras in chunks:
+            found, count = detector.apply_records(records, extras)
+            reports.extend(report for _seq, report in found)
+            applied += count
+        return reports, applied
+
+
 def cmd_analyze(args) -> int:
-    events = _load(args.trace)
+    admit = None
     if getattr(args, "admit", None):
         from .analysis.admission import load_admission_filter
 
@@ -78,14 +198,23 @@ def cmd_analyze(args) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: --admit: {exc}")
             return 2
-        total = len(events)
-        events = admit.filter_events(events)
-        print(
-            f"[admit] {admit.describe()}; "
-            f"{total - len(events)}/{total} event(s) dropped"
-        )
+    names = args.detector or ["goldilocks"]
+    try:
+        trace = _Trace(args.trace, admit, shared=len(names) > 1 or admit is not None)
+        if admit is not None:
+            # the counts come before any verdict: build the first form now
+            if _reads_records(DETECTORS[names[0]]):
+                trace.records()
+            else:
+                trace.events()
+            print(
+                f"[admit] {admit.describe()}; "
+                f"{trace.total - trace.kept}/{trace.total} event(s) dropped"
+            )
+    except _UNREADABLE as exc:
+        return _unreadable(args.trace, exc)
     status = 0
-    for name in args.detector or ["goldilocks"]:
+    for name in names:
         try:
             detector = _make_detector(name, args.commit_sync)
         except ValueError as exc:
@@ -93,8 +222,11 @@ def cmd_analyze(args) -> int:
             # online algorithm's last-access compression cannot express it).
             print(f"error: {exc}; use `repro-race oracle` for this policy")
             return 2
-        reports = detector.process_all(events)
-        print(f"[{name}] {len(reports)} race(s) over {len(events)} events")
+        try:
+            reports, n_events = trace.run(detector)
+        except _UNREADABLE as exc:
+            return _unreadable(args.trace, exc)
+        print(f"[{name}] {len(reports)} race(s) over {n_events} events")
         for report in reports:
             print(f"  {report}")
         if args.stats:
@@ -107,7 +239,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    events = _load(args.trace)
+    try:
+        events = _load(args.trace)
+    except _UNREADABLE as exc:
+        return _unreadable(args.trace, exc)
     oracle = HappensBeforeOracle(events, commit_sync=args.commit_sync)
     races = oracle.races()
     print(f"[oracle] {len(races)} racy pair(s) over {len(events)} events")
@@ -139,7 +274,10 @@ def cmd_shrink(args) -> int:
     """Delta-debug a racy trace down to a locally minimal reproducer."""
     from .trace.minimize import minimize_race, races_on
 
-    events = _load(args.trace)
+    try:
+        events = _load(args.trace)
+    except _UNREADABLE as exc:
+        return _unreadable(args.trace, exc)
     if args.var:
         obj_part, _, field = args.var.partition(".")
         var = DataVar(Obj(int(obj_part)), field)
@@ -272,7 +410,10 @@ def cmd_explain(args) -> int:
             file=sys.stderr,
         )
         return 2
-    events = _load(args.trace)
+    try:
+        events = _load(args.trace)
+    except _UNREADABLE as exc:
+        return _unreadable(args.trace, exc)
     obj_part, _, field = args.var.partition(".")
     var = DataVar(Obj(int(obj_part)), field)
     try:

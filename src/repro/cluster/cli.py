@@ -337,7 +337,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     move(group, dst)
                 try:
                     coordinator.submit_line(text)
-                except (ValueError, IndexError):
+                except ValueError:
                     out.write(f"error unparseable event line: {text}\n")
                     continue
                 count += 1

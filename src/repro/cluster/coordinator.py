@@ -285,7 +285,7 @@ class ClusterCoordinator:
 
     def submit_line(self, line: str) -> int:
         """Ingest one trace text line; a line the encoder refuses raises
-        (``ValueError`` or ``IndexError``) before it takes a ``seq``."""
+        ``ValueError`` before it takes a ``seq``."""
         op, tid_id, index, a, b, extras = self.encoder.encode_line(line)
         return self._ingest(op, tid_id, index, a, b, extras)
 

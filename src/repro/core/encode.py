@@ -611,25 +611,27 @@ class EventEncoder:
     ) -> Tuple[int, int, int, int, int, Optional[List[int]]]:
         """One trace text line -> packed record, with zero object churn.
 
-        Mirrors :func:`repro.trace.io.parse_event`'s grammar and raises on
-        exactly the lines it rejects.  Elements are interned in the same
-        order as :meth:`encode_event` (thread first), so both entry points
-        produce identical id assignments; a rejected line can leave its
-        thread id interned, which is harmless (an unreferenced id merely
+        Mirrors :func:`repro.trace.io.parse_event`'s grammar: both raise
+        ``ValueError`` on exactly the same lines.  Elements are interned in
+        the same order as :meth:`encode_event` (thread first), so both entry
+        points produce identical id assignments; a rejected line can leave
+        its thread id interned, which is harmless (an unreferenced id merely
         rides along in the next delta).
         """
         parts = line.split()
         if len(parts) < 3:
-            raise ValueError(f"malformed event line: {line!r}")
+            raise ValueError(f"too few fields in event line {line!r}")
         tid_value = int(parts[0])
         index = int(parts[1])
         kind = parts[2]
-        args = parts[3:]
         handler = _LINE_HANDLERS.get(kind)
         if handler is None:
             raise ValueError(f"unknown event kind {kind!r}")
         tid_id = self._tid_id(tid_value)
-        op, a_spec, b_spec, extras = handler(self, args)
+        try:
+            op, a_spec, b_spec, extras = handler(self, parts[3:])
+        except IndexError:
+            raise ValueError(f"too few fields in event line {line!r}") from None
         self.events_encoded += 1
         a = tid_id if a_spec == "tid" else a_spec
         b = tid_id if b_spec == "tid" else b_spec
@@ -646,7 +648,8 @@ class EventEncoder:
 
 # The handlers below mirror ``parse_event``'s exact laxness (positional
 # access, trailing tokens ignored) so ``encode_line`` and ``parse_event``
-# agree line-for-line on what counts as a parse error.
+# agree line-for-line on what counts as a parse error.  A missing token
+# surfaces as ``IndexError``, which ``encode_line`` turns into ValueError.
 
 
 def _line_data(op):

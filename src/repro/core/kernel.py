@@ -920,9 +920,15 @@ class EncodedGoldilocks(Detector):
     # -- garbage collection and partially-eager evaluation ---------------------------
 
     def _maybe_collect(self) -> None:
-        if self.gc_threshold is None or len(self.events) <= self.gc_threshold:
+        events = self.events
+        if self.gc_threshold is None or len(events) <= self.gc_threshold:
             return
-        self.collect()
+        # A collection frees whole segments before the one being appended
+        # to, and advances only infos anchored before it: with no such
+        # segment (a threshold below the segment size) it could do nothing.
+        size = events.segment_size
+        if events.total_enqueued // size > events.head_pos // size:
+            self.collect()
 
     def collect(self) -> int:
         """Reclaim the event-list prefix (Section 5.4); returns events freed.
@@ -994,6 +1000,9 @@ class EncodedGoldilocks(Detector):
         table = events.commit_table
         reach: Dict[int, int] = {}
         get = reach.get
+        #: advanced mask -> its canonical lockset: infos often advance to
+        #: the same set, and decoding a mask past the cutoff is costly
+        canonical: Dict[int, IntLockset] = {}
         pos = cutoff
         for stop in stops:
             while pos > stop:  # cells [stop, pos), newest first
@@ -1020,8 +1029,11 @@ class EncodedGoldilocks(Detector):
                 mask = 0
                 for eid in ls_ids(info.ls):
                     mask |= get(eid, 1 << eid)
+                ls = canonical.get(mask)
+                if ls is None:
+                    ls = canonical[mask] = ls_from_mask(mask)
                 info.pos = cutoff
-                info.ls = ls_from_mask(mask)
+                info.ls = ls
 
     # -- checkpointing ---------------------------------------------------------
 

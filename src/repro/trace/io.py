@@ -23,11 +23,17 @@ in-repo at a fraction of the size.  :func:`iter_trace` parses lazily for
 streaming consumers, and :func:`follow_lines` / :func:`follow_trace` tail a
 growing file incrementally, ``tail -f`` style (``repro-serve --tail``).
 
-:func:`iter_packed_frames` is the fast path from a stored trace to the
-binary wire: it encodes text lines straight into packed integer frames
-(:mod:`repro.core.encode`) without ever constructing ``Event`` objects, so
-a gzipped trace can be replayed against a binary-mode service at frame
-granularity.
+:func:`iter_records` is the fast path from trace text to the kernel: it
+encodes lines straight into packed integer records
+(:mod:`repro.core.encode`) without ever constructing ``Event`` objects.
+``repro-race analyze`` hands its arrays to the kernel, and
+:func:`iter_packed_frames` wraps them in wire frames, so a gzipped trace
+can be replayed against a binary-mode service at frame granularity.
+
+Both grammars -- :func:`parse_event` and
+:meth:`~repro.core.encode.EventEncoder.encode_line` -- raise ``ValueError``
+on exactly the same lines; read from a file, a bad line raises
+:class:`TraceFormatError`, which names its line number.
 """
 
 from __future__ import annotations
@@ -35,7 +41,18 @@ from __future__ import annotations
 import gzip
 import time
 from array import array
-from typing import Callable, Iterable, Iterator, List, Optional, TextIO, Union
+from contextlib import contextmanager
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    TextIO,
+    Tuple,
+    Union,
+)
 
 from ..core.actions import (
     Acquire,
@@ -55,13 +72,26 @@ from ..core.actions import (
     Write,
 )
 
+if TYPE_CHECKING:  # pragma: no cover - typing only; imported lazily at use
+    from ..core.encode import EventEncoder
+
+
+class TraceFormatError(ValueError):
+    """A trace line that does not parse; ``lineno`` counts from 1."""
+
+    def __init__(self, lineno: int, problem: Exception) -> None:
+        super().__init__(f"line {lineno}: {problem}")
+        self.lineno = lineno
+
 
 def _fmt_var(var: DataVar) -> str:
     return f"{var.obj.value}.{var.field}"
 
 
 def _parse_var(text: str) -> DataVar:
-    obj_part, _, field = text.partition(".")
+    obj_part, dot, field = text.partition(".")
+    if not dot:
+        raise ValueError(f"malformed variable token {text!r}")
     return DataVar(Obj(int(obj_part)), field)
 
 
@@ -95,8 +125,20 @@ def format_event(event: Event) -> str:
 
 
 def parse_event(line: str) -> Event:
-    """Parse one line produced by :func:`format_event`."""
+    """Parse one line produced by :func:`format_event`.
+
+    A malformed line raises ``ValueError``, as
+    :meth:`~repro.core.encode.EventEncoder.encode_line` does on the same
+    line; tokens past the ones a kind takes are ignored by both.
+    """
     parts = line.split()
+    try:
+        return _parse_parts(parts)
+    except IndexError:
+        raise ValueError(f"too few fields in event line {line!r}") from None
+
+
+def _parse_parts(parts: List[str]) -> Event:
     tid, index, kind = Tid(int(parts[0])), int(parts[1]), parts[2]
     args = parts[3:]
     if kind == "alloc":
@@ -118,12 +160,13 @@ def parse_event(line: str) -> Event:
         return Event(tid, index, Join(Tid(int(args[0]))))
     if kind == "commit":
         # args look like: R v1 v2 ... W v3 v4 ...
-        assert args and args[0] == "R", f"malformed commit line: {line!r}"
-        w_at = args.index("W")
+        if not args or args[0] != "R":
+            raise ValueError(f"malformed commit: {' '.join(parts)!r}")
+        w_at = args.index("W")  # ValueError when absent, like encode_line
         reads = frozenset(_parse_var(a) for a in args[1:w_at])
         writes = frozenset(_parse_var(a) for a in args[w_at + 1 :])
         return Event(tid, index, Commit(reads, writes))
-    raise ValueError(f"unknown event kind {kind!r} in line {line!r}")
+    raise ValueError(f"unknown event kind {kind!r}")
 
 
 def _open_path(path: str, mode: str) -> TextIO:
@@ -153,87 +196,113 @@ def iter_trace(source: Union[TextIO, str]) -> Iterator[Event]:
 
     Unlike :func:`load_trace` this never materializes the text, so it works
     on streams much larger than memory and on pipes that produce events
-    incrementally (``repro-race analyze -`` reading from a shell pipeline).
+    incrementally.
     """
+    with open_lines(source) as handle:
+        yield from _iter_lines(handle)
+
+
+@contextmanager
+def open_lines(source: Union[Iterable[str], str]) -> Iterator[Iterable[str]]:
+    """The lines of a path (``.gz`` supported) or of an open text source."""
     if isinstance(source, str):
         with _open_path(source, "r") as handle:
-            yield from _iter_lines(handle)
+            yield handle
     else:
-        yield from _iter_lines(source)
+        yield source
 
 
 def _iter_lines(handle: Iterable[str]) -> Iterator[Event]:
-    for line in handle:
+    for lineno, line in enumerate(handle, 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        yield parse_event(line)
+        try:
+            event = parse_event(line)
+        except ValueError as exc:
+            raise TraceFormatError(lineno, exc) from exc
+        yield event
+
+
+def iter_records(
+    source: Union[Iterable[str], str],
+    encoder: "EventEncoder",
+    events_per_chunk: int = 512,
+) -> Iterator[Tuple[array, array]]:
+    """Encode trace text into ``(records, extras)`` arrays, chunk by chunk.
+
+    Each chunk holds up to ``events_per_chunk`` packed records (see
+    :mod:`repro.core.encode`) and the extras their commits point into, in
+    ``encoder``'s id space; lines are encoded with
+    :meth:`~repro.core.encode.EventEncoder.encode_line`, so no ``Event``
+    object exists on this path.  A chunk is yielded as soon as it fills,
+    with every id it names already interned: a kernel that shares the
+    encoder's interner can apply it at once.
+
+    The ``seq`` column holds a running count of the events read.  A data
+    access the encoder's admission filter drops takes its ``seq`` but no
+    record, as at the service's edge.  A malformed line raises
+    :class:`TraceFormatError`.
+    """
+    encode = encoder.encode_line
+    records = array("q")
+    extras = array("q")
+    limit = 6 * events_per_chunk
+    seq = 0
+    with open_lines(source) as handle:
+        for lineno, line in enumerate(handle, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                op, tid_id, index, a, b, extra_ints = encode(line)
+            except ValueError as exc:
+                raise TraceFormatError(lineno, exc) from exc
+            if a < 0:  # FILTERED_VAR: the admission filter dropped the access
+                seq += 1
+                continue
+            if extra_ints is not None:
+                a = len(extras)
+                extras.extend(extra_ints)
+            records.extend((op, seq, tid_id, index, a, b))
+            seq += 1
+            if len(records) >= limit:
+                yield records, extras
+                records = array("q")
+                extras = array("q")
+    if records:
+        yield records, extras
 
 
 def iter_packed_frames(
-    source: Union[TextIO, str],
+    source: Union[Iterable[str], str],
     events_per_frame: int = 512,
     encoder: Optional["EventEncoder"] = None,
 ) -> Iterator[bytes]:
     """Read a text trace straight into packed wire frames.
 
     Each yielded ``bytes`` value is one :func:`repro.core.encode.encode_frame`
-    payload carrying up to ``events_per_frame`` events plus the interner
-    delta the receiver needs -- exactly what a binary-mode client ships in a
-    ``FRAME_EVENTS`` frame.  Lines are encoded via
-    :meth:`~repro.core.encode.EventEncoder.encode_line`, so no ``Event``
-    objects exist on this path; ``.gz`` paths decompress transparently.
+    payload carrying one :func:`iter_records` chunk of up to
+    ``events_per_frame`` events plus the interner delta the receiver needs
+    -- exactly what a binary-mode client ships in a ``FRAME_EVENTS``
+    frame.  ``.gz`` paths decompress transparently.
 
-    The ``seq`` column holds a local running count -- receivers that assign
-    their own sequence numbers (the service does) ignore it.  Pass a shared
-    ``encoder`` to keep one id space across several files; the caller then
-    owns cursor bookkeeping for any *additional* receivers.
+    Receivers that assign their own sequence numbers (the service does)
+    ignore the ``seq`` column.  Pass a shared ``encoder`` to keep one id
+    space across several files; the caller then owns cursor bookkeeping
+    for any *additional* receivers.
     """
     from ..core.encode import EventEncoder, encode_frame
 
     if encoder is None:
         encoder = EventEncoder()
     cursor = len(encoder.interner)
-    records = array("q")
-    extras = array("q")
-    pending = 0
-    seq = 0
-
-    def _frame() -> bytes:
-        nonlocal cursor
+    for records, extras in iter_records(source, encoder, events_per_frame):
         frame = encode_frame(
             cursor, encoder.interner.elements_since(cursor), records, extras
         )
         cursor = len(encoder.interner)
-        return frame
-
-    if isinstance(source, str):
-        handle_cm = _open_path(source, "r")
-    else:
-        handle_cm = None
-    handle = handle_cm if handle_cm is not None else source
-    try:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            op, tid_id, index, a, b, extra_ints = encoder.encode_line(line)
-            if extra_ints is not None:
-                a = len(extras)
-                extras.extend(extra_ints)
-            records.extend((op, seq, tid_id, index, a, b))
-            seq += 1
-            pending += 1
-            if pending >= events_per_frame:
-                yield _frame()
-                records = array("q")
-                extras = array("q")
-                pending = 0
-        if pending:
-            yield _frame()
-    finally:
-        if handle_cm is not None:
-            handle_cm.close()
+        yield frame
 
 
 def follow_lines(
@@ -281,7 +350,7 @@ def follow_trace(
     """Tail a growing trace file, yielding events as lines are appended.
 
     :func:`follow_lines`, parsed: blank and ``#`` lines are skipped, and a
-    malformed line raises ``ValueError``.
+    malformed line raises :class:`TraceFormatError`.
     """
-    for lines in follow_lines(path, poll_interval, stop):
-        yield from _iter_lines(lines)
+    batches = follow_lines(path, poll_interval, stop)
+    yield from _iter_lines(line for lines in batches for line in lines)

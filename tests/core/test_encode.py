@@ -4,6 +4,7 @@ import io
 from array import array
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import EncodedGoldilocks, LazyGoldilocks
 from repro.core.actions import (
@@ -148,15 +149,84 @@ def test_cache_misses_count_only_new_elements():
 
 @pytest.mark.parametrize(
     "line",
-    ["1 0 acq", "1 0 warp 3", "1 0 read 5", "x 0 read 5 f", "1 0 commit W 1.f"],
+    [
+        "1 0 acq",
+        "1 0 warp 3",
+        "1 0 read 5",
+        "x 0 read 5 f",
+        "1 0 commit W 1.f",
+        "1 0 commit R 5 W",
+        "1 0 commit X 5.f W",
+        "1 0 commit R 5.f",
+        "1 0 fork",
+        "1 0",
+    ],
 )
 def test_encode_line_rejects_what_parse_event_rejects(line):
     from repro.trace.io import parse_event
 
-    with pytest.raises(Exception):
+    with pytest.raises(ValueError):
         parse_event(line)
-    with pytest.raises(Exception):
+    with pytest.raises(ValueError):
         EventEncoder().encode_line(line)
+
+
+def test_parse_event_checks_the_commit_marker_under_python_O():
+    """``python -O`` strips ``assert``: the ``R`` marker needs a real check,
+    or ``commit X 5.f W`` would parse as ``commit R 5.f W``."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    probe = (
+        "from repro.trace.io import parse_event\n"
+        "try:\n"
+        "    parse_event('1 0 commit X 5.f W')\n"
+        "except ValueError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit('accepted')\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+KINDS = ["read", "write", "vread", "vwrite", "acq", "rel", "fork", "join", "alloc", "commit"]
+#: operands a random trace line draws from, well-formed and malformed
+OPERANDS = ["1", "0", "-3", "x", "5", "5.f", "5.", ".f", "f", "7.g.h", "R", "W"]
+#: a line of any tokens, or one shaped ``<tid> <index> <kind> <operands>``
+line_tokens = st.one_of(
+    st.lists(st.sampled_from(OPERANDS + KINDS), max_size=7),
+    st.tuples(
+        st.sampled_from(["1", "2", "x"]),
+        st.sampled_from(["0", "1", "y"]),
+        st.sampled_from(KINDS),
+        st.lists(st.sampled_from(OPERANDS), max_size=5),
+    ).map(lambda t: [t[0], t[1], t[2], *t[3]]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(tokens=line_tokens)
+def test_both_parsers_accept_the_same_lines(tokens):
+    from repro.trace.io import parse_event
+
+    line = " ".join(tokens)
+    try:
+        event = parse_event(line)
+    except ValueError:
+        with pytest.raises(ValueError):
+            EventEncoder().encode_line(line)
+        return
+    assert EventEncoder().encode_line(line) == EventEncoder().encode_event(event)
 
 
 def test_commit_read_write_overlap_normalizes_to_write():

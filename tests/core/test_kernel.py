@@ -321,23 +321,28 @@ class TestKernelGC:
     def test_every_collection_frees_a_segment(self):
         # 10% of the list is less than one segment here: a cutoff inside the
         # pinned head segment would free nothing and rerun GC on every sync.
-        detector = EncodedGoldilocks(gc_threshold=1000, segment_size=256)
-        freed = []
-        collect = detector.collect
-
-        def counting_collect():
-            freed.append(collect())
-            return freed[-1]
-
-        detector.collect = counting_collect
+        # Below the segment size, the threshold is passed long before the
+        # list holds a full segment to free.
         trace = self.pipeline_trace(700)
-        assert detector.process_all(trace) == EncodedGoldilocks(
-            gc_threshold=None
-        ).process_all(trace)
-        assert freed, "GC never ran; weak test"
-        assert min(freed) >= 256
-        assert len(freed) <= detector.stats.sync_events // 256
-        assert len(detector.events) <= 1000
+        want = EncodedGoldilocks(gc_threshold=None).process_all(trace)
+        for gc_threshold, segment_size in ((1000, 256), (100, 256)):
+            detector = EncodedGoldilocks(
+                gc_threshold=gc_threshold, segment_size=segment_size
+            )
+            freed = []
+            collect = detector.collect
+
+            def counting_collect(collect=collect, freed=freed):
+                freed.append(collect())
+                return freed[-1]
+
+            detector.collect = counting_collect
+            setting = (gc_threshold, segment_size)
+            assert detector.process_all(trace) == want, setting
+            assert freed, f"GC never ran at {setting}; weak test"
+            assert min(freed) >= segment_size, setting
+            assert len(freed) <= detector.stats.sync_events // segment_size, setting
+            assert len(detector.events) <= max(gc_threshold, segment_size), setting
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,11 @@ access, over the seeded fuzzer's default and wild mixes (as in
 ``test_theorem1.py``), through
 
 * the kernel's object path, :meth:`EncodedGoldilocks.process`;
-* its packed path, :meth:`EventEncoder.encode_line` then
-  :meth:`EncodedGoldilocks.apply_packed`;
+* its packed paths: the text encoded by :func:`repro.trace.io.iter_records`
+  (:meth:`EventEncoder.encode_line`), then applied as wire frames
+  (:meth:`EncodedGoldilocks.apply_packed`, the service's path) or as the
+  record arrays themselves (:meth:`EncodedGoldilocks.apply_records` on
+  the encoder's id space, ``repro-race analyze``'s path);
 * both of these at a drawn GC setting: the default threshold, which these
   traces never reach, or a small ``(gc_threshold, segment_size)`` pair
   under which the kernel collects its list and partially-eagerly advances
@@ -24,16 +27,14 @@ it hosts: the hand-off is the case where a footprint variable's owner
 changes under the kernel.
 """
 
-from array import array
-
 from hypothesis import given, settings, strategies as st
 
 from repro.core import EncodedGoldilocks
-from repro.core.encode import EventEncoder, encode_frame
+from repro.core.encode import EventEncoder
 from repro.server.engine import EngineConfig, ShardedEngine, shard_of
 from repro.server.protocol import format_race
 from repro.trace import RandomTraceGenerator
-from repro.trace.io import format_event
+from repro.trace.io import format_event, iter_packed_frames, iter_records
 
 from tests.helpers import detector_first_races, oracle_first_races
 
@@ -77,24 +78,22 @@ def test_kernel_object_path_matches_the_oracle(mix, seed, gc):
     seed=seeds,
     per_frame=st.integers(min_value=1, max_value=40),
     gc=gc_settings,
+    framed=st.booleans(),
 )
-def test_kernel_packed_path_matches_the_oracle(mix, seed, per_frame, gc):
+def test_kernel_packed_path_matches_the_oracle(mix, seed, per_frame, gc, framed):
     events = MIXES[mix].generate(seed)
-    encoder = EventEncoder()
+    lines = [format_event(event) for event in events]
     kernel = EncodedGoldilocks(**gc)
     reports = []
-    cursor = 1
-    for start in range(0, len(events), per_frame):
-        records, extras = array("q"), array("q")
-        for seq in range(start, min(start + per_frame, len(events))):
-            op, tid, index, a, b, ex = encoder.encode_line(format_event(events[seq]))
-            if ex is not None:
-                a = len(extras)
-                extras.extend(ex)
-            records.extend((op, seq, tid, index, a, b))
-        frame = encode_frame(cursor, encoder.interner.elements_since(cursor), records, extras)
-        cursor = len(encoder.interner)
-        reports.extend(kernel.apply_packed(frame)[0])
+    if framed:
+        for frame in iter_packed_frames(lines, per_frame):
+            reports.extend(kernel.apply_packed(frame)[0])
+    else:
+        encoder = EventEncoder()
+        kernel.interner = encoder.interner
+        for records, extras in iter_records(lines, encoder, per_frame):
+            reports.extend(kernel.apply_records(records, extras)[0])
+    # the records' seq column is the event's index in the trace
     assert first_by_seq(reports) == oracle_first_races(events), f"{mix} seed {seed} {gc}"
 
 

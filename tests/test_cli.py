@@ -1,10 +1,15 @@
 """Tests for the repro-race command-line interface."""
 
+import io
+
 import pytest
 
+from repro.baselines import EraserDetector
 from repro.cli import main
-from repro.core import Obj, Tid
-from repro.trace import TraceBuilder, dump_trace
+from repro.core import EncodedGoldilocks, LazyGoldilocks, Obj, Tid
+from repro.trace import RandomTraceGenerator, TraceBuilder, dump_trace, load_trace
+
+from tests.helpers import service_trace_text
 
 
 @pytest.fixture()
@@ -217,3 +222,152 @@ def test_serve_help_lists_no_retired_shard_options(capsys):
     usage = capsys.readouterr().out
     for retired in ("--workers", "--transport", "--queue-depth"):
         assert retired not in usage
+
+
+# -- analyze through the encoder: what the object path printed -----------------
+#
+# The default detector reads packed records through the service's encoder;
+# its output must equal what ``analyze`` printed when every detector took
+# ``Event`` objects: the detector's ``process_all`` over ``load_trace``.
+
+OBJECT_PATH = {
+    "goldilocks": EncodedGoldilocks,
+    "goldilocks-seed": LazyGoldilocks,
+    "eraser": EraserDetector,
+}
+
+
+def object_path_output(events, names=("goldilocks",), commit_sync="footprint"):
+    """``(stdout, exit status)`` of the object path over ``events``."""
+    out, status = [], 0
+    for name in names:
+        factory = OBJECT_PATH[name]
+        if name.startswith("goldilocks"):
+            detector = factory(commit_sync=commit_sync)
+        else:
+            detector = factory()
+        reports = detector.process_all(events)
+        out.append(f"[{name}] {len(reports)} race(s) over {len(events)} events")
+        out.extend(f"  {report}" for report in reports)
+        out.extend(f"    {k}: {v}" for k, v in detector.stats.as_dict().items() if v)
+        status = status or int(bool(reports))
+    return "".join(line + "\n" for line in out), status
+
+
+FUZZ_MIXES = {
+    "default": RandomTraceGenerator(),
+    "wild": RandomTraceGenerator(max_threads=6, steps_per_thread=20, p_discipline=0.3),
+}
+
+
+@pytest.mark.parametrize("commit_sync", ["footprint", "atomic-order"])
+@pytest.mark.parametrize("mix", sorted(FUZZ_MIXES))
+def test_analyze_prints_what_the_object_path_printed(tmp_path, capsys, mix, commit_sync):
+    path = str(tmp_path / "fuzzed.trace")
+    for seed in range(15):
+        dump_trace(FUZZ_MIXES[mix].generate(seed), path)
+        want = object_path_output(load_trace(path), commit_sync=commit_sync)
+        code = main(["--commit-sync", commit_sync, "analyze", path, "--stats"])
+        assert (capsys.readouterr().out, code) == want, f"{mix} seed {seed}"
+
+
+@pytest.mark.parametrize("source", ["file", "gz", "stdin"])
+def test_analyze_the_service_trace_from_any_source(tmp_path, monkeypatch, capsys, source):
+    text = service_trace_text()
+    want = object_path_output(load_trace(io.StringIO(text)))
+    assert want[1] == 1 and "cells_traversed" in want[0]
+    if source == "stdin":
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        arg = "-"
+    else:
+        arg = str(tmp_path / ("service.trace.gz" if source == "gz" else "service.trace"))
+        dump_trace(load_trace(io.StringIO(text)), arg)
+    code = main(["analyze", arg, "--stats"])
+    assert (capsys.readouterr().out, code) == want
+
+
+def test_several_detectors_read_stdin_once(monkeypatch, capsys):
+    text = service_trace_text()
+    names = ["goldilocks", "goldilocks-seed", "eraser"]
+    want = object_path_output(load_trace(io.StringIO(text)), names)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    argv = ["analyze", "-", "--stats"]
+    for name in names:
+        argv += ["--detector", name]
+    code = main(argv)
+    assert (capsys.readouterr().out, code) == want
+
+
+@pytest.fixture(scope="module")
+def colt_admission(tmp_path_factory):
+    """A recorded colt trace and the admission filter built for it."""
+    from repro.analysis.admission import build_admission_filter, record_workload
+
+    events, objmap = record_workload("colt", scale="tiny")
+    directory = tmp_path_factory.mktemp("colt")
+    trace, filter_path = str(directory / "colt.trace"), str(directory / "colt.json")
+    dump_trace(events, trace)
+    with open(filter_path, "w", encoding="utf-8") as handle:
+        handle.write(build_admission_filter("colt", objmap=objmap).to_json())
+    return trace, filter_path
+
+
+@pytest.mark.parametrize(
+    "names",
+    [["goldilocks"], ["goldilocks", "eraser"], ["eraser", "goldilocks"]],
+    ids="+".join,
+)
+def test_analyze_admit_drops_what_the_filter_proves(colt_admission, capsys, names):
+    from repro.analysis.admission import load_admission_filter
+
+    trace, filter_path = colt_admission
+    admit = load_admission_filter(filter_path)
+    events = load_trace(trace)
+    kept = admit.filter_events(events)
+    assert 0 < len(kept) < len(events)
+    out, status = object_path_output(kept, names)
+    dropped = f"{len(events) - len(kept)}/{len(events)} event(s) dropped"
+    want = f"[admit] {admit.describe()}; {dropped}\n" + out
+    argv = ["analyze", trace, "--admit", filter_path, "--stats"]
+    for name in names:
+        argv += ["--detector", name]
+    code = main(argv)
+    assert (capsys.readouterr().out, code) == (want, status)
+
+
+# -- a trace that cannot be read ---------------------------------------------
+
+
+@pytest.fixture(params=["missing", "not-utf8", "malformed"])
+def unreadable_trace(request, tmp_path):
+    """``(path, what the error line must say)`` of a trace that cannot be read."""
+    path = tmp_path / "bad.trace"
+    if request.param == "missing":
+        return str(path), "No such file"
+    if request.param == "not-utf8":
+        path.write_bytes(b"1 0 write 5 f\n2 0 write 5 \xff\n")
+        return str(path), "can't decode byte 0xff"
+    path.write_text("1 0 write 5 f\n# a comment\n2 0 write x f\n2 1 write 5 f\n")
+    return str(path), "line 3: "
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["analyze"],
+        ["analyze", "--detector", "goldilocks-seed"],
+        ["analyze", "--detector", "goldilocks", "--detector", "eraser"],
+        ["oracle"],
+        ["shrink"],
+        ["explain", "--var", "5.f"],
+    ],
+    ids=" ".join,
+)
+def test_a_trace_that_cannot_be_read_exits_2(unreadable_trace, command, capsys):
+    path, says = unreadable_trace
+    assert main([command[0], path, *command[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # no verdict
+    assert err.startswith(f"error: cannot read trace {path}: ")
+    assert says in err
+    assert err.count("\n") == 1
