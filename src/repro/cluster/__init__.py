@@ -3,14 +3,15 @@
 A single-process service runs one kernel for crc32-partitioned groups of
 variables.  This package spreads the groups over several such processes:
 
-* :mod:`.membership` -- node registry with heartbeat liveness tracking;
 * :mod:`.coordinator` -- the ingestion edge of the cluster: one master
   :class:`~repro.core.encode.EventEncoder`, per-node interner cursors, packed
   frames over the existing ``!binary`` wire, race collection, the
   :class:`~repro.cluster.coordinator.Placement` of shard *groups* (global
-  crc32 partitions) round-robin over the sorted node names, and the live
+  crc32 partitions) round-robin over the sorted node names, the live
   shard-group migration driver (checkpoint and retire on A, adopt on B,
-  pin the group to B);
+  pin the group to B), node liveness read off its ``!metrics`` poll, and
+  :class:`~repro.cluster.coordinator.NodeLost` when a node's connection
+  fails;
 * :mod:`.cli` -- the ``repro-cluster`` command.
 
 Nodes are plain ``repro-serve`` instances running the same engine: the
@@ -22,15 +23,14 @@ from .coordinator import (
     ClusterConfig,
     ClusterCoordinator,
     ClusterStats,
+    NodeLost,
     Placement,
 )
-from .membership import Membership, NodeState
 
 __all__ = [
     "ClusterConfig",
     "ClusterCoordinator",
     "ClusterStats",
-    "Membership",
-    "NodeState",
+    "NodeLost",
     "Placement",
 ]

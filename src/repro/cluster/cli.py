@@ -21,9 +21,12 @@ them).  A line that is not an event is answered as ``repro-serve``
 answers it, with ``error unparseable event line: <line>`` on stdout, and
 takes no ``seq``.  Each ``--migrate`` spec is checked before any node is
 dialled, and the race lines completed before a move are written before
-it runs, so a move that fails still leaves them on stdout.  Exit status
-mirrors ``repro-serve``: 1 if any race was reported, 0 otherwise, 2 for
-usage and operational errors.
+it runs, so a move that fails still leaves them on stdout.  When a node's
+connection fails, the nodes that survive are flushed and every race line
+they report is written, in ``seq`` order, before one error line that
+names the lost node and the groups it hosted.  Exit status mirrors
+``repro-serve``: 1 if any race was reported, 0 otherwise, 2 for usage and
+operational errors, a lost node included.
 """
 
 from __future__ import annotations
@@ -33,10 +36,10 @@ import json
 import os
 import sys
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, TextIO, Tuple
 
 from ..obs.tracing import ObsConfig
-from .coordinator import ClusterConfig, ClusterCoordinator
+from .coordinator import ClusterConfig, ClusterCoordinator, NodeLost
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -200,11 +203,30 @@ def _write_exposition(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _write_survivors(coordinator: ClusterCoordinator, lost: NodeLost, out: TextIO) -> None:
+    """Write the race lines of the nodes that survive ``lost``, in ``seq``
+    order, then one error line per lost node."""
+    errors = [lost]
+    while True:
+        try:
+            lines = coordinator.barrier()
+            break
+        except NodeLost as another:  # left out of the next barrier
+            errors.append(another)
+    for line in lines:
+        out.write(line + "\n")
+    out.flush()
+    for error in errors:
+        print(f"repro-cluster: error: {error}", file=sys.stderr)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.groups < 1:
         parser.error("--groups must be at least 1")
+    if args.batch_size < 1:
+        parser.error("--batch-size must be at least 1")
     try:
         migrations = sorted(
             (_parse_migration(spec) for spec in args.migrate),
@@ -328,33 +350,36 @@ def main(argv: Optional[List[str]] = None) -> int:
             pending = list(migrations)
             count = 0
             last_refresh = time.monotonic()
-            for line in stream:
-                text = line.strip()
-                if not text or text.startswith("#"):
-                    continue
-                while pending and pending[0][2] <= count:
-                    group, dst, _at = pending.pop(0)
+            try:
+                for line in stream:
+                    text = line.strip()
+                    if not text or text.startswith("#"):
+                        continue
+                    while pending and pending[0][2] <= count:
+                        group, dst, _at = pending.pop(0)
+                        move(group, dst)
+                    try:
+                        coordinator.submit_line(text)
+                    except ValueError:
+                        out.write(f"error unparseable event line: {text}\n")
+                        continue
+                    count += 1
+                    now = time.monotonic()
+                    if now - last_refresh >= args.metrics_interval:
+                        last_refresh = now
+                        coordinator.refresh_federation()
+                        if args.metrics_out and args.metrics_out != "-":
+                            _write_exposition(
+                                args.metrics_out, coordinator.federation_text()
+                            )
+                # Anything still pending fires at end-of-stream.
+                for group, dst, _at in pending:
                     move(group, dst)
-                try:
-                    coordinator.submit_line(text)
-                except ValueError:
-                    out.write(f"error unparseable event line: {text}\n")
-                    continue
-                count += 1
-                coordinator.heartbeat()
-                now = time.monotonic()
-                if now - last_refresh >= args.metrics_interval:
-                    last_refresh = now
-                    coordinator.refresh_federation()
-                    if args.metrics_out and args.metrics_out != "-":
-                        _write_exposition(
-                            args.metrics_out, coordinator.federation_text()
-                        )
-            # Anything still pending fires at end-of-stream.
-            for group, dst, _at in pending:
-                move(group, dst)
-            for line in coordinator.barrier():
-                out.write(line + "\n")
+                for line in coordinator.barrier():
+                    out.write(line + "\n")
+            except NodeLost as lost:
+                _write_survivors(coordinator, lost, out)
+                return 2
             stats = coordinator.stats()
             races = stats.races_reported
             if args.stats:

@@ -26,9 +26,13 @@ keep their coordinator-assigned ``seq``, so a migrated run's output is
 line-identical to an unmigrated one.
 
 The coordinator is single-threaded by design (one ingestion loop, like
-the service's ingestion lock); heartbeats ride the same control channels
-between batches.  Each node is one :class:`~repro.server.client.
-ServiceClient` connection.
+the service's ingestion lock).  Each node is one :class:`~repro.server.
+client.ServiceClient` connection.  A node is ``up`` while it answers the
+``!metrics`` poll of :meth:`ClusterCoordinator.refresh_federation`; a send
+or a control verb that fails on its connection raises :class:`NodeLost`,
+which names the node and the groups it hosted, and from then on the
+coordinator leaves that node out of every flush and barrier, so a
+barrier still collects the race lines of the nodes that survive.
 """
 
 from __future__ import annotations
@@ -58,7 +62,6 @@ from ..obs.slo import SloWatchdog
 from ..obs.tracing import LifecycleTracer, ObsConfig
 from ..server.client import ServiceClient
 from ..server.protocol import FRAME_EVENTS, format_race
-from .membership import Membership
 
 
 @dataclass
@@ -72,9 +75,6 @@ class ClusterConfig:
     n_groups: int = 4
     #: records buffered per node before a frame is shipped
     batch_size: int = 256
-    #: heartbeat sweep interval (seconds) and tolerated consecutive misses
-    heartbeat_interval: float = 2.0
-    max_missed: int = 3
     #: socket timeout for node connections
     timeout: float = 30.0
     #: observability tunables (span log receives migration trace spans)
@@ -84,6 +84,10 @@ class ClusterConfig:
     #: the coordinator (still consuming their cluster-wide seq) and the
     #: filter is forwarded to every node via ``!admit`` at connect time.
     admit: Optional[object] = None
+
+    def __post_init__(self) -> None:
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
 
 
 class Placement:
@@ -134,11 +138,12 @@ class _Node:
     """The coordinator's side of one node: its connection, the records
     routed to it and not yet shipped, the interner-delta ``cursor`` into
     the coordinator's master (the node's replica version after its next
-    frame), and what was shipped so far."""
+    frame), what was shipped so far, the ``!metrics`` polls it has missed
+    in a row, and whether its connection failed (``lost``)."""
 
     __slots__ = (
         "name", "client", "records", "extras", "count", "cursor",
-        "events_sent", "frames_sent", "bytes_sent",
+        "events_sent", "frames_sent", "bytes_sent", "missed", "lost",
     )
 
     def __init__(self, name: str, client: ServiceClient) -> None:
@@ -151,6 +156,8 @@ class _Node:
         self.events_sent = 0
         self.frames_sent = 0
         self.bytes_sent = 0
+        self.missed = 0
+        self.lost = False
 
     def append(
         self, op: int, seq: int, tid_id: int, index: int, a: int, b: int,
@@ -163,15 +170,13 @@ class _Node:
         self.count += 1
 
 
-@contextlib.contextmanager
-def _naming(node: str):
-    """Re-raise a connection's failure or ``error`` reply naming ``node``."""
-    try:
-        yield
-    except RuntimeError as exc:
-        raise RuntimeError(f"node {node}: {exc}") from exc
-    except OSError as exc:
-        raise ConnectionError(f"node {node}: {exc}") from exc
+class NodeLost(ConnectionError):
+    """A node's connection failed: the verdicts of the groups it hosted
+    end there.  The message names the node and those groups."""
+
+    def __init__(self, node: str, groups: List[int], cause: OSError) -> None:
+        hosted = f"groups {', '.join(map(str, groups))}" if groups else "no groups"
+        super().__init__(f"node {node} ({hosted}): {cause}")
 
 
 @dataclass
@@ -187,7 +192,6 @@ class ClusterStats:
     migrations_completed: int
     assignment: Dict[str, List[int]]
     nodes: List[Dict[str, object]]
-    membership: Dict[str, object]
     #: data accesses the coordinator dropped as statically race-free
     data_filtered: int = 0
     #: admission policy in force ("off" when no filter is installed)
@@ -206,7 +210,6 @@ class ClusterStats:
             "migrations_completed": self.migrations_completed,
             "assignment": self.assignment,
             "nodes": self.nodes,
-            "membership": self.membership,
         }
 
 
@@ -217,9 +220,6 @@ class ClusterCoordinator:
         self.config = config
         # validates the node list and the group count before any dialling
         self.placement = Placement(config.nodes, config.n_groups)
-        self.membership = Membership(
-            interval=config.heartbeat_interval, max_missed=config.max_missed
-        )
         self.encoder = EventEncoder(config.n_groups, admit=config.admit)
         self.tracer = LifecycleTracer(config.obs or ObsConfig())
         #: trace-context propagation: when on, every shipped frame is
@@ -251,30 +251,47 @@ class ClusterCoordinator:
             admit_command = "admit " + blob.decode("ascii")
         for name in sorted(config.nodes):
             host, port = config.nodes[name]
-            with _naming(name):
+            try:
                 client = ServiceClient.tcp(host, port, timeout=config.timeout)
+            except OSError as exc:
+                raise ConnectionError(f"node {name}: {exc}") from exc
             node = self._nodes[name] = _Node(name, client)
             # ``!cluster`` re-partitions the node and marks this connection
             # as the coordinator's: the node keeps the ids and ``seq`` of
             # every frame it sends
             self._command(node, f"cluster {config.n_groups}")
-            with _naming(name):
+            with self._naming(node):
                 if not client.enable_binary():
                     raise RuntimeError("refused !binary")
             if admit_command is not None:
                 # forward the filter so nodes defend in depth and report
                 # the policy in their own stats/metrics
                 self._command(node, admit_command)
-            self.membership.record_success(name)
         # Initial placement: every group adopted fresh on its placed node.
         for group in range(config.n_groups):
             node = self._nodes[self.placement.node_of(group)]
             self._command(node, f"adopt {group}")
 
+    @contextlib.contextmanager
+    def _naming(self, node: _Node):
+        """Re-raise an ``error`` reply naming ``node``, and a failure of its
+        connection as :class:`NodeLost`, marking the node lost."""
+        try:
+            yield
+        except RuntimeError as exc:
+            raise RuntimeError(f"node {node.name}: {exc}") from exc
+        except OSError as exc:
+            node.lost = True
+            groups = self.placement.assignment()[node.name]
+            raise NodeLost(node.name, groups, exc) from exc
+
+    def _live(self) -> List[_Node]:
+        return [node for node in self._nodes.values() if not node.lost]
+
     def _command(self, node: _Node, command: str, reply_kind: str = "ok") -> str:
         """One control verb on ``node``'s connection; returns the reply
         payload.  Race lines read on the way are banked in its client."""
-        with _naming(node.name):
+        with self._naming(node):
             return node.client._command(command, reply_kind)
 
     # -- ingestion -------------------------------------------------------------
@@ -335,7 +352,7 @@ class ClusterCoordinator:
             if trace_id is None:
                 trace_id = self._window_trace_id()
             payload = stamp_trace(trace_id, payload)
-        with _naming(node.name):
+        with self._naming(node):
             node.bytes_sent += node.client.send_frame(FRAME_EVENTS, payload)
         node.frames_sent += 1
         node.events_sent += count
@@ -346,12 +363,12 @@ class ClusterCoordinator:
         return make_trace_id(self._trace_node, window)
 
     def flush(self) -> None:
-        """Push every node's pending buffer (no drain)."""
-        for node in self._nodes.values():
+        """Push every live node's pending buffer (no drain)."""
+        for node in self._live():
             self._flush_node(node)
 
     def barrier(self) -> List[str]:
-        """Flush and fully drain every node; returns the new race lines.
+        """Flush and fully drain every live node; returns the new race lines.
 
         A node answers ``!flush`` after the race lines of every frame sent
         before it, so the lines it banked by then are complete.  They are
@@ -359,11 +376,17 @@ class ClusterCoordinator:
         order a single-node run writes them in, and the text orders the
         lines of one ``seq`` -- a commit whose footprint races in several
         groups -- the same way whichever node reported them.
+
+        A node lost on the way raises :class:`NodeLost` before any banked
+        line is taken, so the next barrier, which leaves it out, returns
+        every line the survivors reported.
         """
         self.flush()
-        drained: List[Tuple[int, str]] = []
-        for node in self._nodes.values():
+        live = self._live()
+        for node in live:
             self._command(node, "flush")
+        drained: List[Tuple[int, str]] = []
+        for node in live:
             # a banked RaceLine has the fields format_race reads off a report
             races = node.client.races
             drained.extend((race.seq, format_race(race.seq, race)) for race in races)
@@ -432,16 +455,6 @@ class ClusterCoordinator:
             node=self._trace_node if self._trace_on else None,
         )
 
-    # -- membership / liveness ---------------------------------------------------
-
-    def heartbeat(self, force: bool = False) -> Dict[str, bool]:
-        """One ``!ping`` sweep over every node (when due); name -> alive."""
-        if not force and not self.membership.due():
-            return {}
-        return self.membership.sweep(
-            lambda name: self._nodes[name].client.ping()
-        )
-
     # -- stats -------------------------------------------------------------------
 
     def stats(self) -> ClusterStats:
@@ -452,7 +465,6 @@ class ClusterCoordinator:
         nodes = []
         for name in sorted(self._nodes):
             node = self._nodes[name]
-            state = self.membership.node(name)
             nodes.append(
                 {
                     "name": name,
@@ -461,8 +473,8 @@ class ClusterCoordinator:
                     "frames_sent": node.frames_sent,
                     "bytes_sent": node.bytes_sent,
                     "interner_cursor": node.cursor,
-                    "status": state.status,
-                    "missed": state.missed,
+                    "status": "down" if node.missed else "up",
+                    "missed": node.missed,
                 }
             )
         return ClusterStats(
@@ -481,7 +493,6 @@ class ClusterCoordinator:
             migrations_completed=self.migrations_completed,
             assignment=assignment,
             nodes=nodes,
-            membership=self.membership.as_dict(),
         )
 
     # -- federated metrics plane -------------------------------------------------
@@ -491,17 +502,23 @@ class ClusterCoordinator:
 
         Called from the (single-threaded) ingestion loop between batches;
         the HTTP endpoint and ``--metrics-out`` serve the cached text, so
-        this is the only place node sockets are touched for metrics.  A
-        node that fails the poll is skipped -- its absence is visible as a
-        missing ``node`` label, and the heartbeat sweep handles liveness.
-        Returns the merged exposition.
+        this is the only place node sockets are touched for metrics.  The
+        poll is also the nodes' liveness check: a node that answers has
+        missed 0 polls and reads ``up``; one that fails is skipped -- its
+        absence is visible as a missing ``node`` label -- and its count of
+        missed polls goes up by one, so it reads ``down``.  The snapshot
+        exported below is taken after the poll.  Returns the merged
+        exposition.
         """
         members: Dict[str, str] = {}
         for name in sorted(self._nodes):
+            node = self._nodes[name]
             try:
-                members[name] = self._nodes[name].client.metrics()
+                members[name] = node.client.metrics()
             except (OSError, RuntimeError, ValueError):
+                node.missed += 1
                 continue
+            node.missed = 0
         # The coordinator participates as a member too: its tracer carries
         # the migration spans and any coordinator-side stage counters.
         members[self._trace_node] = self.tracer.registry.render()

@@ -8,7 +8,7 @@ two-phase garbage collection -- with the hot loop rebuilt on integers:
   (:class:`repro.core.lockset.Interner`), and locksets become int bitmasks
   (:data:`~repro.core.lockset.BITSET_CUTOFF`-bounded) or frozensets of ids;
 * the synchronization-event list is a :class:`repro.core.synclist.EncodedSyncList`
-  -- parallel ``(opcode, tid_id, key, gain)`` int arrays in fixed-size
+  -- parallel ``(opcode, key, gain)`` int arrays in fixed-size
   segments -- so replaying the Figure 5 rules is a tight loop with no
   ``isinstance`` dispatch: a simple sync is uniformly
   ``if key in ls: ls.add(gain)``, a commit reads one row of a side table;
@@ -19,9 +19,15 @@ two-phase garbage collection -- with the hot loop rebuilt on integers:
   thread-restricted traversal, so the ladder has five rungs (fresh,
   transactional, same-thread, alock, **epoch**) before the replay;
 * per-variable access state is int-keyed too: infos are filed under a
-  *variable key* (kept apart from the interner, so data variables never
-  widen a lockset's id space) and read slots under ``tid_id << 1 | xact``;
-  ``DataVar`` and ``AccessRef`` objects are built only for a race report;
+  *variable key*, assigned apart from the interner, and read slots under
+  ``tid_id << 1 | xact``; ``DataVar`` and ``AccessRef`` objects are built
+  only for a race report.  On the object path (:meth:`process`) a data
+  variable therefore never takes an interner id, so it never widens a
+  lockset's id space.  The packed path (:meth:`apply_records`, which the
+  service and ``repro-race analyze`` feed) reads the edge encoder's id
+  space, where every data variable is already interned: there thread and
+  lock ids can land past :data:`~repro.core.lockset.BITSET_CUTOFF`, and
+  locksets that hold them spill from bitmasks to frozensets;
 * two fast paths beyond the paper's short circuits always run:
 
   - **sync-epoch check**: if no synchronization event has been enqueued
@@ -305,7 +311,7 @@ class EncodedGoldilocks(Detector):
             key, gain = intern(action.child), tid_id
         else:  # pragma: no cover - exhaustive over SyncAction minus Commit
             raise TypeError(f"not a simple synchronization action: {action!r}")
-        self.events.enqueue_encoded(sync_opcode(action), tid_id, key, gain)
+        self.events.enqueue_encoded(sync_opcode(action), key, gain)
         self._maybe_collect()
         return []
 
@@ -418,7 +424,7 @@ class EncodedGoldilocks(Detector):
         else:
             gain_ls = ls_add(0, TL_ID)
         row = self.events.add_commit_row(gain_ls, gain_ls, tid_id)
-        self.events.enqueue_encoded(OP_COMMIT, tid_id, row, 0)
+        self.events.enqueue_encoded(OP_COMMIT, row, 0)
         reports: List[RaceReport] = []
         for var in footprint:
             self.stats.accesses_checked += 1
@@ -535,7 +541,7 @@ class EncodedGoldilocks(Detector):
                             if held[k] == b:
                                 del held[k]
                                 break
-                    self.events.enqueue_encoded(op, tid_id, a, b)
+                    self.events.enqueue_encoded(op, a, b)
                     self._maybe_collect()
                 elif op == OP_READ or op == OP_WRITE:
                     if a < 0:
@@ -643,7 +649,7 @@ class EncodedGoldilocks(Detector):
         self.stats.sync_events += 1
         self.stats.accesses_filtered += filtered
         row = self.events.add_commit_row(incoming_ls, outgoing_ls, tid_id)
-        self.events.enqueue_encoded(OP_COMMIT, tid_id, row, 0)
+        self.events.enqueue_encoded(OP_COMMIT, row, 0)
         reports: List[Tuple[int, RaceReport]] = []
         for key, is_write in checks:
             self.stats.accesses_checked += 1
@@ -728,10 +734,6 @@ class EncodedGoldilocks(Detector):
         info1.pos = reached
         info1.ls = new_ls
         return self._owned(new_ls, info2)
-
-    def _replay(self, ls: IntLockset, start: int, end: int) -> IntLockset:
-        """Apply the rules for events in ``[start, end)`` to a lockset."""
-        return self._skip_scan(ls, start, end, None)[0]
 
     def _skip_scan(
         self,
@@ -877,7 +879,7 @@ class EncodedGoldilocks(Detector):
 
         pos = anchor_pos
         while pos < end:
-            op, _tid, key, gain = events.at(pos)
+            op, key, gain = events.at(pos)
             if op != OP_COMMIT:
                 if ls_has(ls, key) and not ls_has(ls, gain):
                     ls = ls_add(ls, gain)

@@ -105,7 +105,11 @@ class Info:
 
 
 class LazyGoldilocks(Detector):
-    """The production Goldilocks detector (Figure 8).
+    """The reference Goldilocks detector (Figure 8), on action objects.
+
+    The production kernel is :class:`~repro.core.kernel.EncodedGoldilocks`,
+    the same algorithm on interned integers; this class keeps every
+    optimisation switchable for the paper's ablations.
 
     Parameters
     ----------

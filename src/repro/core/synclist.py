@@ -219,26 +219,24 @@ SEGMENT_SIZE = 256
 
 
 class _Segment:
-    """One fixed-size chunk of the encoded list: four parallel int arrays.
+    """One fixed-size chunk of the encoded list: three parallel int arrays.
 
     Slot ``i`` of the arrays holds event ``base + i`` (global position).
-    ``ops`` is the opcode; ``tids`` the interned id of the acting thread;
-    ``keys``/``gains`` the pre-encoded rule operands -- for a simple sync the
-    Figure 5 rule is uniformly ``if keys[i] in ls: ls.add(gains[i])``, and
-    for a commit ``keys[i]`` indexes the list's commit side table.
+    ``ops`` is the opcode; ``keys``/``gains`` the pre-encoded rule operands
+    -- for a simple sync the Figure 5 rule is uniformly ``if keys[i] in ls:
+    ls.add(gains[i])``, and for a commit ``keys[i]`` indexes the list's
+    commit side table, whose row names the committer.
     """
 
-    __slots__ = ("ops", "tids", "keys", "gains")
+    __slots__ = ("ops", "keys", "gains")
 
     def __init__(self) -> None:
         self.ops: List[int] = []
-        self.tids: List[int] = []
         self.keys: List[int] = []
         self.gains: List[int] = []
 
-    def append(self, op: int, tid_id: int, key: int, gain: int) -> None:
+    def append(self, op: int, key: int, gain: int) -> None:
         self.ops.append(op)
-        self.tids.append(tid_id)
         self.keys.append(key)
         self.gains.append(gain)
 
@@ -312,16 +310,16 @@ class EncodedSyncList:
         if pad:
             segment = self.segments[pos // self.segment_size] = _Segment()
             for _ in range(pad):
-                segment.append(-1, -1, -1, -1)
+                segment.append(-1, -1, -1)
 
-    def enqueue_encoded(self, op: int, tid_id: int, key: int, gain: int) -> int:
+    def enqueue_encoded(self, op: int, key: int, gain: int) -> int:
         """Append one pre-encoded event; returns its (permanent) position."""
         pos = self.total_enqueued
         seg_index = pos // self.segment_size
         segment = self.segments.get(seg_index)
         if segment is None:
             segment = self.segments[seg_index] = _Segment()
-        segment.append(op, tid_id, key, gain)
+        segment.append(op, key, gain)
         self._index_row(pos, op, key)
         self.total_enqueued = pos + 1
         return pos
@@ -345,11 +343,11 @@ class EncodedSyncList:
 
     # -- random access and indexes ---------------------------------------------
 
-    def at(self, pos: int) -> Tuple[int, int, int, int]:
-        """The ``(op, tid_id, key, gain)`` row at a position."""
+    def at(self, pos: int) -> Tuple[int, int, int]:
+        """The ``(op, key, gain)`` row at a position."""
         slot = pos % self.segment_size
         segment = self.segments[pos // self.segment_size]
-        return (segment.ops[slot], segment.tids[slot], segment.keys[slot], segment.gains[slot])
+        return (segment.ops[slot], segment.keys[slot], segment.gains[slot])
 
     def key_positions(self, key: int, start: int) -> Tuple[List[int], int]:
         """Positions whose rule can fire for ``key``, from ``start`` on.
@@ -404,8 +402,10 @@ class EncodedSyncList:
     # key index is derived and always rebuilt on restore, even from older
     # blobs that recorded it as switched off.  Older blobs also carry the
     # per-segment reference counts the list once kept (``refs``), which
-    # restore ignores.  Everything is ints, so blobs are compact and
-    # byte-stable: restoring and re-pickling yields the identical payload.
+    # restore ignores, and a fifth segment column, the acting thread of
+    # each row, which nothing read and restore drops.  Everything is ints,
+    # so blobs are compact and byte-stable: restoring and re-pickling
+    # yields the identical payload.
 
     def __getstate__(self) -> dict:
         return {
@@ -414,7 +414,7 @@ class EncodedSyncList:
             "total_enqueued": self.total_enqueued,
             "total_collected": self.total_collected,
             "segments": [
-                (index, seg.ops, seg.tids, seg.keys, seg.gains)
+                (index, seg.ops, seg.keys, seg.gains)
                 for index, seg in sorted(self.segments.items())
             ],
             "commit_table": [
@@ -429,12 +429,10 @@ class EncodedSyncList:
         self.total_enqueued = state["total_enqueued"]
         self.total_collected = state["total_collected"]
         self.segments = {}
-        for index, ops, tids, keys, gains in state["segments"]:
+        for index, ops, *columns in state["segments"]:
             segment = _Segment()
             segment.ops = ops
-            segment.tids = tids
-            segment.keys = keys
-            segment.gains = gains
+            segment.keys, segment.gains = columns[-2:]  # past an older tids column
             self.segments[index] = segment
         self.commit_table = [
             (ls_unpack(incoming), ls_unpack(outgoing), tid_id)

@@ -174,7 +174,7 @@ _NODE_METRICS = {
     "frames_sent": ("node_frames_sent_total", "counter", "wire frames the coordinator shipped to the node"),
     "bytes_sent": ("node_bytes_sent_total", "counter", "wire bytes the coordinator shipped to the node"),
     "interner_cursor": ("node_interner_version", "gauge", "the node replica's interner version (delta cursor)"),
-    "missed": ("node_heartbeats_missed", "gauge", "consecutive failed heartbeats for the node"),
+    "missed": ("node_heartbeats_missed", "gauge", "consecutive metrics polls the node has not answered"),
 }
 
 
@@ -205,7 +205,7 @@ def registry_from_cluster(
         "node_groups_hosted", "shard groups placed on the node", labels=("node",)
     )
     up = reg.gauge(
-        "node_up", "1 while the node's heartbeats succeed", labels=("node",)
+        "node_up", "1 while the node answers the metrics poll", labels=("node",)
     )
     for name, mtype, help_text in _NODE_METRICS.values():
         if mtype == "gauge":

@@ -141,6 +141,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     # Config mistakes must not exit 1 -- that code means "races found".
     if args.shards < 1:
         parser.error("--shards must be at least 1")
+    if args.batch_size < 1:
+        parser.error("--batch-size must be at least 1")
     if args.follow and not args.tail:
         parser.error("--follow only makes sense with --tail FILE")
     if args.follow and args.tail.endswith(".gz"):

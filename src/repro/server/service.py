@@ -94,6 +94,8 @@ class ServiceConfig:
     workers: str = "inline"
 
     def __post_init__(self) -> None:
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.workers != "inline":
             raise ValueError(
                 f"workers={self.workers!r}: the kernel runs in the service process "
@@ -338,7 +340,7 @@ class RaceDetectionService:
         """
         tally = _Tally()
         state = WireIngest()
-        step = max(1, self.config.batch_size)
+        step = self.config.batch_size
         reads = _TextReads(reader)
         for lines in reads:
             run: List[str] = []
@@ -388,7 +390,7 @@ class RaceDetectionService:
         Writes the runs' races and one ``error`` line per refused line, in
         stream order.
         """
-        step = max(1, self.config.batch_size)
+        step = self.config.batch_size
         start = 0
         while start < len(lines):
             run = lines[start : start + step]

@@ -1,4 +1,5 @@
-"""The cluster coordinator over real sockets: parity, migration, liveness.
+"""The cluster coordinator over real sockets: parity, migration, liveness,
+and the loss of a node.
 
 The acceptance gate of the cluster PR lives here: a two-node cluster with
 a live mid-stream migration must report race lines *byte-identical*
@@ -6,11 +7,19 @@ a live mid-stream migration must report race lines *byte-identical*
 """
 
 import contextlib
+import os
+import re
+import socket
+import subprocess
+import sys
 import threading
+import zlib
 
 import pytest
 
-from repro.cluster import ClusterConfig, ClusterCoordinator
+import repro
+from repro.cluster import ClusterConfig, ClusterCoordinator, NodeLost
+from repro.obs.registry import parse_exposition
 from repro.server.engine import EngineConfig, ShardedEngine
 from repro.server.protocol import format_race, parse_race
 from repro.server.client import ServiceClient
@@ -235,17 +244,18 @@ def test_submit_line_parity(two_nodes, reference):
 
 
 def test_heartbeat_stats_and_metrics_bridge(two_nodes, events):
+    """Liveness is the metrics poll: both nodes answer it and read up."""
     from repro.obs.bridge import registry_from_cluster
 
     with make_coordinator(two_nodes) as coordinator:
         for event in events[:300]:
             coordinator.submit_event(event)
         coordinator.barrier()
-        assert coordinator.heartbeat(force=True) == {
-            "node0": True,
-            "node1": True,
+        coordinator.refresh_federation()
+        assert coordinator.federation_health()["nodes"] == {
+            "node0": "up",
+            "node1": "up",
         }
-        assert coordinator.heartbeat() == {}  # not due yet
 
         stats = coordinator.stats()
         assert stats.events_ingested == 300
@@ -256,7 +266,11 @@ def test_heartbeat_stats_and_metrics_bridge(two_nodes, events):
             g for groups in stats.assignment.values() for g in groups
         ) == list(range(N_GROUPS))
         payload = stats.as_dict()
-        assert payload["membership"]["nodes"][0]["status"] == "up"
+        assert "membership" not in payload
+        assert [(n["status"], n["missed"]) for n in payload["nodes"]] == [
+            ("up", 0),
+            ("up", 0),
+        ]
 
         exposition = registry_from_cluster(
             stats, tracer=coordinator.tracer
@@ -272,6 +286,54 @@ def test_heartbeat_stats_and_metrics_bridge(two_nodes, events):
         coordinator.shutdown_nodes()
 
 
+def liveness(coordinator):
+    """Per node, from the last refresh: ``(status, missed)`` of the stats,
+    the ``repro_node_up`` and ``repro_node_heartbeats_missed`` samples,
+    and the ``/healthz`` nodes map entry."""
+    samples = parse_exposition(coordinator.federation_text())
+    up = {labels["node"]: value for labels, value in samples["repro_node_up"]}
+    missed = {
+        labels["node"]: value
+        for labels, value in samples["repro_node_heartbeats_missed"]
+    }
+    health = coordinator.federation_health()["nodes"]
+    return {
+        n["name"]: (n["status"], n["missed"], up[n["name"]], missed[n["name"]], health[n["name"]])
+        for n in coordinator.stats().nodes
+    }
+
+
+def test_a_node_that_misses_the_poll_reads_down_until_it_answers(two_nodes):
+    """One unanswered ``!metrics`` poll marks a node down, each further one
+    adds a miss, and the next answer brings it back up; the stats, the
+    gauges and the ``/healthz`` map agree each time."""
+    with make_coordinator(two_nodes) as coordinator:
+        client = coordinator._nodes["node1"].client
+
+        def dead():
+            raise OSError("connection reset by peer")
+
+        client.metrics = dead
+        coordinator.refresh_federation()
+        assert liveness(coordinator) == {
+            "node0": ("up", 0, 1.0, 0.0, "up"),
+            "node1": ("down", 1, 0.0, 1.0, "down"),
+        }
+        assert coordinator.federation_health()["members_polled"] == [
+            "coordinator", "node0",
+        ]
+        coordinator.refresh_federation()
+        assert liveness(coordinator)["node1"] == ("down", 2, 0.0, 2.0, "down")
+
+        del client.metrics  # the connection answers again
+        coordinator.refresh_federation()
+        assert liveness(coordinator) == {
+            "node0": ("up", 0, 1.0, 0.0, "up"),
+            "node1": ("up", 0, 1.0, 0.0, "up"),
+        }
+        coordinator.shutdown_nodes()
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ClusterCoordinator(ClusterConfig(nodes={}))
@@ -279,6 +341,8 @@ def test_config_validation():
         ClusterCoordinator(
             ClusterConfig(nodes={"a": ("127.0.0.1", 1)}, n_groups=0)
         )
+    with pytest.raises(ValueError, match="batch_size must be at least 1"):
+        ClusterConfig(nodes={"a": ("127.0.0.1", 1)}, batch_size=0)
 
 
 def test_cli_end_to_end(tmp_path, capsys, reference):
@@ -352,6 +416,11 @@ def test_cli_rejects_bad_specs(capsys):
     with pytest.raises(SystemExit):
         cluster_main(["--local-nodes", "1", "--migrate", "zero:node0"])
     capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cluster_main(["--local-nodes", "2", "--trace", "--batch-size", "0", "t.trace"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--batch-size must be at least 1" in err and "Traceback" not in err
 
 
 #: three racy pairs; their races complete at seq 1, 3 and 5
@@ -439,3 +508,162 @@ def test_a_hand_off_to_a_node_at_another_point_of_the_stream_goes_back(events, r
             assert sorted(coordinator.barrier()) == before
             assert coordinator.stats().migrations_completed == 0
             coordinator.shutdown_nodes()
+
+
+# -- losing a node -------------------------------------------------------------
+
+#: group 0 moves to the other node at MOVE_AT, which leaves the first node
+#: hosting only group 2 (no race on the shared trace); it is lost at KILL_AT
+MOVE_AT, KILL_AT = 400, 1800
+
+
+def seq_of(line):
+    return int(line.rpartition("=")[2])
+
+
+def group_of(line):
+    """A race line's group: the crc32 partition of its variable."""
+    return zlib.crc32(line.split()[1].encode("utf-8")) % N_GROUPS
+
+
+def survivor_lines(reference, lost_groups):
+    """The single-node lines a run that loses ``lost_groups`` after the
+    move can still write, in seq order: every line before the move (it is
+    written there) and the lines of the other groups."""
+    return sorted(
+        (line for line in reference if seq_of(line) < MOVE_AT or group_of(line) not in lost_groups),
+        key=lambda line: (seq_of(line), line),
+    )
+
+
+def cut(coordinator, name):
+    """Break the coordinator's connection to node ``name``."""
+    coordinator._nodes[name].client._sock.shutdown(socket.SHUT_RDWR)
+
+
+def ingest_until_lost(coordinator, events):
+    """Submit ``events`` until a send raises ``NodeLost``; returns it and
+    the seq of the event whose send failed."""
+    with pytest.raises(NodeLost) as lost:
+        for event in events:
+            coordinator.submit_event(event)
+    return lost.value, coordinator.events_ingested - 1
+
+
+def test_a_lost_node_is_named_and_left_out_of_the_next_barrier(two_nodes, events, reference):
+    """node0's connection breaks after KILL_AT events: the next send to it
+    raises ``NodeLost`` naming it and the group it hosts, and the next
+    barrier returns node1's lines, which are the single-node lines of its
+    groups up to the event whose send failed."""
+    with make_coordinator(two_nodes, batch_size=16) as coordinator:
+        feed(coordinator, events[:KILL_AT], [(MOVE_AT, 0, "node1")])
+        assert coordinator.placement.assignment() == {"node0": [2], "node1": [0, 1, 3]}
+        cut(coordinator, "node0")
+        lost, failed = ingest_until_lost(coordinator, events[KILL_AT:])
+        assert re.fullmatch(r"node node0 \(groups 2\): \[Errno \d+\] .+", str(lost))
+        expected = [line for line in survivor_lines(reference, {2}) if seq_of(line) < failed]
+        assert len([line for line in expected if seq_of(line) < KILL_AT]) == 26
+        assert coordinator.barrier() == expected
+        assert coordinator.barrier() == []
+
+
+def test_a_node_lost_while_the_survivors_drain_is_left_out_too(events, reference, capsys):
+    """Of three nodes, node0 is lost mid-stream and node2 while the
+    survivors are drained: node1's lines are written, the single-node
+    lines of its group up to the failure, then one error line per lost
+    node."""
+    from repro.cluster.cli import _write_survivors
+
+    with running_nodes(3) as nodes, make_coordinator(nodes, batch_size=16) as coordinator:
+        assert coordinator.placement.assignment() == {
+            "node0": [0, 3], "node1": [1], "node2": [2],
+        }
+        for event in events[:KILL_AT]:
+            coordinator.submit_event(event)
+        cut(coordinator, "node0")
+        lost, failed = ingest_until_lost(coordinator, events[KILL_AT:])
+        cut(coordinator, "node2")
+        _write_survivors(coordinator, lost, sys.stdout)
+    out = capsys.readouterr()
+    assert out.out.splitlines() == [
+        line for line in survivor_lines(reference, {0, 2, 3})
+        if group_of(line) == 1 and seq_of(line) < failed
+    ]
+    err = out.err.splitlines()
+    assert len(err) == 2
+    for line, lost_node in zip(err, ["node0 (groups 0, 3)", "node2 (groups 2)"]):
+        assert re.fullmatch(rf"repro-cluster: error: node {re.escape(lost_node)}: \[Errno \d+\] .+", line)
+
+
+def free_port():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+@contextlib.contextmanager
+def serve_processes(names):
+    """One ``repro-serve --tcp`` process per name; yields name -> (process,
+    ``--node`` argument)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    procs = {}
+    try:
+        for name in names:
+            port = free_port()
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.server.cli", "--tcp", f"127.0.0.1:{port}"],
+                env=dict(os.environ, PYTHONPATH=src),
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            procs[name] = (proc, f"--node={name}=127.0.0.1:{port}")
+            assert "listening" in proc.stderr.readline()
+        yield procs
+    finally:
+        for proc, _arg in procs.values():
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+
+
+class KillingStdin:
+    """Trace lines that SIGKILL ``proc`` before the line ``at`` is read."""
+
+    def __init__(self, lines, at, proc):
+        self.lines, self.at, self.proc = lines, at, proc
+
+    def __iter__(self):
+        for count, line in enumerate(self.lines):
+            if count == self.at:
+                self.proc.kill()
+                self.proc.wait()
+            yield line
+
+
+def test_cli_writes_the_survivors_lines_when_a_node_is_killed(capsys, monkeypatch, reference):
+    """``repro-serve`` node a is SIGKILLed mid-stream, when it hosts only
+    group 2: every line node b reports is written, in seq order -- the
+    single-node lines of its groups up to the failure -- then one error
+    line naming a and its group, and the exit status is 2."""
+    from repro.cluster.cli import main as cluster_main
+
+    lines = service_trace_text().splitlines(keepends=True)
+    with serve_processes(["a", "b"]) as procs:
+        monkeypatch.setattr("sys.stdin", KillingStdin(lines, KILL_AT, procs["a"][0]))
+        code = cluster_main(
+            [procs["a"][1], procs["b"][1], "--groups", str(N_GROUPS), "--batch-size", "16",
+             "--migrate", f"0:b@{MOVE_AT}"]
+        )
+    out = capsys.readouterr()
+    assert code == 2
+    err = out.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("repro-cluster: error: node a (groups 2): ")
+    written = out.out.splitlines()
+    survivors = survivor_lines(reference, {2})
+    assert written == survivors[: len(written)]
+    # the 3 lines written at the move and node b's 23 up to the kill, at least
+    assert [line for line in written if seq_of(line) < KILL_AT] == [
+        line for line in survivors if seq_of(line) < KILL_AT
+    ]
+    assert len(written) >= 26

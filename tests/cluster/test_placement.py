@@ -60,8 +60,6 @@ def test_cluster_config_has_no_placement_knobs():
         "nodes",
         "n_groups",
         "batch_size",
-        "heartbeat_interval",
-        "max_missed",
         "timeout",
         "obs",
         "admit",

@@ -143,9 +143,9 @@ class TestEncodedSyncList:
         lst = EncodedSyncList(segment_size=4)
         assert lst.total_enqueued == 0
         for i in range(6):
-            assert lst.enqueue_encoded(1, tid_id=3, key=10 + (i % 2), gain=20 + i) == i
+            assert lst.enqueue_encoded(1, key=10 + (i % 2), gain=20 + i) == i
         assert lst.total_enqueued == 6 and len(lst) == 6
-        assert lst.at(5) == (1, 3, 11, 25)
+        assert lst.at(5) == (1, 11, 25)
         assert positions_from(lst, 10, 0) == [0, 2, 4]
         assert positions_from(lst, 11, 2) == [3, 5]
         assert lst.key_positions(9, 0) == ([], 0)
@@ -153,7 +153,7 @@ class TestEncodedSyncList:
     def test_collect_frees_only_full_unreferenced_segments(self):
         lst = EncodedSyncList(segment_size=4)
         for i in range(10):  # segments 0,1 full; segment 2 partial
-            lst.enqueue_encoded(1, 1, i % 2, i)
+            lst.enqueue_encoded(1, i % 2, i)
         assert lst.collect_prefix(5) == 4  # an anchor at 5 keeps segment 1
         assert lst.head_pos == 4 and len(lst) == 6
         assert positions_from(lst, 0, 0)[0] == 4  # index pruned with the prefix
@@ -161,12 +161,12 @@ class TestEncodedSyncList:
         assert lst.collect_prefix(10) == 4  # segment 1 now goes
         assert lst.collect_prefix(10) == 0  # partial tail segment never freed
         assert lst.head_pos == 8 and lst.total_collected == 8
-        assert lst.at(9) == (1, 1, 1, 9)  # surviving positions unrenumbered
+        assert lst.at(9) == (1, 1, 9)  # surviving positions unrenumbered
 
     def test_a_segment_goes_once_the_oldest_anchor_passes_it(self):
         lst = EncodedSyncList(segment_size=4)
         for i in range(4):
-            lst.enqueue_encoded(1, 1, i, i)
+            lst.enqueue_encoded(1, i, i)
         assert lst.collect_prefix(0) == 0
         assert lst.collect_prefix(3) == 0  # an anchor inside the segment keeps it
         assert lst.collect_prefix(4) == 4
@@ -174,7 +174,7 @@ class TestEncodedSyncList:
     def test_pickle_round_trip_is_byte_stable(self):
         lst = EncodedSyncList(segment_size=3)
         for i in range(7):
-            lst.enqueue_encoded(1 + (i % 2), 1 + (i % 3), i, i * 2)
+            lst.enqueue_encoded(1 + (i % 2), i, i * 2)
         lst.add_commit_row(ls_make([1, 2]), frozenset([3, BITSET_CUTOFF + 1]), 1)
         blob = pickle.dumps(lst)
         clone = pickle.loads(blob)
@@ -182,11 +182,23 @@ class TestEncodedSyncList:
         assert clone.at(4) == lst.at(4)
         assert positions_from(clone, 2, 0) == positions_from(lst, 2, 0)
         assert clone.commit_table == lst.commit_table
-        # older lists also pickled per-segment reference counts; restore
-        # ignores them, and the list pickles in the current layout again
+        # older lists also pickled per-segment reference counts and each
+        # row's acting thread; restore drops both, and the list pickles in
+        # the current layout again
+        state = lst.__getstate__()
         older = EncodedSyncList.__new__(EncodedSyncList)
-        older.__setstate__({**lst.__getstate__(), "refs": [(0, 2), (2, 1)]})
+        older.__setstate__(
+            {
+                **state,
+                "refs": [(0, 2), (2, 1)],
+                "segments": [
+                    (index, ops, [1] * len(ops), keys, gains)
+                    for index, ops, keys, gains in state["segments"]
+                ],
+            }
+        )
         assert pickle.dumps(older) == blob
+        assert older.at(4) == lst.at(4)
 
 
 # ---------------------------------------------------------------------------

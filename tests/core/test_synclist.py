@@ -259,8 +259,8 @@ def test_a_list_started_mid_segment_indexes_and_collects_from_its_head():
     events.start_at(13)
     assert (events.total_enqueued, len(events)) == (13, 0)
     for i in range(20):
-        events.enqueue_encoded(OP_ACQUIRE, 1, 2, 100 + i)
-    assert events.at(13) == (OP_ACQUIRE, 1, 2, 100)
+        events.enqueue_encoded(OP_ACQUIRE, 2, 100 + i)
+    assert events.at(13) == (OP_ACQUIRE, 2, 100)
     assert events.key_positions(2, 0) == (list(range(13, 33)), 0)
     clone = pickle.loads(pickle.dumps(events))
     assert clone._by_key == events._by_key and len(clone) == 20

@@ -257,6 +257,22 @@ def test_following_a_gz_trace_is_a_usage_error(capsys):
     assert "cannot follow a .gz trace" in err
 
 
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_a_batch_size_below_one_is_a_usage_error(capsys, size):
+    """``--batch-size`` below 1 exits 2 with the usage, as ``--shards 0``
+    does, and ``ServiceConfig`` refuses it."""
+    from repro.server.cli import main as serve_main
+
+    with pytest.raises(SystemExit) as exc:
+        serve_main(["--stdin", "--batch-size", size])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: repro-serve")
+    assert "--batch-size must be at least 1" in err
+    with pytest.raises(ValueError, match="batch_size must be at least 1"):
+        ServiceConfig(batch_size=int(size))
+
+
 # -- sockets -------------------------------------------------------------------
 
 
