@@ -30,11 +30,9 @@ from .rccjava import run_rccjava
 #: here eagerly would shadow ``python -m repro.analysis.admission``
 _ADMISSION_NAMES = (
     "AdmissionFilter",
-    "ApproximateVarSet",
     "build_admission_filter",
     "combine_race_free",
     "load_admission_filter",
-    "var_key",
 )
 
 
@@ -50,12 +48,10 @@ __all__ = [
     "AccessPair",
     "AdmissionFilter",
     "AnalysisModel",
-    "ApproximateVarSet",
     "StaticRaceReport",
     "build_admission_filter",
     "combine_race_free",
     "load_admission_filter",
     "run_chord",
     "run_rccjava",
-    "var_key",
 ]

@@ -3,24 +3,20 @@
 The paper's Table 2 shows sound static analyses (Chord, RccJava)
 eliminating the majority of dynamic checks.  :class:`AdmissionFilter`
 turns those reports into an *ingestion-edge* gate: data accesses to
-variables every selected analysis proved race-free are dropped (folded
-into a per-variable summary counter) before they reach a queue or the
-kernel.  Sync events always pass, so the happens-before state -- the one
-synchronization-event list -- stays exact; per-variable race
-state is private to each variable, so dropping one variable's accesses
-cannot change another variable's verdict.  Soundness is therefore
-exactly the static analyses' soundness, the same argument
-:class:`~repro.runtime.filters.RaceFreeFieldsFilter` makes for skipping
-in-process checks.
+variables every selected analysis proved race-free are dropped before
+they reach a queue or the kernel.  Sync events always pass, so the
+happens-before state -- the one synchronization-event list -- stays
+exact; per-variable race state is private to each variable, so dropping
+one variable's accesses cannot change another variable's verdict.
+Soundness is therefore exactly the static analyses' soundness, the same
+argument :class:`~repro.runtime.filters.RaceFreeFieldsFilter` makes for
+skipping in-process checks.
 
-The exact membership test needs the object's class (``objmap``, recorded
-from a deterministic run of the workload) plus a set lookup.  A cheap
-probabilistic pre-filter -- :class:`ApproximateVarSet`, an int-bitmask
-approximate set -- guards it: the bitmask holds every *droppable*
-variable key, so a miss proves the access is not droppable and admits it
-with one mask test; only hits (including false positives) fall through
-to the exact lookup.  Misses can never be droppable variables, hence no
-false negatives: nothing racy is ever dropped.
+The decision is exact: the object's class (``objmap``, recorded from a
+deterministic run of the workload) and one set lookup.  The ingestion
+edge (:class:`~repro.core.encode.EventEncoder`) asks once per variable
+and caches the verdict, so a later access to a dropped variable costs it
+one dict hit and costs this module nothing.
 
 Policies combine the two analyses' verdicts; each is individually sound,
 so every combination is:
@@ -35,62 +31,17 @@ so every combination is:
 from __future__ import annotations
 
 import json
-import zlib
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..runtime.filters import field_key
 from .facts import StaticRaceReport
 
 ADMISSION_FORMAT = "repro-admission-filter"
-ADMISSION_VERSION = 1
+#: the version ``to_json`` writes.  ``from_json`` also reads version 1,
+#: whose extra bitmask field only approximated the same decision and is
+#: ignored.
+ADMISSION_VERSION = 2
 POLICIES = ("chord", "rccjava", "intersect", "union")
-DEFAULT_NBITS = 8192
-
-
-def var_key(obj_value: int, static_field: str) -> int:
-    """Stable integer key for one dynamic variable (object x static field).
-
-    Matches the wire partitioner's spelling (``obj.field`` through crc32)
-    but over the *static* field name -- array indices collapse to ``[]``
-    before hashing, since the static analyses cannot distinguish them.
-    """
-    return zlib.crc32(f"{obj_value}.{static_field}".encode("utf-8"))
-
-
-class ApproximateVarSet:
-    """Bloom-style approximate set over variable keys, one int bitmask.
-
-    ``add`` sets bit ``key % nbits`` in an arbitrary-precision int;
-    ``__contains__`` tests it.  Collisions only ever *add* members, so
-    the structure overapproximates: a negative answer is definitive
-    (guaranteed no false negatives), a positive answer may be a false
-    positive and must be confirmed by the exact lookup.
-    """
-
-    __slots__ = ("nbits", "bits")
-
-    def __init__(self, nbits: int = DEFAULT_NBITS, bits: int = 0) -> None:
-        if nbits <= 0:
-            raise ValueError(f"nbits must be positive, got {nbits}")
-        self.nbits = nbits
-        self.bits = bits
-
-    def add(self, key: int) -> None:
-        self.bits |= 1 << (key % self.nbits)
-
-    def __contains__(self, key: int) -> bool:
-        return (self.bits >> (key % self.nbits)) & 1 == 1
-
-    def __len__(self) -> int:
-        """Number of set bits (<= number of distinct keys added)."""
-        return bin(self.bits).count("1")
-
-    def to_hex(self) -> str:
-        return f"{self.bits:x}"
-
-    @classmethod
-    def from_hex(cls, nbits: int, text: str) -> "ApproximateVarSet":
-        return cls(nbits, int(text or "0", 16))
 
 
 class AdmissionFilter:
@@ -101,10 +52,10 @@ class AdmissionFilter:
     deterministic recorded run) to class names.  Objects or classes the
     analyses never saw are admitted -- the sound default.
 
-    Mutable counters (``prefilter_hits``/``prefilter_misses`` and the
-    per-variable ``filtered_summary``) accumulate across calls; they are
-    observability, not state the decision depends on, and are *not*
-    serialized.
+    ``refused`` collects every ``(obj_value, static_field)`` variable
+    :meth:`admit` has refused.  It is observability (``/healthz`` reports
+    its size as ``filtered_vars``), not state the decision depends on, and
+    is *not* serialized.
     """
 
     def __init__(
@@ -113,8 +64,6 @@ class AdmissionFilter:
         objmap: Dict[int, str],
         policy: str = "intersect",
         workload: str = "?",
-        nbits: int = DEFAULT_NBITS,
-        prefilter: Optional[ApproximateVarSet] = None,
     ) -> None:
         if policy not in POLICIES:
             raise ValueError(f"unknown admission policy {policy!r}; want one of {POLICIES}")
@@ -122,13 +71,7 @@ class AdmissionFilter:
         self.objmap: Dict[int, str] = dict(objmap)
         self.policy = policy
         self.workload = workload
-        self.prefilter = prefilter if prefilter is not None else self._build_prefilter(nbits)
-        # observability counters (not serialized)
-        self.prefilter_hits = 0     # pre-filter positive: exact lookup ran
-        self.prefilter_misses = 0   # pre-filter negative: admitted on the mask test
-        self.filtered_summary: Dict[str, int] = {}
-
-    # -- construction ---------------------------------------------------
+        self.refused: Set[Tuple[int, str]] = set()
 
     def droppable_vars(self) -> Iterator[Tuple[int, str]]:
         """Every (obj_value, static_field) this filter may drop."""
@@ -139,37 +82,22 @@ class AdmissionFilter:
             for fld in by_class.get(cls, ()):
                 yield obj_value, fld
 
-    def _build_prefilter(self, nbits: int) -> ApproximateVarSet:
-        pre = ApproximateVarSet(nbits)
-        for obj_value, fld in self.droppable_vars():
-            pre.add(var_key(obj_value, fld))
-        return pre
-
     # -- the decision ---------------------------------------------------
 
     def admit(self, obj_value: int, field: str) -> bool:
         """True iff the access must be shipped; False iff provably race-free."""
         static_field = field_key(field)
-        if var_key(obj_value, static_field) not in self.prefilter:
-            self.prefilter_misses += 1
-            return True
-        self.prefilter_hits += 1
         cls = self.objmap.get(obj_value)
-        if cls is None:
+        if cls is None or (cls, static_field) not in self.race_free:
             return True
-        return (cls, static_field) not in self.race_free
-
-    def note_filtered(self, obj_value: int, field: str) -> None:
-        """Fold one dropped access into the per-variable summary counter."""
-        key = f"{obj_value}.{field_key(field)}"
-        self.filtered_summary[key] = self.filtered_summary.get(key, 0) + 1
+        self.refused.add((obj_value, static_field))
+        return False
 
     def filter_events(self, events: Iterable) -> List:
         """Offline path: the events that survive admission.
 
-        Data accesses to non-admitted variables are dropped (and folded
-        into the summary); everything else -- sync, alloc, commit --
-        passes untouched.
+        Data accesses to non-admitted variables are dropped; everything
+        else -- sync, alloc, commit -- passes untouched.
         """
         from ..core.actions import Read, Write
 
@@ -179,32 +107,18 @@ class AdmissionFilter:
             if isinstance(action, (Read, Write)):
                 var = action.var
                 if not self.admit(var.obj.value, var.field):
-                    self.note_filtered(var.obj.value, var.field)
                     continue
             kept.append(event)
         return kept
 
     # -- introspection --------------------------------------------------
 
-    @property
-    def filtered_accesses(self) -> int:
-        return sum(self.filtered_summary.values())
-
     def describe(self) -> str:
         return (
             f"admit[{self.policy}] {self.workload}: "
             f"{len(self.race_free)} race-free fields x {len(self.objmap)} objects "
-            f"-> {sum(1 for _ in self.droppable_vars())} droppable vars "
-            f"({self.prefilter.nbits}-bit pre-filter, {len(self.prefilter)} bits set)"
+            f"-> {sum(1 for _ in self.droppable_vars())} droppable vars"
         )
-
-    def counters(self) -> Dict[str, int]:
-        return {
-            "prefilter_hits": self.prefilter_hits,
-            "prefilter_misses": self.prefilter_misses,
-            "filtered_accesses": self.filtered_accesses,
-            "filtered_vars": len(self.filtered_summary),
-        }
 
     # -- serialization --------------------------------------------------
 
@@ -216,7 +130,6 @@ class AdmissionFilter:
             "policy": self.policy,
             "race_free": sorted(list(pair) for pair in self.race_free),
             "objmap": {str(obj): cls for obj, cls in sorted(self.objmap.items())},
-            "prefilter": {"nbits": self.prefilter.nbits, "bits": self.prefilter.to_hex()},
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -228,23 +141,22 @@ class AdmissionFilter:
             raise ValueError(f"admission filter is not valid JSON: {exc}") from exc
         if not isinstance(payload, dict) or payload.get("format") != ADMISSION_FORMAT:
             raise ValueError("not an admission filter (missing format marker)")
-        if payload.get("version") != ADMISSION_VERSION:
-            raise ValueError(f"unsupported admission filter version {payload.get('version')!r}")
-        pre = payload.get("prefilter") or {}
-        prefilter = ApproximateVarSet.from_hex(
-            int(pre.get("nbits", DEFAULT_NBITS)), pre.get("bits", "0")
-        )
+        version = payload.get("version")
+        if version not in (1, ADMISSION_VERSION):
+            raise ValueError(
+                f"unsupported admission filter version {version!r} "
+                f"(this build reads versions 1 and {ADMISSION_VERSION})"
+            )
         return cls(
             race_free={(cls_name, fld) for cls_name, fld in payload["race_free"]},
             objmap={int(obj): cls_name for obj, cls_name in payload["objmap"].items()},
             policy=payload["policy"],
             workload=payload.get("workload", "?"),
-            prefilter=prefilter,
         )
 
     def clone(self) -> "AdmissionFilter":
-        """A fresh filter with the same decision and zeroed counters."""
-        return AdmissionFilter.from_json(self.to_json())
+        """A fresh filter with the same decision and nothing refused yet."""
+        return AdmissionFilter(self.race_free, self.objmap, self.policy, self.workload)
 
 
 def load_admission_filter(path: str) -> AdmissionFilter:
@@ -315,7 +227,6 @@ def build_admission_filter(
     workload_name: str,
     policy: str = "intersect",
     scale: str = "tiny",
-    nbits: int = DEFAULT_NBITS,
     objmap: Optional[Dict[int, str]] = None,
 ) -> AdmissionFilter:
     """Run both static analyses on a workload and build its filter.
@@ -340,7 +251,6 @@ def build_admission_filter(
         objmap=objmap,
         policy=policy,
         workload=workload_name,
-        nbits=nbits,
     )
 
 
@@ -355,7 +265,6 @@ def main(argv=None) -> int:
     parser.add_argument("workload", help="registered workload name (e.g. colt)")
     parser.add_argument("--policy", default="intersect", choices=list(POLICIES))
     parser.add_argument("--scale", default="tiny", choices=["tiny", "small", "full"])
-    parser.add_argument("--nbits", type=int, default=DEFAULT_NBITS)
     parser.add_argument("-o", "--out", default=None, metavar="FILTER.json")
     parser.add_argument(
         "--trace",
@@ -367,8 +276,7 @@ def main(argv=None) -> int:
 
     events, objmap = record_workload(args.workload, scale=args.scale)
     filt = build_admission_filter(
-        args.workload, policy=args.policy, scale=args.scale,
-        nbits=args.nbits, objmap=objmap,
+        args.workload, policy=args.policy, scale=args.scale, objmap=objmap
     )
     if args.trace:
         from ..trace import dump_trace

@@ -26,7 +26,9 @@ connection fails, the nodes that survive are flushed and every race line
 they report is written, in ``seq`` order, before one error line that
 names the lost node and the groups it hosted.  Exit status mirrors
 ``repro-serve``: 1 if any race was reported, 0 otherwise, 2 for usage and
-operational errors, a lost node included.
+operational errors, a lost node included.  Whatever the status, every
+node that is not lost is sent ``!shutdown`` on exit unless
+``--keep-nodes`` is given.
 """
 
 from __future__ import annotations
@@ -306,92 +308,95 @@ def main(argv: Optional[List[str]] = None) -> int:
     stream = open(args.trace, "r", encoding="utf-8") if args.trace else sys.stdin
     try:
         with ClusterCoordinator(config) as coordinator:
-            coordinator.refresh_federation()
-            if args.metrics_port is not None:
-                from ..obs.httpd import start_metrics_server
+            try:
+                coordinator.refresh_federation()
+                if args.metrics_port is not None:
+                    from ..obs.httpd import start_metrics_server
 
-                metrics_server = start_metrics_server(
-                    coordinator.metrics_adapter(),
-                    args.metrics_port,
-                    host=args.metrics_host,
-                )
-                host, port = metrics_server.address
-                print(
-                    f"repro-cluster: federated metrics on http://{host}:{port}/metrics",
-                    file=sys.stderr,
-                )
+                    metrics_server = start_metrics_server(
+                        coordinator.metrics_adapter(),
+                        args.metrics_port,
+                        host=args.metrics_host,
+                    )
+                    host, port = metrics_server.address
+                    print(
+                        f"repro-cluster: federated metrics on http://{host}:{port}/metrics",
+                        file=sys.stderr,
+                    )
 
-            def _drain_metrics(signum, _frame):
-                # Signal-safe by construction: write only the *cached*
-                # exposition -- refreshing here would interleave node
-                # socket I/O with whatever send the signal interrupted.
-                if args.metrics_out and args.metrics_out != "-":
+                def _drain_metrics(signum, _frame):
+                    # Signal-safe by construction: write only the *cached*
+                    # exposition -- refreshing here would interleave node
+                    # socket I/O with whatever send the signal interrupted.
+                    if args.metrics_out and args.metrics_out != "-":
+                        _write_exposition(
+                            args.metrics_out, coordinator.federation_text()
+                        )
+                    raise SystemExit(128 + signum)
+
+                import signal
+
+                try:
+                    signal.signal(signal.SIGTERM, _drain_metrics)
+                except ValueError:  # pragma: no cover - non-main thread
+                    pass
+
+                def move(group: int, dst: str) -> None:
+                    # the races completed so far are final: write them before
+                    # a move that may fail and end the run
+                    for race in coordinator.barrier():
+                        out.write(race + "\n")
+                    out.flush()
+                    coordinator.migrate(group, dst)
+
+                # (group, dst, at), consumed front to back
+                pending = list(migrations)
+                count = 0
+                last_refresh = time.monotonic()
+                try:
+                    for line in stream:
+                        text = line.strip()
+                        if not text or text.startswith("#"):
+                            continue
+                        while pending and pending[0][2] <= count:
+                            group, dst, _at = pending.pop(0)
+                            move(group, dst)
+                        try:
+                            coordinator.submit_line(text)
+                        except ValueError:
+                            out.write(f"error unparseable event line: {text}\n")
+                            continue
+                        count += 1
+                        now = time.monotonic()
+                        if now - last_refresh >= args.metrics_interval:
+                            last_refresh = now
+                            coordinator.refresh_federation()
+                            if args.metrics_out and args.metrics_out != "-":
+                                _write_exposition(
+                                    args.metrics_out, coordinator.federation_text()
+                                )
+                    # Anything still pending fires at end-of-stream.
+                    for group, dst, _at in pending:
+                        move(group, dst)
+                    for line in coordinator.barrier():
+                        out.write(line + "\n")
+                except NodeLost as lost:
+                    _write_survivors(coordinator, lost, out)
+                    return 2
+                stats = coordinator.stats()
+                races = stats.races_reported
+                if args.stats:
+                    print(json.dumps(stats.as_dict(), sort_keys=True), file=sys.stderr)
+                if args.metrics_out or args.metrics_port is not None:
+                    coordinator.refresh_federation()
+                if args.metrics_out:
                     _write_exposition(
                         args.metrics_out, coordinator.federation_text()
                     )
-                raise SystemExit(128 + signum)
-
-            import signal
-
-            try:
-                signal.signal(signal.SIGTERM, _drain_metrics)
-            except ValueError:  # pragma: no cover - non-main thread
-                pass
-
-            def move(group: int, dst: str) -> None:
-                # the races completed so far are final: write them before
-                # a move that may fail and end the run
-                for race in coordinator.barrier():
-                    out.write(race + "\n")
-                out.flush()
-                coordinator.migrate(group, dst)
-
-            # (group, dst, at), consumed front to back
-            pending = list(migrations)
-            count = 0
-            last_refresh = time.monotonic()
-            try:
-                for line in stream:
-                    text = line.strip()
-                    if not text or text.startswith("#"):
-                        continue
-                    while pending and pending[0][2] <= count:
-                        group, dst, _at = pending.pop(0)
-                        move(group, dst)
-                    try:
-                        coordinator.submit_line(text)
-                    except ValueError:
-                        out.write(f"error unparseable event line: {text}\n")
-                        continue
-                    count += 1
-                    now = time.monotonic()
-                    if now - last_refresh >= args.metrics_interval:
-                        last_refresh = now
-                        coordinator.refresh_federation()
-                        if args.metrics_out and args.metrics_out != "-":
-                            _write_exposition(
-                                args.metrics_out, coordinator.federation_text()
-                            )
-                # Anything still pending fires at end-of-stream.
-                for group, dst, _at in pending:
-                    move(group, dst)
-                for line in coordinator.barrier():
-                    out.write(line + "\n")
-            except NodeLost as lost:
-                _write_survivors(coordinator, lost, out)
-                return 2
-            stats = coordinator.stats()
-            races = stats.races_reported
-            if args.stats:
-                print(json.dumps(stats.as_dict(), sort_keys=True), file=sys.stderr)
-            if args.metrics_out or args.metrics_port is not None:
-                coordinator.refresh_federation()
-            if args.metrics_out:
-                _write_exposition(
-                    args.metrics_out, coordinator.federation_text()
-                )
-            if not args.keep_nodes:
-                coordinator.shutdown_nodes()
+            finally:
+                # every exit, a lost node or an error included
+                if not args.keep_nodes:
+                    coordinator.shutdown_nodes()
     except (OSError, RuntimeError, ValueError, ConnectionError) as exc:
         print(f"repro-cluster: error: {exc}", file=sys.stderr)
         return 2

@@ -561,8 +561,9 @@ class ClusterCoordinator:
     # -- lifecycle ---------------------------------------------------------------
 
     def shutdown_nodes(self) -> None:
-        """Drain and stop every node service (the CLI teardown path)."""
-        for node in self._nodes.values():
+        """Drain and stop every node service that is not lost (the CLI
+        teardown path)."""
+        for node in self._live():
             try:
                 node.client.shutdown()
             except (OSError, RuntimeError):

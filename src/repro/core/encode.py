@@ -359,15 +359,33 @@ def split_trace(data: bytes) -> Tuple[Optional[int], bytes]:
 def extend_interner(
     interner: Interner, base: int, delta: Sequence[LocksetElement]
 ) -> None:
-    """Apply a frame's delta to a replica interner (idempotent on overlap)."""
+    """Apply a frame's delta to a replica interner (idempotent on overlap).
+
+    ``delta[i]`` is element ``base + i``.  An id the replica already holds
+    (a replayed frame) must name the same element, and a new element must
+    not be held under another id.  Otherwise the frame comes from another
+    id space, which raises :class:`FrameFormatError` and leaves the
+    replica unchanged.
+    """
     have = len(interner)
     if have < base:
-        raise ValueError(
+        raise FrameFormatError(
             f"frame assumes {base} interned elements, replica has {have}"
         )
-    for i, element in enumerate(delta):
-        if base + i < have:
-            continue  # already known (e.g. a replayed frame)
+    for eid, element in enumerate(delta[: have - base], base):
+        known = interner.resolve(eid)
+        if known != element:
+            raise FrameFormatError(
+                f"interner diverged: element {eid} is {known!r} here, "
+                f"{element!r} in the frame"
+            )
+    fresh = delta[have - base :]
+    if len(set(fresh)) < len(fresh) or any(element in interner for element in fresh):
+        raise FrameFormatError(
+            "interner diverged: the frame announces as new an element it "
+            "repeats or the replica already holds"
+        )
+    for element in fresh:
         interner.intern(element)
 
 
@@ -384,13 +402,14 @@ class EventEncoder:
     per newly seen element); the service reports it as ``edge_allocs``.
 
     ``admit`` is an optional static admission filter (any object with
-    ``admit(obj_value, field) -> bool`` and ``note_filtered``, i.e.
+    ``admit(obj_value, field) -> bool``, i.e.
     :class:`repro.analysis.admission.AdmissionFilter`).  Data accesses it
     rejects encode to the :data:`FILTERED_VAR` sentinel instead of an
     interned variable id -- they never intern, never route, never reach a
     kernel.  Sync events, allocs, and commit footprints always pass, so
-    the shared happens-before state stays exact.  Decisions are cached
-    per variable: in steady state a filtered access costs one dict hit.
+    the shared happens-before state stays exact.  The filter is asked
+    once per variable and its verdict cached: in steady state a filtered
+    access costs one dict hit.
     """
 
     def __init__(self, n_shards: int = 1, admit=None) -> None:
@@ -478,17 +497,14 @@ class EventEncoder:
             else:
                 eid = FILTERED_VAR
             self._access_ids[key] = eid
-        if eid == FILTERED_VAR:
-            admit.note_filtered(obj_value, field)
         return eid
 
     def admit_var_id(self, var_id: int) -> bool:
         """Admission verdict for an already-interned data variable.
 
         The wire ingest path receives interned ids rather than
-        ``(obj, field)`` pairs; this resolves the variable once, caches
-        the verdict, and folds rejected accesses into the filter's
-        summary exactly like :meth:`_data_var_id`.
+        ``(obj, field)`` pairs; this resolves the variable once and
+        caches the verdict, like :meth:`_data_var_id`.
         """
         admit = self.admit
         if admit is None:
@@ -498,9 +514,6 @@ class EventEncoder:
             var = self.interner.resolve(var_id)
             verdict = admit.admit(var.obj.value, var.field)
             self._admit_ids[var_id] = verdict
-        if not verdict:
-            var = self.interner.resolve(var_id)
-            admit.note_filtered(var.obj.value, var.field)
         return verdict
 
     def set_admission(self, admit) -> None:

@@ -456,11 +456,19 @@ class EncodedGoldilocks(Detector):
         locksets are rebuilt from ids alone.  Data accesses stay ints too:
         a variable id is resolved once, at its first sight, to the
         variable key its state is filed under.
+
+        A delta that contradicts the ids this kernel holds refuses the
+        whole frame: a :class:`~repro.core.encode.FrameFormatError` with
+        ``record`` None, counted in ``frame_faults``, nothing applied.
         """
-        from .encode import decode_frame, extend_interner
+        from .encode import FrameFormatError, decode_frame, extend_interner
 
         base, delta, records, extras = decode_frame(frame)
-        extend_interner(self.interner, base, delta)
+        try:
+            extend_interner(self.interner, base, delta)
+        except FrameFormatError:
+            self.stats.frame_faults += 1
+            raise
         return self.apply_records(records, extras)
 
     def _refuse(

@@ -32,8 +32,6 @@ _SERVICE_COUNTERS = {
     "data_routed": ("ingest_data_routed_total", "data accesses routed by group"),
     "data_admitted": ("ingest_data_admitted_total", "data accesses admitted past the static admission filter"),
     "data_filtered": ("ingest_data_filtered_total", "data accesses dropped at the edge as statically race-free"),
-    "admit_prefilter_hits": ("admit_prefilter_hits_total", "admission pre-filter positives (exact lookup ran)"),
-    "admit_prefilter_misses": ("admit_prefilter_misses_total", "admission pre-filter misses (admitted on one mask test)"),
     "batches_flushed": ("ingest_batches_flushed_total", "batches pushed to the kernel"),
     "parse_errors": ("ingest_parse_errors_total", "event lines the ingestion layer could not parse"),
     "queue_bytes": ("ingest_queue_bytes_total", "frame bytes pushed to the kernel"),
@@ -76,8 +74,6 @@ REQUIRED_METRICS = (
     "repro_ingest_parse_errors_total",
     "repro_ingest_data_admitted_total",
     "repro_ingest_data_filtered_total",
-    "repro_admit_prefilter_hits_total",
-    "repro_admit_prefilter_misses_total",
     "repro_races_reported_total",
     "repro_service_shards",
     "repro_shard_events_processed_total",

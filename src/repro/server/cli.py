@@ -215,6 +215,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                         file=sys.stderr,
                     )
                     return 2
+                if args.tcp:  # the port bound, which port 0 leaves to the OS
+                    address = f"tcp://{host}:{server.server_address[1]}"
                 print(
                     f"# repro-serve listening on {address} ({args.shards} shard(s))",
                     file=sys.stderr,

@@ -754,8 +754,6 @@ class ShardedEngine:
             data_admitted=self.data_admitted,
             data_filtered=self.data_filtered,
             admit=admit.policy if admit is not None else "off",
-            admit_prefilter_hits=admit.prefilter_hits if admit is not None else 0,
-            admit_prefilter_misses=admit.prefilter_misses if admit is not None else 0,
             batches_flushed=self.batches_flushed,
             races_reported=det["races"],
             n_shards=len(self._groups),

@@ -286,9 +286,7 @@ class RaceDetectionService:
                 "race_free_fields": len(getattr(admit, "race_free", ())),
                 "data_admitted": snapshot.data_admitted,
                 "data_filtered": snapshot.data_filtered,
-                "prefilter_hits": snapshot.admit_prefilter_hits,
-                "prefilter_misses": snapshot.admit_prefilter_misses,
-                "filtered_vars": len(getattr(admit, "filtered_summary", ())),
+                "filtered_vars": len(getattr(admit, "refused", ())),
             }
         return payload
 
@@ -503,8 +501,6 @@ class RaceDetectionService:
                 policy=snapshot.admit,
                 admitted=snapshot.data_admitted,
                 filtered=snapshot.data_filtered,
-                prefilter_hits=snapshot.admit_prefilter_hits,
-                prefilter_misses=snapshot.admit_prefilter_misses,
             )
             + "\n"
         )

@@ -87,10 +87,6 @@ class ServiceStats:
     data_filtered: int = 0
     #: admission policy in force ("off" when no filter is installed)
     admit: str = "off"
-    #: admission pre-filter positives (exact lookup had to run)
-    admit_prefilter_hits: int = 0
-    #: admission pre-filter misses (admitted on one mask test)
-    admit_prefilter_misses: int = 0
     #: batches pushed to the kernel
     batches_flushed: int = 0
     #: event lines the ingestion layer could not parse
@@ -152,8 +148,6 @@ class ServiceStats:
             "data_admitted": self.data_admitted,
             "data_filtered": self.data_filtered,
             "admit": self.admit,
-            "admit_prefilter_hits": self.admit_prefilter_hits,
-            "admit_prefilter_misses": self.admit_prefilter_misses,
             "batches_flushed": self.batches_flushed,
             "parse_errors": self.parse_errors,
             "races_reported": self.races_reported,

@@ -1,6 +1,8 @@
 """Admission-control unit tests: decisions, serialization, offline parity."""
 
 import json
+import os
+import zlib
 
 import pytest
 
@@ -8,15 +10,14 @@ from repro.analysis.admission import (
     ADMISSION_FORMAT,
     ADMISSION_VERSION,
     AdmissionFilter,
-    ApproximateVarSet,
     build_admission_filter,
     combine_race_free,
     load_admission_filter,
     record_workload,
-    var_key,
 )
 from repro.analysis.facts import StaticRaceReport
 from repro.core.actions import Read, Write
+from repro.runtime.filters import field_key
 
 
 def make_filter(**overrides):
@@ -28,35 +29,6 @@ def make_filter(**overrides):
     )
     kwargs.update(overrides)
     return AdmissionFilter(**kwargs)
-
-
-class TestApproximateVarSet:
-    def test_member_always_hits(self):
-        pre = ApproximateVarSet(64)
-        keys = [var_key(obj, "f") for obj in range(50)]
-        for key in keys:
-            pre.add(key)
-        assert all(key in pre for key in keys)
-
-    def test_miss_is_definitive_by_construction(self):
-        pre = ApproximateVarSet(8)
-        pre.add(3)
-        # 4 % 8 bit is unset, so 4 was definitely never added
-        assert 4 not in pre
-        assert 3 in pre
-        assert 11 in pre  # collision: false positive, never false negative
-
-    def test_hex_roundtrip(self):
-        pre = ApproximateVarSet(128)
-        for key in (1, 17, 99, 1000):
-            pre.add(key)
-        back = ApproximateVarSet.from_hex(128, pre.to_hex())
-        assert back.bits == pre.bits
-        assert len(back) == len(pre)
-
-    def test_rejects_nonpositive_size(self):
-        with pytest.raises(ValueError):
-            ApproximateVarSet(0)
 
 
 class TestAdmissionDecision:
@@ -74,19 +46,17 @@ class TestAdmissionDecision:
         assert not filt.admit(5, "[31]")
         assert filt.admit(5, "len")
 
-    def test_prefilter_counters_track_the_two_paths(self):
-        filt = make_filter()
-        filt.admit(1, "hits")
-        filt.admit(77, "nothere")
-        assert filt.prefilter_hits >= 1
-        assert filt.prefilter_hits + filt.prefilter_misses == 2
-
     def test_filter_events_keeps_sync_and_racy_data(self):
         events, _ = record_workload("colt", scale="tiny")
         filt = build_admission_filter("colt", scale="tiny")
         kept = filt.filter_events(events)
         assert len(kept) < len(events)
-        assert filt.filtered_accesses == len(events) - len(kept)
+        kept_ids = {id(event) for event in kept}
+        assert filt.refused == {
+            (e.action.var.obj.value, field_key(e.action.var.field))
+            for e in events
+            if id(e) not in kept_ids
+        }
         for event in kept:
             if isinstance(event.action, (Read, Write)):
                 var = event.action.var
@@ -101,13 +71,15 @@ class TestAdmissionDecision:
         assert n_sync == n_sync_kept
 
     def test_note_filtered_summary(self):
-        filt = make_filter()
-        filt.note_filtered(1, "hits")
-        filt.note_filtered(1, "hits")
-        filt.note_filtered(3, "buf")
-        assert filt.filtered_summary == {"1.hits": 2, "3.buf": 1}
-        assert filt.filtered_accesses == 3
-        assert filt.counters()["filtered_vars"] == 2
+        """``refused`` holds each refused variable once, array indices
+        collapsed; an admitted access adds nothing."""
+        filt = make_filter(
+            race_free={("Counter", "hits"), ("Buf", "[]")},
+            objmap={1: "Counter", 5: "Buf", 9: "Racy"},
+        )
+        for access in [(1, "hits"), (1, "hits"), (5, "[0]"), (5, "[7]"), (9, "hits")]:
+            filt.admit(*access)
+        assert filt.refused == {(1, "hits"), (5, "[]")}
 
 
 class TestSerialization:
@@ -118,18 +90,19 @@ class TestSerialization:
         assert back.objmap == filt.objmap
         assert back.policy == filt.policy
         assert back.workload == filt.workload
-        assert back.prefilter.nbits == filt.prefilter.nbits
-        assert back.prefilter.bits == filt.prefilter.bits
         assert back.to_json() == filt.to_json()
+        payload = json.loads(filt.to_json())
+        assert payload["version"] == ADMISSION_VERSION == 2
+        assert "prefilter" not in payload
 
     def test_clone_zeroes_counters(self):
         filt = make_filter()
         filt.admit(1, "hits")
-        filt.note_filtered(1, "hits")
         clone = filt.clone()
-        assert clone.prefilter_hits == 0
-        assert clone.filtered_summary == {}
+        assert filt.refused == {(1, "hits")}
+        assert clone.refused == set()
         assert not clone.admit(1, "hits")
+        assert clone.to_json() == filt.to_json()
 
     def test_format_marker_and_version_checked(self):
         with pytest.raises(ValueError):
@@ -137,9 +110,10 @@ class TestSerialization:
         with pytest.raises(ValueError):
             AdmissionFilter.from_json(json.dumps({"format": "other"}))
         payload = json.loads(make_filter().to_json())
-        payload["version"] = ADMISSION_VERSION + 1
-        with pytest.raises(ValueError):
-            AdmissionFilter.from_json(json.dumps(payload))
+        for version in (0, ADMISSION_VERSION + 1, "2", None):
+            payload["version"] = version
+            with pytest.raises(ValueError, match=f"version {version!r}"):
+                AdmissionFilter.from_json(json.dumps(payload))
         assert payload["format"] == ADMISSION_FORMAT
 
     def test_load_from_file(self, tmp_path):
@@ -151,6 +125,47 @@ class TestSerialization:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
             make_filter(policy="everything")
+
+
+#: filters written by ``repro-admission`` before version 2, for the recorded
+#: tiny-scale runs of each workload: they carry a ``prefilter`` bitmask
+V1_DIR = os.path.join(os.path.dirname(__file__), "data", "admission_v1")
+
+
+def v1_admit(payload, obj_value, field):
+    """The decision a version-1 file made when it was written: admit on a
+    bitmask miss, else the exact lookup."""
+    static_field = field_key(field)
+    bitmask = payload["prefilter"]
+    key = zlib.crc32(f"{obj_value}.{static_field}".encode("utf-8"))
+    if not (int(bitmask["bits"], 16) >> (key % bitmask["nbits"])) & 1:
+        return True
+    cls = payload["objmap"].get(str(obj_value))
+    return cls is None or [cls, static_field] not in payload["race_free"]
+
+
+class TestVersionOneFiles:
+    @pytest.mark.parametrize("workload", ["colt", "tsp", "sor", "moldyn"])
+    @pytest.mark.parametrize("policy", ["intersect", "union"])
+    def test_every_access_keeps_its_decision(self, workload, policy):
+        path = os.path.join(V1_DIR, f"{workload}-{policy}.json")
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+        assert payload["version"] == 1 and int(payload["prefilter"]["bits"], 16)
+        filt = load_admission_filter(path)
+        events, _ = record_workload(workload, scale="tiny")
+        accesses = [
+            (e.action.var.obj.value, e.action.var.field)
+            for e in events
+            if isinstance(e.action, (Read, Write))
+        ]
+        decisions = [filt.admit(*access) for access in accesses]
+        assert decisions == [v1_admit(payload, *access) for access in accesses]
+        assert not all(decisions)
+        # written back, the file is version 2 and decides the same
+        back = AdmissionFilter.from_json(filt.to_json())
+        assert json.loads(back.to_json())["version"] == 2
+        assert [back.admit(*access) for access in accesses] == decisions
 
 
 class TestPolicies:

@@ -7,24 +7,21 @@ a live mid-stream migration must report race lines *byte-identical*
 """
 
 import contextlib
-import os
 import re
 import socket
-import subprocess
 import sys
 import threading
 import zlib
 
 import pytest
 
-import repro
 from repro.cluster import ClusterConfig, ClusterCoordinator, NodeLost
 from repro.obs.registry import parse_exposition
 from repro.server.engine import EngineConfig, ShardedEngine
 from repro.server.protocol import format_race, parse_race
 from repro.server.client import ServiceClient
 from repro.server.service import RaceDetectionService, ServiceConfig, serve_tcp
-from tests.helpers import service_trace, service_trace_text
+from tests.helpers import service_trace, service_trace_text, start_tcp_node
 
 N_GROUPS = 4
 
@@ -595,30 +592,15 @@ def test_a_node_lost_while_the_survivors_drain_is_left_out_too(events, reference
         assert re.fullmatch(rf"repro-cluster: error: node {re.escape(lost_node)}: \[Errno \d+\] .+", line)
 
 
-def free_port():
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
-
-
 @contextlib.contextmanager
 def serve_processes(names):
-    """One ``repro-serve --tcp`` process per name; yields name -> (process,
-    ``--node`` argument)."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    """One ``repro-serve --tcp 127.0.0.1:0`` process per name; yields name
+    -> (process, ``--node`` argument)."""
     procs = {}
     try:
         for name in names:
-            port = free_port()
-            proc = subprocess.Popen(
-                [sys.executable, "-m", "repro.server.cli", "--tcp", f"127.0.0.1:{port}"],
-                env=dict(os.environ, PYTHONPATH=src),
-                stdout=subprocess.DEVNULL,
-                stderr=subprocess.PIPE,
-                text=True,
-            )
+            proc, port = start_tcp_node()
             procs[name] = (proc, f"--node={name}=127.0.0.1:{port}")
-            assert "listening" in proc.stderr.readline()
         yield procs
     finally:
         for proc, _arg in procs.values():
@@ -645,7 +627,8 @@ def test_cli_writes_the_survivors_lines_when_a_node_is_killed(capsys, monkeypatc
     """``repro-serve`` node a is SIGKILLed mid-stream, when it hosts only
     group 2: every line node b reports is written, in seq order -- the
     single-node lines of its groups up to the failure -- then one error
-    line naming a and its group, and the exit status is 2."""
+    line naming a and its group, and the exit status is 2.  Node b is sent
+    ``!shutdown`` on the way out, so its process exits on its own."""
     from repro.cluster.cli import main as cluster_main
 
     lines = service_trace_text().splitlines(keepends=True)
@@ -655,6 +638,7 @@ def test_cli_writes_the_survivors_lines_when_a_node_is_killed(capsys, monkeypatc
             [procs["a"][1], procs["b"][1], "--groups", str(N_GROUPS), "--batch-size", "16",
              "--migrate", f"0:b@{MOVE_AT}"]
         )
+        assert procs["b"][0].wait(timeout=30) == 1  # node b saw races
     out = capsys.readouterr()
     assert code == 2
     err = out.err.splitlines()

@@ -29,6 +29,7 @@ from repro.core.encode import (
     RECORD_WIDTH,
     EventEncoder,
     FrameDecoder,
+    FrameFormatError,
     decode_elements,
     decode_frame,
     encode_elements,
@@ -106,6 +107,12 @@ def test_extend_interner_is_idempotent_but_rejects_gaps():
     behind = Interner()
     with pytest.raises(ValueError):
         extend_interner(behind, 2, delta)
+    # another id space: a held id names another element, or a new element
+    # is held under another id; either way the replica is left unchanged
+    for bad in ([delta[1]] + delta[1:], delta + [delta[0]]):
+        with pytest.raises(FrameFormatError, match="interner diverged"):
+            extend_interner(replica, 1, bad)
+        assert replica.elements_since(0) == master.interner.elements_since(0)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -1,6 +1,6 @@
 """Regressions for the packed-path hardening.
 
-Four bugs, hand-built malformed/filtered frames:
+Five bugs, hand-built malformed/filtered frames:
 
 1. commit footprints carrying the ``FILTERED_VAR`` sentinel used to be
    resolved as ``interner[-1]`` (silently aliasing the newest element);
@@ -13,7 +13,10 @@ Four bugs, hand-built malformed/filtered frames:
    opcode, record offset, and applied count;
 4. a read, write or footprint id naming a lock, thread or volatile used
    to file state under that element or raise a bare ``AttributeError``;
-   it must raise :class:`FrameFormatError` too, decided once per id.
+   it must raise :class:`FrameFormatError` too, decided once per id;
+5. an interner delta from another id space used to be skipped wherever
+   the kernel already held the id, so its records named the kernel's
+   elements instead; the whole frame must be refused.
 """
 
 from array import array
@@ -41,10 +44,11 @@ VAR = DataVar(Obj(1), "f")
 OTHER = DataVar(Obj(2), "g")
 
 
-def raw_frame(rows, extras=(), seed_events=()):
+def raw_frame(rows, extras=(), seed_events=(), encoder=None):
     """Hand-build one frame: encode ``seed_events`` for the interner delta,
-    then splice in literal ``(op, seq, tid_id, index, a, b)`` rows."""
-    encoder = EventEncoder()
+    then splice in literal ``(op, seq, tid_id, index, a, b)`` rows.  Given
+    the ``encoder`` of an earlier frame, the frame continues its id space."""
+    encoder = encoder or EventEncoder()
     base = len(encoder.interner)  # the pinned prelude (TL) never ships
     records = array("q")
     extra_pool = array("q", extras)
@@ -126,9 +130,30 @@ def test_alloc_sentinel_is_counted_not_resolved(factory):
     assert detector.stats.accesses_filtered == 1
     assert detector.stats.frame_faults == 0
     # Nothing was invalidated: the two writes still race with a third.
-    reports, _ = detector.apply_packed(
-        raw_frame(rows=[], seed_events=[Event(Tid(3), 2, Write(VAR))])[0]
+    third, _ = raw_frame(
+        rows=[], seed_events=[Event(Tid(3), 2, Write(VAR))], encoder=encoder
     )
+    reports, _ = detector.apply_packed(third)
+    assert [(r.first.tid, r.second.tid) for _seq, r in reports] == [(Tid(2), Tid(3))]
+
+
+@pytest.mark.parametrize("factory", KERNELS)
+def test_a_delta_from_another_id_space_refuses_the_frame(factory):
+    """Bug 5: a fresh encoder's frame announces ``[T3, o5.f]`` at base 1,
+    where this kernel holds ``T1`` and ``o5.f``."""
+    var = DataVar(Obj(5), "f")
+    first, _ = raw_frame(
+        rows=[], seed_events=[Event(Tid(1), 0, Write(var)), Event(Tid(2), 1, Write(var))]
+    )
+    detector = factory()
+    assert len(detector.apply_packed(first)[0]) == 1
+    held, before = len(detector.interner), detector.stats.as_dict()
+    second, _ = raw_frame(rows=[], seed_events=[Event(Tid(3), 2, Write(var))])
+    with pytest.raises(FrameFormatError, match="interner diverged") as excinfo:
+        detector.apply_packed(second)
+    assert excinfo.value.record is None and excinfo.value.reports == []
+    assert len(detector.interner) == held
+    assert detector.stats.as_dict() == dict(before, frame_faults=1)
 
 
 @pytest.mark.parametrize("factory", KERNELS)

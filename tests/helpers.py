@@ -1,8 +1,13 @@
-"""Shared test utilities: oracle comparisons, report normalization, and
-the shared service trace."""
+"""Shared test utilities: oracle comparisons, report normalization, the
+shared service trace, and ``repro-serve`` node processes."""
 
+import os
 import random
+import re
+import subprocess
+import sys
 
+import repro
 from repro.core import Commit
 from repro.core.actions import DataVar, Obj, Tid, is_data_access
 from repro.oracle import HappensBeforeOracle
@@ -108,3 +113,25 @@ def service_trace(seed=SERVICE_TRACE_SEED):
 def service_trace_text():
     """The shared service trace, rendered once as wire text."""
     return "\n".join(format_event(event) for event in service_trace()) + "\n"
+
+
+def start_tcp_node():
+    """``repro-serve --tcp 127.0.0.1:0`` in a subprocess, once it listens:
+    ``(process, the port its listening line announced)``.  The caller kills
+    the process and closes its stderr pipe."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.server.cli", "--tcp", "127.0.0.1:0"],
+        env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    line = proc.stderr.readline()
+    match = re.search(r"listening on tcp://127\.0\.0\.1:(\d+) ", line)
+    if match is None:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+        raise AssertionError(f"repro-serve did not announce a port: {line!r}")
+    return proc, int(match.group(1))

@@ -1,20 +1,15 @@
-"""Property tests for admission control: the no-false-negatives guarantee.
+"""Property tests for admission control: exact decisions, exact round trip.
 
-The pre-filter is an approximate set; the one property everything rests
-on is that it never produces a false *negative* -- a variable the policy
-may drop is always a pre-filter hit, so a miss admits only accesses that
-were never droppable.  Fuzzed here over random universes of objects,
-classes, and race-free field sets, alongside the JSON round trip the
-``--admit`` flags and the ``!admit`` wire verb both rely on.
+``admit()`` must drop exactly the droppable set -- every variable of an
+object whose class the policy proved race-free in that field -- and
+nothing else.  Fuzzed here over random universes of objects, classes,
+and race-free field sets, alongside the JSON round trip the ``--admit``
+flags and the ``!admit`` wire verb both rely on.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.admission import (
-    AdmissionFilter,
-    ApproximateVarSet,
-    var_key,
-)
+from repro.analysis.admission import AdmissionFilter
 
 class_names = st.sampled_from(["A", "B", "C", "D", "Worker", "arr3[]"])
 field_names = st.text(
@@ -24,39 +19,6 @@ obj_values = st.integers(min_value=1, max_value=10**6)
 
 race_free_sets = st.sets(st.tuples(class_names, field_names), max_size=12)
 objmaps = st.dictionaries(obj_values, class_names, max_size=16)
-nbits_values = st.sampled_from([1, 7, 64, 512, 8192])
-
-
-@given(
-    keys=st.sets(st.integers(min_value=0, max_value=2**32 - 1), max_size=64),
-    probes=st.lists(
-        st.integers(min_value=0, max_value=2**32 - 1), max_size=64
-    ),
-    nbits=nbits_values,
-)
-def test_approximate_set_has_no_false_negatives(keys, probes, nbits):
-    """Members always test positive; a miss proves non-membership."""
-    approx = ApproximateVarSet(nbits)
-    for key in keys:
-        approx.add(key)
-    for key in keys:
-        assert key in approx
-    for probe in probes:
-        if probe not in approx:
-            assert probe not in keys
-
-
-@given(
-    keys=st.sets(st.integers(min_value=0, max_value=2**32 - 1), max_size=64),
-    nbits=nbits_values,
-)
-def test_approximate_set_hex_roundtrip(keys, nbits):
-    approx = ApproximateVarSet(nbits)
-    for key in keys:
-        approx.add(key)
-    back = ApproximateVarSet.from_hex(nbits, approx.to_hex())
-    assert back.nbits == nbits
-    assert back.bits == approx.bits
 
 
 @settings(max_examples=200)
@@ -64,25 +26,16 @@ def test_approximate_set_hex_roundtrip(keys, nbits):
     race_free=race_free_sets,
     objmap=objmaps,
     probes=st.lists(st.tuples(obj_values, field_names), max_size=32),
-    nbits=nbits_values,
 )
-def test_filter_drops_exactly_the_droppable_set(race_free, objmap, probes, nbits):
-    """admit() == exact droppable-set complement, for every pre-filter size.
-
-    Even a 1-bit pre-filter (everything collides) must not change the
-    decision -- false positives fall through to the exact lookup, and a
-    variable in the droppable set is never a pre-filter miss.
-    """
-    filt = AdmissionFilter(
-        race_free=race_free, objmap=objmap, workload="prop", nbits=nbits
-    )
+def test_filter_drops_exactly_the_droppable_set(race_free, objmap, probes):
+    """admit() == exact droppable-set complement; ``refused`` is what it
+    dropped."""
+    filt = AdmissionFilter(race_free=race_free, objmap=objmap, workload="prop")
     droppable = set(filt.droppable_vars())
     for obj_value, field in list(droppable) + probes:
         expected_drop = (obj_value, field) in droppable
         assert filt.admit(obj_value, field) == (not expected_drop)
-        if expected_drop:
-            # the guarantee: droppable vars are always pre-filter hits
-            assert var_key(obj_value, field) in filt.prefilter
+    assert filt.refused == droppable
 
 
 @settings(max_examples=100)
@@ -90,16 +43,12 @@ def test_filter_drops_exactly_the_droppable_set(race_free, objmap, probes, nbits
     race_free=race_free_sets,
     objmap=objmaps,
     probes=st.lists(st.tuples(obj_values, field_names), max_size=16),
-    nbits=nbits_values,
 )
-def test_json_roundtrip_preserves_every_decision(race_free, objmap, probes, nbits):
-    filt = AdmissionFilter(
-        race_free=race_free, objmap=objmap, workload="prop", nbits=nbits
-    )
+def test_json_roundtrip_preserves_every_decision(race_free, objmap, probes):
+    filt = AdmissionFilter(race_free=race_free, objmap=objmap, workload="prop")
     back = AdmissionFilter.from_json(filt.to_json())
     assert back.race_free == filt.race_free
     assert back.objmap == filt.objmap
-    assert back.prefilter.bits == filt.prefilter.bits
     assert back.to_json() == filt.to_json()
     for obj_value, field in probes:
         assert back.admit(obj_value, field) == filt.clone().admit(

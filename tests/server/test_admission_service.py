@@ -1,12 +1,14 @@
 """Admission control through the service: verbs, parity, counters, frames."""
 
 import base64
+import collections
 import io
 import threading
 
 import pytest
 
 from repro.analysis.admission import build_admission_filter, record_workload
+from repro.core.actions import Read, Write
 from repro.core.encode import (
     FILTERED_VAR,
     FrameFormatError,
@@ -17,8 +19,9 @@ from repro.core.encode import (
 from repro.obs.bridge import REQUIRED_METRICS, registry_from_stats
 from repro.server.client import ServiceClient
 from repro.server.protocol import format_race, parse_response, parse_summary
+from repro.runtime.filters import field_key
 from repro.server.service import RaceDetectionService, ServiceConfig, serve_tcp
-from repro.trace.io import format_event
+from repro.trace.io import dump_trace, format_event
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +60,6 @@ class TestEngineAdmission:
         assert stats.data_routed == stats.data_admitted
         assert stats.admit == "intersect"
         assert base_stats.admit == "off"
-        assert stats.admit_prefilter_hits + stats.admit_prefilter_misses > 0
 
     def test_binary_wire_parity_server_side_filtering(self, colt):
         events, filt = colt
@@ -105,6 +107,73 @@ class TestEngineAdmission:
             assert service.stats().data_filtered > 0
 
 
+class CountingFilter:
+    """Stands in for a filter and counts every call made on it, by method
+    and arguments."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.calls = collections.Counter()
+
+    def __getattr__(self, name):
+        attr = getattr(self._inner, name)
+        if not callable(attr):
+            return attr
+
+        def counted(*args):
+            self.calls[(name, *args)] += 1
+            return attr(*args)
+
+        return counted
+
+
+class TestEdgeAsksOncePerVariable:
+    """Each edge decides a variable once: one ``admit()`` per distinct
+    variable, and no call at all for the accesses dropped after it."""
+
+    @pytest.mark.parametrize("edge", ["text", "binary", "analyze"])
+    def test_one_admit_call_per_variable(self, colt, edge, tmp_path, monkeypatch):
+        events, filt = colt
+        counting = CountingFilter(filt.clone())
+        if edge == "text":
+            body = "".join(format_event(e) + "\n" for e in events) + "!flush\n"
+            with inline_service(admit=counting) as service:
+                service.handle_stream(io.StringIO(body), io.StringIO())
+        elif edge == "binary":
+            service = inline_service(admit=counting)
+            server = serve_tcp(service, "127.0.0.1", 0)
+            threading.Thread(target=server.serve_forever, daemon=True).start()
+            client = ServiceClient.tcp("127.0.0.1", server.server_address[1])
+            try:
+                assert client.enable_binary()
+                client.stream(events)
+                client.flush()
+            finally:
+                client.close()
+                server.shutdown()
+                server.server_close()
+                service.close()
+        else:
+            from repro.cli import main
+
+            trace = str(tmp_path / "colt.trace")
+            dump_trace(events, trace)
+            monkeypatch.setattr(
+                "repro.analysis.admission.load_admission_filter",
+                lambda _path: counting,
+            )
+            assert main(["analyze", trace, "--admit", "colt.json"]) == 1
+        accesses = [
+            (e.action.var.obj.value, e.action.var.field)
+            for e in events
+            if isinstance(e.action, (Read, Write))
+        ]
+        assert len(set(accesses)) < len(accesses)
+        per_variable = {call: n for call, n in counting.calls.items() if len(call) == 3}
+        assert per_variable == {("admit", *access): 1 for access in set(accesses)}
+        assert counting.refused
+
+
 class TestAdmitVerb:
     def run_stream(self, service, text):
         out = io.StringIO()
@@ -125,7 +194,7 @@ class TestAdmitVerb:
         assert install_info["policy"] == "intersect"
         assert install_info["workload"] == "colt"
         _, status_info = parse_summary(payloads[2][1])
-        assert status_info["policy"] == "intersect"
+        assert status_info == {"policy": "intersect", "admitted": 0, "filtered": 0}
         _, disable_info = parse_summary(payloads[3][1])
         assert disable_info["policy"] == "off"
 
@@ -159,7 +228,18 @@ class TestAdmitVerb:
         assert admit["policy"] == "intersect"
         assert admit["workload"] == "colt"
         assert admit["data_filtered"] > 0
-        assert admit["filtered_vars"] > 0
+        # each dropped variable once, array indices collapsed
+        dropped = {
+            (e.action.var.obj.value, field_key(e.action.var.field))
+            for e in events
+            if isinstance(e.action, (Read, Write))
+            and not filt.clone().admit(e.action.var.obj.value, e.action.var.field)
+        }
+        assert admit["filtered_vars"] == len(dropped) > 0
+        assert set(admit) == {
+            "policy", "workload", "race_free_fields", "data_admitted",
+            "data_filtered", "filtered_vars",
+        }
 
 
 class TestMetrics:
@@ -172,12 +252,11 @@ class TestMetrics:
         for name in (
             "repro_ingest_data_admitted_total",
             "repro_ingest_data_filtered_total",
-            "repro_admit_prefilter_hits_total",
-            "repro_admit_prefilter_misses_total",
         ):
             assert name in REQUIRED_METRICS
             assert name in text
         assert 'repro_service_admit_info{policy="intersect"} 1' in text
+        assert "repro_admit_" not in text
 
     def test_filtered_total_matches_stats(self, colt):
         events, filt = colt

@@ -1,10 +1,11 @@
-"""``repro-serve --unix`` / ``--tcp``: the socket file and the bind errors.
+"""``repro-serve --unix`` / ``--tcp``: the socket file, the announced
+port and the bind errors.
 
 A Unix server removes the socket file it bound when it stops -- on
 ``!shutdown``, SIGTERM or Ctrl-C -- so a restart on the same path works.
-A bind that fails (the path or port is live) is one ``repro-serve:
-error:`` line and exit status 2, a usage error, and the live server keeps
-serving.
+``--tcp HOST:0`` announces the port the OS picked.  A bind that fails
+(the path or port is live) is one ``repro-serve: error:`` line and exit
+status 2, a usage error, and the live server keeps serving.
 """
 
 import os
@@ -20,6 +21,7 @@ import pytest
 import repro
 from repro.server import RaceDetectionService, ServiceConfig, serve_tcp
 from repro.server.cli import main as serve_main
+from tests.helpers import start_tcp_node
 
 
 def talk(connect, text):
@@ -110,6 +112,23 @@ def test_a_second_server_on_a_live_port_exits_2(capsys):
         finally:
             server.shutdown()
             server.server_close()
+
+
+def test_port_0_announces_the_port_it_bound():
+    proc, port = start_tcp_node()
+    try:
+        assert port != 0
+
+        def connect():
+            return socket.create_connection(("127.0.0.1", port), timeout=10.0)
+
+        assert talk(connect, "!ping\n") == "ok pong"
+        assert talk(connect, "!shutdown\n").startswith("ok shutdown")
+        assert proc.wait(timeout=30) == 0
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
 
 
 @pytest.mark.parametrize(

@@ -47,8 +47,10 @@ def test_stats_json_round_trip_is_lossless_for_known_fields():
 
 #: ``!stats`` of a 2-shard node from before the process workers and the
 #: object transport were removed (racy 4-event trace, then ``!flush``).  It
-#: still carries ``transport``, ``backpressure_stalls`` and ``sync_decoded``
-#: at the top and ``sync_decoded`` and ``queue_depth`` per shard.
+#: still carries ``transport``, ``backpressure_stalls``, ``sync_decoded``
+#: and the admission bitmask's ``admit_prefilter_hits`` and
+#: ``admit_prefilter_misses`` at the top and ``sync_decoded`` and
+#: ``queue_depth`` per shard.
 PRE_CHANGE_STATS = (
     '{"admit": "off", "admit_prefilter_hits": 0, "admit_prefilter_misses": 0, '
     '"backpressure_stalls": 0, "batches_flushed": 2, "data_admitted": 2, '
@@ -85,7 +87,9 @@ def test_snapshot_from_a_node_that_was_not_upgraded_still_parses():
     from repro.obs.registry import parse_exposition
 
     snap = ServiceStats.from_json(PRE_CHANGE_STATS)
-    assert snap.unknown_fields == 3  # transport, backpressure_stalls, sync_decoded
+    # transport, backpressure_stalls, sync_decoded, admit_prefilter_hits,
+    # admit_prefilter_misses
+    assert snap.unknown_fields == 5
     # sync_decoded, queue_depth
     assert [s.unknown_fields for s in snap.shards] == [2, 2]
     assert (snap.events_ingested, snap.races_reported) == (4, 1)
