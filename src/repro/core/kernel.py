@@ -12,12 +12,13 @@ two-phase garbage collection -- with the hot loop rebuilt on integers:
   segments -- so replaying the Figure 5 rules is a tight loop with no
   ``isinstance`` dispatch: a simple sync is uniformly
   ``if key in ls: ls.add(gain)``, a commit reads one row of a side table;
-* the list indexes every row under the element ids that can fire its rule,
-  so a lockset computation is an **indexed replay**: it visits only the
-  cells of the lockset's own ids, in list order, and stops the moment the
-  lockset owns the accessing thread.  That early exit subsumes the paper's
-  thread-restricted traversal, so the ladder has five rungs (fresh,
-  transactional, same-thread, alock, **epoch**) before the replay;
+* a lockset computation **walks the list in order** on the lockset's id
+  bitmask and stops the moment the lockset owns the accessing thread.
+  Each segment carries the bitmask of the ids that can fire one of its
+  rules, so a segment where nothing the lockset holds can fire is skipped
+  with one AND.  The early exit subsumes the paper's thread-restricted
+  traversal, so the ladder has five rungs (fresh, transactional,
+  same-thread, alock, **epoch**) before the walk;
 * per-variable access state is int-keyed too: infos are filed under a
   *variable key*, assigned apart from the interner, and read slots under
   ``tid_id << 1 | xact``; ``DataVar`` and ``AccessRef`` objects are built
@@ -51,7 +52,6 @@ from __future__ import annotations
 
 import io
 import pickle
-from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .actions import (
@@ -89,6 +89,7 @@ from .lockset import (
     ls_has,
     ls_ids,
     ls_intersects,
+    ls_mask,
     ls_pack,
     ls_union,
     ls_unpack,
@@ -174,7 +175,8 @@ class EncodedGoldilocks(Detector):
 
     gc_threshold, trim_fraction:
         Collect the event list once it holds more than ``gc_threshold``
-        events (None: never), advancing the Infos anchored in its oldest
+        events (None: never; a negative threshold raises
+        :class:`ValueError`), advancing the Infos anchored in its oldest
         ``trim_fraction`` (Section 5.4).
     commit_sync:
         How a commit synchronizes (:data:`repro.core.goldilocks
@@ -200,6 +202,8 @@ class EncodedGoldilocks(Detector):
 
         if commit_sync not in COMMIT_SYNC_POLICIES:
             raise ValueError(f"unknown commit_sync policy {commit_sync!r}")
+        if gc_threshold is not None and gc_threshold < 0:
+            raise ValueError(f"gc_threshold must be None or at least 0, got {gc_threshold}")
         # Constructor kwargs are kept verbatim so reset() cannot drift from
         # the signature (and subclasses can extend the dict, not the call).
         self._config: Dict[str, object] = {
@@ -682,7 +686,7 @@ class EncodedGoldilocks(Detector):
     # -- Check-Happens-Before -------------------------------------------------------
 
     def _check_happens_before(self, info1: KInfo, info2: KInfo) -> bool:
-        """The constant-time rungs first, then the indexed replay."""
+        """The constant-time rungs first, then the walk."""
         if self.provenance:
             # Snapshot before any rung runs: the full traversal advances
             # info1 in place, destroying the replay window a failing
@@ -714,13 +718,13 @@ class EncodedGoldilocks(Detector):
         return info2.xact and ls_has(ls, TL_ID)
 
     def _full_traversal(self, info1: KInfo, info2: KInfo) -> bool:
-        """``Apply-Lockset-Rules`` by indexed replay, stopping at ownership.
+        """``Apply-Lockset-Rules`` by an in-order walk, stopping at ownership.
 
         The moment the advancing lockset owns ``info2`` the verdict is
-        settled (rules only add elements), so the scan stops.  The partial
-        lockset is exact for the scanned prefix, so the anchor still
+        settled (rules only add elements), so the walk stops.  The partial
+        lockset is exact for the walked prefix, so the anchor still
         advances to the exit position and the memo still learns: repeated
-        checks against a hot variable do not rescan the same window.
+        checks against a hot variable do not walk the same window again.
         """
         self.stats.full_lockset_computations += 1
         events = self.events
@@ -750,87 +754,72 @@ class EncodedGoldilocks(Detector):
         end: int,
         target: Optional[KInfo],
     ) -> Tuple[IntLockset, int]:
-        """Replay only the cells whose rule can fire, in ascending order.
+        """Replay the cells of ``[start, end)`` in list order, by segment.
 
-        A simple sync row fires only when its ``key`` is in the lockset,
-        and a commit row only when the lockset holds one of its incoming
-        ids or its committer -- and the list indexes every row under
-        exactly those ids.  So the candidate positions are the index
-        entries of the lockset's current ids, extended whenever a rule adds
-        an id.  Candidates merge through a heap; each id's index is queried
-        once, and both rule kinds are idempotent, so a row reachable
-        through several ids is harmless (and visited once).  The lockset is
-        the linear scan's; ``cells_traversed`` counts only visited cells.
+        The walk runs on the lockset's unbounded id bitmask.  A segment
+        whose :attr:`~repro.core.synclist._Segment.mask` (the ids that can
+        fire one of its rules) misses the lockset is skipped with one AND:
+        no rule in it can fire, so the lockset leaves it unchanged.  Every
+        other segment is walked row by row; ``cells_traversed`` counts the
+        cells walked, and a skipped segment adds none.
 
-        With a ``target`` info the scan stops at the first position where
+        With a ``target`` info the walk stops at the first position where
         the ownership test succeeds -- sound because rules only ever *add*
         elements.  Returns ``(lockset, reached)``: ``reached`` is the
-        position the lockset is valid at, ``end`` for a completed scan.
-        Cells are visited in ascending order and a skipped cell's rule
-        could not have fired, so an early exit is a valid (shorter)
-        advancement, not a throwaway.
+        position the lockset is valid at, ``end`` for a completed walk, and
+        the lockset is the linear replay's up to it, in its canonical
+        representation (:func:`~repro.core.lockset.ls_from_mask`), so an
+        early exit is a valid (shorter) advancement, not a throwaway.
         """
-        if target is not None and self._owned(ls, target):
-            return ls, start
+        mask = ls_mask(ls)
+        want = 0
+        if target is not None:
+            want = 1 << target.owner_id
+            if target.xact:
+                want |= 1 << TL_ID
+            if mask & want:
+                return ls, start
         events = self.events
-        key_positions = events.key_positions
-        table = events.commit_table
         segments = events.segments
+        table = events.commit_table
         size = events.segment_size
-        heap: List[Tuple[int, List[int], int]] = []
-        queried = set(ls_ids(ls))
-        for eid in queried:
-            positions, k = key_positions(eid, start)
-            if k < len(positions) and positions[k] < end:
-                heappush(heap, (positions[k], positions, k + 1))
-
-        def query(eid: int, frm: int) -> None:
-            if eid not in queried:
-                queried.add(eid)
-                positions, k = key_positions(eid, frm)
-                if k < len(positions) and positions[k] < end:
-                    heappush(heap, (positions[k], positions, k + 1))
-
+        grown = mask
         visited = 0
-        last = -1
-        reached = end
-        while heap:
-            pos, arr, k = heappop(heap)
-            if k < len(arr) and arr[k] < end:
-                heappush(heap, (arr[k], arr, k + 1))
-            if pos == last:
-                continue  # same cell reached through two index lists
-            last = pos
-            visited += 1
-            segment = segments[pos // size]
-            slot = pos % size
-            if segment.ops[slot] != OP_COMMIT:
-                # indexed under its key, which the lockset therefore holds
-                gain = segment.gains[slot]
-                if ls_has(ls, gain):
-                    continue
-                ls = ls_add(ls, gain)
-                query(gain, pos + 1)
-            else:
-                incoming, outgoing, committer = table[segment.keys[slot]]
-                grew = False
-                if ls_intersects(ls, incoming) and not ls_has(ls, committer):
-                    ls = ls_add(ls, committer)
-                    query(committer, pos + 1)
-                    grew = True
-                if ls_has(ls, committer):
-                    for gain in ls_ids(outgoing):
-                        if not ls_has(ls, gain):
-                            ls = ls_add(ls, gain)
-                            query(gain, pos + 1)
-                            grew = True
-                if not grew:
-                    continue
-            if target is not None and self._owned(ls, target):
-                reached = pos + 1
-                break
+        first = start // size
+        for index in range(first, (end - 1) // size + 1):
+            segment = segments[index]
+            if not segment.mask & grown:
+                continue
+            base = index * size
+            lo = start - base if index == first else 0
+            hi = min(size, end - base)
+            ops, keys, gains = segment.ops, segment.keys, segment.gains
+            for slot in range(lo, hi):
+                key = keys[slot]
+                if ops[slot] != OP_COMMIT:
+                    if not grown & 1 << key:
+                        continue
+                    bit = 1 << gains[slot]
+                    if grown & bit:
+                        continue
+                    grown |= bit
+                else:
+                    incoming, outgoing, committer = table[key]
+                    bit = 1 << committer
+                    after = grown
+                    if after & ls_mask(incoming):
+                        after |= bit
+                    if after & bit:
+                        after |= ls_mask(outgoing)
+                    if after == grown:
+                        continue
+                    grown = after
+                if grown & want:
+                    self.stats.cells_traversed += visited + slot + 1 - lo
+                    return ls_from_mask(grown), base + slot + 1
+            visited += hi - lo
         self.stats.cells_traversed += visited
-        return ls, reached
+        return (ls if grown == mask else ls_from_mask(grown)), end
 
     def _report(
         self, key: int, info1: KInfo, kind1: str, info2: KInfo, kind2: str

@@ -120,7 +120,8 @@ class LazyGoldilocks(Detector):
         Trigger event-list collection (with partially-eager evaluation if
         needed) once the list holds this many events.  The paper used one
         million entries; our simulated heaps are smaller, so the default is
-        lower.  ``None`` disables collection entirely.
+        lower.  ``None`` disables collection entirely; a negative
+        threshold raises :class:`ValueError`.
     trim_fraction:
         Fraction of the list that partially-eager evaluation advances
         locksets past (the paper trims "the first 10% of the entries").
@@ -148,6 +149,8 @@ class LazyGoldilocks(Detector):
 
         if commit_sync not in COMMIT_SYNC_POLICIES:
             raise ValueError(f"unknown commit_sync policy {commit_sync!r}")
+        if gc_threshold is not None and gc_threshold < 0:
+            raise ValueError(f"gc_threshold must be None or at least 0, got {gc_threshold}")
         self.commit_sync = commit_sync
         self._commit_gains = _commit_gains
         self.sc_xact = sc_xact
@@ -391,9 +394,9 @@ class LazyGoldilocks(Detector):
 
         Every cell *visited* is counted, including the skipped foreign-thread
         ones: the traversal still walks the whole linked segment.  (The
-        encoded kernel has no such rung: its indexed replay visits only the
-        cells of the lockset's own ids and stops once the lockset owns the
-        accessing thread.)
+        encoded kernel has no such rung: its walk skips the segments where
+        no rule can fire and stops once the lockset owns the accessing
+        thread.)
         """
         ls = set(info1.ls)
         threads = (info1.owner, info2.owner)

@@ -306,6 +306,16 @@ def ls_unpack(packed: Union[int, Tuple[int, ...]]) -> IntLockset:
     return frozenset(packed)
 
 
+def ls_mask(ls: IntLockset) -> int:
+    """The unbounded id bitmask of a lockset (the inverse of :func:`ls_from_mask`)."""
+    if type(ls) is int:
+        return ls
+    mask = 0
+    for eid in ls:
+        mask |= 1 << eid
+    return mask
+
+
 def ls_from_mask(mask: int) -> IntLockset:
     """The canonical lockset for an unbounded bitmask of ids.
 

@@ -91,7 +91,7 @@ class DetectorStats:
     sc_xact: int = 0
     #: ... by the thread-restricted traversal (cheap but not constant-time;
     #: only the offline LazyGoldilocks has this rung -- the encoded kernel's
-    #: indexed replay stops at ownership instead)
+    #: walk stops at ownership instead)
     sc_thread_restricted: int = 0
     #: ... by the fresh-variable case (first access, empty lockset)
     sc_fresh: int = 0

@@ -31,11 +31,10 @@ reads the oldest anchor off that walk and frees the segments before it.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .actions import OP_COMMIT, Action, Tid
-from .lockset import ls_ids, ls_pack, ls_unpack
+from .lockset import ls_mask, ls_pack, ls_unpack
 
 
 class Cell:
@@ -225,15 +224,19 @@ class _Segment:
     ``ops`` is the opcode; ``keys``/``gains`` the pre-encoded rule operands
     -- for a simple sync the Figure 5 rule is uniformly ``if keys[i] in ls:
     ls.add(gains[i])``, and for a commit ``keys[i]`` indexes the list's
-    commit side table, whose row names the committer.
+    commit side table, whose row names the committer.  ``mask`` is the
+    bitmask of the ids that can fire a rule of the segment's events (see
+    :meth:`EncodedSyncList._fires`): a lockset it misses passes the whole
+    segment unchanged.
     """
 
-    __slots__ = ("ops", "keys", "gains")
+    __slots__ = ("ops", "keys", "gains", "mask")
 
     def __init__(self) -> None:
         self.ops: List[int] = []
         self.keys: List[int] = []
         self.gains: List[int] = []
+        self.mask: int = 0
 
     def append(self, op: int, key: int, gain: int) -> None:
         self.ops.append(op)
@@ -262,9 +265,9 @@ class EncodedSyncList:
       infos that every collection makes), and the GC frees the whole
       segments before it from the front -- slightly coarser than the
       per-cell collector, never less sound, and O(1) per reclaimed chunk.
-    * A per-key position index (:meth:`key_positions`) lists every row
-      under the element ids that can fire its rule, so a lockset
-      computation visits only the cells of the lockset's own ids.
+    * Each segment carries the bitmask of the element ids that can fire
+      one of its rules, so a lockset computation skips, with one AND, a
+      segment where nothing it holds can fire.
 
     Commits carry variable-size footprints, so they are stored as an index
     (in ``keys``) into :attr:`commit_table`, whose rows are
@@ -286,14 +289,6 @@ class EncodedSyncList:
         self.total_collected: int = 0
         #: commit side table: (incoming, outgoing, tid_id) encoded rows
         self.commit_table: List[Tuple[object, object, int]] = []
-        #: per-rule-key sorted position lists, so a replay visits only the
-        #: cells whose rule *can* fire.  Simple sync rows index by ``key``;
-        #: a commit row (whose ``key`` is a commit-table index, not an
-        #: element id) is indexed under every id that can trigger one of
-        #: its rules -- each incoming id (the intersection rule) plus the
-        #: committer (the union rule) -- so a lockset that could never fire
-        #: it never visits it.
-        self._by_key: Dict[int, List[int]] = {}
 
     # -- appends ---------------------------------------------------------------
 
@@ -320,47 +315,34 @@ class EncodedSyncList:
         if segment is None:
             segment = self.segments[seg_index] = _Segment()
         segment.append(op, key, gain)
-        self._index_row(pos, op, key)
+        segment.mask |= self._fires(op, key)
         self.total_enqueued = pos + 1
         return pos
 
-    def _index_row(self, pos: int, op: int, key: int) -> None:
-        """Add one row to the per-key index."""
-        by_key = self._by_key
+    def _fires(self, op: int, key: int) -> int:
+        """The bitmask of the ids whose presence lets a row's rule fire.
+
+        A simple sync row fires on its ``key``; a commit row on any of its
+        incoming ids (it adds the committer) or on the committer (it adds
+        the outgoing ids).
+        """
         if op != OP_COMMIT:
-            by_key.setdefault(key, []).append(pos)
-            return
+            return 1 << key
         incoming, _outgoing, committer = self.commit_table[key]
-        by_key.setdefault(committer, []).append(pos)
-        for eid in ls_ids(incoming):
-            if eid != committer:
-                by_key.setdefault(eid, []).append(pos)
+        return ls_mask(incoming) | 1 << committer
 
     def add_commit_row(self, incoming: object, outgoing: object, tid_id: int) -> int:
         """Register a commit's encoded footprint; returns its table index."""
         self.commit_table.append((incoming, outgoing, tid_id))
         return len(self.commit_table) - 1
 
-    # -- random access and indexes ---------------------------------------------
+    # -- random access ------------------------------------------------------------
 
     def at(self, pos: int) -> Tuple[int, int, int]:
         """The ``(op, key, gain)`` row at a position."""
         slot = pos % self.segment_size
         segment = self.segments[pos // self.segment_size]
         return (segment.ops[slot], segment.keys[slot], segment.gains[slot])
-
-    def key_positions(self, key: int, start: int) -> Tuple[List[int], int]:
-        """Positions whose rule can fire for ``key``, from ``start`` on.
-
-        Simple-sync rows whose rule key is ``key``, plus commit rows with
-        ``key`` among their incoming ids or as their committer.  Returns
-        ``(the shared ascending list, first index >= start)`` so callers
-        can walk it without copying.
-        """
-        positions = self._by_key.get(key)
-        if not positions:
-            return [], 0
-        return positions, bisect_left(positions, start)
 
     # -- garbage collection -------------------------------------------------------
 
@@ -369,8 +351,7 @@ class EncodedSyncList:
 
         ``oldest`` is the oldest position any ``Info`` is anchored at (the
         tail when none is), so no lockset computation reads a freed event.
-        The partial append-target segment is never freed, and the key index
-        is pruned here so it never points into freed storage.  Returns the
+        The partial append-target segment is never freed.  Returns the
         number of events freed.
         """
         size = self.segment_size
@@ -384,24 +365,14 @@ class EncodedSyncList:
         freed = stop * size - self.head_pos
         self.head_pos += freed
         self.total_collected += freed
-        head = self.head_pos
-        by_key = self._by_key
-        for key, positions in list(by_key.items()):
-            cut = bisect_left(positions, head)
-            if cut:
-                remaining = positions[cut:]
-                if remaining:
-                    by_key[key] = remaining
-                else:
-                    del by_key[key]
         return freed
 
     # -- pickling -----------------------------------------------------------------
     #
     # The canonical state is the segment payloads plus the commit table; the
-    # key index is derived and always rebuilt on restore, even from older
-    # blobs that recorded it as switched off.  Older blobs also carry the
-    # per-segment reference counts the list once kept (``refs``), which
+    # segment masks are derived and rebuilt on restore.  Older blobs also
+    # carry the per-segment reference counts the list once kept (``refs``)
+    # and a key index recorded as switched off (``index_keys``), which
     # restore ignores, and a fifth segment column, the acting thread of
     # each row, which nothing read and restore drops.  Everything is ints,
     # so blobs are compact and byte-stable: restoring and re-pickling
@@ -438,13 +409,12 @@ class EncodedSyncList:
             (ls_unpack(incoming), ls_unpack(outgoing), tid_id)
             for incoming, outgoing, tid_id in state["commit_table"]
         ]
-        self._by_key = {}
         size = self.segment_size
-        for index, segment in sorted(self.segments.items()):
+        for index, segment in self.segments.items():
             base = index * size
             for slot, (op, key) in enumerate(zip(segment.ops, segment.keys)):
                 if base + slot >= self.head_pos:  # not start_at's padding
-                    self._index_row(base + slot, op, key)
+                    segment.mask |= self._fires(op, key)
 
     def __len__(self) -> int:
         """Retained events (enqueued minus collected)."""

@@ -143,6 +143,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--shards must be at least 1")
     if args.batch_size < 1:
         parser.error("--batch-size must be at least 1")
+    if args.gc_threshold < 0:
+        parser.error("--gc-threshold must be at least 0 (0 disables collection)")
     if args.follow and not args.tail:
         parser.error("--follow only makes sense with --tail FILE")
     if args.follow and args.tail.endswith(".gz"):

@@ -24,6 +24,7 @@ from repro.core import (
 )
 from repro.trace import RandomTraceGenerator, TraceBuilder
 from repro.trace.io import format_event, iter_packed_frames
+from tests.helpers import segment_masks_are_exact
 
 TRACE = RandomTraceGenerator(
     max_threads=5, steps_per_thread=50, p_discipline=0.3, n_objects=6, n_fields=3
@@ -193,8 +194,8 @@ def checkpoint_in_an_older_layout(detector, monkeypatch, retired, index_keys=Tru
 
 def test_checkpoint_from_before_the_indexed_replay_resumes(monkeypatch):
     """Cluster nodes exchange checkpoints, so an older blob must restore,
-    rebuild the key index the replay walks, finish the stream with the
-    uninterrupted race lines, and survive ``reset()``."""
+    rebuild the segment masks the replay skips by, finish the stream with
+    the uninterrupted race lines, and survive ``reset()``."""
     text = "\n".join(format_event(event) for event in TRACE) + "\n"
     frames = list(iter_packed_frames(io.StringIO(text), 16))
     expected = packed_race_lines(EncodedGoldilocks(), frames)
@@ -208,7 +209,9 @@ def test_checkpoint_from_before_the_indexed_replay_resumes(monkeypatch):
     assert b"sc_thread_restricted" in blob
 
     resumed = EncodedGoldilocks.restore(blob)
-    assert resumed.events._by_key == detector.events._by_key
+    masks = {index: seg.mask for index, seg in detector.events.segments.items()}
+    assert {index: seg.mask for index, seg in resumed.events.segments.items()} == masks
+    assert segment_masks_are_exact(resumed.events)
     # the re-checkpoint is the current layout, byte for byte
     assert resumed.checkpoint() == detector.checkpoint()
     assert EncodedGoldilocks.restore(resumed.checkpoint()).checkpoint() == resumed.checkpoint()

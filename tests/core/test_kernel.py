@@ -15,10 +15,11 @@ from repro.core import (
     EncodedGoldilocks,
     EncodedSyncList,
     Interner,
+    LazyGoldilocks,
     Obj,
     Tid,
 )
-from repro.core.actions import TL, DataVar, LockVar
+from repro.core.actions import OP_COMMIT, TL, DataVar, LockVar
 from repro.core.lockset import (
     ls_add,
     ls_has,
@@ -29,16 +30,11 @@ from repro.core.lockset import (
     ls_union,
     ls_unpack,
 )
-from repro.core.report import AccessRef
+from repro.core.report import AccessRef, RaceReport
 from repro.trace import RandomTraceGenerator, TraceBuilder
+from tests.helpers import segment_masks_are_exact
 
 T1, T2, T3 = Tid(1), Tid(2), Tid(3)
-
-
-def positions_from(lst, key, start):
-    """A key's indexed positions from ``start`` on, via the offset accessor."""
-    positions, first = lst.key_positions(key, start)
-    return positions[first:]
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +142,12 @@ class TestEncodedSyncList:
             assert lst.enqueue_encoded(1, key=10 + (i % 2), gain=20 + i) == i
         assert lst.total_enqueued == 6 and len(lst) == 6
         assert lst.at(5) == (1, 11, 25)
-        assert positions_from(lst, 10, 0) == [0, 2, 4]
-        assert positions_from(lst, 11, 2) == [3, 5]
-        assert lst.key_positions(9, 0) == ([], 0)
+        # each segment's mask holds the keys its rows fire on
+        assert lst.segments[0].mask == 1 << 10 | 1 << 11
+        assert lst.segments[1].mask == 1 << 10 | 1 << 11
+        lst.enqueue_encoded(1, key=3, gain=9)
+        assert lst.segments[1].mask == 1 << 3 | 1 << 10 | 1 << 11
+        assert segment_masks_are_exact(lst)
 
     def test_collect_frees_only_full_unreferenced_segments(self):
         lst = EncodedSyncList(segment_size=4)
@@ -156,7 +155,7 @@ class TestEncodedSyncList:
             lst.enqueue_encoded(1, i % 2, i)
         assert lst.collect_prefix(5) == 4  # an anchor at 5 keeps segment 1
         assert lst.head_pos == 4 and len(lst) == 6
-        assert positions_from(lst, 0, 0)[0] == 4  # index pruned with the prefix
+        assert sorted(lst.segments) == [1, 2] and segment_masks_are_exact(lst)
         assert lst.collect_prefix(2) == 0  # an anchor before the head frees nothing
         assert lst.collect_prefix(10) == 4  # segment 1 now goes
         assert lst.collect_prefix(10) == 0  # partial tail segment never freed
@@ -176,11 +175,22 @@ class TestEncodedSyncList:
         for i in range(7):
             lst.enqueue_encoded(1 + (i % 2), i, i * 2)
         lst.add_commit_row(ls_make([1, 2]), frozenset([3, BITSET_CUTOFF + 1]), 1)
+        row = lst.add_commit_row(frozenset([4, BITSET_CUTOFF + 2]), ls_make([5]), 6)
+        lst.enqueue_encoded(OP_COMMIT, 0, 0)
+        lst.enqueue_encoded(OP_COMMIT, row, 0)
+        # segment 2: row 6 fires on its key 6, each commit on its committer
+        # (1, then 6) and its incoming ids ({1, 2}, then {4, cutoff + 2})
+        assert lst.segments[2].mask == ls_make([1, 2, 4, 6]) | 1 << BITSET_CUTOFF + 2
         blob = pickle.dumps(lst)
         clone = pickle.loads(blob)
         assert pickle.dumps(clone) == blob
         assert clone.at(4) == lst.at(4)
-        assert positions_from(clone, 2, 0) == positions_from(lst, 2, 0)
+        # the masks are not pickled, and restore rebuilds them
+        assert b"mask" not in blob
+        assert [seg.mask for seg in clone.segments.values()] == [
+            seg.mask for seg in lst.segments.values()
+        ]
+        assert segment_masks_are_exact(clone)
         assert clone.commit_table == lst.commit_table
         # older lists also pickled per-segment reference counts and each
         # row's acting thread; restore drops both, and the list pickles in
@@ -199,6 +209,7 @@ class TestEncodedSyncList:
         )
         assert pickle.dumps(older) == blob
         assert older.at(4) == lst.at(4)
+        assert segment_masks_are_exact(older)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +278,78 @@ class TestSharedMemo:
         assert two.process_all(self.memo_trace()) == []
         assert one.stats.cells_traversed > 0
         assert two.stats.cells_traversed == one.stats.cells_traversed
+
+
+@pytest.mark.parametrize("detector_cls", [EncodedGoldilocks, LazyGoldilocks])
+def test_a_negative_gc_threshold_is_refused(detector_cls):
+    """None disables collection and 0 collects whenever a segment can go;
+    a negative threshold means nothing more, so it is refused."""
+    for threshold in (None, 0, 50_000):
+        assert detector_cls(gc_threshold=threshold).gc_threshold == threshold
+    with pytest.raises(ValueError, match="gc_threshold must be None or at least 0, got -1"):
+        detector_cls(gc_threshold=-1)
+
+
+# ---------------------------------------------------------------------------
+# The in-order walk skips a segment where nothing can fire
+# ---------------------------------------------------------------------------
+
+
+def unsafe_publication(n_vars, pairs=10):
+    """T1 writes ``n_vars`` variables; after each write T2 takes and drops
+    its own lock ``pairs`` times; T3 then reads every variable.  Nothing
+    orders a write before its read, so every read races, and its window
+    holds up to ``2 * pairs * n_vars`` of T2's sync events."""
+    tb = TraceBuilder()
+    for child in (T1, T2, T3):
+        tb.fork(Tid(0), child)
+    lock = Obj(7)
+    for i in range(n_vars):
+        tb.write(T1, Obj(1000 + i), "f")
+        for _ in range(pairs):
+            tb.acq(T2, lock)
+            tb.rel(T2, lock)
+    for i in range(n_vars):
+        tb.read(T3, Obj(1000 + i), "f")
+    return tb.build()
+
+
+def apply_as_records(detector, events):
+    """The races of ``events`` through the encoder and ``apply_records``."""
+    from repro.core.encode import EventEncoder
+    from repro.trace.io import format_event, iter_records
+
+    encoder = EventEncoder()
+    detector.interner = encoder.interner
+    reports = []
+    for records, extras in iter_records(map(format_event, events), encoder):
+        reports.extend(report for _seq, report in detector.apply_records(records, extras)[0])
+    return reports
+
+
+@pytest.mark.parametrize("path", ["process_all", "apply_records"])
+def test_a_window_where_nothing_can_fire_walks_no_cell(path):
+    """T1's write leaves the lockset {T1}, and no segment after it holds a
+    rule T1 fires: the walk skips every one with one AND, so 500 windows of
+    up to 10,000 sync events walk no cell (a walk without the skip would
+    visit about 2.5 million), and each read still races."""
+    n_vars = 500
+    events = unsafe_publication(n_vars)
+    detector = EncodedGoldilocks()
+    if path == "process_all":
+        reports = detector.process_all(events)
+    else:
+        reports = apply_as_records(detector, events)
+    assert reports == [
+        RaceReport(
+            var=DataVar(Obj(1000 + i), "f"),
+            first=AccessRef(T1, i, "write"),
+            second=AccessRef(T3, i, "read"),
+        )
+        for i in range(n_vars)
+    ]
+    assert detector.stats.full_lockset_computations == n_vars
+    assert detector.stats.cells_traversed < len(reports)
 
 
 # ---------------------------------------------------------------------------

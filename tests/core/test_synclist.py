@@ -249,22 +249,25 @@ def test_a_list_started_mid_segment_indexes_and_collects_from_its_head():
     """A kernel restored from group checkpoints starts its list at their
     tail, which need not be segment-aligned: slot ``i`` of a segment still
     holds position ``index * size + i``, and the padding before the head
-    is never indexed, counted or freed as events."""
+    never enters a segment mask and is never counted or freed as events."""
     import pickle
 
     from repro.core.actions import OP_ACQUIRE
     from repro.core.synclist import EncodedSyncList
+    from tests.helpers import segment_masks_are_exact
 
     events = EncodedSyncList(segment_size=8)
     events.start_at(13)
     assert (events.total_enqueued, len(events)) == (13, 0)
+    assert events.segments[1].mask == 0  # five rows of padding fire on nothing
     for i in range(20):
         events.enqueue_encoded(OP_ACQUIRE, 2, 100 + i)
     assert events.at(13) == (OP_ACQUIRE, 2, 100)
-    assert events.key_positions(2, 0) == (list(range(13, 33)), 0)
+    assert [seg.mask for seg in events.segments.values()] == [1 << 2] * 4
     clone = pickle.loads(pickle.dumps(events))
-    assert clone._by_key == events._by_key and len(clone) == 20
+    assert [seg.mask for seg in clone.segments.values()] == [1 << 2] * 4
+    assert segment_masks_are_exact(clone) and len(clone) == 20
     # with nothing anchored, full segments 1-3 go; 32 sits in the open segment 4
     assert events.collect_prefix(events.total_enqueued) == 32 - 13
     assert (events.head_pos, len(events)) == (32, 1)
-    assert events.key_positions(2, 0) == ([32], 0)
+    assert events.segments[4].mask == 1 << 2

@@ -9,7 +9,8 @@ import sys
 
 import repro
 from repro.core import Commit
-from repro.core.actions import DataVar, Obj, Tid, is_data_access
+from repro.core.actions import OP_COMMIT, DataVar, Obj, Tid, is_data_access
+from repro.core.lockset import ls_ids
 from repro.oracle import HappensBeforeOracle
 from repro.trace import TraceBuilder
 from repro.trace.io import format_event
@@ -36,6 +37,27 @@ def detector_first_races(detector, events):
 def report_key(report):
     """Detector-independent identity of a race report."""
     return (report.var, report.second.tid, report.second.index, report.second.kind)
+
+
+def segment_masks_are_exact(events):
+    """Whether every live segment of an ``EncodedSyncList`` carries the OR
+    of its rows' firing ids, recomputed from the rows: a simple sync row
+    fires on its key, a commit row on its committer and its incoming ids.
+    Rows before the head (a ``start_at`` list's padding) fire on nothing."""
+    size = events.segment_size
+    for index, segment in events.segments.items():
+        want = 0
+        for pos in range(max(index * size, events.head_pos), index * size + len(segment)):
+            op, key, _gain = events.at(pos)
+            ids = [key]
+            if op == OP_COMMIT:
+                incoming, _outgoing, committer = events.commit_table[key]
+                ids = [committer, *ls_ids(incoming)]
+            for eid in ids:
+                want |= 1 << eid
+        if segment.mask != want:
+            return False
+    return True
 
 
 def oracle_first_races_read_read(events):

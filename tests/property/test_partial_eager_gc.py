@@ -1,26 +1,31 @@
-"""Property tests: the indexed replay and the one-pass advance are linear replay.
+"""Property tests: the segment-skipping walk and the one-pass advance are linear replay.
 
-The kernel answers a lockset computation by *indexed replay*
-(``_skip_scan``): it visits only the cells indexed under the lockset's own
-ids, and with a target it stops at the first position where the lockset
-owns the target's thread.  Section 5.4's partial evaluation advances every
-lockset pinned in the GC prefix in one backward pass (``_advance_to``).
-Both are checked against the plain linear walk below -- every cell of the
-window, in list order -- which is the definition of ``Apply-Lockset-Rules``
-on the encoded list.
+The kernel answers a lockset computation by walking the list in order
+(``_skip_scan``): it skips, with one AND, each segment whose mask of
+firing ids misses the lockset, and with a target it stops at the first
+position where the lockset owns the target's thread.  Section 5.4's
+partial evaluation advances every lockset pinned in the GC prefix in one
+backward pass (``_advance_to``).  Both are checked against the plain
+linear walk below -- every cell of the window, in list order -- which is
+the definition of ``Apply-Lockset-Rules`` on the encoded list.
 
 Lists mix simple-sync and commit rows over ids on both sides of
-``BITSET_CUTOFF``, some have had a prefix collected (so the key index was
-pruned), and infos crowd a few anchors, so both lockset representations
-and shared anchors are hit.  Results must match in value *and*
-representation (int bitmask vs frozenset): memo keys and checkpoints
-depend on it.
+``BITSET_CUTOFF``; some begin mid-segment (``start_at``, as a kernel
+restored from group checkpoints does), some have had a prefix collected,
+some are restored from a pickle round trip (so their segment masks were
+rebuilt), and infos crowd a few anchors, so both lockset representations
+and shared anchors are hit.  Each segment mask is checked against its
+rows after the enqueues, after the collection and after the restore.
+Results must match in value *and* representation (int bitmask vs
+frozenset): memo keys and checkpoints depend on it.
 """
+
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import BITSET_CUTOFF, EncodedGoldilocks, Obj, Tid
+from repro.core import BITSET_CUTOFF, TL_ID, EncodedGoldilocks, Obj, Tid
 from repro.core.actions import OP_ACQUIRE, OP_COMMIT, LockVar
 from repro.core.kernel import KInfo
 from repro.core.lockset import (
@@ -31,9 +36,11 @@ from repro.core.lockset import (
     ls_union,
 )
 from repro.trace import TraceBuilder
+from tests.helpers import segment_masks_are_exact
 
-#: element ids: a few bitmask-range ids and a few that force frozensets
-IDS = (1, 2, 3, 4, 5, BITSET_CUTOFF - 1, BITSET_CUTOFF, BITSET_CUTOFF + 3)
+#: element ids: ``TL`` (which owns a transactional target), a few
+#: bitmask-range ids and a few that force frozensets
+IDS = (TL_ID, 1, 2, 3, 4, 5, BITSET_CUTOFF - 1, BITSET_CUTOFF, BITSET_CUTOFF + 3)
 
 ids = st.sampled_from(IDS)
 locksets = st.sets(ids, min_size=1, max_size=4).map(ls_make)
@@ -67,26 +74,32 @@ def same(got, want):
 
 @st.composite
 def scenarios(draw):
-    """``(segment size, rows, head, cutoff, [(anchor, lockset)])``.
+    """``(segment size, origin, rows, head, cutoff, [(anchor, lockset)], restored)``.
 
-    Cells before ``head``'s segment are collected before any check runs,
-    so anchors start at the first retained position.
+    The list begins at ``origin``, padded up to it when that is mid-segment.
+    Cells before ``head``'s segment are collected before any check runs, so
+    anchors start at the first retained position.  A ``restored`` list is
+    checked as a pickle round trip brings it back.
     """
     size = draw(st.sampled_from((1, 3, 4, 16)))
+    origin = draw(st.sampled_from((0, 0, 5, 18)))
     body = draw(rows)
-    head = draw(st.sampled_from((0, 0, len(body) // 3)))
-    first = head - head % size
-    cutoff = draw(st.integers(min_value=max(first + 1, len(body) // 2), max_value=len(body)))
+    head = origin + draw(st.sampled_from((0, 0, len(body) // 3)))
+    first = max(origin, head - head % size)
+    low = max(first + 1, origin + len(body) // 2)
+    cutoff = draw(st.integers(min_value=low, max_value=origin + len(body)))
     anchors = draw(st.lists(st.integers(first, cutoff - 1), min_size=1, max_size=3))
     infos = draw(
         st.lists(st.tuples(st.sampled_from(anchors), locksets), min_size=1, max_size=12)
     )
-    return size, body, head, cutoff, infos
+    return size, origin, body, head, cutoff, infos, draw(st.booleans())
 
 
-def build(kernel_cls, size, body, head=0):
+def build(kernel_cls, size, body, head=0, origin=0, restored=False):
     detector = kernel_cls(segment_size=size, gc_threshold=None)
     events = detector.events
+    if origin:
+        events.start_at(origin)
     for op, *row in body:
         if op == OP_COMMIT:
             committer, incoming, outgoing = row
@@ -94,13 +107,18 @@ def build(kernel_cls, size, body, head=0):
             events.enqueue_encoded(OP_COMMIT, index, 0)
         else:
             events.enqueue_encoded(op, *row)
+    assert segment_masks_are_exact(events)
     events.collect_prefix(head)  # frees the full segments before head's
-    assert events.head_pos == head - head % size
+    assert events.head_pos == max(origin, head - head % size)
+    assert segment_masks_are_exact(events)
+    if restored:
+        detector.events = pickle.loads(pickle.dumps(events))
+        assert segment_masks_are_exact(detector.events)
     return detector
 
 
 def check_scan(detector, ls, start, end, target):
-    """Indexed replay with a target against the linear walk."""
+    """The walk with a target against the linear walk."""
     got, reached = detector._skip_scan(ls, start, end, target)
     assert start <= reached <= end
     assert same(got, linear_replay(detector.events, ls, start, reached))
@@ -118,8 +136,8 @@ def check_scan(detector, ls, start, end, target):
 @settings(max_examples=150, deadline=None)
 @given(scenario=scenarios())
 def test_one_pass_advance_equals_forward_replay(kernel_cls, scenario):
-    size, body, head, cutoff, anchored = scenario
-    detector = build(kernel_cls, size, body, head)
+    size, origin, body, head, cutoff, anchored, restored = scenario
+    detector = build(kernel_cls, size, body, head, origin, restored)
     infos = [KInfo(1, pos, ls, None, False, None) for pos, ls in anchored]
     expected = [linear_replay(detector.events, info.ls, info.pos, cutoff) for info in infos]
 
@@ -130,17 +148,17 @@ def test_one_pass_advance_equals_forward_replay(kernel_cls, scenario):
         assert same(info.ls, want)
     # every anchor moved: the list frees every full segment before the cutoff
     detector.events.collect_prefix(min(info.pos for info in infos))
-    assert detector.events.head_pos == cutoff - cutoff % size
+    assert detector.events.head_pos == max(origin, cutoff - cutoff % size)
     assert detector.stats.partial_evaluations == len(infos)
 
 
 @settings(max_examples=200, deadline=None)
-@given(scenario=scenarios(), owner=ids)
-def test_indexed_replay_equals_linear_replay(scenario, owner):
-    size, body, head, _cutoff, anchored = scenario
-    detector = build(EncodedGoldilocks, size, body, head)
+@given(scenario=scenarios(), owner=ids, xact=st.booleans())
+def test_indexed_replay_equals_linear_replay(scenario, owner, xact):
+    size, origin, body, head, _cutoff, anchored, restored = scenario
+    detector = build(EncodedGoldilocks, size, body, head, origin, restored)
     end = detector.events.total_enqueued
-    target = KInfo(owner, end, 0, None, False, None)
+    target = KInfo(owner, end, 0, None, xact, None)
     for start, ls in anchored:
         got = detector._skip_scan(ls, start, end, None)[0]
         assert same(got, linear_replay(detector.events, ls, start, end))

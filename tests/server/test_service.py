@@ -273,6 +273,23 @@ def test_a_batch_size_below_one_is_a_usage_error(capsys, size):
         ServiceConfig(batch_size=int(size))
 
 
+def test_a_negative_gc_threshold_is_a_usage_error(capsys):
+    """A negative ``--gc-threshold`` would collect at every segment
+    boundary; it exits 2 with the usage before anything is read, and a
+    service configured with one is refused when its kernel is built."""
+    from repro.server.cli import main as serve_main
+
+    with pytest.raises(SystemExit) as exc:
+        serve_main(["--stdin", "--gc-threshold", "-5"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: repro-serve")
+    assert "repro-serve: error: --gc-threshold must be at least 0" in err
+    assert "Traceback" not in err
+    with pytest.raises(ValueError, match="gc_threshold must be None or at least 0"):
+        RaceDetectionService(ServiceConfig(gc_threshold=-5))
+
+
 # -- sockets -------------------------------------------------------------------
 
 
