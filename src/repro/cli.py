@@ -15,9 +15,9 @@ paths, so recorded streams pipe straight between the fuzzer, the
 :mod:`repro.server` service, and shell tooling.
 
 ``analyze`` runs the default detector, ``goldilocks`` (the encoded kernel,
-:class:`~repro.core.EncodedGoldilocks`), the way ``repro-serve`` does: each
-line goes through the service's encoder
-(:meth:`~repro.core.encode.EventEncoder.encode_line`) into packed integer
+:class:`~repro.core.EncodedGoldilocks`), the way ``repro-serve`` does: the
+lines go through the service's encoder in runs
+(:meth:`~repro.core.encode.EventEncoder.encode_lines`) into packed integer
 records, applied in chunks of :data:`CHUNK_EVENTS`, so no ``Event`` object
 is built.  The other detectors read ``Event`` objects
 (:func:`~repro.trace.load_trace`), as do ``oracle``, ``shrink`` and
@@ -385,7 +385,11 @@ def _explain_flightrec(args) -> int:
         )
         _render_provenance(line, recorded_prov[args.race], args.race)
         return 0
-    result = replay_flightrec(recording, provenance=True)
+    try:
+        result = replay_flightrec(recording, provenance=True)
+    except ValueError as exc:  # a frame the kernel refuses
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     reports = result.reports or []
     if args.race >= len(reports):
         print(
@@ -435,17 +439,18 @@ def cmd_replay_flightrec(args) -> int:
     Exit status: 0 when every recorded race line was reproduced (including
     an empty recording, e.g. a SIGTERM dump with no races), 1 when at least
     one recorded line could not be reproduced from the window, 2 on an
-    unreadable file.
+    unreadable file or a frame the kernel refuses (one ``error:`` line on
+    stderr, nothing on stdout).
     """
     from .obs.flightrec import load_flightrec, replay_flightrec
 
     try:
         recording = load_flightrec(args.file)
+        result = replay_flightrec(recording)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     header = recording.header
-    result = replay_flightrec(recording)
     print(
         f"# flightrec shard {header.get('shard')}/{header.get('n_shards')} "
         f"reason={header.get('reason')} records={header.get('n_records')} "

@@ -39,6 +39,14 @@ Senders keep one master :class:`~repro.core.lockset.Interner` plus a cursor
 per receiver; each frame ships only the ids minted since that receiver's
 last frame (the per-frame interner delta), so every receiver's interner is
 a prefix of the sender's and the id space stays consistent end to end.
+
+Text is encoded in runs: :meth:`EventEncoder.encode_lines` turns a run of
+trace lines into records in one loop, straight into the caller's record
+and extras arrays, and stops at the first line it refuses.  It holds the
+text grammar; the service's engine, ``repro-race analyze``
+(:func:`~repro.trace.io.iter_records`) and, through
+:meth:`~EventEncoder.encode_line` (a run of one line), the cluster
+coordinator all encode through it.
 """
 
 from __future__ import annotations
@@ -47,7 +55,7 @@ import struct
 import sys
 import zlib
 from array import array
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Container, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .actions import (
     OP_ACQUIRE,
@@ -619,36 +627,155 @@ class EventEncoder:
             return OP_COMMIT, tid_id, event.index, 0, 0, extras
         raise TypeError(f"cannot encode action {action!r}")
 
+    def encode_lines(
+        self,
+        lines: Sequence[str],
+        records: array,
+        extras: array,
+        seq: int,
+        hosted: Optional[Container[int]] = None,
+    ) -> Tuple[int, int, int, int, Optional[ValueError]]:
+        """Encode a run of trace text lines into the caller's arrays, in one loop.
+
+        Line ``i`` of the run takes sequence number ``seq + i`` and becomes
+        one record appended to ``records``; a commit's footprint is
+        appended to ``extras`` and its record's ``a`` is the offset.  A
+        data access the admission filter drops, or -- given a ``hosted``
+        set of groups -- one whose group is not in it, takes its ``seq``
+        but no record.
+
+        Returns ``(taken, data, filtered, foreign, error)``: the lines
+        encoded, the data accesses among them past the filter (``foreign``
+        of which are of groups not hosted) and the filtered ones.  The run
+        stops at the first line it refuses: ``error`` is then the
+        ``ValueError`` that says why and ``lines[taken]`` the line, else
+        ``error`` is None and every line was taken.
+
+        The grammar is :func:`repro.trace.io.parse_event`'s, with its
+        laxness (positional tokens, trailing ones ignored): both refuse
+        exactly the same lines.  Elements are interned in
+        :meth:`encode_event`'s order, the thread first, so either entry
+        point assigns the same ids.  A line with a bad index or an unknown
+        kind interns nothing; a line refused later can leave its thread
+        interned, which is harmless (an unreferenced id merely rides along
+        in the next delta).  ``read``, ``write``, ``acq`` and ``rel`` are
+        parsed inline through the int-keyed caches; in steady state no line
+        constructs a dataclass.
+        """
+        tid_ids = self._tid_ids
+        lock_ids = self._lock_ids
+        var_ids = self._dvar_ids if self.admit is None else self._access_ids
+        var_shard = self.var_shard
+        extend = records.extend
+        start = seq
+        data = filtered = foreign = 0
+        try:
+            # ids are never 0 (TL's), so ``get(...) or`` falls back on a miss
+            for line in lines:
+                parts = line.split()
+                kind = parts[2]
+                tid_value = int(parts[0])
+                index = int(parts[1])
+                if kind == "read" or kind == "write":
+                    tid_id = tid_ids.get(tid_value) or self._tid_id(tid_value)
+                    obj_value = int(parts[3])
+                    field = parts[4]
+                    var_id = var_ids.get((obj_value, field)) or self._data_var_id(
+                        obj_value, field
+                    )
+                    if var_id < 0:  # FILTERED_VAR
+                        filtered += 1
+                    else:
+                        data += 1
+                        if hosted is not None and var_shard[var_id] not in hosted:
+                            foreign += 1
+                        else:
+                            op = OP_READ if kind == "read" else OP_WRITE
+                            extend((op, seq, tid_id, index, var_id, 0))
+                elif kind == "acq":
+                    tid_id = tid_ids.get(tid_value) or self._tid_id(tid_value)
+                    obj_value = int(parts[3])
+                    lock_id = lock_ids.get(obj_value) or self._lock_id(obj_value)
+                    extend((OP_ACQUIRE, seq, tid_id, index, lock_id, tid_id))
+                elif kind == "rel":
+                    tid_id = tid_ids.get(tid_value) or self._tid_id(tid_value)
+                    obj_value = int(parts[3])
+                    lock_id = lock_ids.get(obj_value) or self._lock_id(obj_value)
+                    extend((OP_RELEASE, seq, tid_id, index, tid_id, lock_id))
+                else:
+                    op, tid_id, a, b, footprint = self._encode_other(
+                        kind, tid_value, parts
+                    )
+                    if footprint is not None:
+                        a = len(extras)
+                        extras.extend(footprint)
+                    extend((op, seq, tid_id, index, a, b))
+                seq += 1
+        except IndexError:  # a token the kind takes is missing
+            error: Optional[ValueError] = ValueError(
+                f"too few fields in event line {line!r}"
+            )
+        except ValueError as exc:
+            error = exc
+        else:
+            error = None
+        self.events_encoded += seq - start
+        return seq - start, data, filtered, foreign, error
+
+    def _encode_other(
+        self, kind: str, tid_value: int, parts: List[str]
+    ) -> Tuple[int, int, int, int, Optional[List[int]]]:
+        """The kinds :meth:`encode_lines` does not parse inline:
+        ``(op, tid_id, a, b, footprint-or-None)``."""
+        if kind not in _OTHER_KINDS:
+            raise ValueError(f"unknown event kind {kind!r}")
+        tid_id = self._tid_id(tid_value)
+        if kind == "vread":
+            return OP_VREAD, tid_id, self._vvar_id(int(parts[3]), parts[4]), tid_id, None
+        if kind == "vwrite":
+            return OP_VWRITE, tid_id, tid_id, self._vvar_id(int(parts[3]), parts[4]), None
+        if kind == "fork":
+            return OP_FORK, tid_id, tid_id, self._tid_id(int(parts[3])), None
+        if kind == "join":
+            return OP_JOIN, tid_id, self._tid_id(int(parts[3])), tid_id, None
+        if kind == "alloc":
+            return OP_ALLOC, tid_id, self._lock_id(int(parts[3])), 0, None
+        # commit R <obj>.<field> ... W <obj>.<field> ...
+        args = parts[3:]
+        if not args or args[0] != "R":
+            raise ValueError("malformed commit line")
+        w_at = args.index("W")  # ValueError when absent, like parse_event
+        footprint: Dict[Tuple[int, str], int] = {}
+        for mode, token in [(0, t) for t in args[1:w_at]] + [
+            (1, t) for t in args[w_at + 1 :]
+        ]:
+            obj_text, dot, field = token.partition(".")
+            if not dot:
+                raise ValueError(f"malformed variable token {token!r}")
+            key = (int(obj_text), field)
+            footprint[key] = max(footprint.get(key, 0), mode)
+        return OP_COMMIT, tid_id, 0, 0, self._commit_extras(footprint)
+
     def encode_line(
         self, line: str
     ) -> Tuple[int, int, int, int, int, Optional[List[int]]]:
-        """One trace text line -> packed record, with zero object churn.
+        """One trace text line -> ``(op, tid_id, index, a, b, extras-or-None)``.
 
-        Mirrors :func:`repro.trace.io.parse_event`'s grammar: both raise
-        ``ValueError`` on exactly the same lines.  Elements are interned in
-        the same order as :meth:`encode_event` (thread first), so both entry
-        points produce identical id assignments; a rejected line can leave
-        its thread id interned, which is harmless (an unreferenced id merely
-        rides along in the next delta).
+        :meth:`encode_lines` on a run of one line, which raises the refusal.
+        A filtered access comes back with ``a`` = :data:`FILTERED_VAR`.
         """
-        parts = line.split()
-        if len(parts) < 3:
-            raise ValueError(f"too few fields in event line {line!r}")
-        tid_value = int(parts[0])
-        index = int(parts[1])
-        kind = parts[2]
-        handler = _LINE_HANDLERS.get(kind)
-        if handler is None:
-            raise ValueError(f"unknown event kind {kind!r}")
-        tid_id = self._tid_id(tid_value)
-        try:
-            op, a_spec, b_spec, extras = handler(self, parts[3:])
-        except IndexError:
-            raise ValueError(f"too few fields in event line {line!r}") from None
-        self.events_encoded += 1
-        a = tid_id if a_spec == "tid" else a_spec
-        b = tid_id if b_spec == "tid" else b_spec
-        return op, tid_id, index, a, b, extras
+        records, extras = array("q"), array("q")
+        _taken, _data, filtered, _foreign, error = self.encode_lines(
+            (line,), records, extras, 0
+        )
+        if error is not None:
+            raise error
+        if filtered:
+            parts = line.split()
+            op = OP_READ if parts[2] == "read" else OP_WRITE
+            return op, self._tid_ids[int(parts[0])], int(parts[1]), FILTERED_VAR, 0, None
+        op, _seq, tid_id, index, a, b = records
+        return op, tid_id, index, a, b, extras.tolist() if op == OP_COMMIT else None
 
     def _commit_extras(self, footprint: Dict[Tuple[int, str], int]) -> List[int]:
         """Footprint -> ``[n, var_id, is_write, ...]`` in canonical order."""
@@ -659,76 +786,8 @@ class EventEncoder:
         return extras
 
 
-# The handlers below mirror ``parse_event``'s exact laxness (positional
-# access, trailing tokens ignored) so ``encode_line`` and ``parse_event``
-# agree line-for-line on what counts as a parse error.  A missing token
-# surfaces as ``IndexError``, which ``encode_line`` turns into ValueError.
-
-
-def _line_data(op):
-    def handle(enc: EventEncoder, args):
-        return op, enc._data_var_id(int(args[0]), args[1]), 0, None
-
-    return handle
-
-
-def _line_acq(enc: EventEncoder, args):
-    return OP_ACQUIRE, enc._lock_id(int(args[0])), "tid", None
-
-
-def _line_rel(enc: EventEncoder, args):
-    return OP_RELEASE, "tid", enc._lock_id(int(args[0])), None
-
-
-def _line_vread(enc: EventEncoder, args):
-    return OP_VREAD, enc._vvar_id(int(args[0]), args[1]), "tid", None
-
-
-def _line_vwrite(enc: EventEncoder, args):
-    return OP_VWRITE, "tid", enc._vvar_id(int(args[0]), args[1]), None
-
-
-def _line_fork(enc: EventEncoder, args):
-    return OP_FORK, "tid", enc._tid_id(int(args[0])), None
-
-
-def _line_join(enc: EventEncoder, args):
-    return OP_JOIN, enc._tid_id(int(args[0])), "tid", None
-
-
-def _line_alloc(enc: EventEncoder, args):
-    return OP_ALLOC, enc._lock_id(int(args[0])), 0, None
-
-
-def _line_commit(enc: EventEncoder, args):
-    if not args or args[0] != "R":
-        raise ValueError("malformed commit line")
-    w_at = args.index("W")  # ValueError when absent, like parse_event
-    footprint: Dict[Tuple[int, str], int] = {}
-    for mode, token in [(0, t) for t in args[1:w_at]] + [
-        (1, t) for t in args[w_at + 1 :]
-    ]:
-        obj_text, dot, field = token.partition(".")
-        if not dot:
-            raise ValueError(f"malformed variable token {token!r}")
-        key = (int(obj_text), field)
-        footprint[key] = max(footprint.get(key, 0), mode)
-    extras = enc._commit_extras(footprint)
-    return OP_COMMIT, 0, 0, extras
-
-
-_LINE_HANDLERS = {
-    "read": _line_data(OP_READ),
-    "write": _line_data(OP_WRITE),
-    "acq": _line_acq,
-    "rel": _line_rel,
-    "vread": _line_vread,
-    "vwrite": _line_vwrite,
-    "fork": _line_fork,
-    "join": _line_join,
-    "alloc": _line_alloc,
-    "commit": _line_commit,
-}
+#: the kinds :meth:`EventEncoder.encode_lines` hands to ``_encode_other``
+_OTHER_KINDS = frozenset(("vread", "vwrite", "fork", "join", "alloc", "commit"))
 
 
 # -- frame decoding back to Events ----------------------------------------------

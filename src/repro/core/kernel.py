@@ -29,6 +29,14 @@ two-phase garbage collection -- with the hot loop rebuilt on integers:
   space, where every data variable is already interned: there thread and
   lock ids can land past :data:`~repro.core.lockset.BITSET_CUTOFF`, and
   locksets that hold them spill from bitmasks to frozensets;
+* the packed path makes one call per record: :meth:`~EncodedGoldilocks
+  .apply_records` hands an access to :meth:`~EncodedGoldilocks._handle_read`
+  or :meth:`~EncodedGoldilocks._handle_write`, which build its info and
+  answer the fresh, transactional and same-thread rungs themselves (only a
+  check past them is a call of ``_check_happens_before``), and a simple
+  sync record to one :meth:`~repro.core.synclist.EncodedSyncList
+  .enqueue_encoded`; the same handlers serve :meth:`~EncodedGoldilocks
+  .process` and commits;
 * two fast paths beyond the paper's short circuits always run:
 
   - **sync-epoch check**: if no synchronization event has been enqueued
@@ -52,6 +60,7 @@ from __future__ import annotations
 
 import io
 import pickle
+import sys
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .actions import (
@@ -80,6 +89,7 @@ from .actions import (
 )
 from .detector import Detector
 from .lockset import (
+    BITSET_CUTOFF,
     TL_ID,
     Interner,
     IntLockset,
@@ -165,6 +175,12 @@ RETIRED_CONFIG = (
 def _canonical(var: DataVar) -> Tuple[int, str]:
     """A footprint variable's place in the canonical ``(obj, field)`` order."""
     return var.obj.value, var.field
+
+
+def _xact_ls(tid_id: int, outgoing: IntLockset) -> IntLockset:
+    """A transactional access's lockset: ``{t, TL} ∪ <outgoing set>``,
+    exactly as in the seed detector."""
+    return ls_union(ls_add(ls_add(0, tid_id), TL_ID), outgoing)
 
 
 class EncodedGoldilocks(Detector):
@@ -333,21 +349,6 @@ class EncodedGoldilocks(Detector):
         """File a variable that starts being tracked under its object."""
         self._by_obj.setdefault(self._vars[key].obj.value, set()).add(key)
 
-    def _new_info(
-        self,
-        tid_id: int,
-        index: int,
-        xact: bool,
-        extra_ls: IntLockset = 0,
-    ) -> KInfo:
-        ls: IntLockset = ls_add(0, tid_id)
-        if xact:
-            # {t, TL} ∪ <outgoing set>, exactly as in the seed detector.
-            ls = ls_union(ls_add(ls, TL_ID), extra_ls)
-        held = self._held.get(tid_id)
-        alock_id = held[-1] if (held and not xact) else None
-        return KInfo(tid_id, self.events.total_enqueued, ls, alock_id, xact, index)
-
     def _handle_read(
         self,
         tid_id: int,
@@ -355,18 +356,37 @@ class EncodedGoldilocks(Detector):
         key: int,
         txn_extra: Optional[IntLockset],
     ) -> List[RaceReport]:
-        """A read is checked against the last write only (cf. lazy.py)."""
-        xact = txn_extra is not None
-        info = self._new_info(tid_id, index, xact, txn_extra or 0)
+        """A read is checked against the last write only (cf. lazy.py).
+
+        Builds the access's info here: its lockset is ``{t}``, or ``{t, TL}
+        ∪ txn_extra`` in a transaction, and a plain access records the
+        innermost lock its thread holds.  The fresh, transactional and
+        same-thread rungs are answered here too; only a check past them
+        calls :meth:`_check_happens_before`.
+        """
+        pos = self.events.total_enqueued
+        if txn_extra is None:
+            xact = False
+            held = self._held.get(tid_id)
+            ls = 1 << tid_id if tid_id < BITSET_CUTOFF else frozenset((tid_id,))
+            info = KInfo(tid_id, pos, ls, held[-1] if held else None, False, index)
+        else:
+            xact = True
+            info = KInfo(tid_id, pos, _xact_ls(tid_id, txn_extra), None, True, index)
         reports: List[RaceReport] = []
         prev_write = self.write_info.get(key)
         per_thread = self.read_info.get(key)
-        if prev_write is None and per_thread is None:
-            self.stats.sc_fresh += 1
-        if prev_write is not None and not self._check_happens_before(prev_write, info):
+        if prev_write is None:
+            if per_thread is None:
+                self.stats.sc_fresh += 1
+        elif xact and prev_write.xact:
+            self.stats.sc_xact += 1
+        elif prev_write.owner_id == tid_id:
+            self.stats.sc_same_thread += 1
+        elif not self._check_happens_before(prev_write, info):
             reports.append(self._report(key, prev_write, "write", info, "read"))
-        if reports and self.suppress_racy_updates:
-            return reports  # the access is being suppressed
+            if self.suppress_racy_updates:
+                return reports  # the access is being suppressed
         if per_thread is None:
             per_thread = self.read_info[key] = {}
             if prev_write is None:
@@ -384,22 +404,39 @@ class EncodedGoldilocks(Detector):
         key: int,
         txn_extra: Optional[IntLockset],
     ) -> List[RaceReport]:
-        """A write is checked against the last write and all reads since it."""
-        xact = txn_extra is not None
-        info = self._new_info(tid_id, index, xact, txn_extra or 0)
+        """A write is checked against the last write and all reads since it.
+
+        The info and the first rungs are as in :meth:`_handle_read`.
+        """
+        pos = self.events.total_enqueued
+        if txn_extra is None:
+            xact = False
+            held = self._held.get(tid_id)
+            ls = 1 << tid_id if tid_id < BITSET_CUTOFF else frozenset((tid_id,))
+            info = KInfo(tid_id, pos, ls, held[-1] if held else None, False, index)
+        else:
+            xact = True
+            info = KInfo(tid_id, pos, _xact_ls(tid_id, txn_extra), None, True, index)
         reports: List[RaceReport] = []
+        stats = self.stats
         prev_write = self.write_info.get(key)
         readers = self.read_info.get(key)
-        if prev_write is None and not readers:
-            self.stats.sc_fresh += 1
         if readers:
             for reader_info in readers.values():
-                if not self._check_happens_before(reader_info, info):
-                    reports.append(
-                        self._report(key, reader_info, "read", info, "write")
-                    )
+                if xact and reader_info.xact:
+                    stats.sc_xact += 1
+                elif reader_info.owner_id == tid_id:
+                    stats.sc_same_thread += 1
+                elif not self._check_happens_before(reader_info, info):
+                    reports.append(self._report(key, reader_info, "read", info, "write"))
+        elif prev_write is None:
+            stats.sc_fresh += 1
         if prev_write is not None:
-            if not self._check_happens_before(prev_write, info):
+            if xact and prev_write.xact:
+                stats.sc_xact += 1
+            elif prev_write.owner_id == tid_id:
+                stats.sc_same_thread += 1
+            elif not self._check_happens_before(prev_write, info):
                 reports.append(self._report(key, prev_write, "write", info, "write"))
         if reports and self.suppress_racy_updates:
             return reports  # the access is being suppressed
@@ -476,7 +513,7 @@ class EncodedGoldilocks(Detector):
         return self.apply_records(records, extras)
 
     def _refuse(
-        self, problem: str, op: int, record: int, applied: int
+        self, problem: str, op: Optional[int], record: int, applied: int
     ) -> FrameFormatError:
         """Count one frame fault; the typed error for the caller to raise."""
         from .encode import FrameFormatError
@@ -527,23 +564,71 @@ class EncodedGoldilocks(Detector):
     def apply_records(
         self, records, extras
     ) -> Tuple[List[Tuple[int, RaceReport]], int]:
-        """Apply decoded ``(records, extras)`` arrays record-at-a-time.
+        """Apply decoded ``(records, extras)`` arrays, one call per record.
 
-        A malformed record raises :class:`~repro.core.encode
-        .FrameFormatError` carrying the record offset, the number of
-        records fully applied before the fault and, as ``reports``, the
-        races those records completed.
+        An access is one call of :meth:`_handle_read` or
+        :meth:`_handle_write`, a simple sync record one
+        :meth:`EncodedSyncList.enqueue_encoded`; the list is collected
+        only once it holds more than ``gc_threshold`` events.
+
+        A record the kernel cannot apply raises :class:`~repro.core.encode
+        .FrameFormatError`, counted in ``frame_faults``, carrying the
+        record offset, the number of records fully applied before it and,
+        as ``reports``, the races those records completed; nothing after
+        it is applied.  Refused are: an opcode outside ``OP_ACQUIRE ..
+        OP_ALLOC``; a thread id, or a simple sync record's key or gain,
+        outside the interner; an id that names no element of the class its
+        slot needs; a commit footprint outside ``extras``.  An array that
+        is not whole records is refused before anything is applied.
         """
-        from .encode import FrameFormatError
+        from .encode import RECORD_WIDTH, FrameFormatError
 
+        partial = len(records) % RECORD_WIDTH
+        if partial:
+            raise self._refuse(
+                f"a partial record of {partial} ints", None, len(records) // RECORD_WIDTH, 0
+            )
         reports: List[Tuple[int, RaceReport]] = []
         count = 0
         stats = self.stats
         packed_vars = self._packed_vars
+        events = self.events
+        enqueue = events.enqueue_encoded
+        n_ids = len(self.interner)
+        threshold = self.gc_threshold if self.gc_threshold is not None else sys.maxsize
+        it = iter(records)
         try:
-            for i in range(0, len(records), 6):
-                op, seq, tid_id, index, a, b = records[i : i + 6]
-                if op <= OP_JOIN:
+            for op, seq, tid_id, index, a, b in zip(it, it, it, it, it, it):
+                if not 0 <= tid_id < n_ids:
+                    raise self._refuse(
+                        f"thread id {tid_id} outside the interner", op, count, count
+                    )
+                if op == OP_READ or op == OP_WRITE:
+                    if a < 0:
+                        # admission-filtered access (normally dropped at the
+                        # edge; counted here in case a record slips through)
+                        stats.accesses_filtered += 1
+                        count += 1
+                        continue
+                    key = packed_vars.get(a)
+                    if key is None:
+                        key = self._packed_var(a, op, count, count)
+                    if key != FOREIGN:
+                        stats.accesses_checked += 1
+                        if op == OP_READ:
+                            found = self._handle_read(tid_id, index, key, None)
+                        else:
+                            found = self._handle_write(tid_id, index, key, None)
+                        for report in found:
+                            reports.append((seq, report))
+                elif OP_ACQUIRE <= op <= OP_JOIN:
+                    if not (0 <= a < n_ids and 0 <= b < n_ids):
+                        raise self._refuse(
+                            f"sync operands ({a}, {b}) outside the interner",
+                            op,
+                            count,
+                            count,
+                        )
                     stats.sync_events += 1
                     if op == OP_ACQUIRE:  # a is the lock id, b the acquirer
                         self._held.setdefault(tid_id, []).append(a)
@@ -553,51 +638,30 @@ class EncodedGoldilocks(Detector):
                             if held[k] == b:
                                 del held[k]
                                 break
-                    self.events.enqueue_encoded(op, a, b)
-                    self._maybe_collect()
-                elif op == OP_READ or op == OP_WRITE:
-                    if a < 0:
-                        # admission-filtered access (normally dropped at the
-                        # edge; counted here in case a record slips through)
-                        stats.accesses_filtered += 1
-                        count += 1
-                        continue
-                    key = packed_vars.get(a)
-                    if key is None:
-                        key = self._packed_var(a, op, i // 6, count)
-                    if key == FOREIGN:
-                        count += 1
-                        continue
-                    stats.accesses_checked += 1
-                    if op == OP_READ:
-                        found = self._handle_read(tid_id, index, key, None)
-                    else:
-                        found = self._handle_write(tid_id, index, key, None)
-                    for report in found:
-                        reports.append((seq, report))
+                    # the list now holds more than ``threshold`` events
+                    if enqueue(op, a, b) - events.head_pos >= threshold:
+                        self._maybe_collect()
                 elif op == OP_COMMIT:
                     reports.extend(
-                        self._packed_commit(
-                            seq, tid_id, index, a, extras, i // 6, count
-                        )
+                        self._packed_commit(seq, tid_id, index, a, extras, count, count)
                     )
                 elif op == OP_ALLOC:
                     if a < 0:
                         # admission-filtered alloc: nothing to invalidate
                         stats.accesses_filtered += 1
                     else:
-                        proxy = self._resolve_packed(a, op, i // 6, count)
+                        proxy = self._resolve_packed(a, op, count, count)
                         if type(proxy) is not LockVar:
                             raise self._refuse(
                                 f"alloc id {a} resolves to {proxy!r}, not an "
                                 "object proxy,",
                                 op,
-                                i // 6,
+                                count,
                                 count,
                             )
                         self._handle_alloc(proxy.obj.value)
                 else:
-                    raise self._refuse(f"unknown opcode {op}", op, i // 6, count)
+                    raise self._refuse(f"unknown opcode {op}", op, count, count)
                 count += 1
         except FrameFormatError as exc:
             exc.reports = reports
@@ -686,18 +750,13 @@ class EncodedGoldilocks(Detector):
     # -- Check-Happens-Before -------------------------------------------------------
 
     def _check_happens_before(self, info1: KInfo, info2: KInfo) -> bool:
-        """The constant-time rungs first, then the walk."""
+        """The constant-time rungs past the access handlers' (fresh,
+        transactional, same-thread), then the walk."""
         if self.provenance:
             # Snapshot before any rung runs: the full traversal advances
             # info1 in place, destroying the replay window a failing
             # verdict would need to explain itself.
             self._prov_anchor = (info1.pos, info1.ls)
-        if info1.xact and info2.xact:
-            self.stats.sc_xact += 1
-            return True
-        if info1.owner_id == info2.owner_id:
-            self.stats.sc_same_thread += 1
-            return True
         if info1.alock_id is not None and info1.alock_id in self._held.get(
             info2.owner_id, ()
         ):

@@ -238,11 +238,6 @@ class _Segment:
         self.gains: List[int] = []
         self.mask: int = 0
 
-    def append(self, op: int, key: int, gain: int) -> None:
-        self.ops.append(op)
-        self.keys.append(key)
-        self.gains.append(gain)
-
     def __len__(self) -> int:
         return len(self.ops)
 
@@ -304,18 +299,23 @@ class EncodedSyncList:
         pad = pos % self.segment_size
         if pad:
             segment = self.segments[pos // self.segment_size] = _Segment()
-            for _ in range(pad):
-                segment.append(-1, -1, -1)
+            segment.ops, segment.keys, segment.gains = [-1] * pad, [-1] * pad, [-1] * pad
 
     def enqueue_encoded(self, op: int, key: int, gain: int) -> int:
-        """Append one pre-encoded event; returns its (permanent) position."""
+        """Append one pre-encoded event; returns its (permanent) position.
+
+        A simple sync row fires on its ``key``, so its bit is ORed in
+        directly; only a commit row asks :meth:`_fires`.
+        """
         pos = self.total_enqueued
         seg_index = pos // self.segment_size
         segment = self.segments.get(seg_index)
         if segment is None:
             segment = self.segments[seg_index] = _Segment()
-        segment.append(op, key, gain)
-        segment.mask |= self._fires(op, key)
+        segment.ops.append(op)
+        segment.keys.append(key)
+        segment.gains.append(gain)
+        segment.mask |= 1 << key if op != OP_COMMIT else self._fires(op, key)
         self.total_enqueued = pos + 1
         return pos
 

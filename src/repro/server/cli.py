@@ -27,6 +27,8 @@ from __future__ import annotations
 import argparse
 import signal
 import sys
+import threading
+import time
 from typing import List, Optional
 
 from ..core.goldilocks import COMMIT_SYNC_POLICIES
@@ -219,15 +221,32 @@ def main(argv: Optional[List[str]] = None) -> int:
                     return 2
                 if args.tcp:  # the port bound, which port 0 leaves to the OS
                     address = f"tcp://{host}:{server.server_address[1]}"
+                # The server loop runs in a thread of its own and this one
+                # only sleeps, so the exception a signal handler raises
+                # (SIGTERM's SystemExit, Ctrl-C's KeyboardInterrupt) lands
+                # in a sleep.  Raised inside the loop's thread bookkeeping
+                # (starting a connection's thread), it could leave a lock
+                # released twice and be swallowed as a handler error.
+                stopped: List[bool] = []
+
+                def serve() -> None:
+                    try:
+                        server.serve_forever()
+                    finally:
+                        stopped.append(True)
+
+                threading.Thread(target=serve, daemon=True).start()
                 print(
                     f"# repro-serve listening on {address} ({args.shards} shard(s))",
                     file=sys.stderr,
                 )
                 try:
-                    server.serve_forever()
+                    while not stopped:
+                        time.sleep(0.05)
                 finally:
-                    # also on SIGTERM, whose handler raises SystemExit out
-                    # of serve_forever: a Unix server removes its socket file
+                    # also on a signal: stop the loop, and a Unix server
+                    # removes its socket file
+                    server.shutdown()
                     server.server_close()
                 races = service.stats().races_reported
             elif args.tail:

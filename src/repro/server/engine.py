@@ -21,7 +21,11 @@ The kernel applies a batch the moment it is pushed, much as the paper's
 runtime checks each access in the thread that makes it.  Events are
 translated once at the edge (:class:`~repro.core.encode.EventEncoder`)
 into flat integer records; a batch is one frame of ``bytes``, which the
-kernel appends verbatim via :meth:`EncodedGoldilocks.apply_packed`.  More
+kernel appends verbatim via :meth:`EncodedGoldilocks.apply_packed`.  Text
+arrives in runs: :meth:`ShardedEngine.submit_lines` hands a run to the
+encoder's run method, which writes its records straight into the pending
+batch, with no call per line; ``submit(event)`` and binary wire frames go
+record by record.  More
 cores are served by more ``repro-serve`` nodes behind ``repro-cluster``.
 
 A group is also the unit of checkpoint and migration: its checkpoint holds
@@ -245,16 +249,51 @@ class ShardedEngine:
         op, tid_id, index, a, b, extras = self._encoder.encode_event(event)
         return self._ingest_record(op, tid_id, index, a, b, extras, None)
 
-    def submit_line(self, line: str) -> int:
-        """Ingest one trace text line.
+    def submit_lines(self, lines: Sequence[str]) -> Tuple[int, Optional[ValueError]]:
+        """Ingest a run of trace text lines, up to the first one refused.
 
-        This is the encode-once fast path: the line becomes an integer
-        record directly, constructing zero dataclasses in steady state.
-        Raises on malformed input (before any caches are touched),
-        mirroring :func:`repro.trace.io.parse_event`.
+        The lines are encoded straight into the pending batch
+        (:meth:`EventEncoder.encode_lines`), which is pushed each time it
+        fills -- after the same line as line-at-a-time ingestion would push
+        it.  A node hosting only some groups drops the accesses of the
+        others inside the encoder's loop.  Returns ``(taken, error)``:
+        ``error`` is None when every line was taken, else the refusal, and
+        ``lines[taken]`` is the refused line, which takes no ``seq``.
         """
-        op, tid_id, index, a, b, extras = self._encoder.encode_line(line)
-        return self._ingest_record(op, tid_id, index, a, b, extras, None)
+        encoder = self._encoder
+        batch = self.config.batch_size
+        hosted = None if len(self._groups) == self.config.n_shards else self._groups
+        total = len(lines)
+        taken = 0
+        while taken < total:
+            # a run of at most ``room`` lines cannot overfill the batch
+            room = batch - len(self._records) // RECORD_WIDTH
+            run = lines if not taken and total <= room else lines[taken : taken + room]
+            n, data, filtered, foreign, error = encoder.encode_lines(
+                run, self._records, self._extras, self._seq, hosted
+            )
+            taken += n
+            self._seq += n
+            self.events_ingested += n
+            self.sync_broadcast += n - data - filtered
+            self.data_routed += data
+            self.data_admitted += data
+            self.data_filtered += filtered
+            self.foreign_dropped += foreign
+            if len(self._records) >= RECORD_WIDTH * batch:
+                self._push()
+            if error is not None:
+                return taken, error
+        return taken, None
+
+    def submit_line(self, line: str) -> int:
+        """Ingest one trace text line (:meth:`submit_lines` on a run of
+        one); returns its ``seq``.  A refused line raises, taking none."""
+        seq = self._seq
+        _taken, error = self.submit_lines((line,))
+        if error is not None:
+            raise error
+        return seq
 
     def _ingest_record(
         self,

@@ -161,25 +161,22 @@ class RaceDetectionService:
     def submit_lines(self, lines: Sequence[str]) -> Tuple[int, List[SeqReport]]:
         """Submit a run of event lines; returns ``(ingested, reports)``.
 
-        The run is applied before the call returns, so ``reports`` are the
-        races its events completed, in ``seq`` order.  It costs one lock
-        acquisition, two clock reads, one ``ingest`` observation and one
-        barrier, however long it is.  Lines are ingested in order up to
-        the first one the edge refuses: that line is counted and
-        remembered as a fault, and the lines after it are left to the
-        caller (``lines[ingested]`` is the refused one when ``ingested <
-        len(lines)``).
+        The run goes to the engine in one call
+        (:meth:`ShardedEngine.submit_lines`), which encodes it in one loop
+        straight into the pending batch, and is applied before the call
+        returns, so ``reports`` are the races its events completed, in
+        ``seq`` order.  It costs one lock acquisition, two clock reads, one
+        ``ingest`` observation and one barrier, however long it is.  Lines
+        are ingested in order up to the first one the edge refuses: that
+        line is counted and remembered as a fault, and the lines after it
+        are left to the caller (``lines[ingested]`` is the refused one when
+        ``ingested < len(lines)``).
         """
         t0 = self.tracer.clock()
-        ingested = 0
         with self._lock:
-            submit = self.engine.submit_line
-            try:
-                for line in lines:
-                    submit(line)
-                    ingested += 1
-            except Exception as exc:
-                self._note_fault(fault_record(lines[ingested], exc))
+            ingested, error = self.engine.submit_lines(lines)
+            if error is not None:
+                self._note_fault(fault_record(lines[ingested], error))
             reports = self._applied()
         if ingested:
             self.tracer.observe("ingest", t0, n=ingested)

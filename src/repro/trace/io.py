@@ -24,15 +24,16 @@ streaming consumers, and :func:`follow_lines` / :func:`follow_trace` tail a
 growing file incrementally, ``tail -f`` style (``repro-serve --tail``).
 
 :func:`iter_records` is the fast path from trace text to the kernel: it
-encodes lines straight into packed integer records
-(:mod:`repro.core.encode`) without ever constructing ``Event`` objects.
+encodes blocks of lines straight into packed integer records, one loop per
+block (:mod:`repro.core.encode`), without ever constructing ``Event``
+objects.
 ``repro-race analyze`` hands its arrays to the kernel, and
 :func:`iter_packed_frames` wraps them in wire frames, so a gzipped trace
 can be replayed against a binary-mode service at frame granularity.
 
 Both grammars -- :func:`parse_event` and
-:meth:`~repro.core.encode.EventEncoder.encode_line` -- raise ``ValueError``
-on exactly the same lines; read from a file, a bad line raises
+:meth:`~repro.core.encode.EventEncoder.encode_lines` -- refuse exactly the
+same lines; read from a file, a bad line raises
 :class:`TraceFormatError`, which names its line number.
 """
 
@@ -42,6 +43,7 @@ import gzip
 import time
 from array import array
 from contextlib import contextmanager
+from itertools import islice
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -127,9 +129,9 @@ def format_event(event: Event) -> str:
 def parse_event(line: str) -> Event:
     """Parse one line produced by :func:`format_event`.
 
-    A malformed line raises ``ValueError``, as
-    :meth:`~repro.core.encode.EventEncoder.encode_line` does on the same
-    line; tokens past the ones a kind takes are ignored by both.
+    A malformed line raises ``ValueError``; it is the line
+    :meth:`~repro.core.encode.EventEncoder.encode_lines` refuses too, and
+    tokens past the ones a kind takes are ignored by both.
     """
     parts = line.split()
     try:
@@ -162,7 +164,7 @@ def _parse_parts(parts: List[str]) -> Event:
         # args look like: R v1 v2 ... W v3 v4 ...
         if not args or args[0] != "R":
             raise ValueError(f"malformed commit: {' '.join(parts)!r}")
-        w_at = args.index("W")  # ValueError when absent, like encode_line
+        w_at = args.index("W")  # ValueError when absent, like encode_lines
         reads = frozenset(_parse_var(a) for a in args[1:w_at])
         writes = frozenset(_parse_var(a) for a in args[w_at + 1 :])
         return Event(tid, index, Commit(reads, writes))
@@ -233,45 +235,51 @@ def iter_records(
 
     Each chunk holds up to ``events_per_chunk`` packed records (see
     :mod:`repro.core.encode`) and the extras their commits point into, in
-    ``encoder``'s id space; lines are encoded with
-    :meth:`~repro.core.encode.EventEncoder.encode_line`, so no ``Event``
-    object exists on this path.  A chunk is yielded as soon as it fills,
-    with every id it names already interned: a kernel that shares the
-    encoder's interner can apply it at once.
+    ``encoder``'s id space.  The lines are read in blocks, and each
+    block's event lines are encoded in one loop by
+    :meth:`~repro.core.encode.EventEncoder.encode_lines`, the run method
+    the service's edge uses, so no ``Event`` object exists on this path.
+    A chunk is yielded as soon as it fills, with every id it names already
+    interned: a kernel that shares the encoder's interner can apply it at
+    once.
 
     The ``seq`` column holds a running count of the events read.  A data
     access the encoder's admission filter drops takes its ``seq`` but no
     record, as at the service's edge.  A malformed line raises
-    :class:`TraceFormatError`.
+    :class:`TraceFormatError` with its line number.
     """
-    encode = encoder.encode_line
     records = array("q")
     extras = array("q")
-    limit = 6 * events_per_chunk
     seq = 0
+    lineno = 0  # lines read before the current block
     with open_lines(source) as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                op, tid_id, index, a, b, extra_ints = encode(line)
-            except ValueError as exc:
-                raise TraceFormatError(lineno, exc) from exc
-            if a < 0:  # FILTERED_VAR: the admission filter dropped the access
-                seq += 1
-                continue
-            if extra_ints is not None:
-                a = len(extras)
-                extras.extend(extra_ints)
-            records.extend((op, seq, tid_id, index, a, b))
-            seq += 1
-            if len(records) >= limit:
+        unread = iter(handle)  # a list is read on, not again from its start
+        while True:
+            # a block of at most ``room`` lines cannot overfill the chunk
+            room = events_per_chunk - len(records) // 6
+            block = list(islice(unread, room))
+            if not block:
+                break
+            lines = [line for line in map(str.strip, block) if line and line[0] != "#"]
+            taken, _data, _filtered, _foreign, error = encoder.encode_lines(
+                lines, records, extras, seq
+            )
+            seq += taken
+            if error is not None:
+                raise TraceFormatError(lineno + _block_lineno(block, taken), error) from error
+            lineno += len(block)
+            if len(records) >= 6 * events_per_chunk:
                 yield records, extras
                 records = array("q")
                 extras = array("q")
     if records:
         yield records, extras
+
+
+def _block_lineno(block: List[str], k: int) -> int:
+    """The 1-based line number in ``block`` of its ``k``-th event line."""
+    numbers = [n for n, line in enumerate(block, 1) if line.strip()[:1] not in ("", "#")]
+    return numbers[k]
 
 
 def iter_packed_frames(

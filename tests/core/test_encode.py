@@ -26,6 +26,8 @@ from repro.core.actions import (
     Write,
 )
 from repro.core.encode import (
+    OP_READ,
+    OP_WRITE,
     RECORD_WIDTH,
     EventEncoder,
     FrameDecoder,
@@ -283,3 +285,99 @@ def test_apply_packed_matches_object_processing_counters():
     assert packed.stats.races == objected.stats.races
     assert packed.stats.sync_events == objected.stats.sync_events
     assert packed.stats.accesses_checked == objected.stats.accesses_checked
+
+
+#: well-formed lines, each kind, over few threads, objects and fields
+_tids = st.integers(min_value=1, max_value=4).map(str)
+_objs = st.integers(min_value=1, max_value=6).map(str)
+_fields = st.sampled_from(["f", "g"])
+_vars = st.tuples(_objs, _fields).map(".".join)
+well_formed_lines = st.one_of(
+    st.tuples(_tids, _tids, st.sampled_from(["read", "write", "vread", "vwrite"]), _objs, _fields),
+    st.tuples(_tids, _tids, st.sampled_from(["acq", "rel", "alloc"]), _objs),
+    st.tuples(_tids, _tids, st.sampled_from(["fork", "join"]), _tids),
+    st.tuples(
+        _tids,
+        _tids,
+        st.just("commit R"),
+        st.lists(_vars, max_size=3).map(" ".join),
+        st.just("W"),
+        st.lists(_vars, max_size=3).map(" ".join),
+    ),
+).map(" ".join)
+
+
+class DropOddObjects:
+    """An admission filter refusing the accesses of odd objects."""
+
+    def admit(self, obj_value, field):
+        return obj_value % 2 == 0
+
+
+def leftover_thread(line, interner):
+    """The thread a refused line interns before it is refused: its own,
+    when its index parses and its kind is known, if not interned yet."""
+    parts = line.split()
+    try:
+        tid, _index, kind = Tid(int(parts[0])), int(parts[1]), parts[2]
+    except (IndexError, ValueError):
+        return []
+    return [tid] if kind in KINDS and tid not in interner else []
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(st.one_of(well_formed_lines, line_tokens.map(" ".join)), max_size=25),
+    filtered=st.booleans(),
+    n_shards=st.integers(min_value=1, max_value=4),
+    hosted=st.one_of(st.none(), st.frozensets(st.integers(min_value=0, max_value=3))),
+    seq=st.integers(min_value=0, max_value=10**6),
+)
+def test_a_run_encodes_as_its_lines_parsed_into_events(lines, filtered, n_shards, hosted, seq):
+    """``encode_lines`` against the independent ``Event`` path: each line
+    through ``parse_event`` and ``encode_event`` on a fresh encoder, records
+    written as the run method's contract says, up to the first line
+    ``parse_event`` refuses."""
+    from repro.trace.io import parse_event
+
+    admit = DropOddObjects() if filtered else None
+    ref = EventEncoder(n_shards, admit=admit)
+    want_records, want_extras = array("q"), array("q")
+    data = dropped = foreign = 0
+    stop = None
+    for i, line in enumerate(lines):
+        try:
+            event = parse_event(line)
+        except ValueError:
+            stop = i
+            break
+        op, tid_id, index, a, b, extra = ref.encode_event(event)
+        if op in (OP_READ, OP_WRITE):
+            if a < 0:
+                dropped += 1
+                continue
+            data += 1
+            if hosted is not None and ref.var_shard[a] not in hosted:
+                foreign += 1
+                continue
+        if extra is not None:
+            a = len(want_extras)
+            want_extras.extend(extra)
+        want_records.extend((op, seq + i, tid_id, index, a, b))
+
+    run = EventEncoder(n_shards, admit=admit)
+    records, extras = array("q"), array("q")
+    got = run.encode_lines(lines, records, extras, seq, hosted)
+    taken, error = got[0], got[4]
+    assert got[1:4] == (data, dropped, foreign)
+    if stop is None:
+        assert (taken, error) == (len(lines), None)
+        leftover = []
+    else:
+        assert taken == stop and isinstance(error, ValueError)
+        leftover = leftover_thread(lines[stop], ref.interner)
+    assert records == want_records
+    assert extras == want_extras
+    assert run.interner.elements_since(0) == ref.interner.elements_since(0) + leftover
+    assert run.cache_misses == ref.cache_misses + len(leftover)
+    assert run.events_encoded == ref.events_encoded == taken

@@ -16,7 +16,13 @@ Five bugs, hand-built malformed/filtered frames:
    it must raise :class:`FrameFormatError` too, decided once per id;
 5. an interner delta from another id space used to be skipped wherever
    the kernel already held the id, so its records named the kernel's
-   elements instead; the whole frame must be refused.
+   elements instead; the whole frame must be refused;
+6. an opcode of 0 or below was enqueued as a sync event, a negative
+   thread or sync id raised a bare ``ValueError`` (a negative shift), an
+   id past the interner was accepted until a race named it, and an array
+   of records with a partial one raised a bare unpack ``ValueError``:
+   each is a typed :class:`FrameFormatError`, and nothing after it is
+   applied.
 """
 
 from array import array
@@ -28,9 +34,11 @@ from repro.core import EncodedGoldilocks, LazyGoldilocks
 from repro.core.actions import Commit, DataVar, Event, Obj, Tid, Write, commit
 from repro.core.encode import (
     FILTERED_VAR,
+    OP_ACQUIRE,
     OP_ALLOC,
     OP_COMMIT,
     OP_READ,
+    OP_RELEASE,
     OP_WRITE,
     EventEncoder,
     FrameFormatError,
@@ -326,3 +334,74 @@ def test_a_variable_id_is_decided_once():
     assert detector._packed_vars == {var_id: 0}
     assert [report.var for _seq, report in reports] == [VAR]
     assert detector.last_write(VAR) is detector.write_info[0]
+
+
+def unapplicable_rows():
+    """Records the kernel cannot apply, by name, each between a write of
+    ``VAR`` by T1 and a write of it by T3 that would race with it; with the
+    encoder whose ids they name."""
+    from repro.core.actions import LockVar
+
+    encoder = EventEncoder()
+    var, t1, t2, t3, lock = ids_for(
+        encoder, VAR, Tid(1), Tid(2), Tid(3), LockVar(Obj(7))
+    )
+    n_ids = len(encoder.interner)
+    cases = {
+        "opcode-0": (0, 1, t2, 0, lock, t2),
+        "negative-opcode": (-3, 1, t2, 0, lock, t2),
+        "negative-sync-key": (OP_ACQUIRE, 1, t2, 0, -1, t2),
+        "negative-sync-gain": (OP_RELEASE, 1, t2, 0, t2, -2),
+        "sync-key-past-the-interner": (OP_ACQUIRE, 1, t2, 0, n_ids + 5, t2),
+        "sync-gain-past-the-interner": (OP_RELEASE, 1, t2, 0, t2, n_ids),
+        "negative-thread": (OP_WRITE, 1, -1, 0, var, 0),
+        "thread-past-the-interner": (OP_WRITE, 1, n_ids, 0, var, 0),
+    }
+    frames = {}
+    for name, row in cases.items():
+        records = array(
+            "q", [OP_WRITE, 0, t1, 0, var, 0, *row, OP_WRITE, 2, t3, 0, var, 0]
+        )
+        delta = encoder.interner.elements_since(1)
+        frames[name] = (encode_frame(1, delta, records, array("q")), row[0])
+    return frames
+
+
+UNAPPLICABLE = unapplicable_rows()
+
+
+@pytest.mark.parametrize("case", sorted(UNAPPLICABLE))
+def test_a_record_the_kernel_cannot_apply_is_a_typed_error(case):
+    """Bug 6: an opcode outside OP_ACQUIRE..OP_ALLOC, and a thread id or a
+    simple sync record's key or gain outside the interner, are refused
+    with the record's offset; the record after it is not applied."""
+    frame, op = UNAPPLICABLE[case]
+    detector = EncodedGoldilocks()
+    with pytest.raises(FrameFormatError) as excinfo:
+        detector.apply_packed(frame)
+    error = excinfo.value
+    assert (error.kind, error.record, error.applied) == (op, 1, 1)
+    assert error.reports == []
+    assert detector.stats.frame_faults == 1
+    assert detector.stats.accesses_checked == 1  # only T1's write
+    assert detector.events.total_enqueued == 0
+    assert [info.owner_id for info in detector.write_info.values()] == [2]
+
+
+def test_a_partial_record_is_refused_before_anything_is_applied():
+    """Bug 6: records that are not whole 6-int records are refused whole,
+    where the record loop would have applied the whole ones first."""
+    encoder = EventEncoder()
+    var, t1, t2 = ids_for(encoder, VAR, Tid(1), Tid(2))
+    detector = EncodedGoldilocks()
+    detector.interner = encoder.interner
+    records = array(
+        "q", [OP_WRITE, 0, t1, 0, var, 0, OP_WRITE, 1, t2, 0, var, 0, OP_WRITE, 2, t1]
+    )
+    with pytest.raises(FrameFormatError) as excinfo:
+        detector.apply_records(records, array("q"))
+    error = excinfo.value
+    assert (error.record, error.applied, error.reports) == (2, 0, [])
+    assert detector.stats.frame_faults == 1
+    assert detector.stats.accesses_checked == 0
+    assert not detector.write_info

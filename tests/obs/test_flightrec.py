@@ -7,7 +7,9 @@ reproduces the identical race line, **including the ingestion seq tag**.
 
 import glob
 import io
+import json
 import os
+import struct
 from array import array
 
 import pytest
@@ -238,3 +240,32 @@ class TestFileFormat:
         path = str(tmp_path / "missing.flightrec")
         assert race_main(["replay-flightrec", path]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("opcode", [0, -1, 42])
+    def test_a_frame_the_kernel_refuses_exits_2_from_the_cli(
+        self, tmp_path, capsys, opcode
+    ):
+        """A recording whose frame holds a record the kernel refuses is an
+        unreadable recording, not a race that failed to reproduce (exit 1)
+        or a crash, to ``replay-flightrec`` and to ``explain --race``; the
+        two racy writes ahead of it replayed fine."""
+        from repro.cli import main as race_main
+
+        _races, dumps, _stats = run_packed_service(tmp_path)
+        recording = load_flightrec(dumps[0])
+        base, delta, records, extras = decode_frame(recording.frame)
+        tid = records[2]
+        records.extend((opcode, 2, tid, 2, tid, tid))
+        frame = encode_frame(base, delta, records, extras)
+        header = json.dumps(recording.header).encode("utf-8")
+        path = str(tmp_path / "refused.flightrec")
+        with open(path, "wb") as fh:
+            fh.write(MAGIC + struct.pack("<I", len(header)) + header)
+            fh.write(struct.pack("<I", len(frame)) + frame)
+        capsys.readouterr()
+        for command in (["replay-flightrec", path], ["explain", "--race", "0", path]):
+            assert race_main(command) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            (line,) = captured.err.splitlines()
+            assert line.startswith("error:") and f"opcode {opcode}" in line

@@ -173,8 +173,8 @@ class TestIndexedReplayExamples:
 
     def scan(self, detector, var, tid):
         info1 = detector.last_write(var)
-        info2 = detector._new_info(detector.interner.intern(tid), 0, False)
         end = detector.events.total_enqueued
+        info2 = KInfo(detector.interner.intern(tid), end, 0, None, False, None)
         got, _reached = check_scan(detector, info1.ls, info1.pos, end, info2)
         return detector._owned(got, info2)
 

@@ -322,3 +322,77 @@ def test_an_adopting_engine_counts_only_the_races_it_finds():
         assert found == sum(1 for seq, _r in after if shard_of(_r.var, 4) == 3)
         assert found > 0, "group 3 must race after the cut for this to bite"
         assert source.stats().races_reported + found == len(before) + len(after) == 42
+
+
+class DropObjects:
+    """An admission filter that drops every access to some objects."""
+
+    policy = "test"
+
+    def __init__(self, objs):
+        self.objs = frozenset(objs)
+
+    def admit(self, obj_value, field):
+        return obj_value not in self.objs
+
+
+#: the ingest counters a run of lines must move as its events one by one do
+INGEST_COUNTERS = (
+    "events_ingested",
+    "sync_broadcast",
+    "data_routed",
+    "data_admitted",
+    "data_filtered",
+    "foreign_dropped",
+    "batches_flushed",
+    "queue_bytes",
+)
+
+
+@pytest.mark.parametrize(
+    "setup",
+    [
+        {},
+        {"admit": DropObjects(range(1008, 1030))},
+        {"n_shards": 4, "groups": (1,)},
+    ],
+    ids=["plain", "admission", "node-hosting-group-1-of-4"],
+)
+def test_runs_of_lines_count_as_their_events_one_by_one(setup):
+    """``submit_lines`` encodes a run straight into the pending batch; its
+    race lines, batch pushes and ingest counters must be those of the same
+    events submitted one at a time through the ``Event`` path."""
+    from repro.trace.io import parse_event
+
+    lines = service_trace_text().splitlines()
+    # refused lines that intern nothing: both paths see the same ids
+    lines[700:700] = ["bogus line here"]
+    lines[1500:1500] = ["3 x write 5 f"]
+    config = dict(batch_size=16, **setup)
+    with ShardedEngine(EngineConfig(**config)) as by_event:
+        for line in lines:
+            try:
+                event = parse_event(line)
+            except ValueError:
+                continue
+            by_event.submit(event)
+        expected = [format_race(seq, r) for seq, r in by_event.barrier()]
+    with ShardedEngine(EngineConfig(**config)) as by_run:
+        start = 0
+        for size in [5, 40, 16, 100, 1, 7, 64] * 100:
+            run = lines[start : start + size]
+            if not run:
+                break
+            taken, error = by_run.submit_lines(run)
+            assert (error is None) == (taken == len(run))
+            start += taken + (error is not None)
+        assert start == len(lines)
+        got = [format_race(seq, r) for seq, r in by_run.barrier()]
+    assert got == expected and expected
+    for name in INGEST_COUNTERS:
+        assert getattr(by_run, name) == getattr(by_event, name), name
+    assert by_run.edge_allocs == by_event.edge_allocs
+    if "admit" in setup:
+        assert by_run.data_filtered > 0
+    if "groups" in setup:
+        assert by_run.foreign_dropped > 0
