@@ -1,7 +1,7 @@
 """The race flight recorder: a bounded ring of packed records, dumpable.
 
-The ring holds the last K **applied packed records** per hosted group --
-exactly the records the engine pushed to its kernel -- plus enough
+The ring holds at least the last K **applied packed records** per hosted
+group -- exactly the records the engine pushed to its kernel -- plus enough
 interner context to make a window self-contained.  A group's window is
 the ring's sync, alloc and commit records plus the group's own accesses
 since it was hosted, so a group adopted later starts from an empty window.  A dump's ``shard``
@@ -108,16 +108,17 @@ class FlightRecorder:
     def record(self, records: array, extras: array) -> None:
         """Absorb one pushed frame's arrays (ownership transfers here).
 
-        The ring keeps ``capacity`` records per hosted group (at least one
-        group's worth), as many as one ring per group kept together, so a
-        group's window reaches as far back as a ring of its own would.
+        The ring keeps at least ``capacity`` records per hosted group (one
+        group's worth at least), so a group's window reaches as far back as
+        a ring of its own would.  The oldest frame goes only while the
+        later ones still hold that bound, whatever the frames' sizes.
         """
         n = len(records) // RECORD_WIDTH
         self._frames.append((self.records_seen, records, extras))
         self.records_held += n
         self.records_seen += n
         bound = self.capacity * max(1, len(self._since))
-        while self.records_held > bound and len(self._frames) > 1:
+        while self.records_held - len(self._frames[0][1]) // RECORD_WIDTH >= bound:
             _start, old_records, _ = self._frames.popleft()
             dropped = len(old_records) // RECORD_WIDTH
             self.records_held -= dropped

@@ -25,6 +25,7 @@ group's window on SIGTERM before exiting.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import signal
 import sys
 import threading
@@ -52,7 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--follow", action="store_true", help="with --tail: keep polling for appends"
     )
     parser.add_argument("--shards", type=int, default=1, help="groups of variables")
-    parser.add_argument("--batch-size", type=int, default=64)
     parser.add_argument(
         "--commit-sync",
         default="footprint",
@@ -143,8 +143,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     # Config mistakes must not exit 1 -- that code means "races found".
     if args.shards < 1:
         parser.error("--shards must be at least 1")
-    if args.batch_size < 1:
-        parser.error("--batch-size must be at least 1")
     if args.gc_threshold < 0:
         parser.error("--gc-threshold must be at least 0 (0 disables collection)")
     if args.follow and not args.tail:
@@ -169,7 +167,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error(f"--admit: {exc}")
     config = ServiceConfig(
         n_shards=args.shards,
-        batch_size=args.batch_size,
         commit_sync=args.commit_sync,
         gc_threshold=args.gc_threshold or None,
         admit=admit_filter,
@@ -185,8 +182,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         ),
     )
     metrics_server = None
-    with RaceDetectionService(config) as service:
-        _install_sigterm(service)
+    with RaceDetectionService(config) as service, _install_sigterm(service):
         if args.metrics_port is not None:
             from ..obs.httpd import start_metrics_server
 
@@ -272,14 +268,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     return 1 if races else 0
 
 
-def _install_sigterm(service: RaceDetectionService) -> None:
+def _install_sigterm(service: RaceDetectionService) -> contextlib.ExitStack:
     """Drain gracefully on SIGTERM instead of dying mid-stream.
 
     The handler runs :meth:`RaceDetectionService.graceful_drain`: the
     races of accepted events no stream has written yet are reported, the
     flight recorders are flushed, and one terminal ``ok drain ...`` stats
     line goes to stderr.  Only then does the process exit (with the
-    conventional ``128 + SIGTERM`` status).
+    conventional ``128 + SIGTERM`` status).  Closing the returned stack
+    puts the replaced handler back, so a process that ran :func:`main`
+    in process still stops on SIGTERM.
     """
 
     def _handler(signum, frame):  # pragma: no cover - signal delivery timing
@@ -289,10 +287,14 @@ def _install_sigterm(service: RaceDetectionService) -> None:
         finally:
             raise SystemExit(128 + signum)
 
+    restore = contextlib.ExitStack()
     try:
-        signal.signal(signal.SIGTERM, _handler)
+        previous = signal.signal(signal.SIGTERM, _handler)
     except (ValueError, OSError):  # pragma: no cover - non-main thread
-        pass
+        return restore
+    if previous is not None:  # None: a handler not set from Python
+        restore.callback(signal.signal, signal.SIGTERM, previous)
+    return restore
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -17,16 +17,16 @@ once per process, however many groups it hosts, and a group's verdicts do
 not depend on where it is hosted: an access to ``v`` never mutates what
 another variable's checks read.
 
-The kernel applies a batch the moment it is pushed, much as the paper's
-runtime checks each access in the thread that makes it.  Events are
-translated once at the edge (:class:`~repro.core.encode.EventEncoder`)
-into flat integer records; a batch is one frame of ``bytes``, which the
-kernel appends verbatim via :meth:`EncodedGoldilocks.apply_packed`.  Text
-arrives in runs: :meth:`ShardedEngine.submit_lines` hands a run to the
-encoder's run method, which writes its records straight into the pending
-batch, with no call per line; ``submit(event)`` and binary wire frames go
-record by record.  More
-cores are served by more ``repro-serve`` nodes behind ``repro-cluster``.
+Every ingestion call -- a run of text lines, a binary wire frame, one
+``submit(event)`` -- ends by pushing its records to the kernel in one
+array, which the kernel applies at once, much as the paper's runtime
+checks each access in the thread that makes it.  Events are translated
+once at the edge (:class:`~repro.core.encode.EventEncoder`) into flat
+integer records; a push is one frame of ``bytes``, which the kernel appends
+verbatim via :meth:`EncodedGoldilocks.apply_packed`.  A run of text is
+encoded in one loop (:meth:`ShardedEngine.submit_lines`), with no call per
+line.  More cores are served by more ``repro-serve`` nodes behind
+``repro-cluster``.
 
 A group is also the unit of checkpoint and migration: its checkpoint holds
 no cell of the synchronization list, and the adopting process files the
@@ -100,8 +100,6 @@ class EngineConfig:
     #: the partition count: a data variable belongs to group
     #: ``crc32(var) % n_shards``, on one server or across a cluster
     n_shards: int = 1
-    #: events buffered before a batch is pushed to the kernel
-    batch_size: int = 64
     #: forwarded to the kernel
     commit_sync: str = "footprint"
     gc_threshold: Optional[int] = 50_000
@@ -150,9 +148,9 @@ class ShardedEngine:
     """Routes an event stream into one kernel for the hosted groups.
 
     The engine is *not* thread-safe by itself -- the service serializes
-    access with one ingestion lock.  Reports are tagged with ingestion
-    sequence numbers; :meth:`poll_reports` drains those of every pushed
-    batch, :meth:`barrier` pushes the partial batch first.
+    access with one ingestion lock.  Each ingestion call applies its
+    records before it returns.  Reports are tagged with ingestion sequence
+    numbers; :meth:`poll_reports` and :meth:`barrier` drain them.
     """
 
     def __init__(
@@ -178,7 +176,7 @@ class ShardedEngine:
         #: the hosted groups, in the order they were adopted
         self._groups: Dict[int, None] = {}
         self._kernel = self._new_kernel()
-        #: the pending records (and commit footprints) of the next batch
+        #: the records (and commit footprints) an ingestion call pushes at its end
         self._records = array("q")
         self._extras = array("q")
         # ingestion counters surfaced in ServiceStats
@@ -240,51 +238,39 @@ class ShardedEngine:
         return self._encoder.cache_misses
 
     def submit(self, event: Event) -> int:
-        """Buffer one event; returns its ingestion sequence number.
+        """Ingest and apply one event; returns its ingestion sequence number.
 
         A data access is kept if its group is hosted here; everything else
-        (synchronization, commits, allocations) always is.  A full buffer
-        is pushed and applied at once.
+        (synchronization, commits, allocations) always is.
         """
         op, tid_id, index, a, b, extras = self._encoder.encode_event(event)
-        return self._ingest_record(op, tid_id, index, a, b, extras, None)
+        seq = self._ingest_record(op, tid_id, index, a, b, extras, None)
+        self.flush()
+        return seq
 
     def submit_lines(self, lines: Sequence[str]) -> Tuple[int, Optional[ValueError]]:
-        """Ingest a run of trace text lines, up to the first one refused.
+        """Ingest and apply a run of text lines, up to the first refused.
 
-        The lines are encoded straight into the pending batch
-        (:meth:`EventEncoder.encode_lines`), which is pushed each time it
-        fills -- after the same line as line-at-a-time ingestion would push
-        it.  A node hosting only some groups drops the accesses of the
-        others inside the encoder's loop.  Returns ``(taken, error)``:
-        ``error`` is None when every line was taken, else the refusal, and
+        The lines are encoded straight into one record array
+        (:meth:`EventEncoder.encode_lines`), pushed once at the end.  A
+        node hosting only some groups drops the accesses of the others
+        inside the encoder's loop.  Returns ``(taken, error)``: ``error``
+        is None when every line was taken, else the refusal, and
         ``lines[taken]`` is the refused line, which takes no ``seq``.
         """
-        encoder = self._encoder
-        batch = self.config.batch_size
         hosted = None if len(self._groups) == self.config.n_shards else self._groups
-        total = len(lines)
-        taken = 0
-        while taken < total:
-            # a run of at most ``room`` lines cannot overfill the batch
-            room = batch - len(self._records) // RECORD_WIDTH
-            run = lines if not taken and total <= room else lines[taken : taken + room]
-            n, data, filtered, foreign, error = encoder.encode_lines(
-                run, self._records, self._extras, self._seq, hosted
-            )
-            taken += n
-            self._seq += n
-            self.events_ingested += n
-            self.sync_broadcast += n - data - filtered
-            self.data_routed += data
-            self.data_admitted += data
-            self.data_filtered += filtered
-            self.foreign_dropped += foreign
-            if len(self._records) >= RECORD_WIDTH * batch:
-                self._push()
-            if error is not None:
-                return taken, error
-        return taken, None
+        taken, data, filtered, foreign, error = self._encoder.encode_lines(
+            lines, self._records, self._extras, self._seq, hosted
+        )
+        self._seq += taken
+        self.events_ingested += taken
+        self.sync_broadcast += taken - data - filtered
+        self.data_routed += data
+        self.data_admitted += data
+        self.data_filtered += filtered
+        self.foreign_dropped += foreign
+        self.flush()
+        return taken, error
 
     def submit_line(self, line: str) -> int:
         """Ingest one trace text line (:meth:`submit_lines` on a run of
@@ -323,13 +309,10 @@ class ShardedEngine:
                 return seq
         else:
             self.sync_broadcast += 1
-        records = self._records
         if extras is not None:
             a = len(self._extras)
             self._extras.extend(extras)
-        records.extend((op, seq, tid_id, index, a, b))
-        if len(records) >= RECORD_WIDTH * self.config.batch_size:
-            self._push()
+        self._records.extend((op, seq, tid_id, index, a, b))
         return seq
 
     def submit_wire_frame(self, payload: bytes, state: WireIngest) -> int:
@@ -354,9 +337,10 @@ class ShardedEngine:
         record must name its own thread in one slot and a lock (acq/rel),
         volatile (vread/vwrite) or thread (fork/join) in the other, an
         alloc must name an object's lock (its proxy), and a commit's
-        footprint must lie inside the extras array.  A bad record
-        raises :class:`FrameFormatError` with the records before it
-        ingested (``applied``) and none after it.
+        footprint must lie inside the extras array.  The frame's records
+        are pushed in one array at the end; a bad record raises
+        :class:`FrameFormatError` with the records before it ingested and
+        applied (``applied``) and none after it.
         """
         # A trace envelope (frame version 2) is peeled off before any
         # decoding: downstream consumers -- decoders, shards, the flight
@@ -421,69 +405,74 @@ class ShardedEngine:
                 raise refuse(f"unannounced client id {cid}", op, i)
             return cid if remap is None else remap[cid]
 
-        for i in range(0, len(records), RECORD_WIDTH):
-            op, seq, tid_id, index, a, b = records[i : i + RECORD_WIDTH]
-            if remap is not None:
-                seq = None  # the engine assigns it
-                tid_id = remap[tid_id] if 0 <= tid_id < n_ids else -1
-            if tid_id not in thread_ids:
-                raise bad_id(records[i + 2], "a Tid", op, i)
-            local_extras: Optional[List[int]] = None
-            if op == OP_READ or op == OP_WRITE:
-                # An already-filtered access stays filtered; only real ids
-                # go through the remap.
-                if a != FILTERED_VAR:
-                    if remap is not None:
-                        a = remap[a] if 0 <= a < n_ids else -1
-                    if a not in var_shard:
-                        raise bad_id(records[i + 4], "a DataVar", op, i)
-                    if not encoder.admit_var_id(a):
-                        a = FILTERED_VAR
-            elif OP_ACQUIRE <= op <= OP_JOIN:
-                own, other_ids, belongs = sync_slots[op]
-                ids = (wire_id(a, op, i), wire_id(b, op, i))
-                if ids[own] != tid_id:
-                    raise bad_id(records[i + 4 + own], "the record's own Tid", op, i)
-                if ids[1 - own] not in other_ids:
-                    raise bad_id(records[i + 5 - own], belongs, op, i)
-                a, b = ids
-            elif op == OP_COMMIT:
-                n_vars = extras[a] if 0 <= a < len(extras) else -1
-                end = a + 1 + 2 * n_vars
-                if n_vars < 0 or end > len(extras):
-                    raise refuse(
-                        f"commit footprint at extras offset {a} outside the "
-                        f"{len(extras)}-int extras array",
-                        op,
-                        i,
-                    )
-                local_extras = [n_vars]
-                for j in range(a + 1, end, 2):
-                    cid = extras[j]
-                    # A filtered footprint entry travels as FILTERED_VAR;
-                    # remapping it would silently alias the *last* announced
-                    # element (remap[-1]) -- preserve the sentinel instead.
-                    if cid != FILTERED_VAR:
+        try:
+            for i in range(0, len(records), RECORD_WIDTH):
+                op, seq, tid_id, index, a, b = records[i : i + RECORD_WIDTH]
+                if remap is not None:
+                    seq = None  # the engine assigns it
+                    tid_id = remap[tid_id] if 0 <= tid_id < n_ids else -1
+                if tid_id not in thread_ids:
+                    raise bad_id(records[i + 2], "a Tid", op, i)
+                local_extras: Optional[List[int]] = None
+                if op == OP_READ or op == OP_WRITE:
+                    # a filtered access stays filtered; real ids are remapped
+                    if a != FILTERED_VAR:
                         if remap is not None:
-                            cid = remap[cid] if 0 <= cid < n_ids else -1
-                        if cid not in var_shard:
-                            raise bad_id(extras[j], "a DataVar", op, i)
-                    local_extras.append(cid)
-                    local_extras.append(extras[j + 1])
-                a = b = 0
-            elif op == OP_ALLOC:
-                if a >= 0:
-                    a = wire_id(a, op, i)
-                    if a not in encoder.lock_ids:
-                        raise bad_id(records[i + 4], "an object's LockVar", op, i)
-            else:
-                raise refuse(f"unknown opcode {op}", op, i)
-            self._ingest_record(op, tid_id, index, a, b, local_extras, seq)
-            count += 1
+                            a = remap[a] if 0 <= a < n_ids else -1
+                        if a not in var_shard:
+                            raise bad_id(records[i + 4], "a DataVar", op, i)
+                        if not encoder.admit_var_id(a):
+                            a = FILTERED_VAR
+                elif OP_ACQUIRE <= op <= OP_JOIN:
+                    own, other_ids, belongs = sync_slots[op]
+                    ids = (wire_id(a, op, i), wire_id(b, op, i))
+                    if ids[own] != tid_id:
+                        own_id = records[i + 4 + own]
+                        raise bad_id(own_id, "the record's own Tid", op, i)
+                    if ids[1 - own] not in other_ids:
+                        raise bad_id(records[i + 5 - own], belongs, op, i)
+                    a, b = ids
+                elif op == OP_COMMIT:
+                    n_vars = extras[a] if 0 <= a < len(extras) else -1
+                    end = a + 1 + 2 * n_vars
+                    if n_vars < 0 or end > len(extras):
+                        raise refuse(
+                            f"commit footprint at extras offset {a} outside the "
+                            f"{len(extras)}-int extras array",
+                            op,
+                            i,
+                        )
+                    local_extras = [n_vars]
+                    for j in range(a + 1, end, 2):
+                        cid = extras[j]
+                        # A filtered footprint entry travels as
+                        # FILTERED_VAR; remapping it would silently alias the
+                        # *last* announced element (remap[-1]) -- preserve
+                        # the sentinel instead.
+                        if cid != FILTERED_VAR:
+                            if remap is not None:
+                                cid = remap[cid] if 0 <= cid < n_ids else -1
+                            if cid not in var_shard:
+                                raise bad_id(extras[j], "a DataVar", op, i)
+                        local_extras.append(cid)
+                        local_extras.append(extras[j + 1])
+                    a = b = 0
+                elif op == OP_ALLOC:
+                    if a >= 0:
+                        a = wire_id(a, op, i)
+                        if a not in encoder.lock_ids:
+                            raise bad_id(records[i + 4], "an object's LockVar", op, i)
+                else:
+                    raise refuse(f"unknown opcode {op}", op, i)
+                self._ingest_record(op, tid_id, index, a, b, local_extras, seq)
+                count += 1
+        finally:
+            # the records ahead of a refused one are applied, too
+            self.flush()
         return count
 
     def flush(self) -> None:
-        """Push the pending batch to the kernel, if there is one."""
+        """Push the buffered records, if any: every ingestion call ends here."""
         if self._records:
             self._push()
 

@@ -10,21 +10,22 @@ Transports, all sharing one service (and therefore one detection domain):
 
 * :meth:`handle_stream` -- a ``(reader, writer)`` pair: a byte stream (or
   text lines) in, text out; used directly for stdin mode and by every
-  socket connection.  Event lines reach the engine in *runs* -- what one
-  read of the transport delivered, at most ``batch_size`` lines -- so
-  locking, timing and report polling cost once per run, not per line;
+  socket connection.  A *run* is what one read of the transport delivered:
+  its lines go to the engine in one ingestion call, unscanned, so locking,
+  timing, report polling and the kernel's apply cost once per read, not
+  per line;
 * :func:`serve_tcp` / :func:`serve_unix` -- threaded socket servers;
 * :meth:`tail_file` -- incremental ingestion of a growing trace file
   (:func:`repro.trace.io.follow_lines`), through the same text edge.
 
 Every ingestion call -- a run of text lines, a binary event frame, one
 :meth:`RaceDetectionService.submit_line` -- is applied before it returns:
-it ends by pushing the partial batches, so no record stays buffered
-between calls, and the reports it takes, in ``seq`` order, are exactly
-the races its own events completed.  A stream -- a connection, stdin, a
-tailed file -- writes them at once, so every race goes to the stream
-whose event completed it, and ``!flush``, ``!shutdown`` and EOF only
-write their ``ok`` lines.
+the engine pushes its records to the kernel in one array at its end, so
+no record stays buffered between calls, and the reports it takes, in
+``seq`` order, are exactly the races its own events completed.  A stream
+-- a connection, stdin, a tailed file -- writes them at once, so every
+race goes to the stream whose event completed it, and ``!flush``,
+``!shutdown`` and EOF only write their ``ok`` lines.
 """
 
 from __future__ import annotations
@@ -77,7 +78,6 @@ class ServiceConfig:
     """Tunables for the service; engine knobs are forwarded verbatim."""
 
     n_shards: int = 1
-    batch_size: int = 64
     commit_sync: str = "footprint"
     gc_threshold: Optional[int] = 50_000
     #: observability tunables (stage counters, span sampling, flight
@@ -94,8 +94,6 @@ class ServiceConfig:
     workers: str = "inline"
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.workers != "inline":
             raise ValueError(
                 f"workers={self.workers!r}: the kernel runs in the service process "
@@ -105,7 +103,6 @@ class ServiceConfig:
     def engine_config(self) -> EngineConfig:
         return EngineConfig(
             n_shards=self.n_shards,
-            batch_size=self.batch_size,
             commit_sync=self.commit_sync,
             gc_threshold=self.gc_threshold,
             obs=self.obs,
@@ -161,26 +158,31 @@ class RaceDetectionService:
     def submit_lines(self, lines: Sequence[str]) -> Tuple[int, List[SeqReport]]:
         """Submit a run of event lines; returns ``(ingested, reports)``.
 
-        The run goes to the engine in one call
-        (:meth:`ShardedEngine.submit_lines`), which encodes it in one loop
-        straight into the pending batch, and is applied before the call
-        returns, so ``reports`` are the races its events completed, in
-        ``seq`` order.  It costs one lock acquisition, two clock reads, one
-        ``ingest`` observation and one barrier, however long it is.  Lines
-        are ingested in order up to the first one the edge refuses: that
-        line is counted and remembered as a fault, and the lines after it
-        are left to the caller (``lines[ingested]`` is the refused one when
-        ``ingested < len(lines)``).
+        The run is one engine call (:meth:`ShardedEngine.submit_lines`):
+        one lock acquisition, two clock reads, one ``ingest`` observation
+        and one kernel call, however long it is.  It is applied before the
+        call returns; ``reports`` are the races its events completed, in
+        ``seq`` order.  Lines are ingested up to the first one the edge
+        refuses: that line is counted as a fault, and it and the lines
+        after it are left to the caller (``lines[ingested]``).
         """
+        ingested, error, reports = self._submit_run(lines)
+        if error is not None:
+            self._note_bad_input(lines[ingested], error)
+        return ingested, reports
+
+    def _submit_run(
+        self, lines: Sequence[str]
+    ) -> Tuple[int, Optional[ValueError], List[SeqReport]]:
+        """:meth:`submit_lines` without the fault: ``(ingested, error,
+        reports)``, for the text edge to judge the refused line itself."""
         t0 = self.tracer.clock()
         with self._lock:
             ingested, error = self.engine.submit_lines(lines)
-            if error is not None:
-                self._note_fault(fault_record(lines[ingested], error))
             reports = self._applied()
         if ingested:
             self.tracer.observe("ingest", t0, n=ingested)
-        return ingested, reports
+        return ingested, error, reports
 
     def _note_bad_input(
         self, line: str, error: Optional[BaseException] = None
@@ -208,8 +210,8 @@ class RaceDetectionService:
         return self.poll_reports()
 
     def _applied(self) -> List[SeqReport]:
-        """Push every partial batch and take the engine's reports, in
-        ``seq`` order; caller holds the lock."""
+        """Take the engine's reports, in ``seq`` order; caller holds the
+        lock."""
         reports = self.engine.barrier()
         self._races_seen += len(reports)
         return reports
@@ -318,13 +320,12 @@ class RaceDetectionService:
         final drain happens on EOF, so piping a complete trace in gives
         exactly the offline verdict.
 
-        Event lines reach :meth:`submit_lines` in runs: the consecutive
-        event lines one read of the transport delivered, at most
-        ``batch_size`` at a time.  A control line or a refused line ends
-        a run, so every reply keeps its place in the stream, and a run
-        never waits for more input.  A run's races are written as soon as
-        it is applied, before the next line is read: the connection writes
-        the races its own events complete, and no others.
+        Each read of the transport is one run (:meth:`_submit_text`): its
+        raw lines go to the engine in one ingestion call, ended early only
+        by a line the encoder refuses, so every reply keeps its place in
+        the stream and a run never waits for more input.  A run's races
+        are written as soon as it is applied, before the next read: the
+        connection writes the races its own events complete, and no others.
 
         ``binary`` is the connection's underlying byte stream, if it has
         one.  A ``!binary`` control line switches the client->server
@@ -335,29 +336,12 @@ class RaceDetectionService:
         """
         tally = _Tally()
         state = WireIngest()
-        step = self.config.batch_size
         reads = _TextReads(reader)
         for lines in reads:
-            run: List[str] = []
-            for k, raw in enumerate(lines):
-                line = raw.strip()
-                if not line or line[0] == "#":
-                    continue
-                if line[0] != CONTROL_PREFIX:
-                    run.append(line)
-                    if len(run) == step:
-                        self._submit_text(run, writer, tally)
-                        run = []
-                    continue
-                if run:
-                    self._submit_text(run, writer, tally)
-                    run = []
-                command, args = parse_control(line)
-                if command == "binary":
-                    if binary is None:
-                        writer.write("error binary mode needs a byte stream\n")
-                        writer.flush()
-                        continue
+            k = self._submit_text(lines, writer, tally, controls=True)
+            while k < len(lines):
+                command, args = parse_control(lines[k].strip())
+                if command == "binary" and binary is not None:
                     writer.write("ok binary\n")
                     writer.flush()
                     frames = _Prefixed(reads.rest(k), binary)
@@ -369,8 +353,7 @@ class RaceDetectionService:
                 writer.flush()
                 if stop:
                     return tally.races
-            if run:
-                self._submit_text(run, writer, tally)
+                k = self._submit_text(lines, writer, tally, k + 1, controls=True)
         return self._end_stream(writer, tally)
 
     def _end_stream(self, writer: TextIO, tally: _Tally) -> int:
@@ -379,24 +362,46 @@ class RaceDetectionService:
         writer.flush()
         return tally.races
 
-    def _submit_text(self, lines: List[str], writer: TextIO, tally: _Tally) -> None:
-        """Submit stripped event lines in runs of at most ``batch_size``.
+    def _submit_text(
+        self,
+        lines: Sequence[str],
+        writer: TextIO,
+        tally: _Tally,
+        start: int = 0,
+        controls: bool = False,
+    ) -> int:
+        """Ingest raw lines from ``start`` on; returns the index of the
+        control line that stopped it, or ``len(lines)``.
 
-        Writes the runs' races and one ``error`` line per refused line, in
-        stream order.
+        An ingestion call takes lines up to the first one the encoder
+        refuses, and only that line is looked at, stripped: a blank or
+        ``#`` one is skipped, with the blank and ``#`` lines right after
+        it, a ``!`` one is a control line if ``controls`` (a text frame or
+        a tailed file has none), and any other is a fault, answered with
+        one ``error`` line after the call's races.
         """
-        step = self.config.batch_size
-        start = 0
-        while start < len(lines):
-            run = lines[start : start + step]
-            ingested, reports = self.submit_lines(run)
+        end = len(lines)
+        while start < end:
+            ingested, error, reports = self._submit_run(
+                lines[start:] if start else lines
+            )
             tally.events += ingested
             tally.races += self._write_races(writer, reports)
             start += ingested
-            if ingested < len(run):
-                writer.write(f"error unparseable event line: {run[ingested]}\n")
+            if error is None:
+                break
+            line = lines[start].strip()
+            if controls and line[:1] == CONTROL_PREFIX:
+                return start
+            start += 1
+            if line and line[0] != "#":
+                self._note_bad_input(line, error)
+                writer.write(f"error unparseable event line: {line}\n")
                 writer.flush()
+            # a block of blank or comment lines costs no call per line
+            while start < end and lines[start].strip()[:1] in ("", "#"):
                 start += 1
+        return end
 
     def _control(
         self,
@@ -419,6 +424,9 @@ class RaceDetectionService:
             return False
         if command == "ping":
             writer.write("ok pong\n")
+            return False
+        if command == "binary":  # a text stream with no byte stream under it
+            writer.write("error binary mode needs a byte stream\n")
             return False
         if command == "admit":
             try:
@@ -579,7 +587,7 @@ class RaceDetectionService:
             elif frame_type == FRAME_TEXT:
                 # every line of the payload is an event line, "!..." too
                 text = payload.decode("utf-8", "replace")
-                self._submit_text(_event_lines(text.splitlines()), writer, tally)
+                self._submit_text(text.splitlines(), writer, tally)
             else:
                 writer.write(f"error unknown frame type {frame_type}\n")
                 writer.flush()
@@ -628,10 +636,11 @@ class RaceDetectionService:
     ) -> int:
         """Ingest a trace file incrementally; returns the race count.
 
-        The lines of each read go through the text edge as runs, as a
-        connection's do: every non-blank, non-comment line is an event
-        line, a refused one is answered with an ``error`` line and counted,
-        and the output is what ``--stdin`` writes for the same file.  With
+        Each read of the file (at most 64 KiB) is one run through the text
+        edge, as a connection's read is: every non-blank, non-comment line
+        is an event line, ``!...`` too, a refused one is answered with an
+        ``error`` line and counted, and the output is what ``--stdin``
+        writes for the same file.  With
         ``follow=True`` the file is tailed until :meth:`request_shutdown`
         is called (the ``tail -f`` deployment: a recorder appends, the
         service detects behind it).
@@ -640,7 +649,7 @@ class RaceDetectionService:
         tally = _Tally()
         try:
             for lines in follow_lines(path, poll_interval=poll_interval, stop=stop):
-                self._submit_text(_event_lines(lines), writer, tally)
+                self._submit_text(lines, writer, tally)
         except KeyboardInterrupt:
             # Ctrl-C on a followed file acts like a shutdown request.  A run
             # it cut short is applied here, so its races and the summary
@@ -728,12 +737,6 @@ class _Tally:
         self.events = 0
         self.races = 0
         self.flushed = 0
-
-
-def _event_lines(lines: Iterable[str]) -> List[str]:
-    """The stripped lines that are neither blank nor comments: every one is
-    an event line (``!...`` too) in a text frame or a tailed file."""
-    return [line for line in map(str.strip, lines) if line and line[0] != "#"]
 
 
 #: bytes one read takes from a byte stream: one transport buffer

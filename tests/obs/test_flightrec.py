@@ -138,6 +138,22 @@ class TestRecorderBounds:
         seqs = [records[i + 1] for i in range(0, len(records), RECORD_WIDTH)]
         assert seqs == [8, 9, 10, 11]  # only the newest survive
 
+    def test_a_ring_of_large_frames_still_holds_capacity_records(self):
+        """3-record frames at capacity 4: evicting the older of two frames
+        would leave 3 records, below the bound, so it stays, and a third
+        frame evicts it; the ring never holds fewer than 4 records once
+        it has seen 4."""
+        recorder = self._recorder(capacity=4)
+        held = []
+        for seq in range(0, 12, 3):
+            recorder.record(*self._frame(seq, n=3))
+            held.append(recorder.records_held)
+        assert held == [3, 6, 6, 6]
+        assert recorder.evicted == 6
+        records, _extras = recorder.window(0)
+        seqs = [records[i + 1] for i in range(0, len(records), RECORD_WIDTH)]
+        assert seqs == list(range(6, 12))
+
     def test_the_ring_holds_capacity_records_per_hosted_group(self):
         """As many records as one ring per group held together, so a
         group's window reaches as far back as a ring of its own would."""

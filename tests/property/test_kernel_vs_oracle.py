@@ -111,14 +111,14 @@ def test_a_group_handed_over_mid_stream_keeps_the_race_lines(mix, seed, data):
     cut = data.draw(st.integers(min_value=0, max_value=len(lines)), label="cut")
     group = data.draw(st.integers(min_value=0, max_value=N_GROUPS - 1), label="group")
 
-    with ShardedEngine(EngineConfig(n_shards=N_GROUPS, batch_size=8)) as single:
+    with ShardedEngine(EngineConfig(n_shards=N_GROUPS)) as single:
         for line in lines:
             single.submit_line(line)
         expected = single.barrier()
     assert first_by_seq(expected) == oracle_first_races(events), f"{mix} seed {seed}"
 
-    source = ShardedEngine(EngineConfig(n_shards=N_GROUPS, batch_size=8))
-    target = ShardedEngine(EngineConfig(n_shards=N_GROUPS, batch_size=8, groups=()))
+    source = ShardedEngine(EngineConfig(n_shards=N_GROUPS))
+    target = ShardedEngine(EngineConfig(n_shards=N_GROUPS, groups=()))
     with source, target:
         for line in lines[:cut]:
             source.submit_line(line)

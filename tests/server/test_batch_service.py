@@ -25,7 +25,7 @@ def test_corrupt_wire_frame_lands_in_the_parse_error_ring(reference):
     records[0] = 99
     corrupt = encode_frame(base, delta, records, extras)
 
-    config = ServiceConfig(n_shards=2, batch_size=16)
+    config = ServiceConfig(n_shards=2)
     out = io.StringIO()
     buf = io.BytesIO()
     buf.write(pack_frame(FRAME_EVENTS, corrupt))  # rejected up front

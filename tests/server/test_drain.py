@@ -9,6 +9,7 @@ line.
 
 import io
 import signal
+import sys
 
 import pytest
 
@@ -40,7 +41,7 @@ def inline_service(**overrides):
 def test_drain_reports_races_from_accepted_events():
     """Races of accepted events that nobody polled are still written."""
     out = io.StringIO()
-    with inline_service(batch_size=512) as service:
+    with inline_service() as service:
         for event in TRACE:
             service.submit_line(format_event(event))
         # No poll_reports() took the races: the drain must write them.
@@ -96,5 +97,25 @@ def test_sigterm_handler_drains_then_exits(capsys):
             assert service.shutdown_requested
         err = capsys.readouterr().err
         assert "repro-serve sigterm:" in err and "drain" in err
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+@pytest.mark.parametrize("mode", ["stdin", "tail-of-a-missing-file"])
+def test_main_puts_the_previous_sigterm_handler_back(
+    tmp_path, monkeypatch, capsys, mode
+):
+    """``repro-serve`` drains on SIGTERM only while its ``main`` runs: once
+    it returns -- after EOF, or with exit 2 -- the handler it replaced is
+    back, so a process that ran it in process still stops on SIGTERM."""
+    from repro.server.cli import main as serve_main
+
+    stdin = io.TextIOWrapper(io.BytesIO(b"1 0 write 5 f\n2 0 write 5 f\n"))
+    monkeypatch.setattr(sys, "stdin", stdin)
+    argv = ["--stdin"] if mode == "stdin" else ["--tail", str(tmp_path / "missing")]
+    previous = signal.getsignal(signal.SIGTERM)
+    try:
+        assert serve_main(argv) == (1 if mode == "stdin" else 2)
+        assert signal.getsignal(signal.SIGTERM) == previous
     finally:
         signal.signal(signal.SIGTERM, previous)

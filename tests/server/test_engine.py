@@ -111,7 +111,7 @@ def test_report_seq_tags_point_at_the_completing_access():
 
 
 def test_engine_stats_counters_and_shard_snapshots():
-    with ShardedEngine(n_shards=2, batch_size=8) as engine:
+    with ShardedEngine(n_shards=2) as engine:
         for event in RACY:
             engine.submit(event)
         reports = engine.barrier()
@@ -163,9 +163,9 @@ def test_engine_checkpoint_blobs_resume_the_stream():
     "control", ["export_group", "retire_group", "checkpoint", "reset"]
 )
 def test_a_control_call_leaves_the_races_it_flushes_for_the_next_poll(control):
-    """A control call pushes the batch still filling before it acts; the
-    race that batch completes waits for the next ``poll_reports()``."""
-    with ShardedEngine(n_shards=1, batch_size=64) as engine:
+    """A race the ingestion calls before a control call completed waits
+    for the next ``poll_reports()``; the control call takes none."""
+    with ShardedEngine(n_shards=1) as engine:
         engine.submit_line("1 0 write 5 f")
         engine.submit_line("2 0 write 5 f")
         if control.endswith("_group"):
@@ -344,8 +344,6 @@ INGEST_COUNTERS = (
     "data_admitted",
     "data_filtered",
     "foreign_dropped",
-    "batches_flushed",
-    "queue_bytes",
 )
 
 
@@ -359,16 +357,17 @@ INGEST_COUNTERS = (
     ids=["plain", "admission", "node-hosting-group-1-of-4"],
 )
 def test_runs_of_lines_count_as_their_events_one_by_one(setup):
-    """``submit_lines`` encodes a run straight into the pending batch; its
-    race lines, batch pushes and ingest counters must be those of the same
-    events submitted one at a time through the ``Event`` path."""
+    """``submit_lines`` encodes a run straight into one record array; its
+    race lines and ingest counters must be those of the same events
+    submitted one at a time through the ``Event`` path (the pushes differ:
+    one per run against one per kept event)."""
     from repro.trace.io import parse_event
 
     lines = service_trace_text().splitlines()
     # refused lines that intern nothing: both paths see the same ids
     lines[700:700] = ["bogus line here"]
     lines[1500:1500] = ["3 x write 5 f"]
-    config = dict(batch_size=16, **setup)
+    config = dict(setup)
     with ShardedEngine(EngineConfig(**config)) as by_event:
         for line in lines:
             try:

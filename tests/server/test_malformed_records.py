@@ -109,7 +109,7 @@ def outcome(lines):
 
 
 def service(**overrides):
-    config = dict(n_shards=2, batch_size=1000)
+    config = dict(n_shards=2)
     config.update(overrides)
     return RaceDetectionService(ServiceConfig(**config))
 
@@ -293,21 +293,24 @@ def test_alloc_of_a_data_variable_is_refused_and_the_race_stays(connection):
 @pytest.mark.parametrize("alloc_first", [True, False], ids=["before", "after"])
 def test_a_record_a_shard_refuses_loses_no_other_record_of_its_batch(alloc_first):
     """A record the kernel refuses (an alloc naming a thread, buffered past
-    the edge) shares one batch with two racy writes.  The writes before it
-    keep their race, the writes after it are still applied, and
-    ``!health`` shows the one fault."""
-    with service(n_shards=1, batch_size=1000) as svc:
+    the edge) shares one push with two racy writes, as records of one wire
+    frame do.  The writes before it keep their race, the writes after it
+    are still applied, and ``!health`` shows the one fault."""
+    with service(n_shards=1) as svc:
         engine = svc.engine
         thread = engine._encoder.intern_element(Tid(1))
 
         def refused_alloc():
             engine._ingest_record(OP_ALLOC, thread, 0, thread, 0, None, None)
 
+        def buffered_write(line):
+            engine._ingest_record(*engine._encoder.encode_line(line), None)
+
         with svc._lock:
             if alloc_first:
                 refused_alloc()
-            engine.submit_line("1 0 write 5 f")
-            engine.submit_line("2 0 write 5 f")
+            buffered_write("1 0 write 5 f")
+            buffered_write("2 0 write 5 f")
             if not alloc_first:
                 refused_alloc()
             assert len(engine._records) == 3 * RECORD_WIDTH  # one batch

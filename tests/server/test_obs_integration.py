@@ -84,11 +84,12 @@ def test_shard_apply_faults_join_the_parse_error_ring():
     good = encode_frame(1, delta, records, array("q"))
     wire = io.BytesIO(pack_frame(FRAME_EVENTS, good))
     out = io.StringIO()
-    with inline_service(n_shards=1, batch_size=1) as service:
+    with inline_service(n_shards=1) as service:
         engine = service.engine
         thread = engine._encoder.intern_element(Tid(1))
         with service._lock:
             engine._ingest_record(OP_ALLOC, thread, 0, thread, 0, None, None)
+            engine.flush()
         service.handle_stream(iter(["!binary\n"]), out, binary=wire)
         stats = service.stats()
         health = service.health()

@@ -35,7 +35,7 @@ def offline_races(events):
 
 def service_races(events, n_shards=4):
     """Stream a trace through the full service; return the parsed race lines."""
-    config = ServiceConfig(n_shards=n_shards, batch_size=7)
+    config = ServiceConfig(n_shards=n_shards)
     lines = "\n".join(format_event(e) for e in events) + "\n"
     out = io.StringIO()
     with RaceDetectionService(config) as service:

@@ -78,7 +78,7 @@ def test_ping_flush_and_unknown_control():
 def test_flush_is_a_barrier_for_previously_sent_events():
     event_lines = [format_event(e) for e in RACY_EVENTS]
     text = event_lines[0] + "\n" + event_lines[1] + "\n!flush\n"
-    with inline_service(batch_size=1000) as service:  # nothing auto-flushes
+    with inline_service() as service:
         lines = run_stream(service, text)
     # the race must be printed BEFORE the flush acknowledgment
     kinds = classify(lines)
@@ -255,22 +255,6 @@ def test_following_a_gz_trace_is_a_usage_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: repro-serve")
     assert "cannot follow a .gz trace" in err
-
-
-@pytest.mark.parametrize("size", ["0", "-3"])
-def test_a_batch_size_below_one_is_a_usage_error(capsys, size):
-    """``--batch-size`` below 1 exits 2 with the usage, as ``--shards 0``
-    does, and ``ServiceConfig`` refuses it."""
-    from repro.server.cli import main as serve_main
-
-    with pytest.raises(SystemExit) as exc:
-        serve_main(["--stdin", "--batch-size", size])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage: repro-serve")
-    assert "--batch-size must be at least 1" in err
-    with pytest.raises(ValueError, match="batch_size must be at least 1"):
-        ServiceConfig(batch_size=int(size))
 
 
 def test_a_negative_gc_threshold_is_a_usage_error(capsys):

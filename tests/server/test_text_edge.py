@@ -1,9 +1,12 @@
-"""The run-based text edge: event lines reach the engine in runs.
+"""The run-based text edge: a read of the transport is one run.
 
-A connection's lines are handed to ``RaceDetectionService.submit_lines`` a
-read at a time, at most ``batch_size`` per run.  These tests pin down what
-must not change with that: replies keep their place in the stream, a run
-never waits for more input, and bytes read past ``!binary`` are frames.
+A connection's raw lines go to the engine one read at a time, in one
+ingestion call, pushed to the kernel in one array.  The first line the
+encoder refuses ends the call and is looked at on its own: a blank or
+comment line is skipped (with the block of them it starts), a control line
+answered, any other refused.  These tests pin down what must not change
+with that: replies keep their place in the stream, a run never waits for
+more input, and bytes read past ``!binary`` are frames.
 """
 
 import io
@@ -18,7 +21,8 @@ import pytest
 
 from repro.core import LazyGoldilocks, Obj, Tid
 from repro.core.encode import EventEncoder, encode_frame
-from repro.server import RaceDetectionService, ServiceConfig, serve_unix
+from repro.core.kernel import EncodedGoldilocks
+from repro.server import RaceDetectionService, ServiceConfig, ShardedEngine, serve_unix
 from repro.server.protocol import (
     FRAME_CONTROL,
     FRAME_EVENTS,
@@ -27,11 +31,13 @@ from repro.server.protocol import (
     parse_response,
     parse_summary,
 )
+from repro.server.service import READ_SIZE
 from repro.trace import TraceBuilder
 from repro.trace.io import format_event, parse_event
 from tests.helpers import service_trace_text
 
-BATCH = 8
+#: the stream layout's grid: a bad and a control line at each offset of it
+GRID = 8
 RACY = TraceBuilder().write(Tid(1), Obj(5), "f").write(Tid(2), Obj(5), "f").build()
 
 
@@ -106,7 +112,7 @@ def test_frames_sent_with_the_binary_line_are_read_as_frames(tmp_path):
 def serve(lines, reader, n_shards=1):
     """One pass over ``lines``; ``reader`` turns them into the input."""
     out = io.StringIO()
-    config = ServiceConfig(n_shards=n_shards, batch_size=BATCH)
+    config = ServiceConfig(n_shards=n_shards)
     with RaceDetectionService(config) as service:
         service.handle_stream(reader(lines), out)
     return out.getvalue().splitlines()
@@ -118,7 +124,7 @@ def one_line_per_read(lines):
 
 
 def byte_stream(lines):
-    """All lines in one byte stream: runs as long as a batch."""
+    """All lines in one byte stream: one read per :data:`READ_SIZE` bytes."""
     return io.BytesIO("".join(line + "\n" for line in lines).encode("utf-8"))
 
 
@@ -131,16 +137,16 @@ def racy_pairs(n):
     return lines
 
 
-@pytest.mark.parametrize("offset", range(BATCH + 1))
+@pytest.mark.parametrize("offset", range(GRID + 1))
 def test_bad_and_control_lines_keep_their_place_at_every_offset(offset):
-    """A bad line and a control line at each offset of a run: one error
+    """A bad line and a control line at each offset of a grid: one error
     line per bad line, replies and races in stream order, the reference
     race lines and ``ok eof events=N`` -- exactly what one-line runs give.
 
-    ``!ping`` after four lines puts the runs four lines off the batch
-    grid, so from offset 4 on a batch fills, and its races come back,
-    inside the run that the first bad line ends."""
-    lines = racy_pairs(3 * BATCH)
+    The byte stream is one read, so each bad line, control line, comment
+    and blank line ends an ingestion call inside it, and the next call
+    takes the rest of the read."""
+    lines = racy_pairs(3 * GRID)
     detector = LazyGoldilocks(gc_threshold=None)
     expected = sorted(
         format_race(seq, report)
@@ -148,8 +154,8 @@ def test_bad_and_control_lines_keep_their_place_at_every_offset(offset):
         for report in detector.process(parse_event(line))
     )
     bad = [f"not an event {offset}", "1 2 write"]
-    first = 4 + BATCH + offset
-    second = first + 2 * BATCH
+    first = 4 + GRID + offset
+    second = first + 2 * GRID
     stream = (
         lines[:4]
         + ["!ping"]
@@ -161,6 +167,7 @@ def test_bad_and_control_lines_keep_their_place_at_every_offset(offset):
         + ["!flush", "# a comment", ""]
         + lines[second + offset :]
     )
+    assert len(byte_stream(stream).getvalue()) < READ_SIZE
     got = serve(stream, byte_stream)
     assert got == serve(stream, one_line_per_read)
     errors = [line for line in got if line.startswith("error")]
@@ -173,8 +180,8 @@ def test_bad_and_control_lines_keep_their_place_at_every_offset(offset):
 
 
 def test_a_list_of_lines_is_one_read():
-    """A list is already read: its lines go in runs, with the same output."""
-    lines = service_trace_text().splitlines()[: 50 * BATCH]
+    """A list is already read: its lines are one run, with the same output."""
+    lines = service_trace_text().splitlines()[: 50 * GRID]
     expected = serve(lines, one_line_per_read, n_shards=2)
     assert any(line.startswith("race ") for line in expected)
     assert serve(lines, list, n_shards=2) == expected
@@ -182,10 +189,9 @@ def test_a_list_of_lines_is_one_read():
 
 def test_a_run_never_waits_for_more_input(tmp_path):
     """Connection A sends two lines and goes idle; they are ingested at
-    once, as connection B's ``!stats`` shows, not held back until a run
-    or a batch would be full."""
+    once, as connection B's ``!stats`` shows, not held back for more."""
     path = str(tmp_path / "idle.sock")
-    with unix_service(path, batch_size=64):
+    with unix_service(path):
         idle = connect(path)
         probe = connect(path)
         handle = probe.makefile("rb")
@@ -214,10 +220,10 @@ def test_a_run_never_waits_for_more_input(tmp_path):
 
 
 def test_a_connection_with_nothing_undrained_leaves_other_races_alone():
-    """A run far shorter than a batch is applied before ``submit_lines``
-    returns, with its race; a connection that sent nothing then writes
-    only its replies, and no race is left over for anyone."""
-    config = ServiceConfig(n_shards=1, batch_size=64)
+    """A run is applied before ``submit_lines`` returns, with its race; a
+    connection that sent nothing then writes only its replies, and no race
+    is left over for anyone."""
+    config = ServiceConfig(n_shards=1)
     with RaceDetectionService(config) as service:
         streaming = [format_event(event) for event in RACY]
         ingested, reports = service.submit_lines(streaming)
@@ -227,3 +233,46 @@ def test_a_connection_with_nothing_undrained_leaves_other_races_alone():
         assert service.barrier() == []
     races = [format_race(seq, report) for seq, report in reports]
     assert (ingested, races) == (2, ["race 5.f write:1:0:0 write:2:0:0 seq=1"])
+
+
+def test_a_read_is_one_push_and_one_kernel_call(monkeypatch):
+    """A read of 100 event lines, under :data:`READ_SIZE` bytes, is one
+    ingestion call: one record array pushed, one kernel call."""
+    lines = racy_pairs(50)
+    data = "".join(line + "\n" for line in lines).encode("utf-8")
+    assert len(lines) > 64 and len(data) < READ_SIZE
+    calls = []
+    apply_packed = EncodedGoldilocks.apply_packed
+
+    def counted(kernel, frame):
+        calls.append(len(frame))
+        return apply_packed(kernel, frame)
+
+    monkeypatch.setattr(EncodedGoldilocks, "apply_packed", counted)
+    out = io.StringIO()
+    with RaceDetectionService(ServiceConfig(n_shards=1)) as service:
+        service.handle_stream(io.BytesIO(data), out)
+        stats = service.stats()
+    assert (stats.batches_flushed, len(calls)) == (1, 1)
+    assert out.getvalue().splitlines()[-1] == "ok eof events=100 races=50"
+
+
+def test_a_block_of_blank_and_comment_lines_costs_no_call_per_line(monkeypatch):
+    """The blank and comment lines after a refused one are stepped over
+    without an ingestion call each: two event lines around 500 blank and
+    500 comment lines, in one read, make at most two calls."""
+    calls = []
+    submit_lines = ShardedEngine.submit_lines
+
+    def counted(engine, lines):
+        calls.append(len(lines))
+        return submit_lines(engine, lines)
+
+    monkeypatch.setattr(ShardedEngine, "submit_lines", counted)
+    stream = ["1 0 write 5 f"] + [""] * 500 + ["# note"] * 500 + ["2 0 write 5 f"]
+    assert len(byte_stream(stream).getvalue()) < READ_SIZE
+    assert serve(stream, byte_stream) == [
+        "race 5.f write:1:0:0 write:2:0:0 seq=1",
+        "ok eof events=2 races=1",
+    ]
+    assert len(calls) <= 2

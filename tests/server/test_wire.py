@@ -30,7 +30,7 @@ def trace_text(seed=11):
 
 def run_service(text, wire, n_shards=4):
     """One fresh service pass; returns (race lines incl. seq, stats)."""
-    config = ServiceConfig(n_shards=n_shards, batch_size=16)
+    config = ServiceConfig(n_shards=n_shards)
     out = io.StringIO()
     with RaceDetectionService(config) as service:
         if wire == "text":
